@@ -1,0 +1,256 @@
+//! Modelled numbers pinned across commits.
+//!
+//! `determinism.rs` compares 1 worker against 4 workers *of the same
+//! build*; nothing there notices a commit that changes what a kernel
+//! is charged. The rows below were captured on the commit before the
+//! simulator's accounting helpers were rewritten for host speed
+//! (DESIGN.md "Host cost of the simulator"), and every later commit
+//! must reproduce them bit for bit at 1 and 4 sim threads: modelled
+//! seconds, every total `Traffic` field, every `Counter`, and a digest
+//! over each event's name, seconds and per-phase spans.
+//!
+//! A deliberate model change refreshes a row: the failure message
+//! prints the observed row as a Rust literal.
+
+use std::sync::{Mutex, MutexGuard};
+
+use tlc::schemes::{EncodedColumn, Scheme};
+use tlc::sim::{set_sim_threads_override, Counter, Device, Phase, Traffic};
+use tlc::ssb::{try_run_query, LoColumns, QueryId, SsbData, System};
+use tlc_rng::Rng;
+
+/// The override is process-global; serialize the tests that set it.
+static OVERRIDE: Mutex<()> = Mutex::new(());
+
+fn lock() -> MutexGuard<'static, ()> {
+    OVERRIDE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// One pinned measurement: everything the model reports for a region
+/// of the timeline.
+#[derive(Debug, PartialEq, Eq)]
+struct Pin {
+    /// `f64::to_bits` of `Device::elapsed_seconds()`.
+    seconds_bits: u64,
+    /// Total traffic: read segments, write segments, shared bytes,
+    /// integer ops, spill bytes.
+    traffic: [u64; 5],
+    /// Every `Counter`, in `Counter::ALL` order.
+    counters: [u64; Counter::COUNT],
+    /// FNV-1a 64 over every event in launch order: name, seconds bits,
+    /// the five traffic fields of each phase, the counters.
+    digest: u64,
+}
+
+fn traffic_fields(t: &Traffic) -> [u64; 5] {
+    [
+        t.global_read_segments,
+        t.global_write_segments,
+        t.shared_bytes,
+        t.int_ops,
+        t.spill_bytes,
+    ]
+}
+
+fn fnv64(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
+
+/// Read the pin off the device's timeline (events since the last
+/// `reset_timeline`).
+fn observe(dev: &Device) -> Pin {
+    let seconds_bits = dev.elapsed_seconds().to_bits();
+    dev.with_timeline(|tl| {
+        let spans = tl.total_spans();
+        let mut digest = 0xCBF2_9CE4_8422_2325u64;
+        for e in tl.events() {
+            fnv64(&mut digest, e.name.as_bytes());
+            fnv64(&mut digest, &e.seconds.to_bits().to_le_bytes());
+            for p in Phase::ALL {
+                for f in traffic_fields(e.spans.phase(p)) {
+                    fnv64(&mut digest, &f.to_le_bytes());
+                }
+            }
+            for c in Counter::ALL {
+                fnv64(&mut digest, &e.spans.counter(c).to_le_bytes());
+            }
+        }
+        Pin {
+            seconds_bits,
+            traffic: traffic_fields(&tl.total_traffic()),
+            counters: Counter::ALL.map(|c| spans.counter(c)),
+            digest,
+        }
+    })
+}
+
+/// Run `f` at 1 and at 4 sim threads and hold both to `want`.
+fn check(label: &str, want: &Pin, f: impl Fn() -> Pin) {
+    for threads in [1, 4] {
+        set_sim_threads_override(Some(threads));
+        let got = f();
+        set_sim_threads_override(None);
+        assert_eq!(
+            &got, want,
+            "{label} at {threads} sim thread(s): modelled numbers moved; observed\n{got:#x?}"
+        );
+    }
+}
+
+const QUERIES: [QueryId; 4] = [QueryId::Q11, QueryId::Q21, QueryId::Q31, QueryId::Q43];
+
+/// `(query, system)` → pin, in `QUERIES` × `[GpuStar, None]` order.
+const QUERY_PINS: [Pin; 8] = [
+    // q1.1 under GpuStar
+    Pin {
+        seconds_bits: 0x3ee86fd379939798,
+        traffic: [0x2769, 0x98, 0x262d10, 0x1908c1, 0x0],
+        counters: [0x1d8, 0x1d8, 0x159d, 0x493, 0x3aa5c, 0x3adf],
+        digest: 0xe4f667f276295dda,
+    },
+    // q1.1 under None
+    Pin {
+        seconds_bits: 0x3ee9a4d456b81a4c,
+        traffic: [0x36de, 0x98, 0xec00, 0xb2b2e, 0x0],
+        counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
+        digest: 0x1183d70819354b66,
+    },
+    // q2.1 under GpuStar
+    Pin {
+        seconds_bits: 0x3ef7aab5b8d0db24,
+        traffic: [0x3d56, 0x250, 0x26ffd0, 0x18d43b, 0x0],
+        counters: [0x1d8, 0x1d8, 0x1417, 0x619, 0x3aa5c, 0x3adf],
+        digest: 0xdc93c94d78c45876,
+    },
+    // q2.1 under None
+    Pin {
+        seconds_bits: 0x3ef836a5cf546b47,
+        traffic: [0x4b56, 0x250, 0x0, 0xb493c, 0x0],
+        counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
+        digest: 0xbe28b5555356ad22,
+    },
+    // q3.1 under GpuStar
+    Pin {
+        seconds_bits: 0x3ef824c3d7e19b4a,
+        traffic: [0x4862, 0x37a, 0x3f2760, 0x19dd84, 0x0],
+        counters: [0x1d8, 0x1d8, 0x1292, 0x46c, 0x3aa5c, 0x7591],
+        digest: 0x948a88a5bba3ebb0,
+    },
+    // q3.1 under None
+    Pin {
+        seconds_bits: 0x3ef8b8b50565b1e2,
+        traffic: [0x572f, 0x37a, 0x0, 0xb34d4, 0x0],
+        counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
+        digest: 0x79e0859bd630a886,
+    },
+    // q4.3 under GpuStar
+    Pin {
+        seconds_bits: 0x3efdf9a2a6352ee2,
+        traffic: [0x4b05, 0x7b, 0x46862c, 0x1f513e, 0x76000],
+        counters: [0x2c4, 0x2c4, 0x16fe, 0xeb0, 0x57f8a, 0x7591],
+        digest: 0x43e106a2596aeda6,
+    },
+    // q4.3 under None
+    Pin {
+        seconds_bits: 0x3efec34db7cbc83f,
+        traffic: [0x5f32, 0x7b, 0x0, 0xef5a4, 0x76000],
+        counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
+        digest: 0xcfcdd321b4fca6df,
+    },
+];
+
+#[test]
+fn ssb_queries_reproduce_the_pinned_model() {
+    let _guard = lock();
+    let data = SsbData::generate(0.01);
+    let mut pins = QUERY_PINS.iter();
+    for q in QUERIES {
+        for sys in [System::GpuStar, System::None] {
+            let want = pins.next().expect("one pin per (query, system)");
+            check(&format!("{} under {sys:?}", q.name()), want, || {
+                let dev = Device::v100();
+                let cols = LoColumns::build(&dev, &data, sys, q.columns());
+                dev.reset_timeline();
+                try_run_query(&dev, &data, &cols, q).expect("clean data");
+                observe(&dev)
+            });
+        }
+    }
+}
+
+/// One column per scheme, shaped so `encode_as` exercises the scheme's
+/// own cascade: bounded random (FOR), rising with jitter (DFOR), runs
+/// (RFOR). 100 000 values: a short final tile and a short final block.
+fn scheme_column(scheme: Scheme) -> Vec<i32> {
+    let mut rng = Rng::seed_from_u64(0x7153_C0DE);
+    let n = 100_000;
+    match scheme {
+        Scheme::GpuFor => (0..n).map(|_| rng.gen_range(-5_000..60_000)).collect(),
+        Scheme::GpuDFor => {
+            let mut v = 19_920_101;
+            (0..n)
+                .map(|_| {
+                    v += rng.gen_range(0..9);
+                    v
+                })
+                .collect()
+        }
+        Scheme::GpuRFor => {
+            let mut out = Vec::with_capacity(n);
+            while out.len() < n {
+                let v = rng.gen_range(0..500);
+                let run = rng.gen_range(1..40usize).min(n - out.len());
+                out.extend(std::iter::repeat_n(v, run));
+            }
+            out
+        }
+    }
+}
+
+const SCHEMES: [Scheme; 3] = [Scheme::GpuFor, Scheme::GpuDFor, Scheme::GpuRFor];
+
+/// `decode_only` then `decompress` of each scheme's column, one pin
+/// covering both launches.
+const DECODE_PINS: [Pin; 3] = [
+    // GPU-FOR
+    Pin {
+        seconds_bits: 0x3ee805bbf9d45180,
+        traffic: [0x10fe, 0xc35, 0x13a5a0, 0x102130, 0x0],
+        counters: [0x188, 0x188, 0x1870, 0x0, 0x30d40, 0x0],
+        digest: 0x7fae5100bd1301ee,
+    },
+    // GPU-DFOR
+    Pin {
+        seconds_bits: 0x3ee771a6f0640f97,
+        traffic: [0x834, 0xc35, 0x36d510, 0x13f518, 0x0],
+        counters: [0x188, 0x188, 0x1870, 0x0, 0x30d40, 0x0],
+        digest: 0x7e69e4a28bff10d3,
+    },
+    // GPU-RFOR
+    Pin {
+        seconds_bits: 0x3ee7d1f09c4b762f,
+        traffic: [0x8aa, 0xc35, 0x4dead8, 0x810c0, 0x0],
+        counters: [0x188, 0x188, 0x338, 0x0, 0x30d40, 0x28ea],
+        digest: 0x3c6ce7abfc8c85d4,
+    },
+];
+
+#[test]
+fn standalone_decodes_reproduce_the_pinned_model() {
+    let _guard = lock();
+    for (scheme, want) in SCHEMES.into_iter().zip(&DECODE_PINS) {
+        let values = scheme_column(scheme);
+        let enc = EncodedColumn::encode_as(&values, scheme);
+        check(scheme.name(), want, || {
+            let dev = Device::v100();
+            let dcol = enc.to_device(&dev);
+            dev.reset_timeline();
+            dcol.decode_only(&dev).expect("clean column");
+            let out = dcol.decompress(&dev).expect("clean column");
+            assert_eq!(out.as_slice_unaccounted(), values);
+            observe(&dev)
+        });
+    }
+}
