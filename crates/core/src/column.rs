@@ -16,7 +16,7 @@ use tlc_gpu_sim::{BlockCtx, Device, GlobalBuffer, Phase};
 use crate::error::DecodeError;
 use crate::format::{ForDecodeOpts, BLOCK, DEFAULT_D, RFOR_BLOCK};
 use crate::gpu_dfor::{self, GpuDFor, GpuDForDevice};
-use crate::gpu_for::{self, GpuFor, GpuForDevice};
+use crate::gpu_for::{self, lanes_at, select_lanes, GpuFor, GpuForDevice};
 use crate::gpu_rfor::{self, GpuRFor, GpuRForDevice};
 use crate::model::decode_config;
 
@@ -224,7 +224,7 @@ impl DeviceColumn {
         &self,
         ctx: &mut BlockCtx<'_>,
         tile_id: usize,
-        pred: &dyn Fn(i32) -> bool,
+        pred: impl Fn(i32) -> bool,
         sel_in: Option<&[bool]>,
         sel: &mut Vec<bool>,
         out: &mut Vec<i32>,
@@ -293,7 +293,7 @@ impl DeviceColumn {
 pub fn fused_predicate(
     ctx: &mut BlockCtx<'_>,
     vals: &[i32],
-    pred: &dyn Fn(i32) -> bool,
+    pred: impl Fn(i32) -> bool,
     sel_in: Option<&[bool]>,
     sel: &mut Vec<bool>,
 ) {
@@ -301,14 +301,7 @@ pub fn fused_predicate(
     ctx.add_int_ops(vals.len() as u64 * 2);
     sel.clear();
     sel.reserve(vals.len());
-    match sel_in {
-        Some(s) => sel.extend(
-            vals.iter()
-                .enumerate()
-                .map(|(i, &v)| s.get(i).copied().unwrap_or(false) && pred(v)),
-        ),
-        None => sel.extend(vals.iter().map(|&v| pred(v))),
-    }
+    select_lanes(vals, &pred, lanes_at(sel_in, 0, vals.len()), sel);
 }
 
 #[cfg(test)]

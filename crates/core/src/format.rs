@@ -18,6 +18,12 @@ pub const RFOR_BLOCK: usize = 512;
 /// settles on `D = 4` for query workloads (Sections 4.2 and 8).
 pub const DEFAULT_D: usize = 4;
 
+/// Deepest tile the block formats decode, in 128-value blocks: the cap
+/// [`crate::validate`] puts on an untrusted GPU-DFOR stream's `d`, and
+/// what lets the tile loaders keep block starts and checksums in fixed
+/// stack arrays.
+pub const MAX_D: usize = 128;
+
 /// Words in the block header (reference + bitwidth word).
 pub(crate) const BLOCK_HEADER_WORDS: usize = 2;
 

@@ -20,8 +20,8 @@ use tlc_gpu_sim::{BlockCtx, Counter, Device, GlobalBuffer, Phase};
 
 use crate::checksum::staged_checksum;
 use crate::error::DecodeError;
-use crate::format::{blocks_for, Layout, BLOCK, BLOCK_HEADER_WORDS, DEFAULT_D, MINIBLOCK};
-use crate::gpu_for::{self, BlockPlan};
+use crate::format::{blocks_for, Layout, BLOCK, BLOCK_HEADER_WORDS, DEFAULT_D, MAX_D, MINIBLOCK};
+use crate::gpu_for::{self, decode_block_from_shared, run_decode, tile_out, BlockPlan};
 use crate::model::decode_config;
 
 const SCHEME: &str = "GPU-DFOR";
@@ -313,21 +313,28 @@ pub fn load_tile(
     tile_id: usize,
     out: &mut Vec<i32>,
 ) -> Result<usize, DecodeError> {
-    out.clear();
     let d = col.d;
     let blocks = col.blocks();
     let first_block = tile_id * d;
     let tile_blocks = d.min(blocks - first_block);
-
-    ctx.set_phase(Phase::GlobalLoad);
-    let starts_idx: Vec<usize> = (first_block..=first_block + tile_blocks).collect();
-    let starts = ctx.warp_gather(&col.block_starts, &starts_idx);
-
     let structure = |block: usize, reason: &'static str| DecodeError::Structure {
         scheme: SCHEME,
         block,
         reason,
     };
+    if d > MAX_D {
+        return Err(structure(first_block, "tile depth exceeds the format cap"));
+    }
+
+    ctx.set_phase(Phase::GlobalLoad);
+    let mut starts = [0u32; MAX_D + 1];
+    let starts = &mut starts[..=tile_blocks];
+    ctx.warp_gather_into(
+        &col.block_starts,
+        first_block..=first_block + tile_blocks,
+        starts,
+    );
+
     // The tile's first-value word sits one word before its first block.
     if starts[0] == 0 {
         return Err(structure(first_block, "missing first-value word"));
@@ -343,9 +350,9 @@ pub fn load_tile(
         col.data.len()
     } else {
         // The next tile begins with its own first-value word.
-        match starts.last() {
-            Some(&w) if w >= 1 => w as usize - 1,
-            _ => return Err(structure(first_block, "missing next first-value word")),
+        match starts[tile_blocks] {
+            0 => return Err(structure(first_block, "missing next first-value word")),
+            w => w as usize - 1,
         }
     };
     if tile_end < starts[tile_blocks - 1] as usize || tile_end > col.data.len() {
@@ -386,7 +393,13 @@ pub fn load_tile(
         };
         (lo, hi)
     };
-    let expected = ctx.warp_gather(&col.checksums, &starts_idx[..tile_blocks]);
+    let mut expected = [0u32; MAX_D];
+    let expected = &mut expected[..tile_blocks];
+    ctx.warp_gather_into(
+        &col.checksums,
+        first_block..first_block + tile_blocks,
+        expected,
+    );
     for (i, &want) in expected.iter().enumerate() {
         let (lo, hi) = cover(i);
         if staged_checksum(ctx, lo - stage_start, hi - lo) != want {
@@ -429,9 +442,8 @@ pub fn load_tile(
         // take the per-miniblock horizontal interpretation, matching
         // `decode_cpu_into` exactly.
         ctx.set_phase(Phase::Unpack);
-        out.resize(tile_blocks * BLOCK, 0);
         let mut acc = first;
-        for (b, &start) in starts.iter().take(tile_blocks).enumerate() {
+        for (&start, block_out) in starts.iter().zip(tile_out(out, tile_blocks)) {
             let block_off = start as usize - stage_start;
             ctx.bump(Counter::MiniblocksUnpacked, 4);
             let (shared, traffic) = ctx.shared_and_traffic();
@@ -439,9 +451,7 @@ pub fn load_tile(
             let reference = block[0] as i32;
             let bw_word = block[1];
             let w0 = bw_word & 0xFF;
-            let block_out: &mut [i32; BLOCK] = (&mut out[b * BLOCK..(b + 1) * BLOCK])
-                .try_into()
-                .expect("exact block");
+            let block_out: &mut [i32; BLOCK] = block_out.try_into().expect("exact block");
             if bw_word == w0.wrapping_mul(0x0101_0101) {
                 traffic.shared_bytes += 4 * w0 as u64 * 4 + BLOCK_HEADER_WORDS as u64 * 4;
                 traffic.int_ops += BLOCK as u64 * 5;
@@ -471,9 +481,10 @@ pub fn load_tile(
         // Unpack deltas (same inner routine as GPU-FOR, on shared
         // memory) straight into the output buffer…
         ctx.set_phase(Phase::Unpack);
-        for &start in starts.iter().take(tile_blocks) {
+        for (&start, block_out) in starts.iter().zip(tile_out(out, tile_blocks)) {
             let block_off = start as usize - stage_start;
-            gpu_for::decode_block_from_shared(ctx, block_off, true, Layout::Horizontal, out);
+            let block_out = block_out.try_into().expect("exact block");
+            decode_block_from_shared(ctx, block_off, true, Layout::Horizontal, block_out);
         }
         // …then the fused delta decode: block-wide inclusive scan over
         // the tile, in place (no per-tile scratch allocations).
@@ -492,52 +503,25 @@ pub fn load_tile(
 /// Standalone decompression kernel (decode + write back).
 pub fn decompress(dev: &Device, col: &GpuDForDevice) -> Result<GlobalBuffer<i32>, DecodeError> {
     let mut out = dev.alloc_zeroed::<i32>(col.total_count);
-    run_decode(dev, col, Some(&mut out), "gpu_dfor_decompress")?;
+    run_dfor_decode(dev, col, Some(&mut out), "gpu_dfor_decompress")?;
     Ok(out)
 }
 
 /// Decode-only kernel (decode into registers, discard).
 pub fn decode_only(dev: &Device, col: &GpuDForDevice) -> Result<(), DecodeError> {
-    run_decode(dev, col, None, "gpu_dfor_decode")
+    run_dfor_decode(dev, col, None, "gpu_dfor_decode")
 }
 
-fn run_decode(
+fn run_dfor_decode(
     dev: &Device,
     col: &GpuDForDevice,
-    mut out: Option<&mut GlobalBuffer<i32>>,
+    out: Option<&mut GlobalBuffer<i32>>,
     name: &str,
 ) -> Result<(), DecodeError> {
-    let tiles = col.tiles();
-    let cfg = decode_config(name, tiles, col.d, 0);
-    // Tiles decode on workers; the serial merge writes in tile order
-    // and keeps the first error in block order (see `gpu_for`).
-    let mut failed: Option<DecodeError> = None;
-    dev.try_launch_par(
-        cfg,
-        |ctx| {
-            let tile_id = ctx.block_id();
-            let mut tile_vals: Vec<i32> = Vec::with_capacity(col.d * BLOCK);
-            load_tile(ctx, col, tile_id, &mut tile_vals).map(|_| tile_vals)
-        },
-        |ctx, tile_id, result| match result {
-            Ok(tile_vals) => {
-                if failed.is_none() {
-                    if let Some(out) = out.as_deref_mut() {
-                        ctx.set_phase(Phase::Writeback);
-                        ctx.write_coalesced(out, tile_id * col.d * BLOCK, &tile_vals);
-                    }
-                }
-            }
-            Err(e) => {
-                failed.get_or_insert(e);
-            }
-        },
-    )
-    .map_err(DecodeError::Launch)?;
-    match failed {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    let cfg = decode_config(name, col.tiles(), col.d, 0);
+    run_decode(dev, cfg, col.d * BLOCK, out, |ctx, tile_id, vals| {
+        load_tile(ctx, col, tile_id, vals)
+    })
 }
 
 #[cfg(test)]

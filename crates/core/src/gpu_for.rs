@@ -15,14 +15,14 @@
 
 use tlc_bitpack::pack::pack_miniblock;
 use tlc_bitpack::simd::{vpack_block, vunpack_block_ref};
-use tlc_bitpack::unpack::{unpack_block_ref, unpack_miniblock, unpack_miniblock_ref};
+use tlc_bitpack::unpack::{unpack_block_ref, unpack_miniblock_ref};
 use tlc_bitpack::width::bits_for;
-use tlc_gpu_sim::{BlockCtx, Counter, Device, GlobalBuffer, Phase};
+use tlc_gpu_sim::{BlockCtx, Counter, Device, GlobalBuffer, KernelConfig, Phase};
 
 use crate::checksum::staged_checksum;
 use crate::error::DecodeError;
 use crate::format::{
-    blocks_for, tiles_for, ForDecodeOpts, Layout, BLOCK, BLOCK_HEADER_WORDS, MINIBLOCK,
+    blocks_for, tiles_for, ForDecodeOpts, Layout, BLOCK, BLOCK_HEADER_WORDS, MAX_D, MINIBLOCK,
     MINIBLOCKS_PER_BLOCK,
 };
 use crate::model::decode_config;
@@ -427,8 +427,9 @@ fn miniblock_table(bw_word: u32) -> [(u32, u32); MINIBLOCKS_PER_BLOCK] {
 /// block starts gathered, payload staged, checksums verified, declared
 /// miniblock widths validated against each block's extent.
 pub(crate) struct StagedTile {
-    /// Word offsets of the tile's blocks (`tile_blocks + 1` entries).
-    pub starts: Vec<u32>,
+    /// Word offsets of the tile's blocks; `tile_blocks + 1` entries are
+    /// meaningful.
+    starts: [u32; MAX_D + 1],
     /// Word offset of the tile in the column payload.
     pub tile_start: usize,
     /// Blocks in this tile (the final tile may be short).
@@ -437,10 +438,20 @@ pub(crate) struct StagedTile {
     pub decoded: usize,
 }
 
+impl StagedTile {
+    /// Offset of each block of the tile within the staged words.
+    pub fn block_offsets(&self) -> impl Iterator<Item = usize> + '_ {
+        self.starts[..self.tile_blocks]
+            .iter()
+            .map(|&start| start as usize - self.tile_start)
+    }
+}
+
 /// Steps (1)–(2) of the tile decode shared by [`load_tile`] and
 /// [`load_tile_select`]: gather block starts, run the structural
 /// guards, stage the compressed tile into shared memory, and verify
-/// checksums and declared widths.
+/// checksums and declared widths. Runs in full for every tile of every
+/// launch; the gathered starts and checksums live on the stack.
 pub(crate) fn stage_tile(
     ctx: &mut BlockCtx<'_>,
     col: &GpuForDevice,
@@ -450,24 +461,28 @@ pub(crate) fn stage_tile(
     let blocks = col.blocks();
     let first_block = tile_id * d;
     let tile_blocks = d.min(blocks - first_block);
-
-    // (1) Block starts: D+1 consecutive u32 reads from one warp.
-    ctx.set_phase(Phase::GlobalLoad);
-    let starts_idx: Vec<usize> = (first_block..=first_block + tile_blocks).collect();
-    let starts = ctx.warp_gather(&col.block_starts, &starts_idx);
-
-    // Structural guards before staging: nothing below may index past
-    // `data` or overflow the shared-memory tile.
     let structure = |block: usize, reason: &'static str| DecodeError::Structure {
         scheme: SCHEME,
         block,
         reason,
     };
-    let (&tile_start, &tile_end) = match (starts.first(), starts.last()) {
-        (Some(a), Some(b)) => (a, b),
-        _ => return Err(structure(first_block, "empty tile")),
-    };
-    let (tile_start, tile_end) = (tile_start as usize, tile_end as usize);
+    if d > MAX_D {
+        return Err(structure(first_block, "tile depth exceeds the format cap"));
+    }
+
+    // (1) Block starts: D+1 consecutive u32 reads from one warp.
+    ctx.set_phase(Phase::GlobalLoad);
+    let mut starts_buf = [0u32; MAX_D + 1];
+    let starts = &mut starts_buf[..=tile_blocks];
+    ctx.warp_gather_into(
+        &col.block_starts,
+        first_block..=first_block + tile_blocks,
+        starts,
+    );
+
+    // Structural guards before staging: nothing below may index past
+    // `data` or overflow the shared-memory tile.
+    let (tile_start, tile_end) = (starts[0] as usize, starts[tile_blocks] as usize);
     if tile_end < tile_start || tile_end > col.data.len() {
         return Err(structure(first_block, "tile bounds out of range"));
     }
@@ -500,7 +515,13 @@ pub(crate) fn stage_tile(
 
     // Verify every staged block against its stored checksum before any
     // header word is trusted (one warp gather for the expected sums).
-    let expected = ctx.warp_gather(&col.checksums, &starts_idx[..tile_blocks]);
+    let mut expected = [0u32; MAX_D];
+    let expected = &mut expected[..tile_blocks];
+    ctx.warp_gather_into(
+        &col.checksums,
+        first_block..first_block + tile_blocks,
+        expected,
+    );
     for (i, w) in starts.windows(2).enumerate() {
         let (lo, hi) = (w[0] as usize, w[1] as usize);
         if staged_checksum(ctx, lo - tile_start, hi - lo) != expected[i] {
@@ -536,11 +557,19 @@ pub(crate) fn stage_tile(
     let logical = col.total_count - (first_block * BLOCK).min(col.total_count);
     let decoded = (tile_blocks * BLOCK).min(logical);
     Ok(StagedTile {
-        starts,
+        starts: starts_buf,
         tile_start,
         tile_blocks,
         decoded,
     })
+}
+
+/// Size `out` for `blocks` blocks about to be unpacked into it. Every
+/// slot is overwritten by the unpack kernels, so a reused buffer of the
+/// right length skips the zeroing pass (as in `decode_cpu_into`).
+pub(crate) fn tile_out(out: &mut Vec<i32>, blocks: usize) -> std::slice::ChunksExactMut<'_, i32> {
+    out.resize(blocks * BLOCK, 0);
+    out.chunks_exact_mut(BLOCK)
 }
 
 /// **Device function**: tile-based decode of tile `tile_id` (up to
@@ -556,7 +585,8 @@ pub(crate) fn stage_tile(
 ///
 /// Returns the number of *logical* values decoded (the final tile may
 /// be short), or a [`DecodeError`] when the staged tile fails its
-/// checksum or its metadata would send the decoder out of bounds.
+/// checksum or its metadata would send the decoder out of bounds (`out`
+/// is then unspecified).
 pub fn load_tile(
     ctx: &mut BlockCtx<'_>,
     col: &GpuForDevice,
@@ -564,19 +594,48 @@ pub fn load_tile(
     opts: ForDecodeOpts,
     out: &mut Vec<i32>,
 ) -> Result<usize, DecodeError> {
-    out.clear();
     let tile = stage_tile(ctx, col, tile_id, opts.d)?;
 
     // (3) + (4): decode from shared memory.
     ctx.set_phase(Phase::Unpack);
-    for &start in tile.starts.iter().take(tile.tile_blocks) {
-        let block_off = start as usize - tile.tile_start;
-        decode_block_from_shared(ctx, block_off, opts.precompute_offsets, col.layout, out);
+    for (block_off, block_out) in tile.block_offsets().zip(tile_out(out, tile.tile_blocks)) {
+        let block_out = block_out.try_into().expect("exact block");
+        decode_block_from_shared(
+            ctx,
+            block_off,
+            opts.precompute_offsets,
+            col.layout,
+            block_out,
+        );
     }
     out.truncate(tile.decoded);
     ctx.bump(Counter::TilesDecoded, 1);
     ctx.bump(Counter::ValuesProduced, tile.decoded as u64);
     Ok(tile.decoded)
+}
+
+/// The lanes of an incoming selection bitmap that cover `n` values at
+/// `pos`. `None` means every lane is live; lanes past the end of
+/// `sel_in` are dead, so the slice may come back short.
+pub(crate) fn lanes_at(sel_in: Option<&[bool]>, pos: usize, n: usize) -> Option<&[bool]> {
+    sel_in.map(|s| &s[pos.min(s.len())..(pos + n).min(s.len())])
+}
+
+/// Append the fused bitmap `lanes ∧ pred(vals)` to `sel`.
+pub(crate) fn select_lanes(
+    vals: &[i32],
+    pred: &impl Fn(i32) -> bool,
+    lanes: Option<&[bool]>,
+    sel: &mut Vec<bool>,
+) {
+    match lanes {
+        None => sel.extend(vals.iter().map(|&v| pred(v))),
+        Some(lanes) => {
+            let end = sel.len() + vals.len();
+            sel.extend(vals.iter().zip(lanes).map(|(&v, &live)| live && pred(v)));
+            sel.resize(end, false);
+        }
+    }
 }
 
 /// **Device function**: fused decode→predicate over tile `tile_id`
@@ -589,7 +648,8 @@ pub fn load_tile(
 /// an earlier fused predicate); a miniblock whose 32 lanes are all dead
 /// in `sel_in` is skipped without unpacking (its output lanes are
 /// zero/false fillers — callers must only consume selected lanes).
-/// Lanes past the end of `sel_in` count as dead.
+/// Lanes past the end of `sel_in` count as dead. Liveness is decided
+/// once per miniblock (per block when lane-transposed), not per value.
 ///
 /// `out` receives the tile's values (selected lanes exact, dead lanes
 /// unspecified filler) and `sel` the fused bitmap; both are truncated
@@ -600,40 +660,40 @@ pub fn load_tile_select(
     col: &GpuForDevice,
     tile_id: usize,
     opts: ForDecodeOpts,
-    pred: &dyn Fn(i32) -> bool,
+    pred: impl Fn(i32) -> bool,
     sel_in: Option<&[bool]>,
     sel: &mut Vec<bool>,
     out: &mut Vec<i32>,
 ) -> Result<usize, DecodeError> {
-    out.clear();
     sel.clear();
     let tile = stage_tile(ctx, col, tile_id, opts.d)?;
-    let mut scratch = [0u32; MINIBLOCK];
-    for (b, &start) in tile.starts.iter().take(tile.tile_blocks).enumerate() {
-        let block_off = start as usize - tile.tile_start;
+    sel.reserve(tile.tile_blocks * BLOCK);
+    let any_live = |lanes: Option<&[bool]>| lanes.is_none_or(|l| l.contains(&true));
+    for (b, (block_off, block_out)) in tile
+        .block_offsets()
+        .zip(tile_out(out, tile.tile_blocks))
+        .enumerate()
+    {
+        let block_out: &mut [i32; BLOCK] = block_out.try_into().expect("exact block");
         let (reference, bw_word) = {
             let shared = ctx.shared();
             (shared[block_off] as i32, shared[block_off + 1])
         };
-        let table = miniblock_table(bw_word);
         let w0 = bw_word & 0xFF;
         if col.layout == Layout::Vertical && bw_word == w0.wrapping_mul(0x0101_0101) {
             // Lane-transposed block: lanes interleave every four
             // logical slots, so the skip granularity is the whole
             // block — dead only if all 128 incoming lanes are dead.
-            let pos = b * BLOCK;
-            let live =
-                |lane: usize| sel_in.is_none_or(|s| s.get(pos + lane).copied().unwrap_or(false));
-            if (0..BLOCK).all(|lane| !live(lane)) {
+            let lanes = lanes_at(sel_in, b * BLOCK, BLOCK);
+            if !any_live(lanes) {
                 ctx.bump(Counter::MiniblocksSkipped, MINIBLOCKS_PER_BLOCK as u64);
                 ctx.add_int_ops(4 * MINIBLOCKS_PER_BLOCK as u64);
-                out.resize(out.len() + BLOCK, 0);
+                block_out.fill(0);
                 sel.resize(sel.len() + BLOCK, false);
                 continue;
             }
             ctx.set_phase(Phase::Unpack);
             ctx.bump(Counter::MiniblocksUnpacked, MINIBLOCKS_PER_BLOCK as u64);
-            let mut vals = [0i32; BLOCK];
             {
                 let (shared, traffic) = ctx.shared_and_traffic();
                 let payload = &shared[block_off + BLOCK_HEADER_WORDS..];
@@ -641,30 +701,31 @@ pub fn load_tile_select(
                     &payload[..MINIBLOCKS_PER_BLOCK * w0 as usize],
                     w0,
                     reference,
-                    &mut vals,
+                    block_out,
                 );
                 traffic.shared_bytes += MINIBLOCKS_PER_BLOCK as u64 * (w0 as u64 * 4 + 8);
                 traffic.int_ops += BLOCK as u64 * 4;
             }
             ctx.set_phase(Phase::Predicate);
             ctx.add_int_ops(BLOCK as u64 * 2);
-            for (lane, &v) in vals.iter().enumerate() {
-                out.push(v);
-                sel.push(live(lane) && pred(v));
-            }
+            select_lanes(block_out, &pred, lanes, sel);
             continue;
         }
-        for (m, &(offset, w)) in table.iter().enumerate() {
-            let pos = b * BLOCK + m * MINIBLOCK;
-            let live =
-                |lane: usize| sel_in.is_none_or(|s| s.get(pos + lane).copied().unwrap_or(false));
-            if (0..MINIBLOCK).all(|lane| !live(lane)) {
+        let table = miniblock_table(bw_word);
+        for (m, (&(offset, w), mb_out)) in table
+            .iter()
+            .zip(block_out.chunks_exact_mut(MINIBLOCK))
+            .enumerate()
+        {
+            let mb_out: &mut [i32; MINIBLOCK] = mb_out.try_into().expect("exact miniblock");
+            let lanes = lanes_at(sel_in, b * BLOCK + m * MINIBLOCK, MINIBLOCK);
+            if !any_live(lanes) {
                 // Every lane is already dead: skip the unpack entirely.
                 // The two header reads and the all-dead test are the
                 // only cost; no shared-memory payload traffic.
                 ctx.bump(Counter::MiniblocksSkipped, 1);
                 ctx.add_int_ops(4);
-                out.resize(out.len() + MINIBLOCK, 0);
+                mb_out.fill(0);
                 sel.resize(sel.len() + MINIBLOCK, false);
                 continue;
             }
@@ -673,7 +734,7 @@ pub fn load_tile_select(
             {
                 let (shared, traffic) = ctx.shared_and_traffic();
                 let payload = &shared[block_off + BLOCK_HEADER_WORDS..];
-                unpack_miniblock(&payload[offset as usize..], w, &mut scratch);
+                unpack_miniblock_ref(&payload[offset as usize..], w, reference, mb_out);
                 // Monomorphized unpack reads each staged payload word
                 // once plus the 8-byte block header share.
                 traffic.shared_bytes += w as u64 * 4 + 8;
@@ -681,11 +742,7 @@ pub fn load_tile_select(
             }
             ctx.set_phase(Phase::Predicate);
             ctx.add_int_ops(MINIBLOCK as u64 * 2);
-            for (lane, &delta) in scratch.iter().enumerate() {
-                let v = reference.wrapping_add(delta as i32);
-                out.push(v);
-                sel.push(live(lane) && pred(v));
-            }
+            select_lanes(mb_out, &pred, lanes, sel);
         }
     }
     out.truncate(tile.decoded);
@@ -708,7 +765,7 @@ pub(crate) fn decode_block_from_shared(
     block_off: usize,
     precompute: bool,
     layout: Layout,
-    out: &mut Vec<i32>,
+    out: &mut [i32; BLOCK],
 ) {
     ctx.bump(Counter::MiniblocksUnpacked, MINIBLOCKS_PER_BLOCK as u64);
     let (shared, traffic) = ctx.shared_and_traffic();
@@ -738,20 +795,14 @@ pub(crate) fn decode_block_from_shared(
     traffic.int_ops += BLOCK as u64 * 4;
 
     let payload = &block[BLOCK_HEADER_WORDS..];
-    out.reserve(BLOCK);
     let w0 = bw_word & 0xFF;
     if layout == Layout::Vertical && bw_word == w0.wrapping_mul(0x0101_0101) {
-        let mut vals = [0i32; BLOCK];
-        vunpack_block_ref(&payload[..payload_words as usize], w0, reference, &mut vals);
-        out.extend_from_slice(&vals);
+        vunpack_block_ref(&payload[..payload_words as usize], w0, reference, out);
         return;
     }
-    let mut scratch = [0u32; MINIBLOCK];
-    for &(offset, w) in table.iter().take(MINIBLOCKS_PER_BLOCK) {
-        unpack_miniblock(&payload[offset as usize..], w, &mut scratch);
-        for &v in &scratch {
-            out.push(reference.wrapping_add(v as i32));
-        }
+    for (&(offset, w), mb_out) in table.iter().zip(out.chunks_exact_mut(MINIBLOCK)) {
+        let mb_out = mb_out.try_into().expect("exact miniblock");
+        unpack_miniblock_ref(&payload[offset as usize..], w, reference, mb_out);
     }
 }
 
@@ -764,7 +815,7 @@ pub fn decompress(
     opts: ForDecodeOpts,
 ) -> Result<GlobalBuffer<i32>, DecodeError> {
     let mut out = dev.alloc_zeroed::<i32>(col.total_count);
-    run_decode(dev, col, opts, Some(&mut out), "gpu_for_decompress")?;
+    run_for_decode(dev, col, opts, Some(&mut out), "gpu_for_decompress")?;
     Ok(out)
 }
 
@@ -776,37 +827,52 @@ pub fn decode_only(
     col: &GpuForDevice,
     opts: ForDecodeOpts,
 ) -> Result<(), DecodeError> {
-    run_decode(dev, col, opts, None, "gpu_for_decode")
+    run_for_decode(dev, col, opts, None, "gpu_for_decode")
 }
 
-fn run_decode(
+fn run_for_decode(
     dev: &Device,
     col: &GpuForDevice,
     opts: ForDecodeOpts,
-    mut out: Option<&mut GlobalBuffer<i32>>,
+    out: Option<&mut GlobalBuffer<i32>>,
     name: &str,
 ) -> Result<(), DecodeError> {
-    let tiles = col.tiles(opts.d);
-    let cfg = decode_config(name, tiles, opts.d, 0);
-    // Every tile decodes on a worker (as every thread block would run
-    // on a real GPU); the serial merge writes results in tile order and
-    // keeps the first error in block order, which on a clean stream is
-    // byte-identical to the old serial loop.
+    let cfg = decode_config(name, col.tiles(opts.d), opts.d, 0);
+    run_decode(dev, cfg, opts.d * BLOCK, out, |ctx, tile_id, vals| {
+        load_tile(ctx, col, tile_id, opts, vals)
+    })
+}
+
+/// The standalone decode kernel of all three schemes: one thread block
+/// per tile of `tile_values` values, `load_tile` as its body.
+///
+/// Every tile decodes on a worker (as every thread block would run on a
+/// real GPU) into the worker's own tile buffer; the serial merge writes
+/// results in tile order and keeps the first error in block order,
+/// which on a clean stream is byte-identical to a serial loop. Only a
+/// writeback carries values out of the body: a decode-only tile dies in
+/// the worker's buffer, as it would in registers.
+pub(crate) fn run_decode(
+    dev: &Device,
+    cfg: KernelConfig,
+    tile_values: usize,
+    mut out: Option<&mut GlobalBuffer<i32>>,
+    load_tile: impl Fn(&mut BlockCtx<'_>, usize, &mut Vec<i32>) -> Result<usize, DecodeError> + Sync,
+) -> Result<(), DecodeError> {
+    let writeback = out.is_some();
     let mut failed: Option<DecodeError> = None;
     dev.try_launch_par(
         cfg,
-        |ctx| {
-            let tile_id = ctx.block_id();
-            let mut tile_vals: Vec<i32> = Vec::with_capacity(opts.d * BLOCK);
-            load_tile(ctx, col, tile_id, opts, &mut tile_vals).map(|_| tile_vals)
+        || Vec::with_capacity(tile_values),
+        |tile_vals: &mut Vec<i32>, ctx| {
+            load_tile(ctx, ctx.block_id(), tile_vals)?;
+            Ok(writeback.then(|| std::mem::take(tile_vals)))
         },
         |ctx, tile_id, result| match result {
             Ok(tile_vals) => {
-                if failed.is_none() {
-                    if let Some(out) = out.as_deref_mut() {
-                        ctx.set_phase(Phase::Writeback);
-                        ctx.write_coalesced(out, tile_id * opts.d * BLOCK, &tile_vals);
-                    }
+                if let (None, Some(out), Some(vals)) = (&failed, out.as_deref_mut(), tile_vals) {
+                    ctx.set_phase(Phase::Writeback);
+                    ctx.write_coalesced(out, tile_id * tile_values, &vals);
                 }
             }
             Err(e) => {
@@ -815,10 +881,7 @@ fn run_decode(
         },
     )
     .map_err(DecodeError::Launch)?;
-    match failed {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    failed.map_or(Ok(()), Err)
 }
 
 #[cfg(test)]

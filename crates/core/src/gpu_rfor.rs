@@ -26,7 +26,7 @@ use tlc_gpu_sim::{BlockCtx, Counter, Device, GlobalBuffer, KernelConfig, Phase};
 use crate::checksum::{fnv1a, fnv1a_continue};
 use crate::error::DecodeError;
 use crate::format::{Layout, BLOCK, MINIBLOCKS_PER_BLOCK, RFOR_BLOCK};
-use crate::gpu_for::transpose_payload_to_horizontal;
+use crate::gpu_for::{run_decode, transpose_payload_to_horizontal};
 
 const SCHEME: &str = "GPU-RFOR";
 
@@ -149,12 +149,21 @@ pub fn decode_stream_block_layout_into(
     layout: Layout,
     out: &mut Vec<i32>,
 ) {
-    out.clear();
+    // No `clear` first: every slot is overwritten, so a reused buffer
+    // of the right length skips the zeroing pass.
+    out.resize(count.div_ceil(MINIBLOCK) * MINIBLOCK, 0);
+    decode_stream_block_to(block, layout, out);
+    out.truncate(count);
+}
+
+/// Slice form of [`decode_stream_block_layout_into`], for callers that
+/// keep the destination on the stack: decodes `out.len() / 32` whole
+/// miniblocks (the entry count rounded up; the padding decodes to the
+/// reference).
+fn decode_stream_block_to(block: &[u32], layout: Layout, out: &mut [i32]) {
     let reference = block[0] as i32;
-    let padded = count.div_ceil(MINIBLOCK) * MINIBLOCK;
-    let miniblocks = padded / MINIBLOCK;
+    let miniblocks = out.len() / MINIBLOCK;
     let bw_words = miniblocks.div_ceil(4);
-    out.resize(padded, 0);
     let mut offset = 1 + bw_words;
     let mut m = 0usize;
     while m < miniblocks {
@@ -182,7 +191,6 @@ pub fn decode_stream_block_layout_into(
         offset += w as usize;
         m += 1;
     }
-    out.truncate(count);
 }
 
 /// Rewrite one vertical stream block (starting at its reference word)
@@ -474,10 +482,10 @@ pub fn load_tile(
     block_id: usize,
     out: &mut Vec<i32>,
 ) -> Result<usize, DecodeError> {
-    out.clear();
     ctx.set_phase(Phase::GlobalLoad);
-    let vstarts = ctx.warp_gather(&col.values_starts, &[block_id, block_id + 1]);
-    let lstarts = ctx.warp_gather(&col.lengths_starts, &[block_id, block_id + 1]);
+    let (mut vstarts, mut lstarts) = ([0u32; 2], [0u32; 2]);
+    ctx.warp_gather_into(&col.values_starts, block_id..=block_id + 1, &mut vstarts);
+    ctx.warp_gather_into(&col.lengths_starts, block_id..=block_id + 1, &mut lstarts);
     let (vs, ve) = (vstarts[0] as usize, vstarts[1] as usize);
     let (ls, le) = (lstarts[0] as usize, lstarts[1] as usize);
 
@@ -519,7 +527,8 @@ pub fn load_tile(
 
     // Verify the chained checksum over both staged streams before any
     // header word is trusted.
-    let expected = ctx.warp_gather(&col.checksums, &[block_id])[0];
+    let mut expected = [0u32];
+    ctx.warp_gather_into(&col.checksums, [block_id], &mut expected);
     let actual = {
         let (shared, traffic) = ctx.shared_and_traffic();
         let words = (ve - vs) + (le - ls);
@@ -528,7 +537,7 @@ pub fn load_tile(
         let h = fnv1a(&shared[..ve - vs]);
         fnv1a_continue(h, &shared[lengths_off..lengths_off + (le - ls)])
     };
-    if actual != expected {
+    if actual != expected[0] {
         return Err(DecodeError::Corrupt {
             scheme: SCHEME,
             block: block_id,
@@ -552,21 +561,22 @@ pub fn load_tile(
     }
 
     // Bit-unpack both streams (monomorphized miniblock unpackers, as in
-    // GPU-FOR). The two buffers are per-tile, reused across miniblocks.
+    // GPU-FOR) into stack buffers; `run_count <= RFOR_BLOCK`, so whole
+    // miniblocks of either stream fit.
     ctx.set_phase(Phase::Unpack);
     ctx.bump(
         Counter::MiniblocksUnpacked,
         2 * run_count.div_ceil(MINIBLOCK) as u64,
     );
-    let (mut vals, mut lens) = (Vec::new(), Vec::new());
+    let (mut vals, mut lens) = ([0i32; RFOR_BLOCK], [0i32; RFOR_BLOCK]);
     {
+        let padded = run_count.div_ceil(MINIBLOCK) * MINIBLOCK;
         let shared = ctx.shared();
-        decode_stream_block_layout_into(&shared[1..ve - vs], run_count, col.layout, &mut vals);
-        decode_stream_block_layout_into(
+        decode_stream_block_to(&shared[1..ve - vs], col.layout, &mut vals[..padded]);
+        decode_stream_block_to(
             &shared[lengths_off..lengths_off + (le - ls)],
-            run_count,
             col.layout,
-            &mut lens,
+            &mut lens[..padded],
         );
     }
     let payload_words = stream_block_words(&ctx.shared()[1..], run_count)
@@ -578,16 +588,21 @@ pub fn load_tile(
 
     // Step 1: exclusive prefix sum over run lengths -> output offsets.
     ctx.set_phase(Phase::Expand);
-    let mut offsets: Vec<u32> = lens.iter().map(|&l| l as u32).collect();
-    let total = block_exclusive_scan_u32(ctx, &mut offsets) as usize;
+    let mut offsets = [0u32; RFOR_BLOCK];
+    let offsets = &mut offsets[..run_count];
+    for (offset, &len) in offsets.iter_mut().zip(&lens) {
+        *offset = len as u32;
+    }
+    let total = block_exclusive_scan_u32(ctx, offsets) as usize;
     if total == 0 || total > RFOR_BLOCK {
         return Err(structure("expanded run lengths overflow the block"));
     }
 
     // Step 2: scatter head flags (every real run has length >= 1, so
     // flag positions are distinct).
-    let mut flags = vec![0u32; total];
-    for &off_word in &offsets[..run_count] {
+    let mut flags = [0u32; RFOR_BLOCK];
+    let flags = &mut flags[..total];
+    for &off_word in offsets.iter() {
         let off = off_word as usize;
         if off >= total {
             return Err(structure("run offset past the expanded block"));
@@ -597,13 +612,15 @@ pub fn load_tile(
     ctx.smem_traffic(run_count as u64 * 4);
 
     // Step 3: inclusive prefix sum over flags -> 1-based run ids.
-    block_inclusive_scan_u32(ctx, &mut flags);
+    block_inclusive_scan_u32(ctx, flags);
 
     // Step 4: gather values by run id (1-based after the inclusive
     // scan; id 0 would mean a gap before the first run head).
-    for &rid in &flags {
+    out.clear();
+    out.reserve(total);
+    for &rid in flags.iter() {
         let rid = rid as usize;
-        if rid == 0 || rid > vals.len() {
+        if rid == 0 || rid > run_count {
             return Err(structure("run id out of range"));
         }
         out.push(vals[rid - 1]);
@@ -618,52 +635,25 @@ pub fn load_tile(
 /// Standalone decompression kernel (decode + write back).
 pub fn decompress(dev: &Device, col: &GpuRForDevice) -> Result<GlobalBuffer<i32>, DecodeError> {
     let mut out = dev.alloc_zeroed::<i32>(col.total_count);
-    run_decode(dev, col, Some(&mut out), "gpu_rfor_decompress")?;
+    run_rfor_decode(dev, col, Some(&mut out), "gpu_rfor_decompress")?;
     Ok(out)
 }
 
 /// Decode-only kernel (decode into registers, discard).
 pub fn decode_only(dev: &Device, col: &GpuRForDevice) -> Result<(), DecodeError> {
-    run_decode(dev, col, None, "gpu_rfor_decode")
+    run_rfor_decode(dev, col, None, "gpu_rfor_decode")
 }
 
-fn run_decode(
+fn run_rfor_decode(
     dev: &Device,
     col: &GpuRForDevice,
-    mut out: Option<&mut GlobalBuffer<i32>>,
+    out: Option<&mut GlobalBuffer<i32>>,
     name: &str,
 ) -> Result<(), DecodeError> {
-    let blocks = col.blocks();
-    let cfg = rfor_config(name, blocks);
-    // RLE blocks decode on workers; the serial merge writes in block
-    // order and keeps the first error in block order (see `gpu_for`).
-    let mut failed: Option<DecodeError> = None;
-    dev.try_launch_par(
-        cfg,
-        |ctx| {
-            let block_id = ctx.block_id();
-            let mut tile_vals: Vec<i32> = Vec::with_capacity(RFOR_BLOCK);
-            load_tile(ctx, col, block_id, &mut tile_vals).map(|_| tile_vals)
-        },
-        |ctx, block_id, result| match result {
-            Ok(tile_vals) => {
-                if failed.is_none() {
-                    if let Some(out) = out.as_deref_mut() {
-                        ctx.set_phase(Phase::Writeback);
-                        ctx.write_coalesced(out, block_id * RFOR_BLOCK, &tile_vals);
-                    }
-                }
-            }
-            Err(e) => {
-                failed.get_or_insert(e);
-            }
-        },
-    )
-    .map_err(DecodeError::Launch)?;
-    match failed {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    let cfg = rfor_config(name, col.blocks());
+    run_decode(dev, cfg, RFOR_BLOCK, out, |ctx, block_id, vals| {
+        load_tile(ctx, col, block_id, vals)
+    })
 }
 
 #[cfg(test)]

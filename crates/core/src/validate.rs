@@ -36,7 +36,7 @@
 //! never a panic, never an over-cap allocation, never a CPU/GPU-sim
 //! divergence.
 
-use crate::format::{BLOCK, RFOR_BLOCK};
+use crate::format::{BLOCK, MAX_D, RFOR_BLOCK};
 use crate::gpu_dfor::GpuDFor;
 use crate::gpu_for::GpuFor;
 use crate::gpu_rfor::{checked_stream_words, decode_stream_block_layout_into, GpuRFor};
@@ -132,11 +132,11 @@ impl GpuDFor {
         limits.check_words(self.data.len() + self.block_starts.len())?;
         // Any legitimate D is a small constant; 128 blocks per tile is
         // already 16384 values staged at once.
-        if self.d > 128 {
+        if self.d > MAX_D {
             return Err(FormatError::CapExceeded {
                 what: "blocks per tile (d)",
                 requested: self.d as u64,
-                cap: 128,
+                cap: MAX_D as u64,
             });
         }
         // Logical count must be consistent with the block count, as in

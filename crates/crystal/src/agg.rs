@@ -59,9 +59,7 @@ impl GroupBySum {
     /// the same transaction, as on hardware.
     pub fn add_tile(&mut self, ctx: &mut BlockCtx<'_>, pairs: &[(usize, u64)]) {
         ctx.set_phase(Phase::Aggregate);
-        for chunk in pairs.chunks(WARP_SIZE) {
-            ctx.warp_atomic_add_u64(&mut self.sums, chunk);
-        }
+        ctx.warp_atomic_add_u64(&mut self.sums, pairs);
         ctx.add_int_ops(pairs.len() as u64 * 2);
     }
 

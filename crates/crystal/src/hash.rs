@@ -75,9 +75,7 @@ impl DenseTable {
                 .iter()
                 .filter_map(|&(k, p)| p.map(|payload| ((k - base) as usize, payload)))
                 .collect();
-            for w in writes.chunks(WARP_SIZE) {
-                ctx.warp_scatter(&mut slots, w);
-            }
+            ctx.warp_scatter(&mut slots, &writes);
         })?;
         Ok(DenseTable { base, slots })
     }
@@ -109,26 +107,29 @@ impl DenseTable {
         out.clear();
         out.reserve(keys.len());
         for (kw, sw) in keys.chunks(WARP_SIZE).zip(selected.chunks(WARP_SIZE)) {
-            let idx: Vec<usize> = kw
-                .iter()
-                .zip(sw)
-                .filter(|&(_, &s)| s)
-                .map(|(&k, _)| (k - self.base) as usize)
-                .collect();
-            if !idx.is_empty() {
-                let hits = ctx.warp_gather(&self.slots, &idx);
-                let mut it = hits.into_iter();
-                for (&_k, &s) in kw.iter().zip(sw) {
-                    if s {
-                        let v = it.next().expect("one hit per selected lane");
-                        out.push((v != EMPTY).then_some(v));
-                    } else {
-                        out.push(None);
-                    }
-                }
-            } else {
-                out.extend(std::iter::repeat_n(None, kw.len()));
+            // The warp's active lanes, compacted: slot indices in, slot
+            // contents out, both on the stack. A warp with no active
+            // lane issues nothing.
+            let mut idx = [0usize; WARP_SIZE];
+            let mut active = 0;
+            for (&k, _) in kw.iter().zip(sw).filter(|&(_, &s)| s) {
+                idx[active] = (k - self.base) as usize;
+                active += 1;
             }
+            let mut hits = [EMPTY; WARP_SIZE];
+            ctx.warp_gather_into(
+                &self.slots,
+                idx[..active].iter().copied(),
+                &mut hits[..active],
+            );
+            let mut hit = hits.iter();
+            out.extend(sw.iter().map(|&s| {
+                if !s {
+                    return None;
+                }
+                let v = *hit.next().expect("one hit per selected lane");
+                (v != EMPTY).then_some(v)
+            }));
         }
         ctx.add_int_ops(keys.len() as u64 * 2);
     }

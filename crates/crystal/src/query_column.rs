@@ -82,7 +82,7 @@ impl QueryColumn {
         &self,
         ctx: &mut BlockCtx<'_>,
         tile_id: usize,
-        pred: &dyn Fn(i32) -> bool,
+        pred: impl Fn(i32) -> bool,
         sel_in: Option<&[bool]>,
         sel: &mut Vec<bool>,
         out: &mut Vec<i32>,

@@ -216,23 +216,22 @@ impl Device {
     /// (transient, or permanent device loss) instead of running the
     /// body. Failed launches still cost the fixed launch overhead on
     /// the timeline.
-    pub fn try_launch<F>(&self, cfg: KernelConfig, mut body: F) -> Result<KernelReport, LaunchError>
+    pub fn try_launch<F>(&self, cfg: KernelConfig, body: F) -> Result<KernelReport, LaunchError>
     where
         F: FnMut(&mut BlockCtx<'_>),
     {
         self.gate_launch(&cfg)?;
         let occ = self.occupancy(&cfg);
         let mut spans = PhaseSpans::default();
-        for block_id in 0..cfg.grid_blocks {
-            let mut ctx = BlockCtx::new(block_id, &cfg, &mut spans, self.params.l1_per_block);
-            body(&mut ctx);
-        }
+        let l1 = self.params.l1_per_block;
+        run_blocks(&cfg, 0..cfg.grid_blocks, l1, &mut spans, body, |_, ()| {});
         Ok(self.finish_launch(cfg, occ, spans))
     }
 
-    /// Parallel launch: like [`Device::launch`], but thread blocks
-    /// execute on host worker threads. Panics on an unhandled device
-    /// fault; see [`Device::try_launch_par`] for the execution model.
+    /// Parallel launch without per-worker state: like [`Device::launch`],
+    /// but thread blocks execute on host worker threads. Panics on an
+    /// unhandled device fault; see [`Device::try_launch_par`] for the
+    /// execution model.
     pub fn launch_par<R, B, M>(&self, cfg: KernelConfig, body: B, merge: M) -> KernelReport
     where
         R: Send,
@@ -240,7 +239,7 @@ impl Device {
         M: FnMut(&mut BlockCtx<'_>, usize, R),
     {
         let name = cfg.name.clone();
-        self.try_launch_par(cfg, body, merge)
+        self.try_launch_par(cfg, || (), |(), ctx| body(ctx), merge)
             .unwrap_or_else(|e| panic!("kernel `{name}`: unhandled device fault: {e}"))
     }
 
@@ -256,11 +255,15 @@ impl Device {
     ///    worker-local [`Traffic`] accumulator and returns a per-block
     ///    result `R` (decoded values, a partial aggregate, an error).
     ///    It must not capture mutable state — the `Fn + Sync` bound
-    ///    enforces this.
+    ///    enforces this. What it may mutate is the worker's own `S`,
+    ///    built by **init** once per worker: the place for tile buffers
+    ///    and other scratch a block would otherwise allocate afresh
+    ///    (`|| ()` when there is none). Results must not depend on what
+    ///    an earlier block left in `S`.
     /// 2. **merge** runs on the calling thread, serially, **in block
-    ///    order**, with a fresh [`BlockCtx`] whose traffic also counts
-    ///    toward the kernel. This is where output buffers are written
-    ///    and accumulators updated.
+    ///    order**, with a fresh [`BlockCtx`] (no shared memory) whose
+    ///    traffic also counts toward the kernel. This is where output
+    ///    buffers are written and accumulators updated.
     ///
     /// Determinism: all traffic counters are integers, per-block work
     /// is independent of the partitioning, and merge order equals block
@@ -269,48 +272,50 @@ impl Device {
     /// single-partition serial path. Fault gating happens once, on the
     /// calling thread, before any block runs, exactly as in
     /// [`Device::try_launch`].
-    pub fn try_launch_par<R, B, M>(
+    pub fn try_launch_par<S, R, I, B, M>(
         &self,
         cfg: KernelConfig,
+        init: I,
         body: B,
         mut merge: M,
     ) -> Result<KernelReport, LaunchError>
     where
         R: Send,
-        B: Fn(&mut BlockCtx<'_>) -> R + Sync,
+        I: Fn() -> S + Sync,
+        B: Fn(&mut S, &mut BlockCtx<'_>) -> R + Sync,
         M: FnMut(&mut BlockCtx<'_>, usize, R),
     {
         self.gate_launch(&cfg)?;
         let occ = self.occupancy(&cfg);
         let l1 = self.params.l1_per_block;
+        // Body and merge charge separate span sets, summed at the end:
+        // the sums are commutative, so the split is invisible.
         let mut spans = PhaseSpans::default();
+        let mut merge_spans = PhaseSpans::default();
+        let mut merge_block = |block_id: usize, result: R| {
+            let mut ctx = BlockCtx::new(block_id, &cfg, &mut merge_spans, &mut [], l1);
+            merge(&mut ctx, block_id, result);
+        };
+        let run_range =
+            |lo: usize, hi: usize, spans: &mut PhaseSpans, emit: &mut dyn FnMut(usize, R)| {
+                let mut state = init();
+                run_blocks(&cfg, lo..hi, l1, spans, |ctx| body(&mut state, ctx), emit);
+            };
         let parts = crate::threads::partitions(cfg.grid_blocks, 1, crate::threads::sim_threads());
         if parts.len() <= 1 {
-            // Serial path: same body-then-merge structure, one block at
-            // a time. Span sums are commutative, so this is
-            // bit-identical to the worker path by construction.
-            for block_id in 0..cfg.grid_blocks {
-                let result = {
-                    let mut ctx = BlockCtx::new(block_id, &cfg, &mut spans, l1);
-                    body(&mut ctx)
-                };
-                let mut ctx = BlockCtx::new(block_id, &cfg, &mut spans, l1);
-                merge(&mut ctx, block_id, result);
-            }
+            // Serial path: each block's result merges as soon as its
+            // body returns, so at most one result is alive.
+            run_range(0, cfg.grid_blocks, &mut spans, &mut merge_block);
         } else {
             let worker_out: Vec<(PhaseSpans, Vec<R>)> = std::thread::scope(|scope| {
                 let handles: Vec<_> = parts
                     .iter()
                     .map(|&(lo, hi)| {
-                        let cfg = &cfg;
-                        let body = &body;
+                        let run_range = &run_range;
                         scope.spawn(move || {
                             let mut local = PhaseSpans::default();
                             let mut results = Vec::with_capacity(hi - lo);
-                            for block_id in lo..hi {
-                                let mut ctx = BlockCtx::new(block_id, cfg, &mut local, l1);
-                                results.push(body(&mut ctx));
-                            }
+                            run_range(lo, hi, &mut local, &mut |_, r| results.push(r));
                             (local, results)
                         })
                     })
@@ -326,12 +331,12 @@ impl Device {
             for (local, results) in worker_out {
                 spans = spans.merge(&local);
                 for result in results {
-                    let mut ctx = BlockCtx::new(block_id, &cfg, &mut spans, l1);
-                    merge(&mut ctx, block_id, result);
+                    merge_block(block_id, result);
                     block_id += 1;
                 }
             }
         }
+        let spans = spans.merge(&merge_spans);
         Ok(self.finish_launch(cfg, occ, spans))
     }
 
@@ -511,6 +516,26 @@ impl Device {
     /// Inspect the timeline (events since last reset).
     pub fn with_timeline<R>(&self, f: impl FnOnce(&Timeline) -> R) -> R {
         f(&self.timeline.borrow())
+    }
+}
+
+/// The body loop of every launch: run `block` once per thread block of
+/// `range`, charging into `spans`, and hand each result to `emit`. The
+/// shared-memory image is allocated once per call (one per worker) and
+/// zeroed before each block.
+fn run_blocks<R>(
+    cfg: &KernelConfig,
+    range: std::ops::Range<usize>,
+    l1_per_block: bool,
+    spans: &mut PhaseSpans,
+    mut block: impl FnMut(&mut BlockCtx<'_>) -> R,
+    mut emit: impl FnMut(usize, R),
+) {
+    let mut shared = vec![0u32; cfg.smem_per_block / 4];
+    for block_id in range {
+        shared.fill(0);
+        let mut ctx = BlockCtx::new(block_id, cfg, spans, &mut shared, l1_per_block);
+        emit(block_id, block(&mut ctx));
     }
 }
 

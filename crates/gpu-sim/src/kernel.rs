@@ -88,7 +88,9 @@ pub struct Occupancy {
 pub struct BlockCtx<'a> {
     block_id: usize,
     threads: usize,
-    shared: Vec<u32>,
+    /// The block's shared memory: a worker-owned image the launch loop
+    /// zeroes before each block, empty for merge-phase contexts.
+    shared: &'a mut [u32],
     /// Per-phase traffic spans + semantic counters; every charge lands
     /// in the span of the current `phase`.
     spans: &'a mut PhaseSpans,
@@ -107,12 +109,13 @@ impl<'a> BlockCtx<'a> {
         block_id: usize,
         cfg: &KernelConfig,
         spans: &'a mut PhaseSpans,
+        shared: &'a mut [u32],
         l1_per_block: bool,
     ) -> Self {
         BlockCtx {
             block_id,
             threads: cfg.threads_per_block,
-            shared: vec![0u32; cfg.smem_per_block / 4],
+            shared,
             spans,
             phase: Phase::Other,
             l1: l1_per_block.then(HashSet::new),
@@ -258,41 +261,74 @@ impl<'a> BlockCtx<'a> {
     /// instruction; transactions = distinct segments touched. Used for
     /// hash-table probes and the `block_starts` reads of Algorithm 1.
     pub fn warp_gather<T: Scalar>(&mut self, buf: &GlobalBuffer<T>, indices: &[usize]) -> Vec<T> {
-        let mut out = Vec::with_capacity(indices.len());
-        for chunk in indices.chunks(WARP_SIZE) {
-            let addrs: Vec<u64> = chunk.iter().map(|&i| buf.addr_of(i)).collect();
-            self.charge_gather_read(&addrs, T::BYTES);
-            out.extend(chunk.iter().map(|&i| buf.get(i)));
-        }
+        let mut out = vec![T::default(); indices.len()];
+        self.warp_gather_into(buf, indices.iter().copied(), &mut out);
         out
     }
 
+    /// [`BlockCtx::warp_gather`] into a caller-provided slice (one slot
+    /// per index), for kernels that keep the destination on the stack
+    /// or in per-worker scratch. Indices are consumed a warp (32) at a
+    /// time; nothing is allocated.
+    pub fn warp_gather_into<T: Scalar>(
+        &mut self,
+        buf: &GlobalBuffer<T>,
+        indices: impl IntoIterator<Item = usize>,
+        out: &mut [T],
+    ) {
+        self.gather_lanes(buf, indices, T::BYTES, out);
+    }
+
     /// Like [`BlockCtx::warp_gather`], but each lane reads `width_bytes`
-    /// starting at its element's address (e.g. the 8-byte windows of
-    /// Algorithm 1 when decoding straight from global memory). Returns
-    /// the first element at each index; the traffic covers the full
-    /// window width.
+    /// (at most one segment, [`SEGMENT_BYTES`]) starting at its
+    /// element's address (e.g. the 8-byte windows of Algorithm 1 when
+    /// decoding straight from global memory). Returns the first element
+    /// at each index; the traffic covers the full window width.
     pub fn warp_gather_wide<T: Scalar>(
         &mut self,
         buf: &GlobalBuffer<T>,
         indices: &[usize],
         width_bytes: u64,
     ) -> Vec<T> {
-        let mut out = Vec::with_capacity(indices.len());
-        for chunk in indices.chunks(WARP_SIZE) {
-            let addrs: Vec<u64> = chunk.iter().map(|&i| buf.addr_of(i)).collect();
-            self.charge_gather_read(&addrs, width_bytes);
-            out.extend(chunk.iter().map(|&i| buf.get(i)));
-        }
+        let mut out = vec![T::default(); indices.len()];
+        self.gather_lanes(buf, indices.iter().copied(), width_bytes, &mut out);
         out
+    }
+
+    /// The gather behind every `warp_gather*`: lane addresses collect in
+    /// a warp-sized stack array and each full (or final partial) warp is
+    /// charged as one instruction.
+    fn gather_lanes<T: Scalar>(
+        &mut self,
+        buf: &GlobalBuffer<T>,
+        indices: impl IntoIterator<Item = usize>,
+        width: u64,
+        out: &mut [T],
+    ) {
+        let mut addrs = [0u64; WARP_SIZE];
+        let mut lanes = 0;
+        let mut slots = out.iter_mut();
+        for i in indices {
+            addrs[lanes] = buf.addr_of(i);
+            *slots.next().expect("one output slot per index") = buf.get(i);
+            lanes += 1;
+            if lanes == WARP_SIZE {
+                self.charge_gather_read(&addrs, width);
+                lanes = 0;
+            }
+        }
+        if lanes > 0 {
+            self.charge_gather_read(&addrs[..lanes], width);
+        }
+        debug_assert!(slots.next().is_none(), "one index per output slot");
     }
 
     /// One warp scatters up to 32 `(index, value)` pairs; transactions =
     /// distinct segments touched.
     pub fn warp_scatter<T: Scalar>(&mut self, buf: &mut GlobalBuffer<T>, writes: &[(usize, T)]) {
         for chunk in writes.chunks(WARP_SIZE) {
-            let addrs: Vec<u64> = chunk.iter().map(|&(i, _)| buf.addr_of(i)).collect();
-            self.traffic().global_write_segments += segments_for_gather(&addrs, T::BYTES);
+            let segs = segments_for_gather(lane_addrs(buf, chunk, &mut [0; WARP_SIZE]), T::BYTES);
+            self.traffic().global_write_segments += segs;
             for &(i, v) in chunk {
                 buf.put(i, v);
             }
@@ -303,8 +339,7 @@ impl<'a> BlockCtx<'a> {
     /// `atomicAdd` on global memory: a read plus a write per segment).
     pub fn warp_atomic_add_u64(&mut self, buf: &mut GlobalBuffer<u64>, updates: &[(usize, u64)]) {
         for chunk in updates.chunks(WARP_SIZE) {
-            let addrs: Vec<u64> = chunk.iter().map(|&(i, _)| buf.addr_of(i)).collect();
-            let segs = segments_for_gather(&addrs, 8);
+            let segs = segments_for_gather(lane_addrs(buf, chunk, &mut [0; WARP_SIZE]), 8);
             let traffic = self.traffic();
             traffic.global_read_segments += segs;
             traffic.global_write_segments += segs;
@@ -337,18 +372,18 @@ impl<'a> BlockCtx<'a> {
     /// The block's shared memory (32-bit words). Functional access is
     /// free-form; account traffic with [`BlockCtx::smem_traffic`].
     pub fn shared(&self) -> &[u32] {
-        &self.shared
+        self.shared
     }
 
     /// Mutable shared memory.
     pub fn shared_mut(&mut self) -> &mut [u32] {
-        &mut self.shared
+        self.shared
     }
 
     /// Shared memory plus the current phase's traffic span, for decode
     /// loops that interleave reads with accounting.
     pub fn shared_and_traffic(&mut self) -> (&mut [u32], &mut Traffic) {
-        (&mut self.shared, self.spans.phase_mut(self.phase))
+        (&mut *self.shared, self.spans.phase_mut(self.phase))
     }
 
     /// Account `bytes` of shared-memory traffic (reads and/or writes).
@@ -373,6 +408,19 @@ impl<'a> BlockCtx<'a> {
     pub fn spans(&self) -> &PhaseSpans {
         self.spans
     }
+}
+
+/// Byte addresses of one warp's `(index, value)` lanes, written into the
+/// caller's stack array.
+fn lane_addrs<'s, T: Scalar>(
+    buf: &GlobalBuffer<T>,
+    lanes: &[(usize, T)],
+    addrs: &'s mut [u64; WARP_SIZE],
+) -> &'s [u64] {
+    for (a, &(i, _)) in addrs.iter_mut().zip(lanes) {
+        *a = buf.addr_of(i);
+    }
+    &addrs[..lanes.len()]
 }
 
 #[cfg(test)]

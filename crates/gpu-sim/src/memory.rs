@@ -145,10 +145,18 @@ pub fn segments_for_range(addr: u64, bytes: u64) -> u64 {
 /// The distinct 128-byte segments touched by a warp-sized gather of
 /// `width`-byte elements at the given byte addresses, sorted and
 /// deduplicated.
+///
+/// An element may straddle one segment boundary, not more: `width` must
+/// not exceed [`SEGMENT_BYTES`]. This allocating form is for callers
+/// that need the *list* (the per-block L1 model inserts each segment
+/// into its set) and is the oracle [`segments_for_gather`] is tested
+/// against; plain counting goes through [`segments_for_gather`].
 pub fn gather_segments(addrs: &[u64], width: u64) -> Vec<u64> {
     debug_assert!(addrs.len() <= WARP_SIZE, "gather must be per-warp");
-    // Warps touch at most 32 * width bytes => at most 64 segments for
-    // 8-byte elements; a tiny sorted scratch vector is cheap.
+    debug_assert!(
+        width <= SEGMENT_BYTES,
+        "an element spans at most two segments"
+    );
     let mut segs: Vec<u64> = Vec::with_capacity(addrs.len() * 2);
     for &a in addrs {
         segs.push(a / SEGMENT_BYTES);
@@ -161,14 +169,57 @@ pub fn gather_segments(addrs: &[u64], width: u64) -> Vec<u64> {
     segs
 }
 
+/// Slots of the segment set in [`segments_for_gather`]: one warp touches
+/// at most `WARP_SIZE` elements × 2 segments.
+const SEGMENT_SET_SLOTS: usize = 2 * WARP_SIZE;
+
 /// Number of distinct 128-byte segments touched by a warp-sized gather
-/// of `width`-byte elements at the given byte addresses.
+/// of `width`-byte elements (`width <= SEGMENT_BYTES`) at the given
+/// byte addresses.
 ///
 /// This is the coalescing rule: accesses from one warp that fall into the
 /// same segment are combined into a single transaction; an element that
 /// straddles a segment boundary touches both.
+///
+/// Runs once per simulated warp instruction, so it neither allocates
+/// nor sorts: segments go into a warp-sized open-addressing set on the
+/// stack (an occupancy bitmask plus the keys), which is O(lanes).
 pub fn segments_for_gather(addrs: &[u64], width: u64) -> u64 {
-    gather_segments(addrs, width).len() as u64
+    debug_assert!(addrs.len() <= WARP_SIZE, "gather must be per-warp");
+    debug_assert!(
+        width <= SEGMENT_BYTES,
+        "an element spans at most two segments"
+    );
+    let mut keys = [0u64; SEGMENT_SET_SLOTS];
+    let mut occupied = 0u64;
+    // Neighbouring lanes usually share a segment; remembering the last
+    // one keeps coalesced warps out of the set altogether.
+    let mut last = u64::MAX;
+    let mut insert = |seg: u64| {
+        if seg == last {
+            return;
+        }
+        last = seg;
+        // Fibonacci hashing onto the 64 slots, then linear probing. At
+        // most 64 segments are ever offered, so a free slot exists
+        // whenever a new key arrives.
+        let mut slot = (seg.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize;
+        while occupied & (1 << slot) != 0 {
+            if keys[slot] == seg {
+                return;
+            }
+            slot = (slot + 1) % SEGMENT_SET_SLOTS;
+        }
+        occupied |= 1 << slot;
+        keys[slot] = seg;
+    };
+    for &a in addrs {
+        insert(a / SEGMENT_BYTES);
+        if width > 0 {
+            insert((a + width - 1) / SEGMENT_BYTES);
+        }
+    }
+    u64::from(occupied.count_ones())
 }
 
 #[cfg(test)]
@@ -221,6 +272,68 @@ mod tests {
     fn gather_straddling_counts_both_segments() {
         // One 8-byte element crossing a segment boundary.
         assert_eq!(segments_for_gather(&[124], 8), 2);
+    }
+
+    #[test]
+    fn gather_full_width_element_counts_both_segments() {
+        // A 128-byte element at offset 64 covers the second half of one
+        // segment and the first half of the next; wider elements would
+        // have middle segments neither counter looks at, hence the
+        // `width <= SEGMENT_BYTES` contract.
+        assert_eq!(gather_segments(&[64], SEGMENT_BYTES), vec![0, 1]);
+        assert_eq!(segments_for_gather(&[64], SEGMENT_BYTES), 2);
+        assert_eq!(segments_for_gather(&[128], SEGMENT_BYTES), 1);
+    }
+
+    /// The sort-free counter against the sorted list, over seeded random
+    /// warps of every shape the kernels issue and the shapes that stress
+    /// the set.
+    #[test]
+    fn gather_count_matches_sorted_list_on_random_warps() {
+        use tlc_rng::Rng;
+        let mut rng = Rng::seed_from_u64(0x5E6_0001);
+        let far = u64::MAX / 2 - 1_000_000;
+        let mut worst = 0;
+        for round in 0..4_000 {
+            let lanes = rng.gen_range(0usize..=WARP_SIZE);
+            let width = [0u64, 1, 4, 8][rng.gen_range(0usize..4)];
+            let base = if rng.gen_bool(0.25) { far } else { 4096 } + rng.gen_range(0u64..256);
+            let addrs: Vec<u64> = match round % 6 {
+                // Broadcast.
+                0 => vec![base; lanes],
+                // Contiguous elements.
+                1 => (0..lanes as u64).map(|i| base + i * width.max(1)).collect(),
+                // 128-byte stride: every lane in its own segment.
+                2 => (0..lanes as u64)
+                    .map(|i| base + i * SEGMENT_BYTES)
+                    .collect(),
+                // Every element straddles a boundary of its own: two
+                // fresh segments per lane, 64 for a full 8-byte warp.
+                3 => (0..lanes as u64)
+                    .map(|i| (base / SEGMENT_BYTES + 2 * i + 1) * SEGMENT_BYTES - 1)
+                    .collect(),
+                // Random within a few segments (heavy sharing).
+                4 => (0..lanes)
+                    .map(|_| base + rng.gen_range(0u64..1024))
+                    .collect(),
+                // Random over a large table (a hash probe).
+                _ => (0..lanes)
+                    .map(|_| base + rng.gen_range(0u64..1 << 24))
+                    .collect(),
+            };
+            let want = gather_segments(&addrs, width).len() as u64;
+            assert_eq!(
+                segments_for_gather(&addrs, width),
+                want,
+                "round {round}: width {width}, addrs {addrs:?}"
+            );
+            worst = worst.max(want);
+        }
+        assert_eq!(
+            worst,
+            2 * WARP_SIZE as u64,
+            "the 64-segment case was generated"
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use tlc_core::DecodeError;
 use tlc_crystal::exec::{fused_config, materialize};
 use tlc_crystal::{DenseTable, GroupBySum, QueryColumn, ScalarSum};
-use tlc_gpu_sim::{Device, GlobalBuffer, Phase};
+use tlc_gpu_sim::{BlockCtx, Device, GlobalBuffer, Phase};
 
 use crate::encode::LoColumns;
 use crate::gen::{LoColumn, SsbData, BRANDS, CITIES, FIRST_YEAR, NATIONS};
@@ -422,6 +422,62 @@ pub fn try_run_query(
     Ok(out)
 }
 
+/// Per-worker tile buffers of the fused kernels, built once per worker
+/// by the launch and reused for every tile the worker runs: a tile
+/// allocates nothing of its own.
+struct TileScratch {
+    /// One value buffer per query column, in the query's column order.
+    vals: Vec<Vec<i32>>,
+    /// Dimension payloads per lane: customer, supplier, part.
+    pays: [Vec<i32>; 3],
+    /// Probe results of the dimension being joined.
+    hits: Vec<Option<i32>>,
+    /// The running selection bitmap…
+    sel: Vec<bool>,
+    /// …and the one the next fused load writes (`sel ∧ pred`).
+    next: Vec<bool>,
+    /// `(group, value)` pairs of the current tile.
+    pairs: Vec<(usize, u64)>,
+}
+
+impl TileScratch {
+    fn new(columns: usize) -> Self {
+        TileScratch {
+            vals: vec![Vec::new(); columns],
+            pays: Default::default(),
+            hits: Vec::new(),
+            sel: Vec::new(),
+            next: Vec::new(),
+            pairs: Vec::new(),
+        }
+    }
+
+    /// Fused decode→predicate of column `i` against the running
+    /// bitmap (`chain`) or every lane; the fused bitmap becomes the
+    /// running one. Returns the tile's logical length.
+    fn load_select(
+        &mut self,
+        ctx: &mut BlockCtx<'_>,
+        cols: &[QueryColumn],
+        i: usize,
+        pred: impl Fn(i32) -> bool,
+        chain: bool,
+    ) -> Result<usize, DecodeError> {
+        let sel_in = chain.then_some(self.sel.as_slice());
+        let t = ctx.block_id();
+        let n =
+            cols[i].load_tile_select(ctx, t, pred, sel_in, &mut self.next, &mut self.vals[i])?;
+        std::mem::swap(&mut self.sel, &mut self.next);
+        Ok(n)
+    }
+
+    /// Probe `table` with column `i`'s first `n` keys on the selected
+    /// lanes, leaving the results in `hits`.
+    fn probe(&mut self, ctx: &mut BlockCtx<'_>, table: &DenseTable, i: usize, n: usize) {
+        table.probe(ctx, &self.vals[i][..n], &self.sel, &mut self.hits);
+    }
+}
+
 /// Flight 1: date join + fact predicates + scalar sum of
 /// `extendedprice * discount`.
 ///
@@ -441,31 +497,32 @@ fn fused_flight1(
     let refs: Vec<&QueryColumn> = cols.iter().collect();
     let cfg = fused_config("ssb_q1_fused", &refs, 2);
     let mut sum = ScalarSum::new(dev);
+    // Column positions per `QueryId::columns` for flight 1: orderdate,
+    // quantity, discount, extendedprice.
+    let [od, qt, dc, ep] = [0, 1, 2, 3];
     // Each tile decodes, filters and probes on a worker and returns its
     // partial sum; the serial merge adds partials to the device
     // accumulator in tile order (the atomic-add traffic lives there).
     let mut failed: Option<DecodeError> = None;
     dev.try_launch_par(
         cfg,
-        |ctx| -> Result<u64, DecodeError> {
-            let t = ctx.block_id();
-            let (mut od, mut qt, mut dc, mut ep) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-            let (mut sel_q, mut sel_qd, mut sel_od, mut sel_hit) =
-                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        || TileScratch::new(cols.len()),
+        |w, ctx| -> Result<u64, DecodeError> {
             // quantity → discount → orderdate, each chaining the bitmap.
-            let n = cols[1].load_tile_select(ctx, t, &s.qty_pred, None, &mut sel_q, &mut qt)?;
-            cols[2].load_tile_select(ctx, t, &s.disc_pred, Some(&sel_q), &mut sel_qd, &mut dc)?;
-            cols[0].load_tile_select(ctx, t, &|_| true, Some(&sel_qd), &mut sel_od, &mut od)?;
-            let mut hits = Vec::new();
-            tables.date.probe(ctx, &od[..n], &sel_od, &mut hits);
+            let n = w.load_select(ctx, cols, qt, s.qty_pred, false)?;
+            w.load_select(ctx, cols, dc, s.disc_pred, true)?;
+            w.load_select(ctx, cols, od, |_| true, true)?;
+            w.probe(ctx, &tables.date, od, n);
             // Price decodes against the post-probe selection: a tile
             // with no date hits unpacks nothing from this column.
-            let keep: Vec<bool> = (0..n).map(|i| sel_od[i] && hits[i].is_some()).collect();
-            cols[3].load_tile_select(ctx, t, &|_| true, Some(&keep), &mut sel_hit, &mut ep)?;
+            for (sel, hit) in w.sel.iter_mut().zip(&w.hits) {
+                *sel &= hit.is_some();
+            }
+            w.load_select(ctx, cols, ep, |_| true, true)?;
             ctx.set_phase(Phase::Aggregate);
             let local: u64 = (0..n)
-                .filter(|&i| sel_hit[i])
-                .map(|i| ep[i] as u64 * dc[i] as u64)
+                .filter(|&i| w.sel[i])
+                .map(|i| w.vals[ep][i] as u64 * w.vals[dc][i] as u64)
                 .sum();
             ctx.add_int_ops(n as u64 * 2);
             Ok(local)
@@ -500,123 +557,90 @@ fn fused_join_flight(
     let refs: Vec<&QueryColumn> = cols.iter().collect();
     let cfg = fused_config("ssb_join_fused", &refs, cols.len());
     let mut agg = GroupBySum::new(dev, s.groups);
-    let is_q4 = cols.len() == 6;
+    // Column positions within this query's column list, resolved once
+    // per launch.
+    let cix = |c: LoColumn| {
+        q.columns()
+            .iter()
+            .position(|&x| x == c)
+            .expect("column present")
+    };
+    let date_ix = cix(LoColumn::OrderDate);
+    let rev_ix = cix(LoColumn::Revenue);
+    let cost_ix = (cols.len() == 6).then(|| cix(LoColumn::SupplyCost));
+    // The dimension joins in probe order (most selective first): table,
+    // key column, payload slot. A query probes the tables it built;
+    // payload defaults cover the rest.
+    let joins: Vec<(&DenseTable, usize, usize)> = [
+        (&tables.cust, LoColumn::CustKey),
+        (&tables.supp, LoColumn::SuppKey),
+        (&tables.part, LoColumn::PartKey),
+    ]
+    .into_iter()
+    .enumerate()
+    .filter_map(|(slot, (table, key))| Some((table.as_ref()?, cix(key), slot)))
+    .collect();
     // Tiles decode, filter and probe on workers, each returning its
     // (group, value) pairs; the serial merge scatters them into the
     // device group-by table in tile order.
     let mut failed: Option<DecodeError> = None;
     dev.try_launch_par(
         cfg,
-        |ctx| -> Result<Vec<(usize, u64)>, DecodeError> {
+        || TileScratch::new(cols.len()),
+        |w, ctx| -> Result<Vec<(usize, u64)>, DecodeError> {
             let t = ctx.block_id();
-            let mut bufs: Vec<Vec<i32>> = vec![Vec::new(); cols.len()];
-            let (mut ch, mut sh, mut ph, mut dh) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-
-            // Column positions within this query's column list.
-            let cix = |c: LoColumn| {
-                q.columns()
-                    .iter()
-                    .position(|&x| x == c)
-                    .expect("column present")
-            };
-            let rev_ix = cix(LoColumn::Revenue);
-            let cost_ix = is_q4.then(|| cix(LoColumn::SupplyCost));
-
             // Key columns load eagerly (the probes need every lane); the
             // measure columns wait until the joins have pruned the tile
             // and then decode fused against the surviving bitmap.
             let mut n = 0;
-            for (i, (c, buf)) in cols.iter().zip(bufs.iter_mut()).enumerate() {
+            for (i, (c, buf)) in cols.iter().zip(w.vals.iter_mut()).enumerate() {
                 if i == rev_ix || Some(i) == cost_ix {
                     continue;
                 }
                 n = c.load_tile(ctx, t, buf)?;
             }
-            let mut sel = vec![true; n];
-
-            // Probe most-selective dimensions first; payload defaults cover
-            // the tables a query doesn't use.
-            let mut cpay = vec![0i32; n];
-            let mut spay = vec![0i32; n];
-            let mut ppay = vec![0i32; n];
-            if uses_cust(q) {
-                let keys = &bufs[cix(LoColumn::CustKey)][..n];
-                tables
-                    .cust
-                    .as_ref()
-                    .expect("cust table")
-                    .probe(ctx, keys, &sel, &mut ch);
-                for i in 0..n {
-                    match ch[i] {
-                        Some(p) if sel[i] => cpay[i] = p,
-                        _ => sel[i] = false,
+            w.sel.clear();
+            w.sel.resize(n, true);
+            for pay in &mut w.pays {
+                pay.clear();
+                pay.resize(n, 0);
+            }
+            for &(table, key_ix, slot) in &joins {
+                w.probe(ctx, table, key_ix, n);
+                for ((sel, hit), pay) in w.sel.iter_mut().zip(&w.hits).zip(&mut w.pays[slot]) {
+                    match *hit {
+                        Some(p) if *sel => *pay = p,
+                        _ => *sel = false,
                     }
                 }
             }
-            {
-                let keys = &bufs[cix(LoColumn::SuppKey)][..n];
-                tables
-                    .supp
-                    .as_ref()
-                    .expect("supp table")
-                    .probe(ctx, keys, &sel, &mut sh);
-                for i in 0..n {
-                    match sh[i] {
-                        Some(p) if sel[i] => spay[i] = p,
-                        _ => sel[i] = false,
-                    }
-                }
+            w.probe(ctx, &tables.date, date_ix, n);
+            for (sel, hit) in w.sel.iter_mut().zip(&w.hits) {
+                *sel &= hit.is_some();
             }
-            if uses_part(q) {
-                let keys = &bufs[cix(LoColumn::PartKey)][..n];
-                tables
-                    .part
-                    .as_ref()
-                    .expect("part table")
-                    .probe(ctx, keys, &sel, &mut ph);
-                for i in 0..n {
-                    match ph[i] {
-                        Some(p) if sel[i] => ppay[i] = p,
-                        _ => sel[i] = false,
-                    }
-                }
-            }
-            let dates = &bufs[cix(LoColumn::OrderDate)][..n];
-            tables.date.probe(ctx, dates, &sel, &mut dh);
 
             // Fused decode→select for the measures: only miniblocks with
             // a surviving lane unpack, and the decompressed values never
-            // round-trip global memory.
-            let keep: Vec<bool> = (0..n).map(|i| sel[i] && dh[i].is_some()).collect();
-            let (mut msel, mut measure, mut costs) = (Vec::new(), Vec::new(), Vec::new());
-            cols[rev_ix].load_tile_select(
-                ctx,
-                t,
-                &|_| true,
-                Some(&keep),
-                &mut msel,
-                &mut measure,
-            )?;
+            // round-trip global memory. `|_| true` leaves the running
+            // bitmap as it is.
+            w.load_select(ctx, cols, rev_ix, |_| true, true)?;
             if let Some(ci) = cost_ix {
-                cols[ci].load_tile_select(ctx, t, &|_| true, Some(&keep), &mut msel, &mut costs)?;
+                w.load_select(ctx, cols, ci, |_| true, true)?;
             }
             ctx.set_phase(Phase::Aggregate);
-            let mut pairs = Vec::new();
-            for i in 0..n {
-                if !keep[i] {
-                    continue;
-                }
-                let Some(y) = dh[i] else { continue };
-                let g = (s.group)(cpay[i], spay[i], ppay[i], y);
-                let v = if cost_ix.is_some() {
-                    (measure[i] as i64 - costs[i] as i64) as u64
-                } else {
-                    measure[i] as u64
+            w.pairs.clear();
+            for i in (0..n).filter(|&i| w.sel[i]) {
+                let Some(y) = w.hits[i] else { continue };
+                let g = (s.group)(w.pays[0][i], w.pays[1][i], w.pays[2][i], y);
+                let measure = w.vals[rev_ix][i];
+                let v = match cost_ix {
+                    Some(ci) => (measure as i64 - w.vals[ci][i] as i64) as u64,
+                    None => measure as u64,
                 };
-                pairs.push((g, v));
+                w.pairs.push((g, v));
             }
             ctx.add_int_ops(n as u64 * 4);
-            Ok(pairs)
+            Ok(w.pairs.clone())
         },
         |ctx, _t, result| match result {
             Ok(pairs) => {
