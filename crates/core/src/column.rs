@@ -374,7 +374,7 @@ mod tests {
             let cfg = dcol.tile_kernel_config("fused_select", 1);
             dev.launch(cfg, |ctx| {
                 let n = dcol
-                    .load_tile_select(ctx, ctx.block_id(), &pred, None, &mut sel, &mut tile)
+                    .load_tile_select(ctx, ctx.block_id(), pred, None, &mut sel, &mut tile)
                     .expect("decode");
                 assert_eq!(sel.len(), n, "{s:?} bitmap length");
                 got.extend((0..n).filter(|&i| sel[i]).map(|i| tile[i]));
@@ -400,10 +400,10 @@ mod tests {
             let cfg = dcol.tile_kernel_config("fused_chain", 2);
             dev.launch(cfg, |ctx| {
                 let t = ctx.block_id();
-                dcol.load_tile_select(ctx, t, &p1, None, &mut sel1, &mut tile)
+                dcol.load_tile_select(ctx, t, p1, None, &mut sel1, &mut tile)
                     .expect("first select");
                 let n = dcol
-                    .load_tile_select(ctx, t, &p2, Some(&sel1), &mut sel2, &mut tile)
+                    .load_tile_select(ctx, t, p2, Some(&sel1), &mut sel2, &mut tile)
                     .expect("second select");
                 got.extend((0..n).filter(|&i| sel2[i]).map(|i| tile[i]));
             });

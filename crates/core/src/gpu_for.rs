@@ -628,12 +628,20 @@ pub(crate) fn select_lanes(
     lanes: Option<&[bool]>,
     sel: &mut Vec<bool>,
 ) {
+    let start = sel.len();
+    sel.resize(start + vals.len(), false);
+    let out = &mut sel[start..];
     match lanes {
-        None => sel.extend(vals.iter().map(|&v| pred(v))),
+        None => {
+            for (out, &v) in out.iter_mut().zip(vals) {
+                *out = pred(v);
+            }
+        }
+        // Lanes past the end of `lanes` keep the `false` they got above.
         Some(lanes) => {
-            let end = sel.len() + vals.len();
-            sel.extend(vals.iter().zip(lanes).map(|(&v, &live)| live && pred(v)));
-            sel.resize(end, false);
+            for ((out, &v), &live) in out.iter_mut().zip(vals).zip(lanes) {
+                *out = live & pred(v);
+            }
         }
     }
 }

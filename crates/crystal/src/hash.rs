@@ -108,13 +108,16 @@ impl DenseTable {
         out.reserve(keys.len());
         for (kw, sw) in keys.chunks(WARP_SIZE).zip(selected.chunks(WARP_SIZE)) {
             // The warp's active lanes, compacted: slot indices in, slot
-            // contents out, both on the stack. A warp with no active
-            // lane issues nothing.
+            // contents out, both on the stack. Compaction and expansion
+            // advance a cursor by the lane's flag instead of branching
+            // on it (selections are not predictable). A warp with no
+            // active lane issues nothing. (An unselected lane's key is
+            // filler: its index is computed, wrapping, and overwritten.)
             let mut idx = [0usize; WARP_SIZE];
             let mut active = 0;
-            for (&k, _) in kw.iter().zip(sw).filter(|&(_, &s)| s) {
-                idx[active] = (k - self.base) as usize;
-                active += 1;
+            for (&k, &s) in kw.iter().zip(sw) {
+                idx[active] = k.wrapping_sub(self.base) as usize;
+                active += usize::from(s);
             }
             let mut hits = [EMPTY; WARP_SIZE];
             ctx.warp_gather_into(
@@ -122,13 +125,11 @@ impl DenseTable {
                 idx[..active].iter().copied(),
                 &mut hits[..active],
             );
-            let mut hit = hits.iter();
+            let mut next = 0;
             out.extend(sw.iter().map(|&s| {
-                if !s {
-                    return None;
-                }
-                let v = *hit.next().expect("one hit per selected lane");
-                (v != EMPTY).then_some(v)
+                let v = hits[next];
+                next += usize::from(s);
+                (s && v != EMPTY).then_some(v)
             }));
         }
         ctx.add_int_ops(keys.len() as u64 * 2);

@@ -688,6 +688,47 @@ mod tests {
     }
 
     #[test]
+    fn worker_state_is_built_once_per_worker_and_survives_its_blocks() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let _guard = crate::threads::TEST_OVERRIDE_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        for threads in [1, 3] {
+            crate::threads::set_sim_threads_override(Some(threads));
+            let inits = AtomicUsize::new(0);
+            let dev = Device::v100();
+            let mut merged = Vec::new();
+            dev.try_launch_par(
+                KernelConfig::new("k", 9, 32).smem_per_block(256),
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    0usize
+                },
+                |blocks_run, blk| {
+                    // Shared memory is zeroed per block even though the
+                    // worker reuses one image.
+                    assert!(blk.shared().iter().all(|&w| w == 0));
+                    blk.shared_mut()[0] = 7;
+                    *blocks_run += 1;
+                    *blocks_run
+                },
+                |blk, block_id, nth| {
+                    assert!(blk.shared().is_empty(), "merge has no shared memory");
+                    merged.push((block_id, nth));
+                },
+            )
+            .expect("no faults armed");
+            crate::threads::set_sim_threads_override(None);
+            assert_eq!(inits.load(Ordering::Relaxed), threads);
+            // Merge visits blocks in order; each worker numbered its
+            // own contiguous range from 1.
+            let per_worker = 9 / threads;
+            let want: Vec<(usize, usize)> = (0..9).map(|b| (b, b % per_worker + 1)).collect();
+            assert_eq!(merged, want, "threads = {threads}");
+        }
+    }
+
+    #[test]
     fn pcie_transfer_time() {
         let dev = Device::v100();
         let t = dev.pcie_transfer(12_800_000_000);

@@ -192,31 +192,26 @@ pub fn segments_for_gather(addrs: &[u64], width: u64) -> u64 {
     );
     let mut keys = [0u64; SEGMENT_SET_SLOTS];
     let mut occupied = 0u64;
-    // Neighbouring lanes usually share a segment; remembering the last
-    // one keeps coalesced warps out of the set altogether.
-    let mut last = u64::MAX;
     let mut insert = |seg: u64| {
-        if seg == last {
-            return;
-        }
-        last = seg;
-        // Fibonacci hashing onto the 64 slots, then linear probing. At
-        // most 64 segments are ever offered, so a free slot exists
-        // whenever a new key arrives.
+        // Fibonacci hashing onto the 64 slots, then linear probing past
+        // other segments. The walk ends on a free slot or on this
+        // segment's own, and either way the slot then holds it. At most
+        // 64 segments are ever offered, so one of the two exists.
         let mut slot = (seg.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize;
-        while occupied & (1 << slot) != 0 {
-            if keys[slot] == seg {
-                return;
-            }
+        while occupied & (1 << slot) != 0 && keys[slot] != seg {
             slot = (slot + 1) % SEGMENT_SET_SLOTS;
         }
         occupied |= 1 << slot;
         keys[slot] = seg;
     };
     for &a in addrs {
-        insert(a / SEGMENT_BYTES);
+        let first = a / SEGMENT_BYTES;
+        insert(first);
         if width > 0 {
-            insert((a + width - 1) / SEGMENT_BYTES);
+            let last = (a + width - 1) / SEGMENT_BYTES;
+            if last != first {
+                insert(last);
+            }
         }
     }
     u64::from(occupied.count_ones())

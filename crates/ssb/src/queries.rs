@@ -125,14 +125,25 @@ pub(crate) struct QuerySpec {
     pub supp: fn(&SsbData, usize) -> Option<i32>,
     /// Part payload by row.
     pub part: fn(&SsbData, usize) -> Option<i32>,
-    /// Fact-local quantity predicate (flight 1).
-    pub qty_pred: fn(i32) -> bool,
-    /// Fact-local discount predicate (flight 1).
-    pub disc_pred: fn(i32) -> bool,
+    /// Fact-local quantity predicate (flight 1): the inclusive range a
+    /// row's quantity must fall in. Ranges, not `fn` pointers, so the
+    /// fused kernels evaluate them inline (see [`within`]).
+    pub qty: (i32, i32),
+    /// Fact-local discount predicate (flight 1), likewise.
+    pub disc: (i32, i32),
     /// Group count of the dense aggregate.
     pub groups: usize,
     /// Group index from (cust, supp, part, year) payloads.
     pub group: fn(i32, i32, i32, i32) -> usize,
+}
+
+/// The range predicate every value passes.
+const ANY: (i32, i32) = (i32::MIN, i32::MAX);
+
+/// The predicate "`lo <= v <= hi`" as a closure the fused loads
+/// monomorphise over.
+pub(crate) fn within((lo, hi): (i32, i32)) -> impl Fn(i32) -> bool + Copy {
+    move |v| lo <= v && v <= hi
 }
 
 fn yidx(data: &SsbData, row: usize) -> i32 {
@@ -151,8 +162,8 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             cust: |_, _| Some(0),
             supp: |_, _| Some(0),
             part: |_, _| Some(0),
-            qty_pred: |qty| qty < 25,
-            disc_pred: |disc| (1..=3).contains(&disc),
+            qty: (i32::MIN, 24),
+            disc: (1, 3),
             groups: 1,
             group: |_, _, _, _| 0,
         },
@@ -161,8 +172,8 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             cust: |_, _| Some(0),
             supp: |_, _| Some(0),
             part: |_, _| Some(0),
-            qty_pred: |qty| (26..=35).contains(&qty),
-            disc_pred: |disc| (4..=6).contains(&disc),
+            qty: (26, 35),
+            disc: (4, 6),
             groups: 1,
             group: |_, _, _, _| 0,
         },
@@ -171,8 +182,8 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             cust: |_, _| Some(0),
             supp: |_, _| Some(0),
             part: |_, _| Some(0),
-            qty_pred: |qty| (26..=35).contains(&qty),
-            disc_pred: |disc| (5..=7).contains(&disc),
+            qty: (26, 35),
+            disc: (5, 7),
             groups: 1,
             group: |_, _, _, _| 0,
         },
@@ -181,8 +192,8 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             cust: |_, _| Some(0),
             supp: |d, r| (d.supplier.region[r] == 0).then_some(0),
             part: |d, r| (d.part.category[r] == 6).then_some(d.part.brand1[r]),
-            qty_pred: |_| true,
-            disc_pred: |_| true,
+            qty: ANY,
+            disc: ANY,
             groups: YEARS * BRANDS,
             group: |_, _, brand, y| y as usize * BRANDS + brand as usize,
         },
@@ -195,8 +206,8 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
                     .contains(&d.part.brand1[r])
                     .then_some(d.part.brand1[r])
             },
-            qty_pred: |_| true,
-            disc_pred: |_| true,
+            qty: ANY,
+            disc: ANY,
             groups: YEARS * BRANDS,
             group: |_, _, brand, y| y as usize * BRANDS + brand as usize,
         },
@@ -205,8 +216,8 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             cust: |_, _| Some(0),
             supp: |d, r| (d.supplier.region[r] == 2).then_some(0),
             part: |d, r| (d.part.brand1[r] == 260).then_some(d.part.brand1[r]),
-            qty_pred: |_| true,
-            disc_pred: |_| true,
+            qty: ANY,
+            disc: ANY,
             groups: YEARS * BRANDS,
             group: |_, _, brand, y| y as usize * BRANDS + brand as usize,
         },
@@ -215,8 +226,8 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             cust: |d, r| (d.customer.region[r] == 1).then_some(d.customer.nation[r]),
             supp: |d, r| (d.supplier.region[r] == 1).then_some(d.supplier.nation[r]),
             part: |_, _| Some(0),
-            qty_pred: |_| true,
-            disc_pred: |_| true,
+            qty: ANY,
+            disc: ANY,
             groups: NATIONS * NATIONS * YEARS,
             group: |cn, sn, _, y| (cn as usize * NATIONS + sn as usize) * YEARS + y as usize,
         },
@@ -225,8 +236,8 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             cust: |d, r| (d.customer.nation[r] == 3).then_some(d.customer.city[r]),
             supp: |d, r| (d.supplier.nation[r] == 3).then_some(d.supplier.city[r]),
             part: |_, _| Some(0),
-            qty_pred: |_| true,
-            disc_pred: |_| true,
+            qty: ANY,
+            disc: ANY,
             groups: CITIES * CITIES * YEARS,
             group: |cc, sc, _, y| (cc as usize * CITIES + sc as usize) * YEARS + y as usize,
         },
@@ -235,8 +246,8 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             cust: |d, r| matches!(d.customer.city[r], 40 | 44).then_some(d.customer.city[r]),
             supp: |d, r| matches!(d.supplier.city[r], 40 | 44).then_some(d.supplier.city[r]),
             part: |_, _| Some(0),
-            qty_pred: |_| true,
-            disc_pred: |_| true,
+            qty: ANY,
+            disc: ANY,
             groups: CITIES * CITIES * YEARS,
             group: |cc, sc, _, y| (cc as usize * CITIES + sc as usize) * YEARS + y as usize,
         },
@@ -245,8 +256,8 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             cust: |d, r| matches!(d.customer.city[r], 40 | 44).then_some(d.customer.city[r]),
             supp: |d, r| matches!(d.supplier.city[r], 40 | 44).then_some(d.supplier.city[r]),
             part: |_, _| Some(0),
-            qty_pred: |_| true,
-            disc_pred: |_| true,
+            qty: ANY,
+            disc: ANY,
             groups: CITIES * CITIES * YEARS,
             group: |cc, sc, _, y| (cc as usize * CITIES + sc as usize) * YEARS + y as usize,
         },
@@ -255,8 +266,8 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             cust: |d, r| (d.customer.region[r] == 0).then_some(d.customer.nation[r]),
             supp: |d, r| (d.supplier.region[r] == 0).then_some(0),
             part: |d, r| matches!(d.part.mfgr[r], 0 | 1).then_some(0),
-            qty_pred: |_| true,
-            disc_pred: |_| true,
+            qty: ANY,
+            disc: ANY,
             groups: YEARS * NATIONS,
             group: |cn, _, _, y| y as usize * NATIONS + cn as usize,
         },
@@ -265,8 +276,8 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             cust: |d, r| (d.customer.region[r] == 0).then_some(0),
             supp: |d, r| (d.supplier.region[r] == 0).then_some(d.supplier.nation[r]),
             part: |d, r| matches!(d.part.mfgr[r], 0 | 1).then_some(d.part.category[r]),
-            qty_pred: |_| true,
-            disc_pred: |_| true,
+            qty: ANY,
+            disc: ANY,
             groups: YEARS * NATIONS * 25,
             group: |_, sn, cat, y| (y as usize * NATIONS + sn as usize) * 25 + cat as usize,
         },
@@ -275,8 +286,8 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             cust: |d, r| (d.customer.region[r] == 0).then_some(0),
             supp: |d, r| (d.supplier.nation[r] == 3).then_some(d.supplier.city[r]),
             part: |d, r| (d.part.category[r] == 3).then_some(d.part.brand1[r]),
-            qty_pred: |_| true,
-            disc_pred: |_| true,
+            qty: ANY,
+            disc: ANY,
             groups: YEARS * CITIES * BRANDS,
             group: |_, sc, brand, y| (y as usize * CITIES + sc as usize) * BRANDS + brand as usize,
         },
@@ -509,8 +520,8 @@ fn fused_flight1(
         || TileScratch::new(cols.len()),
         |w, ctx| -> Result<u64, DecodeError> {
             // quantity → discount → orderdate, each chaining the bitmap.
-            let n = w.load_select(ctx, cols, qt, s.qty_pred, false)?;
-            w.load_select(ctx, cols, dc, s.disc_pred, true)?;
+            let n = w.load_select(ctx, cols, qt, within(s.qty), false)?;
+            w.load_select(ctx, cols, dc, within(s.disc), true)?;
             w.load_select(ctx, cols, od, |_| true, true)?;
             w.probe(ctx, &tables.date, od, n);
             // Price decodes against the post-probe selection: a tile
@@ -678,8 +689,8 @@ fn run_materialized(dev: &Device, data: &SsbData, cols: &LoColumns, q: QueryId) 
 
     if is_flight1(q) {
         // filter(quantity) -> filter(discount) -> probe(date) -> agg.
-        let sel_q = materialize::filter(dev, "oms_f_qty", bufs[1], None, s.qty_pred);
-        let sel_qd = materialize::filter(dev, "oms_f_disc", bufs[2], Some(&sel_q), s.disc_pred);
+        let sel_q = materialize::filter(dev, "oms_f_qty", bufs[1], None, within(s.qty));
+        let sel_qd = materialize::filter(dev, "oms_f_disc", bufs[2], Some(&sel_q), within(s.disc));
         let (_dpay, sel2) =
             materialize::probe(dev, "oms_probe_date", bufs[0], &tables.date, Some(&sel_qd));
         let agg = materialize::aggregate(dev, "oms_agg", &[bufs[3], bufs[2]], &sel2, 1, |row| {

@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 
 use crate::gen::SsbData;
-use crate::queries::{spec, QueryId};
+use crate::queries::{spec, within, QueryId};
 
 /// Run query `q` with plain nested loops; returns sorted
 /// `(group index, wrapped signed sum)` pairs, matching
@@ -33,7 +33,7 @@ pub fn run_reference(data: &SsbData, q: QueryId) -> Vec<(u64, u64)> {
             continue;
         };
         if flight1 {
-            if !(s.qty_pred)(lo.quantity[i]) || !(s.disc_pred)(lo.discount[i]) {
+            if !within(s.qty)(lo.quantity[i]) || !within(s.disc)(lo.discount[i]) {
                 continue;
             }
             *sums.entry(0).or_insert(0) += lo.extendedprice[i] as u64 * lo.discount[i] as u64;
