@@ -297,9 +297,9 @@ impl Device {
             merge(&mut ctx, block_id, result);
         };
         let run_range =
-            |lo: usize, hi: usize, spans: &mut PhaseSpans, emit: &mut dyn FnMut(usize, R)| {
+            |lo: usize, hi: usize, local: &mut PhaseSpans, emit: &mut dyn FnMut(usize, R)| {
                 let mut state = init();
-                run_blocks(&cfg, lo..hi, l1, spans, |ctx| body(&mut state, ctx), emit);
+                run_blocks(&cfg, lo..hi, l1, local, |ctx| body(&mut state, ctx), emit);
             };
         let parts = crate::threads::partitions(cfg.grid_blocks, 1, crate::threads::sim_threads());
         if parts.len() <= 1 {

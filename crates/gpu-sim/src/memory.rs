@@ -170,8 +170,10 @@ pub fn gather_segments(addrs: &[u64], width: u64) -> Vec<u64> {
 }
 
 /// Slots of the segment set in [`segments_for_gather`]: one warp touches
-/// at most `WARP_SIZE` elements × 2 segments.
+/// at most `WARP_SIZE` elements × 2 segments, and one `u64` holds the
+/// occupancy bits.
 const SEGMENT_SET_SLOTS: usize = 2 * WARP_SIZE;
+const _: () = assert!(SEGMENT_SET_SLOTS == u64::BITS as usize);
 
 /// Number of distinct 128-byte segments touched by a warp-sized gather
 /// of `width`-byte elements (`width <= SEGMENT_BYTES`) at the given

@@ -436,6 +436,7 @@ pub fn try_run_query(
 /// Per-worker tile buffers of the fused kernels, built once per worker
 /// by the launch and reused for every tile the worker runs: a tile
 /// allocates nothing of its own.
+#[derive(Default)]
 struct TileScratch {
     /// One value buffer per query column, in the query's column order.
     vals: Vec<Vec<i32>>,
@@ -455,11 +456,7 @@ impl TileScratch {
     fn new(columns: usize) -> Self {
         TileScratch {
             vals: vec![Vec::new(); columns],
-            pays: Default::default(),
-            hits: Vec::new(),
-            sel: Vec::new(),
-            next: Vec::new(),
-            pairs: Vec::new(),
+            ..Default::default()
         }
     }
 
