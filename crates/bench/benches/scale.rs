@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use tlc_bench::{print_table, write_bench_json, Json};
 use tlc_gpu_sim::{FaultPlan, StorageFaults};
-use tlc_ssb::{run_query_streamed, QueryId, SsbStore, StreamOptions, StreamSpec};
+use tlc_ssb::{run_query_streamed_bounded, QueryId, SsbStore, StreamOptions, StreamSpec};
 
 fn env_u64(key: &str, default: u64) -> u64 {
     std::env::var(key)
@@ -81,7 +81,7 @@ fn main() {
         .enumerate()
     {
         let start = Instant::now();
-        let clean = match run_query_streamed(&store, *q, &run_opts(None)) {
+        let clean = match run_query_streamed_bounded(&store, *q, &run_opts(None)) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("scale: {} clean run failed: {e}", q.name());
@@ -102,7 +102,7 @@ fn main() {
             ..FaultPlan::seeded(0xB5 + i as u64)
         };
         let start = Instant::now();
-        let faulted = match run_query_streamed(&store, *q, &run_opts(Some(plan))) {
+        let faulted = match run_query_streamed_bounded(&store, *q, &run_opts(Some(plan))) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("scale: {} faulted run failed: {e}", q.name());

@@ -29,26 +29,11 @@
 
 use std::sync::atomic::Ordering;
 
-use tlc_ssb::{run_wave_streamed, WaveAnswer, WaveQuery, WaveQueryRun, WaveSpec};
+use tlc_ssb::{run_wave_streamed, WaveQuery};
 
-use crate::exec::ExecOutcome;
+use crate::exec::{member_outcome, wave_spec};
 use crate::service::{feed_back, record_terminal, routing_snapshot, run_solo, Job, Shared};
-use crate::{Outcome, QueryAnswer, QuerySpec, Response};
-
-/// Map a service [`QuerySpec`] onto the streaming layer's wave spec.
-fn wave_spec(q: &QuerySpec) -> WaveSpec {
-    match q {
-        QuerySpec::Flight(id) => WaveSpec::Flight(*id),
-        QuerySpec::PointFilter { column, value } => WaveSpec::Scalar {
-            column: *column,
-            filter: Some(*value),
-        },
-        QuerySpec::Scan { column } => WaveSpec::Scalar {
-            column: *column,
-            filter: None,
-        },
-    }
-}
+use crate::{Outcome, QuerySpec, Response};
 
 /// Dedup key: two requests are "identical" (one execution answers
 /// both) when they ask the same query under the same deadline.
@@ -59,25 +44,6 @@ fn dedup_key(job: &Job) -> DedupKey {
         job.req.query.clone(),
         job.req.deadline_device_s.map(f64::to_bits),
     )
-}
-
-/// Map one wave member's run onto the service's terminal outcome.
-fn member_outcome(run: WaveQueryRun) -> Outcome {
-    match run.outcome {
-        Ok(answer) => Outcome::Completed(ExecOutcome {
-            answer: match answer {
-                WaveAnswer::Groups(g) => QueryAnswer::Groups(g),
-                WaveAnswer::Scalar { count, sum } => QueryAnswer::Scalar { count, sum },
-            },
-            rows: run.rows,
-            partitions: run.partitions,
-            device_s: run.device_s,
-            io_s: run.io_s,
-            report: run.report,
-            recovered_partitions: run.recovered_partitions,
-        }),
-        Err(partial) => Outcome::DeadlineExceeded(partial),
-    }
 }
 
 /// Execute one popped wave of jobs, delivering exactly one response
@@ -151,7 +117,10 @@ pub(crate) fn run_wave_batch(shared: &Shared, jobs: Vec<Job>) {
                     m.batched_queries
                         .fetch_add(group.len() as u64, Ordering::Relaxed);
                 }
-                let outcome = member_outcome(run);
+                let outcome = match member_outcome(run) {
+                    Ok(out) => Outcome::Completed(out),
+                    Err(partial) => Outcome::DeadlineExceeded(partial),
+                };
                 for job in group {
                     let response = Response {
                         id: job.req.id,

@@ -1,53 +1,28 @@
-//! The service-side query executor: one [`QuerySpec`] against an
-//! [`SsbStore`], with the full recovery ladder and deadline contract.
+//! The service-side entry to the partition executor: one
+//! [`QuerySpec`] against an [`SsbStore`], answered as an
+//! [`ExecOutcome`].
 //!
-//! SSB flight queries go straight to the streaming engine
-//! ([`run_query_streamed_bounded`]). Point filters and scans — the
-//! short lookups and long sequential reads in the serving mix — use a
-//! per-partition loop in this module over the same ladders:
-//!
-//! * **storage**: a damaged column file is quarantined by the store on
-//!   load, regenerated from the chunked generator and healed in place;
-//! * **device**: decompress on a partition-private device, fail over
-//!   to a fresh device once, then fall back to the CPU decoder;
-//! * **deadline**: the cumulative simulated device time is checked
-//!   between partitions in partition order (same rule as the
-//!   streaming engine), so a deadline cut is bit-identical at any
-//!   worker count;
-//! * **routing**: partitions in
-//!   [`StreamOptions::force_cpu_partitions`] never touch the disk
-//!   files or a device — they are answered from regenerated rows,
-//!   which is how the breaker bank quarantines a sick shard.
-//!
-//! Scalar aggregation (count + wrapping sum) happens host-side after
-//! the decompress kernel; its cost is negligible next to the decode
-//! and is not separately modelled.
+//! There is no executor here. [`execute`] maps the request onto the
+//! streaming layer's one executor ([`tlc_ssb::stream`]) — a flight
+//! through [`run_query_streamed_bounded`] (inline decode, the paper's
+//! path), a point filter or scan as a one-member
+//! [`run_wave_streamed`] (decode once, fold host-side) — and the
+//! storage ladder, device ladder, deadline rule, fault plan
+//! ([`StreamOptions::plan`]) and forced-CPU routing
+//! ([`StreamOptions::force_cpu_partitions`]) are the ones every other
+//! caller of that executor gets.
 
-use std::sync::Arc;
-
-use tlc_core::EncodedColumn;
-use tlc_gpu_sim::Device;
-use tlc_ssb::stream::DeadlinePartial;
 use tlc_ssb::{
-    run_query_streamed_bounded, LoColumn, ResilienceReport, SsbStore, StreamError, StreamOptions,
+    run_query_streamed_bounded, run_wave_streamed, DeadlinePartial, ResilienceReport, SsbStore,
+    StreamError, StreamOptions, WaveQuery, WaveQueryRun, WaveSpec,
 };
-use tlc_store::{modeled_read_s, StoreError};
 
 use crate::QuerySpec;
 
-/// The answer payload of a completed query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum QueryAnswer {
-    /// Grouped aggregate rows from a flight query.
-    Groups(Vec<(u64, u64)>),
-    /// Count and wrapping sum from a scan or point filter.
-    Scalar {
-        /// Values matched (scan: all values).
-        count: u64,
-        /// Wrapping sum of the matched values.
-        sum: i64,
-    },
-}
+/// The answer payload of a completed query: grouped aggregate rows
+/// from a flight, or count and wrapping sum from a scan or point
+/// filter.
+pub use tlc_ssb::WaveAnswer as QueryAnswer;
 
 /// Everything a completed execution reports upward to the service.
 #[derive(Debug, Clone)]
@@ -70,6 +45,35 @@ pub struct ExecOutcome {
     pub recovered_partitions: Vec<usize>,
 }
 
+/// Map a service [`QuerySpec`] onto the streaming layer's member spec.
+pub(crate) fn wave_spec(q: &QuerySpec) -> WaveSpec {
+    match q {
+        QuerySpec::Flight(id) => WaveSpec::Flight(*id),
+        QuerySpec::PointFilter { column, value } => WaveSpec::Scalar {
+            column: *column,
+            filter: Some(*value),
+        },
+        QuerySpec::Scan { column } => WaveSpec::Scalar {
+            column: *column,
+            filter: None,
+        },
+    }
+}
+
+/// One member's run as the service reports it: a full outcome, or the
+/// member's deadline partial.
+pub(crate) fn member_outcome(run: WaveQueryRun) -> Result<ExecOutcome, Box<DeadlinePartial>> {
+    Ok(ExecOutcome {
+        answer: run.outcome?,
+        rows: run.rows,
+        partitions: run.partitions,
+        device_s: run.device_s,
+        io_s: run.io_s,
+        report: run.report,
+        recovered_partitions: run.recovered_partitions,
+    })
+}
+
 /// Execute `spec` under `opts`. Every path terminates: a full
 /// [`ExecOutcome`], a typed deadline rejection with partial progress,
 /// or an unrecoverable storage error.
@@ -78,180 +82,33 @@ pub fn execute(
     spec: &QuerySpec,
     opts: &StreamOptions,
 ) -> Result<ExecOutcome, StreamError> {
-    match spec {
-        QuerySpec::Flight(q) => {
-            let run = run_query_streamed_bounded(store, *q, opts)?;
-            Ok(ExecOutcome {
-                answer: QueryAnswer::Groups(run.result),
-                rows: run.rows,
-                partitions: run.partitions,
-                device_s: run.device_s,
-                io_s: run.io_s,
-                report: run.report,
-                recovered_partitions: run.recovered_partitions,
-            })
-        }
-        QuerySpec::PointFilter { column, value } => {
-            scalar_query(store, *column, Some(*value), opts)
-        }
-        QuerySpec::Scan { column } => scalar_query(store, *column, None, opts),
+    if let QuerySpec::Flight(q) = spec {
+        let run = run_query_streamed_bounded(store, *q, opts)?;
+        return Ok(ExecOutcome {
+            answer: QueryAnswer::Groups(run.result),
+            rows: run.rows,
+            partitions: run.partitions,
+            device_s: run.device_s,
+            io_s: run.io_s,
+            report: run.report,
+            recovered_partitions: run.recovered_partitions,
+        });
     }
-}
-
-/// Count + wrapping sum over `column`, keeping only values equal to
-/// `filter` when set. Sequential over partitions (a serving worker is
-/// one lane; concurrency comes from queries in flight, not from inside
-/// one scalar query).
-fn scalar_query(
-    store: &SsbStore,
-    column: LoColumn,
-    filter: Option<i32>,
-    opts: &StreamOptions,
-) -> Result<ExecOutcome, StreamError> {
-    let n = store.store().partition_count();
-    let mut report = ResilienceReport::default();
-    let mut recovered_partitions = Vec::new();
-    let mut device_s = 0.0f64;
-    let mut io_s = 0.0f64;
-    let mut rows = 0u64;
-    let mut count = 0u64;
-    let mut sum = 0i64;
-
-    let fold = |values: &[i32], count: &mut u64, sum: &mut i64| {
-        for &v in values {
-            if filter.is_none_or(|want| v == want) {
-                *count += 1;
-                *sum = sum.wrapping_add(v as i64);
-            }
-        }
+    let member = WaveQuery {
+        spec: wave_spec(spec),
+        deadline_device_s: opts.deadline_device_s,
     };
-
-    for p in 0..n {
-        let mut part_report = ResilienceReport::default();
-        let (values, part_s, part_io_s, recovered) =
-            scan_partition(store, column, p, opts, &mut part_report)?;
-        if let Some(deadline) = opts.deadline_device_s {
-            if device_s + part_s > deadline {
-                return Err(StreamError::DeadlineExceeded(Box::new(DeadlinePartial {
-                    partitions_completed: p,
-                    partitions: n,
-                    rows_scanned: rows,
-                    device_s,
-                    deadline_device_s: deadline,
-                    report,
-                })));
-            }
-        }
-        device_s += part_s;
-        io_s += part_io_s;
-        rows += store.store().rows(p);
-        report.absorb(&part_report);
-        if recovered {
-            recovered_partitions.push(p);
-        }
-        fold(&values, &mut count, &mut sum);
-    }
-
-    Ok(ExecOutcome {
-        answer: QueryAnswer::Scalar { count, sum },
-        rows,
-        partitions: n,
-        device_s,
-        io_s,
-        report,
-        recovered_partitions,
-    })
-}
-
-/// One partition of a scalar query: storage ladder, then device
-/// ladder, returning `(values, device_seconds, io_seconds,
-/// needed_recovery)`.
-fn scan_partition(
-    store: &SsbStore,
-    column: LoColumn,
-    p: usize,
-    opts: &StreamOptions,
-    report: &mut ResilienceReport,
-) -> Result<(Vec<i32>, f64, f64, bool), StreamError> {
-    if opts.force_cpu_partitions.contains(&p) {
-        report.cpu_fallbacks += 1;
-        let lo = store.regenerate_partition(p);
-        return Ok((lo.column(column).to_vec(), 0.0, 0.0, false));
-    }
-
-    // Storage ladder (same policy as the streaming engine, including
-    // the shared cache when one is armed): damage is quarantined by
-    // the store on load; regenerate deterministically and heal in
-    // place. Regenerated columns never came from disk, so they charge
-    // no read time and skip the cache.
-    let loaded: Result<(Arc<EncodedColumn>, f64), StoreError> = match &opts.cache {
-        Some(cache) => cache
-            .load(store.store(), p, column.name())
-            .map(|l| (l.col, modeled_read_s(l.bytes, l.hit))),
-        None => {
-            let idx = store
-                .store()
-                .manifest()
-                .column_index(column.name())
-                .expect("queried columns are in the layout");
-            let bytes = store.store().manifest().partitions[p].files[idx].bytes as u64;
-            store
-                .store()
-                .load_column(p, column.name())
-                .map(|enc| (Arc::new(enc), modeled_read_s(bytes, false)))
-        }
-    };
-    let mut damaged = false;
-    let (enc, io_s) = match loaded {
-        Ok(loaded) => loaded,
-        Err(e) if matches!(e, StoreError::Io { .. } | StoreError::UnknownColumn { .. }) => {
-            return Err(e.into());
-        }
-        Err(_) => {
-            damaged = true;
-            report.partitions_quarantined += 1;
-            let lo = store.regenerate_partition(p);
-            let enc = EncodedColumn::encode_best(lo.column(column));
-            if store.store().damage(p, column.name()).is_some() {
-                store.store().heal_column(p, column.name(), &enc)?;
-            }
-            report.partitions_regenerated += 1;
-            (Arc::new(enc), 0.0)
-        }
-    };
-
-    // Device ladder: decompress on a partition-private device, fail
-    // over to a fresh device once, fall back to the CPU decoder last.
-    let dev = Device::v100();
-    let dc = enc.to_device(&dev);
-    dev.reset_timeline();
-    if let Ok(buf) = dc.decompress(&dev) {
-        let part_s = dev.elapsed_seconds_scaled(opts.scale);
-        return Ok((buf.as_slice_unaccounted().to_vec(), part_s, io_s, damaged));
-    }
-    let mut part_s = dev.elapsed_seconds_scaled(opts.scale);
-    report.shards_failed_over += 1;
-    let fresh = Device::v100();
-    let dc = enc.to_device(&fresh);
-    fresh.reset_timeline();
-    let values = match dc.decompress(&fresh) {
-        Ok(buf) => {
-            part_s = part_s.max(fresh.elapsed_seconds_scaled(opts.scale));
-            buf.as_slice_unaccounted().to_vec()
-        }
-        Err(_) => {
-            report.cpu_fallbacks += 1;
-            enc.decode_cpu()
-        }
-    };
-    Ok((values, part_s, io_s, true))
+    let mut wave = run_wave_streamed(store, &[member], opts)?;
+    let run = wave.queries.pop().expect("one member in, one member out");
+    member_outcome(run).map_err(StreamError::DeadlineExceeded)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
-    use tlc_ssb::StreamSpec;
+    use tlc_gpu_sim::{FaultPlan, StorageFaults};
+    use tlc_ssb::{LoColumn, StreamSpec};
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("tlc_serve_exec_{tag}_{}", std::process::id()));
@@ -390,5 +247,40 @@ mod tests {
         // Healed in place: a second run is clean.
         let again = execute(&store, &q, &StreamOptions::default()).expect("after heal");
         assert_eq!(again.report, ResilienceReport::default());
+    }
+
+    #[test]
+    fn a_fault_plan_on_a_scan_is_applied_not_dropped() {
+        let store = small_store("plan");
+        let q = QuerySpec::Scan {
+            column: LoColumn::Quantity,
+        };
+        let clean = execute(&store, &q, &StreamOptions::default()).expect("clean");
+        let under = |storage: StorageFaults| {
+            let opts = StreamOptions {
+                plan: Some(FaultPlan {
+                    storage,
+                    ..FaultPlan::seeded(5)
+                }),
+                ..StreamOptions::default()
+            };
+            execute(&store, &q, &opts).expect("the drill recovers")
+        };
+
+        let torn = under(StorageFaults {
+            truncate_at_partition: Some(1),
+            ..StorageFaults::default()
+        });
+        assert_eq!(torn.answer, clean.answer);
+        assert_eq!(torn.report.partitions_quarantined, 1);
+        assert_eq!(torn.report.partitions_regenerated, 1);
+        assert_eq!(torn.recovered_partitions, vec![1]);
+        store.store().verify().expect("healed in place");
+
+        let killed = under(StorageFaults {
+            kill_shard_at_partition: Some(1),
+            ..StorageFaults::default()
+        });
+        assert_eq!(killed.answer, clean.answer);
     }
 }

@@ -79,25 +79,28 @@ impl ShardedRun {
     }
 }
 
-/// Map `f` over shards on `tlc_gpu_sim::sim_threads()` host workers,
-/// returning results **in shard order** (each shard owns its simulated
-/// device, so shards share no state; callers fold the ordered results
-/// serially, which keeps every sharded report deterministic for any
-/// worker count). Also used by [`crate::resilience`].
-pub(crate) fn map_shards<T: Send>(
-    parts: &[SsbData],
-    f: impl Fn(usize, &SsbData) -> T + Sync,
+/// Map `f` over the indices in `range` on up to `workers` host threads,
+/// returning results **in index order**. Each shard or partition owns
+/// its simulated device, so the items share no state; callers fold the
+/// ordered results serially, which keeps every sharded and streamed
+/// report deterministic for any worker count. Also used by
+/// [`crate::resilience`] and [`crate::stream`].
+pub(crate) fn map_ordered<T: Send>(
+    range: std::ops::Range<usize>,
+    workers: usize,
+    f: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
-    let ranges = tlc_gpu_sim::partitions(parts.len(), 1, tlc_gpu_sim::sim_threads());
+    let ranges = tlc_gpu_sim::partitions(range.len(), 1, workers);
     if ranges.len() <= 1 {
-        return parts.iter().enumerate().map(|(i, p)| f(i, p)).collect();
+        return range.map(f).collect();
     }
     std::thread::scope(|scope| {
         let handles: Vec<_> = ranges
             .iter()
             .map(|&(lo, hi)| {
                 let f = &f;
-                scope.spawn(move || (lo..hi).map(|i| f(i, &parts[i])).collect::<Vec<T>>())
+                let items = range.start + lo..range.start + hi;
+                scope.spawn(move || items.map(f).collect::<Vec<T>>())
             })
             .collect();
         handles
@@ -118,7 +121,8 @@ pub fn run_query_sharded(
     scale: f64,
 ) -> ShardedRun {
     let parts = data.shard(shards);
-    let shard_runs = map_shards(&parts, |_, part| {
+    let shard_runs = map_ordered(0..parts.len(), tlc_gpu_sim::sim_threads(), |s| {
+        let part = &parts[s];
         let dev = Device::v100();
         let cols = LoColumns::build(&dev, part, system, q.columns());
         dev.reset_timeline();

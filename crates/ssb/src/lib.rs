@@ -46,7 +46,6 @@ pub use resilience::{
     run_query_sharded_resilient, ResilienceReport, ResilientRun, MAX_TRANSIENT_RETRIES,
 };
 pub use stream::{
-    run_query_streamed, run_query_streamed_bounded, run_wave_streamed, DeadlinePartial, SsbStore,
-    StreamError, StreamOptions, StreamedRun, WaveAnswer, WaveQuery, WaveQueryRun, WaveRun,
-    WaveSpec,
+    run_query_streamed_bounded, run_wave_streamed, DeadlinePartial, SsbStore, StreamError,
+    StreamOptions, StreamedRun, WaveAnswer, WaveQuery, WaveQueryRun, WaveRun, WaveSpec,
 };

@@ -24,6 +24,7 @@ use tlc_core::DecodeError;
 use tlc_gpu_sim::{Device, FaultPlan};
 
 use crate::encode::LoColumns;
+use crate::fleet::map_ordered;
 use crate::gen::SsbData;
 use crate::queries::{try_run_query, QueryId};
 use crate::reference::run_reference;
@@ -197,9 +198,9 @@ pub fn run_query_sharded_resilient(
     // Shards run concurrently (each armed device is shard-private, so
     // its fault RNG draws exactly what it would serially); tallies and
     // partial sums fold in shard order below.
-    let shard_runs = crate::fleet::map_shards(&parts, |s, part| {
+    let shard_runs = map_ordered(0..parts.len(), tlc_gpu_sim::sim_threads(), |s| {
         let plan = plans.get(s).and_then(Clone::clone);
-        run_shard(part, system, q, plan, scale)
+        run_shard(&parts[s], system, q, plan, scale)
     });
     let mut report = ResilienceReport::default();
     let mut merged: BTreeMap<u64, u64> = BTreeMap::new();
@@ -224,7 +225,58 @@ pub fn run_query_sharded_resilient(
     }
 }
 
-/// One shard: armed attempt, then failover to a fresh device, then CPU.
+/// The device ladder, written once: run on `dev` (which the caller has
+/// armed, and on which it has built `cols`); on failure rebuild the
+/// columns from clean host data on a fresh device and run again; if
+/// that fails too, answer on the CPU. The timeline is reset before
+/// each run, so the seconds cover `run` alone.
+///
+/// Returns the value, its simulated seconds (`max(first, fresh)`: a
+/// failover costs the slower of the two attempts, the CPU rung adds
+/// nothing) and whether any rung below the first was needed. The
+/// caller folds `dev`'s injected-fault tally in itself
+/// ([`ResilienceReport::absorb_device`]), once per armed device: a
+/// device that serves several ladders must not be counted per ladder.
+pub(crate) fn device_ladder<C, T>(
+    dev: &Device,
+    cols: &C,
+    rebuild: impl FnOnce(&Device) -> C,
+    run: impl Fn(&Device, &C, &mut ResilienceReport) -> Result<T, DecodeError>,
+    cpu: impl FnOnce() -> T,
+    scale: f64,
+    report: &mut ResilienceReport,
+) -> (T, f64, bool) {
+    dev.reset_timeline();
+    let outcome = run(dev, cols, report);
+    let mut seconds = dev.elapsed_seconds_scaled(scale);
+    let err = match outcome {
+        Ok(value) => return (value, seconds, false),
+        Err(e) => e,
+    };
+    if matches!(
+        err,
+        DecodeError::Corrupt { .. } | DecodeError::Structure { .. }
+    ) {
+        report.corrupt_tiles_detected += 1;
+    }
+    report.shards_failed_over += 1;
+    let fresh = Device::v100();
+    let cols = rebuild(&fresh);
+    fresh.reset_timeline();
+    let value = match run(&fresh, &cols, report) {
+        Ok(value) => {
+            seconds = seconds.max(fresh.elapsed_seconds_scaled(scale));
+            value
+        }
+        Err(_) => {
+            report.cpu_fallbacks += 1;
+            cpu()
+        }
+    };
+    (value, seconds, true)
+}
+
+/// One shard of the in-memory fleet on its own (possibly armed) device.
 /// Returns the shard's result, its simulated time, and its own fault /
 /// recovery tally (so shards can run concurrently and fold in order).
 fn run_shard(
@@ -235,45 +287,22 @@ fn run_shard(
     scale: f64,
 ) -> (Vec<(u64, u64)>, f64, ResilienceReport) {
     let mut report = ResilienceReport::default();
-    let mut slowest = 0.0f64;
     let dev = Device::v100();
     if let Some(p) = plan {
         dev.inject_faults(p);
     }
-    let cols = LoColumns::build(&dev, part, system, q.columns());
-    dev.reset_timeline();
-    let outcome = run_query_checked(&dev, part, &cols, q, &mut report);
-    slowest = slowest.max(dev.elapsed_seconds_scaled(scale));
+    let build = |d: &Device| LoColumns::build(d, part, system, q.columns());
+    let (result, shard_s, _) = device_ladder(
+        &dev,
+        &build(&dev),
+        build,
+        |d, cols, report| run_query_checked(d, part, cols, q, report),
+        || run_reference(part, q),
+        scale,
+        &mut report,
+    );
     report.absorb_device(&dev);
-    let err = match outcome {
-        Ok(result) => return (result, slowest, report),
-        Err(e) => e,
-    };
-    if matches!(
-        err,
-        DecodeError::Corrupt { .. } | DecodeError::Structure { .. }
-    ) {
-        report.corrupt_tiles_detected += 1;
-    }
-
-    // Failover: rebuild the shard's columns from (clean) host data on a
-    // fresh device and re-run.
-    report.shards_failed_over += 1;
-    let fresh = Device::v100();
-    let cols = LoColumns::build(&fresh, part, system, q.columns());
-    fresh.reset_timeline();
-    let result = match run_query_checked(&fresh, part, &cols, q, &mut report) {
-        Ok(result) => {
-            slowest = slowest.max(fresh.elapsed_seconds_scaled(scale));
-            result
-        }
-        Err(_) => {
-            // Last resort: answer the shard on the CPU.
-            report.cpu_fallbacks += 1;
-            run_reference(part, q)
-        }
-    };
-    (result, slowest, report)
+    (result, shard_s, report)
 }
 
 #[cfg(test)]

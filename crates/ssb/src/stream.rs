@@ -2,49 +2,53 @@
 //!
 //! Paper-scale SSB (Section 4.2's 500 M-row runs) does not fit in
 //! memory, so the fact table lives on disk as a [`tlc_store::Store`] of
-//! fixed-size compressed partitions and streams through a **bounded
-//! partition-memory budget**: at most `workers` partitions are resident
-//! at once, where `workers` is capped by both `TLC_SIM_THREADS` and
-//! `budget_bytes / largest-partition-working-set`.
+//! fixed-size compressed partitions ([`SsbStore`]) and streams through
+//! **one partition executor** under a bounded partition-memory budget:
+//! at most `workers` partitions are resident at once, where `workers`
+//! is capped by `TLC_SIM_THREADS` and by `budget_bytes` over the
+//! largest partition's uncached working set.
 //!
-//! Each partition is dispatched to its own simulated device, so the
-//! recovery ladder of [`crate::resilience`] applies per partition:
-//! bounded transient retries, failover to a fresh device, CPU
-//! reference fallback. Underneath that sits the storage ladder this
-//! module adds: a partition whose on-disk files are torn, missing or
-//! bit-rotted is **quarantined and regenerated** from the chunked
-//! generator ([`StreamSpec`]) — regeneration is deterministic, so the
-//! healed file is byte-identical to the committed one and the store
-//! repairs itself in place.
+//! Every entry point is a run of that executor over a list of members
+//! ([`WaveQuery`]) and a list of columns: [`run_query_streamed_bounded`]
+//! is the one-member run over the flight's own columns,
+//! [`run_wave_streamed`] the N-member run over the union. Per
+//! partition, once: the forced-CPU route
+//! ([`StreamOptions::force_cpu_partitions`]: regenerated rows, no file,
+//! no device), the plan's storage faults ([`StreamOptions::plan`]), the
+//! **storage ladder** (load → quarantine → regenerate from the chunked
+//! generator, [`StreamSpec`] → heal in place; regeneration is
+//! deterministic, so the healed file is byte-identical to the
+//! committed one) and the **device ladder** of [`crate::resilience`] on
+//! a partition-private device (bounded transient retries → fresh
+//! device → CPU). Then one fold, in partition order: each column's cost
+//! split across the members that consume it, each member's device-time
+//! deadline checked between partitions (a cut is a typed
+//! [`StreamError::DeadlineExceeded`] carrying a [`DeadlinePartial`]),
+//! reports absorbed, partial aggregates merged.
 //!
-//! Determinism contract: injected faults ([`StorageFaults`], and the
-//! per-partition fault PRNG seed) are keyed by **partition index**, and
-//! partial aggregates fold in partition order, so the query result and
-//! the full [`ResilienceReport`] are bit-identical at any worker count
-//! and any fault seed. Only host wall-clock and the worker-assignment
-//! time fields vary with `TLC_SIM_THREADS`.
+//! Only the *evaluate* step has two arms, fixed by the entry point and
+//! never by an option. **Inline** (a solo flight) uploads the encoded
+//! columns and decodes inside the fused query kernel — the paper's path
+//! (§Crystal integration, Fig. 11). **Shared** (a wave; a solo scan or
+//! point filter is its one-member case) decompresses each column once
+//! to a plain buffer and evaluates every member on the buffers. Shared
+//! cannot replace inline yet: a one-member flight wave costs 2–3× the
+//! inline run in modelled device time (table in docs/ARCHITECTURE.md),
+//! so the inline arm stays until waves decode inline too.
 //!
-//! **Deadlines** (the serving layer's latency contract): a query can
-//! carry a *device-time budget* ([`StreamOptions::deadline_device_s`]).
-//! The partition loop checks the budget **between partitions**, in
-//! partition order, against the cumulative simulated device time — so
-//! the cut point is a pure function of the data and the fault plan,
-//! bit-identical at any worker count — and returns a typed
-//! [`StreamError::DeadlineExceeded`] carrying the partial-progress
-//! stats ([`DeadlinePartial`], reusing [`ResilienceReport`]) instead of
-//! a result. A query with no deadline behaves exactly as before.
-//!
-//! **Routing around shards**: the serving layer's per-shard circuit
-//! breaker can take partitions off the device path entirely
-//! ([`StreamOptions::force_cpu_partitions`]); those partitions are
-//! answered by the CPU reference executor from regenerated rows,
-//! without touching the (possibly damaged) on-disk files or a device.
+//! Determinism contract: injected faults ([`StorageFaults`], and each
+//! partition's fault PRNG seed) are keyed by **partition index**, a
+//! partition's record does not depend on which members are still live,
+//! and the fold is serial — so answers, attributed costs, deadline cuts
+//! and every [`ResilienceReport`] are bit-identical at any worker
+//! count. Only host wall-clock and the worker-assignment time fields
+//! vary with `TLC_SIM_THREADS`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::Arc;
 
-use tlc_core::{DecodeError, EncodedColumn};
+use tlc_core::EncodedColumn;
 use tlc_gpu_sim::{Device, FaultPlan, StorageFaults};
 use tlc_rng::Rng;
 use tlc_store::{
@@ -53,10 +57,11 @@ use tlc_store::{
 };
 
 use crate::encode::LoColumns;
+use crate::fleet::map_ordered;
 use crate::gen::{LineOrder, LoColumn, SsbData, StreamSpec};
 use crate::queries::QueryId;
 use crate::reference::run_reference;
-use crate::resilience::{run_query_checked, ResilienceReport};
+use crate::resilience::{device_ladder, run_query_checked, ResilienceReport};
 
 /// Manifest metadata keys that persist the [`StreamSpec`] so a store
 /// reopened by a later process can regenerate any partition.
@@ -217,44 +222,35 @@ impl SsbStore {
     /// afterwards, which is why `tlc verify --manifest` exits 0 for a
     /// quarantine-and-healed run.
     pub fn heal_damaged(&self) -> Result<usize, StoreError> {
-        let damaged = self.store.damaged_entries();
-        if damaged.is_empty() {
-            return Ok(0);
+        let mut by_partition: BTreeMap<usize, Vec<LoColumn>> = BTreeMap::new();
+        for d in self.store.damaged_entries() {
+            let col = LoColumn::ALL.iter().find(|c| c.name() == d.column);
+            let col = col.ok_or(StoreError::UnknownColumn { column: d.column })?;
+            by_partition.entry(d.partition).or_default().push(*col);
         }
-        let mut by_partition: BTreeMap<usize, Vec<String>> = BTreeMap::new();
-        for d in damaged {
-            by_partition.entry(d.partition).or_default().push(d.column);
+        for (&p, columns) in &by_partition {
+            self.regenerate_and_heal(p, columns)?;
         }
-        let mut healed = 0usize;
-        for (p, columns) in by_partition {
-            let lo = self.regenerate_partition(p);
-            for name in columns {
-                let col = LoColumn::ALL
-                    .iter()
-                    .copied()
-                    .find(|c| c.name() == name)
-                    .ok_or_else(|| StoreError::UnknownColumn {
-                        column: name.clone(),
-                    })?;
-                let encoded = EncodedColumn::encode_best(lo.column(col));
-                self.store.heal_column(p, &name, &encoded)?;
-                healed += 1;
-            }
-        }
-        Ok(healed)
+        Ok(by_partition.values().map(Vec::len).sum())
     }
 
-    /// Re-encode the named columns of a regenerated partition exactly
-    /// as ingest/compact did (deterministic `encode_best`).
-    fn encode_partition(
+    /// Regenerate partition `p`, re-encode `columns` exactly as
+    /// ingest/compact did (deterministic `encode_best`), and heal each
+    /// of them that is in the damage ledger.
+    fn regenerate_and_heal(
         &self,
-        lo: &LineOrder,
-        needed: &[LoColumn],
-    ) -> Vec<(LoColumn, EncodedColumn)> {
-        needed
-            .iter()
-            .map(|&c| (c, EncodedColumn::encode_best(lo.column(c))))
-            .collect()
+        p: usize,
+        columns: &[LoColumn],
+    ) -> Result<Vec<EncodedColumn>, StoreError> {
+        let lo = self.regenerate_partition(p);
+        let heal = |c: &LoColumn| {
+            let encoded = EncodedColumn::encode_best(lo.column(*c));
+            if self.store.damage(p, c.name()).is_some() {
+                self.store.heal_column(p, c.name(), &encoded)?;
+            }
+            Ok(encoded)
+        };
+        columns.iter().map(heal).collect()
     }
 }
 
@@ -437,178 +433,52 @@ impl std::error::Error for StreamError {
 
 /// Run `q` against every partition of `store`, streaming under
 /// `opts.budget_bytes`, recovering per the module policy, and merging
-/// partial aggregates in partition order. Deadline-free compatibility
-/// wrapper around [`run_query_streamed_bounded`].
-pub fn run_query_streamed(
-    store: &SsbStore,
-    q: QueryId,
-    opts: &StreamOptions,
-) -> Result<StreamedRun, StoreError> {
-    match run_query_streamed_bounded(store, q, opts) {
-        Ok(run) => Ok(run),
-        Err(StreamError::Store(e)) => Err(e),
-        Err(StreamError::DeadlineExceeded(p)) => {
-            // Callers of the legacy signature cannot express a
-            // deadline response; they also cannot set a deadline
-            // through this path, so this arm is unreachable unless
-            // opts carried one anyway — surface it as a structural
-            // error rather than losing it.
-            Err(StoreError::ManifestStructure {
-                reason: format!("deadline exceeded in deadline-free wrapper: {p:?}"),
-            })
-        }
-    }
-}
-
-/// [`run_query_streamed`] with the full terminal-state surface: a
-/// complete [`StreamedRun`], a typed [`StreamError::DeadlineExceeded`]
-/// with partial-progress stats, or an unrecoverable storage error.
-///
-/// With a deadline armed, partitions are processed in **waves** of at
-/// most `workers`; the budget check runs between partitions in
-/// partition order over per-partition simulated device time, which is
-/// worker-count independent — so the set of completed partitions, the
-/// partial stats and any full result are bit-identical at any
-/// `TLC_SIM_THREADS`. (Work already in flight past the cut inside the
-/// final wave is discarded deterministically.)
+/// partial aggregates in partition order: a one-member run of the
+/// partition executor on the **inline** arm. Ends in a complete
+/// [`StreamedRun`], a typed [`StreamError::DeadlineExceeded`] with
+/// partial-progress stats ([`StreamOptions::deadline_device_s`]), or an
+/// unrecoverable storage error.
 pub fn run_query_streamed_bounded(
     store: &SsbStore,
     q: QueryId,
     opts: &StreamOptions,
 ) -> Result<StreamedRun, StreamError> {
-    let n = store.store().partition_count();
-    let needed = q.columns();
-    let dims = store.spec().dims();
-
-    // Working set of one resident partition: the compressed bytes of
-    // the queried columns (the device decodes inline; nothing else is
-    // materialized host-side).
-    let col_idx: Vec<usize> = needed
-        .iter()
-        .map(|c| {
-            store
-                .store()
-                .manifest()
-                .column_index(c.name())
-                .expect("ALL columns are in the layout")
-        })
-        .collect();
-    let part_working_set = |p: usize| -> u64 {
-        let files = &store.store().manifest().partitions[p].files;
-        col_idx.iter().map(|&c| files[c].bytes as u64).sum()
+    let member = WaveQuery {
+        spec: WaveSpec::Flight(q),
+        deadline_device_s: opts.deadline_device_s,
     };
-    let max_working_set = (0..n).map(part_working_set).max().unwrap_or(0);
-    // Cache-aware budget accounting: bytes already resident in the
-    // shared cache are one copy shared by every worker, so only the
-    // *uncached* part of a partition's working set charges against the
-    // budget. A fully warm cache lifts the cap entirely.
-    let budget_working_set = match &opts.cache {
-        Some(cache) => (0..n)
-            .map(|p| {
-                let files = &store.store().manifest().partitions[p].files;
-                needed
-                    .iter()
-                    .zip(col_idx.iter())
-                    .filter(|(c, _)| !cache.contains_fresh(store.store(), p, c.name()))
-                    .map(|(_, &ci)| files[ci].bytes as u64)
-                    .sum::<u64>()
-            })
-            .max()
-            .unwrap_or(0),
-        None => max_working_set,
+    let mut run = run_members(store, &[member], q.columns(), Evaluate::Inline(q), opts)?;
+    let m = run.queries.pop().expect("one member in, one member out");
+    let result = match m.outcome {
+        Ok(WaveAnswer::Groups(result)) => result,
+        Ok(WaveAnswer::Scalar { .. }) => unreachable!("a flight answers with groups"),
+        Err(partial) => return Err(StreamError::DeadlineExceeded(partial)),
     };
-    let budget_cap = opts
-        .budget_bytes
-        .checked_div(budget_working_set)
-        .map_or(usize::MAX, |cap| cap.max(1) as usize);
-    let workers = tlc_gpu_sim::sim_threads().min(budget_cap).min(n.max(1));
-
-    let mut report = ResilienceReport::default();
-    let mut merged: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut merge_bytes = 0u64;
-    let mut device_s = 0.0f64;
-    let mut io_s = 0.0f64;
-    let mut rows_scanned = 0u64;
-    let mut part_times = Vec::with_capacity(n);
-    let mut recovered_partitions = Vec::new();
-
-    let mut next = 0usize;
-    while next < n {
-        // Without a deadline, one wave covers everything (identical to
-        // the pre-deadline executor); with one, waves of `workers` keep
-        // the between-partition budget check close to the work.
-        let hi = if opts.deadline_device_s.is_some() {
-            (next + workers).min(n)
-        } else {
-            n
-        };
-        let outcomes = map_partitions(next, hi, workers, |p| {
-            process_partition(store, &dims, p, q, opts)
-        });
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            let p = next + i;
-            let out = outcome?;
-            let (result, part_s) = (out.result, out.device_s);
-            if let Some(deadline) = opts.deadline_device_s {
-                if device_s + part_s > deadline {
-                    // The cut partition (and any wave siblings past
-                    // it) are discarded: partial progress covers
-                    // exactly the partitions whose cumulative device
-                    // time fits the budget, at any worker count.
-                    return Err(StreamError::DeadlineExceeded(Box::new(DeadlinePartial {
-                        partitions_completed: p,
-                        partitions: n,
-                        rows_scanned,
-                        device_s,
-                        deadline_device_s: deadline,
-                        report,
-                    })));
-                }
-            }
-            device_s += part_s;
-            io_s += out.io_s;
-            rows_scanned += store.store().rows(p);
-            part_times.push(part_s);
-            report.absorb(&out.report);
-            if out.recovered {
-                recovered_partitions.push(p);
-            }
-            merge_bytes += result.len() as u64 * 16;
-            for (g, v) in result {
-                let e = merged.entry(g).or_insert(0);
-                *e = e.wrapping_add(v);
-            }
-        }
-        next = hi;
-    }
-    let ranges = tlc_gpu_sim::partitions(n, 1, workers);
-    let slowest_worker_s = ranges
+    let part_s = &m.partition_device_s;
+    let slowest_worker_s = tlc_gpu_sim::partitions(part_s.len(), 1, run.workers)
         .iter()
-        .map(|&(lo, hi)| part_times[lo..hi].iter().sum::<f64>())
+        .map(|&(lo, hi)| part_s[lo..hi].iter().sum::<f64>())
         .fold(0.0f64, f64::max);
-    let merge_dev = Device::v100();
-    let merge_s = merge_dev.pcie_transfer(merge_bytes);
     Ok(StreamedRun {
-        result: merged.into_iter().filter(|&(_, v)| v != 0).collect(),
-        rows: (0..n).map(|p| store.store().rows(p)).sum(),
-        partitions: n,
-        workers,
-        peak_resident_bytes: workers as u64 * max_working_set,
-        device_s,
-        io_s,
+        result,
+        rows: m.rows,
+        partitions: m.partitions,
+        workers: run.workers,
+        peak_resident_bytes: run.workers as u64 * largest_working_set(store, q.columns(), None),
+        device_s: m.device_s,
+        io_s: m.io_s,
         slowest_worker_s,
-        merge_s,
-        report,
-        recovered_partitions,
+        merge_s: Device::v100().pcie_transfer(m.merge_bytes),
+        report: m.report,
+        recovered_partitions: m.recovered_partitions,
     })
 }
 
-/// What one query in a shared-scan wave asks for.
+/// What one member of a run asks for.
 ///
-/// The serving layer's [`QuerySpec`](../../tlc_serve) maps onto this
-/// 1:1: flights keep their [`QueryId`], point filters and scans both
-/// become [`WaveSpec::Scalar`] (a point filter is a scan with a
-/// `filter`).
+/// The serving layer's `tlc_serve::QuerySpec` maps onto this 1:1:
+/// flights keep their [`QueryId`], point filters and scans both become
+/// [`WaveSpec::Scalar`] (a point filter is a scan with a `filter`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WaveSpec {
     /// An SSB flight query (grouped aggregate).
@@ -624,7 +494,8 @@ pub enum WaveSpec {
 }
 
 impl WaveSpec {
-    /// Columns this query consumes, in `LoColumn::ALL` order.
+    /// Columns this query consumes: a flight's in
+    /// [`QueryId::columns`] order, a scalar's one column.
     fn columns(&self) -> Vec<LoColumn> {
         match self {
             WaveSpec::Flight(q) => q.columns().to_vec(),
@@ -633,9 +504,9 @@ impl WaveSpec {
     }
 }
 
-/// One member of a shared-scan wave: what to run and the member's own
-/// device-time budget (checked between partitions, exactly like the
-/// solo paths — a wave never shares a deadline).
+/// One member of a run: what to compute and the member's own
+/// device-time budget, checked between partitions against its
+/// *attributed* device time — members never share a deadline.
 #[derive(Debug, Clone)]
 pub struct WaveQuery {
     /// The query.
@@ -644,16 +515,15 @@ pub struct WaveQuery {
     pub deadline_device_s: Option<f64>,
 }
 
-/// A wave member's answer payload.
+/// A member's answer payload (`tlc_serve::QueryAnswer` is this type).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WaveAnswer {
-    /// Grouped aggregate rows from a flight query (merged in partition
-    /// order, zero-sum groups dropped — bit-identical to the solo
-    /// streamed run).
+    /// Grouped aggregate rows from a flight query, merged in partition
+    /// order, zero-sum groups dropped.
     Groups(Vec<(u64, u64)>),
-    /// Count and wrapping sum from a scalar member.
+    /// Count and wrapping sum from a scan or point filter.
     Scalar {
-        /// Values matched.
+        /// Values matched (scan: all values).
         count: u64,
         /// Wrapping sum of the matched values.
         sum: i64,
@@ -676,6 +546,12 @@ pub struct WaveQueryRun {
     pub device_s: f64,
     /// Attributed modelled storage-read seconds (same share rule).
     pub io_s: f64,
+    /// Attributed device seconds of each completed partition, in
+    /// partition order (`device_s` is their running sum).
+    pub partition_device_s: Vec<f64>,
+    /// Bytes of per-partition partial aggregates a merge across
+    /// devices would move (16 per group row; none for a scalar).
+    pub merge_bytes: u64,
     /// Faults observed and recovery actions taken on the partitions
     /// this member completed.
     pub report: ResilienceReport,
@@ -699,269 +575,257 @@ pub struct WaveRun {
     pub workers: usize,
 }
 
-/// Raw, liveness-independent record of one partition's work: what it
-/// cost to decode each union column once, and what every member's
-/// predicate/aggregate produced against the decoded tile. Computed in
-/// parallel ([`map_partitions`]); the serial fold applies deadline
-/// cuts and cost attribution in partition order, so the whole wave is
-/// bit-identical at any `TLC_SIM_THREADS`.
-struct WavePartRaw {
-    /// Per union column (same order as the union vec):
-    /// `(decode_s, io_s)`.
-    col_costs: Vec<(f64, f64)>,
-    /// Per member (input order): the raw per-partition result.
-    members: Vec<WaveMemberRaw>,
-    /// Storage-ladder and shared-decode events (quarantine,
-    /// regeneration, decode failover) — absorbed into every member
-    /// live at this partition.
-    report: ResilienceReport,
-    /// Whether the storage or decode ladder had to recover.
-    recovered: bool,
-    /// Whether this partition was answered on the forced-CPU route.
-    forced_cpu: bool,
-    /// Whether the union columns came through the shared cache.
-    from_cache: bool,
-    rows: u64,
-}
-
-/// One member's raw per-partition result.
-enum WaveMemberRaw {
-    /// `(groups, eval_s, eval_report, eval_recovered)` — evaluation
-    /// time excludes the shared decode, which is attributed separately.
-    Flight(Vec<(u64, u64)>, f64, ResilienceReport, bool),
-    /// `(count, wrapping sum)` — folded host-side, no device time
-    /// beyond the shared decode (same rule as the solo scalar path).
-    Scalar(u64, i64),
-}
-
-/// Per-member fold state for the serial attribution pass.
-struct WaveMemberState {
-    alive: bool,
-    partial: Option<Box<DeadlinePartial>>,
-    groups: BTreeMap<u64, u64>,
-    count: u64,
-    sum: i64,
-    rows: u64,
-    device_s: f64,
-    io_s: f64,
-    report: ResilienceReport,
-    recovered_partitions: Vec<usize>,
-}
-
 /// Run every query in `queries` over every partition of `store` as one
-/// **shared-scan wave**: each `(partition, column)` any member needs is
-/// loaded (through the shared cache when armed) and decoded **once**,
-/// and every member's predicate/aggregate evaluates against the
-/// decoded tile before the wave moves on — one fused
-/// decode→multi-predicate pass instead of per-query passes.
-///
-/// Cost attribution: at each partition, a decode's cost (and its
-/// modelled read time) is split evenly across the members **live at
-/// partition entry** that consume the column; flights additionally pay
-/// their own evaluation time, measured against the already-decoded
-/// plain tile. A member's deadline is checked between partitions, in
-/// partition order, against its cumulative *attributed* device time —
-/// so cuts are a pure function of the wave composition and the data,
-/// bit-identical at any `TLC_SIM_THREADS`. (A member cut at a
-/// partition still counted as a consumer there: shares never reprice
-/// retroactively.) Once a member is dead its columns stop counting
-/// toward later partitions' unions.
-///
-/// Fault plans are not supported on the wave path — the serving layer
-/// runs plan-carrying requests solo — but the full storage ladder is:
-/// a damaged union column quarantines and regenerates the partition,
-/// heals the store in place, and is invisible in every member's
-/// answer.
+/// **shared-scan wave**: the N-member run of the partition executor on
+/// the **shared** arm, over the union of the members' columns in
+/// [`LoColumn::ALL`] order (stable whatever the wave's composition
+/// order). Each `(partition, column)` any member needs is loaded and
+/// decoded **once**, and every member evaluates against the decoded
+/// buffers before the wave moves on. Cost attribution and the
+/// per-member deadline cut are the module's fold rule; fault plans
+/// ([`StreamOptions::plan`]) apply as on every other path.
+/// `opts.deadline_device_s` is not read: each member carries its own.
 pub fn run_wave_streamed(
     store: &SsbStore,
     queries: &[WaveQuery],
     opts: &StreamOptions,
 ) -> Result<WaveRun, StoreError> {
-    debug_assert!(
-        opts.plan.is_none(),
-        "fault plans run solo, not on the wave path"
-    );
-    let n = store.store().partition_count();
-    let dims = store.spec().dims();
-    let member_cols: Vec<Vec<LoColumn>> = queries.iter().map(|q| q.spec.columns()).collect();
-    // Union of every member's columns, in LoColumn::ALL order (stable
-    // regardless of wave composition order).
     let union_cols: Vec<LoColumn> = LoColumn::ALL
         .iter()
         .copied()
-        .filter(|c| member_cols.iter().any(|cols| cols.contains(c)))
+        .filter(|c| queries.iter().any(|q| q.spec.columns().contains(c)))
         .collect();
+    run_members(store, queries, &union_cols, Evaluate::Shared, opts)
+}
 
-    // Budget cap over the union working set — same cache-aware rule as
-    // the solo streamed path.
-    let col_idx: Vec<usize> = union_cols
-        .iter()
-        .map(|c| {
-            store
-                .store()
-                .manifest()
-                .column_index(c.name())
-                .expect("ALL columns are in the layout")
-        })
-        .collect();
-    let budget_working_set = (0..n)
+/// The evaluate step of [`run_partition`] — the one place the executor
+/// has two arms. Fixed by the public entry point, never by an option.
+#[derive(Clone, Copy)]
+enum Evaluate {
+    /// One flight over the encoded columns, decoding inline in the
+    /// fused query kernel: the paper's path, and the only inline
+    /// evaluation defined today.
+    Inline(QueryId),
+    /// Decode-once: each listed column is decompressed to a plain
+    /// buffer once, then every member evaluates on the plain buffers.
+    Shared,
+}
+
+/// Raw, liveness-independent record of one partition's work, computed
+/// in parallel; deadline cuts and attribution belong to the fold.
+struct PartRaw {
+    /// Per listed column, in list order: `(decode_s, io_s)`. The
+    /// inline arm decodes inside the member's evaluation, so its
+    /// `decode_s` are zero.
+    col_costs: Vec<(f64, f64)>,
+    /// Per member, in input order: this partition's piece of its
+    /// answer, and what its own evaluation cost.
+    members: Vec<(WaveAnswer, Eval)>,
+    /// Storage-ladder, shared-decode and injected-fault tallies —
+    /// absorbed into every member live at this partition.
+    report: ResilienceReport,
+    /// Whether the storage or decode ladder had to recover.
+    recovered: bool,
+    /// Whether this partition was answered on the forced-CPU route.
+    forced_cpu: bool,
+    /// Whether the listed columns came through the shared cache.
+    from_cache: bool,
+}
+
+/// What one member's own evaluation cost and reported at a partition.
+/// All zero for a scalar, which folds host-side over a decoded buffer.
+#[derive(Default)]
+struct Eval {
+    seconds: f64,
+    report: ResilienceReport,
+    recovered: bool,
+}
+
+/// The largest partition's compressed bytes over `columns`: the working
+/// set of one resident partition. Bytes already fresh in `cache` are
+/// one copy shared by every worker, so they are left out.
+fn largest_working_set(
+    store: &SsbStore,
+    columns: &[LoColumn],
+    cache: Option<&PartitionCache>,
+) -> u64 {
+    let charged = |p: usize, c: &LoColumn| {
+        !cache.is_some_and(|cache| cache.contains_fresh(store.store(), p, c.name()))
+    };
+    (0..store.store().partition_count())
         .map(|p| {
-            let files = &store.store().manifest().partitions[p].files;
-            union_cols
-                .iter()
-                .zip(col_idx.iter())
-                .filter(|(c, _)| match &opts.cache {
-                    Some(cache) => !cache.contains_fresh(store.store(), p, c.name()),
-                    None => true,
-                })
-                .map(|(_, &ci)| files[ci].bytes as u64)
-                .sum::<u64>()
+            let charged = columns.iter().filter(|c| charged(p, c));
+            charged.map(|c| file_bytes(store, p, c.name())).sum::<u64>()
         })
         .max()
-        .unwrap_or(0);
+        .unwrap_or(0)
+}
+
+/// The partition executor. Runs `members` over every partition of
+/// `store`, loading `columns` (the caller's list, in the caller's
+/// order) once per partition, and folds the per-partition records in
+/// partition order.
+///
+/// Fold rule: at each partition, a column's decode cost and modelled
+/// read time are split evenly across the members **live at partition
+/// entry** that consume it; a member additionally pays its own
+/// evaluation time. A member's deadline is checked against its
+/// cumulative attributed device time, so cuts are a pure function of
+/// the run's composition and the data. A member cut at a partition
+/// still counted as a consumer there — shares never reprice
+/// retroactively — and stops counting from the next one.
+fn run_members(
+    store: &SsbStore,
+    members: &[WaveQuery],
+    columns: &[LoColumn],
+    evaluate: Evaluate,
+    opts: &StreamOptions,
+) -> Result<WaveRun, StoreError> {
+    let n = store.store().partition_count();
+    let dims = store.spec().dims();
+    // Per member, the positions in `columns` of the columns it consumes
+    // (ascending, so per-member sums run in list order).
+    let member_cols: Vec<Vec<usize>> = members
+        .iter()
+        .map(|m| {
+            let mine = m.spec.columns();
+            (0..columns.len())
+                .filter(|&ci| mine.contains(&columns[ci]))
+                .collect()
+        })
+        .collect();
+
+    // Only the uncached part of a partition's working set charges
+    // against the budget; a fully warm cache lifts the cap.
+    let working_set = largest_working_set(store, columns, opts.cache.as_deref());
     let budget_cap = opts
         .budget_bytes
-        .checked_div(budget_working_set)
+        .checked_div(working_set)
         .map_or(usize::MAX, |cap| cap.max(1) as usize);
     let workers = tlc_gpu_sim::sim_threads().min(budget_cap).min(n.max(1));
 
-    // Raw parallel pass: per-partition costs and per-member results,
-    // independent of which members are still live.
-    let raws = map_partitions(0, n, workers, |p| {
-        wave_partition(store, &dims, p, queries, &union_cols, opts)
-    });
-
-    // Serial attribution fold, in partition order.
-    let mut states: Vec<WaveMemberState> = queries
+    // Without a deadline one chunk covers everything; with one, chunks
+    // of `workers` keep the check close to the work, and the loop stops
+    // once no member is live (work past the last cut is discarded).
+    let chunk = if members.iter().any(|m| m.deadline_device_s.is_some()) {
+        workers
+    } else {
+        n.max(1)
+    };
+    // A member is live while its `outcome` is `Ok`; a flight's pieces
+    // merge into its entry of `groups` until the fold is over.
+    let mut runs: Vec<WaveQueryRun> = members
         .iter()
-        .map(|_| WaveMemberState {
-            alive: true,
-            partial: None,
-            groups: BTreeMap::new(),
-            count: 0,
-            sum: 0,
+        .map(|_| WaveQueryRun {
+            outcome: Ok(WaveAnswer::Scalar { count: 0, sum: 0 }),
             rows: 0,
+            partitions: n,
             device_s: 0.0,
             io_s: 0.0,
+            partition_device_s: Vec::new(),
+            merge_bytes: 0,
             report: ResilienceReport::default(),
             recovered_partitions: Vec::new(),
         })
         .collect();
+    let mut groups: Vec<BTreeMap<u64, u64>> = vec![BTreeMap::new(); members.len()];
     let mut shared_decodes = 0u64;
     let mut launches_saved = 0u64;
-    for (p, raw) in raws.into_iter().enumerate() {
-        let raw = raw?;
-        // Consumers per union column among members live at entry.
-        let consumers: Vec<u64> = union_cols
-            .iter()
-            .map(|c| {
-                states
-                    .iter()
-                    .zip(member_cols.iter())
-                    .filter(|(s, cols)| s.alive && cols.contains(c))
-                    .count() as u64
-            })
-            .collect();
-        if consumers.iter().all(|&k| k == 0) {
-            continue; // every member is dead
-        }
-        if !raw.forced_cpu {
-            for &k in &consumers {
-                if k >= 2 {
+    let any_live = |runs: &[WaveQueryRun]| runs.iter().any(|r| r.outcome.is_ok());
+    let mut next = 0usize;
+    while next < n && any_live(&runs) {
+        let hi = (next + chunk).min(n);
+        let raws = map_ordered(next..hi, workers, |p| {
+            run_partition(store, &dims, p, members, columns, evaluate, opts)
+        });
+        for (p, raw) in (next..hi).zip(raws) {
+            if !any_live(&runs) {
+                break;
+            }
+            let raw = raw?;
+            // Consumers per listed column among members live at entry.
+            let mut consumers = vec![0u64; columns.len()];
+            for (run, cols) in runs.iter().zip(&member_cols) {
+                if run.outcome.is_ok() {
+                    cols.iter().for_each(|&ci| consumers[ci] += 1);
+                }
+            }
+            if !raw.forced_cpu {
+                for &k in consumers.iter().filter(|&&k| k >= 2) {
                     shared_decodes += 1;
                     launches_saved += k - 1;
-                    if raw.from_cache {
-                        if let Some(cache) = &opts.cache {
-                            cache.note_shared_readers(k - 1);
-                        }
+                    if let Some(cache) = opts.cache.as_ref().filter(|_| raw.from_cache) {
+                        cache.note_shared_readers(k - 1);
                     }
                 }
             }
-        }
-        for (qi, state) in states.iter_mut().enumerate() {
-            if !state.alive {
-                continue;
-            }
-            let mut attributed_dev = 0.0f64;
-            let mut attributed_io = 0.0f64;
-            for (ci, c) in union_cols.iter().enumerate() {
-                if member_cols[qi].contains(c) {
-                    let k = consumers[ci].max(1) as f64;
+            for (qi, run) in runs.iter_mut().enumerate() {
+                let Ok(answer) = &mut run.outcome else {
+                    continue;
+                };
+                let (piece, eval) = &raw.members[qi];
+                let mut attributed_dev = 0.0f64;
+                let mut attributed_io = 0.0f64;
+                for &ci in &member_cols[qi] {
+                    let k = consumers[ci] as f64;
                     attributed_dev += raw.col_costs[ci].0 / k;
                     attributed_io += raw.col_costs[ci].1 / k;
                 }
-            }
-            let (eval_s, eval_report, eval_recovered) = match &raw.members[qi] {
-                WaveMemberRaw::Flight(_, e, rep, rec) => (*e, Some(rep), *rec),
-                WaveMemberRaw::Scalar(..) => (0.0, None, false),
-            };
-            attributed_dev += eval_s;
-            if let Some(deadline) = queries[qi].deadline_device_s {
-                if state.device_s + attributed_dev > deadline {
-                    state.alive = false;
-                    state.partial = Some(Box::new(DeadlinePartial {
-                        partitions_completed: p,
-                        partitions: n,
-                        rows_scanned: state.rows,
-                        device_s: state.device_s,
-                        deadline_device_s: deadline,
-                        report: state.report.clone(),
-                    }));
-                    continue;
-                }
-            }
-            state.device_s += attributed_dev;
-            state.io_s += attributed_io;
-            state.rows += raw.rows;
-            state.report.absorb(&raw.report);
-            if let Some(rep) = eval_report {
-                state.report.absorb(rep);
-            }
-            if raw.recovered || eval_recovered {
-                state.recovered_partitions.push(p);
-            }
-            match &raw.members[qi] {
-                WaveMemberRaw::Flight(groups, ..) => {
-                    for &(g, v) in groups {
-                        let e = state.groups.entry(g).or_insert(0);
-                        *e = e.wrapping_add(v);
+                attributed_dev += eval.seconds;
+                if let Some(deadline) = members[qi].deadline_device_s {
+                    if run.device_s + attributed_dev > deadline {
+                        // The cut partition is discarded: partial
+                        // progress covers exactly the partitions whose
+                        // cumulative device time fits the budget.
+                        run.outcome = Err(Box::new(DeadlinePartial {
+                            partitions_completed: p,
+                            partitions: n,
+                            rows_scanned: run.rows,
+                            device_s: run.device_s,
+                            deadline_device_s: deadline,
+                            report: run.report.clone(),
+                        }));
+                        continue;
                     }
                 }
-                WaveMemberRaw::Scalar(c, s) => {
-                    state.count += c;
-                    state.sum = state.sum.wrapping_add(*s);
+                match (piece, answer) {
+                    (
+                        WaveAnswer::Scalar { count: c, sum: s },
+                        WaveAnswer::Scalar { count, sum },
+                    ) => {
+                        *count += c;
+                        *sum = sum.wrapping_add(*s);
+                    }
+                    (WaveAnswer::Groups(piece), _) => {
+                        run.merge_bytes += piece.len() as u64 * 16;
+                        for &(g, v) in piece {
+                            let e = groups[qi].entry(g).or_insert(0);
+                            *e = e.wrapping_add(v);
+                        }
+                    }
+                    (WaveAnswer::Scalar { .. }, WaveAnswer::Groups(_)) => {
+                        unreachable!("answers turn into groups after the fold")
+                    }
+                }
+                run.device_s += attributed_dev;
+                run.io_s += attributed_io;
+                run.partition_device_s.push(attributed_dev);
+                run.rows += store.store().rows(p);
+                run.report.absorb(&raw.report);
+                run.report.absorb(&eval.report);
+                if raw.recovered || eval.recovered {
+                    run.recovered_partitions.push(p);
                 }
             }
         }
+        next = hi;
     }
-
-    let runs = states
-        .into_iter()
-        .zip(queries.iter())
-        .map(|(state, q)| {
-            let outcome = match state.partial {
-                Some(partial) => Err(partial),
-                None => Ok(match &q.spec {
-                    WaveSpec::Flight(_) => WaveAnswer::Groups(
-                        state.groups.into_iter().filter(|&(_, v)| v != 0).collect(),
-                    ),
-                    WaveSpec::Scalar { .. } => WaveAnswer::Scalar {
-                        count: state.count,
-                        sum: state.sum,
-                    },
-                }),
-            };
-            WaveQueryRun {
-                outcome,
-                rows: state.rows,
-                partitions: n,
-                device_s: state.device_s,
-                io_s: state.io_s,
-                report: state.report,
-                recovered_partitions: state.recovered_partitions,
-            }
-        })
-        .collect();
+    // A flight that ran to the end answers with its merged groups.
+    for ((run, member), groups) in runs.iter_mut().zip(members).zip(groups) {
+        if let (Ok(answer), WaveSpec::Flight(_)) = (&mut run.outcome, &member.spec) {
+            *answer = WaveAnswer::Groups(groups.into_iter().filter(|&(_, v)| v != 0).collect());
+        }
+    }
     Ok(WaveRun {
         queries: runs,
         shared_decodes,
@@ -970,62 +834,79 @@ pub fn run_wave_streamed(
     })
 }
 
-/// One partition of a shared-scan wave: storage ladder over the union
-/// columns, one decode per column on a shared partition-private
-/// device, then every member's predicate/aggregate against the decoded
-/// tiles.
-fn wave_partition(
+/// One partition of a run: the forced-CPU route, injected storage
+/// faults, the storage ladder over `columns`, then the evaluate step
+/// on a partition-private (possibly fault-armed) device.
+fn run_partition(
     store: &SsbStore,
     dims: &SsbData,
     p: usize,
-    queries: &[WaveQuery],
-    union_cols: &[LoColumn],
+    members: &[WaveQuery],
+    columns: &[LoColumn],
+    evaluate: Evaluate,
     opts: &StreamOptions,
-) -> Result<WavePartRaw, StoreError> {
-    let rows = store.store().rows(p);
+) -> Result<PartRaw, StoreError> {
     let mut report = ResilienceReport::default();
-
-    // Forced-CPU route: regenerate the rows once and answer every
-    // member from them — zero device time, one regeneration shared by
-    // the whole wave (solo execution regenerates once per query).
-    if opts.force_cpu_partitions.contains(&p) {
-        report.cpu_fallbacks += 1;
+    // The CPU rung of every ladder: the partition's rows, regenerated.
+    let regenerated = || {
         let mut part_data = dims.clone();
         part_data.lineorder = store.regenerate_partition(p);
-        let members = queries
+        part_data
+    };
+
+    // Degraded-mode routing (circuit open, device tier lost): one
+    // regeneration answers every member. Zero device time, and not
+    // "recovered" — nothing failed here, the service chose the route.
+    if opts.force_cpu_partitions.contains(&p) {
+        report.cpu_fallbacks += 1;
+        let part_data = regenerated();
+        let members = members
             .iter()
-            .map(|q| match &q.spec {
-                WaveSpec::Flight(id) => WaveMemberRaw::Flight(
-                    run_reference(&part_data, *id),
-                    0.0,
-                    ResilienceReport::default(),
-                    false,
-                ),
-                WaveSpec::Scalar { column, filter } => {
-                    let (c, s) = fold_scalar(part_data.lineorder.column(*column), *filter);
-                    WaveMemberRaw::Scalar(c, s)
-                }
+            .map(|m| {
+                let answer = match &m.spec {
+                    WaveSpec::Flight(id) => WaveAnswer::Groups(run_reference(&part_data, *id)),
+                    WaveSpec::Scalar { column, filter } => {
+                        fold_scalar(part_data.lineorder.column(*column), *filter)
+                    }
+                };
+                (answer, Eval::default())
             })
             .collect();
-        return Ok(WavePartRaw {
-            col_costs: vec![(0.0, 0.0); union_cols.len()],
+        return Ok(PartRaw {
+            col_costs: vec![(0.0, 0.0); columns.len()],
             members,
             report,
             recovered: false,
             forced_cpu: true,
             from_cache: false,
-            rows,
         });
     }
 
-    // Storage ladder over the union: any damaged column quarantines
-    // and regenerates the whole partition (same policy as the solo
-    // paths), healed in place; regenerated columns charge no read
-    // time and skip the cache.
-    let mut cols: Vec<(LoColumn, Arc<EncodedColumn>, f64)> = Vec::with_capacity(union_cols.len());
+    if let (Some(plan), Some(&target)) = (&opts.plan, columns.first()) {
+        if !plan.storage.is_empty() {
+            apply_storage_faults(store, p, target, plan)?;
+        }
+    }
+
+    // Storage ladder. Loads go through the shared cache when armed
+    // (cold reads price at disk bandwidth, hits at host-memory
+    // bandwidth; a quarantine bumps the store epoch, so a stale cached
+    // copy revalidates away). Regenerated columns never came from disk:
+    // they charge no read time and skip the cache — the next read loads
+    // the healed file through the verified path.
+    let mut cols: Vec<(LoColumn, Arc<EncodedColumn>, f64)> = Vec::with_capacity(columns.len());
     let mut damaged = false;
-    for &c in union_cols {
-        match load_queried_column(store, opts, p, c.name()) {
+    for &c in columns {
+        let loaded = match &opts.cache {
+            Some(cache) => cache
+                .load(store.store(), p, c.name())
+                .map(|l| (l.col, modeled_read_s(l.bytes, l.hit))),
+            None => store.store().load_column(p, c.name()).map(|col| {
+                let read_s = modeled_read_s(file_bytes(store, p, c.name()), false);
+                (Arc::new(col), read_s)
+            }),
+        };
+        match loaded {
             Ok((col, read_s)) => cols.push((c, col, read_s)),
             Err(e) if matches!(e, StoreError::Io { .. } | StoreError::UnknownColumn { .. }) => {
                 return Err(e);
@@ -1038,113 +919,103 @@ fn wave_partition(
     }
     if damaged {
         report.partitions_quarantined += 1;
-        let lo = store.regenerate_partition(p);
-        cols = store
-            .encode_partition(&lo, union_cols)
-            .into_iter()
-            .map(|(c, e)| (c, Arc::new(e), 0.0))
+        let healed = store.regenerate_and_heal(p, columns)?;
+        cols = columns
+            .iter()
+            .zip(healed)
+            .map(|(&c, e)| (c, Arc::new(e), 0.0))
             .collect();
-        for (c, col, _) in &cols {
-            if store.store().damage(p, c.name()).is_some() {
-                store.store().heal_column(p, c.name(), col)?;
-            }
-        }
         report.partitions_regenerated += 1;
     }
 
-    // Shared decode: each union column decompresses exactly once on
-    // one partition-private device; per-column device time comes from
-    // timeline deltas. A failed decompress (unreachable on clean,
-    // digest-verified bytes, but the ladder stays) fails over to a
-    // fresh device, then to the CPU decoder.
-    let dev = Device::v100();
+    // Device ladders, all on one partition-private device. The host
+    // copies are clean (loaded and digest-verified, or regenerated),
+    // so a failover rebuilds from them.
+    let dev = partition_device(opts.plan.as_ref(), p);
     let mut recovered = damaged;
-    let mut col_costs = Vec::with_capacity(union_cols.len());
-    let mut buffers = Vec::with_capacity(union_cols.len());
-    for (c, enc, io_s) in &cols {
-        let dc = enc.to_device(&dev);
-        dev.reset_timeline();
-        let (buf, decode_s) = match dc.decompress(&dev) {
-            Ok(buf) => (buf, dev.elapsed_seconds_scaled(opts.scale)),
-            Err(_) => {
-                let mut decode_s = dev.elapsed_seconds_scaled(opts.scale);
-                report.shards_failed_over += 1;
-                recovered = true;
-                let fresh = Device::v100();
-                let dc = enc.to_device(&fresh);
-                fresh.reset_timeline();
-                let buf = match dc.decompress(&fresh) {
-                    Ok(b) => {
-                        decode_s = decode_s.max(fresh.elapsed_seconds_scaled(opts.scale));
-                        dev.alloc_from_slice(b.as_slice_unaccounted())
-                    }
-                    Err(_) => {
-                        report.cpu_fallbacks += 1;
-                        dev.alloc_from_slice(&enc.decode_cpu())
-                    }
-                };
-                (buf, decode_s)
-            }
+    // A flight's evaluation, on either arm: the fused query kernels on
+    // `dev`, on a fresh device over `rebuild`'s columns, on the CPU.
+    let fly = |lo: &LoColumns, rebuild: &dyn Fn(&Device) -> LoColumns, q: QueryId| {
+        let mut report = ResilienceReport::default();
+        let (groups, seconds, recovered) = device_ladder(
+            &dev,
+            lo,
+            rebuild,
+            |d, lo, report| run_query_checked(d, dims, lo, q, report),
+            || run_reference(&regenerated(), q),
+            opts.scale,
+            &mut report,
+        );
+        let eval = Eval {
+            seconds,
+            report,
+            recovered,
         };
-        col_costs.push((decode_s, *io_s));
-        buffers.push((*c, buf));
-    }
-    let lo_cols = LoColumns::from_plain(&dev, buffers);
-
-    // Every member evaluates against the decoded tiles. Flights run
-    // the fused query kernels over the plain columns (prepare launches
-    // zero decode kernels for plain storage), timed per member;
-    // scalars fold host-side, exactly like the solo scalar path.
-    let members = queries
-        .iter()
-        .map(|q| match &q.spec {
-            WaveSpec::Flight(id) => {
-                let mut eval_report = ResilienceReport::default();
-                dev.reset_timeline();
-                match run_query_checked(&dev, dims, &lo_cols, *id, &mut eval_report) {
-                    Ok(groups) => {
-                        let eval_s = dev.elapsed_seconds_scaled(opts.scale);
-                        WaveMemberRaw::Flight(groups, eval_s, eval_report, false)
+        (WaveAnswer::Groups(groups), eval)
+    };
+    let col_costs;
+    let members = match evaluate {
+        Evaluate::Inline(q) => {
+            let upload =
+                |d: &Device| LoColumns::from_encoded(d, cols.iter().map(|(c, e, _)| (*c, &**e)));
+            col_costs = cols.iter().map(|(_, _, io_s)| (0.0, *io_s)).collect();
+            vec![fly(&upload(&dev), &upload, q)]
+        }
+        Evaluate::Shared => {
+            // Each listed column decompresses exactly once; its device
+            // time is the ladder's timeline delta.
+            let mut buffers = Vec::with_capacity(cols.len());
+            col_costs = cols
+                .iter()
+                .map(|(c, enc, io_s)| {
+                    let (buf, decode_s, decode_recovered) = device_ladder(
+                        &dev,
+                        &enc.to_device(&dev),
+                        |d| enc.to_device(d),
+                        |d, dc, _| dc.decompress(d),
+                        || dev.alloc_from_slice(&enc.decode_cpu()),
+                        opts.scale,
+                        &mut report,
+                    );
+                    recovered |= decode_recovered;
+                    buffers.push((*c, buf));
+                    (decode_s, *io_s)
+                })
+                .collect();
+            let lo_cols = LoColumns::from_plain(&dev, buffers);
+            let plain = |c: LoColumn| lo_cols.plain_slice(c).expect("decoded above");
+            let copy_to = |d: &Device| {
+                let copies = columns.iter().map(|&c| (c, d.alloc_from_slice(plain(c))));
+                LoColumns::from_plain(d, copies)
+            };
+            // Flights run over the plain columns (`prepare` launches no
+            // decode kernel for plain storage), timed per member;
+            // scalars fold host-side.
+            members
+                .iter()
+                .map(|m| match &m.spec {
+                    WaveSpec::Flight(id) => fly(&lo_cols, &copy_to, *id),
+                    WaveSpec::Scalar { column, filter } => {
+                        (fold_scalar(plain(*column), *filter), Eval::default())
                     }
-                    Err(_) => {
-                        // Last resort, mirroring the solo ladder:
-                        // regenerate and answer on the CPU.
-                        let eval_s = dev.elapsed_seconds_scaled(opts.scale);
-                        eval_report.cpu_fallbacks += 1;
-                        let mut part_data = dims.clone();
-                        part_data.lineorder = store.regenerate_partition(p);
-                        WaveMemberRaw::Flight(
-                            run_reference(&part_data, *id),
-                            eval_s,
-                            eval_report,
-                            true,
-                        )
-                    }
-                }
-            }
-            WaveSpec::Scalar { column, filter } => {
-                let values = lo_cols
-                    .plain_slice(*column)
-                    .expect("wave columns are stored plain");
-                let (c, s) = fold_scalar(values, *filter);
-                WaveMemberRaw::Scalar(c, s)
-            }
-        })
-        .collect();
-    Ok(WavePartRaw {
+                })
+                .collect()
+        }
+    };
+    report.absorb_device(&dev);
+    Ok(PartRaw {
         col_costs,
         members,
         report,
         recovered,
         forced_cpu: false,
         from_cache: opts.cache.is_some() && !damaged,
-        rows,
     })
 }
 
 /// Count + wrapping sum, keeping only values equal to `filter` when
 /// set.
-fn fold_scalar(values: &[i32], filter: Option<i32>) -> (u64, i64) {
+fn fold_scalar(values: &[i32], filter: Option<i32>) -> WaveAnswer {
     let mut count = 0u64;
     let mut sum = 0i64;
     for &v in values {
@@ -1153,272 +1024,72 @@ fn fold_scalar(values: &[i32], filter: Option<i32>) -> (u64, i64) {
             sum = sum.wrapping_add(v as i64);
         }
     }
-    (count, sum)
+    WaveAnswer::Scalar { count, sum }
 }
 
-/// Damage partition `p`'s first queried column on disk per the armed
+/// Damage `target`'s file in partition `p` per the armed
 /// [`StorageFaults`]. Positions are drawn from a PRNG seeded by the
 /// plan seed and the partition index, so a campaign is byte-exact
 /// reproducible and independent of worker scheduling.
 fn apply_storage_faults(
     store: &SsbStore,
     p: usize,
-    q: QueryId,
+    target: LoColumn,
     plan: &FaultPlan,
 ) -> Result<(), StoreError> {
     let storage = &plan.storage;
-    let target = q.columns()[0].name();
-    let committed = store.store().manifest().partitions[p].files[store
-        .store()
-        .manifest()
-        .column_index(target)
-        .expect("queried columns are in the layout")]
-    .bytes as u64;
+    let target = target.name();
+    let committed = file_bytes(store, p, target);
     let path = store.store().path_of(p, target);
     let mut rng = Rng::seed_from_u64(plan.seed ^ 0x57_0F_A1_75 ^ (p as u64) << 8);
+    let io = |source| StoreError::Io {
+        path: path.clone(),
+        source,
+    };
     if storage.truncate_at_partition == Some(p) {
         let cut = rng.gen_range(0..committed.max(1) as usize) as u64;
-        damage::truncate_at(&path, cut).map_err(|e| StoreError::Io {
-            path: path.clone(),
-            source: e,
-        })?;
+        damage::truncate_at(&path, cut).map_err(io)?;
     }
     if storage.flip_bit_at_partition == Some(p) {
         let bit = rng.gen_range(0..(committed.max(1) * 8) as usize) as u64;
-        damage::flip_bit(&path, bit).map_err(|e| StoreError::Io {
-            path: path.clone(),
-            source: e,
-        })?;
+        damage::flip_bit(&path, bit).map_err(io)?;
     }
     Ok(())
 }
 
-/// What one partition contributed to the streamed run.
-struct PartOutcome {
-    result: Vec<(u64, u64)>,
-    device_s: f64,
-    io_s: f64,
-    report: ResilienceReport,
-    recovered: bool,
-}
-
-/// Load one queried column, through the shared cache when one is
-/// armed. Returns the (shared) encoded column plus the modelled
-/// storage-read seconds: cold reads price at disk bandwidth, cache
-/// hits at host-memory bandwidth.
-fn load_queried_column(
-    store: &SsbStore,
-    opts: &StreamOptions,
-    p: usize,
-    name: &str,
-) -> Result<(Arc<EncodedColumn>, f64), StoreError> {
-    match &opts.cache {
-        Some(cache) => {
-            let l = cache.load(store.store(), p, name)?;
-            Ok((l.col, modeled_read_s(l.bytes, l.hit)))
-        }
-        None => {
-            let idx = store
-                .store()
-                .manifest()
-                .column_index(name)
-                .expect("queried columns are in the layout");
-            let bytes = store.store().manifest().partitions[p].files[idx].bytes as u64;
-            let col = store.store().load_column(p, name)?;
-            Ok((Arc::new(col), modeled_read_s(bytes, false)))
-        }
-    }
-}
-
-/// Load partition `p`'s queried columns, regenerating and healing the
-/// partition if any file is damaged; then run the query on a (possibly
-/// fault-armed) partition-private device with the full recovery ladder.
-fn process_partition(
-    store: &SsbStore,
-    dims: &SsbData,
-    p: usize,
-    q: QueryId,
-    opts: &StreamOptions,
-) -> Result<PartOutcome, StoreError> {
-    let mut report = ResilienceReport::default();
-    let needed = q.columns();
-
-    // Degraded-mode routing: a partition whose shard is marked
-    // CPU-only (circuit open, device tier lost) skips the device
-    // entirely and answers from regenerated rows on the host. Zero
-    // device time; not counted as "recovered" — nothing failed here,
-    // the service chose the route.
-    if opts.force_cpu_partitions.contains(&p) {
-        report.cpu_fallbacks += 1;
-        let mut part_data = dims.clone();
-        part_data.lineorder = store.regenerate_partition(p);
-        return Ok(PartOutcome {
-            result: run_reference(&part_data, q),
-            device_s: 0.0,
-            io_s: 0.0,
-            report,
-            recovered: false,
-        });
-    }
-
-    if let Some(plan) = &opts.plan {
-        if !plan.storage.is_empty() {
-            apply_storage_faults(store, p, q, plan)?;
-        }
-    }
-
-    // Storage ladder: load (through the shared cache when armed; a
-    // damaged file bumps the store epoch under quarantine, so any
-    // stale cached copy revalidates away); on damage, regenerate the
-    // partition from the chunked generator and heal the store in
-    // place (byte-identical by determinism of the generator and of
-    // `encode_best`). Regenerated columns come from the generator,
-    // not disk, so they charge no read time and are not inserted in
-    // the cache — the next read loads the healed file through the
-    // verified path.
-    let mut cols: Vec<(LoColumn, Arc<EncodedColumn>)> = Vec::with_capacity(needed.len());
-    let mut io_s = 0.0f64;
-    let mut damaged = false;
-    for &c in needed {
-        match load_queried_column(store, opts, p, c.name()) {
-            Ok((col, read_s)) => {
-                io_s += read_s;
-                cols.push((c, col));
-            }
-            Err(e) if matches!(e, StoreError::Io { .. } | StoreError::UnknownColumn { .. }) => {
-                return Err(e);
-            }
-            Err(_) => {
-                damaged = true;
-                break;
-            }
-        }
-    }
-    if damaged {
-        report.partitions_quarantined += 1;
-        let lo = store.regenerate_partition(p);
-        cols = store
-            .encode_partition(&lo, needed)
-            .into_iter()
-            .map(|(c, e)| (c, Arc::new(e)))
-            .collect();
-        io_s = 0.0;
-        for (c, col) in &cols {
-            if store.store().damage(p, c.name()).is_some() {
-                store.store().heal_column(p, c.name(), col)?;
-            }
-        }
-        report.partitions_regenerated += 1;
-    }
-
-    // Device ladder: partition-private device, fault PRNG keyed by the
-    // partition index (not the worker), kill armed only when this
-    // partition is the campaign's victim.
+/// A partition-private device, armed from the run's fault plan: the
+/// fault PRNG is keyed by the partition index (not the worker), and
+/// the kill is armed only when this partition is the campaign's
+/// victim.
+fn partition_device(plan: Option<&FaultPlan>, p: usize) -> Device {
     let dev = Device::v100();
-    let dev_plan = opts.plan.as_ref().map(|plan| FaultPlan {
-        seed: plan.seed ^ (p as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        bitflip_rate: plan.bitflip_rate,
-        transient_launch_rate: plan.transient_launch_rate,
-        // Die after the first launch: the dimension build lands, then
-        // the fused fact scan is lost mid-query.
-        kill_after_launches: (plan.storage.kill_shard_at_partition == Some(p)).then_some(1),
-        bandwidth_factor: plan.bandwidth_factor,
-        storage: StorageFaults::default(),
-    });
-    if let Some(dp) = dev_plan {
-        let armed = dp.bitflip_rate > 0.0
-            || dp.transient_launch_rate > 0.0
-            || dp.kill_after_launches.is_some()
-            || dp.bandwidth_factor != 1.0;
-        if armed {
-            dev.inject_faults(dp);
+    if let Some(plan) = plan {
+        let armed = FaultPlan {
+            seed: plan.seed ^ (p as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            // Die after the first launch: in a flight the dimension
+            // build lands, then the fused fact scan is lost mid-query.
+            kill_after_launches: (plan.storage.kill_shard_at_partition == Some(p)).then_some(1),
+            storage: StorageFaults::default(),
+            ..plan.clone()
+        };
+        if armed.bitflip_rate > 0.0
+            || armed.transient_launch_rate > 0.0
+            || armed.kill_after_launches.is_some()
+            || armed.bandwidth_factor != 1.0
+        {
+            dev.inject_faults(armed);
         }
     }
-    let lo_cols = LoColumns::from_encoded(&dev, cols.iter().map(|(c, e)| (*c, &**e)));
-    dev.reset_timeline();
-    let outcome = run_query_checked(&dev, dims, &lo_cols, q, &mut report);
-    let mut part_s = dev.elapsed_seconds_scaled(opts.scale);
-    report.absorb_device(&dev);
-    let err = match outcome {
-        Ok(result) => {
-            return Ok(PartOutcome {
-                result,
-                device_s: part_s,
-                io_s,
-                report,
-                recovered: damaged,
-            })
-        }
-        Err(e) => e,
-    };
-    if matches!(
-        err,
-        DecodeError::Corrupt { .. } | DecodeError::Structure { .. }
-    ) {
-        report.corrupt_tiles_detected += 1;
-    }
-
-    // Failover: the host-side encoded columns are clean (loaded and
-    // digest-verified, or freshly regenerated), so rebuild on a fresh
-    // device and re-run.
-    report.shards_failed_over += 1;
-    let fresh = Device::v100();
-    let lo_cols = LoColumns::from_encoded(&fresh, cols.iter().map(|(c, e)| (*c, &**e)));
-    fresh.reset_timeline();
-    let result = match run_query_checked(&fresh, dims, &lo_cols, q, &mut report) {
-        Ok(result) => {
-            part_s = part_s.max(fresh.elapsed_seconds_scaled(opts.scale));
-            result
-        }
-        Err(_) => {
-            // Last resort: regenerate the partition's rows and answer
-            // on the CPU.
-            report.cpu_fallbacks += 1;
-            let mut part_data = dims.clone();
-            part_data.lineorder = store.regenerate_partition(p);
-            run_reference(&part_data, q)
-        }
-    };
-    Ok(PartOutcome {
-        result,
-        device_s: part_s,
-        io_s,
-        report,
-        recovered: true,
-    })
+    dev
 }
 
-/// Map `f` over partition indices `lo..hi` on `workers` host threads,
-/// returning results **in partition order** (mirrors
-/// `fleet::map_shards`; callers fold the ordered results serially,
-/// keeping every streamed report deterministic for any worker count).
-fn map_partitions<T: Send>(
-    lo: usize,
-    hi: usize,
-    workers: usize,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let n = hi - lo;
-    let ranges: Vec<(usize, usize)> = tlc_gpu_sim::partitions(n, 1, workers)
-        .into_iter()
-        .map(|(a, b)| (lo + a, lo + b))
-        .collect();
-    if ranges.len() <= 1 {
-        return (lo..hi).map(f).collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(lo, hi)| {
-                let f = &f;
-                scope.spawn(move || (lo..hi).map(f).collect::<Vec<T>>())
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("partition worker panicked"))
-            .collect()
-    })
+/// Committed size of partition `p`'s file for the column `name`.
+fn file_bytes(store: &SsbStore, p: usize, name: &str) -> u64 {
+    let manifest = store.store().manifest();
+    let c = manifest
+        .column_index(name)
+        .expect("queried columns are in the layout");
+    manifest.partitions[p].files[c].bytes as u64
 }
 
 #[cfg(test)]
@@ -1440,8 +1111,8 @@ mod tests {
         let dir = tmp_dir("clean");
         let spec = small_spec();
         let store = SsbStore::ingest(&dir, &spec).expect("ingest");
-        let run =
-            run_query_streamed(&store, QueryId::Q11, &StreamOptions::default()).expect("stream");
+        let run = run_query_streamed_bounded(&store, QueryId::Q11, &StreamOptions::default())
+            .expect("stream");
         assert_eq!(run.result, run_reference(&spec.materialize(), QueryId::Q11));
         assert_eq!(run.report, ResilienceReport::default());
         assert_eq!(run.partitions, spec.chunks);
@@ -1454,13 +1125,13 @@ mod tests {
         let dir = tmp_dir("reopen");
         let spec = small_spec();
         let store = SsbStore::ingest(&dir, &spec).expect("ingest");
-        let a = run_query_streamed(&store, QueryId::Q12, &StreamOptions::default())
+        let a = run_query_streamed_bounded(&store, QueryId::Q12, &StreamOptions::default())
             .expect("stream")
             .result;
         drop(store);
         let (reopened, recovery) = SsbStore::open(&dir).expect("open");
         assert!(recovery.is_clean());
-        let b = run_query_streamed(&reopened, QueryId::Q12, &StreamOptions::default())
+        let b = run_query_streamed_bounded(&reopened, QueryId::Q12, &StreamOptions::default())
             .expect("stream")
             .result;
         assert_eq!(a, b);
@@ -1472,7 +1143,7 @@ mod tests {
         let dir = tmp_dir("faults");
         let spec = small_spec();
         let store = SsbStore::ingest(&dir, &spec).expect("ingest");
-        let clean = run_query_streamed(&store, QueryId::Q11, &StreamOptions::default())
+        let clean = run_query_streamed_bounded(&store, QueryId::Q11, &StreamOptions::default())
             .expect("stream")
             .result;
         let plan = FaultPlan {
@@ -1487,7 +1158,7 @@ mod tests {
             plan: Some(plan),
             ..StreamOptions::default()
         };
-        let run = run_query_streamed(&store, QueryId::Q11, &opts).expect("stream");
+        let run = run_query_streamed_bounded(&store, QueryId::Q11, &opts).expect("stream");
         assert_eq!(
             run.result, clean,
             "recovery must reproduce the clean result"
@@ -1514,21 +1185,17 @@ mod tests {
             budget_bytes: 1, // smaller than any partition: serial streaming
             ..StreamOptions::default()
         };
-        let run = run_query_streamed(&store, QueryId::Q13, &opts).expect("stream");
+        let run = run_query_streamed_bounded(&store, QueryId::Q13, &opts).expect("stream");
         assert_eq!(run.workers, 1);
         assert_eq!(run.result, run_reference(&spec.materialize(), QueryId::Q13));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn scalar_reference(store: &SsbStore, column: LoColumn, filter: Option<i32>) -> (u64, i64) {
-        let mut count = 0u64;
-        let mut sum = 0i64;
-        for p in 0..store.store().partition_count() {
-            let (c, s) = super::fold_scalar(store.regenerate_partition(p).column(column), filter);
-            count += c;
-            sum = sum.wrapping_add(s);
-        }
-        (count, sum)
+    fn scalar_reference(store: &SsbStore, column: LoColumn, filter: Option<i32>) -> WaveAnswer {
+        let values: Vec<i32> = (0..store.store().partition_count())
+            .flat_map(|p| store.regenerate_partition(p).column(column).to_vec())
+            .collect();
+        fold_scalar(&values, filter)
     }
 
     fn mixed_wave() -> Vec<WaveQuery> {
@@ -1568,15 +1235,13 @@ mod tests {
             wave.queries[1].outcome.as_ref().unwrap(),
             &WaveAnswer::Groups(run_reference(&data, QueryId::Q12))
         );
-        let (count, sum) = scalar_reference(&store, LoColumn::Quantity, None);
         assert_eq!(
             wave.queries[2].outcome.as_ref().unwrap(),
-            &WaveAnswer::Scalar { count, sum }
+            &scalar_reference(&store, LoColumn::Quantity, None)
         );
-        let (count, sum) = scalar_reference(&store, LoColumn::Discount, Some(4));
         assert_eq!(
             wave.queries[3].outcome.as_ref().unwrap(),
-            &WaveAnswer::Scalar { count, sum }
+            &scalar_reference(&store, LoColumn::Discount, Some(4))
         );
         // Q11 and Q12 share all four flight-1 columns and the scan
         // shares Quantity with them: every partition has shared
@@ -1694,14 +1359,14 @@ mod tests {
         let dir = tmp_dir("compact");
         let spec = small_spec();
         let store = SsbStore::ingest(&dir, &spec).expect("ingest");
-        let before = run_query_streamed(&store, QueryId::Q11, &StreamOptions::default())
+        let before = run_query_streamed_bounded(&store, QueryId::Q11, &StreamOptions::default())
             .expect("stream")
             .result;
         drop(store);
         let (compacted, report) = compact(&dir, 2).expect("compact");
         assert_eq!(report.partitions_after, spec.chunks.div_ceil(2));
         assert_eq!(compacted.chunk_factor(), 2);
-        let after = run_query_streamed(&compacted, QueryId::Q11, &StreamOptions::default())
+        let after = run_query_streamed_bounded(&compacted, QueryId::Q11, &StreamOptions::default())
             .expect("stream")
             .result;
         assert_eq!(before, after);
@@ -1717,7 +1382,7 @@ mod tests {
             plan: Some(plan),
             ..StreamOptions::default()
         };
-        let run = run_query_streamed(&compacted, QueryId::Q11, &opts).expect("stream");
+        let run = run_query_streamed_bounded(&compacted, QueryId::Q11, &opts).expect("stream");
         assert_eq!(run.result, before);
         assert_eq!(run.report.partitions_regenerated, 1);
         compacted.store().verify().expect("healed after compaction");

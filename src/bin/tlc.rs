@@ -98,8 +98,8 @@ use tlc::serve::{run_loadgen, LoadgenConfig, QuerySpec, Rejected, Request, Serve
 use tlc::sim::{set_sim_threads_override, Device, FaultPlan, StorageFaults};
 use tlc::ssb::fleet::run_query_sharded;
 use tlc::ssb::{
-    run_query, run_query_sharded_resilient, run_query_streamed, LoColumn, LoColumns, QueryId,
-    SsbData, SsbStore, StreamOptions, StreamSpec, System,
+    run_query, run_query_sharded_resilient, run_query_streamed_bounded, LoColumn, LoColumns,
+    QueryId, SsbData, SsbStore, StreamError, StreamOptions, StreamSpec, System,
 };
 use tlc::store::{Store, StoreError};
 
@@ -295,6 +295,16 @@ fn store_err(e: StoreError) -> CliError {
     CliError {
         code: e.exit_code(),
         message: e.to_string(),
+    }
+}
+
+/// Map a streamed query that produced no full result: a storage
+/// failure keeps its exit-code class, a deadline is an ordinary
+/// failure (exit 1) that says how far the query got.
+fn stream_err(e: StreamError) -> CliError {
+    match e {
+        StreamError::Store(e) => store_err(e),
+        deadline @ StreamError::DeadlineExceeded(_) => deadline.to_string().into(),
     }
 }
 
@@ -496,7 +506,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), CliError> {
             plan,
             ..StreamOptions::default()
         };
-        let run = run_query_streamed(&store, q, &opts).map_err(store_err);
+        let run = run_query_streamed_bounded(&store, q, &opts).map_err(stream_err);
         set_sim_threads_override(None);
         run
     };
@@ -1158,5 +1168,32 @@ fn main() -> ExitCode {
             eprintln!("tlc: {}", e.message);
             ExitCode::from(e.code)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tlc::ssb::DeadlinePartial;
+
+    #[test]
+    fn a_deadline_exits_1_with_its_progress_and_a_store_error_keeps_its_class() {
+        let cut = stream_err(StreamError::DeadlineExceeded(Box::new(DeadlinePartial {
+            partitions_completed: 2,
+            partitions: 6,
+            rows_scanned: 7_882,
+            device_s: 0.000040,
+            deadline_device_s: 0.000049,
+            report: Default::default(),
+        })));
+        assert_eq!(cut.code, 1);
+        assert_eq!(
+            cut.message,
+            "deadline exceeded after 2/6 partition(s) (7882 rows, 0.000040s of 0.000049s device budget)"
+        );
+        let structural = StoreError::ManifestStructure {
+            reason: "zero chunk factor".to_string(),
+        };
+        assert_eq!(stream_err(StreamError::Store(structural)).code, 3);
     }
 }

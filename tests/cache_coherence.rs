@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use tlc::sim::set_sim_threads_override;
 use tlc::ssb::reference::run_reference;
-use tlc::ssb::stream::{run_query_streamed, SsbStore, StreamOptions};
+use tlc::ssb::stream::{run_query_streamed_bounded, SsbStore, StreamOptions};
 use tlc::ssb::{QueryId, StreamSpec};
 use tlc::store::{damage, PartitionCache};
 
@@ -59,13 +59,13 @@ fn hit_after_heal_revalidates_and_matches_cold_store() {
     let dir = tmp_dir("heal");
     let spec = small_spec();
     let store = SsbStore::ingest(&dir, &spec).expect("ingest");
-    let cold = run_query_streamed(&store, QueryId::Q11, &StreamOptions::default())
+    let cold = run_query_streamed_bounded(&store, QueryId::Q11, &StreamOptions::default())
         .expect("cold run")
         .result;
 
     let cache = Arc::new(PartitionCache::new(256 << 20));
     let opts = cached_opts(&cache);
-    let first = run_query_streamed(&store, QueryId::Q11, &opts).expect("fill run");
+    let first = run_query_streamed_bounded(&store, QueryId::Q11, &opts).expect("fill run");
     assert_eq!(first.result, cold);
     let filled = cache.stats();
     assert!(filled.misses > 0, "fill run must load through the cache");
@@ -73,7 +73,7 @@ fn hit_after_heal_revalidates_and_matches_cold_store() {
 
     // Warm repeat: every load is a hit, and the modelled read time
     // collapses accordingly.
-    let warm = run_query_streamed(&store, QueryId::Q11, &opts).expect("warm run");
+    let warm = run_query_streamed_bounded(&store, QueryId::Q11, &opts).expect("warm run");
     assert_eq!(warm.result, cold);
     assert_eq!(cache.stats().hits, filled.misses);
     assert!(
@@ -102,7 +102,7 @@ fn hit_after_heal_revalidates_and_matches_cold_store() {
     // a revalidation (drop + verified reload), and the answer still
     // matches the cold store.
     let reval_before = cache.stats().revalidations;
-    let after = run_query_streamed(&store, QueryId::Q11, &opts).expect("post-heal run");
+    let after = run_query_streamed_bounded(&store, QueryId::Q11, &opts).expect("post-heal run");
     assert_eq!(after.result, cold);
     let stats = cache.stats();
     assert!(
@@ -137,7 +137,7 @@ fn eviction_under_budget_preserves_answers() {
     let opts = cached_opts(&cache);
 
     for round in 0..2 {
-        let run = run_query_streamed(&store, QueryId::Q12, &opts).expect("run");
+        let run = run_query_streamed_bounded(&store, QueryId::Q12, &opts).expect("run");
         assert_eq!(run.result, reference, "round {round}");
         let stats = cache.stats();
         assert!(
@@ -164,12 +164,12 @@ fn cache_on_matches_cache_off_at_any_worker_count() {
 
     for threads in [1usize, 4] {
         with_workers(threads, || {
-            let off = run_query_streamed(&store, QueryId::Q13, &StreamOptions::default())
+            let off = run_query_streamed_bounded(&store, QueryId::Q13, &StreamOptions::default())
                 .expect("cache off");
             let cache = Arc::new(PartitionCache::new(256 << 20));
             let opts = cached_opts(&cache);
-            let cold = run_query_streamed(&store, QueryId::Q13, &opts).expect("cache cold");
-            let warm = run_query_streamed(&store, QueryId::Q13, &opts).expect("cache warm");
+            let cold = run_query_streamed_bounded(&store, QueryId::Q13, &opts).expect("cache cold");
+            let warm = run_query_streamed_bounded(&store, QueryId::Q13, &opts).expect("cache warm");
             for (label, run) in [("off", &off), ("cold", &cold), ("warm", &warm)] {
                 assert_eq!(
                     run.result, reference,

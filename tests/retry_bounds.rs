@@ -13,8 +13,8 @@ use std::sync::Mutex;
 
 use tlc::sim::{set_sim_threads_override, FaultPlan};
 use tlc::ssb::{
-    run_query_sharded_resilient, run_query_streamed, QueryId, SsbData, SsbStore, StreamOptions,
-    StreamSpec, System, MAX_TRANSIENT_RETRIES,
+    run_query_sharded_resilient, run_query_streamed_bounded, QueryId, SsbData, SsbStore,
+    StreamOptions, StreamSpec, System, MAX_TRANSIENT_RETRIES,
 };
 
 /// `set_sim_threads_override` is process-global; serialize the tests
@@ -87,7 +87,8 @@ fn streamed_retry_work_is_bounded_when_every_partition_fails() {
     let n = store.store().partition_count();
     assert!(n >= 2, "need a multi-partition store");
 
-    let clean = run_query_streamed(&store, QueryId::Q11, &StreamOptions::default()).expect("clean");
+    let clean =
+        run_query_streamed_bounded(&store, QueryId::Q11, &StreamOptions::default()).expect("clean");
 
     for seed in 0..4u64 {
         let opts = StreamOptions {
@@ -100,7 +101,7 @@ fn streamed_retry_work_is_bounded_when_every_partition_fails() {
         let mut runs = Vec::new();
         for workers in [1usize, 4] {
             set_sim_threads_override(Some(workers));
-            let run = run_query_streamed(&store, QueryId::Q11, &opts).expect("streamed");
+            let run = run_query_streamed_bounded(&store, QueryId::Q11, &opts).expect("streamed");
             set_sim_threads_override(None);
             assert_eq!(run.result, clean.result, "seed {seed} at {workers} workers");
             let r = &run.report;

@@ -17,7 +17,7 @@ use std::sync::{Mutex, MutexGuard};
 
 use tlc::sim::{set_sim_threads_override, FaultPlan, StorageFaults};
 use tlc::ssb::reference::run_reference;
-use tlc::ssb::stream::{run_query_streamed, SsbStore, StreamOptions};
+use tlc::ssb::stream::{run_query_streamed_bounded, SsbStore, StreamOptions};
 use tlc::ssb::{QueryId, StreamSpec};
 use tlc::store::{Store, StoreError, MANIFEST_NAME};
 
@@ -77,7 +77,7 @@ fn partition_truncated_at_every_byte_is_quarantined_and_recoverable() {
     let dir = tmp_dir("partition_trunc");
     let spec = StreamSpec::for_rows(2, 3_200, 800);
     let store = SsbStore::ingest(&dir, &spec).expect("ingest");
-    let clean = run_query_streamed(&store, QueryId::Q11, &StreamOptions::default())
+    let clean = run_query_streamed_bounded(&store, QueryId::Q11, &StreamOptions::default())
         .expect("clean run")
         .result;
     drop(store);
@@ -102,7 +102,7 @@ fn partition_truncated_at_every_byte_is_quarantined_and_recoverable() {
         // on a sample; a streamed query per byte would be wasteful.
         if cut % 97 == 0 {
             let (ssb, _) = SsbStore::open(&dir).expect("reopen");
-            let run = run_query_streamed(&ssb, QueryId::Q11, &StreamOptions::default())
+            let run = run_query_streamed_bounded(&ssb, QueryId::Q11, &StreamOptions::default())
                 .expect("streamed run");
             assert_eq!(run.result, clean, "cut {cut}: recovered result diverged");
             assert_eq!(run.report.partitions_regenerated, 1, "cut {cut}");
@@ -126,10 +126,12 @@ fn kill_shard_recovery_is_bit_identical_across_workers_and_seeds() {
     let reference = run_reference(&spec.materialize(), QueryId::Q11);
 
     let clean1 = with_workers(1, || {
-        run_query_streamed(&store, QueryId::Q11, &StreamOptions::default()).expect("clean @1")
+        run_query_streamed_bounded(&store, QueryId::Q11, &StreamOptions::default())
+            .expect("clean @1")
     });
     let clean4 = with_workers(4, || {
-        run_query_streamed(&store, QueryId::Q11, &StreamOptions::default()).expect("clean @4")
+        run_query_streamed_bounded(&store, QueryId::Q11, &StreamOptions::default())
+            .expect("clean @4")
     });
     assert_eq!(
         clean1.result, reference,
@@ -153,10 +155,10 @@ fn kill_shard_recovery_is_bit_identical_across_workers_and_seeds() {
             ..StreamOptions::default()
         };
         let one = with_workers(1, || {
-            run_query_streamed(&store, QueryId::Q11, &opts).expect("faulted @1")
+            run_query_streamed_bounded(&store, QueryId::Q11, &opts).expect("faulted @1")
         });
         let four = with_workers(4, || {
-            run_query_streamed(&store, QueryId::Q11, &opts).expect("faulted @4")
+            run_query_streamed_bounded(&store, QueryId::Q11, &opts).expect("faulted @4")
         });
         assert_eq!(
             one.result, reference,
