@@ -4,13 +4,14 @@
 //! A worker pops up to [`crate::ServeConfig::batch_window`] waiting
 //! jobs at once ([`crate::service`]) and hands them here. The batcher:
 //!
-//! 1. routes **plan-carrying** requests (fault drills) to the solo
-//!    path untouched — fault campaigns are per-query by contract;
+//! 1. runs **plan-carrying** requests (fault drills) one by one — the
+//!    executor honours a plan on any run, but sharing decodes with a
+//!    drill would leak its injected damage into wave-mates' costs;
 //! 2. **deduplicates** the rest by `(query, deadline)`: one execution
 //!    per distinct request, its outcome cloned to every duplicate
 //!    ticket;
-//! 3. runs the distinct set through the streaming layer's wave
-//!    executor ([`run_wave_streamed`]), which decodes each
+//! 3. runs the distinct set through the streaming layer's partition
+//!    executor as one wave ([`run_wave_streamed`]), which decodes each
 //!    `(partition, column)` the wave needs exactly **once** — through
 //!    the shared [`tlc_store::PartitionCache`] when armed — and
 //!    evaluates every member's predicate/aggregate against the decoded
@@ -19,7 +20,7 @@
 //!    per member, which keeps the retry/backoff ladder and the
 //!    exactly-one-response books intact.
 //!
-//! Batching never changes an answer: the wave executor merges partial
+//! Batching never changes an answer: the executor merges partial
 //! aggregates in partition order and cuts per-member deadlines between
 //! partitions, so batched answers are bit-identical to solo answers at
 //! any `TLC_SIM_THREADS`. What changes is **attributed cost** — each
@@ -61,8 +62,8 @@ pub(crate) fn run_wave_batch(shared: &Shared, jobs: Vec<Job>) {
         return;
     }
     if batchable.len() == 1 {
-        // A wave of one is just the solo path (identical cost model,
-        // no batching counters).
+        // A wave of one goes through `run_job`, where the retry/backoff
+        // ladder lives (same executor, no batching counters).
         for job in batchable {
             run_solo(shared, job);
         }

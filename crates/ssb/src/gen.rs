@@ -410,7 +410,7 @@ impl SsbData {
 /// sits in the table, and a store partition lost to a torn write or a
 /// dead shard can be re-created (and byte-identically re-encoded)
 /// without touching its neighbours. Per-order line generation is the
-/// shared [`push_order`] path, so chunked output has exactly the bulk
+/// shared `push_order` path, so chunked output has exactly the bulk
 /// generator's distributions (sorted `lo_orderkey`, 1–7-line runs,
 /// per-order repeated columns).
 ///
@@ -730,7 +730,7 @@ pub fn region_name(id: i32) -> &'static str {
     REGION_NAMES[id as usize]
 }
 
-/// Render a city id as dbgen's "<nation prefix><digit>" form
+/// Render a city id as dbgen's `<nation prefix><digit>` form
 /// (e.g. "UNITED KI4").
 pub fn city_name(id: i32) -> String {
     let nation = nation_name(id / 10);

@@ -18,7 +18,7 @@
 //!   inline where the system supports it) and the
 //!   decompress-then-query / operator-at-a-time paths for the systems
 //!   that don't.
-//! * [`reference`] — a scalar CPU executor; every query result is
+//! * [`mod@reference`] — a scalar CPU executor; every query result is
 //!   verified against it in the test suite.
 //! * [`resilience`] — bounded retries, shard failover and CPU fallback
 //!   over the fault model in [`tlc_gpu_sim::FaultPlan`], with a
@@ -26,10 +26,10 @@
 //!   against recovery actions.
 //! * [`stream`] — paper-scale out-of-core execution: the fact table
 //!   persisted as a `tlc-store` partitioned compressed store
-//!   ([`stream::SsbStore`]), streamed through a bounded
-//!   partition-memory budget, with storage-fault recovery
-//!   (quarantine → regenerate → heal) layered under the device-fault
-//!   ladder.
+//!   ([`stream::SsbStore`]), streamed through one partition executor
+//!   under a bounded partition-memory budget, with storage-fault
+//!   recovery (quarantine → regenerate → heal) layered under the
+//!   device-fault ladder.
 
 pub mod encode;
 pub mod fleet;

@@ -1,5 +1,5 @@
 //! A scalar CPU reference executor for the 13 SSB queries. Shares the
-//! per-query [`crate::queries::spec`] with the device executors, so a
+//! per-query `crate::queries::spec` with the device executors, so a
 //! divergence between the fused kernel and this loop is a real engine
 //! bug, not a drifted predicate.
 

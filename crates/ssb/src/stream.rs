@@ -1355,6 +1355,40 @@ mod tests {
     }
 
     #[test]
+    fn wave_under_a_fault_plan_recovers_every_member() {
+        let dir = tmp_dir("wave_plan");
+        let spec = small_spec();
+        let store = SsbStore::ingest(&dir, &spec).expect("ingest");
+        let clean = run_wave_streamed(&store, &mixed_wave(), &StreamOptions::default()).unwrap();
+        let opts = StreamOptions {
+            plan: Some(FaultPlan {
+                bitflip_rate: 1e-4,
+                transient_launch_rate: 0.2,
+                storage: StorageFaults {
+                    kill_shard_at_partition: Some(0),
+                    truncate_at_partition: Some(1),
+                    flip_bit_at_partition: Some(2),
+                },
+                ..FaultPlan::seeded(9)
+            }),
+            ..StreamOptions::default()
+        };
+        let drilled = run_wave_streamed(&store, &mixed_wave(), &opts).expect("the drill recovers");
+        for (d, c) in drilled.queries.iter().zip(clean.queries.iter()) {
+            assert_eq!(d.outcome.as_ref().unwrap(), c.outcome.as_ref().unwrap());
+            // The storage ladder and the lost device are the wave's,
+            // so every member reports them.
+            assert_eq!(d.report.partitions_quarantined, 2);
+            assert_eq!(d.report.partitions_regenerated, 2);
+            assert_eq!(d.report.devices_lost, 1);
+            assert!(d.recovered_partitions.starts_with(&[0, 1, 2]));
+        }
+        assert!(drilled.queries[0].report.transient_failures_injected > 0);
+        store.store().verify().expect("healed in place");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn compaction_preserves_results_and_regeneration() {
         let dir = tmp_dir("compact");
         let spec = small_spec();
