@@ -282,11 +282,11 @@ pub struct StreamOptions {
     /// with a PRNG seeded by `plan.seed` mixed with the partition
     /// index, so the campaign is identical at any worker count.
     pub plan: Option<FaultPlan>,
-    /// Device-time budget for the whole query, in simulated seconds.
-    /// Checked between partitions in partition order against the
-    /// cumulative per-partition device time, so the cut point is
-    /// bit-identical at any worker count. `None` (the default) means
-    /// no deadline.
+    /// Device-time budget of a one-query run, in simulated seconds (a
+    /// wave's members carry their own, [`WaveQuery`]). Checked between
+    /// partitions in partition order against the cumulative device
+    /// time, so the cut point is bit-identical at any worker count.
+    /// `None` (the default) means no deadline.
     pub deadline_device_s: Option<f64>,
     /// Partitions the caller wants answered by the CPU reference
     /// executor from regenerated rows, without touching a device or
@@ -614,9 +614,7 @@ enum Evaluate {
 /// Raw, liveness-independent record of one partition's work, computed
 /// in parallel; deadline cuts and attribution belong to the fold.
 struct PartRaw {
-    /// Per listed column, in list order: `(decode_s, io_s)`. The
-    /// inline arm decodes inside the member's evaluation, so its
-    /// `decode_s` are zero.
+    /// Per listed column, in list order: `(decode_s, io_s)`.
     col_costs: Vec<(f64, f64)>,
     /// Per member, in input order: this partition's piece of its
     /// answer, and what its own evaluation cost.
@@ -716,8 +714,11 @@ fn run_members(
     // merge into its entry of `groups` until the fold is over.
     let mut runs: Vec<WaveQueryRun> = members
         .iter()
-        .map(|_| WaveQueryRun {
-            outcome: Ok(WaveAnswer::Scalar { count: 0, sum: 0 }),
+        .map(|m| WaveQueryRun {
+            outcome: Ok(match m.spec {
+                WaveSpec::Flight(_) => WaveAnswer::Groups(Vec::new()),
+                WaveSpec::Scalar { .. } => WaveAnswer::Scalar { count: 0, sum: 0 },
+            }),
             rows: 0,
             partitions: n,
             device_s: 0.0,
@@ -789,6 +790,13 @@ fn run_members(
                     }
                 }
                 match (piece, answer) {
+                    (WaveAnswer::Groups(piece), WaveAnswer::Groups(_)) => {
+                        run.merge_bytes += piece.len() as u64 * 16;
+                        for &(g, v) in piece {
+                            let e = groups[qi].entry(g).or_insert(0);
+                            *e = e.wrapping_add(v);
+                        }
+                    }
                     (
                         WaveAnswer::Scalar { count: c, sum: s },
                         WaveAnswer::Scalar { count, sum },
@@ -796,16 +804,7 @@ fn run_members(
                         *count += c;
                         *sum = sum.wrapping_add(*s);
                     }
-                    (WaveAnswer::Groups(piece), _) => {
-                        run.merge_bytes += piece.len() as u64 * 16;
-                        for &(g, v) in piece {
-                            let e = groups[qi].entry(g).or_insert(0);
-                            *e = e.wrapping_add(v);
-                        }
-                    }
-                    (WaveAnswer::Scalar { .. }, WaveAnswer::Groups(_)) => {
-                        unreachable!("answers turn into groups after the fold")
-                    }
+                    _ => unreachable!("a piece has the kind of its member's answer"),
                 }
                 run.device_s += attributed_dev;
                 run.io_s += attributed_io;
@@ -821,9 +820,9 @@ fn run_members(
         next = hi;
     }
     // A flight that ran to the end answers with its merged groups.
-    for ((run, member), groups) in runs.iter_mut().zip(members).zip(groups) {
-        if let (Ok(answer), WaveSpec::Flight(_)) = (&mut run.outcome, &member.spec) {
-            *answer = WaveAnswer::Groups(groups.into_iter().filter(|&(_, v)| v != 0).collect());
+    for (run, groups) in runs.iter_mut().zip(groups) {
+        if let Ok(WaveAnswer::Groups(answer)) = &mut run.outcome {
+            *answer = groups.into_iter().filter(|&(_, v)| v != 0).collect();
         }
     }
     Ok(WaveRun {
@@ -953,35 +952,33 @@ fn run_partition(
         };
         (WaveAnswer::Groups(groups), eval)
     };
-    let col_costs;
+    // `(decode_s, io_s)` per column; the inline arm decodes inside the
+    // member's evaluation, so its decode seconds stay zero.
+    let mut col_costs: Vec<(f64, f64)> = cols.iter().map(|(_, _, io_s)| (0.0, *io_s)).collect();
     let members = match evaluate {
         Evaluate::Inline(q) => {
             let upload =
                 |d: &Device| LoColumns::from_encoded(d, cols.iter().map(|(c, e, _)| (*c, &**e)));
-            col_costs = cols.iter().map(|(_, _, io_s)| (0.0, *io_s)).collect();
             vec![fly(&upload(&dev), &upload, q)]
         }
         Evaluate::Shared => {
             // Each listed column decompresses exactly once; its device
             // time is the ladder's timeline delta.
             let mut buffers = Vec::with_capacity(cols.len());
-            col_costs = cols
-                .iter()
-                .map(|(c, enc, io_s)| {
-                    let (buf, decode_s, decode_recovered) = device_ladder(
-                        &dev,
-                        &enc.to_device(&dev),
-                        |d| enc.to_device(d),
-                        |d, dc, _| dc.decompress(d),
-                        || dev.alloc_from_slice(&enc.decode_cpu()),
-                        opts.scale,
-                        &mut report,
-                    );
-                    recovered |= decode_recovered;
-                    buffers.push((*c, buf));
-                    (decode_s, *io_s)
-                })
-                .collect();
+            for ((c, enc, _), cost) in cols.iter().zip(&mut col_costs) {
+                let (buf, decode_s, decode_recovered) = device_ladder(
+                    &dev,
+                    &enc.to_device(&dev),
+                    |d| enc.to_device(d),
+                    |d, dc, _| dc.decompress(d),
+                    || dev.alloc_from_slice(&enc.decode_cpu()),
+                    opts.scale,
+                    &mut report,
+                );
+                cost.0 = decode_s;
+                recovered |= decode_recovered;
+                buffers.push((*c, buf));
+            }
             let lo_cols = LoColumns::from_plain(&dev, buffers);
             let plain = |c: LoColumn| lo_cols.plain_slice(c).expect("decoded above");
             let copy_to = |d: &Device| {
