@@ -1,7 +1,7 @@
 //! Timing harness (plain `fn main`, no criterion — the workspace builds
-//! offline): full SSB query pipelines (generation excluded), comparing
-//! the inline GPU-* path against None and nvCOMP, and the serial
-//! simulator backend against the multi-core one.
+//! offline): full SSB query pipelines (generation excluded), all 13
+//! queries under all six systems, and the serial simulator backend
+//! against the multi-core one.
 //!
 //! Two different clocks appear here (see README "wall-clock vs modelled
 //! time"): `serial ms` / `parallel ms` are real CPU time of the
@@ -12,7 +12,10 @@
 //! Alongside the printed table the run writes `BENCH_query_ssb.json`
 //! (to `TLC_BENCH_DIR` or the current directory) so the perf trajectory
 //! is machine-readable; each row embeds a `tlc-profile/v1` phase
-//! profile of its query. Scale factor: `TLC_SF`, default 0.01.
+//! profile of its query. Scale factor: `TLC_SF`, default 0.01. The
+//! committed baseline is `benchmarks/BENCH_query_ssb.json`;
+//! `scripts/bench_compare` fails when a row's `modelled_s` differs from
+//! it at equal scale factor.
 //!
 //! Run with `cargo bench -p tlc-bench --bench query_ssb`.
 
@@ -43,8 +46,8 @@ fn main() {
     let data = SsbData::generate(sf);
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
-    for q in [QueryId::Q11, QueryId::Q21, QueryId::Q43] {
-        for sys in [System::None, System::GpuStar, System::NvComp] {
+    for q in QueryId::ALL {
+        for sys in System::ALL {
             let dev = Device::v100();
             let cols = LoColumns::build(&dev, &data, sys, q.columns());
             let run = || {

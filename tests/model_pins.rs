@@ -7,13 +7,18 @@
 //! (DESIGN.md "Host cost of the simulator"), and every later commit
 //! must reproduce them bit for bit at 1 and 4 sim threads: modelled
 //! seconds, every total `Traffic` field, every `Counter`, and a digest
-//! over each event's name, seconds and per-phase spans.
+//! over each event's name, seconds and per-phase spans. The OmniSci
+//! and `crystal::select` rows were captured one round later, on the
+//! commit before selections became ballot words (DESIGN.md §19): they
+//! pin `materialize::probe` and the fused select, which the first rows
+//! do not reach.
 //!
 //! A deliberate model change refreshes a row: the failure message
 //! prints the observed row as a Rust literal.
 
 use std::sync::{Mutex, MutexGuard};
 
+use tlc::crystal::{select, QueryColumn};
 use tlc::schemes::{EncodedColumn, Scheme};
 use tlc::sim::{set_sim_threads_override, Counter, Device, Phase, Traffic};
 use tlc::ssb::{try_run_query, LoColumns, QueryId, SsbData, System};
@@ -180,6 +185,56 @@ fn ssb_queries_reproduce_the_pinned_model() {
     }
 }
 
+/// The same four queries operator-at-a-time: every
+/// `materialize::probe` feeds the dimension probe a byte mask read
+/// back from global memory, so these rows pin the probe's charges
+/// where the fused kernels' bitmaps never reach.
+const OMNISCI_PINS: [Pin; 4] = [
+    // q1.1 under OmniSci
+    Pin {
+        seconds_bits: 0x3f028e96c5e78bd6,
+        traffic: [0x4372, 0xd2c, 0x0, 0x86fbf, 0x0],
+        counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
+        digest: 0x2a019cd94b26e3bc,
+    },
+    // q2.1 under OmniSci
+    Pin {
+        seconds_bits: 0x3f134d0a3e04430f,
+        traffic: [0x9d98, 0x4991, 0x0, 0xa5ea5, 0x0],
+        counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
+        digest: 0xfb777c93525f6bde,
+    },
+    // q3.1 under OmniSci
+    Pin {
+        seconds_bits: 0x3f13ac4fe8b74849,
+        traffic: [0xa886, 0x49d0, 0x0, 0xa4a3d, 0x0],
+        counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
+        digest: 0x48278972de16f48,
+    },
+    // q4.3 under OmniSci
+    Pin {
+        seconds_bits: 0x3f1c76628bc7163d,
+        traffic: [0xf75b, 0x9322, 0x0, 0xd2076, 0x0],
+        counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
+        digest: 0x53ddf6ccd6036f16,
+    },
+];
+
+#[test]
+fn materialized_queries_reproduce_the_pinned_model() {
+    let _guard = lock();
+    let data = SsbData::generate(0.01);
+    for (q, want) in QUERIES.into_iter().zip(&OMNISCI_PINS) {
+        check(&format!("{} under OmniSci", q.name()), want, || {
+            let dev = Device::v100();
+            let cols = LoColumns::build(&dev, &data, System::OmniSci, q.columns());
+            dev.reset_timeline();
+            try_run_query(&dev, &data, &cols, q).expect("clean data");
+            observe(&dev)
+        });
+    }
+}
+
 /// One column per scheme, shaped so `encode_as` exercises the scheme's
 /// own cascade: bounded random (FOR), rising with jitter (DFOR), runs
 /// (RFOR). 100 000 values: a short final tile and a short final block.
@@ -250,6 +305,65 @@ fn standalone_decodes_reproduce_the_pinned_model() {
             dcol.decode_only(&dev).expect("clean column");
             let out = dcol.decompress(&dev).expect("clean column");
             assert_eq!(out.as_slice_unaccounted(), values);
+            observe(&dev)
+        });
+    }
+}
+
+/// One `crystal::select` launch (fused decode→predicate, block scan,
+/// compacted writeback) over the GPU-FOR column stored plain, then
+/// over each scheme's column encoded.
+const SELECT_PINS: [Pin; 4] = [
+    // plain
+    Pin {
+        seconds_bits: 0x3ed8afed5fa3b36b,
+        traffic: [0xcf9, 0x58e, 0x186a00, 0x61a80, 0x0],
+        counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
+        digest: 0xac90bf9833964c8,
+    },
+    // GPU-FOR
+    Pin {
+        seconds_bits: 0x3ed81b8e3ea03573,
+        traffic: [0x943, 0x58e, 0x222460, 0xdca18, 0x0],
+        counters: [0xc4, 0xc4, 0xc38, 0x0, 0x186a0, 0x0],
+        digest: 0xf9cdb63c210e01ea,
+    },
+    // GPU-DFOR
+    Pin {
+        seconds_bits: 0x3ed76d920734a2d1,
+        traffic: [0x4de, 0x599, 0x33d488, 0x10150c, 0x0],
+        counters: [0xc4, 0xc4, 0xc38, 0x0, 0x186a0, 0x0],
+        digest: 0xed5486eea9a6eb5e,
+    },
+    // GPU-RFOR
+    Pin {
+        seconds_bits: 0x3ed7c5eb5b6f15c6,
+        traffic: [0x519, 0x58b, 0x3f5f6c, 0xa22e0, 0x0],
+        counters: [0xc4, 0xc4, 0x19c, 0x0, 0x186a0, 0x1475],
+        digest: 0x40524d1fb9985f1e,
+    },
+];
+
+#[test]
+fn fused_select_reproduces_the_pinned_model() {
+    let _guard = lock();
+    let pred = |v: i32| v % 3 == 0;
+    let cases = std::iter::once(None).chain(SCHEMES.into_iter().map(Some));
+    for (scheme, want) in cases.zip(&SELECT_PINS) {
+        let values = scheme_column(scheme.unwrap_or(Scheme::GpuFor));
+        let kept: Vec<i32> = values.iter().copied().filter(|&v| pred(v)).collect();
+        let label = scheme.map_or("select over plain", |s| s.name());
+        check(label, want, || {
+            let dev = Device::v100();
+            let col = match scheme {
+                None => QueryColumn::plain(&dev, &values),
+                Some(s) => {
+                    QueryColumn::Encoded(EncodedColumn::encode_as(&values, s).to_device(&dev))
+                }
+            };
+            dev.reset_timeline();
+            let (out, count) = select(&dev, &col, pred).expect("clean column");
+            assert_eq!(&out.as_slice_unaccounted()[..count], kept.as_slice());
             observe(&dev)
         });
     }
