@@ -5,7 +5,7 @@ use std::cell::{Cell, RefCell};
 
 use crate::fault::{FaultPlan, FaultState, FaultStats, LaunchError};
 use crate::kernel::{BlockCtx, KernelConfig, Occupancy};
-use crate::memory::{GlobalBuffer, Scalar, ALLOC_ALIGN};
+use crate::memory::{GlobalBuffer, Scalar, SegmentMarks, ALLOC_ALIGN};
 use crate::profile::ProfileSink;
 use crate::report::{KernelReport, Phase, PhaseSpans, Timeline, Traffic};
 
@@ -292,8 +292,16 @@ impl Device {
         // the sums are commutative, so the split is invisible.
         let mut spans = PhaseSpans::default();
         let mut merge_spans = PhaseSpans::default();
+        let mut merge_marks = SegmentMarks::default();
         let mut merge_block = |block_id: usize, result: R| {
-            let mut ctx = BlockCtx::new(block_id, &cfg, &mut merge_spans, &mut [], l1);
+            let mut ctx = BlockCtx::new(
+                block_id,
+                &cfg,
+                &mut merge_spans,
+                &mut [],
+                &mut merge_marks,
+                l1,
+            );
             merge(&mut ctx, block_id, result);
         };
         let run_range =
@@ -521,8 +529,9 @@ impl Device {
 
 /// The body loop of every launch: run `block` once per thread block of
 /// `range`, charging into `spans`, and hand each result to `emit`. The
-/// shared-memory image is allocated once per call (one per worker) and
-/// zeroed before each block.
+/// shared-memory image and the segment mark map are allocated once per
+/// call (one of each per worker); the image is zeroed before each
+/// block, the map is left all zeros by every warp instruction.
 fn run_blocks<R>(
     cfg: &KernelConfig,
     range: std::ops::Range<usize>,
@@ -532,9 +541,10 @@ fn run_blocks<R>(
     mut emit: impl FnMut(usize, R),
 ) {
     let mut shared = vec![0u32; cfg.smem_per_block / 4];
+    let mut marks = SegmentMarks::default();
     for block_id in range {
         shared.fill(0);
-        let mut ctx = BlockCtx::new(block_id, cfg, spans, &mut shared, l1_per_block);
+        let mut ctx = BlockCtx::new(block_id, cfg, spans, &mut shared, &mut marks, l1_per_block);
         emit(block_id, block(&mut ctx));
     }
 }

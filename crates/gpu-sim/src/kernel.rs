@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 
 use crate::memory::{
-    gather_segments, segments_for_gather, segments_for_range, GlobalBuffer, Scalar, SEGMENT_BYTES,
+    gather_segments, segments_for_range, GlobalBuffer, Scalar, SegmentMarks, SEGMENT_BYTES,
     WARP_SIZE,
 };
 use crate::report::{Counter, Phase, PhaseSpans, Traffic};
@@ -85,12 +85,21 @@ pub struct Occupancy {
 /// cooperatively loading a contiguous range (Crystal's `BlockLoad`),
 /// while [`BlockCtx::warp_gather`] models one warp issuing up to 32
 /// arbitrary addresses in one instruction.
+///
+/// A warp instruction's transaction count is the number of distinct
+/// 128-byte segments its lanes touch, taken by marking them in the
+/// worker's segment map (see [`crate::memory`]); which lanes of a warp
+/// take part is a *ballot word*, one bit per lane
+/// ([`BlockCtx::warp_gather_masked`], [`live_lanes`]).
 pub struct BlockCtx<'a> {
     block_id: usize,
     threads: usize,
     /// The block's shared memory: a worker-owned image the launch loop
     /// zeroes before each block, empty for merge-phase contexts.
     shared: &'a mut [u32],
+    /// The worker's segment mark map, all zeros between warp
+    /// instructions (merge-phase contexts share the launch's own).
+    marks: &'a mut SegmentMarks,
     /// Per-phase traffic spans + semantic counters; every charge lands
     /// in the span of the current `phase`.
     spans: &'a mut PhaseSpans,
@@ -110,12 +119,14 @@ impl<'a> BlockCtx<'a> {
         cfg: &KernelConfig,
         spans: &'a mut PhaseSpans,
         shared: &'a mut [u32],
+        marks: &'a mut SegmentMarks,
         l1_per_block: bool,
     ) -> Self {
         BlockCtx {
             block_id,
             threads: cfg.threads_per_block,
             shared,
+            marks,
             spans,
             phase: Phase::Other,
             l1: l1_per_block.then(HashSet::new),
@@ -190,11 +201,11 @@ impl<'a> BlockCtx<'a> {
         self.traffic().global_read_segments += segs;
     }
 
-    /// Charge the read transactions for one warp's gather,
+    /// Charge the read transactions for one warp's gather from `buf`,
     /// deduplicating against the block's L1 when modeled.
-    fn charge_gather_read(&mut self, addrs: &[u64], width: u64) {
+    fn charge_gather_read<T: Scalar>(&mut self, buf: &GlobalBuffer<T>, addrs: &[u64], width: u64) {
         let segs = match &mut self.l1 {
-            None => segments_for_gather(addrs, width),
+            None => self.marks.count(buf, addrs, width),
             Some(cache) => gather_segments(addrs, width)
                 .into_iter()
                 .filter(|&seg| cache.insert(seg))
@@ -313,21 +324,59 @@ impl<'a> BlockCtx<'a> {
             *slots.next().expect("one output slot per index") = buf.get(i);
             lanes += 1;
             if lanes == WARP_SIZE {
-                self.charge_gather_read(&addrs, width);
+                self.charge_gather_read(buf, &addrs, width);
                 lanes = 0;
             }
         }
         if lanes > 0 {
-            self.charge_gather_read(&addrs[..lanes], width);
+            self.charge_gather_read(buf, &addrs[..lanes], width);
         }
         debug_assert!(slots.next().is_none(), "one index per output slot");
+    }
+
+    /// One warp's predicated gather: lane `l` takes part iff bit `l` of
+    /// the ballot word `lanes` is set, and then reads
+    /// `buf[indices[l]]` into `out[l]`. The other lanes issue nothing
+    /// and leave their `out` slots alone; a warp with no live lane
+    /// costs nothing. Transactions = distinct segments the live lanes
+    /// touch. `indices` and `out` cover the same (at most 32) lanes and
+    /// `lanes` has no bit past them.
+    pub fn warp_gather_masked<T: Scalar>(
+        &mut self,
+        buf: &GlobalBuffer<T>,
+        lanes: u32,
+        indices: &[usize],
+        out: &mut [T],
+    ) {
+        debug_assert!(indices.len() <= WARP_SIZE && indices.len() == out.len());
+        if lanes == 0 {
+            return;
+        }
+        let mut addrs = [0u64; WARP_SIZE];
+        let mut live = 0;
+        if lanes == u32::MAX && indices.len() == WARP_SIZE {
+            // Every lane live: a straight loop, no bit walk.
+            for ((a, o), &i) in addrs.iter_mut().zip(out.iter_mut()).zip(indices) {
+                *a = buf.addr_of(i);
+                *o = buf.get(i);
+            }
+            live = WARP_SIZE;
+        } else {
+            for l in live_lanes(&[lanes]) {
+                addrs[live] = buf.addr_of(indices[l]);
+                out[l] = buf.get(indices[l]);
+                live += 1;
+            }
+        }
+        self.charge_gather_read(buf, &addrs[..live], T::BYTES);
     }
 
     /// One warp scatters up to 32 `(index, value)` pairs; transactions =
     /// distinct segments touched.
     pub fn warp_scatter<T: Scalar>(&mut self, buf: &mut GlobalBuffer<T>, writes: &[(usize, T)]) {
         for chunk in writes.chunks(WARP_SIZE) {
-            let segs = segments_for_gather(lane_addrs(buf, chunk, &mut [0; WARP_SIZE]), T::BYTES);
+            let addrs = lane_addrs(buf, chunk);
+            let segs = self.marks.count(buf, &addrs[..chunk.len()], T::BYTES);
             self.traffic().global_write_segments += segs;
             for &(i, v) in chunk {
                 buf.put(i, v);
@@ -339,7 +388,8 @@ impl<'a> BlockCtx<'a> {
     /// `atomicAdd` on global memory: a read plus a write per segment).
     pub fn warp_atomic_add_u64(&mut self, buf: &mut GlobalBuffer<u64>, updates: &[(usize, u64)]) {
         for chunk in updates.chunks(WARP_SIZE) {
-            let segs = segments_for_gather(lane_addrs(buf, chunk, &mut [0; WARP_SIZE]), 8);
+            let addrs = lane_addrs(buf, chunk);
+            let segs = self.marks.count(buf, &addrs[..chunk.len()], 8);
             let traffic = self.traffic();
             traffic.global_read_segments += segs;
             traffic.global_write_segments += segs;
@@ -410,17 +460,41 @@ impl<'a> BlockCtx<'a> {
     }
 }
 
-/// Byte addresses of one warp's `(index, value)` lanes, written into the
-/// caller's stack array.
-fn lane_addrs<'s, T: Scalar>(
-    buf: &GlobalBuffer<T>,
-    lanes: &[(usize, T)],
-    addrs: &'s mut [u64; WARP_SIZE],
-) -> &'s [u64] {
+/// Byte addresses of one warp's `(index, value)` lanes; the first
+/// `lanes.len()` entries are meaningful.
+fn lane_addrs<T: Scalar>(buf: &GlobalBuffer<T>, lanes: &[(usize, T)]) -> [u64; WARP_SIZE] {
+    let mut addrs = [0u64; WARP_SIZE];
     for (a, &(i, _)) in addrs.iter_mut().zip(lanes) {
         *a = buf.addr_of(i);
     }
-    &addrs[..lanes.len()]
+    addrs
+}
+
+/// The lanes a selection keeps, in ascending order. A selection is a
+/// slice of ballot words, one `u32` per warp of [`WARP_SIZE`] lanes:
+/// bit `l` of word `w` is lane `32 * w + l`. Dead warps cost one
+/// compare; live lanes are found by `trailing_zeros`.
+pub fn live_lanes(words: &[u32]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let lane = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * WARP_SIZE + lane
+            })
+        })
+    })
+}
+
+/// Overwrite `words` with the selection that keeps all of `n` lanes:
+/// full words, then a final partial word whose bits past `n` are zero.
+pub fn all_lanes(n: usize, words: &mut Vec<u32>) {
+    words.clear();
+    words.resize(n / WARP_SIZE, u32::MAX);
+    if n % WARP_SIZE != 0 {
+        words.push((1u32 << (n % WARP_SIZE)) - 1);
+    }
 }
 
 #[cfg(test)]
@@ -468,6 +542,121 @@ mod tests {
             let _ = blk.warp_gather(&buf, &idx);
         });
         assert_eq!(report.traffic.global_read_segments, 32);
+    }
+
+    #[test]
+    fn masked_gather_reads_only_live_lanes() {
+        let dev = Device::v100();
+        let data: Vec<u32> = (0..32 * 64).collect();
+        let buf = dev.alloc_from_slice(&data);
+        let idx: Vec<usize> = (0..32).map(|i| i * 64).collect();
+        for (lanes, segments) in [(0u32, 0), (1 << 7, 1), (0x8000_0101, 3), (u32::MAX, 32)] {
+            let mut out = [u32::MAX; 32];
+            let report = dev.launch(KernelConfig::new("k", 1, 32), |blk| {
+                blk.warp_gather_masked(&buf, lanes, &idx, &mut out);
+            });
+            assert_eq!(report.traffic.global_read_segments, segments, "{lanes:#x}");
+            for (l, &v) in out.iter().enumerate() {
+                let want = if lanes >> l & 1 == 1 {
+                    (l * 64) as u32
+                } else {
+                    u32::MAX
+                };
+                assert_eq!(v, want, "{lanes:#x} lane {l}");
+            }
+        }
+        // A partial warp: eleven lanes, every second one live.
+        let mut out = [0u32; 11];
+        let report = dev.launch(KernelConfig::new("k", 1, 32), |blk| {
+            blk.warp_gather_masked(&buf, 0b101_0101_0101, &idx[..11], &mut out);
+        });
+        assert_eq!(report.traffic.global_read_segments, 6);
+        assert_eq!(out[10], 640);
+        assert_eq!(out[9], 0);
+    }
+
+    #[test]
+    fn ballot_words_enumerate_their_lanes() {
+        let mut words = vec![7; 3];
+        for n in [0usize, 1, 31, 32, 33, 511, 512] {
+            all_lanes(n, &mut words);
+            assert_eq!(words.len(), n.div_ceil(WARP_SIZE), "n = {n}");
+            assert!(live_lanes(&words).eq(0..n), "n = {n}");
+        }
+        let picked: Vec<usize> = live_lanes(&[0, 0x8000_0001, 0, 0b110]).collect();
+        assert_eq!(picked, [32, 63, 97, 98]);
+    }
+
+    /// One worker runs every block of these launches, so its mark map
+    /// carries over from block to block and from a large buffer to a
+    /// small one: every block's count must still match the sorted list.
+    #[test]
+    fn a_reused_worker_counts_every_block_like_the_oracle() {
+        use tlc_rng::Rng;
+        let _guard = crate::threads::TEST_OVERRIDE_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        crate::threads::set_sim_threads_override(Some(1));
+        let dev = Device::v100();
+        let big = dev.alloc_zeroed::<u32>(1 << 20);
+        let small = dev.alloc_zeroed::<u32>(100);
+        let mut sums = dev.alloc_zeroed::<u64>(4096);
+        let mut cells = dev.alloc_zeroed::<u32>(4096);
+        let blocks = 64;
+        let plan: Vec<(Vec<usize>, Vec<usize>)> = {
+            let mut rng = Rng::seed_from_u64(0x5E6_0002);
+            (0..blocks)
+                .map(|_| {
+                    let lanes = rng.gen_range(0usize..=WARP_SIZE);
+                    (
+                        (0..lanes).map(|_| rng.gen_range(0usize..1 << 20)).collect(),
+                        (0..lanes).map(|_| rng.gen_range(0usize..100)).collect(),
+                    )
+                })
+                .collect()
+        };
+        let addrs = |buf: &GlobalBuffer<u32>, idx: &[usize]| -> Vec<u64> {
+            idx.iter().map(|&i| buf.addr_of(i)).collect()
+        };
+        let want_reads: u64 = plan
+            .iter()
+            .map(|(b, s)| {
+                gather_segments(&addrs(&big, b), 8).len()
+                    + gather_segments(&addrs(&small, s), 4).len()
+            })
+            .sum::<usize>() as u64;
+        let report = dev
+            .try_launch_par(
+                KernelConfig::new("k", blocks, 32),
+                || (),
+                |(), blk| {
+                    let (b, s) = &plan[blk.block_id()];
+                    blk.warp_gather_wide(&big, b, 8);
+                    blk.warp_gather(&small, s);
+                },
+                |blk, block_id, ()| {
+                    // The merge contexts share one map of their own.
+                    let lane = block_id * 61 % 4096;
+                    blk.warp_atomic_add_u64(&mut sums, &[(lane, 1), (lane, 1), (4095 - lane, 1)]);
+                    blk.warp_scatter(&mut cells, &[(lane, 1), (0, 2)]);
+                },
+            )
+            .expect("no faults armed");
+        crate::threads::set_sim_threads_override(None);
+        let atomics: u64 = (0..blocks)
+            .map(|b| {
+                let lane = b * 61 % 4096;
+                let idx = [lane, lane, 4095 - lane];
+                gather_segments(&idx.map(|i| sums.addr_of(i)), 8).len() as u64
+            })
+            .sum();
+        let scatters: u64 = (0..blocks)
+            .map(|b| {
+                gather_segments(&[cells.addr_of(b * 61 % 4096), cells.addr_of(0)], 4).len() as u64
+            })
+            .sum();
+        assert_eq!(report.traffic.global_read_segments, want_reads + atomics);
+        assert_eq!(report.traffic.global_write_segments, atomics + scatters);
     }
 
     #[test]

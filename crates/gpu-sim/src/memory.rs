@@ -149,8 +149,8 @@ pub fn segments_for_range(addr: u64, bytes: u64) -> u64 {
 /// An element may straddle one segment boundary, not more: `width` must
 /// not exceed [`SEGMENT_BYTES`]. This allocating form is for callers
 /// that need the *list* (the per-block L1 model inserts each segment
-/// into its set) and is the oracle [`segments_for_gather`] is tested
-/// against; plain counting goes through [`segments_for_gather`].
+/// into its set) and is the oracle [`SegmentMarks::count`] is tested
+/// against; plain counting goes through [`SegmentMarks::count`].
 pub fn gather_segments(addrs: &[u64], width: u64) -> Vec<u64> {
     debug_assert!(addrs.len() <= WARP_SIZE, "gather must be per-warp");
     debug_assert!(
@@ -169,54 +169,76 @@ pub fn gather_segments(addrs: &[u64], width: u64) -> Vec<u64> {
     segs
 }
 
-/// Slots of the segment set in [`segments_for_gather`]: one warp touches
-/// at most `WARP_SIZE` elements × 2 segments, and one `u64` holds the
-/// occupancy bits.
-const SEGMENT_SET_SLOTS: usize = 2 * WARP_SIZE;
-const _: () = assert!(SEGMENT_SET_SLOTS == u64::BITS as usize);
+/// A worker's segment mark map: how one warp instruction's transaction
+/// count — the distinct 128-byte segments its lanes touch — is taken.
+///
+/// This is the coalescing rule: accesses from one warp that fall into
+/// the same segment are combined into a single transaction; an element
+/// that straddles a segment boundary touches both.
+///
+/// Every warp collective holds the [`GlobalBuffer`] it addresses, so a
+/// segment is named by its offset from the buffer's first segment and
+/// the map is one byte per segment of the largest buffer seen so far
+/// (1/128 of its size, grown on demand, never shrunk). A count marks
+/// each lane's segment(s), adds one for every byte that was clear, and
+/// clears the same bytes again, so the map is all zeros between warps.
+/// It is O(lanes) with no hashing, probing or sorting — and a *byte*
+/// per segment rather than a bit: the lanes of a warp often fall into
+/// a handful of adjacent segments, and 32 read-modify-writes of one
+/// word serialise on store forwarding where 32 byte stores do not.
+#[derive(Debug, Default)]
+pub(crate) struct SegmentMarks {
+    marks: Vec<u8>,
+}
 
-/// Number of distinct 128-byte segments touched by a warp-sized gather
-/// of `width`-byte elements (`width <= SEGMENT_BYTES`) at the given
-/// byte addresses.
-///
-/// This is the coalescing rule: accesses from one warp that fall into the
-/// same segment are combined into a single transaction; an element that
-/// straddles a segment boundary touches both.
-///
-/// Runs once per simulated warp instruction, so it neither allocates
-/// nor sorts: segments go into a warp-sized open-addressing set on the
-/// stack (an occupancy bitmask plus the keys), which is O(lanes).
-pub fn segments_for_gather(addrs: &[u64], width: u64) -> u64 {
-    debug_assert!(addrs.len() <= WARP_SIZE, "gather must be per-warp");
-    debug_assert!(
-        width <= SEGMENT_BYTES,
-        "an element spans at most two segments"
-    );
-    let mut keys = [0u64; SEGMENT_SET_SLOTS];
-    let mut occupied = 0u64;
-    let mut insert = |seg: u64| {
-        // Fibonacci hashing onto the 64 slots, then linear probing past
-        // other segments. The walk ends on a free slot or on this
-        // segment's own, and either way the slot then holds it. At most
-        // 64 segments are ever offered, so one of the two exists.
-        let mut slot = (seg.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize;
-        while occupied & (1 << slot) != 0 && keys[slot] != seg {
-            slot = (slot + 1) % SEGMENT_SET_SLOTS;
+impl SegmentMarks {
+    /// Distinct segments touched by one warp's lanes reading or writing
+    /// `width` bytes (`width <= SEGMENT_BYTES`) at byte addresses
+    /// `addrs`, every one of which lies inside `buf` (a wide read may
+    /// run up to `width` bytes past its end).
+    pub(crate) fn count<T: Scalar>(
+        &mut self,
+        buf: &GlobalBuffer<T>,
+        addrs: &[u64],
+        width: u64,
+    ) -> u64 {
+        debug_assert!(addrs.len() <= WARP_SIZE, "gather must be per-warp");
+        debug_assert!(
+            width <= SEGMENT_BYTES,
+            "an element spans at most two segments"
+        );
+        let first_seg = buf.base / SEGMENT_BYTES;
+        let end = buf.base + buf.size_bytes() + width;
+        let span = (end / SEGMENT_BYTES - first_seg + 1) as usize;
+        if self.marks.len() < span {
+            self.marks.resize(span, 0);
         }
-        occupied |= 1 << slot;
-        keys[slot] = seg;
-    };
-    for &a in addrs {
-        let first = a / SEGMENT_BYTES;
-        insert(first);
-        if width > 0 {
-            let last = (a + width - 1) / SEGMENT_BYTES;
-            if last != first {
-                insert(last);
-            }
+        // A lane's first and last segment (the same one unless the
+        // element straddles a boundary; a zero-width access has only a
+        // first).
+        let reach = width.saturating_sub(1);
+        let lane = |a: u64| {
+            (
+                (a / SEGMENT_BYTES - first_seg) as usize,
+                ((a + reach) / SEGMENT_BYTES - first_seg) as usize,
+            )
+        };
+        let marks = &mut self.marks[..span];
+        let mut distinct = 0u64;
+        for &a in addrs {
+            let (first, last) = lane(a);
+            distinct += u64::from(marks[first] == 0);
+            marks[first] = 1;
+            distinct += u64::from(marks[last] == 0);
+            marks[last] = 1;
         }
+        for &a in addrs {
+            let (first, last) = lane(a);
+            marks[first] = 0;
+            marks[last] = 0;
+        }
+        distinct
     }
-    u64::from(occupied.count_ones())
 }
 
 #[cfg(test)]
@@ -246,29 +268,43 @@ mod tests {
         assert_eq!(segments_for_range(512, 0), 0);
     }
 
+    /// A byte buffer at `base`: every byte address in it is an element
+    /// address, so the tests can aim a lane anywhere.
+    fn bytes_at(base: u64, len: usize) -> GlobalBuffer<u8> {
+        GlobalBuffer::new(base, vec![0; len])
+    }
+
+    /// Count through a fresh map.
+    fn count(buf: &GlobalBuffer<u8>, addrs: &[u64], width: u64) -> u64 {
+        SegmentMarks::default().count(buf, addrs, width)
+    }
+
     #[test]
     fn gather_broadcast_is_one_segment() {
-        let addrs = [4096u64; 32];
-        assert_eq!(segments_for_gather(&addrs, 4), 1);
+        let buf = bytes_at(4096, 1024);
+        assert_eq!(count(&buf, &[4096 + 40; 32], 4), 1);
     }
 
     #[test]
     fn gather_contiguous_u32_warp_is_one_segment() {
+        let buf = bytes_at(4096, 1024);
         let addrs: Vec<u64> = (0..32).map(|i| 4096 + i * 4).collect();
-        assert_eq!(segments_for_gather(&addrs, 4), 1);
+        assert_eq!(count(&buf, &addrs, 4), 1);
     }
 
     #[test]
     fn gather_strided_is_fully_diverged() {
         // 128-byte stride: every lane in its own segment.
-        let addrs: Vec<u64> = (0..32).map(|i| i * 128).collect();
-        assert_eq!(segments_for_gather(&addrs, 4), 32);
+        let buf = bytes_at(4096, 32 * 128);
+        let addrs: Vec<u64> = (0..32).map(|i| 4096 + i * 128).collect();
+        assert_eq!(count(&buf, &addrs, 4), 32);
     }
 
     #[test]
     fn gather_straddling_counts_both_segments() {
         // One 8-byte element crossing a segment boundary.
-        assert_eq!(segments_for_gather(&[124], 8), 2);
+        let buf = bytes_at(4096, 1024);
+        assert_eq!(count(&buf, &[4096 + 124], 8), 2);
     }
 
     #[test]
@@ -278,24 +314,56 @@ mod tests {
         // have middle segments neither counter looks at, hence the
         // `width <= SEGMENT_BYTES` contract.
         assert_eq!(gather_segments(&[64], SEGMENT_BYTES), vec![0, 1]);
-        assert_eq!(segments_for_gather(&[64], SEGMENT_BYTES), 2);
-        assert_eq!(segments_for_gather(&[128], SEGMENT_BYTES), 1);
+        let buf = bytes_at(4096, 1024);
+        assert_eq!(count(&buf, &[4096 + 64], SEGMENT_BYTES), 2);
+        assert_eq!(count(&buf, &[4096 + 128], SEGMENT_BYTES), 1);
     }
 
-    /// The sort-free counter against the sorted list, over seeded random
-    /// warps of every shape the kernels issue and the shapes that stress
-    /// the set.
     #[test]
-    fn gather_count_matches_sorted_list_on_random_warps() {
+    fn a_wide_read_of_the_last_element_may_straddle_past_the_buffer() {
+        // The buffer ends four bytes short of a segment boundary and
+        // the last lane reads an 8-byte window from its final element:
+        // the second segment lies wholly outside the allocation.
+        let mut marks = SegmentMarks::default();
+        for base in [4096u64, 4096 + 256, u64::MAX / 2 + 1] {
+            for segments in [1u64, 2, 33] {
+                let buf = bytes_at(base, (segments * SEGMENT_BYTES - 3) as usize);
+                let last = base + buf.size_bytes() - 1;
+                let addrs = [base, last, last];
+                assert_eq!(
+                    marks.count(&buf, &addrs, 8),
+                    gather_segments(&addrs, 8).len() as u64,
+                    "base {base}, {segments} segment(s)"
+                );
+            }
+        }
+    }
+
+    /// The mark map against the sorted list, over seeded random warps
+    /// of every shape the kernels issue, aimed at buffers small and
+    /// large, near and far. One map serves every warp, and every warp
+    /// is counted twice back to back: a mark left behind would lower
+    /// the second count.
+    #[test]
+    fn mark_map_count_matches_sorted_list_on_random_warps() {
         use tlc_rng::Rng;
         let mut rng = Rng::seed_from_u64(0x5E6_0001);
-        let far = u64::MAX / 2 - 1_000_000;
+        let table = 1usize << 24;
+        let buffers = [
+            bytes_at(4096, table),
+            bytes_at(u64::MAX / 2 + 1 - 256, table),
+            // Ends mid-segment: the last elements straddle out of it.
+            bytes_at(4096 + 256, 128 * SEGMENT_BYTES as usize - 3),
+        ];
+        let mut marks = SegmentMarks::default();
         let mut worst = 0;
         for round in 0..4_000 {
+            let buf = &buffers[rng.gen_range(0usize..buffers.len())];
             let lanes = rng.gen_range(0usize..=WARP_SIZE);
             let width = [0u64, 1, 4, 8][rng.gen_range(0usize..4)];
-            let base = if rng.gen_bool(0.25) { far } else { 4096 } + rng.gen_range(0u64..256);
-            let addrs: Vec<u64> = match round % 6 {
+            let room = buf.size_bytes() - 2 * WARP_SIZE as u64 * SEGMENT_BYTES;
+            let base = buf.addr_of(0) + rng.gen_range(0u64..256);
+            let addrs: Vec<u64> = match round % 7 {
                 // Broadcast.
                 0 => vec![base; lanes],
                 // Contiguous elements.
@@ -313,17 +381,21 @@ mod tests {
                 4 => (0..lanes)
                     .map(|_| base + rng.gen_range(0u64..1024))
                     .collect(),
-                // Random over a large table (a hash probe).
-                _ => (0..lanes)
-                    .map(|_| base + rng.gen_range(0u64..1 << 24))
+                // The buffer's last bytes, wide reads running off its end.
+                5 => (0..lanes)
+                    .map(|_| buf.addr_of(buf.len() - 1) - rng.gen_range(0u64..16))
                     .collect(),
+                // Random over the whole table (a hash probe).
+                _ => (0..lanes).map(|_| base + rng.gen_range(0..room)).collect(),
             };
             let want = gather_segments(&addrs, width).len() as u64;
-            assert_eq!(
-                segments_for_gather(&addrs, width),
-                want,
-                "round {round}: width {width}, addrs {addrs:?}"
-            );
+            for pass in ["first", "repeated"] {
+                assert_eq!(
+                    marks.count(buf, &addrs, width),
+                    want,
+                    "round {round} ({pass}): width {width}, addrs {addrs:?}"
+                );
+            }
             worst = worst.max(want);
         }
         assert_eq!(
@@ -331,6 +403,11 @@ mod tests {
             2 * WARP_SIZE as u64,
             "the 64-segment case was generated"
         );
+        assert!(
+            marks.marks.len() >= table / SEGMENT_BYTES as usize,
+            "the map grew to the largest buffer"
+        );
+        assert!(marks.marks.iter().all(|&m| m == 0), "left clean");
     }
 
     #[test]
