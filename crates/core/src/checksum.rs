@@ -18,9 +18,16 @@
 //! encodings of the same data stay bit-identical (`PartialEq`), and the
 //! metadata pinned against the paper's Section 9.2 overhead figures
 //! ([`crate::GpuFor::compressed_bytes`] et al.) is unchanged.
+//!
+//! One digest is a dependent chain (each step waits on the previous
+//! multiply), but the digests of different blocks are independent — on
+//! the device each is its own warp. [`fnv1a_lockstep`] therefore
+//! advances [`LOCKSTEP`] blocks' chains together, which is how every
+//! many-block digest here (tile verification, `block_checksums`) runs.
 
 use tlc_gpu_sim::BlockCtx;
 
+use crate::format::MAX_D;
 use crate::gpu_dfor::GpuDFor;
 use crate::gpu_for::GpuFor;
 use crate::gpu_rfor::GpuRFor;
@@ -47,24 +54,91 @@ pub fn fnv1a(words: &[u32]) -> u32 {
     fnv1a_continue(FNV_OFFSET, words)
 }
 
-/// **Device function**: digest `len` staged shared-memory words at word
-/// offset `off`, charging one shared read plus ~2 integer ops per word
-/// (xor + multiply).
-pub fn staged_checksum(ctx: &mut BlockCtx<'_>, off: usize, len: usize) -> u32 {
+/// Chains [`fnv1a_lockstep`] advances together: enough independent
+/// multiplies in flight to hide one chain's latency.
+pub const LOCKSTEP: usize = 4;
+
+/// Continue one FNV-1a digest per block: `states[i]` advances over
+/// `block(i)`, exactly as [`fnv1a_continue`] would. Blocks are taken
+/// [`LOCKSTEP`] at a time and stepped together over their common
+/// length; each ragged tail (and a final group of fewer blocks) then
+/// finishes on its own.
+pub fn fnv1a_lockstep<'a>(states: &mut [u32], block: impl Fn(usize) -> &'a [u32]) {
+    for (g, group) in states.chunks_mut(LOCKSTEP).enumerate() {
+        let first = g * LOCKSTEP;
+        let [h0, h1, h2, h3] = group else {
+            for (i, h) in group.iter_mut().enumerate() {
+                *h = fnv1a_continue(*h, block(first + i));
+            }
+            continue;
+        };
+        let (a, b, c, d) = (
+            block(first),
+            block(first + 1),
+            block(first + 2),
+            block(first + 3),
+        );
+        let common = a.len().min(b.len()).min(c.len()).min(d.len());
+        let (mut s0, mut s1, mut s2, mut s3) = (*h0, *h1, *h2, *h3);
+        for (((&w0, &w1), &w2), &w3) in a[..common]
+            .iter()
+            .zip(&b[..common])
+            .zip(&c[..common])
+            .zip(&d[..common])
+        {
+            s0 = (s0 ^ w0).wrapping_mul(FNV_PRIME);
+            s1 = (s1 ^ w1).wrapping_mul(FNV_PRIME);
+            s2 = (s2 ^ w2).wrapping_mul(FNV_PRIME);
+            s3 = (s3 ^ w3).wrapping_mul(FNV_PRIME);
+        }
+        *h0 = fnv1a_continue(s0, &a[common..]);
+        *h1 = fnv1a_continue(s1, &b[common..]);
+        *h2 = fnv1a_continue(s2, &c[common..]);
+        *h3 = fnv1a_continue(s3, &d[common..]);
+    }
+}
+
+/// **Device function**: verify staged blocks against their stored
+/// checksums. Block `i` is the `(word offset, length)` range
+/// `range(i)` of shared memory and must digest to `expected[i]`;
+/// `Err(i)` names the first block that does not.
+///
+/// Charged as the warps of a tile verifying in block order: one shared
+/// read plus ~2 integer ops (xor + multiply) per word of every block up
+/// to and including the first bad one.
+pub fn verify_staged(
+    ctx: &mut BlockCtx<'_>,
+    expected: &[u32],
+    range: impl Fn(usize) -> (usize, usize),
+) -> Result<(), usize> {
+    debug_assert!(expected.len() <= MAX_D);
     let (shared, traffic) = ctx.shared_and_traffic();
-    traffic.shared_bytes += len as u64 * 4;
-    traffic.int_ops += len as u64 * 2;
-    fnv1a(&shared[off..off + len])
+    let mut digests = [FNV_OFFSET; MAX_D];
+    let digests = &mut digests[..expected.len()];
+    fnv1a_lockstep(digests, |i| {
+        let (off, len) = range(i);
+        &shared[off..off + len]
+    });
+    let bad = digests
+        .iter()
+        .zip(expected)
+        .position(|(got, want)| got != want);
+    let checked = bad.map_or(expected.len(), |i| i + 1);
+    let words: u64 = (0..checked).map(|i| range(i).1 as u64).sum();
+    traffic.shared_bytes += words * 4;
+    traffic.int_ops += words * 2;
+    bad.map_or(Ok(()), Err)
 }
 
 impl GpuFor {
     /// One checksum per 128-value block, over the block's words
     /// `data[block_starts[b]..block_starts[b + 1]]`.
     pub fn block_checksums(&self) -> Vec<u32> {
-        self.block_starts
-            .windows(2)
-            .map(|w| fnv1a(&self.data[w[0] as usize..w[1] as usize]))
-            .collect()
+        let mut sums = vec![FNV_OFFSET; self.blocks()];
+        fnv1a_lockstep(&mut sums, |b| {
+            &self.data[self.block_starts[b] as usize..self.block_starts[b + 1] as usize]
+        });
+        sums
     }
 }
 
@@ -77,17 +151,16 @@ impl GpuDFor {
         let blocks = self.blocks();
         let cover_start =
             |b: usize| self.block_starts[b] as usize - usize::from(b.is_multiple_of(self.d));
-        (0..blocks)
-            .map(|b| {
-                let lo = cover_start(b);
-                let hi = if b + 1 == blocks {
-                    self.data.len()
-                } else {
-                    cover_start(b + 1)
-                };
-                fnv1a(&self.data[lo..hi])
-            })
-            .collect()
+        let mut sums = vec![FNV_OFFSET; blocks];
+        fnv1a_lockstep(&mut sums, |b| {
+            let hi = if b + 1 == blocks {
+                self.data.len()
+            } else {
+                cover_start(b + 1)
+            };
+            &self.data[cover_start(b)..hi]
+        });
+        sums
     }
 }
 
@@ -95,20 +168,14 @@ impl GpuRFor {
     /// One checksum per 512-value logical block, chained over the
     /// block's values-stream words then its lengths-stream words.
     pub fn block_checksums(&self) -> Vec<u32> {
-        (0..self.blocks())
-            .map(|b| {
-                let (vs, ve) = (
-                    self.values_starts[b] as usize,
-                    self.values_starts[b + 1] as usize,
-                );
-                let (ls, le) = (
-                    self.lengths_starts[b] as usize,
-                    self.lengths_starts[b + 1] as usize,
-                );
-                let h = fnv1a(&self.values_data[vs..ve]);
-                fnv1a_continue(h, &self.lengths_data[ls..le])
-            })
-            .collect()
+        let mut sums = vec![FNV_OFFSET; self.blocks()];
+        fnv1a_lockstep(&mut sums, |b| {
+            &self.values_data[self.values_starts[b] as usize..self.values_starts[b + 1] as usize]
+        });
+        fnv1a_lockstep(&mut sums, |b| {
+            &self.lengths_data[self.lengths_starts[b] as usize..self.lengths_starts[b + 1] as usize]
+        });
+        sums
     }
 }
 
@@ -139,6 +206,140 @@ mod tests {
             fnv1a(&words),
             fnv1a_continue(fnv1a(&words[..2]), &words[2..])
         );
+    }
+
+    /// Seeded ragged blocks: lengths 0..40 with zeros forced in.
+    fn ragged_blocks(rng: &mut tlc_rng::Rng, d: usize) -> Vec<Vec<u32>> {
+        (0..d)
+            .map(|_| {
+                let len = if rng.gen_bool(0.15) {
+                    0
+                } else {
+                    rng.gen_range(0usize..40)
+                };
+                (0..len).map(|_| rng.next_u64() as u32).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lockstep_matches_the_serial_digest_for_every_depth() {
+        let mut rng = tlc_rng::Rng::seed_from_u64(0xF1A_0001);
+        for d in 1..=MAX_D {
+            let blocks = ragged_blocks(&mut rng, d);
+            let seeds: Vec<u32> = (0..d).map(|_| rng.next_u64() as u32).collect();
+            for start in [vec![FNV_OFFSET; d], seeds] {
+                let mut got = start.clone();
+                fnv1a_lockstep(&mut got, |i| &blocks[i]);
+                let want: Vec<u32> = start
+                    .iter()
+                    .zip(&blocks)
+                    .map(|(&h, b)| fnv1a_continue(h, b))
+                    .collect();
+                assert_eq!(got, want, "d = {d}");
+            }
+        }
+    }
+
+    /// One staged verify of `blocks` laid end to end in shared memory:
+    /// the verdict and the shared bytes / int ops it charged.
+    fn verify(blocks: &[Vec<u32>], expected: &[u32]) -> (Result<(), usize>, u64, u64) {
+        use tlc_gpu_sim::{Device, KernelConfig};
+        let words: Vec<u32> = blocks.concat();
+        let mut offs = vec![0usize];
+        for b in blocks {
+            offs.push(offs.last().expect("seeded") + b.len());
+        }
+        let dev = Device::v100();
+        let mut verdict = Ok(());
+        let cfg = KernelConfig::new("verify", 1, 128).smem_per_block(words.len() * 4 + 4);
+        let report = dev.launch(cfg, |ctx| {
+            ctx.shared_mut()[..words.len()].copy_from_slice(&words);
+            verdict = verify_staged(ctx, expected, |i| (offs[i], offs[i + 1] - offs[i]));
+        });
+        (verdict, report.traffic.shared_bytes, report.traffic.int_ops)
+    }
+
+    #[test]
+    fn staged_verify_names_the_first_bad_block_and_charges_up_to_it() {
+        let mut rng = tlc_rng::Rng::seed_from_u64(0xF1A_0002);
+        for d in 1..=MAX_D {
+            let mut blocks = ragged_blocks(&mut rng, d);
+            for b in &mut blocks {
+                // A block needs a word to flip.
+                b.push(rng.next_u64() as u32);
+            }
+            let expected: Vec<u32> = blocks.iter().map(|b| fnv1a(b)).collect();
+            let words_through = |i: usize| blocks[..=i].iter().map(Vec::len).sum::<usize>() as u64;
+            let (clean, shared, ops) = verify(&blocks, &expected);
+            assert_eq!(clean, Ok(()), "d = {d}");
+            assert_eq!(
+                (shared, ops),
+                (words_through(d - 1) * 4, words_through(d - 1) * 2)
+            );
+            // Every block position at shallow depths, three per deep one.
+            let positions: Vec<usize> = if d <= 12 {
+                (0..d).collect()
+            } else {
+                vec![0, rng.gen_range(1..d - 1), d - 1]
+            };
+            for bad in positions {
+                let mut dirty = blocks.clone();
+                let w = rng.gen_range(0..dirty[bad].len());
+                dirty[bad][w] ^= 1 << rng.gen_range(0u32..32);
+                // A later block damaged too: serial order stops first.
+                if bad + 1 < d {
+                    dirty[d - 1][0] ^= 1;
+                }
+                let (verdict, shared, ops) = verify(&dirty, &expected);
+                assert_eq!(verdict, Err(bad), "d = {d}");
+                assert_eq!(
+                    (shared, ops),
+                    (words_through(bad) * 4, words_through(bad) * 2),
+                    "d = {d}, bad = {bad}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn block_checksums_are_the_serial_digests_of_their_ranges() {
+        // Mixed widths so neighbouring blocks differ in length; 1 100
+        // values leave a final group of fewer than LOCKSTEP blocks.
+        let values: Vec<i32> = (0..1_100).map(|i| (i / 7) << (i / 150)).collect();
+        let col = GpuFor::encode(&values);
+        let want: Vec<u32> = col
+            .block_starts
+            .windows(2)
+            .map(|w| fnv1a(&col.data[w[0] as usize..w[1] as usize]))
+            .collect();
+        assert_eq!(col.block_checksums(), want);
+
+        let col = GpuRFor::encode(&values);
+        let want: Vec<u32> = (0..col.blocks())
+            .map(|b| {
+                let v = col.values_starts[b] as usize..col.values_starts[b + 1] as usize;
+                let l = col.lengths_starts[b] as usize..col.lengths_starts[b + 1] as usize;
+                fnv1a_continue(fnv1a(&col.values_data[v]), &col.lengths_data[l])
+            })
+            .collect();
+        assert_eq!(col.block_checksums(), want);
+
+        // DFOR's ranges tile `data` exactly: chaining them in block
+        // order is the digest of the whole array.
+        let col = GpuDFor::encode_with_d(&values, 4);
+        let cover = |b: usize| col.block_starts[b] as usize - usize::from(b % 4 == 0);
+        let want: Vec<u32> = (0..col.blocks())
+            .map(|b| {
+                let hi = if b + 1 == col.blocks() {
+                    col.data.len()
+                } else {
+                    cover(b + 1)
+                };
+                fnv1a(&col.data[cover(b)..hi])
+            })
+            .collect();
+        assert_eq!(col.block_checksums(), want);
     }
 
     #[test]

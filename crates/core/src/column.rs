@@ -11,12 +11,12 @@
 //! of [`TILE`] = 512 values, which is what the Crystal integration
 //! iterates over.
 
-use tlc_gpu_sim::{BlockCtx, Device, GlobalBuffer, Phase};
+use tlc_gpu_sim::{BlockCtx, Device, GlobalBuffer, Phase, WARP_SIZE};
 
 use crate::error::DecodeError;
 use crate::format::{ForDecodeOpts, BLOCK, DEFAULT_D, RFOR_BLOCK};
 use crate::gpu_dfor::{self, GpuDFor, GpuDForDevice};
-use crate::gpu_for::{self, lanes_at, select_lanes, GpuFor, GpuForDevice};
+use crate::gpu_for::{self, select_word, word_at, GpuFor, GpuForDevice};
 use crate::gpu_rfor::{self, GpuRFor, GpuRForDevice};
 use crate::model::decode_config;
 
@@ -208,12 +208,13 @@ impl DeviceColumn {
 
     /// **Device function**: fused decode→predicate over tile `tile_id`.
     /// Decoded values stay in registers (`out`); `sel` receives the
-    /// fused selection bitmap (`sel_in ∧ pred`), and nothing is written
-    /// back to global memory.
+    /// fused selection (`sel_in ∧ pred`) as ballot words — one `u32`
+    /// per warp of 32 values, bits past the tile's logical length zero
+    /// — and nothing is written back to global memory.
     ///
     /// GPU-FOR evaluates the predicate miniblock by miniblock as it
-    /// unpacks and skips miniblocks whose 32 lanes are all dead in
-    /// `sel_in` (see [`gpu_for::load_tile_select`]); skipped lanes carry
+    /// unpacks and skips miniblocks whose word is zero in `sel_in`
+    /// (see [`gpu_for::load_tile_select`]); skipped lanes carry
     /// unspecified filler values, so callers must only consume selected
     /// lanes. GPU-DFOR and GPU-RFOR must expand their full cascade first
     /// (the delta prefix-scan and run expansion are tile-wide data
@@ -225,8 +226,8 @@ impl DeviceColumn {
         ctx: &mut BlockCtx<'_>,
         tile_id: usize,
         pred: impl Fn(i32) -> bool,
-        sel_in: Option<&[bool]>,
-        sel: &mut Vec<bool>,
+        sel_in: Option<&[u32]>,
+        sel: &mut Vec<u32>,
         out: &mut Vec<i32>,
     ) -> Result<usize, DecodeError> {
         match self {
@@ -287,26 +288,32 @@ impl DeviceColumn {
 }
 
 /// Evaluate `pred` over in-register tile values, fusing with an
-/// optional incoming bitmap (lanes past the end of `sel_in` are dead).
-/// Used by the cascaded schemes after full tile expansion, and by
-/// callers fusing a predicate over plain (uncompressed) tile loads.
+/// optional incoming selection, into one ballot word per started warp
+/// of `vals` (words missing from a short `sel_in` are dead; bits past
+/// `vals` come out zero). Used by the cascaded schemes after full tile
+/// expansion, and by callers fusing a predicate over plain
+/// (uncompressed) tile loads.
 pub fn fused_predicate(
     ctx: &mut BlockCtx<'_>,
     vals: &[i32],
     pred: impl Fn(i32) -> bool,
-    sel_in: Option<&[bool]>,
-    sel: &mut Vec<bool>,
+    sel_in: Option<&[u32]>,
+    sel: &mut Vec<u32>,
 ) {
     ctx.set_phase(Phase::Predicate);
     ctx.add_int_ops(vals.len() as u64 * 2);
     sel.clear();
-    sel.reserve(vals.len());
-    select_lanes(vals, &pred, lanes_at(sel_in, 0, vals.len()), sel);
+    sel.extend(
+        vals.chunks(WARP_SIZE)
+            .enumerate()
+            .map(|(warp, lanes)| select_word(lanes, &pred, word_at(sel_in, warp))),
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tlc_gpu_sim::live_lanes;
 
     #[test]
     fn chooser_prefers_dfor_on_sorted_data() {
@@ -376,8 +383,8 @@ mod tests {
                 let n = dcol
                     .load_tile_select(ctx, ctx.block_id(), pred, None, &mut sel, &mut tile)
                     .expect("decode");
-                assert_eq!(sel.len(), n, "{s:?} bitmap length");
-                got.extend((0..n).filter(|&i| sel[i]).map(|i| tile[i]));
+                assert_eq!(sel.len(), n.div_ceil(32), "{s:?} bitmap length");
+                got.extend(live_lanes(&sel).map(|i| tile[i]));
             });
             let want: Vec<i32> = values.iter().copied().filter(|&v| pred(v)).collect();
             assert_eq!(got, want, "{s:?}");
@@ -405,7 +412,8 @@ mod tests {
                 let n = dcol
                     .load_tile_select(ctx, t, p2, Some(&sel1), &mut sel2, &mut tile)
                     .expect("second select");
-                got.extend((0..n).filter(|&i| sel2[i]).map(|i| tile[i]));
+                assert!(live_lanes(&sel2).all(|i| i < n));
+                got.extend(live_lanes(&sel2).map(|i| tile[i]));
             });
             let want: Vec<i32> = values.iter().copied().filter(|&v| p1(v) && p2(v)).collect();
             assert_eq!(got, want, "{s:?}");

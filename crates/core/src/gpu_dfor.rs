@@ -18,7 +18,7 @@ use tlc_bitpack::unpack::{unpack_block_scan, unpack_miniblock_scan};
 use tlc_gpu_sim::scan::block_inclusive_scan_i32_from;
 use tlc_gpu_sim::{BlockCtx, Counter, Device, GlobalBuffer, Phase};
 
-use crate::checksum::staged_checksum;
+use crate::checksum::verify_staged;
 use crate::error::DecodeError;
 use crate::format::{blocks_for, Layout, BLOCK, BLOCK_HEADER_WORDS, DEFAULT_D, MAX_D, MINIBLOCK};
 use crate::gpu_for::{self, decode_block_from_shared, run_decode, tile_out, BlockPlan};
@@ -400,14 +400,15 @@ pub fn load_tile(
         first_block..first_block + tile_blocks,
         expected,
     );
-    for (i, &want) in expected.iter().enumerate() {
+    let cover_words = |i: usize| {
         let (lo, hi) = cover(i);
-        if staged_checksum(ctx, lo - stage_start, hi - lo) != want {
-            return Err(DecodeError::Corrupt {
-                scheme: SCHEME,
-                block: first_block + i,
-            });
-        }
+        (lo - stage_start, hi - lo)
+    };
+    if let Err(i) = verify_staged(ctx, expected, cover_words) {
+        return Err(DecodeError::Corrupt {
+            scheme: SCHEME,
+            block: first_block + i,
+        });
     }
     // Checksums passed; confirm each block's declared widths fill it.
     for (i, &block_start) in starts[..tile_blocks].iter().enumerate() {

@@ -17,9 +17,9 @@ use tlc_bitpack::pack::pack_miniblock;
 use tlc_bitpack::simd::{vpack_block, vunpack_block_ref};
 use tlc_bitpack::unpack::{unpack_block_ref, unpack_miniblock_ref};
 use tlc_bitpack::width::bits_for;
-use tlc_gpu_sim::{BlockCtx, Counter, Device, GlobalBuffer, KernelConfig, Phase};
+use tlc_gpu_sim::{BlockCtx, Counter, Device, GlobalBuffer, KernelConfig, Phase, WARP_SIZE};
 
-use crate::checksum::staged_checksum;
+use crate::checksum::verify_staged;
 use crate::error::DecodeError;
 use crate::format::{
     blocks_for, tiles_for, ForDecodeOpts, Layout, BLOCK, BLOCK_HEADER_WORDS, MAX_D, MINIBLOCK,
@@ -522,14 +522,15 @@ pub(crate) fn stage_tile(
         first_block..first_block + tile_blocks,
         expected,
     );
-    for (i, w) in starts.windows(2).enumerate() {
-        let (lo, hi) = (w[0] as usize, w[1] as usize);
-        if staged_checksum(ctx, lo - tile_start, hi - lo) != expected[i] {
-            return Err(DecodeError::Corrupt {
-                scheme: SCHEME,
-                block: first_block + i,
-            });
-        }
+    let block_words = |i: usize| {
+        let (lo, hi) = (starts[i] as usize, starts[i + 1] as usize);
+        (lo - tile_start, hi - lo)
+    };
+    if let Err(i) = verify_staged(ctx, expected, block_words) {
+        return Err(DecodeError::Corrupt {
+            scheme: SCHEME,
+            block: first_block + i,
+        });
     }
     // Checksums passed, so the header words are exactly what the
     // encoder wrote; confirm the declared widths are representable and
@@ -614,34 +615,36 @@ pub fn load_tile(
     Ok(tile.decoded)
 }
 
-/// The lanes of an incoming selection bitmap that cover `n` values at
-/// `pos`. `None` means every lane is live; lanes past the end of
-/// `sel_in` are dead, so the slice may come back short.
-pub(crate) fn lanes_at(sel_in: Option<&[bool]>, pos: usize, n: usize) -> Option<&[bool]> {
-    sel_in.map(|s| &s[pos.min(s.len())..(pos + n).min(s.len())])
+// A selection is one ballot word per warp of 32 lanes, and a miniblock
+// is one warp's worth of values: miniblock `m` of the tile is word `m`.
+const _: () = assert!(MINIBLOCK == WARP_SIZE);
+
+/// The incoming ballot word of the tile's warp `warp`. `None` means
+/// every lane is live; words past the end of `sel_in` are dead.
+#[inline]
+pub(crate) fn word_at(sel_in: Option<&[u32]>, warp: usize) -> u32 {
+    sel_in.map_or(u32::MAX, |s| s.get(warp).copied().unwrap_or(0))
 }
 
-/// Append the fused bitmap `lanes ∧ pred(vals)` to `sel`.
-pub(crate) fn select_lanes(
-    vals: &[i32],
-    pred: &impl Fn(i32) -> bool,
-    lanes: Option<&[bool]>,
-    sel: &mut Vec<bool>,
-) {
-    let start = sel.len();
-    sel.resize(start + vals.len(), false);
-    let out = &mut sel[start..];
-    match lanes {
-        None => {
-            for (out, &v) in out.iter_mut().zip(vals) {
-                *out = pred(v);
-            }
-        }
-        // Lanes past the end of `lanes` keep the `false` they got above.
-        Some(lanes) => {
-            for ((out, &v), &live) in out.iter_mut().zip(vals).zip(lanes) {
-                *out = live & pred(v);
-            }
+/// The fused ballot word `lanes ∧ pred(vals)` of one warp's values (at
+/// most 32; bits past `vals` come out zero).
+#[inline]
+pub(crate) fn select_word(vals: &[i32], pred: &impl Fn(i32) -> bool, lanes: u32) -> u32 {
+    debug_assert!(vals.len() <= WARP_SIZE);
+    let mut word = 0u32;
+    for (lane, &v) in vals.iter().enumerate() {
+        word |= u32::from(pred(v)) << lane;
+    }
+    word & lanes
+}
+
+/// Cut a tile's selection to its logical length: whole words past
+/// `decoded` go, and the bits past it in the last word are cleared.
+pub(crate) fn trim_selection(sel: &mut Vec<u32>, decoded: usize) {
+    sel.truncate(decoded.div_ceil(WARP_SIZE));
+    if decoded % WARP_SIZE != 0 {
+        if let Some(last) = sel.last_mut() {
+            *last &= (1u32 << (decoded % WARP_SIZE)) - 1;
         }
     }
 }
@@ -652,16 +655,20 @@ pub(crate) fn select_lanes(
 /// immediately, and emit only the selection bitmap plus the in-register
 /// values — the decompressed tile is never written back to memory.
 ///
-/// `sel_in` is an optional incoming bitmap over the tile's values (from
-/// an earlier fused predicate); a miniblock whose 32 lanes are all dead
-/// in `sel_in` is skipped without unpacking (its output lanes are
-/// zero/false fillers — callers must only consume selected lanes).
-/// Lanes past the end of `sel_in` count as dead. Liveness is decided
-/// once per miniblock (per block when lane-transposed), not per value.
+/// A selection is a slice of *ballot words*: one `u32` per warp of 32
+/// lanes, bit `l` of word `w` standing for value `32·w + l` of the
+/// tile (see [`tlc_gpu_sim::live_lanes`]). `sel_in` is an optional
+/// incoming selection (from an earlier fused predicate); a miniblock
+/// whose word is zero in `sel_in` is skipped without unpacking (its
+/// output lanes are zero fillers — callers must only consume selected
+/// lanes). Words missing from a short `sel_in` count as dead. Liveness
+/// is decided once per miniblock (`word != 0`; for a lane-transposed
+/// block, the OR of its four words), not per value.
 ///
 /// `out` receives the tile's values (selected lanes exact, dead lanes
-/// unspecified filler) and `sel` the fused bitmap; both are truncated
-/// to the tile's logical length, which is also returned.
+/// unspecified filler), truncated to the tile's logical length, which
+/// is also returned; `sel` receives the fused selection, one word per
+/// started warp of that length with the bits past it zero.
 #[allow(clippy::too_many_arguments)]
 pub fn load_tile_select(
     ctx: &mut BlockCtx<'_>,
@@ -669,14 +676,13 @@ pub fn load_tile_select(
     tile_id: usize,
     opts: ForDecodeOpts,
     pred: impl Fn(i32) -> bool,
-    sel_in: Option<&[bool]>,
-    sel: &mut Vec<bool>,
+    sel_in: Option<&[u32]>,
+    sel: &mut Vec<u32>,
     out: &mut Vec<i32>,
 ) -> Result<usize, DecodeError> {
     sel.clear();
     let tile = stage_tile(ctx, col, tile_id, opts.d)?;
-    sel.reserve(tile.tile_blocks * BLOCK);
-    let any_live = |lanes: Option<&[bool]>| lanes.is_none_or(|l| l.contains(&true));
+    sel.reserve(tile.tile_blocks * MINIBLOCKS_PER_BLOCK);
     for (b, (block_off, block_out)) in tile
         .block_offsets()
         .zip(tile_out(out, tile.tile_blocks))
@@ -687,17 +693,18 @@ pub fn load_tile_select(
             let shared = ctx.shared();
             (shared[block_off] as i32, shared[block_off + 1])
         };
+        let lanes: [u32; MINIBLOCKS_PER_BLOCK] =
+            std::array::from_fn(|m| word_at(sel_in, b * MINIBLOCKS_PER_BLOCK + m));
         let w0 = bw_word & 0xFF;
         if col.layout == Layout::Vertical && bw_word == w0.wrapping_mul(0x0101_0101) {
             // Lane-transposed block: lanes interleave every four
             // logical slots, so the skip granularity is the whole
             // block — dead only if all 128 incoming lanes are dead.
-            let lanes = lanes_at(sel_in, b * BLOCK, BLOCK);
-            if !any_live(lanes) {
+            if lanes.iter().all(|&word| word == 0) {
                 ctx.bump(Counter::MiniblocksSkipped, MINIBLOCKS_PER_BLOCK as u64);
                 ctx.add_int_ops(4 * MINIBLOCKS_PER_BLOCK as u64);
                 block_out.fill(0);
-                sel.resize(sel.len() + BLOCK, false);
+                sel.extend([0; MINIBLOCKS_PER_BLOCK]);
                 continue;
             }
             ctx.set_phase(Phase::Unpack);
@@ -716,25 +723,29 @@ pub fn load_tile_select(
             }
             ctx.set_phase(Phase::Predicate);
             ctx.add_int_ops(BLOCK as u64 * 2);
-            select_lanes(block_out, &pred, lanes, sel);
+            sel.extend(
+                block_out
+                    .chunks_exact(MINIBLOCK)
+                    .zip(lanes)
+                    .map(|(mb, word)| select_word(mb, &pred, word)),
+            );
             continue;
         }
         let table = miniblock_table(bw_word);
-        for (m, (&(offset, w), mb_out)) in table
+        for ((&(offset, w), mb_out), word) in table
             .iter()
             .zip(block_out.chunks_exact_mut(MINIBLOCK))
-            .enumerate()
+            .zip(lanes)
         {
             let mb_out: &mut [i32; MINIBLOCK] = mb_out.try_into().expect("exact miniblock");
-            let lanes = lanes_at(sel_in, b * BLOCK + m * MINIBLOCK, MINIBLOCK);
-            if !any_live(lanes) {
+            if word == 0 {
                 // Every lane is already dead: skip the unpack entirely.
                 // The two header reads and the all-dead test are the
                 // only cost; no shared-memory payload traffic.
                 ctx.bump(Counter::MiniblocksSkipped, 1);
                 ctx.add_int_ops(4);
                 mb_out.fill(0);
-                sel.resize(sel.len() + MINIBLOCK, false);
+                sel.push(0);
                 continue;
             }
             ctx.set_phase(Phase::Unpack);
@@ -750,11 +761,11 @@ pub fn load_tile_select(
             }
             ctx.set_phase(Phase::Predicate);
             ctx.add_int_ops(MINIBLOCK as u64 * 2);
-            select_lanes(mb_out, &pred, lanes, sel);
+            sel.push(select_word(mb_out, &pred, word));
         }
     }
     out.truncate(tile.decoded);
-    sel.truncate(tile.decoded);
+    trim_selection(sel, tile.decoded);
     ctx.bump(Counter::TilesDecoded, 1);
     ctx.bump(Counter::ValuesProduced, tile.decoded as u64);
     Ok(tile.decoded)

@@ -1,7 +1,7 @@
 //! Execution helpers: fused-kernel launch configuration and the
 //! materializing operator-at-a-time executor used to model OmniSci.
 
-use tlc_gpu_sim::{Device, GlobalBuffer, KernelConfig, WARP_SIZE};
+use tlc_gpu_sim::{all_lanes, live_lanes, Device, GlobalBuffer, KernelConfig, WARP_SIZE};
 
 use crate::query_column::QueryColumn;
 use crate::TILE;
@@ -117,18 +117,30 @@ pub mod materialize {
                 return;
             }
             let keys = ctx.read_coalesced(fk, lo, hi - lo);
-            let mask: Vec<bool> = match prev {
-                Some(p) => ctx
-                    .read_coalesced(p, lo, hi - lo)
-                    .iter()
-                    .map(|&m| m != 0)
-                    .collect(),
-                None => vec![true; hi - lo],
-            };
-            let mut hits = Vec::new();
-            table.probe(ctx, &keys, &mask, &mut hits);
-            let pay: Vec<i32> = hits.iter().map(|h| h.unwrap_or(0)).collect();
-            let out_mask: Vec<u8> = hits.iter().map(|h| u8::from(h.is_some())).collect();
+            // The byte mask becomes ballot words for the probe and a
+            // byte mask again on the way out; lanes that miss carry a
+            // zero payload.
+            let mut words = Vec::new();
+            match prev {
+                Some(p) => {
+                    let mask = ctx.read_coalesced(p, lo, hi - lo);
+                    words.extend(mask.chunks(WARP_SIZE).map(|lanes| {
+                        lanes
+                            .iter()
+                            .enumerate()
+                            .fold(0u32, |word, (lane, &m)| word | u32::from(m != 0) << lane)
+                    }));
+                }
+                None => all_lanes(hi - lo, &mut words),
+            }
+            let mut probed = vec![0i32; hi - lo];
+            table.probe(ctx, &keys, &mut words, &mut probed);
+            let mut pay = vec![0i32; hi - lo];
+            let mut out_mask = vec![0u8; hi - lo];
+            for lane in live_lanes(&words) {
+                pay[lane] = probed[lane];
+                out_mask[lane] = 1;
+            }
             ctx.write_coalesced(&mut payload, lo, &pay);
             ctx.write_coalesced(&mut sel, lo, &out_mask);
         });

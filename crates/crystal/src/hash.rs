@@ -90,47 +90,48 @@ impl DenseTable {
         self.slots.is_empty()
     }
 
-    /// Probe a tile of foreign keys from inside a kernel: for each
-    /// *selected* lane, gather the slot and return its payload (`None`
-    /// for misses). Unselected lanes don't issue loads — but they also
-    /// don't save transactions unless a whole warp is inactive, exactly
-    /// as on hardware.
-    pub fn probe(
-        &self,
-        ctx: &mut BlockCtx<'_>,
-        keys: &[i32],
-        selected: &[bool],
-        out: &mut Vec<Option<i32>>,
-    ) {
-        debug_assert_eq!(keys.len(), selected.len());
+    /// Probe a tile of foreign keys from inside a kernel.
+    ///
+    /// `sel` is the tile's selection as ballot words (one `u32` per
+    /// warp of 32 keys, see [`tlc_gpu_sim::live_lanes`]), updated in
+    /// place: a selected lane whose key hits keeps its bit and gets
+    /// its payload written to `pays[lane]`; a miss — a filtered-out
+    /// dimension row, or a key outside the table's range, which issues
+    /// no load at all — clears its bit. `pays` of a lane left dead is
+    /// unspecified. Words missing from a short `sel` are dead warps.
+    ///
+    /// Unselected lanes don't issue loads — but they also don't save
+    /// transactions unless a whole warp is inactive, exactly as on
+    /// hardware: a dead warp costs nothing, a live one is charged the
+    /// distinct segments its live lanes touch.
+    pub fn probe(&self, ctx: &mut BlockCtx<'_>, keys: &[i32], sel: &mut [u32], pays: &mut [i32]) {
+        debug_assert_eq!(keys.len(), pays.len());
         ctx.set_phase(Phase::Predicate);
-        out.clear();
-        out.reserve(keys.len());
-        for (kw, sw) in keys.chunks(WARP_SIZE).zip(selected.chunks(WARP_SIZE)) {
-            // The warp's active lanes, compacted: slot indices in, slot
-            // contents out, both on the stack. Compaction and expansion
-            // advance a cursor by the lane's flag instead of branching
-            // on it (selections are not predictable). A warp with no
-            // active lane issues nothing. (An unselected lane's key is
-            // filler: its index is computed, wrapping, and overwritten.)
-            let mut idx = [0usize; WARP_SIZE];
-            let mut active = 0;
-            for (&k, &s) in kw.iter().zip(sw) {
-                idx[active] = k.wrapping_sub(self.base) as usize;
-                active += usize::from(s);
+        let slots = self.slots.len();
+        for ((kw, pw), word) in keys
+            .chunks(WARP_SIZE)
+            .zip(pays.chunks_mut(WARP_SIZE))
+            .zip(sel.iter_mut())
+        {
+            if *word == 0 {
+                continue;
             }
-            let mut hits = [EMPTY; WARP_SIZE];
-            ctx.warp_gather_into(
-                &self.slots,
-                idx[..active].iter().copied(),
-                &mut hits[..active],
-            );
-            let mut next = 0;
-            out.extend(sw.iter().map(|&s| {
-                let v = hits[next];
-                next += usize::from(s);
-                (s && v != EMPTY).then_some(v)
-            }));
+            // Slot index per lane and the ballot of the lanes whose key
+            // the table covers. (An unselected lane's key is filler:
+            // its index is computed, wrapping, and never used.)
+            let mut idx = [0usize; WARP_SIZE];
+            let mut in_range = 0u32;
+            for (lane, (i, &k)) in idx.iter_mut().zip(kw).enumerate() {
+                *i = k.wrapping_sub(self.base) as u32 as usize;
+                in_range |= u32::from(*i < slots) << lane;
+            }
+            let live = *word & in_range;
+            ctx.warp_gather_masked(&self.slots, live, &idx[..kw.len()], pw);
+            let mut hit = 0u32;
+            for (lane, &p) in pw.iter().enumerate() {
+                hit |= u32::from(p != EMPTY) << lane;
+            }
+            *word = live & hit;
         }
         ctx.add_int_ops(keys.len() as u64 * 2);
     }
@@ -152,27 +153,25 @@ mod tests {
     fn probe_hits_and_misses() {
         let dev = Device::v100();
         let t = table(&dev);
-        let mut out = Vec::new();
+        let (mut sel, mut pays) = (vec![0b1111], vec![0; 4]);
         dev.launch(KernelConfig::new("probe", 1, 128), |ctx| {
-            let keys = vec![2, 3, 4, 100];
-            let sel = vec![true, true, true, true];
-            t.probe(ctx, &keys, &sel, &mut out);
+            t.probe(ctx, &[2, 3, 4, 100], &mut sel, &mut pays);
         });
-        assert_eq!(out, vec![Some(20), None, Some(40), Some(1000)]);
+        assert_eq!(sel, [0b1101]);
+        assert_eq!((pays[0], pays[2], pays[3]), (20, 40, 1000));
     }
 
     #[test]
     fn unselected_lanes_probe_nothing() {
         let dev = Device::v100();
         let t = table(&dev);
-        let mut out = Vec::new();
-        dev.reset_timeline();
-        dev.launch(KernelConfig::new("probe", 1, 128), |ctx| {
-            let keys = vec![2; 64];
-            let sel = vec![false; 64];
-            t.probe(ctx, &keys, &sel, &mut out);
+        let (mut sel, mut pays) = (vec![0; 2], vec![7; 64]);
+        let report = dev.launch(KernelConfig::new("probe", 1, 128), |ctx| {
+            t.probe(ctx, &[2; 64], &mut sel, &mut pays);
         });
-        assert_eq!(out, vec![None; 64]);
+        assert_eq!(sel, [0, 0]);
+        assert_eq!(pays, [7; 64], "dead warps write nothing");
+        assert_eq!(report.traffic.global_read_segments, 0);
     }
 
     #[test]
@@ -183,9 +182,11 @@ mod tests {
             dev.reset_timeline();
             dev.launch(KernelConfig::new("probe", 1, 128), |ctx| {
                 let keys: Vec<i32> = (0..1024).map(|i| (i % 100) + 1).collect();
-                let sel: Vec<bool> = (0..1024).map(|i| i % sel_every == 0).collect();
-                let mut out = Vec::new();
-                t.probe(ctx, &keys, &sel, &mut out);
+                let mut sel = vec![0u32; 32];
+                for i in (0..1024).step_by(sel_every) {
+                    sel[i / 32] |= 1 << (i % 32);
+                }
+                t.probe(ctx, &keys, &mut sel, &mut vec![0; 1024]);
             });
             dev.with_timeline(|tl| tl.total_traffic().global_read_segments)
         };

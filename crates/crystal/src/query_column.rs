@@ -69,12 +69,19 @@ impl QueryColumn {
     /// **Device function**: fused decode→predicate over tile `tile_id`
     /// (the compressed-scan counterpart of Crystal's
     /// `BlockLoad` + `BlockPred`). Values stay in registers (`out`) and
-    /// `sel` receives the fused bitmap (`sel_in ∧ pred`); the
+    /// `sel` receives the fused selection (`sel_in ∧ pred`); the
     /// decompressed tile is never written back to global memory.
+    ///
+    /// A selection is a slice of ballot words — one `u32` per warp of
+    /// 32 tile values, bit `l` of word `w` for value `32·w + l`, bits
+    /// past the tile's logical length zero, words missing from a short
+    /// `sel_in` dead ([`tlc_gpu_sim::live_lanes`] walks one). The same
+    /// words go on through [`crate::DenseTable::probe`] to the
+    /// aggregate.
     ///
     /// For encoded columns this dispatches to
     /// [`DeviceColumn::load_tile_select`], which for GPU-FOR skips
-    /// miniblocks whose lanes are all dead in `sel_in` (those lanes
+    /// miniblocks whose word is zero in `sel_in` (those lanes
     /// carry filler values — consume only selected lanes). Plain
     /// columns do a coalesced `BlockLoad` then evaluate the predicate
     /// in registers.
@@ -83,8 +90,8 @@ impl QueryColumn {
         ctx: &mut BlockCtx<'_>,
         tile_id: usize,
         pred: impl Fn(i32) -> bool,
-        sel_in: Option<&[bool]>,
-        sel: &mut Vec<bool>,
+        sel_in: Option<&[u32]>,
+        sel: &mut Vec<u32>,
         out: &mut Vec<i32>,
     ) -> Result<usize, DecodeError> {
         match self {

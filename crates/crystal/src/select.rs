@@ -11,7 +11,7 @@
 
 use tlc_core::DecodeError;
 use tlc_gpu_sim::scan::block_exclusive_scan_u32;
-use tlc_gpu_sim::{Device, GlobalBuffer, Phase};
+use tlc_gpu_sim::{live_lanes, Device, GlobalBuffer, Phase};
 
 use crate::exec::fused_select_config;
 use crate::query_column::QueryColumn;
@@ -50,7 +50,10 @@ pub fn select(
             }
         };
         // BlockScan: exclusive scan -> local write offsets + total.
-        let mut flags: Vec<u32> = sel[..len].iter().map(|&s| u32::from(s)).collect();
+        let mut flags = vec![0u32; len];
+        for lane in live_lanes(&sel) {
+            flags[lane] = 1;
+        }
         let kept = block_exclusive_scan_u32(ctx, &mut flags) as usize;
         if kept == 0 {
             return;
@@ -60,12 +63,7 @@ pub fn select(
         ctx.warp_atomic_add_u64(&mut cursor, &[(0, kept as u64)]);
         // BlockStore: coalesced write of the survivors only.
         ctx.set_phase(Phase::Writeback);
-        let survivors: Vec<i32> = tile[..len]
-            .iter()
-            .zip(&sel[..len])
-            .filter(|&(_, &s)| s)
-            .map(|(&v, _)| v)
-            .collect();
+        let survivors: Vec<i32> = live_lanes(&sel).map(|lane| tile[lane]).collect();
         ctx.write_coalesced(&mut out, base, &survivors);
     })
     .map_err(DecodeError::Launch)?;

@@ -5,7 +5,7 @@
 use tlc_core::EncodedColumn;
 use tlc_crystal::exec::{fused_config, materialize};
 use tlc_crystal::{DenseTable, GroupBySum, QueryColumn};
-use tlc_gpu_sim::Device;
+use tlc_gpu_sim::{all_lanes, live_lanes, Device};
 
 struct Workload {
     fk: Vec<i32>,
@@ -46,15 +46,16 @@ fn run_fused(dev: &Device, w: &Workload, fk: &QueryColumn, measure: &QueryColumn
     let table = DenseTable::build(dev, "dim", 1, w.rows.len() as i32, &w.rows, 4_000);
     let cfg = fused_config("fused_join", &[fk, measure], 2);
     let mut agg = GroupBySum::new(dev, w.groups);
-    let (mut keys, mut vals, mut hits) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut keys, mut vals, mut sel, mut pays) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     dev.launch(cfg, |ctx| {
         let t = ctx.block_id();
         let n = fk.load_tile(ctx, t, &mut keys).expect("decode");
         measure.load_tile(ctx, t, &mut vals).expect("decode");
-        let sel = vec![true; n];
-        table.probe(ctx, &keys[..n], &sel, &mut hits);
-        let pairs: Vec<(usize, u64)> = (0..n)
-            .filter_map(|i| hits[i].map(|g| (g as usize, vals[i] as u64)))
+        all_lanes(n, &mut sel);
+        pays.resize(n, 0);
+        table.probe(ctx, &keys[..n], &mut sel, &mut pays);
+        let pairs: Vec<(usize, u64)> = live_lanes(&sel)
+            .map(|i| (pays[i] as usize, vals[i] as u64))
             .collect();
         agg.add_tile(ctx, &pairs);
     });
@@ -126,13 +127,12 @@ fn empty_and_fully_filtered_tables() {
     // Every dimension row filtered out: all probes miss.
     let rows: Vec<(i32, Option<i32>)> = (1..=100).map(|k| (k, None)).collect();
     let table = DenseTable::build(&dev, "dim", 1, 100, &rows, 400);
-    let mut hits = Vec::new();
+    let mut sel = vec![u32::MAX; 2];
     dev.launch(tlc_gpu_sim::KernelConfig::new("probe", 1, 128), |ctx| {
         let keys: Vec<i32> = (1..=64).collect();
-        let sel = vec![true; 64];
-        table.probe(ctx, &keys, &sel, &mut hits);
+        table.probe(ctx, &keys, &mut sel, &mut [0; 64]);
     });
-    assert!(hits.iter().all(Option::is_none));
+    assert_eq!(sel, [0, 0]);
 }
 
 #[test]

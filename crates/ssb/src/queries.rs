@@ -15,7 +15,7 @@
 use tlc_core::DecodeError;
 use tlc_crystal::exec::{fused_config, materialize};
 use tlc_crystal::{DenseTable, GroupBySum, QueryColumn, ScalarSum};
-use tlc_gpu_sim::{BlockCtx, Device, GlobalBuffer, Phase};
+use tlc_gpu_sim::{all_lanes, live_lanes, BlockCtx, Device, GlobalBuffer, Phase};
 
 use crate::encode::LoColumns;
 use crate::gen::{LoColumn, SsbData, BRANDS, CITIES, FIRST_YEAR, NATIONS};
@@ -440,14 +440,13 @@ pub fn try_run_query(
 struct TileScratch {
     /// One value buffer per query column, in the query's column order.
     vals: Vec<Vec<i32>>,
-    /// Dimension payloads per lane: customer, supplier, part.
-    pays: [Vec<i32>; 3],
-    /// Probe results of the dimension being joined.
-    hits: Vec<Option<i32>>,
-    /// The running selection bitmap…
-    sel: Vec<bool>,
+    /// Dimension payloads per lane: customer, supplier, part, date
+    /// (exact on selected lanes, filler on the rest).
+    pays: [Vec<i32>; 4],
+    /// The running selection, one ballot word per warp of the tile…
+    sel: Vec<u32>,
     /// …and the one the next fused load writes (`sel ∧ pred`).
-    next: Vec<bool>,
+    next: Vec<u32>,
     /// `(group, value)` pairs of the current tile.
     pairs: Vec<(usize, u64)>,
 }
@@ -480,11 +479,24 @@ impl TileScratch {
     }
 
     /// Probe `table` with column `i`'s first `n` keys on the selected
-    /// lanes, leaving the results in `hits`.
-    fn probe(&mut self, ctx: &mut BlockCtx<'_>, table: &DenseTable, i: usize, n: usize) {
-        table.probe(ctx, &self.vals[i][..n], &self.sel, &mut self.hits);
+    /// lanes: misses leave the running selection, hits leave their
+    /// payloads in `pays[slot]`.
+    fn probe(
+        &mut self,
+        ctx: &mut BlockCtx<'_>,
+        table: &DenseTable,
+        i: usize,
+        n: usize,
+        slot: usize,
+    ) {
+        let pays = &mut self.pays[slot];
+        pays.resize(n, 0);
+        table.probe(ctx, &self.vals[i][..n], &mut self.sel, pays);
     }
 }
+
+/// Payload slot of the date dimension in [`TileScratch::pays`].
+const DATE_SLOT: usize = 3;
 
 /// Flight 1: date join + fact predicates + scalar sum of
 /// `extendedprice * discount`.
@@ -520,16 +532,12 @@ fn fused_flight1(
             let n = w.load_select(ctx, cols, qt, within(s.qty), false)?;
             w.load_select(ctx, cols, dc, within(s.disc), true)?;
             w.load_select(ctx, cols, od, |_| true, true)?;
-            w.probe(ctx, &tables.date, od, n);
             // Price decodes against the post-probe selection: a tile
             // with no date hits unpacks nothing from this column.
-            for (sel, hit) in w.sel.iter_mut().zip(&w.hits) {
-                *sel &= hit.is_some();
-            }
+            w.probe(ctx, &tables.date, od, n, DATE_SLOT);
             w.load_select(ctx, cols, ep, |_| true, true)?;
             ctx.set_phase(Phase::Aggregate);
-            let local: u64 = (0..n)
-                .filter(|&i| w.sel[i])
+            let local: u64 = live_lanes(&w.sel)
                 .map(|i| w.vals[ep][i] as u64 * w.vals[dc][i] as u64)
                 .sum();
             ctx.add_int_ops(n as u64 * 2);
@@ -607,25 +615,16 @@ fn fused_join_flight(
                 }
                 n = c.load_tile(ctx, t, buf)?;
             }
-            w.sel.clear();
-            w.sel.resize(n, true);
+            all_lanes(n, &mut w.sel);
+            // A dimension the query does not join keeps payload zero.
             for pay in &mut w.pays {
                 pay.clear();
                 pay.resize(n, 0);
             }
             for &(table, key_ix, slot) in &joins {
-                w.probe(ctx, table, key_ix, n);
-                for ((sel, hit), pay) in w.sel.iter_mut().zip(&w.hits).zip(&mut w.pays[slot]) {
-                    match *hit {
-                        Some(p) if *sel => *pay = p,
-                        _ => *sel = false,
-                    }
-                }
+                w.probe(ctx, table, key_ix, n, slot);
             }
-            w.probe(ctx, &tables.date, date_ix, n);
-            for (sel, hit) in w.sel.iter_mut().zip(&w.hits) {
-                *sel &= hit.is_some();
-            }
+            w.probe(ctx, &tables.date, date_ix, n, DATE_SLOT);
 
             // Fused decode→select for the measures: only miniblocks with
             // a surviving lane unpack, and the decompressed values never
@@ -637,9 +636,9 @@ fn fused_join_flight(
             }
             ctx.set_phase(Phase::Aggregate);
             w.pairs.clear();
-            for i in (0..n).filter(|&i| w.sel[i]) {
-                let Some(y) = w.hits[i] else { continue };
-                let g = (s.group)(w.pays[0][i], w.pays[1][i], w.pays[2][i], y);
+            for i in live_lanes(&w.sel) {
+                let [cust, supp, part, year] = [0, 1, 2, DATE_SLOT].map(|slot| w.pays[slot][i]);
+                let g = (s.group)(cust, supp, part, year);
                 let measure = w.vals[rev_ix][i];
                 let v = match cost_ix {
                     Some(ci) => (measure as i64 - w.vals[ci][i] as i64) as u64,
