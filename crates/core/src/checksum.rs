@@ -328,7 +328,7 @@ mod tests {
         // DFOR's ranges tile `data` exactly: chaining them in block
         // order is the digest of the whole array.
         let col = GpuDFor::encode_with_d(&values, 4);
-        let cover = |b: usize| col.block_starts[b] as usize - usize::from(b % 4 == 0);
+        let cover = |b: usize| col.block_starts[b] as usize - usize::from(b.is_multiple_of(4));
         let want: Vec<u32> = (0..col.blocks())
             .map(|b| {
                 let hi = if b + 1 == col.blocks() {

@@ -420,6 +420,164 @@ mod tests {
         }
     }
 
+    /// Incoming selections over `n` lanes, by shape: none, random,
+    /// random with its last word missing, all dead, all live.
+    fn incoming(rng: &mut tlc_rng::Rng, n: usize) -> Vec<(&'static str, Option<Vec<u32>>)> {
+        let mut live = Vec::new();
+        tlc_gpu_sim::all_lanes(n, &mut live);
+        let random: Vec<u32> = live.iter().map(|w| w & rng.next_u64() as u32).collect();
+        let mut short = random.clone();
+        short.pop();
+        vec![
+            ("none", None),
+            ("random", Some(random)),
+            ("short", Some(short)),
+            ("dead", Some(vec![0; live.len()])),
+            ("live", Some(live)),
+        ]
+    }
+
+    /// The per-lane reference: lane `i` survives iff it is live coming
+    /// in (every lane when there is no incoming selection, no lane past
+    /// a short one) and its value passes.
+    fn reference_select(
+        vals: &[i32],
+        pred: impl Fn(i32) -> bool,
+        sel_in: Option<&[u32]>,
+    ) -> Vec<u32> {
+        let mut words = vec![0u32; vals.len().div_ceil(32)];
+        for (i, &v) in vals.iter().enumerate() {
+            let live = sel_in.is_none_or(|s| s.get(i / 32).is_some_and(|w| w >> (i % 32) & 1 == 1));
+            words[i / 32] |= u32::from(live && pred(v)) << (i % 32);
+        }
+        words
+    }
+
+    #[test]
+    fn ballot_word_selects_match_a_per_lane_reference() {
+        let mut rng = tlc_rng::Rng::seed_from_u64(0xBA_1107);
+        let dev = Device::v100();
+        let pred = |v: i32| v % 3 != 0;
+        for n in [0usize, 1, 31, 32, 33, 511, 512] {
+            // Widths differ from miniblock to miniblock, so the default
+            // FOR encoding stays horizontal and skips per miniblock.
+            let values: Vec<i32> = (0..n).map(|i| (i as i32 * 37) % (5 << (i / 40))).collect();
+            for (shape, sel_in) in incoming(&mut rng, n) {
+                let sel_in = sel_in.as_deref();
+                let want = reference_select(&values, pred, sel_in);
+                let mut sel = vec![0xDEAD_BEEF; 3];
+                dev.launch(tlc_gpu_sim::KernelConfig::new("pred", 1, 128), |ctx| {
+                    fused_predicate(ctx, &values, pred, sel_in, &mut sel);
+                });
+                assert_eq!(sel, want, "fused_predicate, n = {n}, {shape}");
+                if n == 0 {
+                    continue;
+                }
+                let columns = [
+                    ("FOR", EncodedColumn::For(GpuFor::encode(&values))),
+                    (
+                        "FOR vertical",
+                        EncodedColumn::For(GpuFor::encode_with_layout(
+                            &values,
+                            crate::format::Layout::Vertical,
+                        )),
+                    ),
+                    ("DFOR", EncodedColumn::encode_as(&values, Scheme::GpuDFor)),
+                    ("RFOR", EncodedColumn::encode_as(&values, Scheme::GpuRFor)),
+                ];
+                for (name, col) in columns {
+                    let dcol = col.to_device(&dev);
+                    let (mut sel, mut tile) = (vec![0xDEAD_BEEF; 40], Vec::new());
+                    let cfg = dcol.tile_kernel_config("select", 1);
+                    let report = dev.launch(cfg, |ctx| {
+                        let got = dcol
+                            .load_tile_select(ctx, 0, pred, sel_in, &mut sel, &mut tile)
+                            .expect("clean tile");
+                        assert_eq!(got, n);
+                    });
+                    assert_eq!(sel, want, "{name}, n = {n}, {shape}");
+                    for i in live_lanes(&sel) {
+                        assert_eq!(tile[i], values[i], "{name}, n = {n}, {shape}, lane {i}");
+                    }
+                    if name == "FOR" {
+                        // Liveness per miniblock is the incoming word.
+                        let miniblocks = n.div_ceil(BLOCK) * 4;
+                        let dead = (0..miniblocks)
+                            .filter(|&m| gpu_for::word_at(sel_in, m) == 0)
+                            .count() as u64;
+                        let counter = |c| report.spans.counter(c);
+                        assert_eq!(
+                            counter(tlc_gpu_sim::Counter::MiniblocksSkipped),
+                            dead,
+                            "n = {n}, {shape}"
+                        );
+                        assert_eq!(
+                            counter(tlc_gpu_sim::Counter::MiniblocksUnpacked),
+                            miniblocks as u64 - dead,
+                            "n = {n}, {shape}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Flip one word inside block `b` of the first tile of each scheme's
+    /// column: both tile loads must name that block, every time.
+    #[test]
+    fn a_flipped_word_in_any_block_of_a_tile_is_reported_for_that_block() {
+        let values: Vec<i32> = (0..3 * TILE as i32)
+            .map(|i| (i * 13) % 1021 + i / 64)
+            .collect();
+        let dev = Device::v100();
+        for s in Scheme::ALL {
+            let enc = EncodedColumn::encode_as(&values, s);
+            // (word to flip, in which stream, block the damage is in).
+            let targets: Vec<(usize, bool, usize)> = match &enc {
+                EncodedColumn::For(c) => (4..8)
+                    .map(|b| (c.block_starts[b] as usize + 2, false, b))
+                    .collect(),
+                EncodedColumn::DFor(c) => (4..8)
+                    .map(|b| (c.block_starts[b] as usize + 2, false, b))
+                    // The tile's first-value word belongs to its first block.
+                    .chain([(c.block_starts[4] as usize - 1, false, 4)])
+                    .collect(),
+                EncodedColumn::RFor(c) => vec![
+                    (c.values_starts[1] as usize + 1, false, 1),
+                    (c.lengths_starts[1] as usize, true, 1),
+                ],
+            };
+            for (word, second_stream, block) in targets {
+                let mut dcol = enc.to_device(&dev);
+                let data = match (&mut dcol, second_stream) {
+                    (DeviceColumn::For(c), _) => &mut c.data,
+                    (DeviceColumn::DFor(c), _) => &mut c.data,
+                    (DeviceColumn::RFor(c), false) => &mut c.values_data,
+                    (DeviceColumn::RFor(c), true) => &mut c.lengths_data,
+                };
+                data.as_mut_slice_unaccounted()[word] ^= 1 << 9;
+                let (mut sel, mut tile) = (Vec::new(), Vec::new());
+                let mut errors = Vec::new();
+                dev.launch(dcol.tile_kernel_config("corrupt", 1), |ctx| {
+                    if ctx.block_id() != 1 {
+                        return;
+                    }
+                    errors.push(dcol.load_tile(ctx, 1, &mut tile).unwrap_err());
+                    errors.push(
+                        dcol.load_tile_select(ctx, 1, |_| true, None, &mut sel, &mut tile)
+                            .unwrap_err(),
+                    );
+                });
+                for e in errors {
+                    assert!(
+                        matches!(e, DecodeError::Corrupt { block: b, .. } if b == block),
+                        "{s:?}: word {word} is in block {block}, got {e:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn tile_loads_match_decompress() {
         let values: Vec<i32> = (0..3000).map(|i| i % 97).collect();

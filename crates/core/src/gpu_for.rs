@@ -642,9 +642,10 @@ pub(crate) fn select_word(vals: &[i32], pred: &impl Fn(i32) -> bool, lanes: u32)
 /// `decoded` go, and the bits past it in the last word are cleared.
 pub(crate) fn trim_selection(sel: &mut Vec<u32>, decoded: usize) {
     sel.truncate(decoded.div_ceil(WARP_SIZE));
-    if decoded % WARP_SIZE != 0 {
+    let tail = decoded % WARP_SIZE;
+    if tail != 0 {
         if let Some(last) = sel.last_mut() {
-            *last &= (1u32 << (decoded % WARP_SIZE)) - 1;
+            *last &= (1u32 << tail) - 1;
         }
     }
 }

@@ -174,6 +174,72 @@ mod tests {
         assert_eq!(report.traffic.global_read_segments, 0);
     }
 
+    /// The ballot-word probe against a per-lane scalar reference, for
+    /// tile lengths around every word boundary: random selections, a
+    /// selection one word short, all-dead and all-live warps, and keys
+    /// on both sides of the table's range.
+    #[test]
+    fn probe_matches_a_per_lane_reference() {
+        use tlc_gpu_sim::memory::gather_segments;
+        use tlc_gpu_sim::{all_lanes, live_lanes};
+        let mut rng = tlc_rng::Rng::seed_from_u64(0xBA_1107);
+        let dev = Device::v100();
+        let t = table(&dev);
+        for n in [0usize, 1, 31, 32, 33, 511, 512] {
+            for shape in ["random", "short", "dead", "live", "one live warp"] {
+                let keys: Vec<i32> = (0..n).map(|_| rng.gen_range(-3..=104)).collect();
+                let mut sel = Vec::new();
+                all_lanes(n, &mut sel);
+                match shape {
+                    "random" => sel.iter_mut().for_each(|w| *w &= rng.next_u64() as u32),
+                    "short" => {
+                        sel.iter_mut().for_each(|w| *w &= rng.next_u64() as u32);
+                        sel.pop();
+                    }
+                    "dead" => sel.fill(0),
+                    "one live warp" => {
+                        let keep = sel.len() / 2;
+                        for (w, word) in sel.iter_mut().enumerate() {
+                            *word &= if w == keep { u32::MAX } else { 0 };
+                        }
+                    }
+                    _ => {}
+                }
+                // Per lane: selected, in range, slot not empty.
+                let selected: Vec<usize> = live_lanes(&sel).collect();
+                let slot_of = |k: i32| (1..=100).contains(&k).then(|| (k - 1) as usize);
+                let want: Vec<(usize, i32)> = selected
+                    .iter()
+                    .filter(|&&i| slot_of(keys[i]).is_some() && keys[i] % 2 == 0)
+                    .map(|&i| (i, keys[i] * 10))
+                    .collect();
+                let want_segments: usize = (0..n.div_ceil(WARP_SIZE))
+                    .map(|w| {
+                        let addrs: Vec<u64> = selected
+                            .iter()
+                            .filter(|&&i| i / WARP_SIZE == w)
+                            .filter_map(|&i| Some(t.slots.addr_of(slot_of(keys[i])?)))
+                            .collect();
+                        gather_segments(&addrs, 4).len()
+                    })
+                    .sum();
+
+                let mut pays = vec![-1; n];
+                let report = dev.launch(KernelConfig::new("probe", 1, 128), |ctx| {
+                    t.probe(ctx, &keys, &mut sel, &mut pays);
+                    assert_eq!(ctx.current_phase(), Phase::Predicate);
+                });
+                let got: Vec<(usize, i32)> = live_lanes(&sel).map(|i| (i, pays[i])).collect();
+                assert_eq!(got, want, "n = {n}, {shape}");
+                assert_eq!(
+                    report.traffic.global_read_segments, want_segments as u64,
+                    "n = {n}, {shape}"
+                );
+                assert_eq!(report.traffic.int_ops, n as u64 * 2, "n = {n}, {shape}");
+            }
+        }
+    }
+
     #[test]
     fn selective_probe_issues_fewer_transactions() {
         let dev = Device::v100();

@@ -136,6 +136,25 @@ fn empty_and_fully_filtered_tables() {
 }
 
 #[test]
+fn a_foreign_key_outside_the_table_is_a_miss() {
+    // A digest-valid partition whose keys do not match the dimension:
+    // the probe must not turn such a key into a slot index.
+    let dev = Device::v100();
+    let rows: Vec<(i32, Option<i32>)> = (1..=100).map(|k| (k, Some(k * 3))).collect();
+    let table = DenseTable::build(&dev, "dim", 1, 100, &rows, 400);
+    let (mut sel, mut pays) = (vec![0b1111], vec![0; 4]);
+    let report = dev.launch(tlc_gpu_sim::KernelConfig::new("probe", 1, 128), |ctx| {
+        table.probe(ctx, &[5, 101, 0, i32::MIN], &mut sel, &mut pays);
+    });
+    assert_eq!(sel, [0b0001], "hit, miss, miss, miss");
+    assert_eq!(pays[0], 15);
+    assert_eq!(
+        report.traffic.global_read_segments, 1,
+        "only the in-range lane issues a load"
+    );
+}
+
+#[test]
 fn tile_loads_handle_ragged_tail() {
     // A column whose length is not a multiple of the tile size.
     let values: Vec<i32> = (0..tlc_crystal::TILE * 3 + 17).map(|i| i as i32).collect();

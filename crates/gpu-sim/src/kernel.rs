@@ -492,8 +492,9 @@ pub fn live_lanes(words: &[u32]) -> impl Iterator<Item = usize> + '_ {
 pub fn all_lanes(n: usize, words: &mut Vec<u32>) {
     words.clear();
     words.resize(n / WARP_SIZE, u32::MAX);
-    if n % WARP_SIZE != 0 {
-        words.push((1u32 << (n % WARP_SIZE)) - 1);
+    let tail = n % WARP_SIZE;
+    if tail != 0 {
+        words.push((1u32 << tail) - 1);
     }
 }
 

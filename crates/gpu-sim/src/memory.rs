@@ -6,6 +6,14 @@
 //! filled 128-byte segments at the edges of a misaligned compressed block,
 //! which is precisely the inefficiency Optimization 2 of the paper
 //! attacks.
+//!
+//! A warp instruction costs one transaction per distinct 128-byte
+//! segment its lanes touch. Contiguous ranges count them by arithmetic
+//! ([`segments_for_range`]); scattered lanes are counted by marking a
+//! per-worker byte map indexed by segment offset within the buffer
+//! being accessed (mark, count the bytes that were clear, unmark), with
+//! the sorted [`gather_segments`] list as its test oracle and as the
+//! list the optional per-block L1 model needs.
 
 use std::marker::PhantomData;
 
@@ -149,8 +157,8 @@ pub fn segments_for_range(addr: u64, bytes: u64) -> u64 {
 /// An element may straddle one segment boundary, not more: `width` must
 /// not exceed [`SEGMENT_BYTES`]. This allocating form is for callers
 /// that need the *list* (the per-block L1 model inserts each segment
-/// into its set) and is the oracle [`SegmentMarks::count`] is tested
-/// against; plain counting goes through [`SegmentMarks::count`].
+/// into its set) and is the oracle the worker's mark map (module docs)
+/// is tested against; plain counting goes through the map.
 pub fn gather_segments(addrs: &[u64], width: u64) -> Vec<u64> {
     debug_assert!(addrs.len() <= WARP_SIZE, "gather must be per-warp");
     debug_assert!(
