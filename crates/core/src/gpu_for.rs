@@ -17,7 +17,9 @@ use tlc_bitpack::pack::pack_miniblock;
 use tlc_bitpack::simd::{vpack_block, vunpack_block_ref};
 use tlc_bitpack::unpack::{unpack_block_ref, unpack_miniblock_ref};
 use tlc_bitpack::width::bits_for;
-use tlc_gpu_sim::{BlockCtx, Counter, Device, GlobalBuffer, KernelConfig, Phase, WARP_SIZE};
+use tlc_gpu_sim::{
+    ballot, BlockCtx, Counter, Device, GlobalBuffer, KernelConfig, Phase, WARP_SIZE,
+};
 
 use crate::checksum::verify_staged;
 use crate::error::DecodeError;
@@ -631,11 +633,7 @@ pub(crate) fn word_at(sel_in: Option<&[u32]>, warp: usize) -> u32 {
 #[inline]
 pub(crate) fn select_word(vals: &[i32], pred: &impl Fn(i32) -> bool, lanes: u32) -> u32 {
     debug_assert!(vals.len() <= WARP_SIZE);
-    let mut word = 0u32;
-    for (lane, &v) in vals.iter().enumerate() {
-        word |= u32::from(pred(v)) << lane;
-    }
-    word & lanes
+    ballot(vals.iter().map(|&v| pred(v))) & lanes
 }
 
 /// Cut a tile's selection to its logical length: whole words past

@@ -1,7 +1,7 @@
 //! Execution helpers: fused-kernel launch configuration and the
 //! materializing operator-at-a-time executor used to model OmniSci.
 
-use tlc_gpu_sim::{all_lanes, live_lanes, Device, GlobalBuffer, KernelConfig, WARP_SIZE};
+use tlc_gpu_sim::{all_lanes, ballot, live_lanes, Device, GlobalBuffer, KernelConfig, WARP_SIZE};
 
 use crate::query_column::QueryColumn;
 use crate::TILE;
@@ -98,7 +98,8 @@ pub mod materialize {
     }
 
     /// Join: read a foreign-key column and a selection mask, probe the
-    /// table, write the payload column and the surviving mask.
+    /// table, write the payload column and the surviving mask (payloads
+    /// are exact where the mask is set, filler elsewhere).
     pub fn probe(
         dev: &Device,
         name: &str,
@@ -118,27 +119,23 @@ pub mod materialize {
             }
             let keys = ctx.read_coalesced(fk, lo, hi - lo);
             // The byte mask becomes ballot words for the probe and a
-            // byte mask again on the way out; lanes that miss carry a
-            // zero payload.
+            // byte mask again on the way out; the payload of a lane
+            // outside the outgoing mask is filler.
             let mut words = Vec::new();
             match prev {
                 Some(p) => {
                     let mask = ctx.read_coalesced(p, lo, hi - lo);
-                    words.extend(mask.chunks(WARP_SIZE).map(|lanes| {
-                        lanes
-                            .iter()
-                            .enumerate()
-                            .fold(0u32, |word, (lane, &m)| word | u32::from(m != 0) << lane)
-                    }));
+                    words.extend(
+                        mask.chunks(WARP_SIZE)
+                            .map(|lanes| ballot(lanes.iter().map(|&m| m != 0))),
+                    );
                 }
                 None => all_lanes(hi - lo, &mut words),
             }
-            let mut probed = vec![0i32; hi - lo];
-            table.probe(ctx, &keys, &mut words, &mut probed);
             let mut pay = vec![0i32; hi - lo];
+            table.probe(ctx, &keys, &mut words, &mut pay);
             let mut out_mask = vec![0u8; hi - lo];
             for lane in live_lanes(&words) {
-                pay[lane] = probed[lane];
                 out_mask[lane] = 1;
             }
             ctx.write_coalesced(&mut payload, lo, &pay);

@@ -7,7 +7,9 @@
 //! inside the fused fact-table kernel — the random-access pattern whose
 //! coalescing the simulator accounts faithfully.
 
-use tlc_gpu_sim::{BlockCtx, Device, GlobalBuffer, KernelConfig, LaunchError, Phase, WARP_SIZE};
+use tlc_gpu_sim::{
+    ballot, BlockCtx, Device, GlobalBuffer, KernelConfig, LaunchError, Phase, WARP_SIZE,
+};
 
 /// Sentinel slot value: dimension row absent or filtered out.
 const EMPTY: i32 = i32::MIN;
@@ -120,18 +122,13 @@ impl DenseTable {
             // the table covers. (An unselected lane's key is filler:
             // its index is computed, wrapping, and never used.)
             let mut idx = [0usize; WARP_SIZE];
-            let mut in_range = 0u32;
-            for (lane, (i, &k)) in idx.iter_mut().zip(kw).enumerate() {
+            for (i, &k) in idx.iter_mut().zip(kw) {
                 *i = k.wrapping_sub(self.base) as u32 as usize;
-                in_range |= u32::from(*i < slots) << lane;
             }
-            let live = *word & in_range;
-            ctx.warp_gather_masked(&self.slots, live, &idx[..kw.len()], pw);
-            let mut hit = 0u32;
-            for (lane, &p) in pw.iter().enumerate() {
-                hit |= u32::from(p != EMPTY) << lane;
-            }
-            *word = live & hit;
+            let idx = &idx[..kw.len()];
+            let live = *word & ballot(idx.iter().map(|&i| i < slots));
+            ctx.warp_gather_masked(&self.slots, live, idx, pw);
+            *word = live & ballot(pw.iter().map(|&p| p != EMPTY));
         }
         ctx.add_int_ops(keys.len() as u64 * 2);
     }

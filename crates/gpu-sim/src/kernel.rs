@@ -375,8 +375,9 @@ impl<'a> BlockCtx<'a> {
     /// distinct segments touched.
     pub fn warp_scatter<T: Scalar>(&mut self, buf: &mut GlobalBuffer<T>, writes: &[(usize, T)]) {
         for chunk in writes.chunks(WARP_SIZE) {
-            let addrs = lane_addrs(buf, chunk);
-            let segs = self.marks.count(buf, &addrs[..chunk.len()], T::BYTES);
+            let segs = self
+                .marks
+                .count(buf, lane_addrs(buf, chunk, &mut [0; WARP_SIZE]), T::BYTES);
             self.traffic().global_write_segments += segs;
             for &(i, v) in chunk {
                 buf.put(i, v);
@@ -388,8 +389,9 @@ impl<'a> BlockCtx<'a> {
     /// `atomicAdd` on global memory: a read plus a write per segment).
     pub fn warp_atomic_add_u64(&mut self, buf: &mut GlobalBuffer<u64>, updates: &[(usize, u64)]) {
         for chunk in updates.chunks(WARP_SIZE) {
-            let addrs = lane_addrs(buf, chunk);
-            let segs = self.marks.count(buf, &addrs[..chunk.len()], 8);
+            let segs = self
+                .marks
+                .count(buf, lane_addrs(buf, chunk, &mut [0; WARP_SIZE]), 8);
             let traffic = self.traffic();
             traffic.global_read_segments += segs;
             traffic.global_write_segments += segs;
@@ -460,14 +462,27 @@ impl<'a> BlockCtx<'a> {
     }
 }
 
-/// Byte addresses of one warp's `(index, value)` lanes; the first
-/// `lanes.len()` entries are meaningful.
-fn lane_addrs<T: Scalar>(buf: &GlobalBuffer<T>, lanes: &[(usize, T)]) -> [u64; WARP_SIZE] {
-    let mut addrs = [0u64; WARP_SIZE];
+/// Byte addresses of one warp's `(index, value)` lanes, written into the
+/// caller's stack array.
+fn lane_addrs<'s, T: Scalar>(
+    buf: &GlobalBuffer<T>,
+    lanes: &[(usize, T)],
+    addrs: &'s mut [u64; WARP_SIZE],
+) -> &'s [u64] {
     for (a, &(i, _)) in addrs.iter_mut().zip(lanes) {
         *a = buf.addr_of(i);
     }
-    addrs
+    &addrs[..lanes.len()]
+}
+
+/// One warp's ballot: bit `l` of the word is lane `l`'s flag (at most
+/// [`WARP_SIZE`] lanes; the bits past them are zero).
+#[inline]
+pub fn ballot(flags: impl IntoIterator<Item = bool>) -> u32 {
+    flags
+        .into_iter()
+        .enumerate()
+        .fold(0, |word, (lane, flag)| word | u32::from(flag) << lane)
 }
 
 /// The lanes a selection keeps, in ascending order. A selection is a

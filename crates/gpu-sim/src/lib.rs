@@ -87,7 +87,7 @@ pub mod threads;
 
 pub use device::{Device, DeviceParams};
 pub use fault::{FaultPlan, FaultStats, LaunchError, StorageFaults};
-pub use kernel::{all_lanes, live_lanes, BlockCtx, KernelConfig, Occupancy};
+pub use kernel::{all_lanes, ballot, live_lanes, BlockCtx, KernelConfig, Occupancy};
 pub use memory::{GlobalBuffer, Scalar, SEGMENT_BYTES, WARP_SIZE};
 pub use profile::{CounterSink, ProfileSink};
 pub use report::{Counter, KernelReport, Phase, PhaseSpans, Timeline, Traffic};
