@@ -1,21 +1,22 @@
 //! Cross-query shared-scan batching: turn one popped **wave** of
-//! admitted jobs into one fused decode→multi-predicate pass.
+//! admitted jobs into one pass over the partitions they read.
 //!
 //! A worker pops up to [`crate::ServeConfig::batch_window`] waiting
 //! jobs at once ([`crate::service`]) and hands them here. The batcher:
 //!
 //! 1. runs **plan-carrying** requests (fault drills) one by one — the
-//!    executor honours a plan on any run, but sharing decodes with a
+//!    executor honours a plan on any run, but sharing a device with a
 //!    drill would leak its injected damage into wave-mates' costs;
 //! 2. **deduplicates** the rest by `(query, deadline)`: one execution
 //!    per distinct request, its outcome cloned to every duplicate
 //!    ticket;
 //! 3. runs the distinct set through the streaming layer's partition
-//!    executor as one wave ([`run_wave_streamed`]), which decodes each
-//!    `(partition, column)` the wave needs exactly **once** — through
-//!    the shared [`tlc_store::PartitionCache`] when armed — and
-//!    evaluates every member's predicate/aggregate against the decoded
-//!    tile before moving on;
+//!    executor as one wave ([`run_wave_streamed`]), which loads and
+//!    uploads each `(partition, column)` the wave needs exactly
+//!    **once** — through the shared [`tlc_store::PartitionCache`] when
+//!    armed — answers the scans and point filters of one column in
+//!    one fused launch, and flies each flight over the same upload,
+//!    decoding inline, before moving on;
 //! 4. on an unrecoverable storage error, falls back to solo execution
 //!    per member, which keeps the retry/backoff ladder and the
 //!    exactly-one-response books intact.
@@ -23,10 +24,12 @@
 //! Batching never changes an answer: the executor merges partial
 //! aggregates in partition order and cuts per-member deadlines between
 //! partitions, so batched answers are bit-identical to solo answers at
-//! any `TLC_SIM_THREADS`. What changes is **attributed cost** — each
-//! member pays `decode / consumers` for every shared column — and the
-//! wave-level tallies (`batched_queries`, `shared_decodes`,
-//! `launches_saved`) surfaced through [`crate::MetricsSnapshot`].
+//! any `TLC_SIM_THREADS`. What changes is **attributed cost** — a
+//! member pays `read / consumers` for every shared column and a scalar
+//! `launch / scalar members` of its column; a flight's device time is
+//! its solo device time — and the wave-level tallies
+//! (`batched_queries`, `shared_decodes`, `launches_saved`) surfaced
+//! through [`crate::MetricsSnapshot`].
 
 use std::sync::atomic::Ordering;
 
@@ -51,7 +54,7 @@ fn dedup_key(job: &Job) -> DedupKey {
 /// per job on every path.
 pub(crate) fn run_wave_batch(shared: &Shared, jobs: Vec<Job>) {
     // Plan-carrying requests (chaos drills) run solo: a fault campaign
-    // is a per-query contract, and sharing decodes with it would leak
+    // is a per-query contract, and sharing a device with it would leak
     // injected damage into innocent wave-mates' attributed costs.
     let (batchable, solo): (Vec<Job>, Vec<Job>) =
         jobs.into_iter().partition(|j| j.req.plan.is_none());

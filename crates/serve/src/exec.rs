@@ -4,9 +4,10 @@
 //!
 //! There is no executor here. [`execute`] maps the request onto the
 //! streaming layer's one executor ([`tlc_ssb::stream`]) — a flight
-//! through [`run_query_streamed_bounded`] (inline decode, the paper's
-//! path), a point filter or scan as a one-member
-//! [`run_wave_streamed`] (decode once, fold host-side) — and the
+//! through [`run_query_streamed_bounded`], a point filter or scan as a
+//! one-member [`run_wave_streamed`] (one fused launch per partition:
+//! load a tile, filter, count and sum, nothing written back); both
+//! decode inline, the paper's path — and the
 //! storage ladder, device ladder, deadline rule, fault plan
 //! ([`StreamOptions::plan`]) and forced-CPU routing
 //! ([`StreamOptions::force_cpu_partitions`]) are the ones every other

@@ -9,33 +9,34 @@
 //! Everything is measured in *simulated* time, in three phases:
 //!
 //! 1. **Primitives** — the workload's cost basis is memoized per
-//!    *primitive*, not per request: each column the mix touches is
-//!    decoded once through a singleton wave
-//!    ([`tlc_ssb::run_wave_streamed`]) to price its device decode and
-//!    its cold/warm storage read (warm = through a
-//!    [`PartitionCache`] sized by [`LoadgenConfig::cache_mb`]), and
-//!    each flight query is run once to isolate its predicate/aggregate
-//!    evaluation time on top of its columns' decodes. A point filter
-//!    and a scan over the same column price identically (the scalar
-//!    fold is host-side), so a handful of singleton runs prices every
-//!    distinct request — which is what lets one run scale to millions
-//!    of requests without millions of executions.
+//!    *primitive*, not per request: each distinct request shape is run
+//!    once, solo, through a singleton wave
+//!    ([`tlc_ssb::run_wave_streamed`]) — a flight for its fused
+//!    kernels' device time (inline decode included), a scan of each
+//!    column the mix touches for its scalar launch and its cold/warm
+//!    storage read (warm = through a [`PartitionCache`] sized by
+//!    [`LoadgenConfig::cache_mb`]). A point filter and a scan over the
+//!    same column price identically (one filter in the same launch), so
+//!    a handful of singleton runs prices every distinct request — which
+//!    is what lets one run scale to millions of requests without
+//!    millions of executions.
 //! 2. **Wave queue model** — a deterministic virtual-time simulation
 //!    replays the arrival sequence against
 //!    [`LoadgenConfig::servers`] lanes with the live service's
 //!    admission bound and its shared-scan batching rule: when a lane
 //!    frees, it takes up to [`LoadgenConfig::batch_window`] waiting
 //!    jobs as one wave (arrivals at the dispatch instant join the
-//!    wave). A member's service time is its *attributed* wave cost —
-//!    each shared column's decode + read divided by its consumer
-//!    count, plus the member's own evaluation — exactly the
-//!    attribution rule of the real wave executor, while the lane
-//!    stays busy for the wave's union cost. A batching-off control
-//!    pass (window 1) over the same arrivals yields
-//!    [`LoadgenReport::p50_batch_speedup`]. Deadline-carrying
-//!    requests are conservatively priced solo (sharing would only
-//!    make them cheaper); their terminal kind comes from a memoized
-//!    singleton run with the same deadline.
+//!    wave). A member's service time is its *attributed* wave cost, by
+//!    the real wave executor's rule: each consumed column's read
+//!    divided by its consumer count, a scalar's launch divided by the
+//!    scalar members on its column, a flight's own device time whole.
+//!    The lane stays busy for the wave's union cost (a shared launch
+//!    is priced at the one-member launch: the further members' work is
+//!    in-register). A batching-off control pass (window 1) over the
+//!    same arrivals yields [`LoadgenReport::p50_batch_speedup`].
+//!    Deadline-carrying requests are conservatively priced solo
+//!    (sharing would only make them cheaper); their terminal kind comes
+//!    from a memoized singleton run with the same deadline.
 //! 3. **Real-service prefix** — the first requests (up to 96) also run
 //!    through a real [`Service`] in fixed-composition waves, so the
 //!    artifact carries *real* batching counters (`batched_queries`,
@@ -169,7 +170,8 @@ pub struct LoadgenReport {
     /// request — the per-request cost basis batching starts from.
     pub service: LatencySummary,
     /// Attributed service time of admitted requests under batching —
-    /// what each member actually paid after sharing decodes.
+    /// what each member actually paid after sharing reads and scalar
+    /// launches.
     pub service_batched: LatencySummary,
     /// Per-class sojourn latency (batching-on model).
     pub per_class: Vec<ClassReport>,
@@ -178,8 +180,8 @@ pub struct LoadgenReport {
     /// compare against).
     pub latency_nobatch: Option<LatencySummary>,
     /// `latency_nobatch.p50 / latency.p50` — how much faster the
-    /// median request got because waves decode each partition once and
-    /// serve every pending query from it.
+    /// median request got because waves load each partition once and
+    /// answer the scalars of a column in one launch.
     pub p50_batch_speedup: Option<f64>,
     /// Solo service time priced against cold storage for every
     /// generated request (`None` when `cache_mb` is 0 and there is
@@ -324,22 +326,9 @@ fn generate(cfg: &LoadgenConfig) -> Vec<GenRequest> {
         .collect()
 }
 
-/// Memoized price of one column the workload touches.
-struct ColCost {
-    /// Simulated device seconds to decode the column across every
-    /// partition — identical whether the compressed bytes came from
-    /// disk or cache.
-    decode_s: f64,
-    /// Modelled storage-read seconds with the cache warm (equals
-    /// `io_cold_s` when caching is off).
-    io_warm_s: f64,
-    /// Modelled storage-read seconds against cold storage.
-    io_cold_s: f64,
-}
-
-/// Which memoized solo price a request resolves to: flights have their
-/// own evaluation kernels; every scalar over a column prices like a
-/// scan of it (the fold is host-side).
+/// Which memoized solo price a request resolves to: a flight runs its
+/// own fused kernels; every scalar over a column prices like a scan of
+/// it (one filter in the same launch).
 #[derive(Clone, Copy, PartialEq)]
 enum SpecKey {
     Flight(QueryId),
@@ -355,10 +344,12 @@ enum Terminal {
 
 /// The workload's memoized cost basis.
 struct Primitives {
-    cols: Vec<(LoColumn, ColCost)>,
-    /// Flight predicate/aggregate evaluation seconds on top of its
-    /// columns' decodes.
-    flight_eval: Vec<(QueryId, f64)>,
+    /// Modelled storage-read seconds of each column the workload
+    /// touches, `[cold, warm]` (equal when caching is off).
+    io: Vec<(LoColumn, [f64; 2])>,
+    /// Solo simulated device seconds per spec key: a flight's fused
+    /// kernels, a column's one-member scalar launch.
+    device: Vec<(SpecKey, f64)>,
     /// Solo `(service_s, terminal)` per spec key under the workload's
     /// deadline (empty when the workload carries none).
     deadline: Vec<(SpecKey, (f64, Terminal))>,
@@ -381,39 +372,21 @@ fn spec_cols(q: &QuerySpec) -> &[LoColumn] {
 }
 
 impl Primitives {
-    fn col(&self, c: LoColumn) -> &ColCost {
-        &self
-            .cols
-            .iter()
-            .find(|(cc, _)| *cc == c)
-            .expect("every workload column was measured")
-            .1
+    fn io_s(&self, c: LoColumn, warm: bool) -> f64 {
+        let priced = self.io.iter().find(|(cc, _)| *cc == c);
+        priced.expect("every workload column was measured").1[usize::from(warm)]
     }
 
-    fn eval(&self, q: &QuerySpec) -> f64 {
-        match q {
-            QuerySpec::Flight(id) => {
-                self.flight_eval
-                    .iter()
-                    .find(|(f, _)| f == id)
-                    .expect("every workload flight was measured")
-                    .1
-            }
-            _ => 0.0,
-        }
+    fn device_s(&self, key: SpecKey) -> f64 {
+        let priced = self.device.iter().find(|(k, _)| *k == key);
+        priced.expect("every workload spec was measured").1
     }
 
-    /// Solo service time: every column decoded and read at full price,
-    /// plus the query's own evaluation.
+    /// Solo service time: the request's own device time plus every
+    /// column read at full price.
     fn solo_s(&self, q: &QuerySpec, warm: bool) -> f64 {
-        spec_cols(q)
-            .iter()
-            .map(|&c| {
-                let cc = self.col(c);
-                cc.decode_s + if warm { cc.io_warm_s } else { cc.io_cold_s }
-            })
-            .sum::<f64>()
-            + self.eval(q)
+        let io = spec_cols(q).iter().map(|&c| self.io_s(c, warm));
+        self.device_s(spec_key(q)) + io.sum::<f64>()
     }
 
     /// Solo price and terminal kind of one request (deadline-aware).
@@ -437,32 +410,22 @@ impl Primitives {
     }
 }
 
-/// Price the workload's primitives with singleton waves: one decode
-/// per column (cold, then warm through the cache), one run per flight
-/// to isolate its evaluation, one run per spec key under the
-/// workload's deadline.
+/// Price the workload's primitives with singleton waves: one scan per
+/// column (cold, then warm through the cache), one run per flight, one
+/// run per spec key under the workload's deadline.
 fn measure_primitives(store: &SsbStore, gen: &[GenRequest], cfg: &LoadgenConfig) -> Primitives {
-    let mut need_cols: Vec<LoColumn> = Vec::new();
-    let mut need_flights: Vec<QueryId> = Vec::new();
+    // The distinct request shapes, and the columns they read in
+    // LoColumn::ALL order, so that the cache warm-up sequence — and
+    // therefore every warm price — is independent of the mix.
+    let mut keys: Vec<SpecKey> = Vec::new();
     for g in gen {
-        if let QuerySpec::Flight(id) = &g.req.query {
-            if !need_flights.contains(id) {
-                need_flights.push(*id);
-            }
-        }
-        for &c in spec_cols(&g.req.query) {
-            if !need_cols.contains(&c) {
-                need_cols.push(c);
-            }
+        let key = spec_key(&g.req.query);
+        if !keys.contains(&key) {
+            keys.push(key);
         }
     }
-    // Measure in LoColumn::ALL order so the cache warm-up sequence —
-    // and therefore every warm price — is independent of the mix.
-    let need_cols: Vec<LoColumn> = LoColumn::ALL
-        .iter()
-        .copied()
-        .filter(|c| need_cols.contains(c))
-        .collect();
+    let read = |c: &LoColumn| gen.iter().any(|g| spec_cols(&g.req.query).contains(c));
+    let need_cols: Vec<LoColumn> = LoColumn::ALL.iter().copied().filter(read).collect();
 
     let cache = (cfg.cache_mb > 0).then(|| Arc::new(PartitionCache::new(cfg.cache_mb << 20)));
     let cold_opts = StreamOptions::default();
@@ -470,95 +433,58 @@ fn measure_primitives(store: &SsbStore, gen: &[GenRequest], cfg: &LoadgenConfig)
         cache: cache.clone(),
         ..StreamOptions::default()
     };
-    let singleton = |spec: WaveSpec, deadline: Option<f64>, opts: &StreamOptions| -> WaveQueryRun {
-        run_wave_streamed(
-            store,
-            &[WaveQuery {
-                spec,
-                deadline_device_s: deadline,
-            }],
-            opts,
-        )
-        .expect("clean store prices without storage errors")
-        .queries
-        .remove(0)
+    let singleton = |key: SpecKey, deadline: Option<f64>, opts: &StreamOptions| -> WaveQueryRun {
+        let spec = match key {
+            SpecKey::Flight(id) => WaveSpec::Flight(id),
+            SpecKey::Col(column) => WaveSpec::Scalar {
+                column,
+                filter: None,
+            },
+        };
+        let member = WaveQuery {
+            spec,
+            deadline_device_s: deadline,
+        };
+        run_wave_streamed(store, &[member], opts)
+            .expect("clean store prices without storage errors")
+            .queries
+            .remove(0)
     };
 
-    let mut cols: Vec<(LoColumn, ColCost)> = Vec::with_capacity(need_cols.len());
+    let mut io = Vec::with_capacity(need_cols.len());
+    let mut device = Vec::with_capacity(need_cols.len() + keys.len());
     for &c in &need_cols {
-        let scan = WaveSpec::Scalar {
-            column: c,
-            filter: None,
-        };
-        let cold = singleton(scan.clone(), None, &cold_opts);
-        let io_warm_s = if cache.is_some() {
-            let _populate = singleton(scan.clone(), None, &warm_opts);
-            singleton(scan, None, &warm_opts).io_s
+        let cold = singleton(SpecKey::Col(c), None, &cold_opts);
+        let warm_s = if cache.is_some() {
+            let _populate = singleton(SpecKey::Col(c), None, &warm_opts);
+            singleton(SpecKey::Col(c), None, &warm_opts).io_s
         } else {
             cold.io_s
         };
-        cols.push((
-            c,
-            ColCost {
-                decode_s: cold.device_s,
-                io_warm_s,
-                io_cold_s: cold.io_s,
-            },
-        ));
+        io.push((c, [cold.io_s, warm_s]));
+        // Device time is the same wherever the bytes came from.
+        device.push((SpecKey::Col(c), cold.device_s));
+    }
+    for &key in keys.iter().filter(|k| matches!(k, SpecKey::Flight(_))) {
+        device.push((key, singleton(key, None, &warm_opts).device_s));
     }
 
-    let decode_sum = |q: QueryId, cols: &[(LoColumn, ColCost)]| -> f64 {
-        q.columns()
-            .iter()
-            .map(|c| {
-                cols.iter()
-                    .find(|(cc, _)| cc == c)
-                    .expect("flight columns measured")
-                    .1
-                    .decode_s
-            })
-            .sum()
-    };
-    let flight_eval = need_flights
-        .iter()
-        .map(|&q| {
-            let run = singleton(WaveSpec::Flight(q), None, &warm_opts);
-            (q, (run.device_s - decode_sum(q, &cols)).max(0.0))
-        })
-        .collect();
-
     let mut deadline = Vec::new();
-    if let Some(d) = cfg.deadline_device_s {
-        let mut keys: Vec<SpecKey> = Vec::new();
-        for g in gen {
-            let key = spec_key(&g.req.query);
-            if !keys.contains(&key) {
-                keys.push(key);
-            }
-        }
-        for key in keys {
-            let spec = match key {
-                SpecKey::Flight(id) => WaveSpec::Flight(id),
-                SpecKey::Col(c) => WaveSpec::Scalar {
-                    column: c,
-                    filter: None,
-                },
-            };
-            let run = singleton(spec, Some(d), &warm_opts);
-            let priced = match &run.outcome {
-                Ok(_) => (run.device_s + run.io_s, Terminal::Completed),
-                // Mirrors `Response::latency_s`: a deadline cut spent
-                // its attributed device budget; storage reads of the
-                // unfinished tail are not billed.
-                Err(partial) => (partial.device_s, Terminal::Deadline),
-            };
-            deadline.push((key, priced));
-        }
+    for &key in keys.iter().filter(|_| cfg.deadline_device_s.is_some()) {
+        let run = singleton(key, cfg.deadline_device_s, &warm_opts);
+        let priced = match &run.outcome {
+            Ok(_) => (run.device_s + run.io_s, Terminal::Completed),
+            // Mirrors `Response::latency_s`: a deadline cut spent its
+            // attributed device budget; storage reads of the
+            // unfinished tail are not billed.
+            Err(partial) => (partial.device_s, Terminal::Deadline),
+        };
+        deadline.push((key, priced));
     }
 
     Primitives {
-        cols,
-        flight_eval,
+        io,
+        device,
         deadline,
     }
 }
@@ -637,44 +563,52 @@ fn price_wave(
             distinct.push(&gen[j].req.query);
         }
     }
-    // Consumers per column, over distinct members.
-    let consumers: Vec<(LoColumn, usize)> = LoColumn::ALL
+    // Per column, over distinct members: everyone who reads it, and the
+    // scalar members one launch answers.
+    let consumers: Vec<(LoColumn, usize, usize)> = LoColumn::ALL
         .iter()
         .filter_map(|&c| {
-            let k = distinct
-                .iter()
-                .filter(|q| spec_cols(q).contains(&c))
-                .count();
-            (k > 0).then_some((c, k))
+            let readers = distinct.iter().filter(|q| spec_cols(q).contains(&c));
+            let (all, scalars) = readers.fold((0, 0), |(all, scalars), q| {
+                let scalar = !matches!(q, QuerySpec::Flight(_));
+                (all + 1, scalars + usize::from(scalar))
+            });
+            (all > 0).then_some((c, all, scalars))
         })
         .collect();
-    // Lane occupancy: the union decoded once plus every distinct
-    // member's own evaluation.
-    for &(c, _) in &consumers {
-        let cc = prims.col(c);
-        span += cc.decode_s + cc.io_warm_s;
+    let counts = |c: LoColumn| {
+        let counted = consumers.iter().find(|(cc, _, _)| *cc == c);
+        counted.expect("consumed column counted")
+    };
+    // Lane occupancy: the union read once, one launch per column with
+    // scalar members, every distinct flight's own kernels.
+    for &(c, _, scalars) in &consumers {
+        span += prims.io_s(c, true);
+        if scalars > 0 {
+            span += prims.device_s(SpecKey::Col(c));
+        }
     }
-    for q in &distinct {
-        span += prims.eval(q);
+    for q in distinct
+        .iter()
+        .filter(|q| matches!(q, QuerySpec::Flight(_)))
+    {
+        span += prims.device_s(spec_key(q));
     }
-    // Attributed member price: each consumed column's cost divided by
-    // its consumer count, plus the member's evaluation.
+    // Attributed member price, the executor's fold rule: each consumed
+    // column's read over its consumers, a scalar's launch over the
+    // scalar members of its column, a flight's device time whole.
     let attributed: Vec<f64> = distinct
         .iter()
         .map(|q| {
-            spec_cols(q)
+            let io: f64 = spec_cols(q)
                 .iter()
-                .map(|&c| {
-                    let k = consumers
-                        .iter()
-                        .find(|(cc, _)| *cc == c)
-                        .expect("consumed column counted")
-                        .1;
-                    let cc = prims.col(c);
-                    (cc.decode_s + cc.io_warm_s) / k as f64
-                })
-                .sum::<f64>()
-                + prims.eval(q)
+                .map(|&c| prims.io_s(c, true) / counts(c).1 as f64)
+                .sum();
+            let launch_members = match spec_key(q) {
+                SpecKey::Flight(_) => 1,
+                SpecKey::Col(c) => counts(c).2,
+            };
+            io + prims.device_s(spec_key(q)) / launch_members as f64
         })
         .collect();
     for &j in &shared {
@@ -980,9 +914,15 @@ mod tests {
             r.latency.p50,
             nb.p50
         );
-        // Attributed service time is strictly below the solo basis at
-        // the median: sharing made the median member cheaper.
-        assert!(r.service_batched.p50 < r.service.p50);
+        // Sharing never makes a member dearer and makes the average
+        // member cheaper. (The median member need not share anything:
+        // a flight decodes inline at its solo price.)
+        assert!(
+            r.service_batched.p50 <= r.service.p50 && r.service_batched.mean < r.service.mean,
+            "batched {:?} vs solo {:?}",
+            r.service_batched,
+            r.service
+        );
         // The real-service prefix exercised actual waves.
         assert!(r.metrics.batched_queries > 0, "{:?}", r.metrics);
         assert!(r.metrics.shared_decodes > 0, "{:?}", r.metrics);

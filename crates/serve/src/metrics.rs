@@ -44,11 +44,13 @@ pub struct Metrics {
     /// with ≥ 2 distinct queries, plus every duplicate ticket answered
     /// by one deduplicated execution.
     pub batched_queries: AtomicU64,
-    /// `(partition, column)` decodes consumed by ≥ 2 wave members —
-    /// decodes that unbatched execution would have repeated.
+    /// `(partition, column)` scalar launches that served ≥ 2 wave
+    /// members (scans or point filters) — tile decodes that unbatched
+    /// execution would have repeated. Flights add nothing: each
+    /// decodes inline in its own kernel.
     pub shared_decodes: AtomicU64,
-    /// Decode-kernel launches avoided by sharing: Σ (consumers − 1)
-    /// over every wave decode.
+    /// Kernel launches avoided by sharing: Σ (members − 1) over those
+    /// launches.
     pub launches_saved: AtomicU64,
     /// Latency population of terminal queries (simulated seconds).
     pub latency: Mutex<LatencyHistogram>,
@@ -112,9 +114,9 @@ pub struct MetricsSnapshot {
     /// Tickets answered by a shared-scan execution (wave of ≥ 2
     /// distinct queries, or a deduplicated fan-out group of ≥ 2).
     pub batched_queries: u64,
-    /// Decodes consumed by ≥ 2 wave members.
+    /// Scalar launches that served ≥ 2 wave members.
     pub shared_decodes: u64,
-    /// Decode-kernel launches avoided by sharing.
+    /// Kernel launches avoided by sharing them.
     pub launches_saved: u64,
     /// Latency percentiles over terminal queries.
     pub latency: LatencySummary,

@@ -50,10 +50,11 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Shared-scan batch window: a worker pops up to this many waiting
     /// jobs at once and executes them as one **wave** — every
-    /// `(partition, column)` the wave needs is decoded once and every
-    /// member's predicate/aggregate evaluates against the decoded
-    /// tile, with identical requests deduplicated (one execution fans
-    /// out to all duplicate tickets). `0` or `1` disables batching
+    /// `(partition, column)` the wave needs is loaded and uploaded
+    /// once, the scans and point filters of a column share one fused
+    /// launch, each flight decodes inline over the same upload, and
+    /// identical requests are deduplicated (one execution fans out to
+    /// all duplicate tickets). `0` or `1` disables batching
     /// (every job runs solo, exactly the pre-batching service).
     /// Answers are bit-identical either way; only attributed cost —
     /// and therefore latency — changes.

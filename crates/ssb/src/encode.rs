@@ -138,9 +138,9 @@ impl LoColumns {
 
     /// Upload already-encoded GPU-* columns (e.g. loaded from a
     /// `tlc-store` partition) without touching any host row data. The
-    /// out-of-core streaming executor uses this so a partition's
-    /// columns go disk → device with exactly one decode — the inline
-    /// one inside the fused query kernel.
+    /// out-of-core partition executor uploads a partition this way
+    /// once per run, so its columns go disk → device and are decoded
+    /// only inline, inside the fused kernels of the run's members.
     pub fn from_encoded<'a>(
         dev: &Device,
         cols: impl IntoIterator<Item = (LoColumn, &'a EncodedColumn)>,
@@ -157,36 +157,6 @@ impl LoColumns {
         LoColumns {
             system: System::GpuStar,
             cols,
-        }
-    }
-
-    /// Wrap already-decoded device buffers as plain columns. The
-    /// cross-query wave executor uses this: a partition's columns are
-    /// decompressed exactly once into `GlobalBuffer`s, then every
-    /// pending query in the wave evaluates against those buffers —
-    /// `prepare` for plain columns launches zero kernels, so no query
-    /// after the first pays a decode.
-    pub fn from_plain(
-        dev: &Device,
-        cols: impl IntoIterator<Item = (LoColumn, tlc_gpu_sim::GlobalBuffer<i32>)>,
-    ) -> Self {
-        let _ = dev;
-        let cols = cols
-            .into_iter()
-            .map(|(c, b)| (c, StoredColumn::Plain(QueryColumn::Plain(b))))
-            .collect();
-        LoColumns {
-            system: System::None,
-            cols,
-        }
-    }
-
-    /// Borrow a plain column's decoded values, if `c` is stored plain
-    /// (as every column of a [`LoColumns::from_plain`] wave set is).
-    pub fn plain_slice(&self, c: LoColumn) -> Option<&[i32]> {
-        match self.cols.get(&c) {
-            Some(StoredColumn::Plain(QueryColumn::Plain(b))) => Some(b.as_slice_unaccounted()),
-            _ => None,
         }
     }
 
@@ -208,23 +178,19 @@ impl LoColumns {
         needed
             .iter()
             .map(|c| match &self.cols[c] {
-                StoredColumn::Plain(_) => {
-                    // Re-wrap without copying: plain columns are reused
-                    // directly; create a view by re-reading the buffer.
-                    match &self.cols[c] {
-                        StoredColumn::Plain(QueryColumn::Plain(b)) => {
-                            QueryColumn::Plain(dev.alloc_from_slice(b.as_slice_unaccounted()))
-                        }
-                        _ => unreachable!(),
-                    }
+                // A query owns its handles (columns aren't `Clone`), so a
+                // resident column is copied host-side, unaccounted; no
+                // kernel runs here: the fused query loads plain tiles
+                // and decodes GPU-* tiles inline.
+                StoredColumn::Plain(QueryColumn::Plain(b)) => {
+                    QueryColumn::Plain(dev.alloc_from_slice(b.as_slice_unaccounted()))
                 }
-                StoredColumn::Star(_) => match &self.cols[c] {
-                    StoredColumn::Star(QueryColumn::Encoded(e)) => {
-                        // Inline: no kernel here; the fused query decodes.
-                        QueryColumn::Encoded(reclone_device_column(dev, e))
-                    }
-                    _ => unreachable!(),
-                },
+                StoredColumn::Star(QueryColumn::Encoded(e)) => {
+                    QueryColumn::Encoded(reclone_device_column(dev, e))
+                }
+                StoredColumn::Plain(_) | StoredColumn::Star(_) => {
+                    unreachable!("plain storage holds a buffer, GPU-* an encoded column")
+                }
                 StoredColumn::NvComp(payload) => QueryColumn::Plain(payload.decompress(dev)),
                 StoredColumn::GpuBp(payload) => {
                     QueryColumn::Plain(gpu_bp::decompress(dev, payload))

@@ -13,9 +13,9 @@
 //! category = 1/25, eight brands = 8/1000).
 
 use tlc_core::DecodeError;
-use tlc_crystal::exec::{fused_config, materialize};
+use tlc_crystal::exec::{fused_config, fused_select_config, materialize};
 use tlc_crystal::{DenseTable, GroupBySum, QueryColumn, ScalarSum};
-use tlc_gpu_sim::{all_lanes, live_lanes, BlockCtx, Device, GlobalBuffer, Phase};
+use tlc_gpu_sim::{all_lanes, live_lanes, BlockCtx, Device, GlobalBuffer, KernelConfig, Phase};
 
 use crate::encode::LoColumns;
 use crate::gen::{LoColumn, SsbData, BRANDS, CITIES, FIRST_YEAR, NATIONS};
@@ -433,6 +433,29 @@ pub fn try_run_query(
     Ok(out)
 }
 
+/// Launch a fused kernel: `body` runs each tile on a worker (with the
+/// worker's `init` scratch) and `merge` takes the tiles' values
+/// serially, in tile order, up to the first tile that failed. That
+/// tile's error, or the launch's own, is the result.
+fn launch_tiles<S, R: Send>(
+    dev: &Device,
+    cfg: KernelConfig,
+    init: impl Fn() -> S + Sync,
+    body: impl Fn(&mut S, &mut BlockCtx<'_>) -> Result<R, DecodeError> + Sync,
+    mut merge: impl FnMut(&mut BlockCtx<'_>, R),
+) -> Result<(), DecodeError> {
+    let mut failed = None;
+    dev.try_launch_par(cfg, init, body, |ctx, _tile, result| match result {
+        Ok(value) if failed.is_none() => merge(ctx, value),
+        Ok(_) => {}
+        Err(e) => {
+            failed.get_or_insert(e);
+        }
+    })
+    .map_err(DecodeError::Launch)?;
+    failed.map_or(Ok(()), Err)
+}
+
 /// Per-worker tile buffers of the fused kernels, built once per worker
 /// by the launch and reused for every tile the worker runs: a tile
 /// allocates nothing of its own.
@@ -523,8 +546,8 @@ fn fused_flight1(
     // Each tile decodes, filters and probes on a worker and returns its
     // partial sum; the serial merge adds partials to the device
     // accumulator in tile order (the atomic-add traffic lives there).
-    let mut failed: Option<DecodeError> = None;
-    dev.try_launch_par(
+    launch_tiles(
+        dev,
         cfg,
         || TileScratch::new(cols.len()),
         |w, ctx| -> Result<u64, DecodeError> {
@@ -543,21 +566,8 @@ fn fused_flight1(
             ctx.add_int_ops(n as u64 * 2);
             Ok(local)
         },
-        |ctx, _t, result| match result {
-            Ok(local) => {
-                if failed.is_none() {
-                    sum.add_tile(ctx, std::iter::once(local));
-                }
-            }
-            Err(e) => {
-                failed.get_or_insert(e);
-            }
-        },
-    )
-    .map_err(DecodeError::Launch)?;
-    if let Some(e) = failed {
-        return Err(e);
-    }
+        |ctx, local| sum.add_tile(ctx, std::iter::once(local)),
+    )?;
     Ok(sum.value())
 }
 
@@ -599,8 +609,8 @@ fn fused_join_flight(
     // Tiles decode, filter and probe on workers, each returning its
     // (group, value) pairs; the serial merge scatters them into the
     // device group-by table in tile order.
-    let mut failed: Option<DecodeError> = None;
-    dev.try_launch_par(
+    launch_tiles(
+        dev,
         cfg,
         || TileScratch::new(cols.len()),
         |w, ctx| -> Result<Vec<(usize, u64)>, DecodeError> {
@@ -649,22 +659,62 @@ fn fused_join_flight(
             ctx.add_int_ops(n as u64 * 4);
             Ok(w.pairs.clone())
         },
-        |ctx, _t, result| match result {
-            Ok(pairs) => {
-                if failed.is_none() {
-                    agg.add_tile(ctx, &pairs);
-                }
-            }
-            Err(e) => {
-                failed.get_or_insert(e);
-            }
-        },
-    )
-    .map_err(DecodeError::Launch)?;
-    if let Some(e) = failed {
-        return Err(e);
-    }
+        |ctx, pairs| agg.add_tile(ctx, &pairs),
+    )?;
     Ok(agg)
+}
+
+/// Count and wrapping sum of `col`'s values, once per entry of
+/// `filters` (`Some(v)`: the values equal to `v`; `None`: all of them),
+/// in **one** fused launch: each tile is loaded once (decoded inline
+/// when the column is compressed), every filter is evaluated and
+/// reduced on the values in registers, and the block adds its
+/// `2 × filters` partials to the device accumulators. No decoded value
+/// is written back to global memory. The CPU twin is
+/// [`crate::reference::fold_scalar`].
+pub fn scalar_filters(
+    dev: &Device,
+    col: &QueryColumn,
+    filters: &[Option<i32>],
+) -> Result<Vec<(u64, i64)>, DecodeError> {
+    let cfg = fused_select_config("scalar_filters", &[col]);
+    // Accumulator slots `2m` and `2m + 1`: filter `m`'s count and sum.
+    let mut acc = GroupBySum::new(dev, 2 * filters.len());
+    launch_tiles(
+        dev,
+        cfg,
+        Vec::new,
+        |vals, ctx| -> Result<Vec<(usize, u64)>, DecodeError> {
+            let n = col.load_tile(ctx, ctx.block_id(), vals)?;
+            let vals = &vals[..n];
+            // Per filter and value: a compare (`Predicate`), then the
+            // count and the sum (`Aggregate`).
+            let ops = n as u64 * 2 * filters.len() as u64;
+            ctx.set_phase(Phase::Predicate);
+            ctx.add_int_ops(ops);
+            ctx.set_phase(Phase::Aggregate);
+            ctx.add_int_ops(ops);
+            let mut partials = Vec::with_capacity(2 * filters.len());
+            for f in filters {
+                let (count, sum) = match *f {
+                    None => (n, vals.iter().fold(0i64, |s, &v| s.wrapping_add(v as i64))),
+                    // Every kept value is `want`.
+                    Some(want) => {
+                        let count = vals.iter().filter(|&&v| v == want).count();
+                        (count, (want as i64).wrapping_mul(count as i64))
+                    }
+                };
+                partials.push((partials.len(), count as u64));
+                partials.push((partials.len(), sum as u64));
+            }
+            Ok(partials)
+        },
+        |ctx, partials| acc.add_tile(ctx, &partials),
+    )?;
+    let slots = acc.values();
+    Ok((0..filters.len())
+        .map(|m| (slots[2 * m], slots[2 * m + 1] as i64))
+        .collect())
 }
 
 /// OmniSci model: the same query logic, one materializing kernel per

@@ -1,12 +1,25 @@
 //! A scalar CPU reference executor for the 13 SSB queries. Shares the
 //! per-query `crate::queries::spec` with the device executors, so a
 //! divergence between the fused kernel and this loop is a real engine
-//! bug, not a drifted predicate.
+//! bug, not a drifted predicate. [`fold_scalar`] is the same for a scan
+//! or point filter.
 
 use std::collections::HashMap;
 
 use crate::gen::SsbData;
 use crate::queries::{spec, within, QueryId};
+
+/// Count and wrapping sum of `values`, keeping only those equal to
+/// `filter` when set: the CPU twin of
+/// [`crate::queries::scalar_filters`] and the CPU rung of its ladder.
+pub fn fold_scalar(values: &[i32], filter: Option<i32>) -> (u64, i64) {
+    let kept = values
+        .iter()
+        .filter(|&&v| filter.is_none_or(|want| v == want));
+    kept.fold((0, 0), |(count, sum), &v| {
+        (count + 1, sum.wrapping_add(v as i64))
+    })
+}
 
 /// Run query `q` with plain nested loops; returns sorted
 /// `(group index, wrapped signed sum)` pairs, matching

@@ -143,9 +143,19 @@ pub fn run_query_checked(
     q: QueryId,
     report: &mut ResilienceReport,
 ) -> Result<Vec<(u64, u64)>, DecodeError> {
+    retry_transients(report, || try_run_query(dev, data, cols, q))
+}
+
+/// The first rung of every device ladder: `attempt`, re-run in place
+/// while it fails with a transient launch error, at most
+/// [`MAX_TRANSIENT_RETRIES`] times.
+pub(crate) fn retry_transients<T>(
+    report: &mut ResilienceReport,
+    mut attempt: impl FnMut() -> Result<T, DecodeError>,
+) -> Result<T, DecodeError> {
     let mut retries = 0;
     loop {
-        match try_run_query(dev, data, cols, q) {
+        match attempt() {
             Ok(result) => return Ok(result),
             Err(e) if e.is_transient() && retries < MAX_TRANSIENT_RETRIES => {
                 retries += 1;

@@ -26,7 +26,7 @@ use tlc::ssb::{
     ResilienceReport, SsbStore, StreamError, StreamOptions, StreamSpec, StreamedRun, WaveAnswer,
     WaveQuery, WaveRun, WaveSpec,
 };
-use tlc::store::{damage, PartitionCache, StoreError};
+use tlc::store::{damage, modeled_read_s, PartitionCache, StoreError};
 
 /// The override is process-global; serialize the tests that set it.
 static OVERRIDE: Mutex<()> = Mutex::new(());
@@ -534,6 +534,85 @@ fn every_entry_point_with_a_partition_routed_to_the_cpu() {
     let _guard = lock();
     let (store, dir) = fresh_store("cpu");
     check("forced CPU", FORCE_CPU, || sequence(&store, Opts::ForceCpu));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---- solo is a wave of one -------------------------------------------
+
+/// A flight's modelled read seconds rebuilt from the manifest, the
+/// way the fold sums them: per partition over `columns` in order, then
+/// over partitions.
+fn read_seconds(store: &SsbStore, columns: &[LoColumn]) -> f64 {
+    let manifest = store.store().manifest();
+    let mut total = 0.0f64;
+    for part in &manifest.partitions {
+        let mut partition = 0.0f64;
+        for c in columns {
+            let file = manifest.column_index(c.name()).expect("in the layout");
+            partition += modeled_read_s(part.files[file].bytes as u64, false);
+        }
+        total += partition;
+    }
+    total
+}
+
+#[test]
+fn a_one_member_flight_wave_is_the_solo_flight() {
+    let _guard = lock();
+    let (store, dir) = fresh_store("one");
+    let opts = StreamOptions::default();
+    for threads in [1, 4] {
+        set_sim_threads_override(Some(threads));
+        for q in [QueryId::Q11, QueryId::Q21, QueryId::Q31, QueryId::Q43] {
+            let solo = run_query_streamed_bounded(&store, q, &opts).expect("solo");
+            let member = [WaveQuery {
+                spec: WaveSpec::Flight(q),
+                deadline_device_s: None,
+            }];
+            let wave = run_wave_streamed(&store, &member, &opts).expect("wave");
+            let one = &wave.queries[0];
+            let label = format!("{} at {threads} sim thread(s)", q.name());
+            assert_eq!(
+                one.outcome.as_ref().ok(),
+                Some(&WaveAnswer::Groups(solo.result)),
+                "{label}"
+            );
+            assert_eq!(one.device_s.to_bits(), solo.device_s.to_bits(), "{label}");
+            assert_eq!(
+                (one.rows, one.partitions),
+                (solo.rows, solo.partitions),
+                "{label}"
+            );
+            assert_eq!(one.report, solo.report, "{label}");
+            assert_eq!(
+                one.recovered_partitions, solo.recovered_partitions,
+                "{label}"
+            );
+            assert_eq!(
+                (wave.shared_decodes, wave.launches_saved),
+                (0, 0),
+                "{label}"
+            );
+            // The same per-column terms, summed in the query's column
+            // order by the solo run and in `LoColumn::ALL` order by the
+            // wave: equal term by term, not always bit for bit.
+            let in_all_order: Vec<LoColumn> = LoColumn::ALL
+                .into_iter()
+                .filter(|c| q.columns().contains(c))
+                .collect();
+            assert_eq!(
+                solo.io_s.to_bits(),
+                read_seconds(&store, q.columns()).to_bits(),
+                "{label}"
+            );
+            assert_eq!(
+                one.io_s.to_bits(),
+                read_seconds(&store, &in_all_order).to_bits(),
+                "{label}"
+            );
+        }
+        set_sim_threads_override(None);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -9,8 +9,10 @@
 
 use tlc::crystal::{select, QueryColumn};
 use tlc::schemes::column::TILE;
-use tlc::schemes::{EncodedColumn, Scheme};
+use tlc::schemes::{EncodedColumn, GpuDFor, GpuFor, GpuRFor, Layout, Scheme, DEFAULT_D};
 use tlc::sim::{Counter, CounterSink, Device, Phase};
+use tlc::ssb::queries::scalar_filters;
+use tlc::ssb::reference::fold_scalar;
 
 /// Data that exercises all three schemes: runs (RFOR), a rising trend
 /// (DFOR), and a bounded range (FOR).
@@ -104,6 +106,49 @@ fn fused_select_writes_back_only_survivors() {
         "no survivors must mean zero writeback traffic for decoded values"
     );
     assert_eq!(sink.phase(Phase::Writeback).int_ops, 0);
+}
+
+#[test]
+fn scalar_kernel_reads_each_tile_once_per_launch_and_writes_nothing_back() {
+    // One launch answers a scan, a filter that matches and one that
+    // matches nothing; 40 000 values leave a short last tile.
+    let values = sample(40_000);
+    assert_ne!(values.len() % TILE, 0);
+    let tiles = values.len().div_ceil(TILE) as u64;
+    let filters = [None, Some(values[0]), Some(-1)];
+    for layout in [Layout::Horizontal, Layout::Vertical] {
+        for encoded in [
+            EncodedColumn::For(GpuFor::encode_with_layout(&values, layout)),
+            EncodedColumn::DFor(GpuDFor::encode_with_d_layout(&values, DEFAULT_D, layout)),
+            EncodedColumn::RFor(GpuRFor::encode_with_layout(&values, layout)),
+        ] {
+            let label = format!("{} {layout:?}", encoded.scheme().name());
+            let dev = Device::v100();
+            let col = QueryColumn::Encoded(encoded.to_device(&dev));
+            let sink = CounterSink::new();
+            dev.set_profile_sink(Box::new(sink.clone()));
+            let got = scalar_filters(&dev, &col, &filters).expect("column verifies");
+            let decoded = encoded.decode_cpu();
+            let want: Vec<(u64, i64)> = filters.iter().map(|f| fold_scalar(&decoded, *f)).collect();
+            assert_eq!(got, want, "{label}");
+            assert!(want[1].0 > 0 && want[2].0 == 0, "{label}");
+            assert_eq!(
+                sink.counter(Counter::EncodedTileReads),
+                tiles,
+                "{label}: three filters, one read of each encoded tile"
+            );
+            assert_eq!(
+                sink.counter(Counter::ValuesProduced),
+                values.len() as u64,
+                "{label}"
+            );
+            assert_eq!(
+                sink.phase(Phase::Writeback).global_write_segments,
+                0,
+                "{label}: no decoded value goes back to global memory"
+            );
+        }
+    }
 }
 
 #[test]

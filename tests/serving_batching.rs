@@ -3,8 +3,8 @@
 //!
 //! The traffic is built so every wave exercises the interesting paths
 //! at once: an in-wave duplicate pair (dedup fan-out), a scan and a
-//! point filter sharing a flight's columns (shared decodes), a
-//! deadline that expires mid-wave (one member cut while the rest
+//! point filter over one of the flight's columns (one shared load, and
+//! one launch that answers both scalars), a deadline that expires mid-wave (one member cut while the rest
 //! complete), and — in chaos mode — kill-shard fault plans on the
 //! flights (plan-carrying requests must leave the wave and run solo).
 //! The contract:
@@ -39,8 +39,8 @@ fn fresh_store(tag: &str) -> (Arc<SsbStore>, PathBuf) {
     (Arc::new(store), dir)
 }
 
-/// A rotation where every window-4 wave holds a duplicate flight pair,
-/// a scan and a point filter overlapping the flight's columns; every
+/// A rotation where every window-4 wave holds a duplicate flight pair
+/// and a scan and a point filter over the flight's Quantity; every
 /// eighth request carries a deadline the first partition overruns, so
 /// it is cut mid-wave while its wave-mates complete. In chaos mode the
 /// flights carry kill-shard fault plans and must run solo.
@@ -53,7 +53,7 @@ fn traffic(chaos: bool) -> Vec<Request> {
                     column: LoColumn::Quantity,
                 },
                 _ => QuerySpec::PointFilter {
-                    column: LoColumn::Discount,
+                    column: LoColumn::Quantity,
                     value: 4,
                 },
             };
@@ -117,8 +117,8 @@ fn run_traffic(tag: &str, window: usize, chaos: bool) -> Vec<(u64, String)> {
     assert_eq!(m.terminals(), REQUESTS as u64);
     assert!(m.deadline_exceeded > 0, "mix must cut a deadline mid-wave");
     if window >= 2 && !chaos {
-        // Clean waves hold ≥ 2 distinct batchable queries, so sharing
-        // must actually have happened.
+        // Clean waves hold the scan and the point filter on one
+        // column, so a launch must actually have been shared.
         assert!(m.batched_queries > 0, "{m:?}");
         assert!(m.shared_decodes > 0, "{m:?}");
     }
