@@ -418,14 +418,16 @@ fn measure_primitives(store: &SsbStore, gen: &[GenRequest], cfg: &LoadgenConfig)
     // LoColumn::ALL order, so that the cache warm-up sequence — and
     // therefore every warm price — is independent of the mix.
     let mut keys: Vec<SpecKey> = Vec::new();
+    let mut read: Vec<LoColumn> = Vec::new();
     for g in gen {
         let key = spec_key(&g.req.query);
         if !keys.contains(&key) {
             keys.push(key);
+            read.extend(spec_cols(&g.req.query));
         }
     }
-    let read = |c: &LoColumn| gen.iter().any(|g| spec_cols(&g.req.query).contains(c));
-    let need_cols: Vec<LoColumn> = LoColumn::ALL.iter().copied().filter(read).collect();
+    let need_cols = LoColumn::ALL.iter().copied().filter(|c| read.contains(c));
+    let need_cols: Vec<LoColumn> = need_cols.collect();
 
     let cache = (cfg.cache_mb > 0).then(|| Arc::new(PartitionCache::new(cfg.cache_mb << 20)));
     let cold_opts = StreamOptions::default();

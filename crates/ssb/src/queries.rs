@@ -704,8 +704,8 @@ pub fn scalar_filters(
                         (count, (want as i64).wrapping_mul(count as i64))
                     }
                 };
-                partials.push((partials.len(), count as u64));
-                partials.push((partials.len(), sum as u64));
+                let slot = partials.len();
+                partials.extend([(slot, count as u64), (slot + 1, sum as u64)]);
             }
             Ok(partials)
         },
