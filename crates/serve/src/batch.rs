@@ -36,118 +36,120 @@ use std::sync::atomic::Ordering;
 use tlc_ssb::{run_wave_streamed, WaveQuery};
 
 use crate::exec::{member_outcome, wave_spec};
-use crate::service::{feed_back, record_terminal, routing_snapshot, run_solo, Job, Shared};
-use crate::{Outcome, QuerySpec, Response};
+use crate::service::{feed_back, record_terminal, routing_snapshot, run_solo, Shared};
+use crate::{Outcome, QuerySpec, Request, Response};
 
 /// Dedup key: two requests are "identical" (one execution answers
 /// both) when they ask the same query under the same deadline.
-type DedupKey = (QuerySpec, Option<u64>);
+pub(crate) type DedupKey = (QuerySpec, Option<u64>);
 
-fn dedup_key(job: &Job) -> DedupKey {
-    (
-        job.req.query.clone(),
-        job.req.deadline_device_s.map(f64::to_bits),
-    )
+pub(crate) fn dedup_key(req: &Request) -> DedupKey {
+    (req.query.clone(), req.deadline_device_s.map(f64::to_bits))
 }
 
-/// Execute one popped wave of jobs, delivering exactly one response
-/// per job on every path.
-pub(crate) fn run_wave_batch(shared: &Shared, jobs: Vec<Job>) {
+/// Execute one popped wave. Returns exactly one counted terminal
+/// response per request, in request order, and the simulated seconds
+/// the wave kept its worker busy: the latency of every execution it
+/// performed, each once (duplicate tickets fan out for free).
+pub(crate) fn run_wave_batch(shared: &Shared, reqs: Vec<Request>) -> (Vec<Response>, f64) {
+    let mut slots: Vec<Option<Response>> = reqs.iter().map(|_| None).collect();
+    let mut busy_s = 0.0f64;
+    let mut solo = |(slot, req): (usize, Request)| {
+        let response = run_solo(shared, req);
+        busy_s += response.latency_s();
+        slots[slot] = Some(response);
+    };
+
     // Plan-carrying requests (chaos drills) run solo: a fault campaign
     // is a per-query contract, and sharing a device with it would leak
     // injected damage into innocent wave-mates' attributed costs.
-    let (batchable, solo): (Vec<Job>, Vec<Job>) =
-        jobs.into_iter().partition(|j| j.req.plan.is_none());
-    for job in solo {
-        run_solo(shared, job);
-    }
-    if batchable.is_empty() {
-        return;
-    }
-    if batchable.len() == 1 {
+    let (batchable, planned): (Vec<_>, Vec<_>) = reqs
+        .into_iter()
+        .enumerate()
+        .partition(|(_, req)| req.plan.is_none());
+    planned.into_iter().for_each(&mut solo);
+    if batchable.len() <= 1 {
         // A wave of one goes through `run_job`, where the retry/backoff
         // ladder lives (same executor, no batching counters).
-        for job in batchable {
-            run_solo(shared, job);
-        }
-        return;
-    }
-
-    // Dedup: group tickets by (query, deadline), first-seen order.
-    let mut groups: Vec<(DedupKey, Vec<Job>)> = Vec::new();
-    for job in batchable {
-        let key = dedup_key(&job);
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, g)) => g.push(job),
-            None => groups.push((key, vec![job])),
-        }
-    }
-
-    let queries: Vec<WaveQuery> = groups
-        .iter()
-        .map(|(_, g)| WaveQuery {
-            spec: wave_spec(&g[0].req.query),
-            deadline_device_s: g[0].req.deadline_device_s,
-        })
-        .collect();
-
-    // One routing/degradation snapshot for the whole wave.
-    let routing = routing_snapshot(shared);
-    match run_wave_streamed(&shared.store, &queries, &routing.opts) {
-        Ok(wave) => {
-            let m = &shared.metrics;
-            m.shared_decodes
-                .fetch_add(wave.shared_decodes, Ordering::Relaxed);
-            m.launches_saved
-                .fetch_add(wave.launches_saved, Ordering::Relaxed);
-            let distinct = groups.len();
-            for (run, (_, group)) in wave.queries.into_iter().zip(groups) {
-                // Feedback once per distinct execution, mirroring the
-                // solo path: completions feed the breaker bank, a
-                // deadline only nudges the health machine.
-                match &run.outcome {
-                    Ok(_) => feed_back(
-                        shared,
-                        run.partitions,
-                        &run.recovered_partitions,
-                        &routing.routed,
-                    ),
-                    Err(partial) => {
-                        let struck = partial.report.recoveries() > 0;
-                        shared.health.lock().expect("health lock").observe(struck);
-                    }
-                }
-                if distinct >= 2 || group.len() >= 2 {
-                    m.batched_queries
-                        .fetch_add(group.len() as u64, Ordering::Relaxed);
-                }
-                let outcome = match member_outcome(run) {
-                    Ok(out) => Outcome::Completed(out),
-                    Err(partial) => Outcome::DeadlineExceeded(partial),
-                };
-                for job in group {
-                    let response = Response {
-                        id: job.req.id,
-                        outcome: outcome.clone(),
-                        attempts: 1,
-                        backoff_s: 0.0,
-                        tier: routing.tier,
-                        routed_around: routing.routed.clone(),
-                    };
-                    record_terminal(shared, &response);
-                    let _ = job.tx.send(response);
-                }
+        batchable.into_iter().for_each(&mut solo);
+    } else {
+        // Dedup: group tickets by (query, deadline), first-seen order.
+        let mut groups: Vec<(DedupKey, Vec<(usize, Request)>)> = Vec::new();
+        for member in batchable {
+            let key = dedup_key(&member.1);
+            match groups.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, g)) => g.push(member),
+                None => groups.push((key, vec![member])),
             }
         }
-        Err(_) => {
+
+        let queries: Vec<WaveQuery> = groups
+            .iter()
+            .map(|(_, g)| WaveQuery {
+                spec: wave_spec(&g[0].1.query),
+                deadline_device_s: g[0].1.deadline_device_s,
+            })
+            .collect();
+
+        // One routing/degradation snapshot for the whole wave.
+        let routing = routing_snapshot(shared);
+        match run_wave_streamed(&shared.store, &queries, &routing.opts) {
+            Ok(wave) => {
+                let m = &shared.metrics;
+                m.shared_decodes
+                    .fetch_add(wave.shared_decodes, Ordering::Relaxed);
+                m.launches_saved
+                    .fetch_add(wave.launches_saved, Ordering::Relaxed);
+                let distinct = groups.len();
+                for (run, (_, group)) in wave.queries.into_iter().zip(groups) {
+                    // Feedback once per distinct execution, mirroring the
+                    // solo path: completions feed the breaker bank, a
+                    // deadline only nudges the health machine.
+                    match &run.outcome {
+                        Ok(_) => feed_back(
+                            shared,
+                            run.partitions,
+                            &run.recovered_partitions,
+                            &routing.routed,
+                        ),
+                        Err(partial) => {
+                            let struck = partial.report.recoveries() > 0;
+                            shared.health.lock().expect("health lock").observe(struck);
+                        }
+                    }
+                    if distinct >= 2 || group.len() >= 2 {
+                        m.batched_queries
+                            .fetch_add(group.len() as u64, Ordering::Relaxed);
+                    }
+                    let outcome = match member_outcome(run) {
+                        Ok(out) => Outcome::Completed(out),
+                        Err(partial) => Outcome::DeadlineExceeded(partial),
+                    };
+                    for (k, (slot, req)) in group.into_iter().enumerate() {
+                        let response = Response {
+                            id: req.id,
+                            outcome: outcome.clone(),
+                            attempts: 1,
+                            backoff_s: 0.0,
+                            tier: routing.tier,
+                            routed_around: routing.routed.clone(),
+                        };
+                        if k == 0 {
+                            busy_s += response.latency_s();
+                        }
+                        record_terminal(shared, &response);
+                        slots[slot] = Some(response);
+                    }
+                }
+            }
             // Unrecoverable storage error at the wave level: fall back
             // to solo execution per ticket, which re-attempts with the
             // full retry/backoff ladder and keeps the books balanced.
-            for (_, group) in groups {
-                for job in group {
-                    run_solo(shared, job);
-                }
-            }
+            Err(_) => groups.into_iter().flat_map(|(_, g)| g).for_each(&mut solo),
         }
     }
+    let responses = slots
+        .into_iter()
+        .map(|r| r.expect("one response per request"));
+    (responses.collect(), busy_s)
 }

@@ -39,10 +39,12 @@
 //! test in `tests/serving_chaos.rs` asserts this under kill-shard and
 //! bit-rot fault injection).
 //!
-//! Time in this crate is **simulated device time** end to end —
-//! service latency is `device_s + backoff_s`, both deterministic — so
-//! serving benchmarks ([`loadgen`]) are diffable across runs and
-//! thread counts like every other artifact in the workspace.
+//! Time in this crate is **simulated** end to end — service latency
+//! ([`Response::latency_s`]) is `device_s + io_s + backoff_s`, all
+//! three modelled and deterministic, and nothing reads a wall clock —
+//! so serving benchmarks ([`loadgen`], which drives this crate's own
+//! admission gate and batcher in virtual time) are diffable across
+//! runs and thread counts like every other artifact in the workspace.
 
 #![warn(missing_docs)]
 

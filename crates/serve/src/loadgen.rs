@@ -6,62 +6,50 @@
 //! closed-loop "wait for the answer, then ask again" driver whose
 //! offered load self-throttles to the service's capacity.
 //!
-//! Everything is measured in *simulated* time, in three phases:
+//! Everything is measured in *simulated* time, and every request runs
+//! through the service's own code:
 //!
-//! 1. **Primitives** — the workload's cost basis is memoized per
-//!    *primitive*, not per request: each distinct request shape is run
-//!    once, solo, through a singleton wave
-//!    ([`tlc_ssb::run_wave_streamed`]) — a flight for its fused
-//!    kernels' device time (inline decode included), a scan of each
-//!    column the mix touches for its scalar launch and its cold/warm
-//!    storage read (warm = through a [`PartitionCache`] sized by
-//!    [`LoadgenConfig::cache_mb`]). A point filter and a scan over the
-//!    same column price identically (one filter in the same launch), so
-//!    a handful of singleton runs prices every distinct request — which
-//!    is what lets one run scale to millions of requests without
-//!    millions of executions.
-//! 2. **Wave queue model** — a deterministic virtual-time simulation
-//!    replays the arrival sequence against
-//!    [`LoadgenConfig::servers`] lanes with the live service's
-//!    admission bound and its shared-scan batching rule: when a lane
-//!    frees, it takes up to [`LoadgenConfig::batch_window`] waiting
-//!    jobs as one wave (arrivals at the dispatch instant join the
-//!    wave). A member's service time is its *attributed* wave cost, by
-//!    the real wave executor's rule: each consumed column's read
-//!    divided by its consumer count, a scalar's launch divided by the
-//!    scalar members on its column, a flight's own device time whole.
-//!    The lane stays busy for the wave's union cost (a shared launch
-//!    is priced at the one-member launch: the further members' work is
-//!    in-register). A batching-off control pass (window 1) over the
-//!    same arrivals yields [`LoadgenReport::p50_batch_speedup`].
-//!    Deadline-carrying requests are conservatively priced solo
-//!    (sharing would only make them cheaper); their terminal kind comes
-//!    from a memoized singleton run with the same deadline.
-//! 3. **Real-service prefix** — the first requests (up to 96) also run
-//!    through a real [`Service`] in fixed-composition waves, so the
-//!    artifact carries *real* batching counters (`batched_queries`,
-//!    `shared_decodes`, `launches_saved`), real cache counters, and a
-//!    balanced set of books, all byte-reproducible.
+//! 1. **Arrivals** — a seeded Poisson clock and workload mix
+//!    ([`LoadgenConfig::seed`]).
+//! 2. **Driver** — one pass of the arrival sequence through a
+//!    service's thread-free state, in virtual time. The only thing a
+//!    live [`crate::Service`] leaves to the OS is which worker pops the
+//!    queue when; the driver decides that instead. Each arrival passes
+//!    the service's admission gate against the driver's waiting line;
+//!    when one of [`LoadgenConfig::servers`] lanes frees, it takes up
+//!    to [`LoadgenConfig::batch_window`] waiting jobs (arrivals at the
+//!    dispatch instant join) and hands them to the batcher a worker
+//!    thread would have called — routing, dedup, the wave executor, the
+//!    retry ladder, breaker and health feedback, the cache and every
+//!    counter included. A request's sojourn is its queue wait plus its
+//!    [`Response::latency_s`]; the lane stays busy for the simulated
+//!    seconds the batcher reports for the executions it performed. A
+//!    batching-off control is the same pass under a window of 1 and
+//!    yields [`LoadgenReport::p50_batch_speedup`].
+//! 3. **Report** — the pass's percentiles, and its final
+//!    [`MetricsSnapshot`] for every counter: the books cover the whole
+//!    run. The `service` rows are each generated request's solo cost,
+//!    measured by running every distinct `(query, deadline)` alone
+//!    through the same batcher (warm: a second run through the cache;
+//!    `service_nocache`: cache off).
 //!
-//! Splitting measurement from queueing keeps the reported
-//! p50/p99/p999 bit-identical across runs and host thread counts —
-//! real thread interleaving never leaks into the artifact — while
-//! still exercising the full service path for the prefix.
+//! `tlc-serve` reads no wall clock (breaker cooldowns tick in queries,
+//! backoff is simulated seconds), so with the pop order fixed by the
+//! driver the reported p50/p99/p999 and counters are bit-identical
+//! across runs and host thread counts.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use tlc_profile::{Json, LatencyHistogram, LatencySummary};
 use tlc_rng::Rng;
-use tlc_ssb::{
-    run_wave_streamed, LoColumn, QueryId, SsbStore, StreamOptions, WaveQuery, WaveQueryRun,
-    WaveSpec,
-};
-use tlc_store::{CacheStats, PartitionCache};
+use tlc_ssb::{LoColumn, QueryId, SsbStore};
+use tlc_store::CacheStats;
 
+use crate::batch::{dedup_key, run_wave_batch, DedupKey};
 use crate::metrics::{cache_stats_json, MetricsSnapshot};
-use crate::service::{ServeConfig, Service};
-use crate::{QuerySpec, Request};
+use crate::service::{ServeConfig, Shared};
+use crate::{QuerySpec, Request, Response};
 
 /// Workload class weights (any non-negative integers; all zero falls
 /// back to scans only).
@@ -94,25 +82,23 @@ pub struct LoadgenConfig {
     pub requests: usize,
     /// Offered arrival rate, queries per simulated second.
     pub arrival_rate_qps: f64,
-    /// Virtual service lanes in the queue model (the live service's
-    /// worker count).
+    /// Virtual service lanes ([`ServeConfig::workers`]).
     pub servers: usize,
-    /// Admission bound in the queue model (the live service's
-    /// `queue_capacity`).
+    /// Admission bound ([`ServeConfig::queue_capacity`]).
     pub queue_capacity: usize,
-    /// Shared-scan batch window in the queue model and the prefix
-    /// service ([`ServeConfig::batch_window`]). `0` or `1` disables
-    /// batching; `≥ 2` also runs the batching-off control pass, so the
-    /// artifact carries [`LoadgenReport::p50_batch_speedup`].
+    /// Shared-scan batch window ([`ServeConfig::batch_window`]). `0`
+    /// or `1` disables batching; `≥ 2` also runs the batching-off
+    /// control pass, so the artifact carries
+    /// [`LoadgenReport::p50_batch_speedup`].
     pub batch_window: usize,
     /// Device-time budget attached to every request (`None`: no
     /// deadlines in the workload).
     pub deadline_device_s: Option<f64>,
     /// Class weights.
     pub mix: Mix,
-    /// Shared partition-cache budget in MiB for warm storage pricing
-    /// and the prefix service (`0`: caching off). When on, the
-    /// artifact also carries the `service_nocache` row and the
+    /// Shared partition-cache budget in MiB
+    /// ([`ServeConfig::cache_budget_bytes`]; `0`: caching off). When
+    /// on, the artifact also carries the `service_nocache` row and the
     /// `p50_service_speedup` ratio — the repeated-query win of
     /// keeping compressed partitions resident.
     pub cache_mb: u64,
@@ -152,7 +138,7 @@ pub struct LoadgenReport {
     pub offered_qps: f64,
     /// Shared-scan batch window (config echo).
     pub batch_window: usize,
-    /// Requests shed by the admission bound in the queue model.
+    /// Requests shed by the admission bound.
     pub rejected_overloaded: usize,
     /// Admitted requests that completed.
     pub completed: usize,
@@ -163,17 +149,17 @@ pub struct LoadgenReport {
     /// Terminals per simulated second of makespan — the saturation
     /// throughput the service actually sustained.
     pub saturation_qps: f64,
-    /// Sojourn latency (queue wait + attributed service) over admitted
-    /// terminals of the batching-on model — the live configuration.
+    /// Sojourn latency (queue wait + [`Response::latency_s`]) over the
+    /// admitted terminals of the configured pass.
     pub latency: LatencySummary,
     /// Solo (unbatched, cache-warm) service time of every generated
     /// request — the per-request cost basis batching starts from.
     pub service: LatencySummary,
-    /// Attributed service time of admitted requests under batching —
-    /// what each member actually paid after sharing reads and scalar
-    /// launches.
+    /// Service time of admitted requests under batching — what each
+    /// member actually paid after sharing reads and scalar launches
+    /// (the pass's `metrics.latency`).
     pub service_batched: LatencySummary,
-    /// Per-class sojourn latency (batching-on model).
+    /// Per-class sojourn latency of the configured pass.
     pub per_class: Vec<ClassReport>,
     /// Sojourn latency of the batching-off control pass over the same
     /// arrivals (`None` when `batch_window` ≤ 1 — there is nothing to
@@ -183,17 +169,17 @@ pub struct LoadgenReport {
     /// median request got because waves load each partition once and
     /// answer the scalars of a column in one launch.
     pub p50_batch_speedup: Option<f64>,
-    /// Solo service time priced against cold storage for every
-    /// generated request (`None` when `cache_mb` is 0 and there is
-    /// nothing to compare against).
+    /// Solo service time with the cache off for every generated
+    /// request (`None` when `cache_mb` is 0 and there is nothing to
+    /// compare against).
     pub service_nocache: Option<LatencySummary>,
     /// `service_nocache.p50 / service.p50` — how much faster the
     /// median query got because compressed partitions stayed resident.
     pub p50_service_speedup: Option<f64>,
-    /// Shared-cache counters at the end of the real-service prefix.
+    /// Shared-cache counters at the end of the configured pass.
     pub cache: Option<CacheStats>,
-    /// Final service books of the real-service prefix (the
-    /// exactly-one-response invariant holds under batching too; `tlc
+    /// Final service books of the configured pass, every request in
+    /// them; the terminal counts above are read from here (`tlc
     /// loadgen` refuses to write an artifact when this is unbalanced).
     pub metrics: MetricsSnapshot,
 }
@@ -326,417 +312,106 @@ fn generate(cfg: &LoadgenConfig) -> Vec<GenRequest> {
         .collect()
 }
 
-/// Which memoized solo price a request resolves to: a flight runs its
-/// own fused kernels; every scalar over a column prices like a scan of
-/// it (one filter in the same launch).
-#[derive(Clone, Copy, PartialEq)]
-enum SpecKey {
-    Flight(QueryId),
-    Col(LoColumn),
-}
-
-/// Terminal kind of a memoized solo run.
-#[derive(Clone, Copy, PartialEq)]
-enum Terminal {
-    Completed,
-    Deadline,
-}
-
-/// The workload's memoized cost basis.
-struct Primitives {
-    /// Modelled storage-read seconds of each column the workload
-    /// touches, `[cold, warm]` (equal when caching is off).
-    io: Vec<(LoColumn, [f64; 2])>,
-    /// Solo simulated device seconds per spec key: a flight's fused
-    /// kernels, a column's one-member scalar launch.
-    device: Vec<(SpecKey, f64)>,
-    /// Solo `(service_s, terminal)` per spec key under the workload's
-    /// deadline (empty when the workload carries none).
-    deadline: Vec<(SpecKey, (f64, Terminal))>,
-}
-
-fn spec_key(q: &QuerySpec) -> SpecKey {
-    match q {
-        QuerySpec::Flight(id) => SpecKey::Flight(*id),
-        QuerySpec::PointFilter { column, .. } | QuerySpec::Scan { column } => SpecKey::Col(*column),
-    }
-}
-
-fn spec_cols(q: &QuerySpec) -> &[LoColumn] {
-    match q {
-        QuerySpec::Flight(id) => id.columns(),
-        QuerySpec::PointFilter { column, .. } | QuerySpec::Scan { column } => {
-            std::slice::from_ref(column)
-        }
-    }
-}
-
-impl Primitives {
-    fn io_s(&self, c: LoColumn, warm: bool) -> f64 {
-        let priced = self.io.iter().find(|(cc, _)| *cc == c);
-        priced.expect("every workload column was measured").1[usize::from(warm)]
-    }
-
-    fn device_s(&self, key: SpecKey) -> f64 {
-        let priced = self.device.iter().find(|(k, _)| *k == key);
-        priced.expect("every workload spec was measured").1
-    }
-
-    /// Solo service time: the request's own device time plus every
-    /// column read at full price.
-    fn solo_s(&self, q: &QuerySpec, warm: bool) -> f64 {
-        let io = spec_cols(q).iter().map(|&c| self.io_s(c, warm));
-        self.device_s(spec_key(q)) + io.sum::<f64>()
-    }
-
-    /// Solo price and terminal kind of one request (deadline-aware).
-    fn solo_price(&self, req: &Request, warm: bool) -> (f64, Terminal) {
-        if req.deadline_device_s.is_some() {
-            let key = spec_key(&req.query);
-            let (s, term) = self
-                .deadline
-                .iter()
-                .find(|(k, _)| *k == key)
-                .expect("every deadline spec was memoized")
-                .1;
-            return match term {
-                // A run that beat its deadline pays normal solo price
-                // (the memoized figure is the warm one).
-                Terminal::Completed if !warm => (self.solo_s(&req.query, false), term),
-                _ => (s, term),
-            };
-        }
-        (self.solo_s(&req.query, warm), Terminal::Completed)
-    }
-}
-
-/// Price the workload's primitives with singleton waves: one scan per
-/// column (cold, then warm through the cache), one run per flight, one
-/// run per spec key under the workload's deadline.
-fn measure_primitives(store: &SsbStore, gen: &[GenRequest], cfg: &LoadgenConfig) -> Primitives {
-    // The distinct request shapes, and the columns they read in
-    // LoColumn::ALL order, so that the cache warm-up sequence — and
-    // therefore every warm price — is independent of the mix.
-    let mut keys: Vec<SpecKey> = Vec::new();
-    let mut read: Vec<LoColumn> = Vec::new();
-    for g in gen {
-        let key = spec_key(&g.req.query);
-        if !keys.contains(&key) {
-            keys.push(key);
-            read.extend(spec_cols(&g.req.query));
-        }
-    }
-    let need_cols = LoColumn::ALL.iter().copied().filter(|c| read.contains(c));
-    let need_cols: Vec<LoColumn> = need_cols.collect();
-
-    let cache = (cfg.cache_mb > 0).then(|| Arc::new(PartitionCache::new(cfg.cache_mb << 20)));
-    let cold_opts = StreamOptions::default();
-    let warm_opts = StreamOptions {
-        cache: cache.clone(),
-        ..StreamOptions::default()
-    };
-    let singleton = |key: SpecKey, deadline: Option<f64>, opts: &StreamOptions| -> WaveQueryRun {
-        let spec = match key {
-            SpecKey::Flight(id) => WaveSpec::Flight(id),
-            SpecKey::Col(column) => WaveSpec::Scalar {
-                column,
-                filter: None,
-            },
-        };
-        let member = WaveQuery {
-            spec,
-            deadline_device_s: deadline,
-        };
-        run_wave_streamed(store, &[member], opts)
-            .expect("clean store prices without storage errors")
-            .queries
-            .remove(0)
-    };
-
-    let mut io = Vec::with_capacity(need_cols.len());
-    let mut device = Vec::with_capacity(need_cols.len() + keys.len());
-    for &c in &need_cols {
-        let cold = singleton(SpecKey::Col(c), None, &cold_opts);
-        let warm_s = if cache.is_some() {
-            let _populate = singleton(SpecKey::Col(c), None, &warm_opts);
-            singleton(SpecKey::Col(c), None, &warm_opts).io_s
-        } else {
-            cold.io_s
-        };
-        io.push((c, [cold.io_s, warm_s]));
-        // Device time is the same wherever the bytes came from.
-        device.push((SpecKey::Col(c), cold.device_s));
-    }
-    for &key in keys.iter().filter(|k| matches!(k, SpecKey::Flight(_))) {
-        device.push((key, singleton(key, None, &warm_opts).device_s));
-    }
-
-    let mut deadline = Vec::new();
-    for &key in keys.iter().filter(|_| cfg.deadline_device_s.is_some()) {
-        let run = singleton(key, cfg.deadline_device_s, &warm_opts);
-        let priced = match &run.outcome {
-            Ok(_) => (run.device_s + run.io_s, Terminal::Completed),
-            // Mirrors `Response::latency_s`: a deadline cut spent its
-            // attributed device budget; storage reads of the
-            // unfinished tail are not billed.
-            Err(partial) => (partial.device_s, Terminal::Deadline),
-        };
-        deadline.push((key, priced));
-    }
-
-    Primitives {
-        io,
-        device,
-        deadline,
-    }
-}
-
-/// Everything one queue-model pass tallies.
-struct ModelOut {
-    sojourn: LatencyHistogram,
-    service_attr: LatencyHistogram,
-    per_class: Vec<(&'static str, LatencyHistogram)>,
-    rejected_overloaded: usize,
-    completed: usize,
-    deadline_exceeded: usize,
-    last_finish: f64,
-}
-
-impl ModelOut {
-    fn new() -> ModelOut {
-        ModelOut {
-            sojourn: LatencyHistogram::new(),
-            service_attr: LatencyHistogram::new(),
-            per_class: vec![
-                ("flight", LatencyHistogram::new()),
-                ("point", LatencyHistogram::new()),
-                ("scan", LatencyHistogram::new()),
-            ],
-            rejected_overloaded: 0,
-            completed: 0,
-            deadline_exceeded: 0,
-            last_finish: 0.0,
-        }
-    }
-}
-
-/// Price one dispatched wave with the real executor's attribution rule
-/// and record each member's sojourn; returns the lane-occupancy span
-/// (the wave's union cost).
-fn price_wave(
+/// One pass of the arrival sequence through a service's own state, in
+/// virtual time: `cfg.workers` lanes, a FIFO waiting line behind the
+/// service's admission gate, and a freed lane handing up to
+/// `cfg.batch_window` waiting jobs to the service's batcher. `served`
+/// sees every dispatched wave: its members (indices into `gen`), its
+/// start and the batcher's responses, member for member. Returns the
+/// final books and the instant the last lane fell idle.
+fn drive(
+    store: &Arc<SsbStore>,
     gen: &[GenRequest],
-    prims: &Primitives,
-    wave: &[usize],
-    start: f64,
-    out: &mut ModelOut,
-) -> f64 {
-    let mut record = |j: usize, service_s: f64, term: Terminal| {
-        let sojourn = (start - gen[j].arrival_s) + service_s;
-        out.sojourn.record(sojourn);
-        out.service_attr.record(service_s);
-        if let Some((_, h)) = out.per_class.iter_mut().find(|(c, _)| *c == gen[j].class) {
-            h.record(sojourn);
-        }
-        match term {
-            Terminal::Completed => out.completed += 1,
-            Terminal::Deadline => out.deadline_exceeded += 1,
-        }
-    };
-
-    // Deadline-carrying members are priced solo (conservative: shares
-    // would only make them cheaper) and do not join the shared pass.
-    let (shared, solo): (Vec<usize>, Vec<usize>) = wave
-        .iter()
-        .copied()
-        .partition(|&j| gen[j].req.deadline_device_s.is_none());
-    let mut span = 0.0f64;
-    for j in solo {
-        let (s, term) = prims.solo_price(&gen[j].req, true);
-        span += s;
-        record(j, s, term);
-    }
-
-    // Dedup: one execution per distinct query, first-seen order — the
-    // live batcher's rule, so duplicates pay the distinct member's
-    // attributed price.
-    let mut distinct: Vec<&QuerySpec> = Vec::new();
-    for &j in &shared {
-        if !distinct.contains(&&gen[j].req.query) {
-            distinct.push(&gen[j].req.query);
-        }
-    }
-    // Per column, over distinct members: everyone who reads it, and the
-    // scalar members one launch answers.
-    let consumers: Vec<(LoColumn, usize, usize)> = LoColumn::ALL
-        .iter()
-        .filter_map(|&c| {
-            let readers = distinct.iter().filter(|q| spec_cols(q).contains(&c));
-            let (all, scalars) = readers.fold((0, 0), |(all, scalars), q| {
-                let scalar = !matches!(q, QuerySpec::Flight(_));
-                (all + 1, scalars + usize::from(scalar))
-            });
-            (all > 0).then_some((c, all, scalars))
-        })
-        .collect();
-    let counts = |c: LoColumn| {
-        let counted = consumers.iter().find(|(cc, _, _)| *cc == c);
-        counted.expect("consumed column counted")
-    };
-    // Lane occupancy: the union read once, one launch per column with
-    // scalar members, every distinct flight's own kernels.
-    for &(c, _, scalars) in &consumers {
-        span += prims.io_s(c, true);
-        if scalars > 0 {
-            span += prims.device_s(SpecKey::Col(c));
-        }
-    }
-    for q in distinct
-        .iter()
-        .filter(|q| matches!(q, QuerySpec::Flight(_)))
-    {
-        span += prims.device_s(spec_key(q));
-    }
-    // Attributed member price, the executor's fold rule: each consumed
-    // column's read over its consumers, a scalar's launch over the
-    // scalar members of its column, a flight's device time whole.
-    let attributed: Vec<f64> = distinct
-        .iter()
-        .map(|q| {
-            let io: f64 = spec_cols(q)
-                .iter()
-                .map(|&c| prims.io_s(c, true) / counts(c).1 as f64)
-                .sum();
-            let launch_members = match spec_key(q) {
-                SpecKey::Flight(_) => 1,
-                SpecKey::Col(c) => counts(c).2,
-            };
-            io + prims.device_s(spec_key(q)) / launch_members as f64
-        })
-        .collect();
-    for &j in &shared {
-        let idx = distinct
-            .iter()
-            .position(|q| *q == &gen[j].req.query)
-            .expect("member's query is in the distinct set");
-        record(j, attributed[idx], Terminal::Completed);
-    }
-    span
-}
-
-/// Dispatch every wave that would start at or before `now` (strictly
-/// before when `inclusive` is false — used so an arrival at exactly
-/// the dispatch instant joins the wave, the arrivals-first tie rule).
-#[allow(clippy::too_many_arguments)]
-fn dispatch_until(
-    now: f64,
-    inclusive: bool,
-    window: usize,
-    gen: &[GenRequest],
-    prims: &Primitives,
-    lanes: &mut [f64],
-    waiting: &mut VecDeque<usize>,
-    out: &mut ModelOut,
-) {
-    while let Some(&head) = waiting.front() {
-        let (lane, free) = lanes
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("at least one lane");
-        let start = free.max(gen[head].arrival_s);
-        if start > now || (!inclusive && start >= now) {
-            break;
-        }
-        let mut wave: Vec<usize> = Vec::new();
-        while wave.len() < window {
-            match waiting.front() {
-                Some(&j) if gen[j].arrival_s <= start => {
-                    wave.push(j);
-                    waiting.pop_front();
-                }
-                _ => break,
-            }
-        }
-        let span = price_wave(gen, prims, &wave, start, out);
-        lanes[lane] = start + span;
-        out.last_finish = out.last_finish.max(start + span);
-    }
-}
-
-/// The deterministic virtual-time wave queue: `servers` lanes, FIFO
-/// waiting line with the live admission bound, a freed lane takes up
-/// to `window` waiting jobs as one wave. `window` 1 is exactly the
-/// unbatched k-server FIFO.
-fn simulate_waves(
-    gen: &[GenRequest],
-    prims: &Primitives,
-    servers: usize,
-    capacity: usize,
-    window: usize,
-) -> ModelOut {
-    let window = window.max(1);
-    let mut lanes = vec![0.0f64; servers.max(1)];
+    cfg: ServeConfig,
+    mut served: impl FnMut(&[usize], f64, &[Response]),
+) -> (MetricsSnapshot, f64) {
+    let shared = Shared::new(Arc::clone(store), cfg);
+    let window = shared.cfg.batch_window.max(1);
+    let mut lanes = vec![0.0f64; shared.cfg.workers.max(1)];
     let mut waiting: VecDeque<usize> = VecDeque::new();
-    let mut out = ModelOut::new();
-    for (j, g) in gen.iter().enumerate() {
-        // Waves that departed before this arrival form without it…
-        dispatch_until(
-            g.arrival_s,
-            false,
-            window,
-            gen,
-            prims,
-            &mut lanes,
-            &mut waiting,
-            &mut out,
-        );
-        if waiting.len() >= capacity {
-            out.rejected_overloaded += 1;
-            continue;
+    let mut last_finish = 0.0f64;
+    // After the last arrival, time runs on until the line is empty.
+    let arrivals = gen.iter().map(|g| g.arrival_s).chain([f64::INFINITY]);
+    for (j, now) in arrivals.enumerate() {
+        // Waves that start before this arrival form without it; one
+        // that starts at this instant waits for it (arrivals first).
+        while let Some(&head) = waiting.front() {
+            let (lane, free) = lanes
+                .iter()
+                .copied()
+                .enumerate()
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .expect("at least one lane");
+            let start = free.max(gen[head].arrival_s);
+            if start >= now {
+                break;
+            }
+            let mut wave: Vec<usize> = Vec::new();
+            while wave.len() < window {
+                match waiting.front() {
+                    Some(&next) if gen[next].arrival_s <= start => {
+                        wave.push(next);
+                        waiting.pop_front();
+                    }
+                    _ => break,
+                }
+            }
+            let reqs = wave.iter().map(|&j| gen[j].req.clone()).collect();
+            let (responses, busy_s) = run_wave_batch(&shared, reqs);
+            lanes[lane] = start + busy_s;
+            last_finish = last_finish.max(start + busy_s);
+            served(&wave, start, &responses);
         }
-        waiting.push_back(j);
-        // …and a wave departing at this instant takes it along.
-        dispatch_until(
-            g.arrival_s,
-            true,
-            window,
-            gen,
-            prims,
-            &mut lanes,
-            &mut waiting,
-            &mut out,
-        );
+        if j < gen.len() && shared.admit(waiting.len(), false).is_ok() {
+            waiting.push_back(j);
+        }
     }
-    dispatch_until(
-        f64::INFINITY,
-        true,
-        window,
-        gen,
-        prims,
-        &mut lanes,
-        &mut waiting,
-        &mut out,
-    );
-    out
+    (shared.snapshot(), last_finish)
 }
 
-/// How many leading requests also run through a real [`Service`] so
-/// the artifact carries real (and reproducible) batching counters.
-const PREFIX_REQUESTS: usize = 96;
+/// The service a pass drives: the generator's lanes and admission
+/// bound under the given window and cache budget, adaptive feedback
+/// pinned off.
+fn serve_cfg(cfg: &LoadgenConfig, batch_window: usize, cache_mb: u64) -> ServeConfig {
+    ServeConfig {
+        workers: cfg.servers,
+        queue_capacity: cfg.queue_capacity,
+        batch_window,
+        cache_budget_bytes: cache_mb << 20,
+        ..ServeConfig::deterministic()
+    }
+}
 
 /// Run the generator against `store` and report tail latency.
 pub fn run_loadgen(store: &Arc<SsbStore>, cfg: &LoadgenConfig) -> LoadgenReport {
     let gen = generate(cfg);
-    let prims = measure_primitives(store, &gen, cfg);
 
-    // Solo cost basis over every generated request: warm ("service"
-    // row) and cold ("service_nocache" row).
+    // Solo cost basis over every generated request: each distinct
+    // (query, deadline) runs alone through the batcher, twice through
+    // a cache (the second run is the warm "service" row) and once with
+    // the cache off ("service_nocache").
+    let warm = Shared::new(Arc::clone(store), serve_cfg(cfg, 1, cfg.cache_mb));
+    let cold = Shared::new(Arc::clone(store), serve_cfg(cfg, 1, 0));
+    let alone = |shared: &Shared, req: &Request| {
+        let (responses, _busy_s) = run_wave_batch(shared, vec![req.clone()]);
+        responses[0].latency_s()
+    };
+    let mut solo: Vec<(DedupKey, [f64; 2])> = Vec::new();
     let mut warm_all = LatencyHistogram::new();
     let mut cold_all = LatencyHistogram::new();
     for g in &gen {
-        warm_all.record(prims.solo_price(&g.req, true).0);
-        cold_all.record(prims.solo_price(&g.req, false).0);
+        let key = dedup_key(&g.req);
+        let [warm_s, cold_s] = match solo.iter().find(|(k, _)| *k == key) {
+            Some((_, measured)) => *measured,
+            None => {
+                let _populate = alone(&warm, &g.req);
+                let measured = [alone(&warm, &g.req), alone(&cold, &g.req)];
+                solo.push((key, measured));
+                measured
+            }
+        };
+        warm_all.record(warm_s);
+        cold_all.record(cold_s);
     }
     let service = warm_all.summary();
     let service_nocache = (cfg.cache_mb > 0).then(|| cold_all.summary());
@@ -744,58 +419,61 @@ pub fn run_loadgen(store: &Arc<SsbStore>, cfg: &LoadgenConfig) -> LoadgenReport 
         .as_ref()
         .map(|nc| nc.p50 / service.p50.max(f64::MIN_POSITIVE));
 
-    // The wave queue model, and its batching-off control when batching
+    // The configured pass, and its batching-off control when batching
     // is on.
-    let on = simulate_waves(
+    let sojourn_s = |j: usize, start: f64, r: &Response| (start - gen[j].arrival_s) + r.latency_s();
+    let mut sojourn = LatencyHistogram::new();
+    let mut per_class = [
+        ("flight", LatencyHistogram::new()),
+        ("point", LatencyHistogram::new()),
+        ("scan", LatencyHistogram::new()),
+    ];
+    let (metrics, last_finish) = drive(
+        store,
         &gen,
-        &prims,
-        cfg.servers,
-        cfg.queue_capacity,
-        cfg.batch_window,
+        serve_cfg(cfg, cfg.batch_window, cfg.cache_mb),
+        |wave, start, responses| {
+            for (&j, r) in wave.iter().zip(responses) {
+                let s = sojourn_s(j, start, r);
+                sojourn.record(s);
+                if let Some((_, h)) = per_class.iter_mut().find(|(c, _)| *c == gen[j].class) {
+                    h.record(s);
+                }
+            }
+        },
     );
-    let off = (cfg.batch_window > 1)
-        .then(|| simulate_waves(&gen, &prims, cfg.servers, cfg.queue_capacity, 1));
-    let latency = on.sojourn.summary();
-    let latency_nobatch = off.map(|o| o.sojourn.summary());
+    let latency = sojourn.summary();
+    let latency_nobatch = (cfg.batch_window > 1).then(|| {
+        let mut sojourn = LatencyHistogram::new();
+        drive(
+            store,
+            &gen,
+            serve_cfg(cfg, 1, cfg.cache_mb),
+            |wave, start, responses| {
+                for (&j, r) in wave.iter().zip(responses) {
+                    sojourn.record(sojourn_s(j, start, r));
+                }
+            },
+        );
+        sojourn.summary()
+    });
     let p50_batch_speedup = latency_nobatch
         .as_ref()
         .map(|nb| nb.p50 / latency.p50.max(f64::MIN_POSITIVE));
 
-    // Real-service prefix in fixed-composition waves: real batching
-    // and cache counters, balanced books, byte-reproducible.
-    let prefix: Vec<Request> = gen
-        .iter()
-        .take(PREFIX_REQUESTS)
-        .map(|g| g.req.clone())
-        .collect();
-    let svc = Service::start(
-        Arc::clone(store),
-        ServeConfig {
-            queue_capacity: prefix.len().max(1),
-            cache_budget_bytes: cfg.cache_mb << 20,
-            batch_window: cfg.batch_window,
-            ..ServeConfig::deterministic()
-        },
-    );
-    let _responses = svc.execute_waves(prefix, cfg.batch_window);
-    let metrics = svc.shutdown();
-
-    let terminals = on.completed + on.deadline_exceeded;
-    let makespan = on.last_finish.max(f64::EPSILON);
     LoadgenReport {
         requests: cfg.requests,
         offered_qps: cfg.arrival_rate_qps,
         batch_window: cfg.batch_window,
-        rejected_overloaded: on.rejected_overloaded,
-        completed: on.completed,
-        deadline_exceeded: on.deadline_exceeded,
-        failed: 0,
-        saturation_qps: terminals as f64 / makespan,
+        rejected_overloaded: metrics.rejected_overloaded as usize,
+        completed: metrics.completed as usize,
+        deadline_exceeded: metrics.deadline_exceeded as usize,
+        failed: metrics.failed as usize,
+        saturation_qps: metrics.terminals() as f64 / last_finish.max(f64::EPSILON),
         latency,
         service,
-        service_batched: on.service_attr.summary(),
-        per_class: on
-            .per_class
+        service_batched: metrics.latency,
+        per_class: per_class
             .into_iter()
             .filter(|(_, h)| !h.is_empty())
             .map(|(c, h)| ClassReport {
@@ -815,7 +493,9 @@ pub fn run_loadgen(store: &Arc<SsbStore>, cfg: &LoadgenConfig) -> LoadgenReport 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlc_ssb::StreamSpec;
+    use crate::{execute, Service};
+    use tlc_ssb::{StreamOptions, StreamSpec};
+    use tlc_store::PartitionCache;
 
     fn small_store(tag: &str) -> Arc<SsbStore> {
         let dir =
@@ -869,6 +549,8 @@ mod tests {
         assert!(a.latency.p999 >= a.latency.p50);
         assert!(a.saturation_qps > 0.0);
         assert!(a.metrics.is_balanced(), "{:?}", a.metrics);
+        assert_eq!(a.metrics.submitted, cfg.requests as u64);
+        assert_eq!(a.service_batched, a.metrics.latency);
     }
 
     #[test]
@@ -925,8 +607,12 @@ mod tests {
             r.service_batched,
             r.service
         );
-        // The real-service prefix exercised actual waves.
-        assert!(r.metrics.batched_queries > 0, "{:?}", r.metrics);
+        // Under saturation most of the run rode a real wave.
+        assert!(
+            2 * r.metrics.batched_queries >= r.metrics.completed,
+            "{:?}",
+            r.metrics
+        );
         assert!(r.metrics.shared_decodes > 0, "{:?}", r.metrics);
         assert!(r.metrics.launches_saved > 0, "{:?}", r.metrics);
         assert!(r.metrics.is_balanced(), "{:?}", r.metrics);
@@ -949,6 +635,138 @@ mod tests {
         assert_eq!(r.metrics.batched_queries, 0);
         assert_eq!(r.metrics.shared_decodes, 0);
         assert_eq!(r.metrics.launches_saved, 0);
+        assert!(r.metrics.is_balanced(), "{:?}", r.metrics);
+    }
+
+    #[test]
+    fn the_driver_is_the_threaded_service_wave_for_wave() {
+        let store = small_store("equiv");
+        // Duplicates, a scan and a point filter on one column, flights,
+        // and one request its deadline cuts.
+        let specs = [
+            QuerySpec::Scan {
+                column: LoColumn::Quantity,
+            },
+            QuerySpec::PointFilter {
+                column: LoColumn::Quantity,
+                value: 7,
+            },
+            QuerySpec::Flight(QueryId::Q11),
+            QuerySpec::Scan {
+                column: LoColumn::Quantity,
+            },
+            QuerySpec::PointFilter {
+                column: LoColumn::Discount,
+                value: 3,
+            },
+            QuerySpec::Flight(QueryId::Q13),
+            QuerySpec::Scan {
+                column: LoColumn::Revenue,
+            },
+        ];
+        // Arrivals far faster than service, and a queue that sheds
+        // nothing: the replay below has no admission line to shed from.
+        let timed = (0..40u64).map(|id| {
+            let mut req = Request::new(id, specs[id as usize % specs.len()].clone());
+            if id % 11 == 6 {
+                req.deadline_device_s = Some(1e-9);
+            }
+            GenRequest {
+                arrival_s: (id + 1) as f64 * 1e-7,
+                class: "scan",
+                req,
+            }
+        });
+        let gen: Vec<GenRequest> = timed.collect();
+        let cfg = ServeConfig {
+            workers: 2,
+            batch_window: 4,
+            cache_budget_bytes: 64 << 20,
+            ..ServeConfig::deterministic()
+        };
+
+        let mut waves: Vec<Vec<usize>> = Vec::new();
+        let mut driven: Vec<(usize, u64, &'static str)> = Vec::new();
+        let (books, _) = drive(&store, &gen, cfg.clone(), |wave, _, responses| {
+            waves.push(wave.to_vec());
+            for (&j, r) in wave.iter().zip(responses) {
+                driven.push((j, r.latency_s().to_bits(), r.outcome.label()));
+            }
+        });
+        assert_eq!(driven.len(), gen.len());
+        assert!(waves.iter().any(|w| w.len() == 4), "waves fill: {waves:?}");
+        assert!(driven.iter().any(|d| d.2 == "deadline"), "{driven:?}");
+
+        // The same waves, one `submit_many` each, through one worker
+        // thread: it pops exactly what the driver's lane took.
+        let svc = Service::start(Arc::clone(&store), ServeConfig { workers: 1, ..cfg });
+        let mut threaded = Vec::new();
+        for wave in &waves {
+            let tickets = svc.submit_many(wave.iter().map(|&j| gen[j].req.clone()).collect());
+            for (&j, ticket) in wave.iter().zip(tickets) {
+                let r = ticket.expect("admitted").wait();
+                threaded.push((j, r.latency_s().to_bits(), r.outcome.label()));
+            }
+        }
+        assert_eq!(driven, threaded);
+        assert_eq!(books, svc.shutdown());
+    }
+
+    #[test]
+    fn an_idle_lane_charges_exactly_what_execute_reports() {
+        let store = small_store("idle");
+        let cfg = LoadgenConfig {
+            requests: 16,
+            arrival_rate_qps: 0.01, // idle: no queueing
+            servers: 1,
+            batch_window: 1,
+            ..LoadgenConfig::default()
+        };
+        let gen = generate(&cfg);
+        let mut sojourns = vec![0u64; gen.len()];
+        let serve = serve_cfg(&cfg, cfg.batch_window, cfg.cache_mb);
+        drive(&store, &gen, serve, |wave, start, responses| {
+            assert_eq!(wave.len(), 1);
+            let wait_s = start - gen[wave[0]].arrival_s;
+            sojourns[wave[0]] = (wait_s + responses[0].latency_s()).to_bits();
+        });
+
+        // The same requests in the same order over a cache of the same
+        // budget: first touches miss, later ones hit, as in the pass.
+        let opts = StreamOptions {
+            cache: Some(Arc::new(PartitionCache::new(cfg.cache_mb << 20))),
+            ..StreamOptions::default()
+        };
+        let direct = gen.iter().map(|g| {
+            let out = execute(&store, &g.req.query, &opts).expect("clean store");
+            (out.device_s + out.io_s).to_bits()
+        });
+        assert_eq!(sojourns, direct.collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn deadlines_cut_on_the_real_path_and_the_books_show_it() {
+        let store = small_store("deadline");
+        let scan = QuerySpec::Scan {
+            column: LoColumn::Revenue,
+        };
+        let full = execute(&store, &scan, &StreamOptions::default()).expect("scan");
+        let cfg = LoadgenConfig {
+            requests: 48,
+            arrival_rate_qps: 1e7, // a burst: waves fill, the queue sheds
+            // Half a solo scan: flights and lone scalars are cut part
+            // way, scalars that share enough launches finish.
+            deadline_device_s: Some(full.device_s * 0.5),
+            ..LoadgenConfig::default()
+        };
+        let r = run_loadgen(&store, &cfg);
+        assert!(r.deadline_exceeded > 0, "{:?}", r.metrics);
+        assert!(r.completed > 0, "{:?}", r.metrics);
+        assert_eq!(r.deadline_exceeded as u64, r.metrics.deadline_exceeded);
+        assert_eq!(
+            r.completed + r.deadline_exceeded + r.failed + r.rejected_overloaded,
+            cfg.requests
+        );
         assert!(r.metrics.is_balanced(), "{:?}", r.metrics);
     }
 

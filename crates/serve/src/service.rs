@@ -116,9 +116,9 @@ impl ServeConfig {
 }
 
 /// One admitted job: the request plus its response channel.
-pub(crate) struct Job {
-    pub(crate) req: Request,
-    pub(crate) tx: mpsc::Sender<Response>,
+struct Job {
+    req: Request,
+    tx: mpsc::Sender<Response>,
 }
 
 /// Queue state guarded by the mutex half of the condvar pair.
@@ -127,18 +127,79 @@ struct QueueState {
     shutting_down: bool,
 }
 
-/// Everything shared between the handle and the workers.
+impl QueueState {
+    /// Pass `req` through the admission gate and, if admitted, queue it.
+    fn enqueue(&mut self, shared: &Shared, req: Request) -> Result<Ticket, Rejected> {
+        shared.admit(self.jobs.len(), self.shutting_down)?;
+        let (tx, rx) = mpsc::channel();
+        self.jobs.push_back(Job { req, tx });
+        Ok(Ticket { rx })
+    }
+}
+
+/// The admission queue the handle fills and the workers drain.
+struct Queue {
+    state: Mutex<QueueState>,
+    cv: Condvar,
+}
+
+/// The thread-free state of a service: everything a wave needs to run
+/// and nothing about who runs it. A [`Service`]'s workers share one
+/// behind their queue; the load generator ([`crate::loadgen`]) drives
+/// one directly, in virtual time, with no threads at all.
 pub(crate) struct Shared {
     pub(crate) store: Arc<SsbStore>,
     pub(crate) cfg: ServeConfig,
-    queue: Mutex<QueueState>,
-    cv: Condvar,
     pub(crate) breakers: Mutex<BreakerBank>,
     pub(crate) health: Mutex<HealthMachine>,
     pub(crate) metrics: Metrics,
     /// One compressed-partition cache for the whole pool (None when
     /// `cache_budget_bytes` is 0).
     pub(crate) cache: Option<Arc<PartitionCache>>,
+}
+
+impl Shared {
+    pub(crate) fn new(store: Arc<SsbStore>, cfg: ServeConfig) -> Shared {
+        let cache = (cfg.cache_budget_bytes > 0)
+            .then(|| Arc::new(PartitionCache::new(cfg.cache_budget_bytes)));
+        Shared {
+            store,
+            breakers: Mutex::new(BreakerBank::new(cfg.breaker.clone())),
+            health: Mutex::new(HealthMachine::new(cfg.health.clone())),
+            metrics: Metrics::default(),
+            cache,
+            cfg,
+        }
+    }
+
+    /// The admission gate: count the offer, and admit it unless the
+    /// service is draining or `queue_depth` jobs already fill the
+    /// queue. `Err` is the request's typed terminal state.
+    pub(crate) fn admit(&self, queue_depth: usize, shutting_down: bool) -> Result<(), Rejected> {
+        let m = &self.metrics;
+        m.submitted.fetch_add(1, Ordering::Relaxed);
+        if shutting_down {
+            m.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
+            return Err(Rejected::ShuttingDown);
+        }
+        if queue_depth >= self.cfg.queue_capacity {
+            m.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
+            return Err(Rejected::Overloaded {
+                queue_depth,
+                capacity: self.cfg.queue_capacity,
+            });
+        }
+        m.admitted.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Counter snapshot, with the shared cache's counters attached
+    /// when there is one.
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        let mut snap = self.metrics.snapshot();
+        snap.cache = self.cache.as_ref().map(|c| c.stats());
+        snap
+    }
 }
 
 /// Receipt for one admitted request; redeem with [`Ticket::wait`].
@@ -156,60 +217,43 @@ impl Ticket {
 /// A running query service over one [`SsbStore`].
 pub struct Service {
     shared: Arc<Shared>,
+    queue: Arc<Queue>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Service {
     /// Start `cfg.workers` worker threads over `store`.
     pub fn start(store: Arc<SsbStore>, cfg: ServeConfig) -> Service {
-        let cache = (cfg.cache_budget_bytes > 0)
-            .then(|| Arc::new(PartitionCache::new(cfg.cache_budget_bytes)));
-        let shared = Arc::new(Shared {
-            store,
-            breakers: Mutex::new(BreakerBank::new(cfg.breaker.clone())),
-            health: Mutex::new(HealthMachine::new(cfg.health.clone())),
-            metrics: Metrics::default(),
-            queue: Mutex::new(QueueState {
+        let shared = Arc::new(Shared::new(store, cfg));
+        let queue = Arc::new(Queue {
+            state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
                 shutting_down: false,
             }),
             cv: Condvar::new(),
-            cache,
-            cfg,
         });
         let workers = (0..shared.cfg.workers.max(1))
             .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
+                let (shared, queue) = (Arc::clone(&shared), Arc::clone(&queue));
+                std::thread::spawn(move || worker_loop(&shared, &queue))
             })
             .collect();
-        Service { shared, workers }
+        Service {
+            shared,
+            queue,
+            workers,
+        }
     }
 
     /// Offer a request to the admission gate. `Ok` means a worker now
     /// owes exactly one [`Response`] on the returned ticket; `Err` is
     /// the request's typed terminal state (it never entered the queue).
     pub fn submit(&self, req: Request) -> Result<Ticket, Rejected> {
-        let m = &self.shared.metrics;
-        m.submitted.fetch_add(1, Ordering::Relaxed);
-        let mut q = self.shared.queue.lock().expect("queue lock");
-        if q.shutting_down {
-            m.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
-            return Err(Rejected::ShuttingDown);
-        }
-        if q.jobs.len() >= self.shared.cfg.queue_capacity {
-            m.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
-            return Err(Rejected::Overloaded {
-                queue_depth: q.jobs.len(),
-                capacity: self.shared.cfg.queue_capacity,
-            });
-        }
-        m.admitted.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
-        q.jobs.push_back(Job { req, tx });
+        let mut q = self.queue.state.lock().expect("queue lock");
+        let ticket = q.enqueue(&self.shared, req)?;
         drop(q);
-        self.shared.cv.notify_one();
-        Ok(Ticket { rx })
+        self.queue.cv.notify_one();
+        Ok(ticket)
     }
 
     /// Offer a batch of requests under **one** queue lock, so they
@@ -221,70 +265,19 @@ impl Service {
     /// order, and capacity overflow sheds the tail with typed
     /// rejections rather than failing the whole batch.
     pub fn submit_many(&self, reqs: Vec<Request>) -> Vec<Result<Ticket, Rejected>> {
-        let m = &self.shared.metrics;
-        let mut out = Vec::with_capacity(reqs.len());
-        let mut q = self.shared.queue.lock().expect("queue lock");
-        for req in reqs {
-            m.submitted.fetch_add(1, Ordering::Relaxed);
-            if q.shutting_down {
-                m.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
-                out.push(Err(Rejected::ShuttingDown));
-                continue;
-            }
-            if q.jobs.len() >= self.shared.cfg.queue_capacity {
-                m.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
-                out.push(Err(Rejected::Overloaded {
-                    queue_depth: q.jobs.len(),
-                    capacity: self.shared.cfg.queue_capacity,
-                }));
-                continue;
-            }
-            m.admitted.fetch_add(1, Ordering::Relaxed);
-            let (tx, rx) = mpsc::channel();
-            q.jobs.push_back(Job { req, tx });
-            out.push(Ok(Ticket { rx }));
-        }
+        let mut q = self.queue.state.lock().expect("queue lock");
+        let out = reqs
+            .into_iter()
+            .map(|req| q.enqueue(&self.shared, req))
+            .collect();
         drop(q);
-        self.shared.cv.notify_all();
-        out
-    }
-
-    /// Execute `reqs` as fixed-composition waves of `window` jobs on
-    /// the caller's thread, bypassing the queue. The wave composition
-    /// a live queue produces depends on OS scheduling; bench artifacts
-    /// need the batching counters to be byte-reproducible, so the load
-    /// generator builds each wave explicitly. Admission and terminal
-    /// accounting are identical to the queued path, keeping the books
-    /// balanced.
-    pub(crate) fn execute_waves(&self, reqs: Vec<Request>, window: usize) -> Vec<Response> {
-        let m = &self.shared.metrics;
-        let mut out = Vec::with_capacity(reqs.len());
-        let mut reqs = reqs.into_iter().peekable();
-        while reqs.peek().is_some() {
-            let chunk: Vec<Request> = reqs.by_ref().take(window.max(1)).collect();
-            let mut rxs = Vec::with_capacity(chunk.len());
-            let jobs: Vec<Job> = chunk
-                .into_iter()
-                .map(|req| {
-                    m.submitted.fetch_add(1, Ordering::Relaxed);
-                    m.admitted.fetch_add(1, Ordering::Relaxed);
-                    let (tx, rx) = mpsc::channel();
-                    rxs.push(rx);
-                    Job { req, tx }
-                })
-                .collect();
-            crate::batch::run_wave_batch(&self.shared, jobs);
-            out.extend(
-                rxs.into_iter()
-                    .map(|rx| rx.recv().expect("wave sends one response per job")),
-            );
-        }
+        self.queue.cv.notify_all();
         out
     }
 
     /// Jobs currently waiting (diagnostics; racy by nature).
     pub fn queue_depth(&self) -> usize {
-        self.shared.queue.lock().expect("queue lock").jobs.len()
+        self.queue.state.lock().expect("queue lock").jobs.len()
     }
 
     /// Current degradation tier.
@@ -304,9 +297,7 @@ impl Service {
     /// Counter snapshot (callable while serving), with the shared
     /// cache's counters attached when the service runs one.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.shared.metrics.snapshot();
-        snap.cache = self.shared.cache.as_ref().map(|c| c.stats());
-        snap
+        self.shared.snapshot()
     }
 
     /// Stop admissions, drain every queued job, join the workers, and
@@ -314,16 +305,14 @@ impl Service {
     /// received its response when this returns.
     pub fn shutdown(mut self) -> MetricsSnapshot {
         {
-            let mut q = self.shared.queue.lock().expect("queue lock");
+            let mut q = self.queue.state.lock().expect("queue lock");
             q.shutting_down = true;
         }
-        self.shared.cv.notify_all();
+        self.queue.cv.notify_all();
         for h in self.workers.drain(..) {
             h.join().expect("worker panicked");
         }
-        let mut snap = self.shared.metrics.snapshot();
-        snap.cache = self.shared.cache.as_ref().map(|c| c.stats());
-        snap
+        self.shared.snapshot()
     }
 }
 
@@ -333,10 +322,10 @@ impl Drop for Service {
             return; // shutdown() already joined
         }
         {
-            let mut q = self.shared.queue.lock().expect("queue lock");
+            let mut q = self.queue.state.lock().expect("queue lock");
             q.shutting_down = true;
         }
-        self.shared.cv.notify_all();
+        self.queue.cv.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -351,15 +340,15 @@ fn backoff_s(cfg: &ServeConfig, req_id: u64, attempt: usize) -> f64 {
     exp * (1.0 + cfg.backoff_jitter.clamp(0.0, 1.0) * rng.gen_f64())
 }
 
-/// Worker: pop a wave of up to `batch_window` waiting jobs → execute
-/// them as one shared-scan wave (or solo when the window is ≤ 1 or
-/// only one job waits) → send exactly one response per job. Exits when
-/// shutdown is flagged and the queue is drained.
-fn worker_loop(shared: &Shared) {
+/// Worker: pop a wave of up to `batch_window` waiting jobs → run it
+/// (as one shared-scan wave, or solo when the window is ≤ 1 or only one
+/// job waits) → send exactly one response per job. Exits when shutdown
+/// is flagged and the queue is drained.
+fn worker_loop(shared: &Shared, queue: &Queue) {
     let window = shared.cfg.batch_window.max(1);
     loop {
         let jobs: Vec<Job> = {
-            let mut q = shared.queue.lock().expect("queue lock");
+            let mut q = queue.state.lock().expect("queue lock");
             loop {
                 if !q.jobs.is_empty() {
                     let take = window.min(q.jobs.len());
@@ -368,21 +357,25 @@ fn worker_loop(shared: &Shared) {
                 if q.shutting_down {
                     return;
                 }
-                q = shared.cv.wait(q).expect("queue lock");
+                q = queue.cv.wait(q).expect("queue lock");
             }
         };
-        crate::batch::run_wave_batch(shared, jobs);
+        let (reqs, txs): (Vec<Request>, Vec<_>) = jobs.into_iter().map(|j| (j.req, j.tx)).unzip();
+        let (responses, _busy_s) = crate::batch::run_wave_batch(shared, reqs);
+        for (tx, response) in txs.into_iter().zip(responses) {
+            // A caller that dropped its ticket just doesn't read the
+            // response; its terminal state is already counted.
+            let _ = tx.send(response);
+        }
     }
 }
 
-/// Execute one job solo and deliver its response (the non-batched
-/// path; also the batcher's fallback).
-pub(crate) fn run_solo(shared: &Shared, job: Job) {
-    let response = run_job(shared, job.req);
+/// Execute one request solo to its counted terminal response (the
+/// non-batched path; also the batcher's fallback).
+pub(crate) fn run_solo(shared: &Shared, req: Request) -> Response {
+    let response = run_job(shared, req);
     record_terminal(shared, &response);
-    // A caller that dropped its ticket just doesn't read the
-    // response; the terminal state is still counted above.
-    let _ = job.tx.send(response);
+    response
 }
 
 /// Count the terminal outcome and its latency.

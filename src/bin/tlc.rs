@@ -1055,15 +1055,17 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
     let dir = std::env::temp_dir().join(format!("tlc_loadgen_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let spec = StreamSpec::for_rows(1, rows, ((rows / 4).max(4) as usize).div_ceil(6));
-    let store = Arc::new(SsbStore::ingest(&dir, &spec).map_err(store_err)?);
-    let report = run_loadgen(&store, &cfg);
+    let ran = SsbStore::ingest(&dir, &spec).map(|store| {
+        let partitions = store.store().partition_count();
+        (partitions, run_loadgen(&Arc::new(store), &cfg))
+    });
+    // The scratch store goes whether or not the ingest succeeded.
     let _ = std::fs::remove_dir_all(&dir);
+    let (partitions, report) = ran.map_err(store_err)?;
 
     println!(
-        "loadgen: {} request(s) at {} qps offered over {} partition(s)",
-        report.requests,
-        report.offered_qps,
-        store.store().partition_count(),
+        "loadgen: {} request(s) at {} qps offered over {partitions} partition(s)",
+        report.requests, report.offered_qps,
     );
     println!(
         "  terminals: {} completed / {} deadline / {} failed, {} shed by admission",
@@ -1122,7 +1124,8 @@ fn cmd_loadgen(args: &[String]) -> Result<(), CliError> {
         .into());
     }
     println!(
-        "loadgen: {} admitted, {} terminal — books balance",
+        "loadgen: {} submitted, {} admitted, {} terminal — books balance",
+        report.metrics.submitted,
         report.metrics.admitted,
         report.metrics.terminals(),
     );

@@ -282,11 +282,15 @@ fn serve_subcommand_balances_its_books_under_injected_faults() {
 }
 
 /// `loadgen` end to end: writes the `tlc-serving/v1` artifact with
-/// percentile rows into `TLC_BENCH_DIR`.
+/// percentile rows into `TLC_BENCH_DIR`, closes its books over the
+/// whole run and leaves no scratch store behind.
 #[test]
 fn loadgen_subcommand_writes_the_serving_artifact() {
     let bench_dir = tmp("bench_dir");
     let _ = std::fs::remove_dir_all(&bench_dir);
+    let scratch = tmp("loadgen_scratch");
+    let _ = std::fs::remove_dir_all(&scratch);
+    std::fs::create_dir_all(&scratch).expect("scratch dir");
     let out = bin()
         .args([
             "loadgen",
@@ -298,19 +302,25 @@ fn loadgen_subcommand_writes_the_serving_artifact() {
             "500",
         ])
         .env("TLC_BENCH_DIR", &bench_dir)
+        .env("TMPDIR", &scratch)
         .output()
         .expect("run");
+    let text = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
-        "loadgen failed: {}\n{}",
-        String::from_utf8_lossy(&out.stdout),
+        "loadgen failed: {text}\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    assert!(text.contains("loadgen: 16 submitted"), "{text}");
+    assert!(text.contains("books balance"), "{text}");
     let artifact = std::fs::read_to_string(bench_dir.join("BENCH_serving.json")).expect("artifact");
     for key in ["tlc-serving/v1", "\"workload\": \"all\"", "\"p999\""] {
         assert!(artifact.contains(key), "missing {key} in {artifact}");
     }
+    let left: Vec<_> = std::fs::read_dir(&scratch).expect("scratch").collect();
+    assert!(left.is_empty(), "scratch store left behind: {left:?}");
     let _ = std::fs::remove_dir_all(&bench_dir);
+    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 /// A tiny `fuzz` campaign through the binary: exercises arg parsing
