@@ -1,7 +1,9 @@
 //! Timing harness (plain `fn main`, no criterion — the workspace builds
 //! offline): real CPU time of the encoders and of a full simulated
 //! decompression pass, one group per scheme — the decode pass timed on
-//! both the serial and the multi-core simulator backend.
+//! the serial simulator backend and, when there is more than one
+//! worker, on the multi-core one (at one worker the two are the same
+//! code, so there is no second column and no `speedup` to report).
 //!
 //! Alongside the printed tables the run writes
 //! `BENCH_encode_decode.json` (to `TLC_BENCH_DIR` or the current
@@ -85,28 +87,39 @@ fn main() {
         };
         set_sim_threads_override(Some(1));
         let wall_serial = time_best(iters, run);
-        set_sim_threads_override(Some(workers));
-        let wall_parallel = time_best(iters, run);
+        let wall_parallel = (workers > 1).then(|| {
+            set_sim_threads_override(Some(workers));
+            time_best(iters, run)
+        });
         set_sim_threads_override(None);
         let modelled = dev.elapsed_seconds();
-        rows.push(vec![
+        let mut row = vec![
             scheme.name().to_string(),
             format!("{:.1}", mvals(wall_serial)),
-            format!("{:.1}", mvals(wall_parallel)),
-            format!("{:.3}", modelled * 1e3),
-        ]);
-        json_rows.push(Json::Obj(vec![
+        ];
+        let mut json_row = vec![
             ("scheme", Json::Str(scheme.name().to_string())),
             ("op", Json::Str("decode_sim".to_string())),
             ("wall_serial_s", Json::Num(wall_serial)),
-            ("wall_parallel_s", Json::Num(wall_parallel)),
-            ("speedup", Json::Num(wall_serial / wall_parallel)),
-            ("modelled_s", Json::Num(modelled)),
-        ]));
+        ];
+        if let Some(wall_parallel) = wall_parallel {
+            row.push(format!("{:.1}", mvals(wall_parallel)));
+            json_row.push(("wall_parallel_s", Json::Num(wall_parallel)));
+            json_row.push(("speedup", Json::Num(wall_serial / wall_parallel)));
+        }
+        row.push(format!("{:.3}", modelled * 1e3));
+        json_row.push(("modelled_s", Json::Num(modelled)));
+        rows.push(row);
+        json_rows.push(Json::Obj(json_row));
     }
+    let header: &[&str] = if workers > 1 {
+        &["scheme", "serial Mvals/s", "parallel Mvals/s", "model ms"]
+    } else {
+        &["scheme", "serial Mvals/s", "model ms"]
+    };
     print_table(
         &format!("decompress_simulated (best of {iters}, {workers} worker(s))"),
-        &["scheme", "serial Mvals/s", "parallel Mvals/s", "model ms"],
+        header,
         &rows,
     );
 

@@ -7,7 +7,7 @@
 //! `std::thread::scope` workers, then splice the outputs, rebasing each
 //! chunk's `block_starts` by the words that precede it.
 
-use tlc_gpu_sim::threads::{partitions, threads_from_env};
+use tlc_gpu_sim::threads::{map_ranges, partitions, threads_from_env};
 
 use crate::format::{Layout, BLOCK, DEFAULT_D, RFOR_BLOCK};
 use crate::gpu_dfor::GpuDFor;
@@ -30,27 +30,7 @@ fn map_chunks<E: Send>(
     encode: impl Fn(usize, &[i32]) -> E + Sync,
 ) -> Vec<E> {
     let parts = partitions(values.len(), align, threads);
-    if parts.len() <= 1 {
-        return parts
-            .into_iter()
-            .enumerate()
-            .map(|(i, (lo, hi))| encode(i, &values[lo..hi]))
-            .collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = parts
-            .iter()
-            .enumerate()
-            .map(|(i, &(lo, hi))| {
-                let encode = &encode;
-                scope.spawn(move || encode(i, &values[lo..hi]))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("encoder thread panicked"))
-            .collect()
-    })
+    map_ranges(&parts, |i, r| encode(i, &values[r]))
 }
 
 impl GpuFor {

@@ -315,23 +315,13 @@ impl Device {
             // body returns, so at most one result is alive.
             run_range(0, cfg.grid_blocks, &mut spans, &mut merge_block);
         } else {
-            let worker_out: Vec<(PhaseSpans, Vec<R>)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = parts
-                    .iter()
-                    .map(|&(lo, hi)| {
-                        let run_range = &run_range;
-                        scope.spawn(move || {
-                            let mut local = PhaseSpans::default();
-                            let mut results = Vec::with_capacity(hi - lo);
-                            run_range(lo, hi, &mut local, &mut |_, r| results.push(r));
-                            (local, results)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("simulator worker panicked"))
-                    .collect()
+            let worker_out = crate::threads::map_ranges(&parts, |_, blocks| {
+                let mut local = PhaseSpans::default();
+                let mut results = Vec::with_capacity(blocks.len());
+                run_range(blocks.start, blocks.end, &mut local, &mut |_, r| {
+                    results.push(r)
+                });
+                (local, results)
             });
             // Partitions are contiguous and ordered, so concatenating
             // worker results in partition order visits blocks 0..grid.

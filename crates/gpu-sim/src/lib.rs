@@ -91,4 +91,6 @@ pub use kernel::{all_lanes, ballot, live_lanes, BlockCtx, KernelConfig, Occupanc
 pub use memory::{GlobalBuffer, Scalar, SEGMENT_BYTES, WARP_SIZE};
 pub use profile::{CounterSink, ProfileSink};
 pub use report::{Counter, KernelReport, Phase, PhaseSpans, Timeline, Traffic};
-pub use threads::{partitions, set_sim_threads_override, sim_threads, threads_from_env};
+pub use threads::{
+    map_ranges, partitions, set_sim_threads_override, sim_threads, threads_from_env,
+};

@@ -9,7 +9,11 @@
 //! * `TLC_SIM_THREADS` — simulator execution workers: thread blocks of a
 //!   kernel launch, fleet shards, and fuzz seed campaigns.
 //!
-//! Both resolve through [`threads_from_env`]: the environment variable if
+//! Whatever the work — blocks, shards, partitions, chunks, seeds — it is
+//! split by [`partitions`] and fanned out by [`map_ranges`], the one
+//! scoped fan-out in the workspace.
+//!
+//! Both knobs resolve through [`threads_from_env`]: the environment variable if
 //! it parses to a positive integer, otherwise
 //! [`std::thread::available_parallelism`]. [`sim_threads`] additionally
 //! honours a process-global override ([`set_sim_threads_override`]) so
@@ -22,6 +26,7 @@
 //! only. See `DESIGN.md` §11.
 
 use std::num::NonZeroUsize;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Resolve a worker count from the environment variable `var`, falling
@@ -80,6 +85,33 @@ pub fn partitions(n: usize, align: usize, threads: usize) -> Vec<(usize, usize)>
     out
 }
 
+/// Map `f` over `ranges` (as [`partitions`] returns them; `f` also gets
+/// the range's position) and return the results **in range order**: a
+/// single range runs on the calling thread, several run on one scoped
+/// thread each. The ranges share no state, and a caller that folds the
+/// ordered results serially visits every item in the order a serial
+/// loop would — the workspace's one fan-out, whatever the work is. A
+/// worker's panic resumes on the caller.
+pub fn map_ranges<T: Send>(
+    ranges: &[(usize, usize)],
+    f: impl Fn(usize, std::ops::Range<usize>) -> T + Sync,
+) -> Vec<T> {
+    let f = &f;
+    let indexed = ranges.iter().enumerate();
+    if ranges.len() <= 1 {
+        return indexed.map(|(i, &(lo, hi))| f(i, lo..hi)).collect();
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = indexed
+            .map(|(i, &(lo, hi))| scope.spawn(move || f(i, lo..hi)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
+    })
+}
+
 /// Serializes unit tests that touch the process-global override (the
 /// test runner is itself multi-threaded).
 #[cfg(test)]
@@ -134,6 +166,19 @@ mod tests {
     fn partitions_zero_align_treated_as_one() {
         let parts = partitions(10, 0, 3);
         assert_eq!(parts.last().expect("non-empty").1, 10);
+    }
+
+    #[test]
+    fn map_ranges_returns_results_in_range_order() {
+        for threads in [1, 3, 16] {
+            let parts = partitions(10, 1, threads);
+            let got = map_ranges(&parts, |i, r| (i, r.collect::<Vec<_>>()));
+            let positions: Vec<usize> = got.iter().map(|(i, _)| *i).collect();
+            assert_eq!(positions, (0..parts.len()).collect::<Vec<_>>());
+            let items: Vec<usize> = got.into_iter().flat_map(|(_, r)| r).collect();
+            assert_eq!(items, (0..10).collect::<Vec<_>>(), "threads = {threads}");
+        }
+        assert!(map_ranges(&[], |_, _| ()).is_empty());
     }
 
     #[test]

@@ -3,19 +3,20 @@
 //! [`ExecOutcome`].
 //!
 //! There is no executor here. [`execute`] maps the request onto the
-//! streaming layer's one executor ([`tlc_ssb::stream`]) — a flight
-//! through [`run_query_streamed_bounded`], a point filter or scan as a
-//! one-member [`run_wave_streamed`] (one fused launch per partition:
-//! load a tile, filter, count and sum, nothing written back); both
-//! decode inline, the paper's path — and the
-//! storage ladder, device ladder, deadline rule, fault plan
-//! ([`StreamOptions::plan`]) and forced-CPU routing
-//! ([`StreamOptions::force_cpu_partitions`]) are the ones every other
-//! caller of that executor gets.
+//! streaming layer's one executor ([`tlc_ssb::stream`]) as a one-member
+//! [`run_wave_streamed`], whatever the request: a flight runs its fused
+//! query kernels, a point filter or scan one fused launch per partition
+//! (load a tile, filter, count and sum, nothing written back); both
+//! decode inline, the paper's path. It is the call the service's
+//! batcher makes for a wave, with one member — the oracle that tests
+//! and benches compare served answers against — so the storage ladder,
+//! device ladder, deadline rule, fault plan ([`StreamOptions::plan`])
+//! and forced-CPU routing ([`StreamOptions::force_cpu_partitions`]) are
+//! the ones every other caller of that executor gets.
 
 use tlc_ssb::{
-    run_query_streamed_bounded, run_wave_streamed, DeadlinePartial, ResilienceReport, SsbStore,
-    StreamError, StreamOptions, WaveQuery, WaveQueryRun, WaveSpec,
+    run_wave_streamed, DeadlinePartial, ResilienceReport, SsbStore, StreamError, StreamOptions,
+    WaveQuery, WaveQueryRun, WaveSpec,
 };
 
 use crate::QuerySpec;
@@ -83,18 +84,6 @@ pub fn execute(
     spec: &QuerySpec,
     opts: &StreamOptions,
 ) -> Result<ExecOutcome, StreamError> {
-    if let QuerySpec::Flight(q) = spec {
-        let run = run_query_streamed_bounded(store, *q, opts)?;
-        return Ok(ExecOutcome {
-            answer: QueryAnswer::Groups(run.result),
-            rows: run.rows,
-            partitions: run.partitions,
-            device_s: run.device_s,
-            io_s: run.io_s,
-            report: run.report,
-            recovered_partitions: run.recovered_partitions,
-        });
-    }
     let member = WaveQuery {
         spec: wave_spec(spec),
         deadline_device_s: opts.deadline_device_s,

@@ -16,10 +16,12 @@
 //!   partition order, so a deadline cut is bit-identical at any
 //!   `TLC_SIM_THREADS` and the query terminates with
 //!   [`Outcome::DeadlineExceeded`] carrying partial-progress stats.
-//! * **Retries with backoff** — a query that fails with a storage
+//! * **Retries with backoff** — an execution that fails with a storage
 //!   error is retried up to [`ServeConfig::max_retries`] times with
 //!   jittered exponential backoff (simulated seconds, PRNG keyed by
 //!   request id + attempt: deterministic, and bounded by construction).
+//!   A wave that fails first splits into its distinct requests, so a
+//!   healthy request never fails with a sick wave-mate.
 //! * **Per-shard circuit breakers** ([`breaker`]) — a partition that
 //!   keeps needing recovery trips its breaker and is routed around
 //!   (answered by the CPU reference executor from regenerated rows)
@@ -33,9 +35,12 @@
 //! **Terminal-state contract**: every submitted request ends in
 //! *exactly one* of [`Outcome::Completed`],
 //! [`Outcome::DeadlineExceeded`], [`Outcome::Failed`] — or was never
-//! admitted and returned a typed [`Rejected`] at submission. Workers
-//! send exactly one [`Response`] per job and shutdown drains the queue
-//! before joining, so no query can hang or vanish (the chaos-under-load
+//! admitted and returned a typed [`Rejected`] at submission. There is
+//! **one request path**: every popped job is a member of a wave (of
+//! one, when it runs alone), and one loop in the batcher takes a wave
+//! from routing to the one site that builds a [`Response`]. Workers
+//! send exactly one per job and shutdown drains the queue before
+//! joining, so no query can hang or vanish (the chaos-under-load
 //! test in `tests/serving_chaos.rs` asserts this under kill-shard and
 //! bit-rot fault injection).
 //!
@@ -177,7 +182,8 @@ pub enum Outcome {
     Failed {
         /// The last error, rendered.
         error: String,
-        /// Faults and recovery actions observed across all attempts.
+        /// Always empty: every attempt of a failed request ended in a
+        /// storage error, and the executor returns no report with one.
         report: ResilienceReport,
     },
 }
@@ -200,9 +206,11 @@ pub struct Response {
     pub id: u64,
     /// Terminal state.
     pub outcome: Outcome,
-    /// Execution attempts made (1 = no retry).
+    /// Execution attempts made (1 = no retry), batched or not. A
+    /// failed attempt shared with other requests is not counted.
     pub attempts: usize,
-    /// Simulated seconds spent backing off between attempts.
+    /// Simulated seconds spent backing off between those attempts, on
+    /// the schedule of this request's own id.
     pub backoff_s: f64,
     /// Degradation tier the final attempt ran on.
     pub tier: Tier,

@@ -1,6 +1,9 @@
-//! The concurrent service: bounded admission queue, worker pool,
-//! retry/backoff, and the wiring between executor feedback and the
-//! breaker bank / health machine.
+//! The concurrent service: bounded admission queue, worker pool, and
+//! the state a wave runs against — the routing snapshot, the backoff
+//! schedule, terminal accounting, and the wiring between executor
+//! feedback and the breaker bank / health machine. The request loop
+//! itself (routing → executor → feedback → retry → response) is the
+//! batcher's (`batch.rs`), the one path every popped job takes.
 //!
 //! Concurrency is plain std: the queue is a `Mutex<VecDeque>` with a
 //! `Condvar`, workers are OS threads, and each admitted request owns a
@@ -13,10 +16,11 @@
 //!
 //! **Exactly-one-response invariant**: `submit` either returns a typed
 //! [`Rejected`] (the request never entered the system) or enqueues a
-//! job whose worker sends exactly one [`Response`] on every code path
-//! — completion, deadline, or retry exhaustion. [`Service::shutdown`]
-//! first stops admissions, then wakes the workers to drain what is
-//! already queued, then joins them; nothing admitted is ever dropped.
+//! job whose worker sends exactly one [`Response`] — completion,
+//! deadline, or retry exhaustion, all built at one site in the batcher.
+//! [`Service::shutdown`] first stops admissions, then wakes the workers
+//! to drain what is already queued, then joins them; nothing admitted
+//! is ever dropped.
 //!
 //! Backoff is *simulated*: a retry adds jittered exponential seconds
 //! to the query's reported latency instead of sleeping the worker
@@ -30,12 +34,12 @@ use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
+use tlc_gpu_sim::FaultPlan;
 use tlc_rng::Rng;
-use tlc_ssb::{SsbStore, StreamError, StreamOptions};
+use tlc_ssb::{SsbStore, StreamOptions, WaveQueryRun};
 use tlc_store::PartitionCache;
 
 use crate::breaker::{BreakerBank, BreakerConfig};
-use crate::exec::execute;
 use crate::health::{HealthConfig, HealthMachine, Tier};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::{Outcome, Rejected, Request, Response};
@@ -55,7 +59,7 @@ pub struct ServeConfig {
     /// launch, each flight decodes inline over the same upload, and
     /// identical requests are deduplicated (one execution fans out to
     /// all duplicate tickets). `0` or `1` disables batching
-    /// (every job runs solo, exactly the pre-batching service).
+    /// (every job is a wave of one, the same path with nothing shared).
     /// Answers are bit-identical either way; only attributed cost —
     /// and therefore latency — changes.
     pub batch_window: usize,
@@ -334,16 +338,16 @@ impl Drop for Service {
 
 /// Jittered exponential backoff for retry step `attempt` (1-based),
 /// deterministic in `(request id, attempt)`.
-fn backoff_s(cfg: &ServeConfig, req_id: u64, attempt: usize) -> f64 {
+pub(crate) fn backoff_s(cfg: &ServeConfig, req_id: u64, attempt: usize) -> f64 {
     let exp = cfg.backoff_base_s * (1u64 << (attempt - 1).min(10)) as f64;
     let mut rng = Rng::seed_from_u64(req_id ^ 0xBACC_0FF5 ^ (attempt as u64) << 32);
     exp * (1.0 + cfg.backoff_jitter.clamp(0.0, 1.0) * rng.gen_f64())
 }
 
-/// Worker: pop a wave of up to `batch_window` waiting jobs → run it
-/// (as one shared-scan wave, or solo when the window is ≤ 1 or only one
-/// job waits) → send exactly one response per job. Exits when shutdown
-/// is flagged and the queue is drained.
+/// Worker: pop up to `batch_window` waiting jobs → hand them to the
+/// batcher, the one request path (a job popped alone is a wave of one)
+/// → send exactly one response per job. Exits when shutdown is flagged
+/// and the queue is drained.
 fn worker_loop(shared: &Shared, queue: &Queue) {
     let window = shared.cfg.batch_window.max(1);
     loop {
@@ -370,14 +374,6 @@ fn worker_loop(shared: &Shared, queue: &Queue) {
     }
 }
 
-/// Execute one request solo to its counted terminal response (the
-/// non-batched path; also the batcher's fallback).
-pub(crate) fn run_solo(shared: &Shared, req: Request) -> Response {
-    let response = run_job(shared, req);
-    record_terminal(shared, &response);
-    response
-}
-
 /// Count the terminal outcome and its latency.
 pub(crate) fn record_terminal(shared: &Shared, r: &Response) {
     let m = &shared.metrics;
@@ -391,8 +387,7 @@ pub(crate) fn record_terminal(shared: &Shared, r: &Response) {
 
 /// One routing-and-degradation snapshot: which shards the breaker
 /// bank routes around, which tier the health machine is on, and the
-/// [`StreamOptions`] those imply. Solo attempts take one per attempt;
-/// a wave takes one for the whole wave.
+/// [`StreamOptions`] those imply. A wave takes one per attempt.
 pub(crate) struct Routing {
     pub(crate) routed: BTreeSet<usize>,
     pub(crate) tier: Tier,
@@ -400,9 +395,9 @@ pub(crate) struct Routing {
 }
 
 /// Snapshot the current routing state and derive the stream options
-/// (budget by tier, forced-CPU set from open breakers, shared cache
-/// re-bounded per tier).
-pub(crate) fn routing_snapshot(shared: &Shared) -> Routing {
+/// of a wave run under `plan` (budget by tier, forced-CPU set from open
+/// breakers, shared cache re-bounded per tier).
+pub(crate) fn routing_snapshot(shared: &Shared, plan: Option<FaultPlan>) -> Routing {
     let cfg = &shared.cfg;
     let routed = shared
         .breakers
@@ -437,7 +432,8 @@ pub(crate) fn routing_snapshot(shared: &Shared) -> Routing {
         opts: StreamOptions {
             budget_bytes: budget,
             scale: cfg.stream.scale,
-            plan: None,
+            plan,
+            // Not read by a wave: each member carries its own.
             deadline_device_s: None,
             force_cpu_partitions: force_cpu,
             cache: shared.cache.clone(),
@@ -445,121 +441,50 @@ pub(crate) fn routing_snapshot(shared: &Shared) -> Routing {
     }
 }
 
-/// Execute one request to its single terminal state.
-pub(crate) fn run_job(shared: &Shared, req: Request) -> Response {
-    let cfg = &shared.cfg;
-    let mut attempts = 0usize;
-    let mut backoff_total = 0.0f64;
-    let mut last_report = Default::default();
-    loop {
-        attempts += 1;
-
-        // Route and degrade per current feedback state.
-        let routing = routing_snapshot(shared);
-        let (routed, tier) = (routing.routed, routing.tier);
-        let opts = StreamOptions {
-            plan: req.plan.clone(),
-            deadline_device_s: req.deadline_device_s,
-            ..routing.opts
-        };
-
-        match execute(&shared.store, &req.query, &opts) {
-            Ok(out) => {
-                feed_back(shared, out.partitions, &out.recovered_partitions, &routed);
-                return Response {
-                    id: req.id,
-                    outcome: Outcome::Completed(out),
-                    attempts,
-                    backoff_s: backoff_total,
-                    tier,
-                    routed_around: routed,
-                };
-            }
-            Err(StreamError::DeadlineExceeded(partial)) => {
-                // A deadline is a terminal contract with the caller,
-                // not a fault: no retry, no breaker feedback (the
-                // completed prefix ran clean or its recoveries are in
-                // the partial report).
-                let struck = partial.report.recoveries() > 0;
-                shared.health.lock().expect("health lock").observe(struck);
-                return Response {
-                    id: req.id,
-                    outcome: Outcome::DeadlineExceeded(partial),
-                    attempts,
-                    backoff_s: backoff_total,
-                    tier,
-                    routed_around: routed,
-                };
-            }
-            Err(StreamError::Store(e)) => {
-                let h = &shared.metrics;
-                let transitions_before = {
-                    let mut health = shared.health.lock().expect("health lock");
-                    let before = health.transitions();
-                    health.observe(true);
-                    before
-                };
-                bump_transitions(shared, transitions_before);
-                if attempts > cfg.max_retries {
-                    return Response {
-                        id: req.id,
-                        outcome: Outcome::Failed {
-                            error: e.to_string(),
-                            report: std::mem::take(&mut last_report),
-                        },
-                        attempts,
-                        backoff_s: backoff_total,
-                        tier,
-                        routed_around: routed,
-                    };
-                }
-                h.retries.fetch_add(1, Ordering::Relaxed);
-                backoff_total += backoff_s(cfg, req.id, attempts);
-            }
+/// Fold one finished execution into the breaker bank and the health
+/// machine, keeping the trip/transition counters in the metrics
+/// current. A completion feeds both. A deadline is a terminal contract
+/// with the caller, not a fault: no breaker feedback, and the health
+/// machine sees only whether the completed prefix recovered.
+pub(crate) fn feed_back(shared: &Shared, run: &WaveQueryRun, routed: &BTreeSet<usize>) {
+    let struck = match &run.outcome {
+        Ok(_) => {
+            let recovered = &run.recovered_partitions;
+            let mut bank = shared.breakers.lock().expect("breaker lock");
+            let (trips0, closes0) = (bank.trips(), bank.closes());
+            bank.observe(run.partitions, recovered, routed);
+            let m = &shared.metrics;
+            m.breaker_trips
+                .fetch_add((bank.trips() - trips0) as u64, Ordering::Relaxed);
+            m.breaker_closes
+                .fetch_add((bank.closes() - closes0) as u64, Ordering::Relaxed);
+            !recovered.is_empty()
         }
-    }
-}
-
-/// Fold executor feedback into the breaker bank and health machine,
-/// keeping the trip/transition counters in the metrics current.
-pub(crate) fn feed_back(
-    shared: &Shared,
-    partitions: usize,
-    recovered: &[usize],
-    routed: &BTreeSet<usize>,
-) {
-    {
-        let mut bank = shared.breakers.lock().expect("breaker lock");
-        let (trips0, closes0) = (bank.trips(), bank.closes());
-        bank.observe(partitions, recovered, routed);
-        let m = &shared.metrics;
-        m.breaker_trips
-            .fetch_add((bank.trips() - trips0) as u64, Ordering::Relaxed);
-        m.breaker_closes
-            .fetch_add((bank.closes() - closes0) as u64, Ordering::Relaxed);
-    }
-    let transitions_before = {
-        let mut health = shared.health.lock().expect("health lock");
-        let before = health.transitions();
-        health.observe(!recovered.is_empty());
-        before
+        Err(partial) => partial.report.recoveries() > 0,
     };
-    bump_transitions(shared, transitions_before);
+    observe_health(shared, struck);
 }
 
-/// Publish any new tier transitions to the metrics.
-fn bump_transitions(shared: &Shared, before: usize) {
-    let after = shared.health.lock().expect("health lock").transitions();
+/// Fold one terminal execution into the health machine (`struck`: it
+/// needed a recovery action or ended in a storage error) and publish
+/// the tier transition it caused, if any, under the same lock: the one
+/// site that observes, so the metric counts each transition once.
+pub(crate) fn observe_health(shared: &Shared, struck: bool) {
+    let mut health = shared.health.lock().expect("health lock");
+    let before = health.transitions();
+    health.observe(struck);
+    let caused = health.transitions() - before;
     shared
         .metrics
         .tier_transitions
-        .fetch_add((after - before) as u64, Ordering::Relaxed);
+        .fetch_add(caused as u64, Ordering::Relaxed);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{QueryAnswer, QuerySpec};
+    use tlc_gpu_sim::StorageFaults;
     use tlc_ssb::{LoColumn, QueryId, StreamSpec};
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -738,5 +663,53 @@ mod tests {
         let four = answer_of(4);
         assert_eq!(one, four);
         assert!(one.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn every_terminal_publishes_the_tier_transition_it_causes() {
+        let store = small_store("tiers");
+        let cfg = ServeConfig {
+            workers: 1,
+            health: HealthConfig {
+                demote_after: 1,
+                promote_after: 1,
+                ..HealthConfig::default()
+            },
+            ..ServeConfig::deterministic()
+        };
+        let svc = Service::start(store, cfg);
+        let scan = |id| {
+            Request::new(
+                id,
+                QuerySpec::Scan {
+                    column: LoColumn::Quantity,
+                },
+            )
+        };
+
+        // A torn partition recovers: one struck completion demotes.
+        let mut drill = scan(0);
+        drill.plan = Some(FaultPlan {
+            storage: StorageFaults {
+                truncate_at_partition: Some(1),
+                ..StorageFaults::default()
+            },
+            ..FaultPlan::seeded(5)
+        });
+        let r = svc.submit(drill).expect("admitted").wait();
+        assert!(matches!(r.outcome, Outcome::Completed(_)), "{r:?}");
+        assert_eq!(svc.tier(), Tier::ReducedBudget);
+
+        // A scan cut at 0/N recovered nothing: one clean deadline
+        // promotes, and that transition reaches the metric too.
+        let mut cut = scan(1);
+        cut.deadline_device_s = Some(1e-12);
+        let r = svc.submit(cut).expect("admitted").wait();
+        assert!(matches!(r.outcome, Outcome::DeadlineExceeded(_)), "{r:?}");
+        assert_eq!(svc.tier(), Tier::Full);
+
+        let m = svc.shutdown();
+        assert!(m.is_balanced(), "{m:?}");
+        assert_eq!(m.tier_transitions, 2);
     }
 }

@@ -91,23 +91,12 @@ pub(crate) fn map_ordered<T: Send>(
     f: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
     let ranges = tlc_gpu_sim::partitions(range.len(), 1, workers);
-    if ranges.len() <= 1 {
-        return range.map(f).collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(lo, hi)| {
-                let f = &f;
-                let items = range.start + lo..range.start + hi;
-                scope.spawn(move || items.map(f).collect::<Vec<T>>())
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    })
+    let per_range = tlc_gpu_sim::map_ranges(&ranges, |_, r| {
+        (range.start + r.start..range.start + r.end)
+            .map(&f)
+            .collect::<Vec<T>>()
+    });
+    per_range.into_iter().flatten().collect()
 }
 
 /// Run `q` sharded across `shards` simulated devices under `system`.

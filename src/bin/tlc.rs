@@ -605,44 +605,19 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
     // Each seed is an independent campaign with its own RNG and device,
     // so campaigns run on `TLC_SIM_THREADS` workers; reports print in
     // seed order, so output and verdicts match a serial sweep exactly.
-    let reports: Vec<_> = {
-        let ranges = tlc::sim::partitions(seeds.len(), 1, tlc::sim::sim_threads());
-        let run_range = |lo: usize, hi: usize| {
-            seeds[lo..hi]
-                .iter()
-                .map(|&seed| {
-                    (
-                        seed,
-                        run_fuzz(&FuzzConfig {
-                            seed,
-                            iters,
-                            limits,
-                        }),
-                    )
-                })
-                .collect::<Vec<_>>()
+    let ranges = tlc::sim::partitions(seeds.len(), 1, tlc::sim::sim_threads());
+    let reports = tlc::sim::map_ranges(&ranges, |_, r| {
+        let campaign = |&seed| {
+            let cfg = FuzzConfig {
+                seed,
+                iters,
+                limits,
+            };
+            (seed, run_fuzz(&cfg))
         };
-        if ranges.len() <= 1 {
-            ranges
-                .iter()
-                .flat_map(|&(lo, hi)| run_range(lo, hi))
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|&(lo, hi)| {
-                        let run_range = &run_range;
-                        scope.spawn(move || run_range(lo, hi))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("fuzz worker panicked"))
-                    .collect()
-            })
-        }
-    };
+        seeds[r].iter().map(campaign).collect::<Vec<_>>()
+    });
+    let reports: Vec<_> = reports.into_iter().flatten().collect();
     let mut findings = 0usize;
     for (seed, report) in &reports {
         println!("seed {seed}: {report}");
