@@ -3,16 +3,21 @@
 //! SSB dimension keys are dense (1..n), so Crystal-style engines build
 //! *perfect* hash tables: slot `key - base` holds the join payload (or
 //! a sentinel when the dimension row fails its filter). Build is one
-//! streaming kernel over the dimension; probe is a warp gather from
-//! inside the fused fact-table kernel — the random-access pattern whose
-//! coalescing the simulator accounts faithfully.
+//! streaming pass over the dimension, a **part** of a launch
+//! ([`DenseTable::build_part`]) so that every table a wave needs is
+//! built by one launch; probe is a warp gather from inside the fused
+//! fact-table kernel — the random-access pattern whose coalescing the
+//! simulator accounts faithfully.
 
 use tlc_gpu_sim::{
-    ballot, BlockCtx, Device, GlobalBuffer, KernelConfig, LaunchError, Phase, WARP_SIZE,
+    ballot, BlockCtx, Device, GlobalBuffer, KernelConfig, LaunchPart, Phase, WARP_SIZE,
 };
 
 /// Sentinel slot value: dimension row absent or filtered out.
 const EMPTY: i32 = i32::MIN;
+
+/// Dimension rows one build block streams.
+const BUILD_CHUNK: usize = 2048;
 
 /// A dense (perfect) join table from dimension key → payload.
 #[derive(Debug)]
@@ -23,10 +28,61 @@ pub struct DenseTable {
 }
 
 impl DenseTable {
-    /// Build from host-side dimension data: `rows` yields `(key,
-    /// Option<payload>)`; `None` payloads mark filtered-out rows.
-    /// Launches one build kernel whose traffic covers reading the
-    /// dimension columns and writing the table.
+    /// A table over the keys `base..=max_key` in which every probe
+    /// misses, until a launch runs its [`DenseTable::build_part`].
+    pub fn empty(dev: &Device, base: i32, max_key: i32) -> DenseTable {
+        let len = (max_key - base + 1) as usize;
+        let mut slots = dev.alloc_zeroed::<i32>(len);
+        slots.as_mut_slice_unaccounted().fill(EMPTY);
+        DenseTable { base, slots }
+    }
+
+    /// The build of this table from host-side dimension data, as one
+    /// part (`build_{name}`) of a launch: `rows` yields `(key,
+    /// Option<payload>)`; `None` payloads mark filtered-out rows. The
+    /// part's traffic covers reading `dim_bytes_read` bytes of
+    /// dimension columns (key + filter + payload columns; sized by the
+    /// caller so the read traffic is exact) and writing the table.
+    pub fn build_part<'a>(
+        &'a mut self,
+        dev: &Device,
+        name: &str,
+        rows: &'a [(i32, Option<i32>)],
+        dim_bytes_read: u64,
+    ) -> LaunchPart<'a> {
+        // Stand-in allocation for the dimension columns the build scans.
+        let dim_bytes = dev.alloc_zeroed::<u8>(dim_bytes_read as usize);
+        let grid = rows.len().div_ceil(BUILD_CHUNK).max(1);
+        let cfg = KernelConfig::new(format!("build_{name}"), grid, 128).regs_per_thread(24);
+        let base = self.base;
+        let slots = &mut self.slots;
+        LaunchPart::new(
+            cfg,
+            || (),
+            move |(), ctx| {
+                let lo = ctx.block_id() * BUILD_CHUNK;
+                let hi = (lo + BUILD_CHUNK).min(rows.len());
+                if lo >= hi {
+                    return Vec::new();
+                }
+                // Read this slice's share of the dimension columns.
+                let blo = lo * dim_bytes.len() / rows.len();
+                let bhi = hi * dim_bytes.len() / rows.len();
+                if bhi > blo {
+                    ctx.read_coalesced_with(&dim_bytes, blo, bhi - blo, |_| ());
+                }
+                ctx.add_int_ops((hi - lo) as u64 * 4);
+                rows[lo..hi]
+                    .iter()
+                    .filter_map(|&(k, p)| p.map(|payload| ((k - base) as usize, payload)))
+                    .collect::<Vec<(usize, i32)>>()
+            },
+            move |ctx, _block, writes| ctx.warp_scatter(slots, &writes),
+        )
+    }
+
+    /// Build a table with a launch of its own (the one-part case of
+    /// [`DenseTable::build_part`]). Panics on a device fault.
     pub fn build(
         dev: &Device,
         name: &str,
@@ -35,51 +91,11 @@ impl DenseTable {
         rows: &[(i32, Option<i32>)],
         dim_bytes_read: u64,
     ) -> DenseTable {
-        Self::try_build(dev, name, base, max_key, rows, dim_bytes_read)
-            .unwrap_or_else(|e| panic!("build_{name} failed: {e}"))
-    }
-
-    /// Fallible [`DenseTable::build`]: a device fault surfaces as a
-    /// [`LaunchError`] instead of a panic, so resilient executors can
-    /// retry or fail the shard over.
-    pub fn try_build(
-        dev: &Device,
-        name: &str,
-        base: i32,
-        max_key: i32,
-        rows: &[(i32, Option<i32>)],
-        dim_bytes_read: u64,
-    ) -> Result<DenseTable, LaunchError> {
-        let len = (max_key - base + 1) as usize;
-        let mut slots = dev.alloc_zeroed::<i32>(len);
-        slots.as_mut_slice_unaccounted().fill(EMPTY);
-        // Stand-in allocation for the dimension columns the build scans
-        // (key + filter + payload columns); sized by the caller so the
-        // read traffic is exact.
-        let dim_bytes = dev.alloc_zeroed::<u8>(dim_bytes_read as usize);
-        let chunk = 2048usize;
-        let grid = rows.len().div_ceil(chunk).max(1);
-        let cfg = KernelConfig::new(format!("build_{name}"), grid, 128).regs_per_thread(24);
-        dev.try_launch(cfg, |ctx| {
-            let lo = ctx.block_id() * chunk;
-            let hi = (lo + chunk).min(rows.len());
-            if lo >= hi {
-                return;
-            }
-            // Read this slice's share of the dimension columns.
-            let blo = lo * dim_bytes.len() / rows.len();
-            let bhi = hi * dim_bytes.len() / rows.len();
-            if bhi > blo {
-                ctx.read_coalesced_with(&dim_bytes, blo, bhi - blo, |_| ());
-            }
-            ctx.add_int_ops((hi - lo) as u64 * 4);
-            let writes: Vec<(usize, i32)> = rows[lo..hi]
-                .iter()
-                .filter_map(|&(k, p)| p.map(|payload| ((k - base) as usize, payload)))
-                .collect();
-            ctx.warp_scatter(&mut slots, &writes);
-        })?;
-        Ok(DenseTable { base, slots })
+        let mut table = DenseTable::empty(dev, base, max_key);
+        let part = table.build_part(dev, name, rows, dim_bytes_read);
+        dev.try_launch_parts("", vec![part])
+            .unwrap_or_else(|e| panic!("build_{name} failed: {e}"));
+        table
     }
 
     /// Number of slots.

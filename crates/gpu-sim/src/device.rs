@@ -4,10 +4,10 @@
 use std::cell::{Cell, RefCell};
 
 use crate::fault::{FaultPlan, FaultState, FaultStats, LaunchError};
-use crate::kernel::{BlockCtx, KernelConfig, Occupancy};
+use crate::kernel::{run_blocks, BlockCtx, BlockResult, KernelConfig, LaunchPart, Occupancy};
 use crate::memory::{GlobalBuffer, Scalar, SegmentMarks, ALLOC_ALIGN};
 use crate::profile::ProfileSink;
-use crate::report::{KernelReport, Phase, PhaseSpans, Timeline, Traffic};
+use crate::report::{KernelReport, PartReport, Phase, PhaseSpans, Timeline, Traffic};
 
 /// Calibration constants of the simulated device.
 ///
@@ -221,11 +221,10 @@ impl Device {
         F: FnMut(&mut BlockCtx<'_>),
     {
         self.gate_launch(&cfg)?;
-        let occ = self.occupancy(&cfg);
         let mut spans = PhaseSpans::default();
         let l1 = self.params.l1_per_block;
         run_blocks(&cfg, 0..cfg.grid_blocks, l1, &mut spans, body, |_, ()| {});
-        Ok(self.finish_launch(cfg, occ, spans))
+        Ok(self.finish_launch(cfg.clone(), vec![(cfg, spans)]))
     }
 
     /// Parallel launch without per-worker state: like [`Device::launch`],
@@ -234,7 +233,7 @@ impl Device {
     /// execution model.
     pub fn launch_par<R, B, M>(&self, cfg: KernelConfig, body: B, merge: M) -> KernelReport
     where
-        R: Send,
+        R: Send + 'static,
         B: Fn(&mut BlockCtx<'_>) -> R + Sync,
         M: FnMut(&mut BlockCtx<'_>, usize, R),
     {
@@ -243,10 +242,34 @@ impl Device {
             .unwrap_or_else(|e| panic!("kernel `{name}`: unhandled device fault: {e}"))
     }
 
-    /// Fallible parallel launch. The grid is split into contiguous
-    /// block ranges by [`crate::threads::partitions`], one range per
-    /// worker (worker count from [`crate::threads::sim_threads`], i.e.
+    /// Fallible parallel launch: the one-part case of
+    /// [`Device::try_launch_parts`], which spells out the execution
+    /// model. The grid is split into contiguous block ranges by
+    /// [`crate::threads::partitions`], one range per worker (worker
+    /// count from [`crate::threads::sim_threads`], i.e.
     /// `TLC_SIM_THREADS` or available parallelism).
+    pub fn try_launch_par<S, R, I, B, M>(
+        &self,
+        cfg: KernelConfig,
+        init: I,
+        body: B,
+        merge: M,
+    ) -> Result<KernelReport, LaunchError>
+    where
+        R: Send + 'static,
+        I: Fn() -> S + Sync,
+        B: Fn(&mut S, &mut BlockCtx<'_>) -> R + Sync,
+        M: FnMut(&mut BlockCtx<'_>, usize, R),
+    {
+        // One part: the event takes the part's name.
+        self.try_launch_parts("", vec![LaunchPart::new(cfg, init, body, merge)])
+    }
+
+    /// One kernel launch made of `parts`: each part is a range of
+    /// thread blocks with its own [`KernelConfig`], body and merge
+    /// ([`LaunchPart`]); the launch's grid is the parts' grids end to
+    /// end. The event is called `name`, or after its part when there
+    /// is only one. At least one part.
     ///
     /// Execution is two-phase, mirroring how a real GPU kernel keeps
     /// per-block state private until a final reduction:
@@ -256,86 +279,103 @@ impl Device {
     ///    result `R` (decoded values, a partial aggregate, an error).
     ///    It must not capture mutable state — the `Fn + Sync` bound
     ///    enforces this. What it may mutate is the worker's own `S`,
-    ///    built by **init** once per worker: the place for tile buffers
-    ///    and other scratch a block would otherwise allocate afresh
-    ///    (`|| ()` when there is none). Results must not depend on what
-    ///    an earlier block left in `S`.
-    /// 2. **merge** runs on the calling thread, serially, **in block
-    ///    order**, with a fresh [`BlockCtx`] (no shared memory) whose
-    ///    traffic also counts toward the kernel. This is where output
-    ///    buffers are written and accumulators updated.
+    ///    built by **init** once per worker and part: the place for
+    ///    tile buffers and other scratch a block would otherwise
+    ///    allocate afresh (`|| ()` when there is none). Results must
+    ///    not depend on what an earlier block left in `S`.
+    /// 2. **merge** runs on the calling thread, serially, **in part
+    ///    order and then block order**, with a fresh [`BlockCtx`] (no
+    ///    shared memory) whose traffic also counts toward the part.
+    ///    This is where output buffers are written and accumulators
+    ///    updated.
+    ///
+    /// Cost (DESIGN.md §3): one `kernel_launch_s`; the block overhead
+    /// of the whole grid; residency, and so the bandwidth factor, of
+    /// one kernel that needs the largest block, shared-memory image and
+    /// register count among its parts; register spill charged to the
+    /// spilling part on its own threads; the roofline maximum over the
+    /// summed traffic. A one-part launch is priced exactly as that
+    /// kernel alone. The report keeps each part's spans and solo price
+    /// ([`KernelReport::parts`]).
     ///
     /// Determinism: all traffic counters are integers, per-block work
     /// is independent of the partitioning, and merge order equals block
     /// order — so the returned [`KernelReport`] (and everything derived
     /// from it) is bit-identical for any worker count, including the
-    /// single-partition serial path. Fault gating happens once, on the
-    /// calling thread, before any block runs, exactly as in
-    /// [`Device::try_launch`].
-    pub fn try_launch_par<S, R, I, B, M>(
+    /// single-partition serial path. Fault gating happens **once per
+    /// launch**, on the calling thread, before any block runs, exactly
+    /// as in [`Device::try_launch`].
+    pub fn try_launch_parts(
         &self,
-        cfg: KernelConfig,
-        init: I,
-        body: B,
-        mut merge: M,
-    ) -> Result<KernelReport, LaunchError>
-    where
-        R: Send,
-        I: Fn() -> S + Sync,
-        B: Fn(&mut S, &mut BlockCtx<'_>) -> R + Sync,
-        M: FnMut(&mut BlockCtx<'_>, usize, R),
-    {
-        self.gate_launch(&cfg)?;
-        let occ = self.occupancy(&cfg);
+        name: &str,
+        parts: Vec<LaunchPart<'_>>,
+    ) -> Result<KernelReport, LaunchError> {
+        let (bodies, mut merges): (Vec<_>, Vec<_>) = parts
+            .into_iter()
+            .map(|p| ((p.cfg, p.body), p.merge))
+            .unzip();
+        let launch = launch_config(name, bodies.iter().map(|(cfg, _)| cfg));
+        self.gate_launch(&launch)?;
         let l1 = self.params.l1_per_block;
-        // Body and merge charge separate span sets, summed at the end:
-        // the sums are commutative, so the split is invisible.
-        let mut spans = PhaseSpans::default();
-        let mut merge_spans = PhaseSpans::default();
+        // Body and merge charge separate span sets per part, summed at
+        // the end: the sums are commutative, so the split is invisible.
+        let mut spans = vec![PhaseSpans::default(); bodies.len()];
+        let mut merge_spans = spans.clone();
         let mut merge_marks = SegmentMarks::default();
-        let mut merge_block = |block_id: usize, result: R| {
-            let mut ctx = BlockCtx::new(
-                block_id,
-                &cfg,
-                &mut merge_spans,
-                &mut [],
-                &mut merge_marks,
-                l1,
-            );
-            merge(&mut ctx, block_id, result);
+        let mut merge_block = |part: usize, block_id: usize, result: BlockResult| {
+            let cfg: &KernelConfig = &bodies[part].0;
+            let part_spans = &mut merge_spans[part];
+            let mut ctx = BlockCtx::new(block_id, cfg, part_spans, &mut [], &mut merge_marks, l1);
+            merges[part](&mut ctx, block_id, result);
         };
-        let run_range =
-            |lo: usize, hi: usize, local: &mut PhaseSpans, emit: &mut dyn FnMut(usize, R)| {
-                let mut state = init();
-                run_blocks(&cfg, lo..hi, l1, local, |ctx| body(&mut state, ctx), emit);
-            };
-        let parts = crate::threads::partitions(cfg.grid_blocks, 1, crate::threads::sim_threads());
-        if parts.len() <= 1 {
+        let grids: Vec<usize> = bodies.iter().map(|(cfg, _)| cfg.grid_blocks).collect();
+        let workers =
+            crate::threads::partitions(launch.grid_blocks, 1, crate::threads::sim_threads());
+        if workers.len() <= 1 {
             // Serial path: each block's result merges as soon as its
             // body returns, so at most one result is alive.
-            run_range(0, cfg.grid_blocks, &mut spans, &mut merge_block);
+            for (part, (cfg, body)) in bodies.iter().enumerate() {
+                let blocks = 0..cfg.grid_blocks;
+                body(
+                    cfg,
+                    blocks,
+                    l1,
+                    &mut spans[part],
+                    &mut |block_id, result| merge_block(part, block_id, result),
+                );
+            }
         } else {
-            let worker_out = crate::threads::map_ranges(&parts, |_, blocks| {
-                let mut local = PhaseSpans::default();
-                let mut results = Vec::with_capacity(blocks.len());
-                run_range(blocks.start, blocks.end, &mut local, &mut |_, r| {
-                    results.push(r)
-                });
-                (local, results)
+            let worker_out = crate::threads::map_ranges(&workers, |_, blocks| {
+                let of_part = |(part, local): (usize, std::ops::Range<usize>)| {
+                    let (cfg, body) = &bodies[part];
+                    let mut local_spans = PhaseSpans::default();
+                    let mut results = Vec::with_capacity(local.len());
+                    body(
+                        cfg,
+                        local.clone(),
+                        l1,
+                        &mut local_spans,
+                        &mut |_, result| results.push(result),
+                    );
+                    (part, local, local_spans, results)
+                };
+                part_ranges(&grids, blocks).map(of_part).collect::<Vec<_>>()
             });
-            // Partitions are contiguous and ordered, so concatenating
-            // worker results in partition order visits blocks 0..grid.
-            let mut block_id = 0;
-            for (local, results) in worker_out {
-                spans = spans.merge(&local);
-                for result in results {
-                    merge_block(block_id, result);
-                    block_id += 1;
+            // Worker ranges are contiguous and ordered, so walking the
+            // workers' pieces in order visits every part's blocks 0..grid.
+            for (part, local, local_spans, results) in worker_out.into_iter().flatten() {
+                spans[part] = spans[part].merge(&local_spans);
+                for (block_id, result) in local.zip(results) {
+                    merge_block(part, block_id, result);
                 }
             }
         }
-        let spans = spans.merge(&merge_spans);
-        Ok(self.finish_launch(cfg, occ, spans))
+        let parts = bodies
+            .into_iter()
+            .zip(spans.iter().zip(&merge_spans))
+            .map(|((cfg, _), (body, merge))| (cfg, body.merge(merge)))
+            .collect();
+        Ok(self.finish_launch(launch, parts))
     }
 
     /// Consult the armed fault plan before running any block; a failed
@@ -356,29 +396,57 @@ impl Device {
                 spans: PhaseSpans::default(),
                 seconds: self.params.kernel_launch_s,
                 bound_by: "fault",
+                parts: Vec::new(),
             });
             return Err(e);
         }
         Ok(())
     }
 
-    /// Shared tail of every launch: charge register spills, convert
-    /// traffic to modelled time, record the report.
+    /// Shared tail of every launch: charge each part's register spill,
+    /// price the part alone and the launch as a whole, record the
+    /// report. `launch` is [`launch_config`] of the parts' configs.
     fn finish_launch(
         &self,
-        cfg: KernelConfig,
-        occ: Occupancy,
-        mut spans: PhaseSpans,
+        launch: KernelConfig,
+        parts: Vec<(KernelConfig, PhaseSpans)>,
     ) -> KernelReport {
-        // Register spilling: every resident thread round-trips the
-        // spilled registers through local (= global) memory. Charged at
-        // launch granularity, so it lands in the catch-all phase.
-        if cfg.regs_per_thread > self.params.spill_threshold_regs {
-            let spilled = (cfg.regs_per_thread - self.params.spill_threshold_regs) as u64;
-            let threads = cfg.grid_blocks as u64 * cfg.threads_per_block as u64;
-            spans.phase_mut(Phase::Other).spill_bytes += spilled * 4 * 2 * threads;
+        let mut spans = PhaseSpans::default();
+        let mut reports = Vec::with_capacity(parts.len());
+        for (cfg, mut part_spans) in parts {
+            // Register spilling: every thread of the part round-trips
+            // the spilled registers through local (= global) memory.
+            // Charged at launch granularity, so it lands in the
+            // catch-all phase.
+            if cfg.regs_per_thread > self.params.spill_threshold_regs {
+                let spilled = (cfg.regs_per_thread - self.params.spill_threshold_regs) as u64;
+                let threads = cfg.grid_blocks as u64 * cfg.threads_per_block as u64;
+                part_spans.phase_mut(Phase::Other).spill_bytes += spilled * 4 * 2 * threads;
+            }
+            let occ = self.occupancy(&cfg);
+            let (solo_seconds, _) = self.price(cfg.grid_blocks, occ, &part_spans.total());
+            spans = spans.merge(&part_spans);
+            reports.push(PartReport {
+                name: cfg.name,
+                grid_blocks: cfg.grid_blocks,
+                spans: part_spans,
+                solo_seconds,
+            });
         }
-        let report = self.time_kernel(&cfg, occ, spans);
+        let occ = self.occupancy(&launch);
+        let traffic = spans.total();
+        let (seconds, bound_by) = self.price(launch.grid_blocks, occ, &traffic);
+        let report = KernelReport {
+            name: launch.name,
+            grid_blocks: launch.grid_blocks,
+            threads_per_block: launch.threads_per_block,
+            occupancy: occ.fraction,
+            traffic,
+            spans,
+            seconds,
+            bound_by,
+            parts: reports,
+        };
         self.record_event(report.clone());
         report
     }
@@ -407,9 +475,10 @@ impl Device {
         }
     }
 
-    fn time_kernel(&self, cfg: &KernelConfig, occ: Occupancy, spans: PhaseSpans) -> KernelReport {
+    /// Modelled seconds of `grid_blocks` blocks at residency `occ`
+    /// moving `traffic`, and the roofline leg that dominated.
+    fn price(&self, grid_blocks: usize, occ: Occupancy, traffic: &Traffic) -> (f64, &'static str) {
         let p = &self.params;
-        let traffic = spans.total();
         // Degraded-bandwidth fault: a sick device streams slower.
         let health = self
             .faults
@@ -423,7 +492,7 @@ impl Device {
         // Per-block scheduling/tail latency, amortized over how many
         // blocks the machine keeps in flight.
         let concurrency = (p.num_sms * occ.resident_blocks.max(1)) as f64;
-        let block_overhead_s = cfg.grid_blocks as f64 * p.block_latency_s / concurrency;
+        let block_overhead_s = grid_blocks as f64 * p.block_latency_s / concurrency;
 
         let legs = [
             ("global", global_s),
@@ -437,17 +506,7 @@ impl Device {
                 bound_by = name;
             }
         }
-        let seconds = p.kernel_launch_s + block_overhead_s + dominant;
-        KernelReport {
-            name: cfg.name.clone(),
-            grid_blocks: cfg.grid_blocks,
-            threads_per_block: cfg.threads_per_block,
-            occupancy: occ.fraction,
-            traffic,
-            spans,
-            seconds,
-            bound_by,
-        }
+        (p.kernel_launch_s + block_overhead_s + dominant, bound_by)
     }
 
     /// Model a host→device (or device→host) transfer of `bytes` over
@@ -463,6 +522,7 @@ impl Device {
             spans: PhaseSpans::default(),
             seconds,
             bound_by: "pcie",
+            parts: Vec::new(),
         });
         seconds
     }
@@ -489,6 +549,7 @@ impl Device {
             } else {
                 "compute"
             },
+            parts: Vec::new(),
         });
         seconds
     }
@@ -517,26 +578,48 @@ impl Device {
     }
 }
 
-/// The body loop of every launch: run `block` once per thread block of
-/// `range`, charging into `spans`, and hand each result to `emit`. The
-/// shared-memory image and the segment mark map are allocated once per
-/// call (one of each per worker); the image is zeroed before each
-/// block, the map is left all zeros by every warp instruction.
-fn run_blocks<R>(
-    cfg: &KernelConfig,
-    range: std::ops::Range<usize>,
-    l1_per_block: bool,
-    spans: &mut PhaseSpans,
-    mut block: impl FnMut(&mut BlockCtx<'_>) -> R,
-    mut emit: impl FnMut(usize, R),
-) {
-    let mut shared = vec![0u32; cfg.smem_per_block / 4];
-    let mut marks = SegmentMarks::default();
-    for block_id in range {
-        shared.fill(0);
-        let mut ctx = BlockCtx::new(block_id, cfg, spans, &mut shared, &mut marks, l1_per_block);
-        emit(block_id, block(&mut ctx));
+/// The configuration a launch of `parts` is gated, timed and reported
+/// under. One part: its own. Several: a kernel called `name` over the
+/// parts' grids end to end, compiled for the most demanding part in
+/// each resource (largest block, shared-memory image and register
+/// count), which is what sets its residency.
+fn launch_config<'c>(name: &str, parts: impl Iterator<Item = &'c KernelConfig>) -> KernelConfig {
+    let mut parts = parts.peekable();
+    let first = parts.next().expect("a launch has at least one part");
+    if parts.peek().is_none() {
+        return first.clone();
     }
+    parts.fold(
+        KernelConfig {
+            name: name.to_string(),
+            fuel_per_block: None,
+            ..first.clone()
+        },
+        |launch, part| KernelConfig {
+            grid_blocks: launch.grid_blocks + part.grid_blocks,
+            threads_per_block: launch.threads_per_block.max(part.threads_per_block),
+            smem_per_block: launch.smem_per_block.max(part.smem_per_block),
+            regs_per_thread: launch.regs_per_thread.max(part.regs_per_thread),
+            ..launch
+        },
+    )
+}
+
+/// The pieces of the launch-wide block range `blocks` by part, as
+/// `(part, blocks within the part)`: part `i` owns the `grids[i]`
+/// launch-wide blocks after those of the parts before it.
+fn part_ranges(
+    grids: &[usize],
+    blocks: std::ops::Range<usize>,
+) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> + '_ {
+    let mut first = 0;
+    grids.iter().enumerate().filter_map(move |(part, &grid)| {
+        let base = first;
+        first += grid;
+        let lo = blocks.start.max(base);
+        let hi = blocks.end.min(first);
+        (lo < hi).then(|| (part, lo - base..hi - base))
+    })
 }
 
 #[cfg(test)]
@@ -726,6 +809,219 @@ mod tests {
             let want: Vec<(usize, usize)> = (0..9).map(|b| (b, b % per_worker + 1)).collect();
             assert_eq!(merged, want, "threads = {threads}");
         }
+    }
+
+    /// Three kernels with different grids, registers, shared memory
+    /// and fuel, as the parts of one launch and each alone.
+    #[test]
+    fn a_launch_of_parts_sums_its_parts_and_pays_one_overhead() {
+        let _guard = crate::threads::TEST_OVERRIDE_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let n = 1 << 14;
+        let cfgs = || {
+            [
+                KernelConfig::new("reader", n / 128, 128).regs_per_thread(70),
+                KernelConfig::new("stager", 24, 128)
+                    .smem_per_block(16 * 1024)
+                    .fuel_per_block(9),
+                KernelConfig::new("adder", 7, 64),
+            ]
+        };
+        // `only`: launch that part alone; `None`: all three together.
+        let run = |threads: usize, only: Option<usize>| {
+            crate::threads::set_sim_threads_override(Some(threads));
+            let dev = Device::v100();
+            let buf = dev.alloc_from_slice::<u32>(&(0..n as u32).collect::<Vec<_>>());
+            let mut out = dev.alloc_zeroed::<u32>(n);
+            let mut acc = dev.alloc_zeroed::<u64>(4);
+            let merged = std::cell::RefCell::new(Vec::new());
+            let [reader, stager, adder] = cfgs();
+            let mut parts = vec![
+                LaunchPart::new(
+                    reader,
+                    || (),
+                    |(), blk| {
+                        assert_eq!((blk.threads(), blk.fuel_remaining()), (128, None));
+                        blk.set_phase(Phase::GlobalLoad);
+                        let vals = blk.read_coalesced(&buf, blk.block_id() * 128, 128);
+                        blk.bump(crate::Counter::ValuesProduced, 128);
+                        vals.iter().map(|&v| v * 2).collect::<Vec<u32>>()
+                    },
+                    |blk, block_id, doubled| {
+                        merged.borrow_mut().push((0, block_id));
+                        blk.set_phase(Phase::Writeback);
+                        blk.write_coalesced(&mut out, block_id * 128, &doubled);
+                    },
+                ),
+                LaunchPart::new(
+                    stager,
+                    || (),
+                    |(), blk| {
+                        assert_eq!(blk.shared().len(), 4 * 1024);
+                        assert_eq!(blk.fuel_remaining(), Some(9));
+                        blk.set_phase(Phase::SharedStage);
+                        blk.stage_to_shared(&buf, blk.block_id() * 64, 64, 0);
+                        blk.bump(crate::Counter::EncodedTileReads, 1);
+                        blk.shared()[1]
+                    },
+                    |_, block_id, staged| {
+                        merged.borrow_mut().push((1, block_id));
+                        assert_eq!(staged as usize, block_id * 64 + 1);
+                    },
+                ),
+                LaunchPart::new(
+                    adder,
+                    || (),
+                    |(), blk| {
+                        assert_eq!((blk.threads(), blk.shared().len()), (64, 0));
+                        blk.add_int_ops(1000);
+                        blk.block_id() as u64
+                    },
+                    |blk, block_id, v| {
+                        merged.borrow_mut().push((2, block_id));
+                        blk.set_phase(Phase::Aggregate);
+                        blk.warp_atomic_add_u64(&mut acc, &[(block_id % 4, v)]);
+                    },
+                ),
+            ];
+            if let Some(i) = only {
+                parts = vec![parts.swap_remove(i)];
+            }
+            let report = dev
+                .try_launch_parts("three", parts)
+                .expect("no faults armed");
+            crate::threads::set_sim_threads_override(None);
+            assert_eq!(dev.with_timeline(|tl| tl.kernel_launches()), 1);
+            (report, merged.into_inner())
+        };
+        let (wave, order) = run(1, None);
+        // Merge runs in part order, then block order.
+        let want: Vec<(usize, usize)> = cfgs()
+            .iter()
+            .enumerate()
+            .flat_map(|(part, cfg)| (0..cfg.grid_blocks).map(move |b| (part, b)))
+            .collect();
+        assert_eq!(order, want);
+        for threads in [2, 4, 7] {
+            assert_eq!(
+                run(threads, None),
+                (wave.clone(), want.clone()),
+                "{threads} threads"
+            );
+        }
+        let solo: Vec<KernelReport> = (0..3).map(|i| run(1, Some(i)).0).collect();
+        for (i, alone) in solo.iter().enumerate() {
+            assert_eq!(run(4, Some(i)).0, *alone, "part {i} alone at 4 threads");
+            // A launch of one part is the part: its name, its price.
+            assert_eq!(alone.name, cfgs()[i].name);
+            assert_eq!(alone.parts.len(), 1);
+            assert_eq!(
+                alone.parts[0].solo_seconds.to_bits(),
+                alone.seconds.to_bits()
+            );
+            assert_eq!(alone.share(0..1), 1.0);
+            // ... and in the wave it is kept as it was alone.
+            assert_eq!(wave.parts[i].name, alone.name);
+            assert_eq!(wave.parts[i].grid_blocks, alone.grid_blocks);
+            assert_eq!(wave.parts[i].spans, alone.spans);
+            assert_eq!(
+                wave.parts[i].solo_seconds.to_bits(),
+                alone.seconds.to_bits()
+            );
+        }
+        // Traffic, phase by phase, and every counter: the parts' sums.
+        let summed = solo
+            .iter()
+            .fold(PhaseSpans::default(), |acc, r| acc.merge(&r.spans));
+        assert_eq!(wave.spans, summed);
+        assert_eq!(wave.traffic, summed.total());
+        assert_eq!(wave.name, "three");
+        assert_eq!(wave.grid_blocks, n / 128 + 24 + 7);
+        // Only the 70-register part spills, on its own threads.
+        assert_eq!(wave.traffic.spill_bytes, 6 * 4 * 2 * n as u64);
+        assert_eq!(
+            wave.parts[0].spans.total().spill_bytes,
+            wave.traffic.spill_bytes
+        );
+        // Residency: one kernel with the stager's 16 KiB (6 blocks by
+        // shared memory) and the reader's registers (8 blocks, capped at
+        // the spill threshold); alone the adder keeps 32 blocks of 64.
+        assert_eq!(wave.occupancy, 6.0 * 128.0 / 2048.0);
+        assert_eq!(solo[2].occupancy, 1.0);
+        // One launch overhead where three were paid, and nothing lost
+        // to the lower residency at these sizes.
+        let apart: f64 = solo.iter().map(|r| r.seconds).sum();
+        assert!(
+            wave.seconds < apart - 1.9 * dev_launch_s(),
+            "{} vs {apart}",
+            wave.seconds
+        );
+        // The shares split the launch's seconds and leave nothing over.
+        assert_eq!(wave.share(0..3), 1.0);
+        let shares: f64 = (0..3).map(|i| wave.share(i..i + 1)).sum();
+        assert!((shares - 1.0).abs() < 1e-12, "{shares}");
+        assert!(wave.share(0..1) > wave.share(2..3));
+    }
+
+    fn dev_launch_s() -> f64 {
+        DeviceParams::v100().kernel_launch_s
+    }
+
+    #[test]
+    fn a_launch_of_parts_is_gated_once() {
+        let part = |name: &str| {
+            LaunchPart::new(
+                KernelConfig::new(name, 3, 32),
+                || (),
+                |(), _| unreachable!("a gated launch runs no block"),
+                |_, _, ()| {},
+            )
+        };
+        let dev = Device::v100();
+        dev.inject_faults(FaultPlan {
+            transient_launch_rate: 1.0,
+            ..FaultPlan::seeded(1)
+        });
+        let err = dev
+            .try_launch_parts("wave", vec![part("a"), part("b"), part("c")])
+            .expect_err("every launch fails");
+        assert_eq!(
+            err,
+            LaunchError::Transient {
+                kernel: "wave".to_string()
+            }
+        );
+        let stats = dev.fault_stats().expect("armed");
+        assert_eq!((stats.launches_attempted, stats.transient_failures), (1, 1));
+        dev.with_timeline(|tl| {
+            assert_eq!(tl.events().len(), 1);
+            let e = &tl.events()[0];
+            assert_eq!((e.name.as_str(), e.grid_blocks), ("wave!fault", 9));
+            assert_eq!(e.seconds, dev_launch_s());
+            assert!(e.parts.is_empty());
+        });
+        // A kill after one launch lets one launch of any size through.
+        let dev = Device::v100();
+        dev.inject_faults(FaultPlan {
+            kill_after_launches: Some(1),
+            ..FaultPlan::seeded(1)
+        });
+        let live = |name: &str| {
+            LaunchPart::new(
+                KernelConfig::new(name, 3, 32),
+                || (),
+                |(), _| (),
+                |_, _, ()| {},
+            )
+        };
+        dev.try_launch_parts("first", vec![live("a"), live("b")])
+            .expect("the first launch lands");
+        let err = dev.try_launch_parts("second", vec![live("a")]);
+        assert_eq!(
+            err.expect_err("the device is gone"),
+            LaunchError::DeviceLost
+        );
     }
 
     #[test]

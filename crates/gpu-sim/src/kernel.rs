@@ -1,6 +1,8 @@
 //! Kernel configuration and the per-thread-block execution context.
 
+use std::any::Any;
 use std::collections::HashSet;
+use std::ops::Range;
 
 use crate::memory::{
     gather_segments, segments_for_range, GlobalBuffer, Scalar, SegmentMarks, SEGMENT_BYTES,
@@ -65,6 +67,88 @@ impl KernelConfig {
     pub fn fuel_per_block(mut self, units: u64) -> Self {
         self.fuel_per_block = Some(units);
         self
+    }
+}
+
+/// A block's result on its way from the body of its part to the merge.
+pub(crate) type BlockResult = Box<dyn Any + Send>;
+
+/// The body phase of a part: run the blocks of a range on the calling
+/// thread under the part's configuration (and the device's L1 switch),
+/// charging the spans, and hand each block's result to the sink.
+type PartBody<'a> = Box<
+    dyn Fn(&KernelConfig, Range<usize>, bool, &mut PhaseSpans, &mut dyn FnMut(usize, BlockResult))
+        + Sync
+        + 'a,
+>;
+
+/// The merge phase of a part: take one block's result, serially.
+type PartMerge<'a> = Box<dyn FnMut(&mut BlockCtx<'_>, usize, BlockResult) + 'a>;
+
+/// One **part** of a launch: a range of thread blocks with its own
+/// [`KernelConfig`] (grid, registers, shared memory, fuel) and its own
+/// two phases, exactly those of [`crate::Device::try_launch_par`]:
+/// `body` runs once per block on a worker with the worker's `init`
+/// scratch and returns the block's result, `merge` takes the results
+/// serially in block order. A block sees only its part: block ids
+/// count from 0 within it.
+///
+/// [`crate::Device::try_launch_parts`] runs a list of parts as **one**
+/// kernel launch. The parts are independent kernels that share a launch
+/// (block ranges of one grid), not stages of a pipeline: no part reads
+/// what another wrote.
+pub struct LaunchPart<'a> {
+    pub(crate) cfg: KernelConfig,
+    pub(crate) body: PartBody<'a>,
+    pub(crate) merge: PartMerge<'a>,
+}
+
+impl<'a> LaunchPart<'a> {
+    /// A part from its configuration and its `init` / `body` / `merge`
+    /// (see [`crate::Device::try_launch_par`] for what each may do).
+    pub fn new<S, R, I, B, M>(cfg: KernelConfig, init: I, body: B, mut merge: M) -> Self
+    where
+        R: Send + 'static,
+        I: Fn() -> S + Sync + 'a,
+        B: Fn(&mut S, &mut BlockCtx<'_>) -> R + Sync + 'a,
+        M: FnMut(&mut BlockCtx<'_>, usize, R) + 'a,
+    {
+        LaunchPart {
+            cfg,
+            body: Box::new(move |cfg, blocks, l1_per_block, spans, sink| {
+                let mut state = init();
+                let block = |ctx: &mut BlockCtx<'_>| Box::new(body(&mut state, ctx)) as BlockResult;
+                run_blocks(cfg, blocks, l1_per_block, spans, block, sink);
+            }),
+            merge: Box::new(move |ctx, block_id, result| {
+                let result = result
+                    .downcast::<R>()
+                    .expect("a part merges what its own body returned");
+                merge(ctx, block_id, *result);
+            }),
+        }
+    }
+}
+
+/// The body loop of every launch: run `block` once per thread block of
+/// `range`, charging into `spans`, and hand each result to `emit`. The
+/// shared-memory image and the segment mark map are allocated once per
+/// call (one of each per worker and part); the image is zeroed before
+/// each block, the map is left all zeros by every warp instruction.
+pub(crate) fn run_blocks<R>(
+    cfg: &KernelConfig,
+    range: Range<usize>,
+    l1_per_block: bool,
+    spans: &mut PhaseSpans,
+    mut block: impl FnMut(&mut BlockCtx<'_>) -> R,
+    mut emit: impl FnMut(usize, R),
+) {
+    let mut shared = vec![0u32; cfg.smem_per_block / 4];
+    let mut marks = SegmentMarks::default();
+    for block_id in range {
+        shared.fill(0);
+        let mut ctx = BlockCtx::new(block_id, cfg, spans, &mut shared, &mut marks, l1_per_block);
+        emit(block_id, block(&mut ctx));
     }
 }
 

@@ -20,7 +20,11 @@
 //! * Each kernel launch pays a fixed host-side overhead, and each thread
 //!   block pays a small scheduling/tail latency amortized over the SMs;
 //!   this is what separates one-block-per-thread-block decoding (`D = 1`)
-//!   from `D = 4` in the paper's optimization ladder.
+//!   from `D = 4` in the paper's optimization ladder. Small kernels can
+//!   share that overhead: a launch is a list of [`LaunchPart`]s, block
+//!   ranges with a configuration, body and merge each
+//!   ([`Device::try_launch_parts`]), and a plain launch is the list of
+//!   one.
 //!
 //! Simulated time is the roofline maximum of the global-memory leg, the
 //! shared-memory leg and the integer-compute leg, plus the fixed
@@ -87,10 +91,10 @@ pub mod threads;
 
 pub use device::{Device, DeviceParams};
 pub use fault::{FaultPlan, FaultStats, LaunchError, StorageFaults};
-pub use kernel::{all_lanes, ballot, live_lanes, BlockCtx, KernelConfig, Occupancy};
+pub use kernel::{all_lanes, ballot, live_lanes, BlockCtx, KernelConfig, LaunchPart, Occupancy};
 pub use memory::{GlobalBuffer, Scalar, SEGMENT_BYTES, WARP_SIZE};
 pub use profile::{CounterSink, ProfileSink};
-pub use report::{Counter, KernelReport, Phase, PhaseSpans, Timeline, Traffic};
+pub use report::{Counter, KernelReport, PartReport, Phase, PhaseSpans, Timeline, Traffic};
 pub use threads::{
     map_ranges, partitions, set_sim_threads_override, sim_threads, threads_from_env,
 };

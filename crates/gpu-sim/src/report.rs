@@ -229,6 +229,23 @@ impl Traffic {
     }
 }
 
+/// One part of a launch (see [`crate::LaunchPart`]) as the launch's
+/// [`KernelReport`] keeps it: what the part moved, and what the model
+/// would have charged had it been launched alone.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PartReport {
+    /// The part's kernel name.
+    pub name: String,
+    /// Thread blocks of the part.
+    pub grid_blocks: usize,
+    /// The part's own per-phase spans and counters, its register spill
+    /// included. The launch's spans are the sum over its parts.
+    pub spans: PhaseSpans,
+    /// Modelled seconds of this part as a launch of its own, launch
+    /// overhead included: the weight of its share of the launch.
+    pub solo_seconds: f64,
+}
+
 /// What one simulated event (kernel launch or PCIe transfer) cost.
 ///
 /// `PartialEq` compares every field, floats included, with no epsilon:
@@ -254,6 +271,31 @@ pub struct KernelReport {
     /// Which roofline leg dominated: "global", "shared", "compute",
     /// "overhead", or "pcie".
     pub bound_by: &'static str,
+    /// The launch's parts, in launch order (one for a plain launch;
+    /// none for PCIe transfers and faulted launches).
+    pub parts: Vec<PartReport>,
+}
+
+impl KernelReport {
+    /// The fraction of this launch's seconds that `parts` (a range of
+    /// indices into [`KernelReport::parts`]) pay: their solo seconds
+    /// over the solo seconds of all parts. Both sums run in part order,
+    /// so the range of every part pays exactly 1.0.
+    pub fn share(&self, parts: std::ops::Range<usize>) -> f64 {
+        let solo = |parts: &[PartReport]| parts.iter().map(|p| p.solo_seconds).sum::<f64>();
+        solo(&self.parts[parts]) / solo(&self.parts)
+    }
+
+    /// This event's seconds under linear scaling of the workload by
+    /// `factor` (see [`Timeline::scaled_seconds`]).
+    pub fn scaled_seconds(&self, factor: f64, launch_overhead_s: f64) -> f64 {
+        if self.name == "pcie" {
+            self.seconds * factor
+        } else {
+            let variable = (self.seconds - launch_overhead_s).max(0.0);
+            launch_overhead_s + variable * factor
+        }
+    }
 }
 
 /// An ordered record of every simulated event since the last reset.
@@ -309,14 +351,7 @@ impl Timeline {
     pub fn scaled_seconds(&self, factor: f64, launch_overhead_s: f64) -> f64 {
         self.events
             .iter()
-            .map(|e| {
-                if e.name == "pcie" {
-                    e.seconds * factor
-                } else {
-                    let variable = (e.seconds - launch_overhead_s).max(0.0);
-                    launch_overhead_s + variable * factor
-                }
-            })
+            .map(|e| e.scaled_seconds(factor, launch_overhead_s))
             .sum()
     }
 
@@ -342,6 +377,7 @@ mod tests {
             spans,
             seconds: secs,
             bound_by: "global",
+            parts: Vec::new(),
         }
     }
 

@@ -113,7 +113,32 @@ pub struct KernelProfile {
     pub bound_by: &'static str,
     /// Merged per-phase traffic spans and semantic counters.
     pub spans: PhaseSpans,
+    /// The parts of this kernel's multi-part launches, merged by part
+    /// name in first-launch order. Empty for a kernel only ever
+    /// launched as one part: the kernel is the part.
+    pub parts: Vec<PartProfile>,
     phase_seconds: [f64; Phase::COUNT],
+}
+
+/// One part name's contribution to a kernel of multi-part launches
+/// (`tlc_gpu_sim::Device::try_launch_parts`).
+#[derive(Debug, Clone)]
+pub struct PartProfile {
+    /// The part's kernel name.
+    pub name: String,
+    /// Parts of this name merged (a launch may hold several).
+    pub count: usize,
+    /// Total thread blocks of those parts.
+    pub grid_blocks: usize,
+    /// Their shares of their launches' seconds: a part pays
+    /// `T × sᵢ / Σs` of its launch's `T`
+    /// ([`tlc_gpu_sim::KernelReport::share`]).
+    pub seconds: f64,
+    /// What the same parts cost launched alone, launch overhead
+    /// included (`sᵢ` summed).
+    pub solo_seconds: f64,
+    /// Their merged per-phase spans and counters.
+    pub spans: PhaseSpans,
 }
 
 impl KernelProfile {
@@ -195,6 +220,7 @@ impl Profile {
                         overhead_seconds: 0.0,
                         bound_by: e.bound_by,
                         spans: PhaseSpans::default(),
+                        parts: Vec::new(),
                         phase_seconds: [0.0; Phase::COUNT],
                     },
                     bounds: Vec::new(),
@@ -215,6 +241,28 @@ impl Profile {
                 for p in Phase::ALL {
                     let share = leg_value(e.spans.phase(p), e.bound_by) / total_leg;
                     k.phase_seconds[p.index()] += variable * share;
+                }
+            }
+            if e.parts.len() > 1 {
+                for (i, part) in e.parts.iter().enumerate() {
+                    let at = k.parts.iter().position(|p| p.name == part.name);
+                    let at = at.unwrap_or_else(|| {
+                        k.parts.push(PartProfile {
+                            name: part.name.clone(),
+                            count: 0,
+                            grid_blocks: 0,
+                            seconds: 0.0,
+                            solo_seconds: 0.0,
+                            spans: PhaseSpans::default(),
+                        });
+                        k.parts.len() - 1
+                    });
+                    let p = &mut k.parts[at];
+                    p.count += 1;
+                    p.grid_blocks += part.grid_blocks;
+                    p.seconds += e.seconds * e.share(i..i + 1);
+                    p.solo_seconds += part.solo_seconds;
+                    p.spans = p.spans.merge(&part.spans);
                 }
             }
             match acc.bounds.iter_mut().find(|(b, _)| *b == e.bound_by) {
@@ -326,7 +374,7 @@ impl Profile {
                             })
                             .collect(),
                     );
-                    Json::Obj(vec![
+                    let mut fields = vec![
                         ("name", Json::Str(k.name.clone())),
                         ("launches", Json::Int(k.launches as u64)),
                         ("grid_blocks", Json::Int(k.grid_blocks as u64)),
@@ -344,7 +392,26 @@ impl Profile {
                         ("shared_bytes", Json::Int(t.shared_bytes)),
                         ("int_ops", Json::Int(t.int_ops)),
                         ("phases", phases),
-                    ])
+                    ];
+                    // Additive: only kernels launched as several parts
+                    // carry the field.
+                    if !k.parts.is_empty() {
+                        let part = |p: &PartProfile| {
+                            let t = p.spans.total();
+                            Json::Obj(vec![
+                                ("name", Json::Str(p.name.clone())),
+                                ("count", Json::Int(p.count as u64)),
+                                ("grid_blocks", Json::Int(p.grid_blocks as u64)),
+                                ("seconds", Json::Num(p.seconds)),
+                                ("solo_seconds", Json::Num(p.solo_seconds)),
+                                ("global_bytes", Json::Int(t.global_bytes())),
+                                ("shared_bytes", Json::Int(t.shared_bytes)),
+                                ("int_ops", Json::Int(t.int_ops)),
+                            ])
+                        };
+                        fields.push(("parts", Json::Arr(k.parts.iter().map(part).collect())));
+                    }
+                    Json::Obj(fields)
                 })
                 .collect(),
         );
@@ -434,6 +501,16 @@ impl Profile {
             }
             if t == Traffic::default() {
                 out.push_str("  (no traffic recorded)\n");
+            }
+            for p in &k.parts {
+                out.push_str(&format!(
+                    "  part {:<20} x{:<4} {:>10} ms ({} ms alone)  {:>14} global-bytes\n",
+                    p.name,
+                    p.count,
+                    ms(p.seconds),
+                    ms(p.solo_seconds),
+                    p.spans.total().global_bytes(),
+                ));
             }
         }
         out
@@ -546,6 +623,50 @@ mod tests {
         assert!(text.contains("global_load"));
         assert!(text.contains("values_produced=262144"));
         assert!(text.contains("roofline"));
+    }
+
+    #[test]
+    fn multi_part_launches_profile_their_parts() {
+        use tlc_gpu_sim::LaunchPart;
+        let dev = Device::v100();
+        let buf = dev.alloc_zeroed::<u32>(1 << 16);
+        let reader = |name: &str, grid: usize| {
+            let buf = &buf;
+            LaunchPart::new(
+                KernelConfig::new(name, grid, 128),
+                || (),
+                move |(), ctx| ctx.read_coalesced_with(buf, ctx.block_id() * 512, 512, |_| ()),
+                |_, _, ()| {},
+            )
+        };
+        dev.reset_timeline();
+        for _ in 0..2 {
+            let parts = vec![reader("a", 8), reader("b", 24), reader("a", 8)];
+            dev.try_launch_parts("wave", parts).expect("no faults");
+        }
+        dev.try_launch_parts("", vec![reader("a", 8)])
+            .expect("no faults");
+        let p = dev.with_timeline(|tl| Profile::from_reports(tl.events(), dev.params()));
+        let (wave, alone) = (&p.kernels[0], &p.kernels[1]);
+        assert_eq!((wave.name.as_str(), wave.launches), ("wave", 2));
+        // Parts merge by name: four `a` parts and two `b` parts.
+        let got: Vec<(&str, usize, usize)> = wave
+            .parts
+            .iter()
+            .map(|p| (p.name.as_str(), p.count, p.grid_blocks))
+            .collect();
+        assert_eq!(got, [("a", 4, 32), ("b", 2, 48)]);
+        let shares: f64 = wave.parts.iter().map(|p| p.seconds).sum();
+        assert!((shares - wave.seconds).abs() < 1e-12 * wave.seconds);
+        assert!(wave.parts.iter().all(|p| p.seconds < p.solo_seconds));
+        let merged = wave.parts[0].spans.merge(&wave.parts[1].spans);
+        assert_eq!(merged, wave.spans);
+        // A kernel of one part is the part: the field stays out.
+        assert_eq!((alone.name.as_str(), alone.parts.len()), ("a", 0));
+        let rendered = p.to_json().render();
+        assert_eq!(rendered.matches("\"parts\": [").count(), 1, "{rendered}");
+        assert!(rendered.contains("\"solo_seconds\""));
+        assert!(p.render_text().contains("part b"));
     }
 
     #[test]

@@ -13,11 +13,13 @@
 //! 3. **runs** a wave through the streaming layer's partition executor
 //!    ([`run_wave_streamed`]), which loads and uploads each
 //!    `(partition, column)` the wave needs exactly **once** — through
-//!    the shared [`tlc_store::PartitionCache`] when armed — answers
-//!    the scans and point filters of one column in one fused launch,
-//!    and flies each flight over the same upload, decoding inline: one
-//!    routing snapshot per attempt, then one feedback per group and
-//!    one [`Response`] per ticket;
+//!    the shared [`tlc_store::PartitionCache`] when armed — and
+//!    evaluates the wave over that upload in at most two launches a
+//!    partition: one builds every flight's dimension tables, one runs
+//!    a part per flight and a part per scalar column (the scans and
+//!    point filters of one column share it), every part decoding
+//!    inline: one routing snapshot per attempt, then one feedback per
+//!    group and one [`Response`] per ticket;
 //! 4. on an unrecoverable storage error **splits or retries**: a wave
 //!    of several groups splits into waves of one group, each from
 //!    attempt 1 (the shared attempt is neither counted nor struck, and
@@ -30,9 +32,11 @@
 //! aggregates in partition order and cuts per-member deadlines between
 //! partitions, so batched answers are bit-identical to solo answers at
 //! any `TLC_SIM_THREADS`. What changes is **attributed cost** — a
-//! member pays `read / consumers` for every shared column and a scalar
-//! `launch / scalar members` of its column; a flight's device time is
-//! its solo device time — and the wave-level tallies
+//! member pays `read / consumers` for every shared column and its
+//! parts' share of the partition's launches (a launch's seconds split
+//! by what each part costs alone; a scalar column's part then split
+//! over its scalar members), so every member of a wave of two or more
+//! pays less device time than it does alone — and the wave-level tallies
 //! (`batched_queries`, `shared_decodes`, `launches_saved`) surfaced
 //! through [`crate::MetricsSnapshot`].
 

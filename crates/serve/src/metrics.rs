@@ -44,13 +44,14 @@ pub struct Metrics {
     /// with ≥ 2 distinct queries, plus every duplicate ticket answered
     /// by one deduplicated execution.
     pub batched_queries: AtomicU64,
-    /// `(partition, column)` scalar launches that served ≥ 2 wave
+    /// `(partition, column)` scalar parts that served ≥ 2 wave
     /// members (scans or point filters) — tile decodes that unbatched
     /// execution would have repeated. Flights add nothing: each
-    /// decodes inline in its own kernel.
+    /// decodes inline in its own part.
     pub shared_decodes: AtomicU64,
-    /// Kernel launches avoided by sharing: Σ (members − 1) over those
-    /// launches.
+    /// Kernel launches avoided by sharing: per partition, two for every
+    /// flight of a wave and one for every scan or point filter, less
+    /// the one or two the wave made.
     pub launches_saved: AtomicU64,
     /// Latency population of terminal queries (simulated seconds).
     pub latency: Mutex<LatencyHistogram>,
@@ -114,7 +115,7 @@ pub struct MetricsSnapshot {
     /// Tickets answered by a shared-scan execution (wave of ≥ 2
     /// distinct queries, or a deduplicated fan-out group of ≥ 2).
     pub batched_queries: u64,
-    /// Scalar launches that served ≥ 2 wave members.
+    /// Scalar column parts that served ≥ 2 wave members.
     pub shared_decodes: u64,
     /// Kernel launches avoided by sharing them.
     pub launches_saved: u64,

@@ -7,15 +7,27 @@
 //! tile loads when the system supports it (Section 7). OmniSci runs the
 //! same logic operator-at-a-time with materialized intermediates.
 //!
+//! Whatever runs, it makes at most **two launches**: [`wave_build`]
+//! builds every dimension table of every flight asked for, one part
+//! per table, and [`wave_scan`] runs every fact scan, one part per
+//! scalar column and one per flight. [`try_run_query`] is the
+//! one-flight case, [`scalar_filters`] the one-column case, and the
+//! streaming executor ([`crate::stream`]) passes a whole wave.
+//!
 //! Dictionary-encoded dimension literals (regions, nations, cities,
 //! categories, brands) use fixed ids documented at each query; the
 //! selectivities match the SSB spec (e.g. one region = 1/5, one
 //! category = 1/25, eight brands = 8/1000).
 
+use std::cell::RefCell;
+
 use tlc_core::DecodeError;
 use tlc_crystal::exec::{fused_config, fused_select_config, materialize};
 use tlc_crystal::{DenseTable, GroupBySum, QueryColumn, ScalarSum};
-use tlc_gpu_sim::{all_lanes, live_lanes, BlockCtx, Device, GlobalBuffer, KernelConfig, Phase};
+use tlc_gpu_sim::{
+    all_lanes, live_lanes, BlockCtx, Device, GlobalBuffer, KernelConfig, KernelReport, LaunchPart,
+    Phase,
+};
 
 use crate::encode::LoColumns;
 use crate::gen::{LoColumn, SsbData, BRANDS, CITIES, FIRST_YEAR, NATIONS};
@@ -322,79 +334,114 @@ fn uses_supp(q: QueryId) -> bool {
     !is_flight1(q)
 }
 
-/// Build the dimension hash tables a query needs (counts as part of
-/// the measured query, as in Crystal).
-fn build_tables(dev: &Device, data: &SsbData, q: QueryId) -> Result<Tables, DecodeError> {
-    let s = spec(q);
-    let date_rows: Vec<(i32, Option<i32>)> = (0..data.date.datekey.len())
-        .map(|r| (data.date.datekey[r], (s.date)(data, r)))
-        .collect();
-    let date = DenseTable::try_build(
-        dev,
-        "date",
-        data.date.datekey[0],
-        *data.date.datekey.last().expect("non-empty"),
-        &date_rows,
-        data.date_dim_bytes(),
-    )?;
-    let cust = if uses_cust(q) {
-        let rows: Vec<(i32, Option<i32>)> = (0..data.customer.city.len())
-            .map(|r| (r as i32 + 1, (s.cust)(data, r)))
-            .collect();
-        Some(DenseTable::try_build(
-            dev,
-            "customer",
-            1,
-            rows.len() as i32,
-            &rows,
-            data.customer_dim_bytes(),
-        )?)
-    } else {
-        None
-    };
-    let supp = if uses_supp(q) {
-        let rows: Vec<(i32, Option<i32>)> = (0..data.supplier.city.len())
-            .map(|r| (r as i32 + 1, (s.supp)(data, r)))
-            .collect();
-        Some(DenseTable::try_build(
-            dev,
-            "supplier",
-            1,
-            rows.len() as i32,
-            &rows,
-            data.supplier_dim_bytes(),
-        )?)
-    } else {
-        None
-    };
-    let part = if uses_part(q) {
-        let rows: Vec<(i32, Option<i32>)> = (0..data.part.mfgr.len())
-            .map(|r| (r as i32 + 1, (s.part)(data, r)))
-            .collect();
-        Some(DenseTable::try_build(
-            dev,
-            "part",
-            1,
-            rows.len() as i32,
-            &rows,
-            data.part_dim_bytes(),
-        )?)
-    } else {
-        None
-    };
-    Ok(Tables {
-        date,
-        cust,
-        supp,
-        part,
-    })
-}
-
-struct Tables {
+/// The dimension tables one flight probes, built by [`wave_build`].
+pub struct Tables {
     date: DenseTable,
     cust: Option<DenseTable>,
     supp: Option<DenseTable>,
     part: Option<DenseTable>,
+}
+
+impl Tables {
+    /// How many tables the flight built: its parts of the build launch.
+    pub fn built(&self) -> usize {
+        1 + [&self.cust, &self.supp, &self.part]
+            .into_iter()
+            .flatten()
+            .count()
+    }
+}
+
+/// Build the dimension hash tables of every query in `queries` (counts
+/// as part of the measured query, as in Crystal) in **one** launch,
+/// `wave_build`: one part per table, a query's parts together in the
+/// order date, customer, supplier, part. Returns each query's tables
+/// and the launch's report (`None` and no launch for no queries).
+pub fn wave_build(
+    dev: &Device,
+    data: &SsbData,
+    queries: &[QueryId],
+) -> Result<(Vec<Tables>, Option<KernelReport>), DecodeError> {
+    /// One dimension of one query: the table's key range, its rows
+    /// under the query's predicate, the bytes its build reads.
+    struct Dim {
+        name: &'static str,
+        base: i32,
+        max_key: i32,
+        rows: Vec<(i32, Option<i32>)>,
+        bytes: u64,
+    }
+    // Customer, supplier and part keys are the row numbers from 1.
+    let keyed = |name, n: usize, payload: fn(&SsbData, usize) -> Option<i32>, bytes| Dim {
+        name,
+        base: 1,
+        max_key: n as i32,
+        rows: (0..n).map(|r| (r as i32 + 1, payload(data, r))).collect(),
+        bytes,
+    };
+    let dims: Vec<Vec<Dim>> = queries
+        .iter()
+        .map(|&q| {
+            let s = spec(q);
+            let datekey = &data.date.datekey;
+            let mut dims = vec![Dim {
+                name: "date",
+                base: datekey[0],
+                max_key: *datekey.last().expect("non-empty"),
+                rows: (0..datekey.len())
+                    .map(|r| (datekey[r], (s.date)(data, r)))
+                    .collect(),
+                bytes: data.date_dim_bytes(),
+            }];
+            if uses_cust(q) {
+                let n = data.customer.city.len();
+                dims.push(keyed("customer", n, s.cust, data.customer_dim_bytes()));
+            }
+            if uses_supp(q) {
+                let n = data.supplier.city.len();
+                dims.push(keyed("supplier", n, s.supp, data.supplier_dim_bytes()));
+            }
+            if uses_part(q) {
+                let n = data.part.mfgr.len();
+                dims.push(keyed("part", n, s.part, data.part_dim_bytes()));
+            }
+            dims
+        })
+        .collect();
+    let mut built: Vec<Vec<DenseTable>> = dims
+        .iter()
+        .map(|dims| {
+            let empty = |d: &Dim| DenseTable::empty(dev, d.base, d.max_key);
+            dims.iter().map(empty).collect()
+        })
+        .collect();
+    if built.is_empty() {
+        return Ok((Vec::new(), None));
+    }
+    let parts = built
+        .iter_mut()
+        .flatten()
+        .zip(dims.iter().flatten())
+        .map(|(table, d)| table.build_part(dev, d.name, &d.rows, d.bytes))
+        .collect();
+    let report = dev
+        .try_launch_parts("wave_build", parts)
+        .map_err(DecodeError::Launch)?;
+    let tables = queries
+        .iter()
+        .zip(built)
+        .map(|(&q, built)| {
+            let mut built = built.into_iter();
+            let mut next = |used: bool| used.then(|| built.next().expect("built above"));
+            Tables {
+                date: next(true).expect("every flight joins date"),
+                cust: next(uses_cust(q)),
+                supp: next(uses_supp(q)),
+                part: next(uses_part(q)),
+            }
+        })
+        .collect();
+    Ok((tables, Some(report)))
 }
 
 /// Run query `q` against `cols` and return the non-empty groups as
@@ -409,7 +456,8 @@ pub fn run_query(dev: &Device, data: &SsbData, cols: &LoColumns, q: QueryId) -> 
 
 /// Fallible variant of [`run_query`]: tile corruption or a device
 /// fault surfaces as a typed [`DecodeError`] instead of a panic. The
-/// resilient executor ([`crate::resilience`]) builds on this.
+/// resilient executor ([`crate::resilience`]) builds on this. It is
+/// the one-flight wave: a build launch, then a scan launch.
 pub fn try_run_query(
     dev: &Device,
     data: &SsbData,
@@ -420,40 +468,136 @@ pub fn try_run_query(
         return Ok(run_materialized(dev, data, cols, q));
     }
     let prepared = cols.prepare(dev, q.columns());
-    let tables = build_tables(dev, data, q)?;
-    let s = spec(q);
-
-    if is_flight1(q) {
-        let sum = fused_flight1(dev, &prepared, &tables, &s)?;
-        return Ok(if sum == 0 { vec![] } else { vec![(0, sum)] });
-    }
-    let agg = fused_join_flight(dev, q, &prepared, &tables, &s)?;
-    let mut out: Vec<(u64, u64)> = agg.non_zero().iter().map(|&(g, v)| (g as u64, v)).collect();
-    out.sort_unstable();
-    Ok(out)
+    let (tables, _) = wave_build(dev, data, &[q])?;
+    let flight = FlightScan {
+        q,
+        cols: &prepared,
+        tables: &tables[0],
+    };
+    let (mut scan, _) = wave_scan(dev, &[], &[flight])?;
+    Ok(scan.flights.pop().expect("one flight in, one answer out"))
 }
 
-/// Launch a fused kernel: `body` runs each tile on a worker (with the
-/// worker's `init` scratch) and `merge` takes the tiles' values
-/// serially, in tile order, up to the first tile that failed. That
-/// tile's error, or the launch's own, is the result.
-fn launch_tiles<S, R: Send>(
+/// The scalar filters of one column: a part of the scan launch.
+pub struct ScalarScan<'a> {
+    /// The column, loaded a tile at a time.
+    pub col: &'a QueryColumn,
+    /// `Some(v)`: the values equal to `v`; `None`: all of them.
+    pub filters: &'a [Option<i32>],
+}
+
+/// One flight's fact scan: a part of the scan launch.
+pub struct FlightScan<'a> {
+    /// The flight.
+    pub q: QueryId,
+    /// Its columns in [`QueryId::columns`] order.
+    pub cols: &'a [QueryColumn],
+    /// Its dimension tables, built by [`wave_build`].
+    pub tables: &'a Tables,
+}
+
+/// What the scan launch answered.
+pub struct ScanAnswers {
+    /// Per [`ScalarScan`], per filter: count and wrapping sum.
+    pub scalars: Vec<Vec<(u64, i64)>>,
+    /// Per [`FlightScan`]: the non-empty groups, sorted by group.
+    pub flights: Vec<Vec<(u64, u64)>>,
+}
+
+/// A flight's device accumulator.
+enum FlightAcc {
+    Sum(ScalarSum),
+    Groups(GroupBySum),
+}
+
+/// Every fact scan of a wave in **one** launch, `wave_scan`: one part
+/// per scalar column (`scalar_part`, answering every filter on it),
+/// then one per flight (`flight1_part` / `join_part`). Each part
+/// loads and decodes its own tiles inline. The first tile that fails,
+/// in part and then tile order, is the launch's error (or the launch's
+/// own); otherwise the answers and the launch's report.
+pub fn wave_scan(
     dev: &Device,
+    scalars: &[ScalarScan<'_>],
+    flights: &[FlightScan<'_>],
+) -> Result<(ScanAnswers, KernelReport), DecodeError> {
+    // Accumulator slots `2m` and `2m + 1`: filter `m`'s count and sum.
+    let mut scalar_accs: Vec<GroupBySum> = scalars
+        .iter()
+        .map(|s| GroupBySum::new(dev, 2 * s.filters.len()))
+        .collect();
+    let specs: Vec<QuerySpec> = flights.iter().map(|f| spec(f.q)).collect();
+    let mut flight_accs: Vec<FlightAcc> = flights
+        .iter()
+        .zip(&specs)
+        .map(|(f, s)| match is_flight1(f.q) {
+            true => FlightAcc::Sum(ScalarSum::new(dev)),
+            false => FlightAcc::Groups(GroupBySum::new(dev, s.groups)),
+        })
+        .collect();
+    let failed = RefCell::new(None);
+    let mut parts = Vec::with_capacity(scalars.len() + flights.len());
+    for (s, acc) in scalars.iter().zip(&mut scalar_accs) {
+        parts.push(scalar_part(s, acc, &failed));
+    }
+    for ((f, s), acc) in flights.iter().zip(&specs).zip(&mut flight_accs) {
+        parts.push(match acc {
+            FlightAcc::Sum(sum) => flight1_part(f, s, sum, &failed),
+            FlightAcc::Groups(agg) => join_part(f, s, agg, &failed),
+        });
+    }
+    let report = dev
+        .try_launch_parts("wave_scan", parts)
+        .map_err(DecodeError::Launch)?;
+    if let Some(e) = failed.into_inner() {
+        return Err(e);
+    }
+    let answers = ScanAnswers {
+        scalars: scalars
+            .iter()
+            .zip(&scalar_accs)
+            .map(|(s, acc)| {
+                let slots = acc.values();
+                (0..s.filters.len())
+                    .map(|m| (slots[2 * m], slots[2 * m + 1] as i64))
+                    .collect()
+            })
+            .collect(),
+        flights: flight_accs
+            .iter()
+            .map(|acc| match acc {
+                FlightAcc::Sum(sum) => match sum.value() {
+                    0 => vec![],
+                    sum => vec![(0, sum)],
+                },
+                FlightAcc::Groups(agg) => {
+                    let groups = agg.non_zero();
+                    groups.iter().map(|&(g, v)| (g as u64, v)).collect()
+                }
+            })
+            .collect(),
+    };
+    Ok((answers, report))
+}
+
+/// A fused tile kernel as a part of a launch: `body` runs each tile on
+/// a worker (with the worker's `init` scratch) and `merge` takes the
+/// tiles' values serially, in tile order, until some tile of the launch
+/// has failed. The first failing tile's error is left in `failed`.
+fn tile_part<'a, S, R: Send + 'static>(
     cfg: KernelConfig,
-    init: impl Fn() -> S + Sync,
-    body: impl Fn(&mut S, &mut BlockCtx<'_>) -> Result<R, DecodeError> + Sync,
-    mut merge: impl FnMut(&mut BlockCtx<'_>, R),
-) -> Result<(), DecodeError> {
-    let mut failed = None;
-    dev.try_launch_par(cfg, init, body, |ctx, _tile, result| match result {
-        Ok(value) if failed.is_none() => merge(ctx, value),
+    init: impl Fn() -> S + Sync + 'a,
+    body: impl Fn(&mut S, &mut BlockCtx<'_>) -> Result<R, DecodeError> + Sync + 'a,
+    mut merge: impl FnMut(&mut BlockCtx<'_>, R) + 'a,
+    failed: &'a RefCell<Option<DecodeError>>,
+) -> LaunchPart<'a> {
+    LaunchPart::new(cfg, init, body, move |ctx, _tile, result| match result {
+        Ok(value) if failed.borrow().is_none() => merge(ctx, value),
         Ok(_) => {}
         Err(e) => {
-            failed.get_or_insert(e);
+            failed.borrow_mut().get_or_insert(e);
         }
     })
-    .map_err(DecodeError::Launch)?;
-    failed.map_or(Ok(()), Err)
 }
 
 /// Per-worker tile buffers of the fused kernels, built once per worker
@@ -531,26 +675,25 @@ const DATE_SLOT: usize = 3;
 /// no decompressed tile is ever staged back to memory. Only the
 /// discount and price values are live at the aggregate, which is what
 /// the reduced `live_columns` models.
-fn fused_flight1(
-    dev: &Device,
-    cols: &[QueryColumn],
-    tables: &Tables,
-    s: &QuerySpec,
-) -> Result<u64, DecodeError> {
+fn flight1_part<'a>(
+    flight: &FlightScan<'a>,
+    s: &'a QuerySpec,
+    sum: &'a mut ScalarSum,
+    failed: &'a RefCell<Option<DecodeError>>,
+) -> LaunchPart<'a> {
+    let (cols, tables) = (flight.cols, flight.tables);
     let refs: Vec<&QueryColumn> = cols.iter().collect();
     let cfg = fused_config("ssb_q1_fused", &refs, 2);
-    let mut sum = ScalarSum::new(dev);
     // Column positions per `QueryId::columns` for flight 1: orderdate,
     // quantity, discount, extendedprice.
     let [od, qt, dc, ep] = [0, 1, 2, 3];
     // Each tile decodes, filters and probes on a worker and returns its
     // partial sum; the serial merge adds partials to the device
     // accumulator in tile order (the atomic-add traffic lives there).
-    launch_tiles(
-        dev,
+    tile_part(
         cfg,
         || TileScratch::new(cols.len()),
-        |w, ctx| -> Result<u64, DecodeError> {
+        move |w, ctx| -> Result<u64, DecodeError> {
             // quantity → discount → orderdate, each chaining the bitmap.
             let n = w.load_select(ctx, cols, qt, within(s.qty), false)?;
             w.load_select(ctx, cols, dc, within(s.disc), true)?;
@@ -566,23 +709,22 @@ fn fused_flight1(
             ctx.add_int_ops(n as u64 * 2);
             Ok(local)
         },
-        |ctx, local| sum.add_tile(ctx, std::iter::once(local)),
-    )?;
-    Ok(sum.value())
+        move |ctx, local| sum.add_tile(ctx, std::iter::once(local)),
+        failed,
+    )
 }
 
 /// Flights 2–4: dimension joins + group-by aggregation. The column
 /// layout is `[fk…, orderdate, measures…]` per [`QueryId::columns`].
-fn fused_join_flight(
-    dev: &Device,
-    q: QueryId,
-    cols: &[QueryColumn],
-    tables: &Tables,
-    s: &QuerySpec,
-) -> Result<GroupBySum, DecodeError> {
+fn join_part<'a>(
+    flight: &FlightScan<'a>,
+    s: &'a QuerySpec,
+    agg: &'a mut GroupBySum,
+    failed: &'a RefCell<Option<DecodeError>>,
+) -> LaunchPart<'a> {
+    let (q, cols, tables) = (flight.q, flight.cols, flight.tables);
     let refs: Vec<&QueryColumn> = cols.iter().collect();
     let cfg = fused_config("ssb_join_fused", &refs, cols.len());
-    let mut agg = GroupBySum::new(dev, s.groups);
     // Column positions within this query's column list, resolved once
     // per launch.
     let cix = |c: LoColumn| {
@@ -594,9 +736,11 @@ fn fused_join_flight(
     let date_ix = cix(LoColumn::OrderDate);
     let rev_ix = cix(LoColumn::Revenue);
     let cost_ix = (cols.len() == 6).then(|| cix(LoColumn::SupplyCost));
-    // The dimension joins in probe order (most selective first): table,
-    // key column, payload slot. A query probes the tables it built;
-    // payload defaults cover the rest.
+    // The dimension joins in probe order, fixed: customer, supplier,
+    // part, then date (ROADMAP item 11 swept all 24 orders: this one is
+    // the modelled minimum for 7 of the 10 join queries). Table, key
+    // column, payload slot. A query probes the tables it built; payload
+    // defaults cover the rest.
     let joins: Vec<(&DenseTable, usize, usize)> = [
         (&tables.cust, LoColumn::CustKey),
         (&tables.supp, LoColumn::SuppKey),
@@ -609,11 +753,10 @@ fn fused_join_flight(
     // Tiles decode, filter and probe on workers, each returning its
     // (group, value) pairs; the serial merge scatters them into the
     // device group-by table in tile order.
-    launch_tiles(
-        dev,
+    tile_part(
         cfg,
         || TileScratch::new(cols.len()),
-        |w, ctx| -> Result<Vec<(usize, u64)>, DecodeError> {
+        move |w, ctx| -> Result<Vec<(usize, u64)>, DecodeError> {
             let t = ctx.block_id();
             // Key columns load eagerly (the probes need every lane); the
             // measure columns wait until the joins have pruned the tile
@@ -659,32 +802,28 @@ fn fused_join_flight(
             ctx.add_int_ops(n as u64 * 4);
             Ok(w.pairs.clone())
         },
-        |ctx, pairs| agg.add_tile(ctx, &pairs),
-    )?;
-    Ok(agg)
+        move |ctx, pairs| agg.add_tile(ctx, &pairs),
+        failed,
+    )
 }
 
-/// Count and wrapping sum of `col`'s values, once per entry of
-/// `filters` (`Some(v)`: the values equal to `v`; `None`: all of them),
-/// in **one** fused launch: each tile is loaded once (decoded inline
-/// when the column is compressed), every filter is evaluated and
-/// reduced on the values in registers, and the block adds its
-/// `2 × filters` partials to the device accumulators. No decoded value
-/// is written back to global memory. The CPU twin is
-/// [`crate::reference::fold_scalar`].
-pub fn scalar_filters(
-    dev: &Device,
-    col: &QueryColumn,
-    filters: &[Option<i32>],
-) -> Result<Vec<(u64, i64)>, DecodeError> {
+/// Count and wrapping sum of a column's values, once per filter, as one
+/// part: each tile is loaded once (decoded inline when the column is
+/// compressed), every filter is evaluated and reduced on the values in
+/// registers, and the block adds its `2 × filters` partials to the
+/// device accumulators. No decoded value is written back to global
+/// memory.
+fn scalar_part<'a>(
+    scan: &ScalarScan<'a>,
+    acc: &'a mut GroupBySum,
+    failed: &'a RefCell<Option<DecodeError>>,
+) -> LaunchPart<'a> {
+    let (col, filters) = (scan.col, scan.filters);
     let cfg = fused_select_config("scalar_filters", &[col]);
-    // Accumulator slots `2m` and `2m + 1`: filter `m`'s count and sum.
-    let mut acc = GroupBySum::new(dev, 2 * filters.len());
-    launch_tiles(
-        dev,
+    tile_part(
         cfg,
         Vec::new,
-        |vals, ctx| -> Result<Vec<(usize, u64)>, DecodeError> {
+        move |vals, ctx| -> Result<Vec<(usize, u64)>, DecodeError> {
             let n = col.load_tile(ctx, ctx.block_id(), vals)?;
             let vals = &vals[..n];
             // Per filter and value: a compare (`Predicate`), then the
@@ -709,12 +848,22 @@ pub fn scalar_filters(
             }
             Ok(partials)
         },
-        |ctx, partials| acc.add_tile(ctx, &partials),
-    )?;
-    let slots = acc.values();
-    Ok((0..filters.len())
-        .map(|m| (slots[2 * m], slots[2 * m + 1] as i64))
-        .collect())
+        move |ctx, partials| acc.add_tile(ctx, &partials),
+        failed,
+    )
+}
+
+/// Count and wrapping sum of `col`'s values, once per entry of
+/// `filters` (`Some(v)`: the values equal to `v`; `None`: all of them),
+/// in **one** fused launch: the one-column, no-flight case of
+/// [`wave_scan`]. The CPU twin is [`crate::reference::fold_scalar`].
+pub fn scalar_filters(
+    dev: &Device,
+    col: &QueryColumn,
+    filters: &[Option<i32>],
+) -> Result<Vec<(u64, i64)>, DecodeError> {
+    let (mut scan, _) = wave_scan(dev, &[ScalarScan { col, filters }], &[])?;
+    Ok(scan.scalars.pop().expect("one column in, one answer out"))
 }
 
 /// OmniSci model: the same query logic, one materializing kernel per
@@ -730,7 +879,8 @@ fn run_materialized(dev: &Device, data: &SsbData, cols: &LoColumns, q: QueryId) 
         .collect();
     // OmniSci's operator-at-a-time path models a healthy device; a
     // fault here is unrecoverable by design.
-    let tables = build_tables(dev, data, q).expect("OmniSci table build");
+    let (mut tables, _) = wave_build(dev, data, &[q]).expect("OmniSci table build");
+    let tables = tables.pop().expect("one query in, one set of tables out");
     let s = spec(q);
 
     if is_flight1(q) {
