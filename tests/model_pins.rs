@@ -124,45 +124,45 @@ const QUERY_PINS: [Pin; 8] = [
     },
     // q2.1 under GpuStar
     Pin {
-        seconds_bits: 0x3ef7aab5b8d0db24,
+        seconds_bits: 0x3eea5cb5e8be4d56,
         traffic: [0x3d56, 0x250, 0x26ffd0, 0x18d43b, 0x0],
         counters: [0x1d8, 0x1d8, 0x1417, 0x619, 0x3aa5c, 0x3adf],
-        digest: 0xdc93c94d78c45876,
+        digest: 0xae74619ffa21ea78,
     },
     // q2.1 under None
     Pin {
-        seconds_bits: 0x3ef836a5cf546b47,
+        seconds_bits: 0x3eeb749615c56d9c,
         traffic: [0x4b56, 0x250, 0x0, 0xb493c, 0x0],
         counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
-        digest: 0xbe28b5555356ad22,
+        digest: 0x7602633d62889d34,
     },
     // q3.1 under GpuStar
     Pin {
-        seconds_bits: 0x3ef824c3d7e19b4a,
+        seconds_bits: 0x3eeb50d226dfcda2,
         traffic: [0x4862, 0x37a, 0x3f2760, 0x19dd84, 0x0],
         counters: [0x1d8, 0x1d8, 0x1292, 0x46c, 0x3aa5c, 0x7591],
-        digest: 0x948a88a5bba3ebb0,
+        digest: 0x2c8ca64f5ba5a3e1,
     },
     // q3.1 under None
     Pin {
-        seconds_bits: 0x3ef8b8b50565b1e2,
+        seconds_bits: 0x3eec78b481e7fad2,
         traffic: [0x572f, 0x37a, 0x0, 0xb34d4, 0x0],
         counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
-        digest: 0x79e0859bd630a886,
+        digest: 0x9b7197b9a8b2485f,
     },
     // q4.3 under GpuStar
     Pin {
-        seconds_bits: 0x3efdf9a2a6352ee2,
+        seconds_bits: 0x3eec7e34ff15405a,
         traffic: [0x4b05, 0x7b, 0x46862c, 0x1f513e, 0x76000],
         counters: [0x2c4, 0x2c4, 0x16fe, 0xeb0, 0x57f8a, 0x7591],
-        digest: 0x43e106a2596aeda6,
+        digest: 0x964ccc5367b54f76,
     },
     // q4.3 under None
     Pin {
-        seconds_bits: 0x3efec34db7cbc83f,
+        seconds_bits: 0x3eee118b22427314,
         traffic: [0x5f32, 0x7b, 0x0, 0xef5a4, 0x76000],
         counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
-        digest: 0xcfcdd321b4fca6df,
+        digest: 0xb0620900e49f4f0f,
     },
 ];
 
@@ -199,24 +199,24 @@ const OMNISCI_PINS: [Pin; 4] = [
     },
     // q2.1 under OmniSci
     Pin {
-        seconds_bits: 0x3f134d0a3e04430f,
+        seconds_bits: 0x3f10adf38ce7d5f1,
         traffic: [0x9d98, 0x4991, 0x0, 0xa5ea5, 0x0],
         counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
-        digest: 0xfb777c93525f6bde,
+        digest: 0x43539d16cf73b1d8,
     },
     // q3.1 under OmniSci
     Pin {
-        seconds_bits: 0x3f13ac4fe8b74849,
+        seconds_bits: 0x3f110d39379adb2b,
         traffic: [0xa886, 0x49d0, 0x0, 0xa4a3d, 0x0],
         counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
-        digest: 0x48278972de16f48,
+        digest: 0x141d35a1aef70137,
     },
     // q4.3 under OmniSci
     Pin {
-        seconds_bits: 0x3f1c76628bc7163d,
+        seconds_bits: 0x3f1887c0821c7290,
         traffic: [0xf75b, 0x9322, 0x0, 0xd2076, 0x0],
         counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
-        digest: 0x53ddf6ccd6036f16,
+        digest: 0xdd327e47bbd4de26,
     },
 ];
 
