@@ -362,6 +362,9 @@ pub fn wave_build(
     data: &SsbData,
     queries: &[QueryId],
 ) -> Result<(Vec<Tables>, Option<KernelReport>), DecodeError> {
+    if queries.is_empty() {
+        return Ok((Vec::new(), None));
+    }
     /// One dimension of one query: the table's key range, its rows
     /// under the query's predicate, the bytes its build reads.
     struct Dim {
@@ -415,9 +418,6 @@ pub fn wave_build(
             dims.iter().map(empty).collect()
         })
         .collect();
-    if built.is_empty() {
-        return Ok((Vec::new(), None));
-    }
     let parts = built
         .iter_mut()
         .flatten()

@@ -249,7 +249,7 @@ fn fly(
     })
 }
 
-fn summed(reports: &[&KernelReport]) -> PhaseSpans {
+fn summed(reports: &[KernelReport]) -> PhaseSpans {
     reports
         .iter()
         .fold(PhaseSpans::default(), |acc, r| acc.merge(&r.spans))
@@ -310,8 +310,8 @@ fn a_wave_is_two_launches_whose_parts_are_their_solo_runs() {
         // A launch's traffic, phase by phase, and its counters are the
         // sums of its parts launched alone; each part is kept as it was
         // alone, with the seconds it cost alone.
-        assert_eq!(scan.spans, summed(&solo_scans.iter().collect::<Vec<_>>()));
-        assert_eq!(build.spans, summed(&solo_builds.iter().collect::<Vec<_>>()));
+        assert_eq!(scan.spans, summed(&solo_scans));
+        assert_eq!(build.spans, summed(&solo_builds));
         for (part, alone) in scan.parts.iter().zip(&solo_scans) {
             assert_eq!(part.name, alone.name);
             assert_eq!(part.spans, alone.spans, "{}", part.name);
