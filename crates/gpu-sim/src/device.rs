@@ -4,7 +4,7 @@
 use std::cell::{Cell, RefCell};
 
 use crate::fault::{FaultPlan, FaultState, FaultStats, LaunchError};
-use crate::kernel::{run_blocks, BlockCtx, BlockResult, KernelConfig, LaunchPart, Occupancy};
+use crate::kernel::{run_blocks, BlockCtx, KernelConfig, LaunchPart, Occupancy, ResultSlot};
 use crate::memory::{GlobalBuffer, Scalar, SegmentMarks, ALLOC_ALIGN};
 use crate::profile::ProfileSink;
 use crate::report::{KernelReport, PartReport, Phase, PhaseSpans, Timeline, Traffic};
@@ -310,11 +310,12 @@ impl Device {
         name: &str,
         parts: Vec<LaunchPart<'_>>,
     ) -> Result<KernelReport, LaunchError> {
+        // The bodies go to the workers; the merges stay on this thread.
         let (bodies, mut merges): (Vec<_>, Vec<_>) = parts
             .into_iter()
-            .map(|p| ((p.cfg, p.body), p.merge))
+            .map(|p| ((p.cfg, p.body, p.drain), p.merge))
             .unzip();
-        let launch = launch_config(name, bodies.iter().map(|(cfg, _)| cfg));
+        let launch = launch_config(name, bodies.iter().map(|(cfg, ..)| cfg));
         self.gate_launch(&launch)?;
         let l1 = self.params.l1_per_block;
         // Body and merge charge separate span sets per part, summed at
@@ -322,58 +323,53 @@ impl Device {
         let mut spans = vec![PhaseSpans::default(); bodies.len()];
         let mut merge_spans = spans.clone();
         let mut merge_marks = SegmentMarks::default();
-        let mut merge_block = |part: usize, block_id: usize, result: BlockResult| {
+        let mut merge_block = |part: usize, block_id: usize, result: ResultSlot<'_>| {
             let cfg: &KernelConfig = &bodies[part].0;
             let part_spans = &mut merge_spans[part];
             let mut ctx = BlockCtx::new(block_id, cfg, part_spans, &mut [], &mut merge_marks, l1);
             merges[part](&mut ctx, block_id, result);
         };
-        let grids: Vec<usize> = bodies.iter().map(|(cfg, _)| cfg.grid_blocks).collect();
+        let grids: Vec<usize> = bodies.iter().map(|(cfg, ..)| cfg.grid_blocks).collect();
         let workers =
             crate::threads::partitions(launch.grid_blocks, 1, crate::threads::sim_threads());
         if workers.len() <= 1 {
             // Serial path: each block's result merges as soon as its
             // body returns, so at most one result is alive.
-            for (part, (cfg, body)) in bodies.iter().enumerate() {
-                let blocks = 0..cfg.grid_blocks;
+            for (part, (cfg, body, _)) in bodies.iter().enumerate() {
+                let mut merge =
+                    |block_id, result: ResultSlot<'_>| merge_block(part, block_id, result);
                 body(
                     cfg,
-                    blocks,
+                    0..cfg.grid_blocks,
                     l1,
                     &mut spans[part],
-                    &mut |block_id, result| merge_block(part, block_id, result),
+                    Some(&mut merge),
                 );
             }
         } else {
             let worker_out = crate::threads::map_ranges(&workers, |_, blocks| {
                 let of_part = |(part, local): (usize, std::ops::Range<usize>)| {
-                    let (cfg, body) = &bodies[part];
+                    let (cfg, body, _) = &bodies[part];
                     let mut local_spans = PhaseSpans::default();
-                    let mut results = Vec::with_capacity(local.len());
-                    body(
-                        cfg,
-                        local.clone(),
-                        l1,
-                        &mut local_spans,
-                        &mut |_, result| results.push(result),
-                    );
-                    (part, local, local_spans, results)
+                    let kept = body(cfg, local.clone(), l1, &mut local_spans, None);
+                    (part, local, local_spans, kept.expect("no sink, so kept"))
                 };
                 part_ranges(&grids, blocks).map(of_part).collect::<Vec<_>>()
             });
             // Worker ranges are contiguous and ordered, so walking the
             // workers' pieces in order visits every part's blocks 0..grid.
-            for (part, local, local_spans, results) in worker_out.into_iter().flatten() {
+            for (part, mut local, local_spans, kept) in worker_out.into_iter().flatten() {
                 spans[part] = spans[part].merge(&local_spans);
-                for (block_id, result) in local.zip(results) {
-                    merge_block(part, block_id, result);
-                }
+                (bodies[part].2)(kept, &mut |result| {
+                    let block_id = local.next().expect("one result per block");
+                    merge_block(part, block_id, result)
+                });
             }
         }
         let parts = bodies
             .into_iter()
             .zip(spans.iter().zip(&merge_spans))
-            .map(|((cfg, _), (body, merge))| (cfg, body.merge(merge)))
+            .map(|((cfg, ..), (body, merge))| (cfg, body.merge(merge)))
             .collect();
         Ok(self.finish_launch(launch, parts))
     }

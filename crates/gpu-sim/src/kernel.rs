@@ -70,20 +70,38 @@ impl KernelConfig {
     }
 }
 
-/// A block's result on its way from the body of its part to the merge.
-pub(crate) type BlockResult = Box<dyn Any + Send>;
+/// A block's result on its way from the body of its part to the merge,
+/// with its type erased: an `Option<R>` the merge takes `R` out of. It
+/// lives on the stack of the block loop, so a block allocates nothing
+/// to hand its result over.
+pub(crate) type ResultSlot<'s> = &'s mut dyn Any;
+
+/// The results a worker kept for the merge, erased: a `Vec<Option<R>>`
+/// in block order.
+pub(crate) type KeptResults = Box<dyn Any + Send>;
 
 /// The body phase of a part: run the blocks of a range on the calling
 /// thread under the part's configuration (and the device's L1 switch),
-/// charging the spans, and hand each block's result to the sink.
+/// charging the spans. With a sink, each block's result goes to it as
+/// soon as the block returns and nothing is kept; without one, the
+/// results are kept and returned.
 type PartBody<'a> = Box<
-    dyn Fn(&KernelConfig, Range<usize>, bool, &mut PhaseSpans, &mut dyn FnMut(usize, BlockResult))
+    dyn Fn(
+            &KernelConfig,
+            Range<usize>,
+            bool,
+            &mut PhaseSpans,
+            Option<&mut dyn FnMut(usize, ResultSlot<'_>)>,
+        ) -> Option<KeptResults>
         + Sync
         + 'a,
 >;
 
+/// Hand the results a worker kept to `each`, in block order.
+type PartDrain = fn(KeptResults, &mut dyn FnMut(ResultSlot<'_>));
+
 /// The merge phase of a part: take one block's result, serially.
-type PartMerge<'a> = Box<dyn FnMut(&mut BlockCtx<'_>, usize, BlockResult) + 'a>;
+type PartMerge<'a> = Box<dyn FnMut(&mut BlockCtx<'_>, usize, ResultSlot<'_>) + 'a>;
 
 /// One **part** of a launch: a range of thread blocks with its own
 /// [`KernelConfig`] (grid, registers, shared memory, fuel) and its own
@@ -101,6 +119,7 @@ pub struct LaunchPart<'a> {
     pub(crate) cfg: KernelConfig,
     pub(crate) body: PartBody<'a>,
     pub(crate) merge: PartMerge<'a>,
+    pub(crate) drain: PartDrain,
 }
 
 impl<'a> LaunchPart<'a> {
@@ -117,15 +136,31 @@ impl<'a> LaunchPart<'a> {
             cfg,
             body: Box::new(move |cfg, blocks, l1_per_block, spans, sink| {
                 let mut state = init();
-                let block = |ctx: &mut BlockCtx<'_>| Box::new(body(&mut state, ctx)) as BlockResult;
-                run_blocks(cfg, blocks, l1_per_block, spans, block, sink);
+                let block = |ctx: &mut BlockCtx<'_>| body(&mut state, ctx);
+                match sink {
+                    Some(sink) => {
+                        let hand_over = |block_id, result: R| sink(block_id, &mut Some(result));
+                        run_blocks(cfg, blocks, l1_per_block, spans, block, hand_over);
+                        None
+                    }
+                    None => {
+                        let mut kept: Vec<Option<R>> = Vec::with_capacity(blocks.len());
+                        let keep = |_, result: R| kept.push(Some(result));
+                        run_blocks(cfg, blocks, l1_per_block, spans, block, keep);
+                        Some(Box::new(kept) as KeptResults)
+                    }
+                }
             }),
-            merge: Box::new(move |ctx, block_id, result| {
-                let result = result
-                    .downcast::<R>()
-                    .expect("a part merges what its own body returned");
-                merge(ctx, block_id, *result);
+            merge: Box::new(move |ctx, block_id, slot| {
+                let result = slot.downcast_mut::<Option<R>>().and_then(Option::take);
+                let result = result.expect("a part merges what its own body returned, once");
+                merge(ctx, block_id, result);
             }),
+            drain: |kept, each| {
+                let kept = kept.downcast::<Vec<Option<R>>>();
+                let kept = kept.expect("a part drains what its own body kept");
+                kept.into_iter().for_each(|mut slot| each(&mut slot));
+            },
         }
     }
 }
