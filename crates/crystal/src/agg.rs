@@ -2,6 +2,14 @@
 
 use tlc_gpu_sim::{BlockCtx, Device, GlobalBuffer, Phase, WARP_SIZE};
 
+/// Charge a block-wide reduction of `n` values to one (Crystal's
+/// `BlockSum`): the adds, the depth of the shared-memory tree on top
+/// of them, and the tree's traffic.
+pub fn block_reduce(ctx: &mut BlockCtx<'_>, n: u64) {
+    ctx.add_int_ops(n + 8);
+    ctx.smem_traffic(2 * WARP_SIZE as u64 * 8);
+}
+
 /// A single running sum: each thread block reduces its tile locally
 /// (shared-memory tree) and issues one atomic to global memory —
 /// Crystal's block-wide reduction.
@@ -27,8 +35,7 @@ impl ScalarSum {
             local = local.wrapping_add(v);
             n += 1;
         }
-        ctx.add_int_ops(n + 8); // tree reduction depth on top of the adds
-        ctx.smem_traffic(2 * WARP_SIZE as u64 * 8);
+        block_reduce(ctx, n);
         ctx.warp_atomic_add_u64(&mut self.acc, &[(0, local)]);
     }
 

@@ -40,6 +40,36 @@ pub fn fused_select_config(name: &str, columns: &[&QueryColumn]) -> KernelConfig
     fused_config(name, columns, 1).regs_per_thread(regs)
 }
 
+/// Launch configuration of a **filter part**: one tile kernel serving
+/// several members, each a conjunction of range predicates over the
+/// part's `columns` and then a sum into `accumulators[member]` slots.
+///
+/// A one-member part is configured exactly as the kernel it replaces:
+/// [`fused_select_config`] when a member consumes its column as it
+/// loads (`live_columns` = 1, a count and a sum), [`fused_config`] over
+/// `live_columns` when two columns stay live to the aggregate (a sum of
+/// products). That configuration already holds its member's ballot
+/// word and accumulators; every further member adds its own: one
+/// register for the ballot word it carries through its conjunction and
+/// one per accumulator (a thread's partial over its `D` values). There
+/// is no cap: past the spill threshold the part pays the spill, which
+/// is what stops a merged part from paying (DESIGN.md §3).
+pub fn filter_config(
+    name: &str,
+    columns: &[&QueryColumn],
+    live_columns: usize,
+    accumulators: &[usize],
+) -> KernelConfig {
+    let (base, held) = if live_columns <= 1 {
+        (fused_select_config(name, columns), 1 + 2)
+    } else {
+        (fused_config(name, columns, live_columns), 1 + 1)
+    };
+    let members: usize = accumulators.iter().map(|slots| 1 + slots).sum();
+    let regs = base.regs_per_thread + members.saturating_sub(held);
+    base.regs_per_thread(regs)
+}
+
 /// Operator-at-a-time building blocks (the OmniSci model): every
 /// operator is its own kernel and materializes its full output to
 /// global memory before the next operator starts.

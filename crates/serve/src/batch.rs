@@ -15,11 +15,12 @@
 //!    `(partition, column)` the wave needs exactly **once** — through
 //!    the shared [`tlc_store::PartitionCache`] when armed — and
 //!    evaluates the wave over that upload in at most two launches a
-//!    partition: one builds every flight's dimension tables, one runs
-//!    a part per flight and a part per scalar column (the scans and
-//!    point filters of one column share it), every part decoding
-//!    inline: one routing snapshot per attempt, then one feedback per
-//!    group and one [`Response`] per ticket;
+//!    partition: one builds every join flight's dimension tables (none
+//!    when no member joins), one runs a part per join flight and one
+//!    **filter part** for every flight 1, point filter and scan, which
+//!    decodes each (column, tile) of their union once for all of them,
+//!    every part decoding inline: one routing snapshot per attempt,
+//!    then one feedback per group and one [`Response`] per ticket;
 //! 4. on an unrecoverable storage error **splits or retries**: a wave
 //!    of several groups splits into waves of one group, each from
 //!    attempt 1 (the shared attempt is neither counted nor struck, and
@@ -34,9 +35,10 @@
 //! any `TLC_SIM_THREADS`. What changes is **attributed cost** — a
 //! member pays `read / consumers` for every shared column and its
 //! parts' share of the partition's launches (a launch's seconds split
-//! by what each part costs alone; a scalar column's part then split
-//! over its scalar members), so every member of a wave of two or more
-//! pays less device time than it does alone — and the wave-level tallies
+//! by what each part costs alone; the filter part then split over its
+//! members by the encoded bytes each reads), so every member of a wave
+//! of two or more pays less device time than it does alone — and the
+//! wave-level tallies
 //! (`batched_queries`, `shared_decodes`, `launches_saved`) surfaced
 //! through [`crate::MetricsSnapshot`].
 

@@ -4,11 +4,12 @@
 //!
 //! There is no executor here. [`execute`] maps the request onto the
 //! streaming layer's one executor ([`tlc_ssb::stream`]) as a one-member
-//! [`run_wave_streamed`], whatever the request: per partition a flight
-//! is a launch that builds its dimension tables and a launch of its
-//! fused query kernel, a point filter or scan one fused launch (load a
-//! tile, filter, count and sum, nothing written back); both decode
-//! inline, the paper's path. It is the call the service's
+//! [`run_wave_streamed`], whatever the request: per partition a join
+//! flight is a launch that builds its dimension tables and a launch of
+//! its fused query kernel; a flight 1, a point filter or a scan is one
+//! fused launch, the filter part with one member (load a tile, test its
+//! ranges in registers, sum, nothing written back); all decode inline,
+//! the paper's path. It is the call the service's
 //! batcher makes for a wave, with one member — the oracle that tests
 //! and benches compare served answers against — so the storage ladder,
 //! device ladder, deadline rule, fault plan ([`StreamOptions::plan`])

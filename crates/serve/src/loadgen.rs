@@ -167,7 +167,7 @@ pub struct LoadgenReport {
     pub latency_nobatch: Option<LatencySummary>,
     /// `latency_nobatch.p50 / latency.p50` — how much faster the
     /// median request got because waves load each partition once and
-    /// evaluate it in two launches.
+    /// evaluate it in one launch (two with a join flight).
     pub p50_batch_speedup: Option<f64>,
     /// Solo service time with the cache off for every generated
     /// request (`None` when `cache_mb` is 0 and there is nothing to
@@ -605,7 +605,7 @@ mod tests {
         );
         // Sharing never makes a member dearer and makes the average
         // member cheaper: every member of a wave of two or more pays a
-        // share of two launch overheads, not its own.
+        // share of the wave's launch overheads, not its own.
         assert!(
             r.service_batched.p50 <= r.service.p50 && r.service_batched.mean < r.service.mean,
             "batched {:?} vs solo {:?}",

@@ -44,14 +44,16 @@ pub struct Metrics {
     /// with ≥ 2 distinct queries, plus every duplicate ticket answered
     /// by one deduplicated execution.
     pub batched_queries: AtomicU64,
-    /// `(partition, column)` scalar parts that served ≥ 2 wave
-    /// members (scans or point filters) — tile decodes that unbatched
-    /// execution would have repeated. Flights add nothing: each
-    /// decodes inline in its own part.
+    /// `(partition, column)` tile decodes of a wave's filter part that
+    /// served ≥ 2 members (flight 1s, scans or point filters) — decodes
+    /// that unbatched execution would have repeated. Join flights add
+    /// nothing: each decodes inline in its own part.
     pub shared_decodes: AtomicU64,
     /// Kernel launches avoided by sharing: per partition, two for every
-    /// flight of a wave and one for every scan or point filter, less
-    /// the one or two the wave made.
+    /// join flight of a wave and one for every flight 1, scan or point
+    /// filter (what each launches alone), less the one or two the wave
+    /// made. A flight 1 alone launches once, so a wave of them saves
+    /// one launch a member, not two.
     pub launches_saved: AtomicU64,
     /// Latency population of terminal queries (simulated seconds).
     pub latency: Mutex<LatencyHistogram>,

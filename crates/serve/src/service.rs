@@ -55,8 +55,9 @@ pub struct ServeConfig {
     /// Shared-scan batch window: a worker pops up to this many waiting
     /// jobs at once and executes them as one **wave** — every
     /// `(partition, column)` the wave needs is loaded and uploaded
-    /// once, the scans and point filters of a column share one fused
-    /// launch, each flight decodes inline over the same upload, and
+    /// once, the flight 1s, scans and point filters share one fused
+    /// part that decodes each column tile once for all of them, each
+    /// join flight decodes inline over the same upload, and
     /// identical requests are deduplicated (one execution fans out to
     /// all duplicate tickets). `0` or `1` disables batching
     /// (every job is a wave of one, the same path with nothing shared).

@@ -248,6 +248,14 @@ fn days_in_month(y: i32, m: i32) -> i32 {
     }
 }
 
+/// Whether `key` is a `yyyymmdd` calendar day: the keys a date
+/// dimension over the key's year holds, and no others (19930231 and
+/// 19940100 are not; nor is any negative key).
+pub fn is_calendar_day(key: i32) -> bool {
+    let (y, m, d) = (key / 10_000, key / 100 % 100, key % 100);
+    (1..=12).contains(&m) && 1 <= d && d <= days_in_month(y, m)
+}
+
 fn make_dates() -> DateDim {
     let mut d = DateDim::default();
     for y in FIRST_YEAR..=LAST_YEAR {

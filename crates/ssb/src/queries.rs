@@ -1,18 +1,26 @@
 //! The 13 SSB queries on the Crystal engine.
 //!
-//! Each query flight is one fused tile kernel (plus the dimension
-//! hash-table builds): predicates are evaluated on decoded tiles in
-//! registers, then the surviving lanes probe the dimension tables and
-//! feed the aggregate — with compressed columns decoded *inline* by the
-//! tile loads when the system supports it (Section 7). OmniSci runs the
-//! same logic operator-at-a-time with materialized intermediates.
+//! Each query flight is one fused tile kernel: predicates are evaluated
+//! on decoded tiles in registers and the surviving lanes feed the
+//! aggregate, with compressed columns decoded *inline* by the tile
+//! loads when the system supports it (Section 7). Flights 2–4 probe
+//! dimension hash tables on the way and build them first; flight 1
+//! joins nothing, because its date predicate is a `d_datekey` range
+//! the kernel tests against `lo_orderdate` in registers, as Crystal's
+//! own q1.x kernels do. OmniSci runs the same logic
+//! operator-at-a-time with materialized intermediates, the date join
+//! of flight 1 included.
 //!
-//! Whatever runs, it makes at most **two launches**: [`wave_build`]
-//! builds every dimension table of every flight asked for, one part
-//! per table, and [`wave_scan`] runs every fact scan, one part per
-//! scalar column and one per flight. [`try_run_query`] is the
-//! one-flight case, [`scalar_filters`] the one-column case, and the
-//! streaming executor ([`crate::stream`]) passes a whole wave.
+//! Whatever runs, it makes at most **two launches**. [`wave_build`]
+//! builds every dimension table of every join flight asked for, one
+//! part per table (no launch without one). [`wave_scan`] runs every
+//! fact scan: one **filter part** for all the probe-free members
+//! (flight 1, point filters, scans: conjunctions of range predicates
+//! over fact columns, then a sum), which loads and decodes each
+//! (column, tile) of their union **once**, and one part per join
+//! flight. [`try_run_query`] is the one-flight case,
+//! [`scalar_filters`] the one-column case, and the streaming executor
+//! ([`crate::stream`]) passes a whole wave.
 //!
 //! Dictionary-encoded dimension literals (regions, nations, cities,
 //! categories, brands) use fixed ids documented at each query; the
@@ -21,16 +29,18 @@
 
 use std::cell::RefCell;
 
+use tlc_core::column::fused_predicate;
 use tlc_core::DecodeError;
-use tlc_crystal::exec::{fused_config, fused_select_config, materialize};
-use tlc_crystal::{DenseTable, GroupBySum, QueryColumn, ScalarSum};
+use tlc_crystal::agg::block_reduce;
+use tlc_crystal::exec::{filter_config, fused_config, materialize};
+use tlc_crystal::{DenseTable, GroupBySum, QueryColumn};
 use tlc_gpu_sim::{
     all_lanes, live_lanes, BlockCtx, Device, GlobalBuffer, KernelConfig, KernelReport, LaunchPart,
     Phase,
 };
 
 use crate::encode::LoColumns;
-use crate::gen::{LoColumn, SsbData, BRANDS, CITIES, FIRST_YEAR, NATIONS};
+use crate::gen::{is_calendar_day, LoColumn, SsbData, BRANDS, CITIES, FIRST_YEAR, NATIONS};
 use crate::System;
 
 /// Number of years in the date dimension.
@@ -92,6 +102,17 @@ impl QueryId {
         }
     }
 
+    /// Kernel launches a partition of this query makes alone: the fact
+    /// scan, and before it the build of the dimension tables a join
+    /// flight probes. Flight 1 probes nothing and builds nothing.
+    pub fn launches(&self) -> u64 {
+        if is_flight1(*self) {
+            1
+        } else {
+            2
+        }
+    }
+
     /// Lineorder columns the query reads.
     pub fn columns(&self) -> &'static [LoColumn] {
         match self {
@@ -129,7 +150,9 @@ impl QueryId {
 /// place so the fused, materialized and reference executors can't
 /// drift apart.
 pub(crate) struct QuerySpec {
-    /// Date payload: `Some(year index)` when the row qualifies.
+    /// Date payload of a row whose key is in `datekey`: `Some(year
+    /// index)` when the row qualifies. Read it through
+    /// [`QuerySpec::date_payload`], which applies the range first.
     pub date: fn(&SsbData, usize) -> Option<i32>,
     /// Customer payload by row.
     pub cust: fn(&SsbData, usize) -> Option<i32>,
@@ -143,6 +166,11 @@ pub(crate) struct QuerySpec {
     pub qty: (i32, i32),
     /// Fact-local discount predicate (flight 1), likewise.
     pub disc: (i32, i32),
+    /// The inclusive `d_datekey` range a row's order date must fall
+    /// in. It is the whole of flight 1's date predicate, so flight 1
+    /// joins nothing: the fused kernel tests `lo_orderdate` against it
+    /// in registers ([`in_datekeys`]), as Crystal's q1.x kernels do.
+    pub datekey: (i32, i32),
     /// Group count of the dense aggregate.
     pub groups: usize,
     /// Group index from (cust, supp, part, year) payloads.
@@ -158,6 +186,26 @@ pub(crate) fn within((lo, hi): (i32, i32)) -> impl Fn(i32) -> bool + Copy {
     move |v| lo <= v && v <= hi
 }
 
+/// The date join of a `datekey` range, in registers: `v` is in the
+/// range **and** is a `yyyymmdd` calendar day. A key inside the range
+/// that is no day (19930231) has no row in the date dimension, so the
+/// dense table misses it; with the calendar test the range gives the
+/// join's verdict for every `i32`, not only for keys the generator
+/// emits. The range is tested first: few rows reach the calendar.
+pub(crate) fn in_datekeys(range: (i32, i32)) -> impl Fn(i32) -> bool + Copy {
+    move |v| within(range)(v) && is_calendar_day(v)
+}
+
+impl QuerySpec {
+    /// Date payload of dimension row `row`: the one statement of the
+    /// query's date predicate as the table builds, the reference
+    /// executor and the OmniSci model read it.
+    pub fn date_payload(&self, data: &SsbData, row: usize) -> Option<i32> {
+        let in_range = within(self.datekey)(data.date.datekey[row]);
+        in_range.then(|| (self.date)(data, row)).flatten()
+    }
+}
+
 fn yidx(data: &SsbData, row: usize) -> i32 {
     data.date.year[row] - FIRST_YEAR
 }
@@ -170,32 +218,38 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
     // "MFGR#14"; mfgr {0,1} = "MFGR#1","MFGR#2".
     match q {
         QueryId::Q11 => QuerySpec {
-            date: |d, r| (d.date.year[r] == 1993).then_some(0),
+            date: |_, _| Some(0),
             cust: |_, _| Some(0),
             supp: |_, _| Some(0),
             part: |_, _| Some(0),
             qty: (i32::MIN, 24),
             disc: (1, 3),
+            // d_year = 1993.
+            datekey: (19_930_101, 19_931_231),
             groups: 1,
             group: |_, _, _, _| 0,
         },
         QueryId::Q12 => QuerySpec {
-            date: |d, r| (d.date.yearmonthnum[r] == 199_401).then_some(0),
+            date: |_, _| Some(0),
             cust: |_, _| Some(0),
             supp: |_, _| Some(0),
             part: |_, _| Some(0),
             qty: (26, 35),
             disc: (4, 6),
+            // d_yearmonthnum = 199401.
+            datekey: (19_940_101, 19_940_131),
             groups: 1,
             group: |_, _, _, _| 0,
         },
         QueryId::Q13 => QuerySpec {
-            date: |d, r| (d.date.weeknuminyear[r] == 6 && d.date.year[r] == 1994).then_some(0),
+            date: |_, _| Some(0),
             cust: |_, _| Some(0),
             supp: |_, _| Some(0),
             part: |_, _| Some(0),
             qty: (26, 35),
             disc: (5, 7),
+            // d_weeknuminyear = 6 and d_year = 1994: days 36..=42.
+            datekey: (19_940_205, 19_940_211),
             groups: 1,
             group: |_, _, _, _| 0,
         },
@@ -206,6 +260,7 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             part: |d, r| (d.part.category[r] == 6).then_some(d.part.brand1[r]),
             qty: ANY,
             disc: ANY,
+            datekey: ANY,
             groups: YEARS * BRANDS,
             group: |_, _, brand, y| y as usize * BRANDS + brand as usize,
         },
@@ -220,6 +275,7 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             },
             qty: ANY,
             disc: ANY,
+            datekey: ANY,
             groups: YEARS * BRANDS,
             group: |_, _, brand, y| y as usize * BRANDS + brand as usize,
         },
@@ -230,6 +286,7 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             part: |d, r| (d.part.brand1[r] == 260).then_some(d.part.brand1[r]),
             qty: ANY,
             disc: ANY,
+            datekey: ANY,
             groups: YEARS * BRANDS,
             group: |_, _, brand, y| y as usize * BRANDS + brand as usize,
         },
@@ -240,6 +297,7 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             part: |_, _| Some(0),
             qty: ANY,
             disc: ANY,
+            datekey: ANY,
             groups: NATIONS * NATIONS * YEARS,
             group: |cn, sn, _, y| (cn as usize * NATIONS + sn as usize) * YEARS + y as usize,
         },
@@ -250,6 +308,7 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             part: |_, _| Some(0),
             qty: ANY,
             disc: ANY,
+            datekey: ANY,
             groups: CITIES * CITIES * YEARS,
             group: |cc, sc, _, y| (cc as usize * CITIES + sc as usize) * YEARS + y as usize,
         },
@@ -260,6 +319,7 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             part: |_, _| Some(0),
             qty: ANY,
             disc: ANY,
+            datekey: ANY,
             groups: CITIES * CITIES * YEARS,
             group: |cc, sc, _, y| (cc as usize * CITIES + sc as usize) * YEARS + y as usize,
         },
@@ -270,6 +330,7 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             part: |_, _| Some(0),
             qty: ANY,
             disc: ANY,
+            datekey: ANY,
             groups: CITIES * CITIES * YEARS,
             group: |cc, sc, _, y| (cc as usize * CITIES + sc as usize) * YEARS + y as usize,
         },
@@ -280,6 +341,7 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             part: |d, r| matches!(d.part.mfgr[r], 0 | 1).then_some(0),
             qty: ANY,
             disc: ANY,
+            datekey: ANY,
             groups: YEARS * NATIONS,
             group: |cn, _, _, y| y as usize * NATIONS + cn as usize,
         },
@@ -290,6 +352,7 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             part: |d, r| matches!(d.part.mfgr[r], 0 | 1).then_some(d.part.category[r]),
             qty: ANY,
             disc: ANY,
+            datekey: ANY,
             groups: YEARS * NATIONS * 25,
             group: |_, sn, cat, y| (y as usize * NATIONS + sn as usize) * 25 + cat as usize,
         },
@@ -300,6 +363,7 @@ pub(crate) fn spec(q: QueryId) -> QuerySpec {
             part: |d, r| (d.part.category[r] == 3).then_some(d.part.brand1[r]),
             qty: ANY,
             disc: ANY,
+            datekey: ANY,
             groups: YEARS * CITIES * BRANDS,
             group: |_, sc, brand, y| (y as usize * CITIES + sc as usize) * BRANDS + brand as usize,
         },
@@ -356,7 +420,10 @@ impl Tables {
 /// as part of the measured query, as in Crystal) in **one** launch,
 /// `wave_build`: one part per table, a query's parts together in the
 /// order date, customer, supplier, part. Returns each query's tables
-/// and the launch's report (`None` and no launch for no queries).
+/// and the launch's report (`None` and no launch for no queries). The
+/// fused executors pass join flights only: flight 1 probes no table.
+/// The OmniSci model, which runs the date join as written, builds
+/// flight 1's date table here.
 pub fn wave_build(
     dev: &Device,
     data: &SsbData,
@@ -392,7 +459,7 @@ pub fn wave_build(
                 base: datekey[0],
                 max_key: *datekey.last().expect("non-empty"),
                 rows: (0..datekey.len())
-                    .map(|r| (datekey[r], (s.date)(data, r)))
+                    .map(|r| (datekey[r], s.date_payload(data, r)))
                     .collect(),
                 bytes: data.date_dim_bytes(),
             }];
@@ -457,7 +524,9 @@ pub fn run_query(dev: &Device, data: &SsbData, cols: &LoColumns, q: QueryId) -> 
 /// Fallible variant of [`run_query`]: tile corruption or a device
 /// fault surfaces as a typed [`DecodeError`] instead of a panic. The
 /// resilient executor ([`crate::resilience`]) builds on this. It is
-/// the one-flight wave: a build launch, then a scan launch.
+/// the one-flight wave: for a join flight a build launch, then a scan
+/// launch; for flight 1 the scan launch alone, its filter part with
+/// one member.
 pub fn try_run_query(
     dev: &Device,
     data: &SsbData,
@@ -468,27 +537,85 @@ pub fn try_run_query(
         return Ok(run_materialized(dev, data, cols, q));
     }
     let prepared = cols.prepare(dev, q.columns());
+    if is_flight1(q) {
+        let columns: Vec<&QueryColumn> = prepared.iter().collect();
+        let members = [FilterMember::Flight1 {
+            q,
+            columns: [0, 1, 2, 3],
+        }];
+        let filter = FilterScan {
+            columns: &columns,
+            members: &members,
+        };
+        let (mut scan, _) = wave_scan(dev, &filter, &[])?;
+        return match scan.filters.pop() {
+            Some(WaveAnswer::Groups(groups)) => Ok(groups),
+            _ => unreachable!("one flight in, its groups out"),
+        };
+    }
     let (tables, _) = wave_build(dev, data, &[q])?;
     let flight = FlightScan {
         q,
         cols: &prepared,
         tables: &tables[0],
     };
-    let (mut scan, _) = wave_scan(dev, &[], &[flight])?;
+    let (mut scan, _) = wave_scan(dev, &FilterScan::default(), &[flight])?;
     Ok(scan.flights.pop().expect("one flight in, one answer out"))
 }
 
-/// The scalar filters of one column: a part of the scan launch.
-pub struct ScalarScan<'a> {
-    /// The column, loaded a tile at a time.
-    pub col: &'a QueryColumn,
-    /// `Some(v)`: the values equal to `v`; `None`: all of them.
-    pub filters: &'a [Option<i32>],
+/// A probe-free member of a scan launch: a conjunction of range
+/// predicates over fact columns, then a sum. Column positions index
+/// [`FilterScan::columns`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FilterMember {
+    /// Count and wrapping sum of a column's values: those equal to
+    /// `filter`, or all of them. The one-column case.
+    Scalar {
+        /// The column.
+        column: usize,
+        /// `Some(v)`: the values equal to `v`; `None`: all of them.
+        filter: Option<i32>,
+    },
+    /// A flight-1 query: its quantity, discount and order-date ranges,
+    /// then Σ `extendedprice × discount`.
+    Flight1 {
+        /// q1.1, q1.2 or q1.3.
+        q: QueryId,
+        /// Its columns in [`QueryId::columns`] order: order date,
+        /// quantity, discount, extended price.
+        columns: [usize; 4],
+    },
 }
 
-/// One flight's fact scan: a part of the scan launch.
+/// The probe-free members of a scan launch and the columns they read:
+/// the launch's filter part (none without a member).
+#[derive(Default)]
+pub struct FilterScan<'a> {
+    /// Distinct columns; each one a member reads is loaded, and
+    /// decoded inline when compressed, once a tile.
+    pub columns: &'a [&'a QueryColumn],
+    /// The members.
+    pub members: &'a [FilterMember],
+}
+
+/// A member's answer payload (`tlc_serve::QueryAnswer` is this type).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WaveAnswer {
+    /// Grouped aggregate rows from a flight query, merged in partition
+    /// order, zero-sum groups dropped.
+    Groups(Vec<(u64, u64)>),
+    /// Count and wrapping sum from a scan or point filter.
+    Scalar {
+        /// Values matched (scan: all values).
+        count: u64,
+        /// Wrapping sum of the matched values.
+        sum: i64,
+    },
+}
+
+/// One join flight's fact scan: a part of the scan launch.
 pub struct FlightScan<'a> {
-    /// The flight.
+    /// The flight (2–4).
     pub q: QueryId,
     /// Its columns in [`QueryId::columns`] order.
     pub cols: &'a [QueryColumn],
@@ -498,53 +625,40 @@ pub struct FlightScan<'a> {
 
 /// What the scan launch answered.
 pub struct ScanAnswers {
-    /// Per [`ScalarScan`], per filter: count and wrapping sum.
-    pub scalars: Vec<Vec<(u64, i64)>>,
+    /// Per [`FilterMember`], in member order: a scalar's count and
+    /// sum, a flight 1's one group (none when its sum is zero).
+    pub filters: Vec<WaveAnswer>,
     /// Per [`FlightScan`]: the non-empty groups, sorted by group.
     pub flights: Vec<Vec<(u64, u64)>>,
 }
 
-/// A flight's device accumulator.
-enum FlightAcc {
-    Sum(ScalarSum),
-    Groups(GroupBySum),
-}
-
-/// Every fact scan of a wave in **one** launch, `wave_scan`: one part
-/// per scalar column (`scalar_part`, answering every filter on it),
-/// then one per flight (`flight1_part` / `join_part`). Each part
-/// loads and decodes its own tiles inline. The first tile that fails,
-/// in part and then tile order, is the launch's error (or the launch's
-/// own); otherwise the answers and the launch's report.
+/// Every fact scan of a wave in **one** launch, `wave_scan`: the filter
+/// part (`filter_part`) serving every probe-free member, then one
+/// part per join flight (`join_part`), which loads and decodes its
+/// own tiles inline. The first tile that fails, in part and then tile
+/// order, is the launch's error (or the launch's own); otherwise the
+/// answers and the launch's report.
 pub fn wave_scan(
     dev: &Device,
-    scalars: &[ScalarScan<'_>],
+    filter: &FilterScan<'_>,
     flights: &[FlightScan<'_>],
 ) -> Result<(ScanAnswers, KernelReport), DecodeError> {
-    // Accumulator slots `2m` and `2m + 1`: filter `m`'s count and sum.
-    let mut scalar_accs: Vec<GroupBySum> = scalars
-        .iter()
-        .map(|s| GroupBySum::new(dev, 2 * s.filters.len()))
-        .collect();
+    let plan = FilterPlan::new(filter);
+    // One accumulator buffer for the whole filter part: a member's
+    // slots follow those of the members before it.
+    let mut filter_acc = dev.alloc_zeroed::<u64>(plan.slots);
     let specs: Vec<QuerySpec> = flights.iter().map(|f| spec(f.q)).collect();
-    let mut flight_accs: Vec<FlightAcc> = flights
+    let mut flight_accs: Vec<GroupBySum> = specs
         .iter()
-        .zip(&specs)
-        .map(|(f, s)| match is_flight1(f.q) {
-            true => FlightAcc::Sum(ScalarSum::new(dev)),
-            false => FlightAcc::Groups(GroupBySum::new(dev, s.groups)),
-        })
+        .map(|s| GroupBySum::new(dev, s.groups))
         .collect();
     let failed = RefCell::new(None);
-    let mut parts = Vec::with_capacity(scalars.len() + flights.len());
-    for (s, acc) in scalars.iter().zip(&mut scalar_accs) {
-        parts.push(scalar_part(s, acc, &failed));
+    let mut parts = Vec::with_capacity(1 + flights.len());
+    if !plan.members.is_empty() {
+        parts.push(filter_part(filter.columns, &plan, &mut filter_acc, &failed));
     }
     for ((f, s), acc) in flights.iter().zip(&specs).zip(&mut flight_accs) {
-        parts.push(match acc {
-            FlightAcc::Sum(sum) => flight1_part(f, s, sum, &failed),
-            FlightAcc::Groups(agg) => join_part(f, s, agg, &failed),
-        });
+        parts.push(join_part(f, s, acc, &failed));
     }
     let report = dev
         .try_launch_parts("wave_scan", parts)
@@ -552,28 +666,24 @@ pub fn wave_scan(
     if let Some(e) = failed.into_inner() {
         return Err(e);
     }
+    let slots = filter_acc.as_slice_unaccounted();
+    let filters = plan.members.iter().map(|m| match m.measure {
+        Measure::CountSum(_) => WaveAnswer::Scalar {
+            count: slots[m.slot],
+            sum: slots[m.slot + 1] as i64,
+        },
+        Measure::Product(..) => WaveAnswer::Groups(match slots[m.slot] {
+            0 => vec![],
+            sum => vec![(0, sum)],
+        }),
+    });
     let answers = ScanAnswers {
-        scalars: scalars
-            .iter()
-            .zip(&scalar_accs)
-            .map(|(s, acc)| {
-                let slots = acc.values();
-                (0..s.filters.len())
-                    .map(|m| (slots[2 * m], slots[2 * m + 1] as i64))
-                    .collect()
-            })
-            .collect(),
+        filters: filters.collect(),
         flights: flight_accs
             .iter()
-            .map(|acc| match acc {
-                FlightAcc::Sum(sum) => match sum.value() {
-                    0 => vec![],
-                    sum => vec![(0, sum)],
-                },
-                FlightAcc::Groups(agg) => {
-                    let groups = agg.non_zero();
-                    groups.iter().map(|&(g, v)| (g as u64, v)).collect()
-                }
+            .map(|agg| {
+                let groups = agg.non_zero();
+                groups.iter().map(|&(g, v)| (g as u64, v)).collect()
             })
             .collect(),
     };
@@ -600,7 +710,344 @@ fn tile_part<'a, S, R: Send + 'static>(
     })
 }
 
-/// Per-worker tile buffers of the fused kernels, built once per worker
+/// One range a member's rows must pass on one column.
+#[derive(Clone, Copy)]
+struct Conjunct {
+    col: usize,
+    range: (i32, i32),
+    /// The range is a date join: a passing value is also a calendar
+    /// day ([`in_datekeys`]).
+    day: bool,
+}
+
+impl Conjunct {
+    /// The conjunct as the predicate the fused loads evaluate.
+    fn passes(self) -> impl Fn(i32) -> bool + Copy {
+        let Conjunct { range, day, .. } = self;
+        move |v| match day {
+            true => in_datekeys(range)(v),
+            false => within(range)(v),
+        }
+    }
+}
+
+/// What a member sums over its surviving lanes.
+#[derive(Clone, Copy)]
+enum Measure {
+    /// Count and wrapping sum of a column: two accumulator slots.
+    CountSum(usize),
+    /// Σ of the product of two columns: one slot.
+    Product(usize, usize),
+}
+
+impl Measure {
+    fn columns(self) -> impl Iterator<Item = usize> {
+        let (a, b) = match self {
+            Measure::CountSum(c) => (c, None),
+            Measure::Product(a, b) => (a, Some(b)),
+        };
+        std::iter::once(a).chain(b)
+    }
+
+    fn slots(self) -> usize {
+        match self {
+            Measure::CountSum(_) => 2,
+            Measure::Product(..) => 1,
+        }
+    }
+}
+
+/// A [`FilterMember`] as the part runs it.
+struct PlannedMember {
+    conjuncts: Vec<Conjunct>,
+    measure: Measure,
+    /// Its first accumulator slot.
+    slot: usize,
+}
+
+/// One conjunct of one member at the load of its column.
+struct Test {
+    member: usize,
+    conjunct: Conjunct,
+    /// The member has a running selection by now (an earlier column
+    /// held a conjunct of its); otherwise every lane is live.
+    chained: bool,
+}
+
+/// One column of the part's tile loop: loaded once a tile, for every
+/// member that reads it.
+struct Load {
+    col: usize,
+    /// The members' conjuncts on the column, in member order. The
+    /// first is fused into the load, the others run over the values in
+    /// registers. None: a measure-only column.
+    tests: Vec<Test>,
+    /// The members (conjunct or measure) whose running selections,
+    /// ORed, are the load's incoming selection. Empty when some reader
+    /// has no selection yet: every lane loads.
+    incoming: Vec<usize>,
+}
+
+/// The filter part's tile loop, resolved once per launch.
+struct FilterPlan {
+    members: Vec<PlannedMember>,
+    /// Predicate columns in order of first mention (members in order,
+    /// each one's conjuncts in order), then the measure-only ones: a
+    /// measure decodes against everything its readers have filtered.
+    loads: Vec<Load>,
+    /// Accumulator slots of all members.
+    slots: usize,
+}
+
+impl FilterPlan {
+    fn new(scan: &FilterScan<'_>) -> Self {
+        let mut slots = 0;
+        let members: Vec<PlannedMember> = scan
+            .members
+            .iter()
+            .map(|m| {
+                let (conjuncts, measure) = match *m {
+                    FilterMember::Scalar { column, filter } => {
+                        let range = filter.map_or(ANY, |v| (v, v));
+                        let conjunct = Conjunct {
+                            col: column,
+                            range,
+                            day: false,
+                        };
+                        (vec![conjunct], Measure::CountSum(column))
+                    }
+                    FilterMember::Flight1 {
+                        q,
+                        columns: [od, qt, dc, ep],
+                    } => {
+                        let s = spec(q);
+                        // quantity → discount → orderdate: the cheap,
+                        // unselective-to-decode columns lead and the
+                        // date column decodes against both.
+                        let conjuncts = [
+                            (qt, s.qty, false),
+                            (dc, s.disc, false),
+                            (od, s.datekey, true),
+                        ]
+                        .map(|(col, range, day)| Conjunct { col, range, day });
+                        (conjuncts.to_vec(), Measure::Product(ep, dc))
+                    }
+                };
+                let slot = slots;
+                slots += measure.slots();
+                PlannedMember {
+                    conjuncts,
+                    measure,
+                    slot,
+                }
+            })
+            .collect();
+        let mut order: Vec<usize> = Vec::new();
+        let tested = members
+            .iter()
+            .flat_map(|m| m.conjuncts.iter().map(|c| c.col));
+        let measured = members.iter().flat_map(|m| m.measure.columns());
+        for col in tested.chain(measured) {
+            if !order.contains(&col) {
+                order.push(col);
+            }
+        }
+        let mut selecting = vec![false; members.len()];
+        let loads = order
+            .into_iter()
+            .map(|col| {
+                let reads = |m: &PlannedMember| {
+                    m.conjuncts.iter().any(|c| c.col == col)
+                        || m.measure.columns().any(|c| c == col)
+                };
+                let readers: Vec<usize> =
+                    (0..members.len()).filter(|&i| reads(&members[i])).collect();
+                let incoming = match readers.iter().all(|&i| selecting[i]) {
+                    true => readers,
+                    false => Vec::new(),
+                };
+                let mut tests = Vec::new();
+                for (member, m) in members.iter().enumerate() {
+                    for &conjunct in m.conjuncts.iter().filter(|c| c.col == col) {
+                        tests.push(Test {
+                            member,
+                            conjunct,
+                            chained: selecting[member],
+                        });
+                        selecting[member] = true;
+                    }
+                }
+                Load {
+                    col,
+                    tests,
+                    incoming,
+                }
+            })
+            .collect();
+        FilterPlan {
+            members,
+            loads,
+            slots,
+        }
+    }
+}
+
+/// Per-worker tile buffers of the filter part.
+struct FilterScratch {
+    /// One value buffer per column of the scan.
+    vals: Vec<Vec<i32>>,
+    /// Each member's running selection, one ballot word per warp.
+    words: Vec<Vec<u32>>,
+    /// The selection the current load or test writes.
+    next: Vec<u32>,
+    /// The OR of several readers' selections.
+    any: Vec<u32>,
+}
+
+/// `word ∧= other`, warp by warp (words missing from `other` are dead).
+fn and_words(word: &mut [u32], other: &[u32]) {
+    for (i, w) in word.iter_mut().enumerate() {
+        *w &= other.get(i).copied().unwrap_or(0);
+    }
+}
+
+/// The filter part: every probe-free member of the wave in one tile
+/// loop. Per tile each column some member reads is loaded **once**
+/// ([`QueryColumn::load_tile_select`], decoding inline): its first
+/// conjunct is fused into the load, the other members' conjuncts run
+/// over the values in registers ([`fused_predicate`]), and each member
+/// carries its own ballot words through its own conjunction. A load
+/// whose readers all have a selection decodes against their OR, so
+/// downstream columns skip miniblocks no reader has a live lane in; no
+/// decoded tile is staged back to memory. Then every member reduces
+/// its measure over its surviving lanes and the block adds one partial
+/// per accumulator slot to the part's one buffer.
+///
+/// A date conjunct ([`Conjunct::day`]) is the whole of flight 1's date
+/// join, evaluated in registers: it costs the probe's two operations a
+/// value and none of its gathers.
+fn filter_part<'a>(
+    columns: &'a [&'a QueryColumn],
+    plan: &'a FilterPlan,
+    acc: &'a mut GlobalBuffer<u64>,
+    failed: &'a RefCell<Option<DecodeError>>,
+) -> LaunchPart<'a> {
+    let read: Vec<&QueryColumn> = plan.loads.iter().map(|l| columns[l.col]).collect();
+    // Two columns stay live to the aggregate where a product is
+    // summed; a count and sum consume their column as it loads.
+    let product = |m: &PlannedMember| matches!(m.measure, Measure::Product(..));
+    let live_columns = if plan.members.iter().any(product) {
+        2
+    } else {
+        1
+    };
+    let accumulators: Vec<usize> = plan.members.iter().map(|m| m.measure.slots()).collect();
+    let cfg = filter_config("filter", &read, live_columns, &accumulators);
+    let mut pairs: Vec<(usize, u64)> = Vec::with_capacity(plan.slots);
+    tile_part(
+        cfg,
+        || FilterScratch {
+            vals: vec![Vec::new(); columns.len()],
+            words: vec![Vec::new(); plan.members.len()],
+            next: Vec::new(),
+            any: Vec::new(),
+        },
+        move |w, ctx| -> Result<Vec<u64>, DecodeError> {
+            let t = ctx.block_id();
+            let mut n = 0;
+            for load in &plan.loads {
+                let (col, vals) = (columns[load.col], &mut w.vals[load.col]);
+                let sel_in = match load.incoming.as_slice() {
+                    [] => None,
+                    [one] => Some(w.words[*one].as_slice()),
+                    [first, others @ ..] => {
+                        w.any.clone_from(&w.words[*first]);
+                        for &m in others {
+                            let words = w.any.iter_mut().zip(&w.words[m]);
+                            words.for_each(|(any, word)| *any |= word);
+                        }
+                        ctx.set_phase(Phase::Predicate);
+                        ctx.add_int_ops((w.any.len() * others.len()) as u64);
+                        Some(w.any.as_slice())
+                    }
+                };
+                n = match load.tests.first() {
+                    Some(test) => {
+                        let passes = test.conjunct.passes();
+                        col.load_tile_select(ctx, t, passes, sel_in, &mut w.next, vals)?
+                    }
+                    None => col.load_tile_select(ctx, t, |_| true, sel_in, &mut w.next, vals)?,
+                };
+                for (i, test) in load.tests.iter().enumerate() {
+                    let word = &mut w.words[test.member];
+                    if i > 0 {
+                        let sel_in = test.chained.then_some(word.as_slice());
+                        let passes = test.conjunct.passes();
+                        fused_predicate(ctx, &vals[..n], passes, sel_in, &mut w.next);
+                        std::mem::swap(word, &mut w.next);
+                    } else if test.chained {
+                        // The load's selection is `incoming ∧ pred`,
+                        // and `incoming` may hold other readers' lanes.
+                        and_words(word, &w.next);
+                    } else {
+                        word.clone_from(&w.next);
+                    }
+                    if test.conjunct.day {
+                        ctx.set_phase(Phase::Predicate);
+                        ctx.add_int_ops(n as u64 * 2);
+                    }
+                }
+            }
+            // Per member and value: the count (or the multiply) and
+            // the add.
+            ctx.set_phase(Phase::Aggregate);
+            ctx.add_int_ops(n as u64 * 2 * plan.members.len() as u64);
+            let mut partials = Vec::with_capacity(plan.slots);
+            for (m, word) in plan.members.iter().zip(&w.words) {
+                match m.measure {
+                    Measure::CountSum(c) => {
+                        let count: u32 = word.iter().map(|w| w.count_ones()).sum();
+                        let vals = &w.vals[c];
+                        let sum = match count as usize == n {
+                            true => vals[..n]
+                                .iter()
+                                .fold(0i64, |s, &v| s.wrapping_add(v as i64)),
+                            false => {
+                                live_lanes(word).fold(0i64, |s, i| s.wrapping_add(vals[i] as i64))
+                            }
+                        };
+                        partials.extend([count as u64, sum as u64]);
+                    }
+                    Measure::Product(a, b) => {
+                        let (a, b) = (&w.vals[a], &w.vals[b]);
+                        partials.push(live_lanes(word).map(|i| a[i] as u64 * b[i] as u64).sum());
+                    }
+                }
+            }
+            Ok(partials)
+        },
+        // The serial merge adds the tile's partials to the device
+        // accumulators in tile order (the atomic-add traffic lives
+        // here): a product sum goes through the block-wide reduction
+        // of `ScalarSum`, a count and a sum cost what a group-by pair
+        // does.
+        move |ctx, partials| {
+            ctx.set_phase(Phase::Aggregate);
+            for m in &plan.members {
+                match m.measure {
+                    Measure::CountSum(_) => ctx.add_int_ops(2 * 2),
+                    Measure::Product(..) => block_reduce(ctx, 1),
+                }
+            }
+            pairs.clear();
+            pairs.extend(partials.into_iter().enumerate());
+            ctx.warp_atomic_add_u64(acc, &pairs);
+        },
+        failed,
+    )
+}
+
+/// Per-worker tile buffers of the join kernels, built once per worker
 /// by the launch and reused for every tile the worker runs: a tile
 /// allocates nothing of its own.
 #[derive(Default)]
@@ -626,21 +1073,25 @@ impl TileScratch {
         }
     }
 
-    /// Fused decode→predicate of column `i` against the running
-    /// bitmap (`chain`) or every lane; the fused bitmap becomes the
-    /// running one. Returns the tile's logical length.
-    fn load_select(
+    /// Fused decode of column `i` against the running bitmap: only
+    /// miniblocks with a surviving lane unpack. Returns the tile's
+    /// logical length.
+    fn load_selected(
         &mut self,
         ctx: &mut BlockCtx<'_>,
         cols: &[QueryColumn],
         i: usize,
-        pred: impl Fn(i32) -> bool,
-        chain: bool,
     ) -> Result<usize, DecodeError> {
-        let sel_in = chain.then_some(self.sel.as_slice());
         let t = ctx.block_id();
-        let n =
-            cols[i].load_tile_select(ctx, t, pred, sel_in, &mut self.next, &mut self.vals[i])?;
+        let sel_in = Some(self.sel.as_slice());
+        let n = cols[i].load_tile_select(
+            ctx,
+            t,
+            |_| true,
+            sel_in,
+            &mut self.next,
+            &mut self.vals[i],
+        )?;
         std::mem::swap(&mut self.sel, &mut self.next);
         Ok(n)
     }
@@ -664,55 +1115,6 @@ impl TileScratch {
 
 /// Payload slot of the date dimension in [`TileScratch::pays`].
 const DATE_SLOT: usize = 3;
-
-/// Flight 1: date join + fact predicates + scalar sum of
-/// `extendedprice * discount`.
-///
-/// The predicate columns run through the fused decode→predicate path
-/// ([`QueryColumn::load_tile_select`]): each decodes straight into a
-/// selection bitmap ANDed with the previous column's bitmap, so
-/// downstream columns skip miniblocks whose lanes are already dead and
-/// no decompressed tile is ever staged back to memory. Only the
-/// discount and price values are live at the aggregate, which is what
-/// the reduced `live_columns` models.
-fn flight1_part<'a>(
-    flight: &FlightScan<'a>,
-    s: &'a QuerySpec,
-    sum: &'a mut ScalarSum,
-    failed: &'a RefCell<Option<DecodeError>>,
-) -> LaunchPart<'a> {
-    let (cols, tables) = (flight.cols, flight.tables);
-    let refs: Vec<&QueryColumn> = cols.iter().collect();
-    let cfg = fused_config("ssb_q1_fused", &refs, 2);
-    // Column positions per `QueryId::columns` for flight 1: orderdate,
-    // quantity, discount, extendedprice.
-    let [od, qt, dc, ep] = [0, 1, 2, 3];
-    // Each tile decodes, filters and probes on a worker and returns its
-    // partial sum; the serial merge adds partials to the device
-    // accumulator in tile order (the atomic-add traffic lives there).
-    tile_part(
-        cfg,
-        || TileScratch::new(cols.len()),
-        move |w, ctx| -> Result<u64, DecodeError> {
-            // quantity → discount → orderdate, each chaining the bitmap.
-            let n = w.load_select(ctx, cols, qt, within(s.qty), false)?;
-            w.load_select(ctx, cols, dc, within(s.disc), true)?;
-            w.load_select(ctx, cols, od, |_| true, true)?;
-            // Price decodes against the post-probe selection: a tile
-            // with no date hits unpacks nothing from this column.
-            w.probe(ctx, &tables.date, od, n, DATE_SLOT);
-            w.load_select(ctx, cols, ep, |_| true, true)?;
-            ctx.set_phase(Phase::Aggregate);
-            let local: u64 = live_lanes(&w.sel)
-                .map(|i| w.vals[ep][i] as u64 * w.vals[dc][i] as u64)
-                .sum();
-            ctx.add_int_ops(n as u64 * 2);
-            Ok(local)
-        },
-        move |ctx, local| sum.add_tile(ctx, std::iter::once(local)),
-        failed,
-    )
-}
 
 /// Flights 2–4: dimension joins + group-by aggregation. The column
 /// layout is `[fk…, orderdate, measures…]` per [`QueryId::columns`].
@@ -781,11 +1183,10 @@ fn join_part<'a>(
 
             // Fused decode→select for the measures: only miniblocks with
             // a surviving lane unpack, and the decompressed values never
-            // round-trip global memory. `|_| true` leaves the running
-            // bitmap as it is.
-            w.load_select(ctx, cols, rev_ix, |_| true, true)?;
+            // round-trip global memory.
+            w.load_selected(ctx, cols, rev_ix)?;
             if let Some(ci) = cost_ix {
-                w.load_select(ctx, cols, ci, |_| true, true)?;
+                w.load_selected(ctx, cols, ci)?;
             }
             ctx.set_phase(Phase::Aggregate);
             w.pairs.clear();
@@ -807,63 +1208,33 @@ fn join_part<'a>(
     )
 }
 
-/// Count and wrapping sum of a column's values, once per filter, as one
-/// part: each tile is loaded once (decoded inline when the column is
-/// compressed), every filter is evaluated and reduced on the values in
-/// registers, and the block adds its `2 × filters` partials to the
-/// device accumulators. No decoded value is written back to global
-/// memory.
-fn scalar_part<'a>(
-    scan: &ScalarScan<'a>,
-    acc: &'a mut GroupBySum,
-    failed: &'a RefCell<Option<DecodeError>>,
-) -> LaunchPart<'a> {
-    let (col, filters) = (scan.col, scan.filters);
-    let cfg = fused_select_config("scalar_filters", &[col]);
-    tile_part(
-        cfg,
-        Vec::new,
-        move |vals, ctx| -> Result<Vec<(usize, u64)>, DecodeError> {
-            let n = col.load_tile(ctx, ctx.block_id(), vals)?;
-            let vals = &vals[..n];
-            // Per filter and value: a compare (`Predicate`), then the
-            // count and the sum (`Aggregate`).
-            let ops = n as u64 * 2 * filters.len() as u64;
-            ctx.set_phase(Phase::Predicate);
-            ctx.add_int_ops(ops);
-            ctx.set_phase(Phase::Aggregate);
-            ctx.add_int_ops(ops);
-            let mut partials = Vec::with_capacity(2 * filters.len());
-            for f in filters {
-                let (count, sum) = match *f {
-                    None => (n, vals.iter().fold(0i64, |s, &v| s.wrapping_add(v as i64))),
-                    // Every kept value is `want`.
-                    Some(want) => {
-                        let count = vals.iter().filter(|&&v| v == want).count();
-                        (count, (want as i64).wrapping_mul(count as i64))
-                    }
-                };
-                let slot = partials.len();
-                partials.extend([(slot, count as u64), (slot + 1, sum as u64)]);
-            }
-            Ok(partials)
-        },
-        move |ctx, partials| acc.add_tile(ctx, &partials),
-        failed,
-    )
-}
-
 /// Count and wrapping sum of `col`'s values, once per entry of
 /// `filters` (`Some(v)`: the values equal to `v`; `None`: all of them),
 /// in **one** fused launch: the one-column, no-flight case of
-/// [`wave_scan`]. The CPU twin is [`crate::reference::fold_scalar`].
+/// [`wave_scan`], a filter part whose members all read `col`. Each tile
+/// is loaded once (decoded inline when the column is compressed) and
+/// no decoded value is written back to global memory. The CPU twin is
+/// [`crate::reference::fold_scalar`].
 pub fn scalar_filters(
     dev: &Device,
     col: &QueryColumn,
     filters: &[Option<i32>],
 ) -> Result<Vec<(u64, i64)>, DecodeError> {
-    let (mut scan, _) = wave_scan(dev, &[ScalarScan { col, filters }], &[])?;
-    Ok(scan.scalars.pop().expect("one column in, one answer out"))
+    if filters.is_empty() {
+        return Ok(Vec::new());
+    }
+    let member = |&filter| FilterMember::Scalar { column: 0, filter };
+    let members: Vec<FilterMember> = filters.iter().map(member).collect();
+    let filter = FilterScan {
+        columns: &[col],
+        members: &members,
+    };
+    let (scan, _) = wave_scan(dev, &filter, &[])?;
+    let answers = scan.filters.into_iter().map(|a| match a {
+        WaveAnswer::Scalar { count, sum } => (count, sum),
+        WaveAnswer::Groups(_) => unreachable!("a scalar member answers with a count and a sum"),
+    });
+    Ok(answers.collect())
 }
 
 /// OmniSci model: the same query logic, one materializing kernel per
@@ -1006,4 +1377,149 @@ fn run_materialized(dev: &Device, data: &SsbData, cols: &LoColumns, q: QueryId) 
     let mut out: Vec<(u64, u64)> = agg.non_zero().iter().map(|&(g, v)| (g as u64, v)).collect();
     out.sort_unstable();
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reference::run_reference;
+
+    const FLIGHT1: [QueryId; 3] = [QueryId::Q11, QueryId::Q12, QueryId::Q13];
+
+    /// The date predicates of q1.1–q1.3 as the SSB text states them,
+    /// over the dimension's attribute columns.
+    fn as_written(q: QueryId, data: &SsbData, row: usize) -> bool {
+        let d = &data.date;
+        match q {
+            QueryId::Q11 => d.year[row] == 1993,
+            QueryId::Q12 => d.yearmonthnum[row] == 199_401,
+            QueryId::Q13 => d.weeknuminyear[row] == 6 && d.year[row] == 1994,
+            _ => unreachable!("flight 1"),
+        }
+    }
+
+    #[test]
+    fn the_datekey_range_selects_the_rows_the_attribute_predicates_did() {
+        let data = SsbData::generate(0.001);
+        for q in FLIGHT1 {
+            let s = spec(q);
+            let mut selected = 0;
+            for row in 0..data.date.datekey.len() {
+                let want = as_written(q, &data, row);
+                assert_eq!(
+                    s.date_payload(&data, row),
+                    want.then_some(0),
+                    "{}",
+                    q.name()
+                );
+                let key = data.date.datekey[row];
+                assert_eq!(in_datekeys(s.datekey)(key), want, "{} {key}", q.name());
+                selected += usize::from(want);
+            }
+            let days = [365, 31, 7][FLIGHT1.iter().position(|&f| f == q).expect("listed")];
+            assert_eq!(selected, days, "{}", q.name());
+        }
+    }
+
+    #[test]
+    fn the_in_register_date_test_is_the_dense_tables_verdict_for_every_key() {
+        let data = SsbData::generate(0.001);
+        let dev = Device::v100();
+        // Every key from the day before the dimension starts to the day
+        // after it ends, days and non-days alike, and the ends of `i32`.
+        let mut keys: Vec<i32> = (19_911_231..=19_990_101).collect();
+        keys.extend([i32::MIN, -19_930_101, -1, 0, i32::MAX]);
+        for q in FLIGHT1 {
+            let s = spec(q);
+            // The table the date join probed (and OmniSci's still does).
+            let (tables, _) = wave_build(&dev, &data, &[q]).expect("clean device");
+            let date = &tables[0].date;
+            let mut hits = Vec::with_capacity(keys.len());
+            let tiles = keys.len().div_ceil(tlc_crystal::TILE);
+            dev.launch(KernelConfig::new("probe", tiles, 128), |ctx| {
+                let lo = ctx.block_id() * tlc_crystal::TILE;
+                let tile = &keys[lo..keys.len().min(lo + tlc_crystal::TILE)];
+                let (mut sel, mut pays) = (Vec::new(), vec![0; tile.len()]);
+                all_lanes(tile.len(), &mut sel);
+                date.probe(ctx, tile, &mut sel, &mut pays);
+                let mut tile_hits = vec![false; tile.len()];
+                live_lanes(&sel).for_each(|lane| tile_hits[lane] = true);
+                hits.extend(tile_hits);
+            });
+            let in_registers = in_datekeys(s.datekey);
+            for (&key, &hit) in keys.iter().zip(&hits) {
+                assert_eq!(in_registers(key), hit, "{} {key}", q.name());
+            }
+            assert!(hits.iter().any(|&hit| hit), "{}", q.name());
+        }
+        // Inside a range and no day: the range alone would pass them.
+        let q11 = in_datekeys(spec(QueryId::Q11).datekey);
+        assert!(within(spec(QueryId::Q11).datekey)(19_930_231) && !q11(19_930_231));
+        assert!(q11(19_930_228) && q11(19_930_101) && q11(19_931_231));
+        let q12 = in_datekeys(spec(QueryId::Q12).datekey);
+        assert!(!q12(19_940_100) && q12(19_940_101) && q12(19_940_131) && !q12(19_940_132));
+    }
+
+    #[test]
+    fn every_executor_agrees_on_orders_at_the_edges_of_each_range() {
+        let mut data = SsbData::generate(0.002);
+        // Orders that pass quantity and discount for their query, dated
+        // the day before, the first, the last and the day after.
+        let edges = [
+            (
+                QueryId::Q11,
+                [19_921_231, 19_930_101, 19_931_231, 19_940_101],
+                10,
+                2,
+            ),
+            (
+                QueryId::Q12,
+                [19_931_231, 19_940_101, 19_940_131, 19_940_201],
+                30,
+                5,
+            ),
+            (
+                QueryId::Q13,
+                [19_940_204, 19_940_205, 19_940_211, 19_940_212],
+                30,
+                6,
+            ),
+        ];
+        let lo = &mut data.lineorder;
+        // The rest of the table lies outside every range.
+        for date in &mut lo.orderdate {
+            *date = 19_970_704;
+        }
+        let mut row = 0;
+        let mut want = Vec::new();
+        for (q, dates, quantity, discount) in edges {
+            let mut sum = 0u64;
+            for (i, date) in dates.into_iter().enumerate() {
+                // Scattered over tiles, one edge a tile.
+                row += 700;
+                lo.orderdate[row] = date;
+                lo.quantity[row] = quantity;
+                lo.discount[row] = discount;
+                if i == 1 || i == 2 {
+                    sum += lo.extendedprice[row] as u64 * discount as u64;
+                }
+            }
+            want.push((q, sum));
+        }
+        for (q, sum) in want {
+            let reference = run_reference(&data, q);
+            assert_eq!(reference, [(0, sum)], "{}", q.name());
+            for system in [
+                System::GpuStar,
+                System::None,
+                System::NvComp,
+                System::OmniSci,
+            ] {
+                let dev = Device::v100();
+                let cols = LoColumns::build(&dev, &data, system, q.columns());
+                let got = run_query(&dev, &data, &cols, q);
+                assert_eq!(got, reference, "{} under {system:?}", q.name());
+            }
+        }
+    }
 }

@@ -42,7 +42,7 @@ pub fn run_reference(data: &SsbData, q: QueryId) -> Vec<(u64, u64)> {
     let flight1 = matches!(q, QueryId::Q11 | QueryId::Q12 | QueryId::Q13);
     for i in 0..lo.len {
         let date_row = date_by_key[&lo.orderdate[i]];
-        let Some(y) = (s.date)(data, date_row) else {
+        let Some(y) = s.date_payload(data, date_row) else {
             continue;
         };
         if flight1 {

@@ -23,8 +23,8 @@
 //! device → CPU), **once**, around the whole evaluate step. Then one
 //! fold, in partition order: each column's read split across the
 //! members that consume it, the partition's device seconds split among
-//! the parts of its launches and each scalar column's part across the
-//! scalar members it served, each member's device-time
+//! the parts of its launches and the filter part's across the members
+//! it served by the encoded bytes each reads, each member's device-time
 //! deadline checked between partitions (a cut is a typed
 //! [`StreamError::DeadlineExceeded`] carrying a [`DeadlinePartial`]),
 //! reports absorbed, partial aggregates merged.
@@ -32,15 +32,19 @@
 //! The *evaluate* step is the paper's (§Crystal integration, Fig. 11)
 //! for every member of every run: the partition's encoded columns are
 //! uploaded once and the run makes **at most two launches** on that
-//! upload (`wave_pass`). `wave_build` builds the dimension tables of
-//! every flight member, one part a table (no launch in a run without a
-//! flight); `wave_scan` runs one part per scalar column, which loads
-//! each tile once and reduces it once per scan or point filter on the
-//! column, and one part per flight member, its fused query kernel.
-//! Every part decodes its tiles inline; nothing is decompressed to a
-//! plain buffer first. What a wave shares is therefore the storage
-//! ladder, the cache load, the parse, the upload, the device ladder and
-//! the two launch overheads; a flight's tile decode is its own.
+//! upload (`wave_pass`), one when no member joins. `wave_build` builds
+//! the dimension tables of every join flight, one part a table.
+//! `wave_scan` runs one **filter part** for all the probe-free members
+//! (flight 1, whose date join is a range test in registers; point
+//! filters; scans), which reads the upload directly and decodes each
+//! (column, tile) of their union **once**, every member carrying its
+//! own selection through its own conjunction, and one part per join
+//! flight, its fused query kernel over its own copy. Every part decodes
+//! its tiles inline; nothing is decompressed to a plain buffer first.
+//! What a wave shares is therefore the storage ladder, the cache load,
+//! the parse, the upload, the device ladder, the launch overheads and,
+//! among probe-free members, the tile decodes; a join flight's decode
+//! is its own.
 //!
 //! Determinism contract: injected faults ([`StorageFaults`], and each
 //! partition's fault PRNG seed) are keyed by **partition index**, a
@@ -55,6 +59,7 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use tlc_core::{DecodeError, EncodedColumn};
+use tlc_crystal::QueryColumn;
 use tlc_gpu_sim::{Device, FaultPlan, KernelReport, StorageFaults};
 use tlc_rng::Rng;
 use tlc_store::{
@@ -65,7 +70,8 @@ use tlc_store::{
 use crate::encode::{LoColumns, StoredColumn};
 use crate::fleet::map_ordered;
 use crate::gen::{LineOrder, LoColumn, SsbData, StreamSpec};
-use crate::queries::{wave_build, wave_scan, FlightScan, QueryId, ScalarScan, ScanAnswers};
+pub use crate::queries::WaveAnswer;
+use crate::queries::{wave_build, wave_scan, FilterMember, FilterScan, FlightScan, QueryId};
 use crate::reference::{fold_scalar, run_reference};
 use crate::resilience::{device_ladder, retry_transients, ResilienceReport};
 
@@ -521,6 +527,22 @@ impl WaveSpec {
             WaveSpec::Scalar { column, .. } => std::slice::from_ref(column),
         }
     }
+
+    /// Kernel launches a partition of this query makes alone
+    /// ([`QueryId::launches`]; a scalar is one fused scan).
+    fn launches(&self) -> u64 {
+        match self {
+            WaveSpec::Flight(q) => q.launches(),
+            WaveSpec::Scalar { .. } => 1,
+        }
+    }
+
+    /// Whether the query probes no dimension table (flight 1, point
+    /// filters, scans): it makes no build launch, and in a wave it is a
+    /// member of the scan launch's one filter part.
+    fn probe_free(&self) -> bool {
+        self.launches() == 1
+    }
 }
 
 /// One member of a run: what to compute and the member's own
@@ -534,21 +556,6 @@ pub struct WaveQuery {
     pub deadline_device_s: Option<f64>,
 }
 
-/// A member's answer payload (`tlc_serve::QueryAnswer` is this type).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WaveAnswer {
-    /// Grouped aggregate rows from a flight query, merged in partition
-    /// order, zero-sum groups dropped.
-    Groups(Vec<(u64, u64)>),
-    /// Count and wrapping sum from a scan or point filter.
-    Scalar {
-        /// Values matched (scan: all values).
-        count: u64,
-        /// Wrapping sum of the matched values.
-        sum: i64,
-    },
-}
-
 /// What one wave member got: its answer (or a deadline cut with
 /// partial progress) plus its *attributed* share of the wave's cost.
 #[derive(Debug, Clone)]
@@ -560,10 +567,12 @@ pub struct WaveQueryRun {
     /// Partitions the full query covers.
     pub partitions: usize,
     /// Attributed simulated device seconds: the member's share of each
-    /// partition's launches. A flight pays its fact scan's part and its
-    /// table builds' parts, inline decode included; a scalar pays its
-    /// column's part over the live scalar members on the column. A run
-    /// of one member pays the whole of its launches.
+    /// partition's launches. A join flight pays its fact scan's part
+    /// and its table builds' parts, inline decode included; a
+    /// probe-free member (flight 1, point filter, scan) pays its share
+    /// of the filter part by the encoded bytes it reads, a column's
+    /// bytes split evenly over the live members that read it. A run of
+    /// one member pays the whole of its launches.
     pub device_s: f64,
     /// Attributed modelled storage-read seconds (same share rule).
     pub io_s: f64,
@@ -586,13 +595,15 @@ pub struct WaveQueryRun {
 pub struct WaveRun {
     /// Per-member outcomes, in input order.
     pub queries: Vec<WaveQueryRun>,
-    /// `(partition, column)` scalar parts that served ≥ 2 live
-    /// members: tile decodes that solo execution would have repeated.
-    /// Flights add nothing here; each decodes inline in its own part.
+    /// `(partition, column)` tile decodes of the filter part that
+    /// served ≥ 2 live members (flight 1s, point filters, scans): decodes
+    /// that solo execution would have repeated. Join flights add nothing
+    /// here; each decodes inline in its own part.
     pub shared_decodes: u64,
     /// The kernel launches the wave avoided versus solo execution: per
-    /// partition, two for every live flight (build, scan) and one for
-    /// every live scalar, less the one or two the partition made.
+    /// partition, what every live member launches alone
+    /// ([`QueryId::launches`]: two for a join flight, one for a flight 1
+    /// or a scalar), less the one or two the partition made.
     pub launches_saved: u64,
     /// Host workers used for the raw partition pass.
     pub workers: usize,
@@ -626,11 +637,15 @@ pub fn run_wave_streamed(
 struct PartRaw {
     /// Per listed column, in list order: modelled read seconds.
     io_s: Vec<f64>,
+    /// Per listed column: its encoded bytes, the weights by which the
+    /// fold splits the filter part among its members.
+    bytes: Vec<u64>,
     /// Per member, in input order: this partition's piece of its
     /// answer, and the device seconds of the parts that served it. A
-    /// flight's are its own (its fact scan and its table builds); a
-    /// scalar's are its column's part, which the fold splits over the
-    /// scalar members of the column. All zero on the forced-CPU route.
+    /// join flight's are its own (its fact scan and its table builds);
+    /// a probe-free member's are the filter part's, which the fold
+    /// splits over the part's live members. All zero on the forced-CPU
+    /// route.
     members: Vec<(WaveAnswer, f64)>,
     /// Storage-ladder, device-ladder and injected-fault tallies —
     /// absorbed into every member live at this partition.
@@ -671,15 +686,18 @@ fn largest_working_set(
 /// Fold rule: at each partition, a column's modelled read time is split
 /// evenly across the members **live at partition entry** that consume
 /// it. The partition's device seconds are split among the parts of its
-/// two launches by what each part costs alone ([`wave_pass`]): a flight
-/// pays its fact scan and its table builds, and a scalar column's part
-/// is split evenly across the live scalar members of the column. The
-/// parts are the run's composition, live or not, so a cut member's
-/// share is paid by no one. A member's deadline is checked against its
-/// cumulative attributed device time, so cuts are a pure function of
-/// the run's composition and the data. A member cut at a partition
-/// still counted as a consumer there — shares never reprice
-/// retroactively — and stops counting from the next one.
+/// launches by what each part costs alone ([`wave_pass`]): a join
+/// flight pays its fact scan and its table builds, and the filter part
+/// is split over its live members by the encoded bytes each reads, a
+/// column's bytes divided evenly among the live members that read it
+/// (the rule the reads follow). A member alone in the part pays all of
+/// it; a point filter beside a flight 1 does not pay for
+/// `lo_orderdate`. The parts are the run's composition, live or not,
+/// so a cut join flight's share is paid by no one. A member's deadline
+/// is checked against its cumulative attributed device time, so cuts
+/// are a pure function of the run's composition and the data. A member
+/// cut at a partition still counted as a consumer there — shares never
+/// reprice retroactively — and stops counting from the next one.
 fn run_members(
     store: &SsbStore,
     members: &[WaveQuery],
@@ -739,17 +757,16 @@ fn run_members(
     let mut groups: Vec<BTreeMap<u64, u64>> = vec![BTreeMap::new(); members.len()];
     let mut shared_decodes = 0u64;
     let mut launches_saved = 0u64;
-    // Launches per partition and per member alone: a scan, and a build
-    // before it where there is a flight.
-    let launches = |flight: bool| 1 + u64::from(flight);
-    let is_flight = |m: &WaveQuery| matches!(m.spec, WaveSpec::Flight(_));
-    let made = launches(members.iter().any(is_flight));
+    // Launches a partition of the run makes: the scan, and a build
+    // before it where a member joins.
+    let made = members.iter().map(|m| m.spec.launches()).max().unwrap_or(1);
+    let order = Composition::of(members, columns);
     let any_live = |runs: &[WaveQueryRun]| runs.iter().any(|r| r.outcome.is_ok());
     let mut next = 0usize;
     while next < n && any_live(&runs) {
         let hi = (next + chunk).min(n);
         let raws = map_ordered(next..hi, workers, |p| {
-            run_partition(store, dims, p, members, columns, opts)
+            run_partition(store, dims, p, members, columns, &order, made, opts)
         });
         for (p, raw) in (next..hi).zip(raws) {
             if !any_live(&runs) {
@@ -757,19 +774,24 @@ fn run_members(
             }
             let raw = raw?;
             // Per listed column, among members live at entry: everyone
-            // who consumes it, and the scalar members its part served.
+            // who consumes it, and the members of the filter part,
+            // which decoded it once for all of them.
             let mut consumers = vec![0u64; columns.len()];
             let mut served = vec![0u64; columns.len()];
             let mut solo = 0u64;
             for ((run, cols), m) in runs.iter().zip(&member_cols).zip(members) {
                 if run.outcome.is_ok() {
                     cols.iter().for_each(|&ci| consumers[ci] += 1);
-                    if !is_flight(m) {
-                        served[cols[0]] += 1;
+                    if m.spec.probe_free() {
+                        cols.iter().for_each(|&ci| served[ci] += 1);
                     }
-                    solo += launches(is_flight(m));
+                    solo += m.spec.launches();
                 }
             }
+            // What the filter part read for its live members. The sum
+            // is an integer, so it does not follow the members' order.
+            let served_bytes = (0..columns.len()).filter(|&ci| served[ci] > 0);
+            let served_bytes: u64 = served_bytes.map(|ci| raw.bytes[ci]).sum();
             if !raw.forced_cpu {
                 shared_decodes += served.iter().filter(|&&k| k >= 2).count() as u64;
                 launches_saved += solo.saturating_sub(made);
@@ -784,9 +806,14 @@ fn run_members(
                     continue;
                 };
                 let (piece, seconds) = &raw.members[qi];
-                let attributed_dev = match members[qi].spec {
-                    WaveSpec::Flight(_) => *seconds,
-                    WaveSpec::Scalar { .. } => seconds / served[member_cols[qi][0]] as f64,
+                let attributed_dev = if members[qi].spec.probe_free() {
+                    let mut mine = 0.0f64;
+                    for &ci in &member_cols[qi] {
+                        mine += raw.bytes[ci] as f64 / served[ci] as f64;
+                    }
+                    seconds * (mine / served_bytes as f64)
+                } else {
+                    *seconds
                 };
                 let mut attributed_io = 0.0f64;
                 for &ci in &member_cols[qi] {
@@ -854,15 +881,22 @@ fn run_members(
 /// One partition of a run: the forced-CPU route, injected storage
 /// faults, the storage ladder over `columns`, then the evaluate step
 /// on a partition-private (possibly fault-armed) device.
+#[allow(clippy::too_many_arguments)]
 fn run_partition(
     store: &SsbStore,
     dims: &SsbData,
     p: usize,
     members: &[WaveQuery],
     columns: &[LoColumn],
+    order: &Composition,
+    launches: u64,
     opts: &StreamOptions,
 ) -> Result<PartRaw, StoreError> {
     let mut report = ResilienceReport::default();
+    let bytes: Vec<u64> = columns
+        .iter()
+        .map(|c| file_bytes(store, p, c.name()))
+        .collect();
     // The CPU rung of every ladder: the partition's rows, regenerated.
     let regenerated = || {
         let mut part_data = dims.clone();
@@ -890,6 +924,7 @@ fn run_partition(
             .collect();
         return Ok(PartRaw {
             io_s: vec![0.0; columns.len()],
+            bytes,
             members,
             report,
             recovered: false,
@@ -948,62 +983,40 @@ fn run_partition(
     // upload of the encoded columns. The host copies are clean (loaded
     // and digest-verified, or regenerated), so a failover uploads them
     // again to a fresh device.
-    let dev = partition_device(opts.plan.as_ref(), p);
+    let dev = partition_device(opts.plan.as_ref(), p, launches);
     let upload = |d: &Device| LoColumns::from_encoded(d, cols.iter().map(|(c, e, _)| (*c, &**e)));
-    // The wave at this partition, in an order of its own: per listed
-    // column with scalar members, their filters; then the flight
-    // members in `QueryId::ALL` order. The parts of a launch, and with
-    // them the float sums behind every share, must not follow the order
-    // the wave lists its members in.
-    let scalars: Vec<(LoColumn, Vec<Option<i32>>)> = columns
-        .iter()
-        .map(|&c| {
-            let on_column = members.iter().filter_map(move |m| match m.spec {
-                WaveSpec::Scalar { column, filter } if column == c => Some(filter),
-                _ => None,
-            });
-            (c, on_column.collect::<Vec<_>>())
-        })
-        .filter(|(_, filters)| !filters.is_empty())
-        .collect();
-    let flights: Vec<QueryId> = QueryId::ALL
-        .into_iter()
-        .flat_map(|q| {
-            let flying = members
-                .iter()
-                .filter(move |m| m.spec == WaveSpec::Flight(q));
-            flying.map(move |_| q)
-        })
-        .collect();
+    let (filter, flights) = (&order.filter, &order.flights);
     let (pass, seconds, ladder_recovered) = device_ladder(
         &dev,
         &upload(&dev),
         upload,
         |d, lo, report| {
             retry_transients(report, || {
-                wave_pass(d, dims, lo, &scalars, &flights, opts.scale)
+                wave_pass(d, dims, lo, &order.read, filter, flights, opts.scale)
             })
         },
         // The CPU rung folds the clean host copies and flies the
         // regenerated rows; it launched nothing, so the seconds the
         // rungs above it spent split evenly.
         || {
+            let flies = |m: &WaveQuery| matches!(m.spec, WaveSpec::Flight(_));
+            let rows = members.iter().any(flies).then(regenerated);
+            let fly = |q| run_reference(rows.as_ref().expect("regenerated for the flights"), q);
             let host = |c: LoColumn| &cols.iter().find(|l| l.0 == c).expect("a listed column").1;
-            let folded = scalars.iter().map(|(c, filters)| {
-                let values = host(*c).decode_cpu();
-                filters.iter().map(|f| fold_scalar(&values, *f)).collect()
+            let mut decoded: Vec<Option<Vec<i32>>> = vec![None; order.read.len()];
+            let filters = filter.iter().map(|m| match *m {
+                FilterMember::Flight1 { q, .. } => WaveAnswer::Groups(fly(q)),
+                FilterMember::Scalar { column, filter } => {
+                    let values = decoded[column]
+                        .get_or_insert_with(|| host(order.read[column]).decode_cpu());
+                    scalar_answer(fold_scalar(values, filter))
+                }
             });
-            let rows = (!flights.is_empty()).then(regenerated);
-            let rows = rows.as_ref();
-            let flown = flights
-                .iter()
-                .map(|&q| run_reference(rows.expect("regenerated for the flights"), q));
-            let owners = scalars.len() + flights.len();
+            let filters: Vec<WaveAnswer> = filters.collect();
+            let owners = usize::from(!filters.is_empty()) + flights.len();
             WavePass {
-                answers: ScanAnswers {
-                    scalars: folded.collect(),
-                    flights: flown.collect(),
-                },
+                filters,
+                flights: flights.iter().map(|&q| fly(q)).collect(),
                 shares: vec![1.0 / owners as f64; owners],
             }
         },
@@ -1011,34 +1024,25 @@ fn run_partition(
         &mut report,
     );
     report.absorb_device(&dev);
-    // Hand each member its piece, with the seconds of its owner: a
-    // scalar the next answer on its column, a flight the groups of a
-    // part that flew its query (two members with one query get equal
-    // parts, so either).
-    let answers = pass.answers.scalars.into_iter().map(Vec::into_iter);
-    let mut by_column: Vec<_> = scalars.iter().map(|(c, _)| *c).zip(answers).collect();
-    let mut by_flight: Vec<_> = pass.answers.flights.into_iter().map(Some).collect();
-    let members = members
-        .iter()
-        .map(|m| match m.spec {
-            WaveSpec::Flight(q) => {
-                let flew = |k: &usize| flights[*k] == q && by_flight[*k].is_some();
-                let k = (0..flights.len()).find(flew);
-                let k = k.expect("a part flew every flight member");
-                let groups = by_flight[k].take().expect("not handed out yet");
-                let owner = scalars.len() + k;
-                (WaveAnswer::Groups(groups), seconds * pass.shares[owner])
-            }
-            WaveSpec::Scalar { column, .. } => {
-                let owner = by_column.iter().position(|(c, _)| *c == column);
-                let owner = owner.expect("a part served every scalar member");
-                let answer = by_column[owner].1.next().expect("one answer per member");
-                (scalar_answer(answer), seconds * pass.shares[owner])
-            }
-        })
+    // Hand each member its piece, with the seconds of its owner: the
+    // filter part for a probe-free member, its own parts for a join
+    // flight.
+    let mut handed: Vec<Option<(WaveAnswer, f64)>> = vec![None; members.len()];
+    let filter_owner = usize::from(!filter.is_empty());
+    for (&i, answer) in order.filter_of.iter().zip(pass.filters) {
+        handed[i] = Some((answer, seconds * pass.shares[0]));
+    }
+    for (k, (&i, groups)) in order.flight_of.iter().zip(pass.flights).enumerate() {
+        let share = pass.shares[filter_owner + k];
+        handed[i] = Some((WaveAnswer::Groups(groups), seconds * share));
+    }
+    let members = handed
+        .into_iter()
+        .map(|piece| piece.expect("every member is in the filter part or flies"))
         .collect();
     Ok(PartRaw {
         io_s: cols.iter().map(|(_, _, io_s)| *io_s).collect(),
+        bytes,
         members,
         report,
         recovered: damaged || ladder_recovered,
@@ -1047,30 +1051,99 @@ fn run_partition(
     })
 }
 
+/// The run's members in the order its launches take them, which must
+/// not follow the order the run lists them in: the parts of a launch,
+/// and with them the float sums behind every share, are the same for
+/// any listing of one composition.
+struct Composition {
+    /// The listed columns some probe-free member reads, in list order:
+    /// the filter part's columns.
+    read: Vec<LoColumn>,
+    /// The filter part's members: the flight-1 members in
+    /// [`QueryId::ALL`] order, then the scalars by listed column.
+    /// Column positions index `read`.
+    filter: Vec<FilterMember>,
+    /// Per member of `filter`, its index in the run's list.
+    filter_of: Vec<usize>,
+    /// The join flights in [`QueryId::ALL`] order.
+    flights: Vec<QueryId>,
+    /// Per flight of `flights`, its index in the run's list.
+    flight_of: Vec<usize>,
+}
+
+impl Composition {
+    fn of(members: &[WaveQuery], columns: &[LoColumn]) -> Self {
+        let probe_free = |m: &&WaveQuery| m.spec.probe_free();
+        let read: Vec<LoColumn> = columns
+            .iter()
+            .copied()
+            .filter(|c| {
+                let mut readers = members.iter().filter(probe_free);
+                readers.any(|m| m.spec.columns().contains(c))
+            })
+            .collect();
+        let at = |c: &LoColumn| read.iter().position(|r| r == c).expect("a read column");
+        let flying = QueryId::ALL.into_iter().flat_map(|q| {
+            let members = members.iter().enumerate();
+            members.filter_map(move |(i, m)| (m.spec == WaveSpec::Flight(q)).then_some((i, q)))
+        });
+        let (flight1, flights): (Vec<_>, Vec<_>) = flying.partition(|(_, q)| q.launches() == 1);
+        let flight1 = flight1.into_iter().map(|(i, q)| {
+            let [od, qt, dc, ep] = [0, 1, 2, 3].map(|k| at(&q.columns()[k]));
+            let columns = [od, qt, dc, ep];
+            (i, FilterMember::Flight1 { q, columns })
+        });
+        let scalars = read.iter().enumerate().flat_map(|(column, c)| {
+            let members = members.iter().enumerate();
+            members.filter_map(move |(i, m)| match m.spec {
+                WaveSpec::Scalar { column: on, filter } if on == *c => {
+                    Some((i, FilterMember::Scalar { column, filter }))
+                }
+                _ => None,
+            })
+        });
+        let (filter_of, filter) = flight1.chain(scalars).unzip();
+        let (flight_of, flights) = flights.into_iter().unzip();
+        Composition {
+            filter,
+            filter_of,
+            flights,
+            flight_of,
+            read,
+        }
+    }
+}
+
 /// What one pass over a partition's upload answered, and how its
-/// device seconds split among its owners: the scalar columns in list
-/// order, then the flights in member order.
+/// device seconds split among its owners: the filter part (when the
+/// run has a probe-free member), then the join flights.
 struct WavePass {
-    answers: ScanAnswers,
+    /// Per member of the filter part, in the part's order.
+    filters: Vec<WaveAnswer>,
+    /// Per join flight: its groups.
+    flights: Vec<Vec<(u64, u64)>>,
     /// Per owner, its fraction of the pass's seconds; they sum to 1.
     shares: Vec<f64>,
 }
 
 /// The evaluate step of one partition: at most two launches on `dev`
 /// over the upload `lo`. [`wave_build`] builds the dimension tables of
-/// every flight (no launch without one) and [`wave_scan`] runs one part
-/// per scalar column and one per flight, each decoding inline.
+/// every join flight (no launch without one) and [`wave_scan`] runs the
+/// filter part, which reads the columns `read` straight from the upload
+/// and decodes each once a tile for all of `filter`, and one part per
+/// join flight, each decoding its own copy inline.
 ///
 /// Shares: a launch's seconds `T` split among its parts by what the
 /// model charges each part alone, `T × sᵢ / Σs`
-/// ([`KernelReport::share`]); an owner's parts are its column's scan, or
+/// ([`KernelReport::share`]); an owner's parts are the filter part, or
 /// its flight's scan and table builds. An owner of every part pays
 /// exactly 1: a one-member run is priced as its launches are.
 fn wave_pass(
     dev: &Device,
     dims: &SsbData,
     lo: &LoColumns,
-    scalars: &[(LoColumn, Vec<Option<i32>>)],
+    read: &[LoColumn],
+    filter: &[FilterMember],
     flights: &[QueryId],
     scale: f64,
 ) -> Result<WavePass, DecodeError> {
@@ -1079,31 +1152,34 @@ fn wave_pass(
         .map(|q| lo.prepare(dev, q.columns()))
         .collect();
     let (tables, build) = wave_build(dev, dims, flights)?;
-    let scalar_scans: Vec<ScalarScan<'_>> = scalars
+    let columns: Vec<&QueryColumn> = read
         .iter()
-        .map(|(c, filters)| {
-            let StoredColumn::Star(col) = lo.stored(*c) else {
-                unreachable!("`from_encoded` stores GPU-* columns")
-            };
-            ScalarScan { col, filters }
+        .map(|c| match lo.stored(*c) {
+            StoredColumn::Star(col) => col,
+            _ => unreachable!("`from_encoded` stores GPU-* columns"),
         })
         .collect();
+    let filter_scan = FilterScan {
+        columns: &columns,
+        members: filter,
+    };
     let flight_scans: Vec<FlightScan<'_>> = flights
         .iter()
         .zip(prepared.iter().zip(&tables))
         .map(|(&q, (cols, tables))| FlightScan { q, cols, tables })
         .collect();
-    let (answers, scan) = wave_scan(dev, &scalar_scans, &flight_scans)?;
+    let (answers, scan) = wave_scan(dev, &filter_scan, &flight_scans)?;
 
     let launch_s = dev.params().kernel_launch_s;
     let scaled = |launch: &KernelReport| launch.scaled_seconds(scale, launch_s);
-    let mut owed = vec![0.0f64; scalars.len() + flights.len()];
+    let filter_owner = usize::from(!filter.is_empty());
+    let mut owed = vec![0.0f64; filter_owner + flights.len()];
     let mut total = 0.0f64;
     if let Some(build) = &build {
         let seconds = scaled(build);
         total += seconds;
         let mut first = 0;
-        for (owed, tables) in owed[scalars.len()..].iter_mut().zip(&tables) {
+        for (owed, tables) in owed[filter_owner..].iter_mut().zip(&tables) {
             let parts = first..first + tables.built();
             first = parts.end;
             *owed += seconds * build.share(parts);
@@ -1115,7 +1191,8 @@ fn wave_pass(
         *owed += seconds * scan.share(part..part + 1);
     }
     Ok(WavePass {
-        answers,
+        filters: answers.filters,
+        flights: answers.flights,
         shares: owed.into_iter().map(|owed| owed / total).collect(),
     })
 }
@@ -1158,16 +1235,18 @@ fn apply_storage_faults(
 /// A partition-private device, armed from the run's fault plan: the
 /// fault PRNG is keyed by the partition index (not the worker), and
 /// the kill is armed only when this partition is the campaign's
-/// victim.
-fn partition_device(plan: Option<&FaultPlan>, p: usize) -> Device {
+/// victim. `launches` is what a partition of the run makes.
+fn partition_device(plan: Option<&FaultPlan>, p: usize, launches: u64) -> Device {
     let dev = Device::v100();
     if let Some(plan) = plan {
         let armed = FaultPlan {
             seed: plan.seed ^ (p as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            // Die after the first launch: with a flight in the run the
-            // dimension build lands, then the fact scan is lost
-            // mid-query. A run of scalars launches once and outlives it.
-            kill_after_launches: (plan.storage.kill_shard_at_partition == Some(p)).then_some(1),
+            // Die at the run's last launch: with a join flight in the
+            // run the dimension build lands, then the fact scan is
+            // lost mid-query; without one the scan is all there is to
+            // lose.
+            kill_after_launches: (plan.storage.kill_shard_at_partition == Some(p))
+                .then_some(launches as usize - 1),
             storage: StorageFaults::default(),
             ..plan.clone()
         };
@@ -1363,14 +1442,15 @@ mod tests {
             wave.queries[3].outcome.as_ref().unwrap(),
             &scalar_reference(&store, LoColumn::Discount, Some(4))
         );
-        // No two scalars scan one column, so no tile decode is shared;
-        // what is shared is the launch. Alone the two flights launch
-        // twice a partition and the two scalars once, six launches
-        // where the wave makes two. Every member decodes inline exactly
-        // as a wave of itself does, so its answer is the same, and it
-        // pays less device time: its share of two launch overheads.
+        // All four members probe nothing, so the wave is one launch of
+        // one filter part a partition, where alone each member launches
+        // once: three launches saved. The part decodes each of the two
+        // flights' four columns once for both of them (quantity and
+        // discount for a scalar too): four shared decodes. Every
+        // member's answer is what a wave of itself gives, and it pays
+        // less device time: its share of one launch.
         let n = spec.chunks as u64;
-        assert_eq!((wave.shared_decodes, wave.launches_saved), (0, 4 * n));
+        assert_eq!((wave.shared_decodes, wave.launches_saved), (4 * n, 3 * n));
         for (i, q) in mixed_wave().into_iter().enumerate() {
             let solo = run_wave_streamed(&store, &[q], &opts).expect("solo wave");
             assert_eq!(
@@ -1385,8 +1465,9 @@ mod tests {
             );
             assert!(wave.queries[i].io_s <= solo.queries[0].io_s, "member {i}");
         }
-        // A second scalar on Discount shares member 3's part in every
-        // partition, and both pay less for it than either would alone.
+        // A second scalar on Discount reads what member 3 reads in every
+        // partition, so the two pay the same, and less than member 3
+        // did without it.
         let mut shared = mixed_wave();
         shared.push(WaveQuery {
             spec: WaveSpec::Scalar {
@@ -1396,7 +1477,7 @@ mod tests {
             deadline_device_s: None,
         });
         let both = run_wave_streamed(&store, &shared, &opts).expect("wave");
-        assert_eq!((both.shared_decodes, both.launches_saved), (n, 5 * n));
+        assert_eq!((both.shared_decodes, both.launches_saved), (4 * n, 4 * n));
         assert_eq!(
             both.queries[3].outcome.as_ref().unwrap(),
             wave.queries[3].outcome.as_ref().unwrap()
@@ -1592,6 +1673,28 @@ mod tests {
             }
             let flown = under(&flight, plan);
             assert_eq!(rungs(&flown.queries[0].report), want);
+        }
+        // A kill takes the device at the run's last launch: a run that
+        // builds nothing loses its scan, a join flight its scan after
+        // the build has landed. Either way one device, one failover.
+        let killed = FaultPlan {
+            storage: StorageFaults {
+                kill_shard_at_partition: Some(1),
+                ..StorageFaults::default()
+            },
+            ..FaultPlan::seeded(5)
+        };
+        let join = [WaveQuery {
+            spec: WaveSpec::Flight(QueryId::Q21),
+            deadline_device_s: None,
+        }];
+        for run in [&scalars[..], &flight, &join] {
+            let drilled = under(run, killed.clone());
+            for d in &drilled.queries {
+                assert_eq!(d.report.devices_lost, 1);
+                assert_eq!(rungs(&d.report), [0, 0, 0, 1, 0]);
+                assert_eq!(d.recovered_partitions, [1]);
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

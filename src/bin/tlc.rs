@@ -691,16 +691,17 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
     for &seed in &seeds {
         for (qi, &q) in queries.iter().enumerate() {
             // Every shard sees bit flips and transient launch failures;
-            // one of the four devices dies mid-query: a query is two
-            // launches, so it dies after the first (the tables are
-            // built, the fact scan is lost).
+            // one of the four devices dies at the query's last launch:
+            // a join flight's tables are built and its fact scan is
+            // lost; flight 1 builds nothing and loses its scan.
             let killed = (seed as usize) % SHARDS;
+            let last_launch = q.launches() as usize - 1;
             let plans: Vec<Option<FaultPlan>> = (0..SHARDS)
                 .map(|s| {
                     Some(FaultPlan {
                         bitflip_rate: 5e-4,
                         transient_launch_rate: 0.02,
-                        kill_after_launches: (s == killed).then_some(1),
+                        kill_after_launches: (s == killed).then_some(last_launch),
                         ..FaultPlan::seeded(seed ^ (s as u64) << 32)
                     })
                 })

@@ -129,9 +129,9 @@ fn minor0_byte_flips_uphold_the_panic_free_contract() {
 }
 
 /// The acceptance campaign: bit flips on every shard, transient launch
-/// failures, one of four devices killed after its first launch (a
-/// query is two: the tables are built, the fact scan is lost), seeds
-/// 0..8. The recovered result must equal the fault-free result and the
+/// failures, one of four devices killed at the query's last launch (a
+/// join flight's tables are built and its fact scan is lost; flight 1
+/// builds nothing and loses its scan), seeds 0..8. The recovered result must equal the fault-free result and the
 /// report must account for the injected faults.
 #[test]
 fn sharded_campaign_recovers_to_fault_free_results() {
@@ -146,12 +146,13 @@ fn sharded_campaign_recovers_to_fault_free_results() {
     for seed in 0..8u64 {
         let killed = (seed as usize) % SHARDS;
         for (qi, &q) in queries.iter().enumerate() {
+            let last_launch = q.launches() as usize - 1;
             let plans: Vec<Option<FaultPlan>> = (0..SHARDS)
                 .map(|s| {
                     Some(FaultPlan {
                         bitflip_rate: 5e-4,
                         transient_launch_rate: 0.02,
-                        kill_after_launches: (s == killed).then_some(1),
+                        kill_after_launches: (s == killed).then_some(last_launch),
                         ..FaultPlan::seeded(seed ^ (s as u64) << 32)
                     })
                 })

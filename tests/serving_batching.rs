@@ -4,8 +4,8 @@
 //! The traffic is built so every wave exercises the interesting paths
 //! at once: an in-wave duplicate pair (dedup fan-out), a scan and a
 //! point filter over one of the flight's columns (one shared load, and
-//! one launch that answers both scalars), a deadline that expires mid-wave (one member cut while the rest
-//! complete), and — in chaos mode — kill-shard fault plans on the
+//! one decode of each tile that answers all three), a deadline that
+//! expires mid-wave (one member cut while the rest complete), and — in chaos mode — kill-shard fault plans on the
 //! flights (plan-carrying requests must leave the wave and run solo).
 //! The contract:
 //!
@@ -118,7 +118,7 @@ fn run_traffic(tag: &str, window: usize, chaos: bool) -> Vec<(u64, String)> {
     assert!(m.deadline_exceeded > 0, "mix must cut a deadline mid-wave");
     if window >= 2 && !chaos {
         // Clean waves hold the scan and the point filter on one
-        // column, so a launch must actually have been shared.
+        // column, so a decode must actually have been shared.
         assert!(m.batched_queries > 0, "{m:?}");
         assert!(m.shared_decodes > 0, "{m:?}");
     }

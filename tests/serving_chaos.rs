@@ -198,9 +198,9 @@ fn deduplicated_wave_answers_every_ticket_with_balanced_books() {
     assert_eq!(m.completed, queries.len() as u64);
     assert_eq!(m.latency.count, queries.len());
     // Every ticket rode a shared wave (3 distinct queries), and one
-    // launch per partition answered the scan and the point filter over
-    // `quantity` (Q11 reads it too, but decodes inline in its own
-    // kernel and shares only the load).
+    // decode of each `quantity` tile answered the scan, the point
+    // filter and Q11, which reads it too: all three are members of the
+    // wave's one filter part.
     assert_eq!(m.batched_queries, queries.len() as u64);
     assert!(m.shared_decodes > 0, "{m:?}");
     assert!(m.launches_saved > 0, "{m:?}");
