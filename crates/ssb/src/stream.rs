@@ -757,16 +757,13 @@ fn run_members(
     let mut groups: Vec<BTreeMap<u64, u64>> = vec![BTreeMap::new(); members.len()];
     let mut shared_decodes = 0u64;
     let mut launches_saved = 0u64;
-    // Launches a partition of the run makes: the scan, and a build
-    // before it where a member joins.
-    let made = members.iter().map(|m| m.spec.launches()).max().unwrap_or(1);
     let order = Composition::of(members, columns);
     let any_live = |runs: &[WaveQueryRun]| runs.iter().any(|r| r.outcome.is_ok());
     let mut next = 0usize;
     while next < n && any_live(&runs) {
         let hi = (next + chunk).min(n);
         let raws = map_ordered(next..hi, workers, |p| {
-            run_partition(store, dims, p, members, columns, &order, made, opts)
+            run_partition(store, dims, p, members, columns, &order, opts)
         });
         for (p, raw) in (next..hi).zip(raws) {
             if !any_live(&runs) {
@@ -794,7 +791,7 @@ fn run_members(
             let served_bytes: u64 = served_bytes.map(|ci| raw.bytes[ci]).sum();
             if !raw.forced_cpu {
                 shared_decodes += served.iter().filter(|&&k| k >= 2).count() as u64;
-                launches_saved += solo.saturating_sub(made);
+                launches_saved += solo.saturating_sub(order.launches);
                 if let Some(cache) = opts.cache.as_ref().filter(|_| raw.from_cache) {
                     for &k in consumers.iter().filter(|&&k| k >= 2) {
                         cache.note_shared_readers(k - 1);
@@ -881,7 +878,6 @@ fn run_members(
 /// One partition of a run: the forced-CPU route, injected storage
 /// faults, the storage ladder over `columns`, then the evaluate step
 /// on a partition-private (possibly fault-armed) device.
-#[allow(clippy::too_many_arguments)]
 fn run_partition(
     store: &SsbStore,
     dims: &SsbData,
@@ -889,7 +885,6 @@ fn run_partition(
     members: &[WaveQuery],
     columns: &[LoColumn],
     order: &Composition,
-    launches: u64,
     opts: &StreamOptions,
 ) -> Result<PartRaw, StoreError> {
     let mut report = ResilienceReport::default();
@@ -983,7 +978,7 @@ fn run_partition(
     // upload of the encoded columns. The host copies are clean (loaded
     // and digest-verified, or regenerated), so a failover uploads them
     // again to a fresh device.
-    let dev = partition_device(opts.plan.as_ref(), p, launches);
+    let dev = partition_device(opts.plan.as_ref(), p, order.launches);
     let upload = |d: &Device| LoColumns::from_encoded(d, cols.iter().map(|(c, e, _)| (*c, &**e)));
     let (filter, flights) = (&order.filter, &order.flights);
     let (pass, seconds, ladder_recovered) = device_ladder(
@@ -1069,6 +1064,9 @@ struct Composition {
     flights: Vec<QueryId>,
     /// Per flight of `flights`, its index in the run's list.
     flight_of: Vec<usize>,
+    /// Launches a partition of the run makes: the scan, and a build
+    /// before it where a member joins.
+    launches: u64,
 }
 
 impl Composition {
@@ -1110,6 +1108,7 @@ impl Composition {
             flights,
             flight_of,
             read,
+            launches: members.iter().map(|m| m.spec.launches()).max().unwrap_or(1),
         }
     }
 }

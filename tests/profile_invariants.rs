@@ -383,9 +383,6 @@ fn the_filter_part_reads_each_column_tile_once_for_all_its_members() {
             let one = [(*c, filters.clone())];
             let alone = fly(&dev, &data, &cols, &one, &[]).expect("clean");
             assert_eq!(alone.scalars[0], flown.scalars[i], "{c:?}");
-            let StoredColumn::Star(QueryColumn::Encoded(_)) = cols.stored(*c) else {
-                unreachable!("GPU-* storage")
-            };
             let decoded = data.lineorder.column(*c);
             let want: Vec<(u64, i64)> = filters.iter().map(|f| fold_scalar(decoded, *f)).collect();
             assert_eq!(alone.scalars[0], want, "{c:?}");
