@@ -36,7 +36,7 @@ use tlc_crystal::exec::{filter_config, fused_config, materialize};
 use tlc_crystal::{DenseTable, GroupBySum, QueryColumn};
 use tlc_gpu_sim::{
     all_lanes, live_lanes, BlockCtx, Device, GlobalBuffer, KernelConfig, KernelReport, LaunchPart,
-    Phase,
+    Phase, WARP_SIZE,
 };
 
 use crate::encode::LoColumns;
@@ -169,7 +169,8 @@ pub(crate) struct QuerySpec {
     /// The inclusive `d_datekey` range a row's order date must fall
     /// in. It is the whole of flight 1's date predicate, so flight 1
     /// joins nothing: the fused kernel tests `lo_orderdate` against it
-    /// in registers ([`in_datekeys`]), as Crystal's q1.x kernels do.
+    /// in registers (with `clear_non_days`), as Crystal's q1.x kernels
+    /// do.
     pub datekey: (i32, i32),
     /// Group count of the dense aggregate.
     pub groups: usize,
@@ -186,14 +187,25 @@ pub(crate) fn within((lo, hi): (i32, i32)) -> impl Fn(i32) -> bool + Copy {
     move |v| lo <= v && v <= hi
 }
 
-/// The date join of a `datekey` range, in registers: `v` is in the
-/// range **and** is a `yyyymmdd` calendar day. A key inside the range
-/// that is no day (19930231) has no row in the date dimension, so the
-/// dense table misses it; with the calendar test the range gives the
-/// join's verdict for every `i32`, not only for keys the generator
-/// emits. The range is tested first: few rows reach the calendar.
-pub(crate) fn in_datekeys(range: (i32, i32)) -> impl Fn(i32) -> bool + Copy {
-    move |v| within(range)(v) && is_calendar_day(v)
+/// The calendar half of a date join in registers: clear from `sel`
+/// the lanes whose value in `vals` is no `yyyymmdd` calendar day. A key
+/// inside a `datekey` range that is no day (19930231) has no row in the
+/// date dimension, so the dense table misses it; `within(range)` fused
+/// into the load and then this give the join's verdict for every
+/// `i32`, not only for keys the generator emits. It runs on the lanes
+/// the range left, which are few, so the range test stays a plain
+/// compare the load's ballot loop vectorises.
+fn clear_non_days(sel: &mut [u32], vals: &[i32]) {
+    for (word, lanes) in sel.iter_mut().zip(vals.chunks(WARP_SIZE)) {
+        let mut live = *word;
+        while live != 0 {
+            let lane = live.trailing_zeros();
+            live &= live - 1;
+            if !is_calendar_day(lanes[lane as usize]) {
+                *word &= !(1 << lane);
+            }
+        }
+    }
 }
 
 impl QuerySpec {
@@ -716,19 +728,8 @@ struct Conjunct {
     col: usize,
     range: (i32, i32),
     /// The range is a date join: a passing value is also a calendar
-    /// day ([`in_datekeys`]).
+    /// day ([`clear_non_days`]).
     day: bool,
-}
-
-impl Conjunct {
-    /// The conjunct as the predicate the fused loads evaluate.
-    fn passes(self) -> impl Fn(i32) -> bool + Copy {
-        let Conjunct { range, day, .. } = self;
-        move |v| match day {
-            true => in_datekeys(range)(v),
-            false => within(range)(v),
-        }
-    }
 }
 
 /// What a member sums over its surviving lanes.
@@ -914,7 +915,7 @@ fn and_words(word: &mut [u32], other: &[u32]) {
 /// The filter part: every probe-free member of the wave in one tile
 /// loop. Per tile each column some member reads is loaded **once**
 /// ([`QueryColumn::load_tile_select`], decoding inline): its first
-/// conjunct is fused into the load, the other members' conjuncts run
+/// conjunct's range is fused into the load, the other members' conjuncts run
 /// over the values in registers ([`fused_predicate`]), and each member
 /// carries its own ballot words through its own conjunction. A load
 /// whose readers all have a selection decodes against their OR, so
@@ -973,7 +974,7 @@ fn filter_part<'a>(
                 };
                 n = match load.tests.first() {
                     Some(test) => {
-                        let passes = test.conjunct.passes();
+                        let passes = within(test.conjunct.range);
                         col.load_tile_select(ctx, t, passes, sel_in, &mut w.next, vals)?
                     }
                     None => col.load_tile_select(ctx, t, |_| true, sel_in, &mut w.next, vals)?,
@@ -982,7 +983,7 @@ fn filter_part<'a>(
                     let word = &mut w.words[test.member];
                     if i > 0 {
                         let sel_in = test.chained.then_some(word.as_slice());
-                        let passes = test.conjunct.passes();
+                        let passes = within(test.conjunct.range);
                         fused_predicate(ctx, &vals[..n], passes, sel_in, &mut w.next);
                         std::mem::swap(word, &mut w.next);
                     } else if test.chained {
@@ -993,6 +994,7 @@ fn filter_part<'a>(
                         word.clone_from(&w.next);
                     }
                     if test.conjunct.day {
+                        clear_non_days(word, &vals[..n]);
                         ctx.set_phase(Phase::Predicate);
                         ctx.add_int_ops(n as u64 * 2);
                     }
@@ -1412,8 +1414,6 @@ mod tests {
                     "{}",
                     q.name()
                 );
-                let key = data.date.datekey[row];
-                assert_eq!(in_datekeys(s.datekey)(key), want, "{} {key}", q.name());
                 selected += usize::from(want);
             }
             let days = [365, 31, 7][FLIGHT1.iter().position(|&f| f == q).expect("listed")];
@@ -1434,7 +1434,10 @@ mod tests {
             // The table the date join probed (and OmniSci's still does).
             let (tables, _) = wave_build(&dev, &data, &[q]).expect("clean device");
             let date = &tables[0].date;
-            let mut hits = Vec::with_capacity(keys.len());
+            // Per tile of keys: the table's ballot words, and the two
+            // steps the kernel takes in registers, the range fused into
+            // the load and then the calendar test on what it left.
+            let (mut probed, mut in_registers) = (Vec::new(), Vec::new());
             let tiles = keys.len().div_ceil(tlc_crystal::TILE);
             dev.launch(KernelConfig::new("probe", tiles, 128), |ctx| {
                 let lo = ctx.block_id() * tlc_crystal::TILE;
@@ -1442,22 +1445,30 @@ mod tests {
                 let (mut sel, mut pays) = (Vec::new(), vec![0; tile.len()]);
                 all_lanes(tile.len(), &mut sel);
                 date.probe(ctx, tile, &mut sel, &mut pays);
-                let mut tile_hits = vec![false; tile.len()];
-                live_lanes(&sel).for_each(|lane| tile_hits[lane] = true);
-                hits.extend(tile_hits);
+                probed.push(sel);
+                let mut sel = Vec::new();
+                fused_predicate(ctx, tile, within(s.datekey), None, &mut sel);
+                clear_non_days(&mut sel, tile);
+                in_registers.push(sel);
             });
-            let in_registers = in_datekeys(s.datekey);
-            for (&key, &hit) in keys.iter().zip(&hits) {
-                assert_eq!(in_registers(key), hit, "{} {key}", q.name());
-            }
-            assert!(hits.iter().any(|&hit| hit), "{}", q.name());
+            assert_eq!(in_registers, probed, "{}", q.name());
+            assert!(
+                probed.iter().flatten().any(|&word| word != 0),
+                "{}",
+                q.name()
+            );
         }
         // Inside a range and no day: the range alone would pass them.
-        let q11 = in_datekeys(spec(QueryId::Q11).datekey);
-        assert!(within(spec(QueryId::Q11).datekey)(19_930_231) && !q11(19_930_231));
-        assert!(q11(19_930_228) && q11(19_930_101) && q11(19_931_231));
-        let q12 = in_datekeys(spec(QueryId::Q12).datekey);
-        assert!(!q12(19_940_100) && q12(19_940_101) && q12(19_940_131) && !q12(19_940_132));
+        let verdict = |q: QueryId, key: i32| {
+            let mut sel = [u32::from(within(spec(q).datekey)(key))];
+            clear_non_days(&mut sel, &[key]);
+            sel[0] == 1
+        };
+        assert!(within(spec(QueryId::Q11).datekey)(19_930_231));
+        assert!(!verdict(QueryId::Q11, 19_930_231) && verdict(QueryId::Q11, 19_930_228));
+        assert!(verdict(QueryId::Q11, 19_930_101) && verdict(QueryId::Q11, 19_931_231));
+        assert!(!verdict(QueryId::Q12, 19_940_100) && verdict(QueryId::Q12, 19_940_101));
+        assert!(verdict(QueryId::Q12, 19_940_131) && !verdict(QueryId::Q12, 19_940_132));
     }
 
     #[test]
@@ -1506,20 +1517,34 @@ mod tests {
             }
             want.push((q, sum));
         }
-        for (q, sum) in want {
+        let systems = [
+            System::GpuStar,
+            System::None,
+            System::NvComp,
+            System::OmniSci,
+        ];
+        let run = |data: &SsbData, q: QueryId, system| {
+            let dev = Device::v100();
+            let cols = LoColumns::build(&dev, data, system, q.columns());
+            run_query(&dev, data, &cols, q)
+        };
+        for &(q, sum) in &want {
             let reference = run_reference(&data, q);
             assert_eq!(reference, [(0, sum)], "{}", q.name());
-            for system in [
-                System::GpuStar,
-                System::None,
-                System::NvComp,
-                System::OmniSci,
-            ] {
-                let dev = Device::v100();
-                let cols = LoColumns::build(&dev, &data, system, q.columns());
-                let got = run_query(&dev, &data, &cols, q);
+            for system in systems {
+                let got = run(&data, q, system);
                 assert_eq!(got, reference, "{} under {system:?}", q.name());
             }
+        }
+        // An order inside q1.1's range on a day that does not exist has
+        // no dimension row: the join misses it (the reference executor
+        // has no such key to look up), and so does the test in registers.
+        row += 700;
+        let lo = &mut data.lineorder;
+        (lo.orderdate[row], lo.quantity[row], lo.discount[row]) = (19_930_231, 10, 2);
+        for system in systems {
+            let got = run(&data, QueryId::Q11, system);
+            assert_eq!(got, [(0, want[0].1)], "q1.1 under {system:?}");
         }
     }
 }
