@@ -11,7 +11,7 @@ use tlc_core::gpu_dfor::GpuDForDevice;
 use tlc_core::gpu_for::GpuForDevice;
 use tlc_core::gpu_rfor::{decode_stream_block, GpuRForDevice};
 use tlc_core::{BLOCK, DEFAULT_D};
-use tlc_gpu_sim::{Device, GlobalBuffer, KernelConfig};
+use tlc_gpu_sim::{Device, GlobalBuffer, KernelConfig, LaunchError};
 
 /// Unpack a staged GPU-FOR-layout block: returns the reference and the
 /// 128 raw (un-referenced) offsets.
@@ -39,13 +39,13 @@ fn unpack_pass(
     n: usize,
     out: &mut GlobalBuffer<u32>,
     name: &str,
-) {
+) -> Result<(), LaunchError> {
     let blocks = block_starts.len() - 1;
     let tiles = blocks.div_ceil(DEFAULT_D);
     let cfg = KernelConfig::new(name, tiles, BLOCK)
         .smem_per_block(DEFAULT_D * BLOCK * 4 + 64)
         .regs_per_thread(32);
-    dev.launch(cfg, |ctx| {
+    dev.try_launch(cfg, |ctx| {
         let first = ctx.block_id() * DEFAULT_D;
         let tile_blocks = DEFAULT_D.min(blocks - first);
         let idx: Vec<usize> = (first..=first + tile_blocks).collect();
@@ -64,7 +64,8 @@ fn unpack_pass(
         let lo = first * BLOCK;
         let len = vals.len().min(n.saturating_sub(lo));
         ctx.write_coalesced(out, lo, &vals[..len]);
-    });
+    })?;
+    Ok(())
 }
 
 /// Kernel 2 of every cascade: add each block's reference back — a full
@@ -78,12 +79,12 @@ fn add_reference_pass(
     n: usize,
     out: &mut GlobalBuffer<i32>,
     name: &str,
-) {
+) -> Result<(), LaunchError> {
     let blocks = block_starts.len() - 1;
     let chunk = 2048usize;
     let grid = n.div_ceil(chunk).max(1);
     let cfg = KernelConfig::new(name, grid, 128).regs_per_thread(26);
-    dev.launch(cfg, |ctx| {
+    dev.try_launch(cfg, |ctx| {
         let lo = ctx.block_id() * chunk;
         let hi = (lo + chunk).min(n);
         if lo >= hi {
@@ -104,16 +105,17 @@ fn add_reference_pass(
             .map(|(i, &v)| (refs[(lo + i) / BLOCK - first_block] as i32).wrapping_add(v as i32))
             .collect();
         ctx.write_coalesced(out, lo, &decoded);
-    });
+    })?;
+    Ok(())
 }
 
 /// `FOR+BitPack`: two kernel passes (unpack; add reference).
-pub fn for_cascaded(dev: &Device, col: &GpuForDevice) -> GlobalBuffer<i32> {
+pub fn for_cascaded(dev: &Device, col: &GpuForDevice) -> Result<GlobalBuffer<i32>, LaunchError> {
     let n = col.total_count;
     let mut raw = dev.alloc_zeroed::<u32>(n.div_ceil(BLOCK) * BLOCK);
     let mut out = dev.alloc_zeroed::<i32>(n);
     if n == 0 {
-        return out;
+        return Ok(out);
     }
     unpack_pass(
         dev,
@@ -122,7 +124,7 @@ pub fn for_cascaded(dev: &Device, col: &GpuForDevice) -> GlobalBuffer<i32> {
         n,
         &mut raw,
         "cascade_for_unpack",
-    );
+    )?;
     add_reference_pass(
         dev,
         &col.block_starts,
@@ -131,20 +133,20 @@ pub fn for_cascaded(dev: &Device, col: &GpuForDevice) -> GlobalBuffer<i32> {
         n,
         &mut out,
         "cascade_for_ref",
-    );
-    out
+    )?;
+    Ok(out)
 }
 
 /// `Delta+FOR+BitPack`: three kernel passes (unpack; add reference;
 /// per-tile prefix sum + first value), as in Section 9.2.
-pub fn dfor_cascaded(dev: &Device, col: &GpuDForDevice) -> GlobalBuffer<i32> {
+pub fn dfor_cascaded(dev: &Device, col: &GpuDForDevice) -> Result<GlobalBuffer<i32>, LaunchError> {
     let n = col.total_count;
     let blocks = col.blocks();
     let mut raw = dev.alloc_zeroed::<u32>(blocks * BLOCK);
     let mut deltas = dev.alloc_zeroed::<i32>(blocks * BLOCK);
     let mut out = dev.alloc_zeroed::<i32>(n);
     if n == 0 {
-        return out;
+        return Ok(out);
     }
     unpack_pass(
         dev,
@@ -153,7 +155,7 @@ pub fn dfor_cascaded(dev: &Device, col: &GpuDForDevice) -> GlobalBuffer<i32> {
         blocks * BLOCK,
         &mut raw,
         "cascade_dfor_unpack",
-    );
+    )?;
     add_reference_pass(
         dev,
         &col.block_starts,
@@ -162,7 +164,7 @@ pub fn dfor_cascaded(dev: &Device, col: &GpuDForDevice) -> GlobalBuffer<i32> {
         blocks * BLOCK,
         &mut deltas,
         "cascade_dfor_ref",
-    );
+    )?;
 
     // Pass 3: per-tile inclusive prefix sum over the decoded deltas
     // plus the tile's first value (the delta scope is the tile, so the
@@ -170,7 +172,7 @@ pub fn dfor_cascaded(dev: &Device, col: &GpuDForDevice) -> GlobalBuffer<i32> {
     let d = col.d;
     let tiles = col.tiles();
     let cfg = KernelConfig::new("cascade_dfor_scan", tiles, BLOCK).regs_per_thread(28);
-    dev.launch(cfg, |ctx| {
+    dev.try_launch(cfg, |ctx| {
         let t = ctx.block_id();
         let first_block = t * d;
         let tile_blocks = d.min(blocks - first_block);
@@ -190,19 +192,19 @@ pub fn dfor_cascaded(dev: &Device, col: &GpuDForDevice) -> GlobalBuffer<i32> {
             .collect();
         let keep = len.min(n.saturating_sub(lo));
         ctx.write_coalesced(&mut out, lo, &vals[..keep]);
-    });
-    out
+    })?;
+    Ok(out)
 }
 
 /// `RLE+FOR+BitPack`: eight kernel passes — four to FOR+BitPack-decode
 /// the values and run-lengths streams, four for the global RLE
 /// expansion of Fang et al. (Section 9.2).
-pub fn rfor_cascaded(dev: &Device, col: &GpuRForDevice) -> GlobalBuffer<i32> {
+pub fn rfor_cascaded(dev: &Device, col: &GpuRForDevice) -> Result<GlobalBuffer<i32>, LaunchError> {
     let n = col.total_count;
     let blocks = col.blocks();
     let mut out = dev.alloc_zeroed::<i32>(n);
     if n == 0 {
-        return out;
+        return Ok(out);
     }
 
     // Host-visible run counts per block (the format stores them; the
@@ -231,7 +233,7 @@ pub fn rfor_cascaded(dev: &Device, col: &GpuRForDevice) -> GlobalBuffer<i32> {
         let cfg = KernelConfig::new(name, blocks, 128)
             .smem_per_block(2112)
             .regs_per_thread(30);
-        dev.launch(cfg, |ctx| {
+        dev.try_launch(cfg, |ctx| {
             let b = ctx.block_id();
             let rc = run_counts[b];
             if pass == 0 {
@@ -253,7 +255,7 @@ pub fn rfor_cascaded(dev: &Device, col: &GpuRForDevice) -> GlobalBuffer<i32> {
                 let as_u32: Vec<u32> = lens.iter().map(|&l| l as u32).collect();
                 ctx.write_coalesced(&mut lengths, run_offsets[b], &as_u32);
             }
-        });
+        })?;
     }
     // Reference passes (read-modify-write over the runs arrays). The
     // unpack above already folded the reference in functionally; these
@@ -264,7 +266,7 @@ pub fn rfor_cascaded(dev: &Device, col: &GpuRForDevice) -> GlobalBuffer<i32> {
     ] {
         let chunk = 2048usize;
         let grid = total_runs.div_ceil(chunk).max(1);
-        dev.launch(
+        dev.try_launch(
             KernelConfig::new(name, grid, 128).regs_per_thread(24),
             |ctx| {
                 let lo = ctx.block_id() * chunk;
@@ -281,7 +283,7 @@ pub fn rfor_cascaded(dev: &Device, col: &GpuRForDevice) -> GlobalBuffer<i32> {
                     ctx.write_coalesced(&mut lengths, lo, &l);
                 }
             },
-        );
+        )?;
     }
 
     // Passes 5-8: the global RLE expansion (scan lengths, scatter
@@ -291,10 +293,10 @@ pub fn rfor_cascaded(dev: &Device, col: &GpuRForDevice) -> GlobalBuffer<i32> {
         values: std::mem::replace(&mut values, dev.alloc_zeroed(1)),
         lengths: std::mem::replace(&mut lengths, dev.alloc_zeroed(1)),
     };
-    let expanded = crate::rle::decompress(dev, &rle);
+    let expanded = crate::rle::decompress(dev, &rle)?;
     out.as_mut_slice_unaccounted()
         .copy_from_slice(expanded.as_slice_unaccounted());
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -308,7 +310,7 @@ mod tests {
         let dev = Device::v100();
         let col = GpuFor::encode(&values).to_device(&dev);
         dev.reset_timeline();
-        let out = for_cascaded(&dev, &col);
+        let out = for_cascaded(&dev, &col).expect("no fault plan");
         assert_eq!(out.as_slice_unaccounted(), values);
         assert_eq!(dev.with_timeline(|t| t.kernel_launches()), 2);
     }
@@ -319,7 +321,7 @@ mod tests {
         let dev = Device::v100();
         let col = GpuDFor::encode(&values).to_device(&dev);
         dev.reset_timeline();
-        let out = dfor_cascaded(&dev, &col);
+        let out = dfor_cascaded(&dev, &col).expect("no fault plan");
         assert_eq!(out.as_slice_unaccounted(), values);
         assert_eq!(dev.with_timeline(|t| t.kernel_launches()), 3);
     }
@@ -330,7 +332,7 @@ mod tests {
         let dev = Device::v100();
         let col = GpuRFor::encode(&values).to_device(&dev);
         dev.reset_timeline();
-        let out = rfor_cascaded(&dev, &col);
+        let out = rfor_cascaded(&dev, &col).expect("no fault plan");
         assert_eq!(out.as_slice_unaccounted(), values);
         assert_eq!(dev.with_timeline(|t| t.kernel_launches()), 8);
     }
@@ -350,7 +352,7 @@ mod tests {
         let tile = dev.elapsed_seconds();
 
         dev.reset_timeline();
-        let _ = for_cascaded(&dev, &col);
+        for_cascaded(&dev, &col).expect("no fault plan");
         let cascade = dev.elapsed_seconds();
         let ratio = cascade / tile;
         assert!(ratio > 1.7, "ratio = {ratio}");

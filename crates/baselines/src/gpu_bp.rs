@@ -10,7 +10,7 @@ use tlc_bitpack::horizontal::{extract, pack_stream};
 use tlc_bitpack::unpack::{unpack_miniblock, unpack_stream_into};
 use tlc_bitpack::width::max_bits;
 use tlc_bitpack::MINIBLOCK;
-use tlc_gpu_sim::{Device, GlobalBuffer, KernelConfig, WARP_SIZE};
+use tlc_gpu_sim::{Device, GlobalBuffer, KernelConfig, LaunchError, WARP_SIZE};
 
 /// Values handled per thread block during decode (the published kernel
 /// works in small per-block batches).
@@ -95,27 +95,33 @@ impl GpuBpDevice {
 }
 
 /// Decompress to a plain column: one kernel, thread-per-value window
-/// reads from global memory (no shared-memory staging).
-pub fn decompress(dev: &Device, col: &GpuBpDevice) -> GlobalBuffer<i32> {
+/// reads from global memory (no shared-memory staging). A launch an
+/// armed fault plan fails is a typed [`LaunchError`].
+pub fn decompress(dev: &Device, col: &GpuBpDevice) -> Result<GlobalBuffer<i32>, LaunchError> {
     let mut out = dev.alloc_zeroed::<i32>(col.total_count);
-    run(dev, col, Some(&mut out), "gpu_bp_decompress");
-    out
+    run(dev, col, Some(&mut out), "gpu_bp_decompress")?;
+    Ok(out)
 }
 
 /// Decode-only (no write-back).
-pub fn decode_only(dev: &Device, col: &GpuBpDevice) {
-    run(dev, col, None, "gpu_bp_decode");
+pub fn decode_only(dev: &Device, col: &GpuBpDevice) -> Result<(), LaunchError> {
+    run(dev, col, None, "gpu_bp_decode")
 }
 
-fn run(dev: &Device, col: &GpuBpDevice, mut out: Option<&mut GlobalBuffer<i32>>, name: &str) {
+fn run(
+    dev: &Device,
+    col: &GpuBpDevice,
+    mut out: Option<&mut GlobalBuffer<i32>>,
+    name: &str,
+) -> Result<(), LaunchError> {
     let n = col.total_count;
     if n == 0 {
-        return;
+        return Ok(());
     }
     let bw = col.bitwidth;
     let grid = n.div_ceil(CHUNK);
     let cfg = KernelConfig::new(name, grid, 128).regs_per_thread(28);
-    dev.launch(cfg, |ctx| {
+    dev.try_launch(cfg, |ctx| {
         let lo = ctx.block_id() * CHUNK;
         let hi = (lo + CHUNK).min(n);
         let mut vals = Vec::with_capacity(hi - lo);
@@ -142,7 +148,8 @@ fn run(dev: &Device, col: &GpuBpDevice, mut out: Option<&mut GlobalBuffer<i32>>,
         if let Some(out) = out.as_deref_mut() {
             ctx.write_coalesced(out, lo, &vals);
         }
-    });
+    })?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -155,7 +162,7 @@ mod tests {
         let enc = GpuBp::encode(&values);
         assert_eq!(enc.decode_cpu(), values);
         let dev = Device::v100();
-        let out = decompress(&dev, &enc.to_device(&dev));
+        let out = decompress(&dev, &enc.to_device(&dev)).expect("no fault plan");
         assert_eq!(out.as_slice_unaccounted(), values);
     }
 
@@ -183,7 +190,7 @@ mod tests {
         let dev = Device::v100();
         let bp = GpuBp::encode(&values).to_device(&dev);
         dev.reset_timeline();
-        decode_only(&dev, &bp);
+        decode_only(&dev, &bp).expect("no fault plan");
         let bp_segs = dev.with_timeline(|t| t.total_traffic().global_read_segments);
         // GPU-FOR on the same data with staging + D=4.
         let gf = tlc_core::GpuFor::encode(&values).to_device(&dev);

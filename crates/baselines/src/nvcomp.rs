@@ -14,7 +14,7 @@
 
 use tlc_core::column::{DeviceColumn, EncodedColumn};
 use tlc_core::gpu_rfor::decode_stream_block;
-use tlc_gpu_sim::{Device, GlobalBuffer, KernelConfig};
+use tlc_gpu_sim::{Device, GlobalBuffer, KernelConfig, LaunchError};
 
 /// Relative metadata overhead versus the GPU-* formats (Figure 9's
 /// "2% gain for GPU-*" comes from our more compact metadata).
@@ -73,8 +73,9 @@ impl NvCompDevice {
 
     /// Decompress with the layer-per-kernel pipelines. nvCOMP cannot
     /// decompress inline with queries, so consumers must run their
-    /// query kernels over this materialized output.
-    pub fn decompress(&self, dev: &Device) -> GlobalBuffer<i32> {
+    /// query kernels over this materialized output. A launch an armed
+    /// fault plan fails is a typed [`LaunchError`].
+    pub fn decompress(&self, dev: &Device) -> Result<GlobalBuffer<i32>, LaunchError> {
         match &self.inner {
             DeviceColumn::For(c) => crate::cascaded::for_cascaded(dev, c),
             DeviceColumn::DFor(c) => crate::cascaded::dfor_cascaded(dev, c),
@@ -86,11 +87,14 @@ impl NvCompDevice {
 /// nvCOMP's RLE path: one fused unpack kernel for both streams, then
 /// the global scan/scatter/scan/gather expansion (5 kernels total —
 /// lighter than the naive 8-pass cascade, still multi-pass).
-fn nv_rfor_decompress(dev: &Device, col: &tlc_core::gpu_rfor::GpuRForDevice) -> GlobalBuffer<i32> {
+fn nv_rfor_decompress(
+    dev: &Device,
+    col: &tlc_core::gpu_rfor::GpuRForDevice,
+) -> Result<GlobalBuffer<i32>, LaunchError> {
     let n = col.total_count;
     let blocks = col.blocks();
     if n == 0 {
-        return dev.alloc_zeroed(0);
+        return Ok(dev.alloc_zeroed(0));
     }
     let vstarts = col.values_starts.as_slice_unaccounted().to_vec();
     let lstarts = col.lengths_starts.as_slice_unaccounted().to_vec();
@@ -108,7 +112,7 @@ fn nv_rfor_decompress(dev: &Device, col: &tlc_core::gpu_rfor::GpuRForDevice) -> 
     let cfg = KernelConfig::new("nvcomp_rle_unpack", blocks, 128)
         .smem_per_block(2 * 2112)
         .regs_per_thread(34);
-    dev.launch(cfg, |ctx| {
+    dev.try_launch(cfg, |ctx| {
         let b = ctx.block_id();
         let rc = run_counts[b];
         let (vs, ve) = (vstarts[b] as usize, vstarts[b + 1] as usize);
@@ -128,7 +132,7 @@ fn nv_rfor_decompress(dev: &Device, col: &tlc_core::gpu_rfor::GpuRForDevice) -> 
         let as_u32: Vec<u32> = lens.iter().map(|&l| l as u32).collect();
         ctx.write_coalesced(&mut values, run_offsets[b], &vals);
         ctx.write_coalesced(&mut lengths, run_offsets[b], &as_u32);
-    });
+    })?;
 
     let rle = crate::rle::RleDevice {
         total_count: n,
@@ -170,7 +174,7 @@ mod tests {
         for (values, want) in datasets.iter().zip(expected) {
             let nv = NvComp::encode(values);
             assert_eq!(nv.inner.scheme(), want);
-            let out = nv.to_device(&dev).decompress(&dev);
+            let out = nv.to_device(&dev).decompress(&dev).expect("no fault plan");
             assert_eq!(out.as_slice_unaccounted(), values, "{want:?}");
         }
     }
@@ -181,7 +185,7 @@ mod tests {
         let values: Vec<i32> = (0..50_000).map(|i| i / 100).collect();
         let nv = NvComp::encode(&values).to_device(&dev);
         dev.reset_timeline();
-        let _ = nv.decompress(&dev);
+        nv.decompress(&dev).expect("no fault plan");
         assert!(dev.with_timeline(|t| t.kernel_launches()) >= 2);
     }
 
@@ -199,7 +203,7 @@ mod tests {
 
         let nv = NvComp::encode(&values).to_device(&dev);
         dev.reset_timeline();
-        let _ = nv.decompress(&dev);
+        nv.decompress(&dev).expect("no fault plan");
         let t_nv = dev.elapsed_seconds();
         let ratio = t_nv / t_star;
         assert!(ratio > 1.5, "ratio = {ratio}");

@@ -5,7 +5,7 @@
 //! which is why GPU-RFOR (same logic, fused in shared memory) beats it
 //! by ~2.5× in Figure 8(b).
 
-use tlc_gpu_sim::{Device, GlobalBuffer, KernelConfig};
+use tlc_gpu_sim::{Device, GlobalBuffer, KernelConfig, LaunchError};
 
 /// Outputs handled per thread block in the expansion kernels.
 const CHUNK: usize = 2048;
@@ -101,12 +101,12 @@ impl RleDevice {
 }
 
 /// Decompress with the four global kernel passes.
-pub fn decompress(dev: &Device, col: &RleDevice) -> GlobalBuffer<i32> {
+pub fn decompress(dev: &Device, col: &RleDevice) -> Result<GlobalBuffer<i32>, LaunchError> {
     let n = col.total_count;
     let runs = col.values.len();
     let mut out = dev.alloc_zeroed::<i32>(n);
     if n == 0 {
-        return out;
+        return Ok(out);
     }
     let mut offsets = dev.alloc_zeroed::<u32>(runs);
     let mut flags = dev.alloc_zeroed::<u32>(n);
@@ -115,7 +115,7 @@ pub fn decompress(dev: &Device, col: &RleDevice) -> GlobalBuffer<i32> {
     // Pass 1: exclusive prefix sum over run lengths -> output offsets.
     {
         let grid = 160.min(runs.div_ceil(128)).max(1);
-        dev.launch(
+        dev.try_launch(
             KernelConfig::new("rle_scan_lengths", grid, 128).regs_per_thread(24),
             |ctx| {
                 if ctx.block_id() != 0 {
@@ -136,13 +136,13 @@ pub fn decompress(dev: &Device, col: &RleDevice) -> GlobalBuffer<i32> {
                     .collect();
                 ctx.write_coalesced(&mut offsets, 0, &offs);
             },
-        );
+        )?;
     }
 
     // Pass 2: scatter head flags at each run's start offset.
     {
         let grid = runs.div_ceil(CHUNK).max(1);
-        dev.launch(
+        dev.try_launch(
             KernelConfig::new("rle_scatter_flags", grid, 128).regs_per_thread(24),
             |ctx| {
                 let lo = ctx.block_id() * CHUNK;
@@ -157,13 +157,13 @@ pub fn decompress(dev: &Device, col: &RleDevice) -> GlobalBuffer<i32> {
                     ctx.warp_scatter(&mut flags, &writes);
                 }
             },
-        );
+        )?;
     }
 
     // Pass 3: inclusive prefix sum over the flags -> 1-based run ids.
     {
         let grid = 160.min(n.div_ceil(128)).max(1);
-        dev.launch(
+        dev.try_launch(
             KernelConfig::new("rle_scan_flags", grid, 128).regs_per_thread(24),
             |ctx| {
                 if ctx.block_id() != 0 {
@@ -181,13 +181,13 @@ pub fn decompress(dev: &Device, col: &RleDevice) -> GlobalBuffer<i32> {
                     .collect();
                 ctx.write_coalesced(&mut run_ids, 0, &ids);
             },
-        );
+        )?;
     }
 
     // Pass 4: gather run values by id.
     {
         let grid = n.div_ceil(CHUNK).max(1);
-        dev.launch(
+        dev.try_launch(
             KernelConfig::new("rle_gather_values", grid, 128).regs_per_thread(24),
             |ctx| {
                 let lo = ctx.block_id() * CHUNK;
@@ -208,9 +208,9 @@ pub fn decompress(dev: &Device, col: &RleDevice) -> GlobalBuffer<i32> {
                 ctx.add_int_ops((hi - lo) as u64 * 2);
                 ctx.write_coalesced(&mut out, lo, &expanded);
             },
-        );
+        )?;
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -223,7 +223,7 @@ mod tests {
         let enc = Rle::encode(&values);
         assert_eq!(enc.decode_cpu(), values);
         let dev = Device::v100();
-        let out = decompress(&dev, &enc.to_device(&dev));
+        let out = decompress(&dev, &enc.to_device(&dev)).expect("no fault plan");
         assert_eq!(out.as_slice_unaccounted(), values);
     }
 
@@ -233,7 +233,7 @@ mod tests {
         let enc = Rle::encode(&(0..8192).map(|i| i / 8).collect::<Vec<i32>>());
         let dcol = enc.to_device(&dev);
         dev.reset_timeline();
-        let _ = decompress(&dev, &dcol);
+        decompress(&dev, &dcol).expect("no fault plan");
         assert_eq!(dev.with_timeline(|t| t.kernel_launches()), 4);
     }
 
@@ -259,7 +259,7 @@ mod tests {
         let dev = Device::v100();
         for values in [vec![], vec![9i32], vec![3i32; 5000]] {
             let enc = Rle::encode(&values);
-            let out = decompress(&dev, &enc.to_device(&dev));
+            let out = decompress(&dev, &enc.to_device(&dev)).expect("no fault plan");
             assert_eq!(out.as_slice_unaccounted(), values);
         }
     }

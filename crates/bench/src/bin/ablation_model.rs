@@ -80,7 +80,7 @@ fn main() {
         let _ = decompress(&dev, &col, ForDecodeOpts::default());
         let tile = dev.elapsed_seconds();
         dev.reset_timeline();
-        let _ = cascaded::for_cascaded(&dev, &col);
+        cascaded::for_cascaded(&dev, &col).expect("clean device");
         let cascade = dev.elapsed_seconds();
         let ratio = cascade / tile;
 

@@ -20,7 +20,7 @@ fn main() {
     for shards in [1usize, 2, 4, 8] {
         let mut row = vec![shards.to_string()];
         for sys in [System::None, System::GpuStar] {
-            let run = run_query_sharded(&data, sys, QueryId::Q21, shards, scale);
+            let run = run_query_sharded(&data, sys, QueryId::Q21, shards, scale, &[]);
             match &reference {
                 None => reference = Some(run.result.clone()),
                 Some(r) => assert_eq!(&run.result, r, "results must agree"),

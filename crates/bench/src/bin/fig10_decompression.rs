@@ -40,17 +40,17 @@ fn main() {
 
         let nv = NvComp::encode(values).to_device(&dev);
         dev.reset_timeline();
-        let _ = nv.decompress(&dev);
+        nv.decompress(&dev).expect("clean device");
         let t_nv = dev.elapsed_seconds_scaled(scale);
 
         let bp = GpuBp::encode(values).to_device(&dev);
         dev.reset_timeline();
-        let _ = gpu_bp::decompress(&dev, &bp);
+        gpu_bp::decompress(&dev, &bp).expect("clean device");
         let t_bp = dev.elapsed_seconds_scaled(scale);
 
         let pl = PlannedColumn::encode(values).to_device(&dev);
         dev.reset_timeline();
-        let _ = pl.decompress(&dev);
+        pl.decompress(&dev).expect("clean device");
         let t_pl = dev.elapsed_seconds_scaled(scale);
 
         let entry = per_scheme.entry(scheme).or_default();

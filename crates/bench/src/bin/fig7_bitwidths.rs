@@ -54,9 +54,9 @@ fn main() {
             }),
             t(&|d| drop(tlc_core::gpu_dfor::decompress(d, &gdfor_dev))),
             t(&|d| drop(tlc_core::gpu_rfor::decompress(d, &grfor_dev))),
-            t(&|d| drop(cascaded::for_cascaded(d, &gfor_dev))),
-            t(&|d| drop(cascaded::dfor_cascaded(d, &gdfor_dev))),
-            t(&|d| drop(cascaded::rfor_cascaded(d, &grfor_dev))),
+            t(&|d| drop(cascaded::for_cascaded(d, &gfor_dev).expect("clean device"))),
+            t(&|d| drop(cascaded::dfor_cascaded(d, &gdfor_dev).expect("clean device"))),
+            t(&|d| drop(cascaded::rfor_cascaded(d, &grfor_dev).expect("clean device"))),
         ]);
         rate_rows.push(vec![
             bits.to_string(),

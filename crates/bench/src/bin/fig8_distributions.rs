@@ -75,7 +75,7 @@ fn measure_all(
         let rle = Rle::encode(values);
         let rle_dev = rle.to_device(&dev);
         push("RLE", rle.bits_per_int(), &|d| {
-            drop(tlc_baselines::rle::decompress(d, &rle_dev))
+            drop(tlc_baselines::rle::decompress(d, &rle_dev).expect("clean device"))
         });
     }
     out

@@ -38,7 +38,7 @@ fn main() {
     let bp = gpu_bp::GpuBp::encode(&values);
     let bp_dev = bp.to_device(&dev);
     add("GPU-BP", bp.bits_per_int(), &|d| {
-        drop(gpu_bp::decompress(d, &bp_dev))
+        drop(gpu_bp::decompress(d, &bp_dev).expect("clean device"))
     });
 
     let pf = pfor::PFor::encode(&values);

@@ -1,7 +1,9 @@
 //! Execution helpers: fused-kernel launch configuration and the
 //! materializing operator-at-a-time executor used to model OmniSci.
 
-use tlc_gpu_sim::{all_lanes, ballot, live_lanes, Device, GlobalBuffer, KernelConfig, WARP_SIZE};
+use tlc_gpu_sim::{
+    all_lanes, ballot, live_lanes, Device, GlobalBuffer, KernelConfig, LaunchError, WARP_SIZE,
+};
 
 use crate::query_column::QueryColumn;
 use crate::TILE;
@@ -72,7 +74,8 @@ pub fn filter_config(
 
 /// Operator-at-a-time building blocks (the OmniSci model): every
 /// operator is its own kernel and materializes its full output to
-/// global memory before the next operator starts.
+/// global memory before the next operator starts. A launch an armed
+/// fault plan fails is a typed [`LaunchError`].
 pub mod materialize {
     use super::*;
     use crate::hash::DenseTable;
@@ -100,11 +103,11 @@ pub mod materialize {
         col: &GlobalBuffer<i32>,
         prev: Option<&GlobalBuffer<u8>>,
         pred: impl Fn(i32) -> bool,
-    ) -> GlobalBuffer<u8> {
+    ) -> Result<GlobalBuffer<u8>, LaunchError> {
         let n = col.len();
         let mut sel = dev.alloc_zeroed::<u8>(n);
         let grid = n.div_ceil(CHUNK).max(1);
-        dev.launch(oms_config(name, grid), |ctx| {
+        dev.try_launch(oms_config(name, grid), |ctx| {
             let lo = ctx.block_id() * CHUNK;
             let hi = (lo + CHUNK).min(n);
             if lo >= hi {
@@ -123,8 +126,8 @@ pub mod materialize {
             };
             ctx.add_int_ops((hi - lo) as u64 * 2);
             ctx.write_coalesced(&mut sel, lo, &mask);
-        });
-        sel
+        })?;
+        Ok(sel)
     }
 
     /// Join: read a foreign-key column and a selection mask, probe the
@@ -136,12 +139,12 @@ pub mod materialize {
         fk: &GlobalBuffer<i32>,
         table: &DenseTable,
         prev: Option<&GlobalBuffer<u8>>,
-    ) -> (GlobalBuffer<i32>, GlobalBuffer<u8>) {
+    ) -> Result<(GlobalBuffer<i32>, GlobalBuffer<u8>), LaunchError> {
         let n = fk.len();
         let mut payload = dev.alloc_zeroed::<i32>(n);
         let mut sel = dev.alloc_zeroed::<u8>(n);
         let grid = n.div_ceil(CHUNK).max(1);
-        dev.launch(oms_config(name, grid), |ctx| {
+        dev.try_launch(oms_config(name, grid), |ctx| {
             let lo = ctx.block_id() * CHUNK;
             let hi = (lo + CHUNK).min(n);
             if lo >= hi {
@@ -170,8 +173,8 @@ pub mod materialize {
             }
             ctx.write_coalesced(&mut payload, lo, &pay);
             ctx.write_coalesced(&mut sel, lo, &out_mask);
-        });
-        (payload, sel)
+        })?;
+        Ok((payload, sel))
     }
 
     /// Full-intermediate materialization: after each operator OmniSci
@@ -183,12 +186,12 @@ pub mod materialize {
         name: &str,
         cols: &[&GlobalBuffer<i32>],
         sel: &GlobalBuffer<u8>,
-    ) -> Vec<GlobalBuffer<i32>> {
+    ) -> Result<Vec<GlobalBuffer<i32>>, LaunchError> {
         let n = sel.len();
         let mut outs: Vec<GlobalBuffer<i32>> =
             cols.iter().map(|c| dev.alloc_zeroed(c.len())).collect();
         let grid = n.div_ceil(CHUNK).max(1);
-        dev.launch(oms_config(name, grid), |ctx| {
+        dev.try_launch(oms_config(name, grid), |ctx| {
             let lo = ctx.block_id() * CHUNK;
             let hi = (lo + CHUNK).min(n);
             if lo >= hi {
@@ -200,8 +203,8 @@ pub mod materialize {
                 ctx.write_coalesced(o, lo, &vals);
             }
             ctx.add_int_ops((hi - lo) as u64);
-        });
-        outs
+        })?;
+        Ok(outs)
     }
 
     /// Final aggregation pass: read `inputs` and the mask, fold each
@@ -213,11 +216,11 @@ pub mod materialize {
         sel: &GlobalBuffer<u8>,
         groups: usize,
         f: impl Fn(&[i32]) -> (usize, u64),
-    ) -> crate::agg::GroupBySum {
+    ) -> Result<crate::agg::GroupBySum, LaunchError> {
         let n = sel.len();
         let mut agg = crate::agg::GroupBySum::new(dev, groups);
         let grid = n.div_ceil(CHUNK).max(1);
-        dev.launch(oms_config(name, grid), |ctx| {
+        dev.try_launch(oms_config(name, grid), |ctx| {
             let lo = ctx.block_id() * CHUNK;
             let hi = (lo + CHUNK).min(n);
             if lo >= hi {
@@ -242,8 +245,8 @@ pub mod materialize {
             for chunk in pairs.chunks(WARP_SIZE) {
                 agg.add_tile(ctx, chunk);
             }
-        });
-        agg
+        })?;
+        Ok(agg)
     }
 }
 
@@ -299,11 +302,14 @@ mod tests {
             (1..=100).map(|k| (k, (k <= 50).then_some(k % 7))).collect();
         let table = DenseTable::build(&dev, "dim", 1, 100, &rows, 800);
 
-        let sel = materialize::filter(&dev, "filter_qty", &qty_buf, None, |v| v < 25);
-        let (pay, sel2) = materialize::probe(&dev, "probe_dim", &fk_buf, &table, Some(&sel));
+        let sel = materialize::filter(&dev, "filter_qty", &qty_buf, None, |v| v < 25)
+            .expect("no fault plan");
+        let (pay, sel2) = materialize::probe(&dev, "probe_dim", &fk_buf, &table, Some(&sel))
+            .expect("no fault plan");
         let agg = materialize::aggregate(&dev, "agg", &[&pay, &qty_buf], &sel2, 7, |row| {
             (row[0] as usize, row[1] as u64)
-        });
+        })
+        .expect("no fault plan");
 
         // Scalar reference.
         let mut expect = vec![0u64; 7];

@@ -87,10 +87,11 @@ fn materialized_matches_reference() {
     let fk = dev.alloc_from_slice(&w.fk);
     let measure = dev.alloc_from_slice(&w.measure);
     let table = DenseTable::build(&dev, "dim", 1, w.rows.len() as i32, &w.rows, 4_000);
-    let (pay, sel) = materialize::probe(&dev, "probe", &fk, &table, None);
+    let (pay, sel) = materialize::probe(&dev, "probe", &fk, &table, None).expect("no fault plan");
     let agg = materialize::aggregate(&dev, "agg", &[&pay, &measure], &sel, w.groups, |row| {
         (row[0] as usize, row[1] as u64)
-    });
+    })
+    .expect("no fault plan");
     assert_eq!(agg.values(), reference(&w).as_slice());
 }
 
@@ -109,10 +110,12 @@ fn fused_is_cheaper_than_materialized() {
     let m_buf = dev.alloc_from_slice(&w.measure);
     dev.reset_timeline();
     let table = DenseTable::build(&dev, "dim", 1, w.rows.len() as i32, &w.rows, 4_000);
-    let (pay, sel) = materialize::probe(&dev, "probe", &fk_buf, &table, None);
-    let _ = materialize::aggregate(&dev, "agg", &[&pay, &m_buf], &sel, w.groups, |row| {
+    let (pay, sel) =
+        materialize::probe(&dev, "probe", &fk_buf, &table, None).expect("no fault plan");
+    materialize::aggregate(&dev, "agg", &[&pay, &m_buf], &sel, w.groups, |row| {
         (row[0] as usize, row[1] as u64)
-    });
+    })
+    .expect("no fault plan");
     let materialized = dev.elapsed_seconds_scaled(1_000.0);
 
     assert!(

@@ -227,21 +227,6 @@ impl Device {
         Ok(self.finish_launch(cfg.clone(), vec![(cfg, spans)]))
     }
 
-    /// Parallel launch without per-worker state: like [`Device::launch`],
-    /// but thread blocks execute on host worker threads. Panics on an
-    /// unhandled device fault; see [`Device::try_launch_par`] for the
-    /// execution model.
-    pub fn launch_par<R, B, M>(&self, cfg: KernelConfig, body: B, merge: M) -> KernelReport
-    where
-        R: Send + 'static,
-        B: Fn(&mut BlockCtx<'_>) -> R + Sync,
-        M: FnMut(&mut BlockCtx<'_>, usize, R),
-    {
-        let name = cfg.name.clone();
-        self.try_launch_par(cfg, || (), |(), ctx| body(ctx), merge)
-            .unwrap_or_else(|e| panic!("kernel `{name}`: unhandled device fault: {e}"))
-    }
-
     /// Fallible parallel launch: the one-part case of
     /// [`Device::try_launch_parts`], which spells out the execution
     /// model. The grid is split into contiguous block ranges by
@@ -741,18 +726,21 @@ mod tests {
             let buf = dev.alloc_from_slice::<u32>(&(0..n as u32).collect::<Vec<_>>());
             let mut out = dev.alloc_zeroed::<u32>(n);
             let grid = n / 128;
-            let report = dev.launch_par(
-                KernelConfig::new("par", grid, 128).regs_per_thread(70),
-                |blk| {
-                    let base = blk.block_id() * 128;
-                    let vals = blk.read_coalesced(&buf, base, 128);
-                    blk.add_int_ops(128);
-                    vals.iter().map(|&v| v * 2).collect::<Vec<u32>>()
-                },
-                |blk, block_id, doubled| {
-                    blk.write_coalesced(&mut out, block_id * 128, &doubled);
-                },
-            );
+            let report = dev
+                .try_launch_par(
+                    KernelConfig::new("par", grid, 128).regs_per_thread(70),
+                    || (),
+                    |(), blk| {
+                        let base = blk.block_id() * 128;
+                        let vals = blk.read_coalesced(&buf, base, 128);
+                        blk.add_int_ops(128);
+                        vals.iter().map(|&v| v * 2).collect::<Vec<u32>>()
+                    },
+                    |blk, block_id, doubled| {
+                        blk.write_coalesced(&mut out, block_id * 128, &doubled);
+                    },
+                )
+                .expect("no fault plan armed");
             crate::threads::set_sim_threads_override(None);
             (report, out.as_slice_unaccounted().to_vec())
         };

@@ -32,8 +32,8 @@
 //! calibration constants live in [`DeviceParams`] and are documented
 //! there.
 //!
-//! Execution is multi-core on the host: [`Device::launch_par`] and
-//! [`Device::try_launch_par`] partition the grid across
+//! Execution is multi-core on the host: [`Device::try_launch_par`] and
+//! [`Device::try_launch_parts`] partition the grid across
 //! `std::thread::scope` workers (`TLC_SIM_THREADS`, default
 //! `available_parallelism`), each accumulating its own [`Traffic`], and
 //! merge the per-block results on the host in block order. Because

@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use tlc_baselines::{nsf::Nsf, nsv::Nsv};
-use tlc_gpu_sim::{Device, GlobalBuffer, KernelConfig};
+use tlc_gpu_sim::{Device, GlobalBuffer, KernelConfig, LaunchError};
 
 /// Terminal byte-aligned encoding of a cascade.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -305,11 +305,12 @@ impl PlannedDevice {
 
     /// Decompress under the cascading model: one kernel per layer, each
     /// a full global-memory pass over the data at its current width.
-    pub fn decompress(&self, dev: &Device) -> GlobalBuffer<i32> {
+    /// A launch an armed fault plan fails is a typed [`LaunchError`].
+    pub fn decompress(&self, dev: &Device) -> Result<GlobalBuffer<i32>, LaunchError> {
         let n = self.total_count;
         let mut out = dev.alloc_zeroed::<i32>(n);
         if n == 0 {
-            return out;
+            return Ok(out);
         }
         let passes = self.plan.decompression_passes();
         // Sizes per pass: the physical pass reads the compressed bytes;
@@ -326,7 +327,7 @@ impl PlannedDevice {
             };
             let grid = 160.min(entries.div_ceil(128)).max(1);
             let per_block = entries.div_ceil(grid);
-            dev.launch(
+            dev.try_launch(
                 KernelConfig::new(name, grid, 128).regs_per_thread(26),
                 |ctx| {
                     let lo = ctx.block_id() * per_block;
@@ -350,13 +351,13 @@ impl PlannedDevice {
                     let vals = vec![0i32; len];
                     ctx.write_coalesced(&mut intermediate, lo, &vals);
                 },
-            );
+            )?;
         }
         out.as_mut_slice_unaccounted()
             .copy_from_slice(&self.decoded);
         // Final pass already wrote the output; move the values in.
         let _ = intermediate;
-        out
+        Ok(out)
     }
 }
 
@@ -449,7 +450,7 @@ mod tests {
         let dev = Device::v100();
         let dcol = planned.to_device(&dev);
         dev.reset_timeline();
-        let out = dcol.decompress(&dev);
+        let out = dcol.decompress(&dev).expect("no fault plan");
         assert_eq!(out.as_slice_unaccounted(), values);
         assert_eq!(
             dev.with_timeline(|t| t.kernel_launches()),

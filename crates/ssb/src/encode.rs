@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use tlc_baselines::gpu_bp::{self, GpuBp, GpuBpDevice};
 use tlc_baselines::nvcomp::{NvComp, NvCompDevice};
-use tlc_core::EncodedColumn;
+use tlc_core::{DecodeError, EncodedColumn};
 use tlc_crystal::QueryColumn;
 use tlc_gpu_sim::Device;
 use tlc_planner::plan::PlannedDevice;
@@ -170,32 +170,46 @@ impl LoColumns {
         &self.cols[&c]
     }
 
+    /// Prepare the columns for a fused query on a clean device; panics
+    /// where [`LoColumns::try_prepare`] returns an error.
+    pub fn prepare(&self, dev: &Device, needed: &[LoColumn]) -> Vec<QueryColumn> {
+        self.try_prepare(dev, needed)
+            .unwrap_or_else(|e| panic!("prepare failed: {e}"))
+    }
+
     /// Prepare the columns for a fused query: systems that can
     /// decompress inline hand back their tile-decodable columns;
     /// systems that can't launch their decompression kernels here
-    /// (inside the measured region) and hand back plain columns.
-    pub fn prepare(&self, dev: &Device, needed: &[LoColumn]) -> Vec<QueryColumn> {
+    /// (inside the measured region) and hand back plain columns; a
+    /// launch an armed fault plan fails is a typed error.
+    pub fn try_prepare(
+        &self,
+        dev: &Device,
+        needed: &[LoColumn],
+    ) -> Result<Vec<QueryColumn>, DecodeError> {
         needed
             .iter()
-            .map(|c| match &self.cols[c] {
-                // A query owns its handles (columns aren't `Clone`), so a
-                // resident column is copied host-side, unaccounted; no
-                // kernel runs here: the fused query loads plain tiles
-                // and decodes GPU-* tiles inline.
-                StoredColumn::Plain(QueryColumn::Plain(b)) => {
-                    QueryColumn::Plain(dev.alloc_from_slice(b.as_slice_unaccounted()))
-                }
-                StoredColumn::Star(QueryColumn::Encoded(e)) => {
-                    QueryColumn::Encoded(reclone_device_column(dev, e))
-                }
-                StoredColumn::Plain(_) | StoredColumn::Star(_) => {
-                    unreachable!("plain storage holds a buffer, GPU-* an encoded column")
-                }
-                StoredColumn::NvComp(payload) => QueryColumn::Plain(payload.decompress(dev)),
-                StoredColumn::GpuBp(payload) => {
-                    QueryColumn::Plain(gpu_bp::decompress(dev, payload))
-                }
-                StoredColumn::Planner(payload) => QueryColumn::Plain(payload.decompress(dev)),
+            .map(|c| {
+                Ok(match &self.cols[c] {
+                    // A query owns its handles (columns aren't `Clone`),
+                    // so a resident column is copied host-side,
+                    // unaccounted; no kernel runs here: the fused query
+                    // loads plain tiles and decodes GPU-* tiles inline.
+                    StoredColumn::Plain(QueryColumn::Plain(b)) => {
+                        QueryColumn::Plain(dev.alloc_from_slice(b.as_slice_unaccounted()))
+                    }
+                    StoredColumn::Star(QueryColumn::Encoded(e)) => {
+                        QueryColumn::Encoded(reclone_device_column(dev, e))
+                    }
+                    StoredColumn::Plain(_) | StoredColumn::Star(_) => {
+                        unreachable!("plain storage holds a buffer, GPU-* an encoded column")
+                    }
+                    StoredColumn::NvComp(payload) => QueryColumn::Plain(payload.decompress(dev)?),
+                    StoredColumn::GpuBp(payload) => {
+                        QueryColumn::Plain(gpu_bp::decompress(dev, payload)?)
+                    }
+                    StoredColumn::Planner(payload) => QueryColumn::Plain(payload.decompress(dev)?),
+                })
             })
             .collect()
     }

@@ -7,12 +7,22 @@
 //! the interconnect. Query latency is the *slowest shard* plus the
 //! merge transfer — compression helps twice, by fitting more shard per
 //! device and by shrinking any cross-device spill.
+//!
+//! Any shard's device may be armed with a [`FaultPlan`]; the shard then
+//! climbs the [`crate::resilience`] ladder (retry in place, fail over
+//! to a fresh device, answer on the CPU). A run without plans is the
+//! fault-free fleet: every shard's first rung succeeds and its report
+//! is empty.
 
-use tlc_gpu_sim::{Device, KernelReport};
+use std::collections::BTreeMap;
+
+use tlc_gpu_sim::{Device, FaultPlan};
 
 use crate::encode::LoColumns;
 use crate::gen::{LineOrder, SsbData};
-use crate::queries::{run_query, QueryId};
+use crate::queries::{try_run_query, QueryId};
+use crate::reference::run_reference;
+use crate::resilience::{device_ladder, retry_transients, ResilienceReport};
 use crate::System;
 
 impl SsbData {
@@ -60,16 +70,17 @@ impl SsbData {
 /// Result of a sharded query.
 #[derive(Debug)]
 pub struct ShardedRun {
-    /// Merged `(group, sum)` pairs, identical to a single-device run.
+    /// Merged `(group, sum)` pairs, identical to a single-device run
+    /// whenever recovery succeeded — which it always does, because host
+    /// data stays clean and the CPU reference path cannot fail.
     pub result: Vec<(u64, u64)>,
-    /// Slowest shard's simulated time.
+    /// Slowest shard's simulated time (including retries and failovers).
     pub slowest_shard_s: f64,
     /// Merge transfer time (partial aggregates over the interconnect).
     pub merge_s: f64,
-    /// Every kernel report each shard's device emitted, in shard order.
-    /// Deterministic for any `TLC_SIM_THREADS`; feed a shard's reports
-    /// to `tlc-profile` to break its run down phase by phase.
-    pub shard_timelines: Vec<Vec<KernelReport>>,
+    /// What was injected and what it took to recover; empty without
+    /// fault plans.
+    pub report: ResilienceReport,
 }
 
 impl ShardedRun {
@@ -84,7 +95,7 @@ impl ShardedRun {
 /// its simulated device, so the items share no state; callers fold the
 /// ordered results serially, which keeps every sharded and streamed
 /// report deterministic for any worker count. Also used by
-/// [`crate::resilience`] and [`crate::stream`].
+/// [`crate::stream`].
 pub(crate) fn map_ordered<T: Send>(
     range: std::ops::Range<usize>,
     workers: usize,
@@ -99,33 +110,50 @@ pub(crate) fn map_ordered<T: Send>(
     per_range.into_iter().flatten().collect()
 }
 
-/// Run `q` sharded across `shards` simulated devices under `system`.
-/// `scale` linearly scales each shard's traffic-proportional time (for
-/// reporting a larger SF), exactly like `Device::elapsed_seconds_scaled`.
+/// Run `q` sharded across `shards` simulated devices under `system`,
+/// arming shard `s`'s device with `plans[s]` (missing or `None` entries
+/// run clean; `&[]` is the fault-free fleet). `scale` linearly scales
+/// each shard's traffic-proportional time (for reporting a larger SF),
+/// exactly like `Device::elapsed_seconds_scaled`.
 pub fn run_query_sharded(
     data: &SsbData,
     system: System,
     q: QueryId,
     shards: usize,
     scale: f64,
+    plans: &[Option<FaultPlan>],
 ) -> ShardedRun {
     let parts = data.shard(shards);
+    // Shards run concurrently (each device is shard-private, so an armed
+    // one draws exactly what it would serially); partial sums and
+    // tallies fold in shard order below.
     let shard_runs = map_ordered(0..parts.len(), tlc_gpu_sim::sim_threads(), |s| {
         let part = &parts[s];
+        let mut report = ResilienceReport::default();
         let dev = Device::v100();
-        let cols = LoColumns::build(&dev, part, system, q.columns());
-        dev.reset_timeline();
-        let result = run_query(&dev, part, &cols, q);
-        let timeline = dev.with_timeline(|tl| tl.events().to_vec());
-        (result, dev.elapsed_seconds_scaled(scale), timeline)
+        if let Some(plan) = plans.get(s).and_then(Clone::clone) {
+            dev.inject_faults(plan);
+        }
+        let build = |d: &Device| LoColumns::build(d, part, system, q.columns());
+        let (result, shard_s, _) = device_ladder(
+            &dev,
+            &build(&dev),
+            build,
+            |d, cols, report| retry_transients(report, || try_run_query(d, part, cols, q)),
+            || run_reference(part, q),
+            scale,
+            &mut report,
+        );
+        report.absorb_device(&dev);
+        (result, shard_s, report)
     });
-    let mut merged: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
+    let mut report = ResilienceReport::default();
+    let mut merged: BTreeMap<u64, u64> = BTreeMap::new();
     let mut slowest = 0.0f64;
     let mut merge_bytes = 0u64;
-    let mut shard_timelines = Vec::with_capacity(shards);
-    for (result, shard_s, timeline) in shard_runs {
-        shard_timelines.push(timeline);
+    for (result, shard_s, shard_report) in shard_runs {
         slowest = slowest.max(shard_s);
+        report.absorb(&shard_report);
         merge_bytes += result.len() as u64 * 16; // (group, sum) pairs
         for (g, v) in result {
             let e = merged.entry(g).or_insert(0);
@@ -139,21 +167,42 @@ pub fn run_query_sharded(
         result: merged.into_iter().filter(|&(_, v)| v != 0).collect(),
         slowest_shard_s: slowest,
         merge_s,
-        shard_timelines,
+        report,
     }
+}
+
+/// DESIGN.md §9's acceptance campaign for `q` under `seed`, stated once:
+/// four shards, each armed with bit flips (5e-4 a word) and transient
+/// launch failures (2 %) from its own seed `seed ^ s << 32`, and shard
+/// `seed % 4` killed at the query's last launch — a join flight's
+/// tables are built and its fact scan is lost; flight 1 builds nothing
+/// and loses its scan. Run it with `plans.len()` shards.
+pub fn campaign_plans(seed: u64, q: QueryId) -> Vec<Option<FaultPlan>> {
+    const SHARDS: usize = 4;
+    let killed = seed as usize % SHARDS;
+    let last_launch = q.launches() as usize - 1;
+    (0..SHARDS)
+        .map(|s| {
+            Some(FaultPlan {
+                bitflip_rate: 5e-4,
+                transient_launch_rate: 0.02,
+                kill_after_launches: (s == killed).then_some(last_launch),
+                ..FaultPlan::seeded(seed ^ ((s as u64) << 32))
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::run_reference;
 
     #[test]
     fn sharded_results_match_reference() {
         let data = SsbData::generate(0.01);
         for shards in [1, 2, 4] {
             for q in [QueryId::Q11, QueryId::Q21, QueryId::Q41] {
-                let run = run_query_sharded(&data, System::GpuStar, q, shards, 1.0);
+                let run = run_query_sharded(&data, System::GpuStar, q, shards, 1.0, &[]);
                 assert_eq!(
                     run.result,
                     run_reference(&data, q),
@@ -165,10 +214,86 @@ mod tests {
     }
 
     #[test]
+    fn no_plans_report_nothing_and_answer_as_the_reference() {
+        let data = SsbData::generate(0.01);
+        let run = run_query_sharded(&data, System::GpuStar, QueryId::Q21, 2, 1.0, &[]);
+        assert_eq!(run.result, run_reference(&data, QueryId::Q21));
+        assert_eq!(run.report, ResilienceReport::default());
+    }
+
+    #[test]
+    fn transient_failures_are_retried_in_place() {
+        let data = SsbData::generate(0.01);
+        let plans = vec![Some(FaultPlan {
+            transient_launch_rate: 0.2,
+            ..FaultPlan::seeded(3)
+        })];
+        let run = run_query_sharded(&data, System::GpuStar, QueryId::Q11, 2, 1.0, &plans);
+        assert_eq!(run.result, run_reference(&data, QueryId::Q11));
+        assert!(run.report.transient_failures_injected > 0);
+        assert!(run.report.transient_retries > 0);
+    }
+
+    #[test]
+    fn dead_shard_fails_over_to_fresh_device() {
+        let data = SsbData::generate(0.01);
+        let plans = vec![
+            None,
+            Some(FaultPlan {
+                kill_after_launches: Some(1),
+                ..FaultPlan::seeded(0)
+            }),
+        ];
+        let run = run_query_sharded(&data, System::GpuStar, QueryId::Q21, 3, 1.0, &plans);
+        assert_eq!(run.result, run_reference(&data, QueryId::Q21));
+        assert_eq!(run.report.devices_lost, 1);
+        assert_eq!(run.report.shards_failed_over, 1);
+        assert_eq!(run.report.cpu_fallbacks, 0);
+    }
+
+    #[test]
+    fn corrupt_columns_are_detected_and_failed_over() {
+        let data = SsbData::generate(0.01);
+        let plans = vec![Some(FaultPlan {
+            bitflip_rate: 1e-3,
+            ..FaultPlan::seeded(9)
+        })];
+        let run = run_query_sharded(&data, System::GpuStar, QueryId::Q41, 2, 1.0, &plans);
+        assert_eq!(run.result, run_reference(&data, QueryId::Q41));
+        assert!(run.report.bit_flips_injected > 0);
+        assert_eq!(run.report.corrupt_tiles_detected, 1);
+        assert_eq!(run.report.shards_failed_over, 1);
+    }
+
+    /// Launch faults recover on every system, not only on the two that
+    /// decode inline: the decompression kernels of nvCOMP, GPU-BP and
+    /// Planner and OmniSci's operators fail with a typed error, so the
+    /// shard climbs the ladder instead of panicking.
+    #[test]
+    fn launch_faults_recover_on_every_system() {
+        let data = SsbData::generate(0.01);
+        for system in System::ALL {
+            for q in [QueryId::Q11, QueryId::Q21] {
+                let plans = [Some(FaultPlan {
+                    transient_launch_rate: 0.3,
+                    kill_after_launches: Some(q.launches() as usize - 1),
+                    ..FaultPlan::seeded(7)
+                })];
+                let clean = run_query_sharded(&data, system, q, 2, 1.0, &[]);
+                let run = run_query_sharded(&data, system, q, 2, 1.0, &plans);
+                let at = format!("{} {}", system.name(), q.name());
+                assert_eq!(run.result, clean.result, "{at}");
+                assert_eq!(run.report.devices_lost, 1, "{at}");
+                assert_eq!(run.report.cpu_fallbacks, 0, "{at}");
+            }
+        }
+    }
+
+    #[test]
     fn sharding_divides_latency() {
         let data = SsbData::generate(0.02);
-        let one = run_query_sharded(&data, System::GpuStar, QueryId::Q21, 1, 1.0);
-        let four = run_query_sharded(&data, System::GpuStar, QueryId::Q21, 4, 1.0);
+        let one = run_query_sharded(&data, System::GpuStar, QueryId::Q21, 1, 1.0, &[]);
+        let four = run_query_sharded(&data, System::GpuStar, QueryId::Q21, 4, 1.0, &[]);
         // Not perfectly linear (fixed launch overheads per shard), but
         // the scan leg divides.
         assert!(

@@ -20,10 +20,14 @@
 //!   that don't.
 //! * [`mod@reference`] — a scalar CPU executor; every query result is
 //!   verified against it in the test suite.
-//! * [`resilience`] — bounded retries, shard failover and CPU fallback
-//!   over the fault model in [`tlc_gpu_sim::FaultPlan`], with a
-//!   [`resilience::ResilienceReport`] reconciling injected faults
-//!   against recovery actions.
+//! * [`fleet`] — the fact table range-partitioned across simulated
+//!   devices, any of them optionally armed with a
+//!   [`tlc_gpu_sim::FaultPlan`]; with no plans it is the fault-free
+//!   fleet.
+//! * [`resilience`] — the recovery primitives under [`fleet`] and
+//!   [`stream`]: bounded retries, failover to a fresh device and CPU
+//!   fallback, with a [`resilience::ResilienceReport`] reconciling
+//!   injected faults against recovery actions.
 //! * [`stream`] — paper-scale out-of-core execution: the fact table
 //!   persisted as a `tlc-store` partitioned compressed store
 //!   ([`stream::SsbStore`]), streamed through one partition executor
@@ -42,9 +46,7 @@ pub mod stream;
 pub use encode::{LoColumns, System};
 pub use gen::{LoColumn, SsbData, StreamSpec};
 pub use queries::{run_query, try_run_query, QueryId};
-pub use resilience::{
-    run_query_sharded_resilient, ResilienceReport, ResilientRun, MAX_TRANSIENT_RETRIES,
-};
+pub use resilience::{ResilienceReport, MAX_TRANSIENT_RETRIES};
 pub use stream::{
     run_query_streamed_bounded, run_wave_streamed, DeadlinePartial, SsbStore, StreamError,
     StreamOptions, StreamedRun, WaveAnswer, WaveQuery, WaveQueryRun, WaveRun, WaveSpec,

@@ -534,8 +534,8 @@ pub fn run_query(dev: &Device, data: &SsbData, cols: &LoColumns, q: QueryId) -> 
 }
 
 /// Fallible variant of [`run_query`]: tile corruption or a device
-/// fault surfaces as a typed [`DecodeError`] instead of a panic. The
-/// resilient executor ([`crate::resilience`]) builds on this. It is
+/// fault surfaces as a typed [`DecodeError`] instead of a panic, on
+/// every system. The fleet ([`crate::fleet`]) builds on this. It is
 /// the one-flight wave: for a join flight a build launch, then a scan
 /// launch; for flight 1 the scan launch alone, its filter part with
 /// one member.
@@ -546,9 +546,9 @@ pub fn try_run_query(
     q: QueryId,
 ) -> Result<Vec<(u64, u64)>, DecodeError> {
     if cols.system == System::OmniSci {
-        return Ok(run_materialized(dev, data, cols, q));
+        return run_materialized(dev, data, cols, q);
     }
-    let prepared = cols.prepare(dev, q.columns());
+    let prepared = cols.try_prepare(dev, q.columns())?;
     if is_flight1(q) {
         let columns: Vec<&QueryColumn> = prepared.iter().collect();
         let members = [FilterMember::Flight1 {
@@ -1241,8 +1241,13 @@ pub fn scalar_filters(
 
 /// OmniSci model: the same query logic, one materializing kernel per
 /// operator (no tiles, no inlining, no compression).
-fn run_materialized(dev: &Device, data: &SsbData, cols: &LoColumns, q: QueryId) -> Vec<(u64, u64)> {
-    let prepared = cols.prepare(dev, q.columns());
+fn run_materialized(
+    dev: &Device,
+    data: &SsbData,
+    cols: &LoColumns,
+    q: QueryId,
+) -> Result<Vec<(u64, u64)>, DecodeError> {
+    let prepared = cols.try_prepare(dev, q.columns())?;
     let bufs: Vec<&GlobalBuffer<i32>> = prepared
         .iter()
         .map(|c| match c {
@@ -1250,23 +1255,21 @@ fn run_materialized(dev: &Device, data: &SsbData, cols: &LoColumns, q: QueryId) 
             QueryColumn::Encoded(_) => unreachable!("OmniSci stores plain columns"),
         })
         .collect();
-    // OmniSci's operator-at-a-time path models a healthy device; a
-    // fault here is unrecoverable by design.
-    let (mut tables, _) = wave_build(dev, data, &[q]).expect("OmniSci table build");
+    let (mut tables, _) = wave_build(dev, data, &[q])?;
     let tables = tables.pop().expect("one query in, one set of tables out");
     let s = spec(q);
 
     if is_flight1(q) {
         // filter(quantity) -> filter(discount) -> probe(date) -> agg.
-        let sel_q = materialize::filter(dev, "oms_f_qty", bufs[1], None, within(s.qty));
-        let sel_qd = materialize::filter(dev, "oms_f_disc", bufs[2], Some(&sel_q), within(s.disc));
+        let sel_q = materialize::filter(dev, "oms_f_qty", bufs[1], None, within(s.qty))?;
+        let sel_qd = materialize::filter(dev, "oms_f_disc", bufs[2], Some(&sel_q), within(s.disc))?;
         let (_dpay, sel2) =
-            materialize::probe(dev, "oms_probe_date", bufs[0], &tables.date, Some(&sel_qd));
+            materialize::probe(dev, "oms_probe_date", bufs[0], &tables.date, Some(&sel_qd))?;
         let agg = materialize::aggregate(dev, "oms_agg", &[bufs[3], bufs[2]], &sel2, 1, |row| {
             (0, row[0] as u64 * row[1] as u64)
-        });
+        })?;
         let sum = agg.values()[0];
-        return if sum == 0 { vec![] } else { vec![(0, sum)] };
+        return Ok(if sum == 0 { vec![] } else { vec![(0, sum)] });
     }
 
     let cix = |c: LoColumn| {
@@ -1275,61 +1278,28 @@ fn run_materialized(dev: &Device, data: &SsbData, cols: &LoColumns, q: QueryId) 
             .position(|&x| x == c)
             .expect("column present")
     };
+    // Customer, supplier, part, in that order, as the flight joins
+    // them; after each probe OmniSci materializes the projected
+    // intermediate: all downstream columns round-trip global memory.
+    let joins = [
+        (LoColumn::CustKey, &tables.cust, "cust"),
+        (LoColumn::SuppKey, &tables.supp, "supp"),
+        (LoColumn::PartKey, &tables.part, "part"),
+    ];
     let mut sel: Option<GlobalBuffer<u8>> = None;
-    let mut cpay_buf: Option<GlobalBuffer<i32>> = None;
-    let spay_buf: GlobalBuffer<i32>;
-    let mut ppay_buf: Option<GlobalBuffer<i32>> = None;
-    if uses_cust(q) {
-        let (p, s2) = materialize::probe(
-            dev,
-            "oms_probe_cust",
-            bufs[cix(LoColumn::CustKey)],
-            tables.cust.as_ref().expect("cust"),
-            sel.as_ref(),
-        );
-        cpay_buf = Some(p);
-        // OmniSci materializes the projected intermediate after each
-        // operator: all downstream columns round-trip global memory.
-        let downstream: Vec<&GlobalBuffer<i32>> = bufs
+    let mut pays: [Option<GlobalBuffer<i32>>; 3] = Default::default();
+    for ((key, table, dim), pay) in joins.into_iter().zip(&mut pays) {
+        let Some(table) = table else { continue };
+        let fk = bufs[cix(key)];
+        let name = format!("oms_probe_{dim}");
+        let (p, s2) = materialize::probe(dev, &name, fk, table, sel.as_ref())?;
+        *pay = Some(p);
+        let downstream: Vec<_> = bufs
             .iter()
             .copied()
-            .filter(|b| !std::ptr::eq(*b, bufs[cix(LoColumn::CustKey)]))
+            .filter(|&b| !std::ptr::eq(b, fk))
             .collect();
-        let _ = materialize::project(dev, "oms_project_cust", &downstream, &s2);
-        sel = Some(s2);
-    }
-    {
-        let (p, s2) = materialize::probe(
-            dev,
-            "oms_probe_supp",
-            bufs[cix(LoColumn::SuppKey)],
-            tables.supp.as_ref().expect("supp"),
-            sel.as_ref(),
-        );
-        spay_buf = p;
-        let downstream: Vec<&GlobalBuffer<i32>> = bufs
-            .iter()
-            .copied()
-            .filter(|b| !std::ptr::eq(*b, bufs[cix(LoColumn::SuppKey)]))
-            .collect();
-        let _ = materialize::project(dev, "oms_project_supp", &downstream, &s2);
-        sel = Some(s2);
-    }
-    if uses_part(q) {
-        let (p, s2) = materialize::probe(
-            dev,
-            "oms_probe_part",
-            bufs[cix(LoColumn::PartKey)],
-            tables.part.as_ref().expect("part"),
-            sel.as_ref(),
-        );
-        ppay_buf = Some(p);
-        let downstream: Vec<&GlobalBuffer<i32>> = bufs
-            .iter()
-            .copied()
-            .filter(|b| !std::ptr::eq(*b, bufs[cix(LoColumn::PartKey)]))
-            .collect();
-        let _ = materialize::project(dev, "oms_project_part", &downstream, &s2);
+        materialize::project(dev, &format!("oms_project_{dim}"), &downstream, &s2)?;
         sel = Some(s2);
     }
     let (dpay, seld) = materialize::probe(
@@ -1338,47 +1308,26 @@ fn run_materialized(dev: &Device, data: &SsbData, cols: &LoColumns, q: QueryId) 
         bufs[cix(LoColumn::OrderDate)],
         &tables.date,
         sel.as_ref(),
-    );
+    )?;
 
     let zero = dev.alloc_zeroed::<i32>(bufs[0].len());
-    let cpay = cpay_buf.as_ref().unwrap_or(&zero);
-    let spay = &spay_buf;
-    let ppay = ppay_buf.as_ref().unwrap_or(&zero);
-    let measure = bufs[cix(LoColumn::Revenue)];
-    let is_q4 = prepared.len() == 6;
-    let cost = if is_q4 {
-        Some(bufs[cix(LoColumn::SupplyCost)])
-    } else {
-        None
-    };
-
+    let [cpay, spay, ppay] = pays.each_ref().map(|p| p.as_ref().unwrap_or(&zero));
+    let mut inputs = vec![cpay, spay, ppay, &dpay, bufs[cix(LoColumn::Revenue)]];
+    if prepared.len() == 6 {
+        // q4.x: profit, revenue less supply cost.
+        inputs.push(bufs[cix(LoColumn::SupplyCost)]);
+    }
     let group = s.group;
-    let agg = match cost {
-        Some(cost) => materialize::aggregate(
-            dev,
-            "oms_agg",
-            &[cpay, spay, ppay, &dpay, measure, cost],
-            &seld,
-            s.groups,
-            move |row| {
-                (
-                    group(row[0], row[1], row[2], row[3]),
-                    (row[4] as i64 - row[5] as i64) as u64,
-                )
-            },
-        ),
-        None => materialize::aggregate(
-            dev,
-            "oms_agg",
-            &[cpay, spay, ppay, &dpay, measure],
-            &seld,
-            s.groups,
-            move |row| (group(row[0], row[1], row[2], row[3]), row[4] as u64),
-        ),
-    };
+    let agg = materialize::aggregate(dev, "oms_agg", &inputs, &seld, s.groups, move |row| {
+        let cost = row.get(5).map_or(0, |&c| c as i64);
+        (
+            group(row[0], row[1], row[2], row[3]),
+            (row[4] as i64 - cost) as u64,
+        )
+    })?;
     let mut out: Vec<(u64, u64)> = agg.non_zero().iter().map(|&(g, v)| (g as u64, v)).collect();
     out.sort_unstable();
-    out
+    Ok(out)
 }
 
 #[cfg(test)]

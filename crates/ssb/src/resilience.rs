@@ -1,11 +1,15 @@
-//! Retry, shard failover and CPU fallback for the sharded query path.
+//! Retry, failover and CPU fallback: the recovery primitives of the
+//! in-memory fleet ([`crate::fleet`]) and the partition executor
+//! ([`crate::stream`]).
 //!
 //! The fault model ([`tlc_gpu_sim::FaultPlan`]) injects bit flips into
 //! encoded column words, transient kernel-launch failures and whole
-//! device loss. This module is the recovery side: every failure a query
-//! can hit surfaces as a typed [`DecodeError`] (never a panic, never a
-//! silently wrong answer — per-tile checksums reject corrupt data
-//! before any decoded value is trusted), and the executor recovers by
+//! device loss. This module is the recovery side: a failed launch, on
+//! any system, surfaces as a typed [`DecodeError`], and so does a
+//! corrupt GPU-\* tile, whose checksum rejects it before any decoded
+//! value is trusted (never a panic, never a silently wrong answer; the
+//! baselines carry no integrity words, DESIGN.md §9). Both executors
+//! recover by
 //!
 //! 1. **retrying** transient launch failures in place (bounded by
 //!    [`MAX_TRANSIENT_RETRIES`]),
@@ -18,17 +22,8 @@
 //! [`ResilienceReport`] so campaigns can reconcile observed errors
 //! against injected ones.
 
-use std::collections::BTreeMap;
-
 use tlc_core::DecodeError;
-use tlc_gpu_sim::{Device, FaultPlan};
-
-use crate::encode::LoColumns;
-use crate::fleet::map_ordered;
-use crate::gen::SsbData;
-use crate::queries::{try_run_query, QueryId};
-use crate::reference::run_reference;
-use crate::System;
+use tlc_gpu_sim::Device;
 
 /// In-place retries before a transient failure is treated as fatal for
 /// the attempt (mirrors the usual "3 strikes" driver policy).
@@ -133,19 +128,6 @@ impl std::fmt::Display for ResilienceReport {
     }
 }
 
-/// Run `q` with bounded in-place retries on transient launch failures.
-/// Non-transient errors (corruption, device loss) are returned to the
-/// caller, who decides whether to fail over.
-pub fn run_query_checked(
-    dev: &Device,
-    data: &SsbData,
-    cols: &LoColumns,
-    q: QueryId,
-    report: &mut ResilienceReport,
-) -> Result<Vec<(u64, u64)>, DecodeError> {
-    retry_transients(report, || try_run_query(dev, data, cols, q))
-}
-
 /// The first rung of every device ladder: `attempt`, re-run in place
 /// while it fails with a transient launch error, at most
 /// [`MAX_TRANSIENT_RETRIES`] times.
@@ -173,65 +155,6 @@ pub(crate) fn retry_transients<T>(
                 return Err(e);
             }
         }
-    }
-}
-
-/// Result of a resilient sharded query.
-#[derive(Debug)]
-pub struct ResilientRun {
-    /// Merged `(group, sum)` pairs — identical to a fault-free run
-    /// whenever recovery succeeded.
-    pub result: Vec<(u64, u64)>,
-    /// Slowest shard's simulated time (including retries/failovers).
-    pub slowest_shard_s: f64,
-    /// Merge transfer time.
-    pub merge_s: f64,
-    /// What was injected and what it took to recover.
-    pub report: ResilienceReport,
-}
-
-/// Run `q` sharded across `shards` devices, arming shard `s`'s device
-/// with `plans[s]` (missing/`None` entries run clean), recovering per
-/// the module policy. The merged result matches the fault-free
-/// [`crate::fleet::run_query_sharded`] result whenever recovery
-/// succeeds — which it always does here, because host data stays clean
-/// and the CPU reference path cannot fail.
-pub fn run_query_sharded_resilient(
-    data: &SsbData,
-    system: System,
-    q: QueryId,
-    shards: usize,
-    scale: f64,
-    plans: &[Option<FaultPlan>],
-) -> ResilientRun {
-    let parts = data.shard(shards);
-    // Shards run concurrently (each armed device is shard-private, so
-    // its fault RNG draws exactly what it would serially); tallies and
-    // partial sums fold in shard order below.
-    let shard_runs = map_ordered(0..parts.len(), tlc_gpu_sim::sim_threads(), |s| {
-        let plan = plans.get(s).and_then(Clone::clone);
-        run_shard(&parts[s], system, q, plan, scale)
-    });
-    let mut report = ResilienceReport::default();
-    let mut merged: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut slowest = 0.0f64;
-    let mut merge_bytes = 0u64;
-    for (result, shard_s, shard_report) in shard_runs {
-        slowest = slowest.max(shard_s);
-        report.absorb(&shard_report);
-        merge_bytes += result.len() as u64 * 16;
-        for (g, v) in result {
-            let e = merged.entry(g).or_insert(0);
-            *e = e.wrapping_add(v);
-        }
-    }
-    let merge_dev = Device::v100();
-    let merge_s = merge_dev.pcie_transfer(merge_bytes);
-    ResilientRun {
-        result: merged.into_iter().filter(|&(_, v)| v != 0).collect(),
-        slowest_shard_s: slowest,
-        merge_s,
-        report,
     }
 }
 
@@ -284,95 +207,4 @@ pub(crate) fn device_ladder<C, T>(
         }
     };
     (value, seconds, true)
-}
-
-/// One shard of the in-memory fleet on its own (possibly armed) device.
-/// Returns the shard's result, its simulated time, and its own fault /
-/// recovery tally (so shards can run concurrently and fold in order).
-fn run_shard(
-    part: &SsbData,
-    system: System,
-    q: QueryId,
-    plan: Option<FaultPlan>,
-    scale: f64,
-) -> (Vec<(u64, u64)>, f64, ResilienceReport) {
-    let mut report = ResilienceReport::default();
-    let dev = Device::v100();
-    if let Some(p) = plan {
-        dev.inject_faults(p);
-    }
-    let build = |d: &Device| LoColumns::build(d, part, system, q.columns());
-    let (result, shard_s, _) = device_ladder(
-        &dev,
-        &build(&dev),
-        build,
-        |d, cols, report| run_query_checked(d, part, cols, q, report),
-        || run_reference(part, q),
-        scale,
-        &mut report,
-    );
-    report.absorb_device(&dev);
-    (result, shard_s, report)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::fleet::run_query_sharded;
-
-    #[test]
-    fn clean_run_matches_fleet_and_reports_nothing() {
-        let data = SsbData::generate(0.01);
-        let clean = run_query_sharded(&data, System::GpuStar, QueryId::Q21, 2, 1.0);
-        let run = run_query_sharded_resilient(&data, System::GpuStar, QueryId::Q21, 2, 1.0, &[]);
-        assert_eq!(run.result, clean.result);
-        assert_eq!(run.report, ResilienceReport::default());
-    }
-
-    #[test]
-    fn transient_failures_are_retried_in_place() {
-        let data = SsbData::generate(0.01);
-        let clean = run_query_sharded(&data, System::GpuStar, QueryId::Q11, 2, 1.0);
-        let plans = vec![Some(FaultPlan {
-            transient_launch_rate: 0.2,
-            ..FaultPlan::seeded(3)
-        })];
-        let run = run_query_sharded_resilient(&data, System::GpuStar, QueryId::Q11, 2, 1.0, &plans);
-        assert_eq!(run.result, clean.result);
-        assert!(run.report.transient_failures_injected > 0);
-        assert!(run.report.transient_retries > 0);
-    }
-
-    #[test]
-    fn dead_shard_fails_over_to_fresh_device() {
-        let data = SsbData::generate(0.01);
-        let clean = run_query_sharded(&data, System::GpuStar, QueryId::Q21, 3, 1.0);
-        let plans = vec![
-            None,
-            Some(FaultPlan {
-                kill_after_launches: Some(1),
-                ..FaultPlan::seeded(0)
-            }),
-        ];
-        let run = run_query_sharded_resilient(&data, System::GpuStar, QueryId::Q21, 3, 1.0, &plans);
-        assert_eq!(run.result, clean.result);
-        assert_eq!(run.report.devices_lost, 1);
-        assert_eq!(run.report.shards_failed_over, 1);
-        assert_eq!(run.report.cpu_fallbacks, 0);
-    }
-
-    #[test]
-    fn corrupt_columns_are_detected_and_failed_over() {
-        let data = SsbData::generate(0.01);
-        let clean = run_query_sharded(&data, System::GpuStar, QueryId::Q41, 2, 1.0);
-        let plans = vec![Some(FaultPlan {
-            bitflip_rate: 1e-3,
-            ..FaultPlan::seeded(9)
-        })];
-        let run = run_query_sharded_resilient(&data, System::GpuStar, QueryId::Q41, 2, 1.0, &plans);
-        assert_eq!(run.result, clean.result);
-        assert!(run.report.bit_flips_injected > 0);
-        assert_eq!(run.report.corrupt_tiles_detected, 1);
-        assert_eq!(run.report.shards_failed_over, 1);
-    }
 }

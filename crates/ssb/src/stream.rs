@@ -1146,10 +1146,10 @@ fn wave_pass(
     flights: &[QueryId],
     scale: f64,
 ) -> Result<WavePass, DecodeError> {
-    let prepared: Vec<_> = flights
+    let prepared = flights
         .iter()
-        .map(|q| lo.prepare(dev, q.columns()))
-        .collect();
+        .map(|q| lo.try_prepare(dev, q.columns()))
+        .collect::<Result<Vec<_>, _>>()?;
     let (tables, build) = wave_build(dev, dims, flights)?;
     let columns: Vec<&QueryColumn> = read
         .iter()

@@ -14,7 +14,7 @@
 //! tlc ingest     <store-dir> [--rows N] [--orders-per-chunk N] [--seed S]
 //! tlc compact    <store-dir> [--merge K]
 //! tlc chaos      [--seed N | --seed A..B] [--rows N]
-//! tlc faultsim   [--seed N]
+//! tlc faultsim   [--seed N | --seed A..B]
 //! tlc fuzz       [--seed N | --seed A..B] [--iters M]
 //! tlc profile    (<input.tlc> | --query <q>) [--sf N] [--system S] [--json PATH]
 //! tlc serve      <store-dir> [--workers N] [--queue N] [--requests N] [--seed S] [--kill-shard P] [--cache-mb N] [--batch-window W]
@@ -54,13 +54,15 @@
 //!
 //! `faultsim` runs the seeded fault-injection campaign: sharded SSB
 //! queries with bit flips, transient launch failures and a killed
-//! device, asserting the recovered answers match a fault-free run.
+//! device, asserting the kill fired and the recovered answers match a
+//! fault-free run.
 //! `fuzz` runs the offline differential fuzzer (`tlc::fuzz`): honest
 //! streams are structurally mutated and every mutant must decode
 //! identically on CPU and GPU-sim or die with a typed error — never a
-//! panic, never past the allocation cap. `--seed A..B` runs one
-//! campaign per seed in the (Rust-style, exclusive) range. The
-//! checked-in regression corpus runs on every invocation.
+//! panic, never past the allocation cap. The checked-in regression
+//! corpus runs on every invocation. For `chaos`, `faultsim` and `fuzz`,
+//! `--seed A..B` runs one campaign per seed in the (Rust-style,
+//! exclusive) range.
 //!
 //! `serve` runs the overload-safe concurrent query service
 //! (`tlc::serve`) over an ingested store: a deterministic mixed batch
@@ -96,10 +98,10 @@ use tlc::profile::{write_bench_json, Profile};
 use tlc::schemes::{DecodeError, EncodedColumn, FormatError, Limits, Scheme};
 use tlc::serve::{run_loadgen, LoadgenConfig, QuerySpec, Rejected, Request, ServeConfig, Service};
 use tlc::sim::{set_sim_threads_override, Device, FaultPlan, StorageFaults};
-use tlc::ssb::fleet::run_query_sharded;
+use tlc::ssb::fleet::{campaign_plans, run_query_sharded};
 use tlc::ssb::{
-    run_query, run_query_sharded_resilient, run_query_streamed_bounded, LoColumn, LoColumns,
-    QueryId, SsbData, SsbStore, StreamError, StreamOptions, StreamSpec, System,
+    run_query, run_query_streamed_bounded, LoColumn, LoColumns, QueryId, SsbData, SsbStore,
+    StreamError, StreamOptions, StreamSpec, System,
 };
 use tlc::store::{Store, StoreError};
 
@@ -562,8 +564,8 @@ fn cmd_chaos(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parse `--seed` for `fuzz`: a single seed (`7`) or a Rust-style
-/// range (`0..4` exclusive, `0..=4` inclusive).
+/// Parse `--seed` for `chaos`, `faultsim` and `fuzz`: a single seed
+/// (`7`) or a Rust-style range (`0..4` exclusive, `0..=4` inclusive).
 fn parse_seed_spec(s: &str) -> Result<Vec<u64>, String> {
     let parse_one =
         |t: &str| -> Result<u64, String> { t.parse().map_err(|e| format!("--seed '{s}': {e}")) };
@@ -662,54 +664,40 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `tlc faultsim [--seed N | --seed A..B]`: DESIGN.md §9's acceptance
+/// campaign (`fleet::campaign_plans`) on q1.1, q2.1 and q4.1 per seed,
+/// seeds 0..8 by default. Fails if a recovered answer diverges from the
+/// fault-free run or a campaign lost no device (its kill never fired).
 fn cmd_faultsim(args: &[String]) -> Result<(), String> {
     let mut seeds: Vec<u64> = (0..8).collect();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--seed" => {
-                let s: u64 = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-                seeds = vec![s];
+                seeds = parse_seed_spec(it.next().ok_or("--seed needs a value")?)?;
             }
             other => return Err(format!("unexpected argument '{other}'")),
         }
     }
+    if seeds.is_empty() {
+        return Err("--seed range is empty".to_string());
+    }
 
-    const SHARDS: usize = 4;
     let data = SsbData::generate(0.01);
-    let queries = [QueryId::Q11, QueryId::Q21, QueryId::Q41];
-    let clean: Vec<Vec<(u64, u64)>> = queries
-        .iter()
-        .map(|&q| run_query_sharded(&data, System::GpuStar, q, SHARDS, 1.0).result)
-        .collect();
-
     let mut mismatches = 0usize;
+    let mut unkilled = 0usize;
     for &seed in &seeds {
-        for (qi, &q) in queries.iter().enumerate() {
-            // Every shard sees bit flips and transient launch failures;
-            // one of the four devices dies at the query's last launch:
-            // a join flight's tables are built and its fact scan is
-            // lost; flight 1 builds nothing and loses its scan.
-            let killed = (seed as usize) % SHARDS;
-            let last_launch = q.launches() as usize - 1;
-            let plans: Vec<Option<FaultPlan>> = (0..SHARDS)
-                .map(|s| {
-                    Some(FaultPlan {
-                        bitflip_rate: 5e-4,
-                        transient_launch_rate: 0.02,
-                        kill_after_launches: (s == killed).then_some(last_launch),
-                        ..FaultPlan::seeded(seed ^ (s as u64) << 32)
-                    })
-                })
-                .collect();
-            let run = run_query_sharded_resilient(&data, System::GpuStar, q, SHARDS, 1.0, &plans);
-            let ok = run.result == clean[qi];
+        for q in [QueryId::Q11, QueryId::Q21, QueryId::Q41] {
+            let plans = campaign_plans(seed, q);
+            let shards = plans.len();
+            let clean = run_query_sharded(&data, System::GpuStar, q, shards, 1.0, &[]);
+            let run = run_query_sharded(&data, System::GpuStar, q, shards, 1.0, &plans);
+            let ok = run.result == clean.result;
             if !ok {
                 mismatches += 1;
+            }
+            if run.report.devices_lost == 0 {
+                unkilled += 1;
             }
             println!(
                 "seed {seed} {}: {} — {}",
@@ -726,6 +714,11 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
     if mismatches > 0 {
         return Err(format!(
             "{mismatches} recovered result(s) diverged from the fault-free run"
+        ));
+    }
+    if unkilled > 0 {
+        return Err(format!(
+            "{unkilled} campaign(s) lost no device: the kill never fired"
         ));
     }
     println!("faultsim: all recovered results match the fault-free run");

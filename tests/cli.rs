@@ -341,3 +341,44 @@ fn fuzz_subcommand_runs_a_bounded_campaign() {
     assert!(text.contains("seed 1:"), "{text}");
     assert!(text.contains("corpus:"), "{text}");
 }
+
+/// `faultsim --seed A..B` runs the acceptance campaign once per seed in
+/// the range, three queries each, and every campaign loses its device.
+#[test]
+fn faultsim_subcommand_takes_a_seed_range() {
+    let out = bin()
+        .args(["faultsim", "--seed", "3..5"])
+        .output()
+        .expect("run");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "faultsim failed: {text}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for seed in [3, 4] {
+        for q in ["q1.1", "q2.1", "q4.1"] {
+            assert!(
+                text.contains(&format!("seed {seed} {q}: result matches fault-free run")),
+                "{text}"
+            );
+        }
+    }
+    assert!(
+        !text.contains("seed 2 ") && !text.contains("seed 5 "),
+        "{text}"
+    );
+    assert_eq!(text.matches("1 device(s) lost").count(), 6, "{text}");
+}
+
+/// An empty seed range is a usage error, not a vacuous pass.
+#[test]
+fn faultsim_rejects_an_empty_seed_range() {
+    let out = bin()
+        .args(["faultsim", "--seed", "4..4"])
+        .output()
+        .expect("run");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--seed range is empty"), "{err}");
+}

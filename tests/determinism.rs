@@ -14,10 +14,10 @@ use std::sync::{Mutex, MutexGuard};
 
 use tlc::fuzz::{run_fuzz, FuzzConfig};
 use tlc::profile::Profile;
-use tlc::sim::{set_sim_threads_override, Device, FaultPlan, KernelReport, Phase};
-use tlc::ssb::{
-    run_query, run_query_sharded_resilient, LoColumns, QueryId, ResilientRun, SsbData, System,
-};
+use tlc::sim::{set_sim_threads_override, Device, KernelReport, Phase};
+use tlc::ssb::fleet::{campaign_plans, run_query_sharded, ShardedRun};
+use tlc::ssb::reference::run_reference;
+use tlc::ssb::{run_query, LoColumns, QueryId, SsbData, System};
 
 static OVERRIDE: Mutex<()> = Mutex::new(());
 
@@ -117,21 +117,13 @@ fn profiled_ssb_run_is_identical_across_worker_counts() {
     assert_eq!(serial.render_text(), parallel.render_text());
 }
 
-fn resilient_campaign(data: &SsbData) -> Vec<ResilientRun> {
-    const SHARDS: usize = 4;
+/// DESIGN.md §9's acceptance campaign on q2.1, seeds 0..8.
+fn resilient_campaign(data: &SsbData) -> Vec<ShardedRun> {
+    let q = QueryId::Q21;
     (0..8u64)
         .map(|seed| {
-            let plans: Vec<Option<FaultPlan>> = (0..SHARDS)
-                .map(|s| {
-                    Some(FaultPlan {
-                        bitflip_rate: 5e-4,
-                        transient_launch_rate: 0.02,
-                        kill_after_launches: (s == (seed as usize) % SHARDS).then_some(2),
-                        ..FaultPlan::seeded(seed ^ (s as u64) << 32)
-                    })
-                })
-                .collect();
-            run_query_sharded_resilient(data, System::GpuStar, QueryId::Q21, SHARDS, 1.0, &plans)
+            let plans = campaign_plans(seed, q);
+            run_query_sharded(data, System::GpuStar, q, plans.len(), 1.0, &plans)
         })
         .collect()
 }
@@ -145,7 +137,11 @@ fn seeded_fault_campaigns_report_identically_across_worker_counts() {
     let data = SsbData::generate(0.01);
     let serial = with_workers(1, || resilient_campaign(&data));
     let parallel = with_workers(4, || resilient_campaign(&data));
+    let clean = run_reference(&data, QueryId::Q21);
     for (seed, (s, p)) in serial.iter().zip(&parallel).enumerate() {
+        assert_eq!(s.report.devices_lost, 1, "seed {seed}: no kill");
+        assert_eq!(s.report.cpu_fallbacks, 0, "seed {seed}: CPU fallback");
+        assert_eq!(s.result, clean, "seed {seed}: not the fault-free answer");
         assert_eq!(s.result, p.result, "seed {seed}: recovered result diverged");
         assert_eq!(s.report, p.report, "seed {seed}: fault tallies diverged");
         assert_eq!(

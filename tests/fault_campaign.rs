@@ -8,8 +8,8 @@
 
 use tlc::schemes::{DecodeError, EncodedColumn, Scheme};
 use tlc::sim::{Device, FaultPlan};
-use tlc::ssb::fleet::run_query_sharded;
-use tlc::ssb::{run_query_sharded_resilient, QueryId, SsbData, System, MAX_TRANSIENT_RETRIES};
+use tlc::ssb::fleet::{campaign_plans, run_query_sharded};
+use tlc::ssb::{QueryId, SsbData, System, MAX_TRANSIENT_RETRIES};
 
 fn campaign_values(seed: u64) -> Vec<i32> {
     // Mixed shape: runs, ramps and noise, so all three schemes see
@@ -128,48 +128,28 @@ fn minor0_byte_flips_uphold_the_panic_free_contract() {
     assert!(silently_decoded > 0, "no flip ever decoded");
 }
 
-/// The acceptance campaign: bit flips on every shard, transient launch
-/// failures, one of four devices killed at the query's last launch (a
-/// join flight's tables are built and its fact scan is lost; flight 1
-/// builds nothing and loses its scan), seeds 0..8. The recovered result must equal the fault-free result and the
-/// report must account for the injected faults.
+/// The acceptance campaign (`fleet::campaign_plans`): bit flips on
+/// every shard, transient launch failures, one of four devices killed
+/// at the query's last launch, seeds 0..8. The kill must fire, the
+/// recovered result must equal the fault-free result and the report
+/// must account for the injected faults.
 #[test]
 fn sharded_campaign_recovers_to_fault_free_results() {
-    const SHARDS: usize = 4;
     let data = SsbData::generate(0.01);
-    let queries = [QueryId::Q11, QueryId::Q21, QueryId::Q41];
-    let clean: Vec<_> = queries
-        .iter()
-        .map(|&q| run_query_sharded(&data, System::GpuStar, q, SHARDS, 1.0).result)
-        .collect();
-
     for seed in 0..8u64 {
-        let killed = (seed as usize) % SHARDS;
-        for (qi, &q) in queries.iter().enumerate() {
-            let last_launch = q.launches() as usize - 1;
-            let plans: Vec<Option<FaultPlan>> = (0..SHARDS)
-                .map(|s| {
-                    Some(FaultPlan {
-                        bitflip_rate: 5e-4,
-                        transient_launch_rate: 0.02,
-                        kill_after_launches: (s == killed).then_some(last_launch),
-                        ..FaultPlan::seeded(seed ^ (s as u64) << 32)
-                    })
-                })
-                .collect();
-            let run = run_query_sharded_resilient(&data, System::GpuStar, q, SHARDS, 1.0, &plans);
+        for q in [QueryId::Q11, QueryId::Q21, QueryId::Q41] {
+            let plans = campaign_plans(seed, q);
+            let shards = plans.len();
+            let clean = run_query_sharded(&data, System::GpuStar, q, shards, 1.0, &[]);
+            let run = run_query_sharded(&data, System::GpuStar, q, shards, 1.0, &plans);
             assert_eq!(
                 run.result,
-                clean[qi],
+                clean.result,
                 "seed {seed} {}: recovered result diverged",
                 q.name()
             );
             let r = &run.report;
-            assert!(
-                r.faults_injected() > 0,
-                "seed {seed} {}: no faults",
-                q.name()
-            );
+            assert_eq!(r.devices_lost, 1, "seed {seed} {}: {r}", q.name());
             // Whatever was injected was handled: every failed shard was
             // re-run somewhere, and nothing needed more than the
             // replacement device (host data is clean).
@@ -178,7 +158,7 @@ fn sharded_campaign_recovers_to_fault_free_results() {
                 "seed {seed} {}: report does not cover the injected faults: {r}",
                 q.name()
             );
-            assert!(r.shards_failed_over <= SHARDS);
+            assert!(r.shards_failed_over <= shards);
             assert_eq!(r.cpu_fallbacks, 0, "replacement devices are clean");
             // Every exhaustion was preceded by a full in-place retry
             // budget; the counters must stay consistent with that.
@@ -201,12 +181,12 @@ fn sharded_campaign_recovers_to_fault_free_results() {
 #[test]
 fn always_transient_shard_exhausts_retries_with_stable_reason() {
     let data = SsbData::generate(0.01);
-    let clean = run_query_sharded(&data, System::GpuStar, QueryId::Q11, 2, 1.0);
+    let clean = run_query_sharded(&data, System::GpuStar, QueryId::Q11, 2, 1.0, &[]);
     let plans = vec![Some(FaultPlan {
         transient_launch_rate: 1.0,
         ..FaultPlan::seeded(5)
     })];
-    let run = run_query_sharded_resilient(&data, System::GpuStar, QueryId::Q11, 2, 1.0, &plans);
+    let run = run_query_sharded(&data, System::GpuStar, QueryId::Q11, 2, 1.0, &plans);
     assert_eq!(run.result, clean.result);
     let r = &run.report;
     assert_eq!(r.transient_retries, MAX_TRANSIENT_RETRIES);

@@ -89,7 +89,7 @@ fn tile_based_beats_cascading() {
     let _ = gpu_for::decompress(&dev, &f, ForDecodeOpts::default());
     let t_tile = dev.elapsed_seconds_scaled(250.0);
     dev.reset_timeline();
-    let _ = cascaded::for_cascaded(&dev, &f);
+    cascaded::for_cascaded(&dev, &f).expect("clean device");
     let t_casc = dev.elapsed_seconds_scaled(250.0);
     let r_for = t_casc / t_tile;
     assert!(
@@ -102,7 +102,7 @@ fn tile_based_beats_cascading() {
     let _ = tlc::schemes::gpu_dfor::decompress(&dev, &d);
     let t_tile = dev.elapsed_seconds_scaled(250.0);
     dev.reset_timeline();
-    let _ = cascaded::dfor_cascaded(&dev, &d);
+    cascaded::dfor_cascaded(&dev, &d).expect("clean device");
     let t_casc = dev.elapsed_seconds_scaled(250.0);
     let r_dfor = t_casc / t_tile;
     assert!(

@@ -12,9 +12,10 @@
 use std::sync::Mutex;
 
 use tlc::sim::{set_sim_threads_override, FaultPlan};
+use tlc::ssb::fleet::run_query_sharded;
 use tlc::ssb::{
-    run_query_sharded_resilient, run_query_streamed_bounded, QueryId, SsbData, SsbStore,
-    StreamOptions, StreamSpec, System, MAX_TRANSIENT_RETRIES,
+    run_query_streamed_bounded, QueryId, SsbData, SsbStore, StreamOptions, StreamSpec, System,
+    MAX_TRANSIENT_RETRIES,
 };
 
 /// `set_sim_threads_override` is process-global; serialize the tests
@@ -29,8 +30,7 @@ fn sharded_retry_work_is_bounded_when_every_shard_fails() {
     let _guard = THREADS_LOCK.lock().unwrap();
     const SHARDS: usize = 4;
     let data = SsbData::generate(0.01);
-    let clean =
-        tlc::ssb::fleet::run_query_sharded(&data, System::GpuStar, QueryId::Q11, SHARDS, 1.0);
+    let clean = run_query_sharded(&data, System::GpuStar, QueryId::Q11, SHARDS, 1.0, &[]);
 
     for seed in 0..4u64 {
         let plans: Vec<Option<FaultPlan>> = (0..SHARDS)
@@ -44,14 +44,7 @@ fn sharded_retry_work_is_bounded_when_every_shard_fails() {
         let mut runs = Vec::new();
         for workers in [1usize, 4] {
             set_sim_threads_override(Some(workers));
-            let run = run_query_sharded_resilient(
-                &data,
-                System::GpuStar,
-                QueryId::Q11,
-                SHARDS,
-                1.0,
-                &plans,
-            );
+            let run = run_query_sharded(&data, System::GpuStar, QueryId::Q11, SHARDS, 1.0, &plans);
             set_sim_threads_override(None);
             assert_eq!(
                 run.result, clean.result,

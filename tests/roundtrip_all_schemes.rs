@@ -62,19 +62,25 @@ fn cascaded_decompression_matches_tile_based() {
         }
         let f = tlc::schemes::GpuFor::encode(&values).to_device(&dev);
         assert_eq!(
-            cascaded::for_cascaded(&dev, &f).as_slice_unaccounted(),
+            cascaded::for_cascaded(&dev, &f)
+                .expect("clean device")
+                .as_slice_unaccounted(),
             values,
             "{name} FOR cascade"
         );
         let d = tlc::schemes::GpuDFor::encode(&values).to_device(&dev);
         assert_eq!(
-            cascaded::dfor_cascaded(&dev, &d).as_slice_unaccounted(),
+            cascaded::dfor_cascaded(&dev, &d)
+                .expect("clean device")
+                .as_slice_unaccounted(),
             values,
             "{name} DFOR cascade"
         );
         let r = tlc::schemes::GpuRFor::encode(&values).to_device(&dev);
         assert_eq!(
-            cascaded::rfor_cascaded(&dev, &r).as_slice_unaccounted(),
+            cascaded::rfor_cascaded(&dev, &r)
+                .expect("clean device")
+                .as_slice_unaccounted(),
             values,
             "{name} RFOR cascade"
         );
@@ -104,7 +110,9 @@ fn baselines_roundtrip() {
         let e = rle::Rle::encode(&values);
         assert_eq!(e.decode_cpu(), values, "{name} RLE cpu");
         assert_eq!(
-            rle::decompress(&dev, &e.to_device(&dev)).as_slice_unaccounted(),
+            rle::decompress(&dev, &e.to_device(&dev))
+                .expect("clean device")
+                .as_slice_unaccounted(),
             values,
             "{name} RLE dev"
         );
@@ -112,7 +120,9 @@ fn baselines_roundtrip() {
         let e = gpu_bp::GpuBp::encode(&values);
         assert_eq!(e.decode_cpu(), values, "{name} GPU-BP cpu");
         assert_eq!(
-            gpu_bp::decompress(&dev, &e.to_device(&dev)).as_slice_unaccounted(),
+            gpu_bp::decompress(&dev, &e.to_device(&dev))
+                .expect("clean device")
+                .as_slice_unaccounted(),
             values,
             "{name} GPU-BP dev"
         );
