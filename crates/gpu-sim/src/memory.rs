@@ -190,6 +190,10 @@ pub fn gather_segments(addrs: &[u64], width: u64) -> Vec<u64> {
 /// (1/128 of its size, grown on demand, never shrunk). A count marks
 /// each lane's segment(s), adds one for every byte that was clear, and
 /// clears the same bytes again, so the map is all zeros between warps.
+/// An access no wider than the buffer's element (every gather and
+/// scatter of elements) cannot straddle, so its lane marks one segment
+/// and never re-reads the byte it just wrote: half the map traffic, and
+/// no store-to-load forwarding stall inside a lane.
 /// It is O(lanes) with no hashing, probing or sorting — and a *byte*
 /// per segment rather than a bit: the lanes of a warp often fall into
 /// a handful of adjacent segments, and 32 read-modify-writes of one
@@ -220,6 +224,24 @@ impl SegmentMarks {
         let span = (end / SEGMENT_BYTES - first_seg + 1) as usize;
         if self.marks.len() < span {
             self.marks.resize(span, 0);
+        }
+        if width <= T::BYTES {
+            // Element accesses (a gather, a scatter). An element sits at
+            // a multiple of its size, a power of two that divides a
+            // segment, so it never straddles one: a lane marks one
+            // segment, and no lane reads back the byte it just wrote.
+            debug_assert!(addrs.iter().all(|a| a % T::BYTES == 0));
+            let seg = |a: u64| (a / SEGMENT_BYTES - first_seg) as usize;
+            let marks = &mut self.marks[..span];
+            let mut distinct = 0u64;
+            for &a in addrs {
+                distinct += u64::from(marks[seg(a)] == 0);
+                marks[seg(a)] = 1;
+            }
+            for &a in addrs {
+                marks[seg(a)] = 0;
+            }
+            return distinct;
         }
         // A lane's first and last segment (the same one unless the
         // element straddles a boundary; a zero-width access has only a
@@ -415,6 +437,32 @@ mod tests {
             marks.marks.len() >= table / SEGMENT_BYTES as usize,
             "the map grew to the largest buffer"
         );
+        assert!(marks.marks.iter().all(|&m| m == 0), "left clean");
+    }
+
+    /// Element accesses mark one segment a lane: against the sorted list
+    /// for every element size, over warps confined to a few segments
+    /// (a small table) and spread over many.
+    #[test]
+    fn element_accesses_count_as_the_sorted_list() {
+        fn check<T: Scalar>(rng: &mut tlc_rng::Rng, marks: &mut SegmentMarks) {
+            let buf = GlobalBuffer::<T>::new(4096 + 256, vec![T::default(); 3_000]);
+            for round in 0..500 {
+                let lanes = rng.gen_range(0usize..=WARP_SIZE);
+                let reach = [8usize, 200, 3_000][round % 3];
+                let addrs: Vec<u64> = (0..lanes)
+                    .map(|_| buf.addr_of(rng.gen_range(0..reach)))
+                    .collect();
+                let want = gather_segments(&addrs, T::BYTES).len() as u64;
+                assert_eq!(marks.count(&buf, &addrs, T::BYTES), want, "{addrs:?}");
+            }
+        }
+        let mut rng = tlc_rng::Rng::seed_from_u64(0x5E6_0002);
+        let mut marks = SegmentMarks::default();
+        check::<u8>(&mut rng, &mut marks);
+        check::<u16>(&mut rng, &mut marks);
+        check::<i32>(&mut rng, &mut marks);
+        check::<u64>(&mut rng, &mut marks);
         assert!(marks.marks.iter().all(|&m| m == 0), "left clean");
     }
 
