@@ -13,7 +13,11 @@
 //! scalar-wave and healing-wave row, the q1.1 drills) once more, by the
 //! commit after which flight 1 joins nothing and the probe-free members
 //! of a wave are one filter part (`scan`, `point`, `q2.1`, `q4.3`,
-//! their `@40%` cuts and every answer stayed). Every later commit must
+//! their `@40%` cuts and every answer stayed); the rows that price a
+//! join flight, or a wave that holds one, once more by the commit after
+//! which a dimension table is as narrow as its payloads (only `dev=`
+//! and `deadline=` moved: every answer, row count, `io=`, cache counter
+//! and drill tally stayed). Every later commit must
 //! reproduce them
 //! at 1 and 4 sim threads: answers, `f64::to_bits` of `device_s`
 //! and `io_s`, rows, the whole `ResilienceReport`, the recovered
@@ -400,150 +404,150 @@ fn sequence(store: &SsbStore, kind: Opts) -> Vec<String> {
 
 const NO_CACHE: &[&str] = &[
     "q1.1: groups[1]#481ed730f36e2669 rows=23812 parts=6 dev=0x3effc1c993f63f3a io=0x3f07222230732c0e merge=0x3e401b2b29a4692b rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "q2.1: groups[138]#916454a106031b27 rows=23812 parts=6 dev=0x3f1041528b034401 io=0x3f0a664f5bfa6e62 merge=0x3e94e33bfa013864 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "q4.3: groups[0]#cbf29ce484222325 rows=23812 parts=6 dev=0x3f1027d97e822038 io=0x3f144248ec74a48a merge=0x0000000000000000 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "q2.1: groups[138]#916454a106031b27 rows=23812 parts=6 dev=0x3f10333ca50845e8 io=0x3f0a664f5bfa6e62 merge=0x3e94e33bfa013864 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "q4.3: groups[0]#cbf29ce484222325 rows=23812 parts=6 dev=0x3f10128f6a39dc50 io=0x3f144248ec74a48a merge=0x0000000000000000 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "scan: count=23812 sum=634758051 rows=23812 parts=6 dev=0x3eff9a0a18fee0b5 io=0x3ef6504e770671b4 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "point: count=2181 sum=6543 rows=23812 parts=6 dev=0x3eff8f255619a2d9 io=0x3eda820c5f33ed18 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "execute q1.1: groups[1]#481ed730f36e2669 rows=23812 parts=6 dev=0x3effc1c993f63f3a io=0x3f07222230732c0e rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "wave of q2.1: shared_decodes=0 launches_saved=0",
-    "wave of q2.1[0]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f1041528b034401 io=0x3f0a664f5bfa6e62 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave of q2.1[0]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f10333ca50845e8 io=0x3f0a664f5bfa6e62 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "wave: shared_decodes=12 launches_saved=18",
-    "wave[0]: groups[1]#481ed730f36e2669 | rows=23812 parts=6 dev=0x3eeb73c7c6718438 io=0x3f02c8205c5d95a4 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0881e090d109ab io=0x3f07b46e4dd816c9 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave[2]: count=23812 sum=475071385380 | rows=23812 parts=6 dev=0x3eb6d0ba0c40667b io=0x3ec58f087112bcc6 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3eb2b3a5b6701b8f io=0x3eca820c5f33ed18 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave[0]: groups[1]#481ed730f36e2669 | rows=23812 parts=6 dev=0x3eeb65af8ce3dc25 io=0x3f02c8205c5d95a4 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0869e5465b65c5 io=0x3f07b46e4dd816c9 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave[2]: count=23812 sum=475071385380 | rows=23812 parts=6 dev=0x3eb6c5060c771953 io=0x3ec58f087112bcc6 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3eb2aa0b529b9fbf io=0x3eca820c5f33ed18 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "wave cut: shared_decodes=4 launches_saved=10",
-    "wave cut[0]: cut done=2/6 rows=7882 dev=0x3ed34163eb4ae3d6 deadline=0x3ed5f6396b8e0360 rep=[0,0,0,0,0,0,0,0,0,0] | rows=7882 parts=6 dev=0x3ed34163eb4ae3d6 io=0x3ee95e0cda2943a5 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave cut[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0881e090d109ab io=0x3f09451baadfe342 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave cut[0]: cut done=2/6 rows=7882 dev=0x3ed336b191af0184 deadline=0x3ed5eaf2d71cb01e rep=[0,0,0,0,0,0,0,0,0,0] | rows=7882 parts=6 dev=0x3ed336b191af0184 io=0x3ee95e0cda2943a5 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave cut[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0869e5465b65c5 io=0x3f09451baadfe342 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "wave cut[2]: cut done=0/6 rows=0 dev=0x0000000000000000 deadline=0x3d719799812dea11 rep=[0,0,0,0,0,0,0,0,0,0] | rows=0 parts=6 dev=0x0000000000000000 io=0x0000000000000000 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave cut[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3ee17d93839d95bb io=0x3ed3ec460ed80a18 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave cut[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3ee1746287adeeae io=0x3ed3ec460ed80a18 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "scalar wave: shared_decodes=6 launches_saved=12",
     "scalar wave[0]: count=23812 sum=118852 | rows=23812 parts=6 dev=0x3ee50c3ea58e1c16 io=0x3ec1ac083f77f365 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "scalar wave[1]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3ee50c3ea58e1c16 io=0x3ec1ac083f77f365 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "scalar wave[2]: count=2181 sum=6543 | rows=23812 parts=6 dev=0x3ee50c3ea58e1c16 io=0x3ec1ac083f77f365 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "q2.1@40%: cut done=2/6 rows=7882 dev=0x3ef5ac321580ccf5 deadline=0x3efa021dab386ccf rep=[0,0,0,0,0,0,0,0,0,0]",
+    "q2.1@40%: cut done=2/6 rows=7882 dev=0x3ef59870549c39e4 deadline=0x3ef9eb943b406fda rep=[0,0,0,0,0,0,0,0,0,0]",
     "scan@40%: cut done=2/6 rows=7882 dev=0x3ee5113abf1e767b deadline=0x3ee9480813ff1a2b rep=[0,0,0,0,0,0,0,0,0,0]",
 ];
 const COLD_CACHE: &[&str] = &[
     "start: cache hits=0 misses=0 evictions=0 shared_readers=0",
     "q1.1: groups[1]#481ed730f36e2669 rows=23812 parts=6 dev=0x3effc1c993f63f3a io=0x3f07222230732c0e merge=0x3e401b2b29a4692b rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "q2.1: groups[138]#916454a106031b27 rows=23812 parts=6 dev=0x3f1041528b034401 io=0x3f0a664f5bfa6e62 merge=0x3e94e33bfa013864 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "q4.3: groups[0]#cbf29ce484222325 rows=23812 parts=6 dev=0x3f1027d97e822038 io=0x3f144248ec74a48a merge=0x0000000000000000 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "q2.1: groups[138]#916454a106031b27 rows=23812 parts=6 dev=0x3f10333ca50845e8 io=0x3f0a664f5bfa6e62 merge=0x3e94e33bfa013864 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "q4.3: groups[0]#cbf29ce484222325 rows=23812 parts=6 dev=0x3f10128f6a39dc50 io=0x3f144248ec74a48a merge=0x0000000000000000 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "solo flights: cache hits=0 misses=84 evictions=47 shared_readers=0",
     "scan: count=23812 sum=634758051 rows=23812 parts=6 dev=0x3eff9a0a18fee0b5 io=0x3ef6504e770671b4 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "point: count=2181 sum=6543 rows=23812 parts=6 dev=0x3eff8f255619a2d9 io=0x3eda820c5f33ed18 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "execute q1.1: groups[1]#481ed730f36e2669 rows=23812 parts=6 dev=0x3effc1c993f63f3a io=0x3f07222230732c0e rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "solo scalars: cache hits=0 misses=120 evictions=71 shared_readers=0",
     "wave of q2.1: shared_decodes=0 launches_saved=0",
-    "wave of q2.1[0]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f1041528b034401 io=0x3f0a664f5bfa6e62 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave of q2.1[0]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f10333ca50845e8 io=0x3f0a664f5bfa6e62 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "wave: shared_decodes=12 launches_saved=18",
-    "wave[0]: groups[1]#481ed730f36e2669 | rows=23812 parts=6 dev=0x3eeb73c7c6718438 io=0x3f02c8205c5d95a4 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0881e090d109ab io=0x3f07b46e4dd816c9 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave[2]: count=23812 sum=475071385380 | rows=23812 parts=6 dev=0x3eb6d0ba0c40667b io=0x3ec58f087112bcc6 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3eb2b3a5b6701b8f io=0x3eca820c5f33ed18 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave[0]: groups[1]#481ed730f36e2669 | rows=23812 parts=6 dev=0x3eeb65af8ce3dc25 io=0x3f02c8205c5d95a4 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0869e5465b65c5 io=0x3f07b46e4dd816c9 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave[2]: count=23812 sum=475071385380 | rows=23812 parts=6 dev=0x3eb6c5060c771953 io=0x3ec58f087112bcc6 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3eb2aa0b529b9fbf io=0x3eca820c5f33ed18 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "wave: cache hits=0 misses=186 evictions=107 shared_readers=18",
     "wave cut: shared_decodes=4 launches_saved=10",
-    "wave cut[0]: cut done=2/6 rows=7882 dev=0x3ed34163eb4ae3d6 deadline=0x3ed5f6396b8e0360 rep=[0,0,0,0,0,0,0,0,0,0] | rows=7882 parts=6 dev=0x3ed34163eb4ae3d6 io=0x3ee95e0cda2943a5 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave cut[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0881e090d109ab io=0x3f09451baadfe342 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave cut[0]: cut done=2/6 rows=7882 dev=0x3ed336b191af0184 deadline=0x3ed5eaf2d71cb01e rep=[0,0,0,0,0,0,0,0,0,0] | rows=7882 parts=6 dev=0x3ed336b191af0184 io=0x3ee95e0cda2943a5 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave cut[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0869e5465b65c5 io=0x3f09451baadfe342 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "wave cut[2]: cut done=0/6 rows=0 dev=0x0000000000000000 deadline=0x3d719799812dea11 rep=[0,0,0,0,0,0,0,0,0,0] | rows=0 parts=6 dev=0x0000000000000000 io=0x0000000000000000 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave cut[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3ee17d93839d95bb io=0x3ed3ec460ed80a18 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave cut[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3ee1746287adeeae io=0x3ed3ec460ed80a18 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "wave cut: cache hits=0 misses=228 evictions=131 shared_readers=25",
     "scalar wave: shared_decodes=6 launches_saved=12",
     "scalar wave[0]: count=23812 sum=118852 | rows=23812 parts=6 dev=0x3ee50c3ea58e1c16 io=0x3ec1ac083f77f365 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "scalar wave[1]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3ee50c3ea58e1c16 io=0x3ec1ac083f77f365 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "scalar wave[2]: count=2181 sum=6543 | rows=23812 parts=6 dev=0x3ee50c3ea58e1c16 io=0x3ec1ac083f77f365 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "scalar wave: cache hits=0 misses=234 evictions=136 shared_readers=37",
-    "q2.1@40%: cut done=2/6 rows=7882 dev=0x3ef5ac321580ccf5 deadline=0x3efa021dab386ccf rep=[0,0,0,0,0,0,0,0,0,0]",
+    "q2.1@40%: cut done=2/6 rows=7882 dev=0x3ef59870549c39e4 deadline=0x3ef9eb943b406fda rep=[0,0,0,0,0,0,0,0,0,0]",
     "scan@40%: cut done=2/6 rows=7882 dev=0x3ee5113abf1e767b deadline=0x3ee9480813ff1a2b rep=[0,0,0,0,0,0,0,0,0,0]",
 ];
 const PARTIAL_CACHE: &[&str] = &[
     "start: cache hits=0 misses=0 evictions=0 shared_readers=0",
     "q1.1: groups[1]#481ed730f36e2669 rows=23812 parts=6 dev=0x3effc1c993f63f3a io=0x3f07222230732c0e merge=0x3e401b2b29a4692b rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "q2.1: groups[138]#916454a106031b27 rows=23812 parts=6 dev=0x3f1041528b034401 io=0x3f067a892f17d2c6 merge=0x3e94e33bfa013864 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "q4.3: groups[0]#cbf29ce484222325 rows=23812 parts=6 dev=0x3f1027d97e822038 io=0x3f058011e74d8226 merge=0x0000000000000000 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "q2.1: groups[138]#916454a106031b27 rows=23812 parts=6 dev=0x3f10333ca50845e8 io=0x3f067a892f17d2c6 merge=0x3e94e33bfa013864 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "q4.3: groups[0]#cbf29ce484222325 rows=23812 parts=6 dev=0x3f10128f6a39dc50 io=0x3f058011e74d8226 merge=0x0000000000000000 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "solo flights: cache hits=25 misses=59 evictions=28 shared_readers=0",
     "scan: count=23812 sum=634758051 rows=23812 parts=6 dev=0x3eff9a0a18fee0b5 io=0x3ea56bd07243a05b rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "point: count=2181 sum=6543 rows=23812 parts=6 dev=0x3eff8f255619a2d9 io=0x3eda820c5f33ed18 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "execute q1.1: groups[1]#481ed730f36e2669 rows=23812 parts=6 dev=0x3effc1c993f63f3a io=0x3effff1a25cd7f12 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "solo scalars: cache hits=43 misses=77 evictions=47 shared_readers=0",
     "wave of q2.1: shared_decodes=0 launches_saved=0",
-    "wave of q2.1[0]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f1041528b034401 io=0x3ef750226abb50d9 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave of q2.1[0]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f10333ca50845e8 io=0x3ef750226abb50d9 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "wave: shared_decodes=12 launches_saved=18",
-    "wave[0]: groups[1]#481ed730f36e2669 | rows=23812 parts=6 dev=0x3eeb73c7c6718438 io=0x3f00ad228601c98d rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0881e090d109ab io=0x3ef38f286ab54c64 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave[2]: count=23812 sum=475071385380 | rows=23812 parts=6 dev=0x3eb6d0ba0c40667b io=0x3e74b2458b45301a rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3eb2b3a5b6701b8f io=0x3ebb774a7c5f7de8 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave[0]: groups[1]#481ed730f36e2669 | rows=23812 parts=6 dev=0x3eeb65af8ce3dc25 io=0x3f00ad228601c98d rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0869e5465b65c5 io=0x3ef38f286ab54c64 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave[2]: count=23812 sum=475071385380 | rows=23812 parts=6 dev=0x3eb6c5060c771953 io=0x3e74b2458b45301a rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3eb2aa0b529b9fbf io=0x3ebb774a7c5f7de8 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "wave: cache hits=74 misses=112 evictions=78 shared_readers=18",
     "wave cut: shared_decodes=4 launches_saved=10",
-    "wave cut[0]: cut done=2/6 rows=7882 dev=0x3ed34163eb4ae3d6 deadline=0x3ed5f6396b8e0360 rep=[0,0,0,0,0,0,0,0,0,0] | rows=7882 parts=6 dev=0x3ed34163eb4ae3d6 io=0x3ee80aaf66285ad9 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave cut[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0881e090d109ab io=0x3f075373c543b5d0 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave cut[0]: cut done=2/6 rows=7882 dev=0x3ed336b191af0184 deadline=0x3ed5eaf2d71cb01e rep=[0,0,0,0,0,0,0,0,0,0] | rows=7882 parts=6 dev=0x3ed336b191af0184 io=0x3ee80aaf66285ad9 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave cut[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0869e5465b65c5 io=0x3f075373c543b5d0 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "wave cut[2]: cut done=0/6 rows=0 dev=0x0000000000000000 deadline=0x3d719799812dea11 rep=[0,0,0,0,0,0,0,0,0,0] | rows=0 parts=6 dev=0x0000000000000000 io=0x0000000000000000 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave cut[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3ee17d93839d95bb io=0x3ed3ec460ed80a18 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave cut[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3ee1746287adeeae io=0x3ed3ec460ed80a18 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "wave cut: cache hits=78 misses=150 evictions=118 shared_readers=25",
     "scalar wave: shared_decodes=6 launches_saved=12",
     "scalar wave[0]: count=23812 sum=118852 | rows=23812 parts=6 dev=0x3ee50c3ea58e1c16 io=0x3ea8d4eef1879a78 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "scalar wave[1]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3ee50c3ea58e1c16 io=0x3ea8d4eef1879a78 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "scalar wave[2]: count=2181 sum=6543 | rows=23812 parts=6 dev=0x3ee50c3ea58e1c16 io=0x3ea8d4eef1879a78 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "scalar wave: cache hits=82 misses=152 evictions=120 shared_readers=37",
-    "q2.1@40%: cut done=2/6 rows=7882 dev=0x3ef5ac321580ccf5 deadline=0x3efa021dab386ccf rep=[0,0,0,0,0,0,0,0,0,0]",
+    "q2.1@40%: cut done=2/6 rows=7882 dev=0x3ef59870549c39e4 deadline=0x3ef9eb943b406fda rep=[0,0,0,0,0,0,0,0,0,0]",
     "scan@40%: cut done=2/6 rows=7882 dev=0x3ee5113abf1e767b deadline=0x3ee9480813ff1a2b rep=[0,0,0,0,0,0,0,0,0,0]",
 ];
 const WARM_CACHE: &[&str] = &[
     "start: cache hits=0 misses=84 evictions=0 shared_readers=0",
     "q1.1: groups[1]#481ed730f36e2669 rows=23812 parts=6 dev=0x3effc1c993f63f3a io=0x3eb6353f8aac0155 merge=0x3e401b2b29a4692b rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "q2.1: groups[138]#916454a106031b27 rows=23812 parts=6 dev=0x3f1041528b034401 io=0x3eb957fa43d1b1a6 merge=0x3e94e33bfa013864 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "q4.3: groups[0]#cbf29ce484222325 rows=23812 parts=6 dev=0x3f1027d97e822038 io=0x3ec372d55de09df4 merge=0x0000000000000000 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "q2.1: groups[138]#916454a106031b27 rows=23812 parts=6 dev=0x3f10333ca50845e8 io=0x3eb957fa43d1b1a6 merge=0x3e94e33bfa013864 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "q4.3: groups[0]#cbf29ce484222325 rows=23812 parts=6 dev=0x3f10128f6a39dc50 io=0x3ec372d55de09df4 merge=0x0000000000000000 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "solo flights: cache hits=84 misses=84 evictions=0 shared_readers=0",
     "scan: count=23812 sum=634758051 rows=23812 parts=6 dev=0x3eff9a0a18fee0b5 io=0x3ea56bd07243a05b rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "point: count=2181 sum=6543 rows=23812 parts=6 dev=0x3eff8f255619a2d9 io=0x3e89729b3cacbaa7 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "execute q1.1: groups[1]#481ed730f36e2669 rows=23812 parts=6 dev=0x3effc1c993f63f3a io=0x3eb6353f8aac0155 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "solo scalars: cache hits=120 misses=84 evictions=0 shared_readers=0",
     "wave of q2.1: shared_decodes=0 launches_saved=0",
-    "wave of q2.1[0]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f1041528b034401 io=0x3eb957fa43d1b1a6 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave of q2.1[0]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f10333ca50845e8 io=0x3eb957fa43d1b1a6 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "wave: shared_decodes=12 launches_saved=18",
-    "wave[0]: groups[1]#481ed730f36e2669 | rows=23812 parts=6 dev=0x3eeb73c7c6718438 io=0x3eb207cd25788fa8 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0881e090d109ab io=0x3eb6c1b192690ba2 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave[2]: count=23812 sum=475071385380 | rows=23812 parts=6 dev=0x3eb6d0ba0c40667b io=0x3e74b2458b45301a rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3eb2b3a5b6701b8f io=0x3e79729b3cacbaa7 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave[0]: groups[1]#481ed730f36e2669 | rows=23812 parts=6 dev=0x3eeb65af8ce3dc25 io=0x3eb207cd25788fa8 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0869e5465b65c5 io=0x3eb6c1b192690ba2 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave[2]: count=23812 sum=475071385380 | rows=23812 parts=6 dev=0x3eb6c5060c771953 io=0x3e74b2458b45301a rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3eb2aa0b529b9fbf io=0x3e79729b3cacbaa7 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "wave: cache hits=186 misses=84 evictions=0 shared_readers=18",
     "wave cut: shared_decodes=4 launches_saved=10",
-    "wave cut[0]: cut done=2/6 rows=7882 dev=0x3ed34163eb4ae3d6 deadline=0x3ed5f6396b8e0360 rep=[0,0,0,0,0,0,0,0,0,0] | rows=7882 parts=6 dev=0x3ed34163eb4ae3d6 io=0x3e985a49c731da8a rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave cut[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0881e090d109ab io=0x3eb842580033179a rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave cut[0]: cut done=2/6 rows=7882 dev=0x3ed336b191af0184 deadline=0x3ed5eaf2d71cb01e rep=[0,0,0,0,0,0,0,0,0,0] | rows=7882 parts=6 dev=0x3ed336b191af0184 io=0x3e985a49c731da8a rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave cut[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0869e5465b65c5 io=0x3eb842580033179a rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "wave cut[2]: cut done=0/6 rows=0 dev=0x0000000000000000 deadline=0x3d719799812dea11 rep=[0,0,0,0,0,0,0,0,0,0] | rows=0 parts=6 dev=0x0000000000000000 io=0x0000000000000000 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave cut[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3ee17d93839d95bb io=0x3e83204341733ce4 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave cut[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3ee1746287adeeae io=0x3e83204341733ce4 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "wave cut: cache hits=228 misses=84 evictions=0 shared_readers=25",
     "scalar wave: shared_decodes=6 launches_saved=12",
     "scalar wave[0]: count=23812 sum=118852 | rows=23812 parts=6 dev=0x3ee50c3ea58e1c16 io=0x3e70f71228732719 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "scalar wave[1]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3ee50c3ea58e1c16 io=0x3e70f71228732719 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "scalar wave[2]: count=2181 sum=6543 | rows=23812 parts=6 dev=0x3ee50c3ea58e1c16 io=0x3e70f71228732719 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "scalar wave: cache hits=234 misses=84 evictions=0 shared_readers=37",
-    "q2.1@40%: cut done=2/6 rows=7882 dev=0x3ef5ac321580ccf5 deadline=0x3efa021dab386ccf rep=[0,0,0,0,0,0,0,0,0,0]",
+    "q2.1@40%: cut done=2/6 rows=7882 dev=0x3ef59870549c39e4 deadline=0x3ef9eb943b406fda rep=[0,0,0,0,0,0,0,0,0,0]",
     "scan@40%: cut done=2/6 rows=7882 dev=0x3ee5113abf1e767b deadline=0x3ee9480813ff1a2b rep=[0,0,0,0,0,0,0,0,0,0]",
 ];
 const FORCE_CPU: &[&str] = &[
     "q1.1: groups[1]#481ed730f36e2669 rows=23812 parts=6 dev=0x3efa76d7a566640c io=0x3f03496c3dfa19f0 merge=0x3e401b2b29a4692b rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
-    "q2.1: groups[138]#916454a106031b27 rows=23812 parts=6 dev=0x3f0b178e91c94b60 io=0x3f0602e85961e2ba merge=0x3e94e33bfa013864 rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
-    "q4.3: groups[0]#cbf29ce484222325 rows=23812 parts=6 dev=0x3f0aed33fa026802 io=0x3f10e4b80954a0d0 merge=0x0000000000000000 rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
+    "q2.1: groups[138]#916454a106031b27 rows=23812 parts=6 dev=0x3f0b0035397557c0 io=0x3f0602e85961e2ba merge=0x3e94e33bfa013864 rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
+    "q4.3: groups[0]#cbf29ce484222325 rows=23812 parts=6 dev=0x3f0ac993072268ec io=0x3f10e4b80954a0d0 merge=0x0000000000000000 rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
     "scan: count=23812 sum=634758051 rows=23812 parts=6 dev=0x3efa55bb69374316 io=0x3ef29d9fc6e8958f rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
     "point: count=2181 sum=6543 rows=23812 parts=6 dev=0x3efa4ca27209b581 io=0x3ed61e32d44c006d rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
     "execute q1.1: groups[1]#481ed730f36e2669 rows=23812 parts=6 dev=0x3efa76d7a566640c io=0x3f03496c3dfa19f0 rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
     "wave of q2.1: shared_decodes=0 launches_saved=0",
-    "wave of q2.1[0]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0b178e91c94b60 io=0x3f0602e85961e2ba rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
+    "wave of q2.1[0]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0b0035397557c0 io=0x3f0602e85961e2ba rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
     "wave: shared_decodes=10 launches_saved=15",
-    "wave[0]: groups[1]#481ed730f36e2669 | rows=23812 parts=6 dev=0x3ee6e226599198e0 io=0x3eff548d9c223e94 rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
-    "wave[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f046c3f94693770 io=0x3f03c5a616bda81b rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
-    "wave[2]: count=23812 sum=475071385380 | rows=23812 parts=6 dev=0x3eb2f31cc3508893 io=0x3ec1ea121521d4fa rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
-    "wave[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3eaf31d6555b0715 io=0x3ec61e32d44c006d rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
+    "wave[0]: groups[1]#481ed730f36e2669 | rows=23812 parts=6 dev=0x3ee6d680d03e27af io=0x3eff548d9c223e94 rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
+    "wave[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f04585c311d8557 io=0x3f03c5a616bda81b rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
+    "wave[2]: count=23812 sum=475071385380 | rows=23812 parts=6 dev=0x3eb2e97affdc37a6 io=0x3ec1ea121521d4fa rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
+    "wave[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3eaf21f52f6a5a98 io=0x3ec61e32d44c006d rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
     "wave cut: shared_decodes=3 launches_saved=8",
-    "wave cut[0]: cut done=2/6 rows=7882 dev=0x3ec24d737e9e2b55 deadline=0x3ed24e8514747a4d rep=[0,0,0,0,0,0,0,1,0,0] | rows=7882 parts=6 dev=0x3ec24d737e9e2b55 io=0x3ed8e40faaf29a88 rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
-    "wave cut[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f046c3f94693770 io=0x3f05392bc0e5ed54 rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
+    "wave cut[0]: cut done=2/6 rows=7882 dev=0x3ec242e2aa79c055 deadline=0x3ed24533d9cb52f3 rep=[0,0,0,0,0,0,0,1,0,0] | rows=7882 parts=6 dev=0x3ec242e2aa79c055 io=0x3ed8e40faaf29a88 rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
+    "wave cut[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f04585c311d8557 io=0x3f05392bc0e5ed54 rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
     "wave cut[2]: cut done=0/6 rows=0 dev=0x0000000000000000 deadline=0x3d719799812dea11 rep=[0,0,0,0,0,0,0,0,0,0] | rows=0 parts=6 dev=0x0000000000000000 io=0x0000000000000000 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave cut[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3ee11a3c322542ba io=0x3ed1ba59496413c3 rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
+    "wave cut[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3ee1114070512060 io=0x3ed1ba59496413c3 rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
     "scalar wave: shared_decodes=5 launches_saved=10",
     "scalar wave[0]: count=23812 sum=118852 | rows=23812 parts=6 dev=0x3ee18a366d43fd0d io=0x3ebd7d991b100092 rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
     "scalar wave[1]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3ee18a366d43fd0d io=0x3ebd7d991b100092 rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
     "scalar wave[2]: count=2181 sum=6543 | rows=23812 parts=6 dev=0x3ee18a366d43fd0d io=0x3ebd7d991b100092 rep=[0,0,0,0,0,0,0,1,0,0] rec=[]",
-    "q2.1@40%: cut done=3/6 rows=11829 dev=0x3ef5aa8e453d4244 deadline=0x3ef5ac720e3aa2b4 rep=[0,0,0,0,0,0,0,1,0,0]",
+    "q2.1@40%: cut done=3/6 rows=11829 dev=0x3ef5988452564caf deadline=0x3ef599c42df77967 rep=[0,0,0,0,0,0,0,1,0,0]",
     "scan@40%: cut done=3/6 rows=11829 dev=0x3ee5113abf1e767b deadline=0x3ee51162ba929c12 rep=[0,0,0,0,0,0,0,1,0,0]",
 ];
 
@@ -693,8 +697,8 @@ fn drill(seed: u64) -> FaultPlan {
 
 const DRILLS: &[&str] = &[
     "q1.1: groups[1]#481ed730f36e2669 rows=23812 parts=6 dev=0x3f07be28dd5066f6 io=0x3efee014fe13ec9c merge=0x3e401b2b29a4692b rep=[0,3,1,3,0,0,1,0,2,2] rec=[0, 1, 2]",
-    "q2.1: groups[138]#916454a106031b27 rows=23812 parts=6 dev=0x3f1041528b034401 io=0x3f019ed58a52458e merge=0x3e94e33bfa013864 rep=[1,0,1,0,0,1,2,0,2,2] rec=[0, 1, 2, 5]",
-    "q4.3: groups[0]#cbf29ce484222325 rows=23812 parts=6 dev=0x3f18155feb8c7e53 io=0x3f0b0b65d6654398 merge=0x0000000000000000 rep=[0,3,1,3,0,0,1,0,2,2] rec=[0, 1, 2]",
+    "q2.1: groups[138]#916454a106031b27 rows=23812 parts=6 dev=0x3f10333ca50845e8 io=0x3f019ed58a52458e merge=0x3e94e33bfa013864 rep=[1,0,1,0,0,1,2,0,2,2] rec=[0, 1, 2, 5]",
+    "q4.3: groups[0]#cbf29ce484222325 rows=23812 parts=6 dev=0x3f17ff0f751a03bc io=0x3f0b0b65d6654398 merge=0x0000000000000000 rep=[0,3,1,3,0,0,1,0,2,2] rec=[0, 1, 2]",
     "execute q1.1: groups[1]#481ed730f36e2669 rows=23812 parts=6 dev=0x3f07be28dd5066f6 io=0x3efee014fe13ec9c rep=[0,3,1,3,0,0,1,0,2,2] rec=[0, 1, 2]",
 ];
 
@@ -732,18 +736,18 @@ fn solo_flights_under_a_kill_truncate_flip_plan() {
 
 const BIT_ROT: &[&str] = &[
     "healing wave: shared_decodes=12 launches_saved=18",
-    "healing wave[0]: groups[1]#481ed730f36e2669 | rows=23812 parts=6 dev=0x3eeb73c7c6718438 io=0x3eff548d9c223e94 rep=[0,0,0,0,0,0,0,0,1,1] rec=[1]",
-    "healing wave[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0881e090d109ab io=0x3f03c5a616bda81b rep=[0,0,0,0,0,0,0,0,1,1] rec=[1]",
-    "healing wave[2]: count=23812 sum=475071385380 | rows=23812 parts=6 dev=0x3eb6d0ba0c40667b io=0x3ec1ea121521d4fa rep=[0,0,0,0,0,0,0,0,1,1] rec=[1]",
-    "healing wave[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3eb2b3a5b6701b8f io=0x3ec61e32d44c006d rep=[0,0,0,0,0,0,0,0,1,1] rec=[1]",
+    "healing wave[0]: groups[1]#481ed730f36e2669 | rows=23812 parts=6 dev=0x3eeb65af8ce3dc25 io=0x3eff548d9c223e94 rep=[0,0,0,0,0,0,0,0,1,1] rec=[1]",
+    "healing wave[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0869e5465b65c5 io=0x3f03c5a616bda81b rep=[0,0,0,0,0,0,0,0,1,1] rec=[1]",
+    "healing wave[2]: count=23812 sum=475071385380 | rows=23812 parts=6 dev=0x3eb6c5060c771953 io=0x3ec1ea121521d4fa rep=[0,0,0,0,0,0,0,0,1,1] rec=[1]",
+    "healing wave[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3eb2aa0b529b9fbf io=0x3ec61e32d44c006d rep=[0,0,0,0,0,0,0,0,1,1] rec=[1]",
     "wave after: shared_decodes=12 launches_saved=18",
-    "wave after[0]: groups[1]#481ed730f36e2669 | rows=23812 parts=6 dev=0x3eeb73c7c6718438 io=0x3f02c8205c5d95a4 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave after[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0881e090d109ab io=0x3f07b46e4dd816c9 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave after[2]: count=23812 sum=475071385380 | rows=23812 parts=6 dev=0x3eb6d0ba0c40667b io=0x3ec58f087112bcc6 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "wave after[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3eb2b3a5b6701b8f io=0x3eca820c5f33ed18 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave after[0]: groups[1]#481ed730f36e2669 | rows=23812 parts=6 dev=0x3eeb65af8ce3dc25 io=0x3f02c8205c5d95a4 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave after[1]: groups[138]#916454a106031b27 | rows=23812 parts=6 dev=0x3f0869e5465b65c5 io=0x3f07b46e4dd816c9 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave after[2]: count=23812 sum=475071385380 | rows=23812 parts=6 dev=0x3eb6c5060c771953 io=0x3ec58f087112bcc6 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
+    "wave after[3]: count=2278 sum=9112 | rows=23812 parts=6 dev=0x3eb2aa0b529b9fbf io=0x3eca820c5f33ed18 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
     "healing scan: count=23812 sum=609003 rows=23812 parts=6 dev=0x3eff90fb20ae5c85 io=0x3eded794e02fb964 rep=[0,0,0,0,0,0,0,0,1,1] rec=[1]",
     "scan after: count=23812 sum=609003 rows=23812 parts=6 dev=0x3eff90fb20ae5c85 io=0x3ee27b9f4f57c8b1 rep=[0,0,0,0,0,0,0,0,0,0] rec=[]",
-    "healing q2.1: groups[138]#916454a106031b27 rows=23812 parts=6 dev=0x3f1041528b034401 io=0x3f0602e85961e2ba merge=0x3e94e33bfa013864 rep=[0,0,0,0,0,0,0,0,1,1] rec=[1]",
+    "healing q2.1: groups[138]#916454a106031b27 rows=23812 parts=6 dev=0x3f10333ca50845e8 io=0x3f0602e85961e2ba merge=0x3e94e33bfa013864 rep=[0,0,0,0,0,0,0,0,1,1] rec=[1]",
 ];
 
 #[test]

@@ -14,7 +14,12 @@
 //! do not reach. The two fused q1.1 rows were refreshed by the commit
 //! after which flight 1 joins nothing: one event where two were (no
 //! `build_date` launch), no gathers in the scan, every counter and the
-//! shared-memory bytes as they were.
+//! shared-memory bytes as they were. The q2.1 / q3.1 / q4.3 rows under
+//! both systems and every OmniSci row were refreshed by the commit after
+//! which a dimension table's slot is as narrow as its payloads (a bit,
+//! a byte, two bytes): fewer read segments in the probes and fewer
+//! write segments in the builds, every counter, operation count and
+//! shared-memory byte as it was.
 //!
 //! A deliberate model change refreshes a row: the failure message
 //! prints the observed row as a Rust literal.
@@ -127,45 +132,45 @@ const QUERY_PINS: [Pin; 8] = [
     },
     // q2.1 under GpuStar
     Pin {
-        seconds_bits: 0x3eea5cb5e8be4d56,
-        traffic: [0x3d56, 0x250, 0x26ffd0, 0x18d43b, 0x0],
+        seconds_bits: 0x3eea3bc1a80351f8,
+        traffic: [0x3c14, 0x1ec, 0x26ffd0, 0x18d43b, 0x0],
         counters: [0x1d8, 0x1d8, 0x1417, 0x619, 0x3aa5c, 0x3adf],
-        digest: 0xae74619ffa21ea78,
+        digest: 0x1d6840bad44f791d,
     },
     // q2.1 under None
     Pin {
-        seconds_bits: 0x3eeb749615c56d9c,
-        traffic: [0x4b56, 0x250, 0x0, 0xb493c, 0x0],
+        seconds_bits: 0x3eeb53a1d50a723e,
+        traffic: [0x4a14, 0x1ec, 0x0, 0xb493c, 0x0],
         counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
-        digest: 0x7602633d62889d34,
+        digest: 0xd32a5bd00783b4f8,
     },
     // q3.1 under GpuStar
     Pin {
-        seconds_bits: 0x3eeb50d226dfcda2,
-        traffic: [0x4862, 0x37a, 0x3f2760, 0x19dd84, 0x0],
+        seconds_bits: 0x3ee97bbb7db0c9c1,
+        traffic: [0x313a, 0x32b, 0x3f2760, 0x19dd84, 0x0],
         counters: [0x1d8, 0x1d8, 0x1292, 0x46c, 0x3aa5c, 0x7591],
-        digest: 0x2c8ca64f5ba5a3e1,
+        digest: 0xa6e2be939dbcf083,
     },
     // q3.1 under None
     Pin {
-        seconds_bits: 0x3eec78b481e7fad2,
-        traffic: [0x572f, 0x37a, 0x0, 0xb34d4, 0x0],
+        seconds_bits: 0x3eeaa39dd8b8f6f2,
+        traffic: [0x4007, 0x32b, 0x0, 0xb34d4, 0x0],
         counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
-        digest: 0x9b7197b9a8b2485f,
+        digest: 0x63a0a8ae8c7b1b46,
     },
     // q4.3 under GpuStar
     Pin {
-        seconds_bits: 0x3eec7e34ff15405a,
-        traffic: [0x4b05, 0x7b, 0x46862c, 0x1f513e, 0x76000],
+        seconds_bits: 0x3ee9b08e99568ce2,
+        traffic: [0x275d, 0x3d, 0x46862c, 0x1f513e, 0x76000],
         counters: [0x2c4, 0x2c4, 0x16fe, 0xeb0, 0x57f8a, 0x7591],
-        digest: 0x964ccc5367b54f76,
+        digest: 0x4878dda0b47a4530,
     },
     // q4.3 under None
     Pin {
-        seconds_bits: 0x3eee118b22427314,
-        traffic: [0x5f32, 0x7b, 0x0, 0xef5a4, 0x76000],
+        seconds_bits: 0x3eeb43e4bc83bf9b,
+        traffic: [0x3b8a, 0x3d, 0x0, 0xef5a4, 0x76000],
         counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
-        digest: 0xb0620900e49f4f0f,
+        digest: 0x8c3016b2a2d7fb50,
     },
 ];
 
@@ -195,31 +200,31 @@ fn ssb_queries_reproduce_the_pinned_model() {
 const OMNISCI_PINS: [Pin; 4] = [
     // q1.1 under OmniSci
     Pin {
-        seconds_bits: 0x3f028e96c5e78bd6,
-        traffic: [0x4372, 0xd2c, 0x0, 0x86fbf, 0x0],
+        seconds_bits: 0x3f0265507760d77d,
+        traffic: [0x40e7, 0xd0d, 0x0, 0x86fbf, 0x0],
         counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
-        digest: 0x2a019cd94b26e3bc,
+        digest: 0x2fbfad8712c08c56,
     },
     // q2.1 under OmniSci
     Pin {
-        seconds_bits: 0x3f10adf38ce7d5f1,
-        traffic: [0x9d98, 0x4991, 0x0, 0xa5ea5, 0x0],
+        seconds_bits: 0x3f10a2eace1a0fd9,
+        traffic: [0x9c56, 0x492d, 0x0, 0xa5ea5, 0x0],
         counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
-        digest: 0x43539d16cf73b1d8,
+        digest: 0x659e89f8b0acba91,
     },
     // q3.1 under OmniSci
     Pin {
-        seconds_bits: 0x3f110d39379adb2b,
-        traffic: [0xa886, 0x49d0, 0x0, 0xa4a3d, 0x0],
+        seconds_bits: 0x3f105348dc25b1ee,
+        traffic: [0x915e, 0x4981, 0x0, 0xa4a3d, 0x0],
         counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
-        digest: 0x141d35a1aef70137,
+        digest: 0x2e4668c00be9f20a,
     },
     // q4.3 under OmniSci
     Pin {
-        seconds_bits: 0x3f1887c0821c7290,
-        traffic: [0xf75b, 0x9322, 0x0, 0xd2076, 0x0],
+        seconds_bits: 0x3f176a05ff74b807,
+        traffic: [0xd3b3, 0x92e4, 0x0, 0xd2076, 0x0],
         counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
-        digest: 0xdd327e47bbd4de26,
+        digest: 0x74379806fd2c0f6e,
     },
 ];
 
