@@ -19,10 +19,11 @@
 //!   [`extract`] kept as the partial-tail fallback and test oracle.
 //! * [`pack`] — the encode-side counterpart: monomorphized per-width
 //!   miniblock packers dispatched through [`PACKERS`].
-//! * [`simd`] — vectorized kernels for the fixed 4-lane 128-value
-//!   vertical block (the on-disk lane-transposed layout): runtime
-//!   AVX2 dispatch behind [`simd::simd_level`] with a bit-identical
-//!   autovectorizable portable fallback (`TLC_NO_SIMD=1`).
+//! * [`simd`] — kernels for the fixed 4-lane 128-value vertical block
+//!   (the on-disk lane-transposed layout): portable row kernels that
+//!   LLVM vectorizes with baseline SSE2, plus an AVX2 delta scan
+//!   chosen by [`simd::simd_level`] and bit-identical to its portable
+//!   twin.
 //!
 //! All functions are deterministic, allocation-conscious, and defined
 //! for bitwidths 0..=32 inclusive (bitwidth 0 encodes a run of zeros in
