@@ -22,10 +22,16 @@
 //! to minor 1 — only the bit arrangement inside block payloads differs.
 //! The writer emits minor 2 exactly when the column is vertical, so
 //! horizontal columns keep producing byte-identical minor-1 streams.
+//!
+//! A parse reads words in place from the borrowed bytes; copying each
+//! array into the column is the only copy it makes. `from_bytes` hashes
+//! the stream digest itself. [`EncodedColumn::from_bytes_digested`] is
+//! the same parse for a caller that already hashed these bytes (the
+//! store's load path), and takes that digest instead.
 
 use std::fmt;
 
-use crate::checksum::fnv1a;
+use crate::checksum::{fnv1a, fnv1a_continue_le, le_word, FNV_OFFSET};
 use crate::column::EncodedColumn;
 use crate::format::{Layout, BLOCK, BLOCK_HEADER_WORDS, MINIBLOCKS_PER_BLOCK, RFOR_BLOCK};
 use crate::gpu_dfor::GpuDFor;
@@ -226,59 +232,76 @@ impl Writer {
     }
 }
 
+/// Reads words in place from the borrowed stream: [`Reader::array`]
+/// is the only copy a parse makes.
 struct Reader<'a> {
-    words: Vec<u32>,
+    bytes: &'a [u8],
+    /// Next word to read.
     pos: usize,
-    _raw: &'a [u8],
+    /// The stream digest ([`fnv1a`] over every word but the last), when
+    /// the caller already computed it over these bytes.
+    stream_digest: Option<u32>,
 }
 
 impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Result<Self, FormatError> {
+    fn new(bytes: &'a [u8], stream_digest: Option<u32>) -> Result<Self, FormatError> {
         if !bytes.len().is_multiple_of(4) || bytes.len() < 8 {
             return Err(FormatError::Truncated);
         }
-        let words: Vec<u32> = bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
         Ok(Reader {
-            words,
+            bytes,
             pos: 0,
-            _raw: bytes,
+            stream_digest,
         })
     }
 
+    /// Words in the stream.
+    fn len(&self) -> usize {
+        self.bytes.len() / 4
+    }
+
     fn word(&mut self) -> Result<u32, FormatError> {
-        let w = *self.words.get(self.pos).ok_or(FormatError::Truncated)?;
+        let c = self
+            .bytes
+            .get(4 * self.pos..4 * self.pos + 4)
+            .ok_or(FormatError::Truncated)?;
         self.pos += 1;
-        Ok(w)
+        Ok(le_word(c))
     }
 
     fn array(&mut self) -> Result<Vec<u32>, FormatError> {
         let len = self.word()? as usize;
-        if self.pos + len > self.words.len() {
+        let left = self.len() - self.pos;
+        if len > left {
             return Err(FormatError::LengthMismatch {
                 expected_words: len,
-                actual_words: self.words.len() - self.pos,
+                actual_words: left,
             });
         }
-        let a = self.words[self.pos..self.pos + len].to_vec();
+        let a = self.bytes[4 * self.pos..4 * (self.pos + len)]
+            .chunks_exact(4)
+            .map(le_word)
+            .collect();
         self.pos += len;
         Ok(a)
     }
 
     /// Minor >= 1 tail: read the stored per-block checksum array and
     /// the trailing digest, require full consumption, and verify the
-    /// digest over everything before it. Returns the stored checksums.
+    /// digest over everything before it (hashed here unless the caller
+    /// passed it in). Returns the stored checksums.
     fn verified_tail(&mut self) -> Result<Vec<u32>, FormatError> {
         let stored = self.array()?;
         let trailing = self.word()?;
-        if self.pos != self.words.len() {
+        if self.pos != self.len() {
             return Err(FormatError::TrailingGarbage {
-                extra_words: self.words.len() - self.pos,
+                extra_words: self.len() - self.pos,
             });
         }
-        if fnv1a(&self.words[..self.words.len() - 1]) != trailing {
+        let digest = self
+            .stream_digest
+            .unwrap_or_else(|| fnv1a_continue_le(FNV_OFFSET, &self.bytes[..self.bytes.len() - 4]));
+        if digest != trailing {
             return Err(FormatError::StreamChecksum);
         }
         Ok(stored)
@@ -397,10 +420,16 @@ impl GpuFor {
     /// before any output-sized buffer exists, and deep structural
     /// validation proves the column decodes safely.
     pub fn from_bytes_with_limits(bytes: &[u8], limits: &Limits) -> Result<Self, FormatError> {
-        let (scheme, minor, mut r) = read_header(bytes)?;
+        let (scheme, minor, r) = read_header(bytes, None)?;
         if scheme != Scheme::GpuFor {
             return Err(FormatError::UnknownScheme(scheme_id(scheme)));
         }
+        Self::parse(minor, r, limits)
+    }
+
+    /// The body after [`read_header`]: every field, the verified tail,
+    /// deep validation, then the stored block sums against the payload.
+    fn parse(minor: u32, mut r: Reader<'_>, limits: &Limits) -> Result<Self, FormatError> {
         let total_count = r.word()? as usize;
         limits.check_values(total_count)?;
         let block_starts = r.array()?;
@@ -523,10 +552,15 @@ impl GpuDFor {
     /// Parse an untrusted byte stream under explicit [`Limits`]; see
     /// [`GpuFor::from_bytes_with_limits`].
     pub fn from_bytes_with_limits(bytes: &[u8], limits: &Limits) -> Result<Self, FormatError> {
-        let (scheme, minor, mut r) = read_header(bytes)?;
+        let (scheme, minor, r) = read_header(bytes, None)?;
         if scheme != Scheme::GpuDFor {
             return Err(FormatError::UnknownScheme(scheme_id(scheme)));
         }
+        Self::parse(minor, r, limits)
+    }
+
+    /// The body after [`read_header`]; see [`GpuFor::parse`].
+    fn parse(minor: u32, mut r: Reader<'_>, limits: &Limits) -> Result<Self, FormatError> {
         let total_count = r.word()? as usize;
         limits.check_values(total_count)?;
         let d = r.word()? as usize;
@@ -639,10 +673,15 @@ impl GpuRFor {
     /// Parse an untrusted byte stream under explicit [`Limits`]; see
     /// [`GpuFor::from_bytes_with_limits`].
     pub fn from_bytes_with_limits(bytes: &[u8], limits: &Limits) -> Result<Self, FormatError> {
-        let (scheme, minor, mut r) = read_header(bytes)?;
+        let (scheme, minor, r) = read_header(bytes, None)?;
         if scheme != Scheme::GpuRFor {
             return Err(FormatError::UnknownScheme(scheme_id(scheme)));
         }
+        Self::parse(minor, r, limits)
+    }
+
+    /// The body after [`read_header`]; see [`GpuFor::parse`].
+    fn parse(minor: u32, mut r: Reader<'_>, limits: &Limits) -> Result<Self, FormatError> {
         let total_count = r.word()? as usize;
         limits.check_values(total_count)?;
         let values_starts = r.array()?;
@@ -670,8 +709,11 @@ impl GpuRFor {
     }
 }
 
-fn read_header(bytes: &[u8]) -> Result<(Scheme, u32, Reader<'_>), FormatError> {
-    let mut r = Reader::new(bytes)?;
+fn read_header(
+    bytes: &[u8],
+    stream_digest: Option<u32>,
+) -> Result<(Scheme, u32, Reader<'_>), FormatError> {
+    let mut r = Reader::new(bytes, stream_digest)?;
     let magic = r.word()?;
     if magic != MAGIC {
         return Err(FormatError::BadMagic(magic));
@@ -737,11 +779,28 @@ impl EncodedColumn {
 
     /// Parse any untrusted serialized column under explicit [`Limits`].
     pub fn from_bytes_with_limits(bytes: &[u8], limits: &Limits) -> Result<Self, FormatError> {
-        let (scheme, _, _) = read_header(bytes)?;
+        Self::from_bytes_digested(bytes, limits, None)
+    }
+
+    /// [`EncodedColumn::from_bytes_with_limits`] for a caller that has
+    /// already hashed `bytes`: `stream_digest`, when given, must be
+    /// [`fnv1a`] over every little-endian word of `bytes` but the last
+    /// (the `stream` half of
+    /// [`crate::checksum::stream_and_file_digests`]). The parse then
+    /// compares it against the trailing digest word instead of hashing
+    /// the stream again; every other check runs as in `from_bytes`, in
+    /// the same order, so both return the same `Result`. `None` hashes
+    /// here.
+    pub fn from_bytes_digested(
+        bytes: &[u8],
+        limits: &Limits,
+        stream_digest: Option<u32>,
+    ) -> Result<Self, FormatError> {
+        let (scheme, minor, r) = read_header(bytes, stream_digest)?;
         Ok(match scheme {
-            Scheme::GpuFor => EncodedColumn::For(GpuFor::from_bytes_with_limits(bytes, limits)?),
-            Scheme::GpuDFor => EncodedColumn::DFor(GpuDFor::from_bytes_with_limits(bytes, limits)?),
-            Scheme::GpuRFor => EncodedColumn::RFor(GpuRFor::from_bytes_with_limits(bytes, limits)?),
+            Scheme::GpuFor => EncodedColumn::For(GpuFor::parse(minor, r, limits)?),
+            Scheme::GpuDFor => EncodedColumn::DFor(GpuDFor::parse(minor, r, limits)?),
+            Scheme::GpuRFor => EncodedColumn::RFor(GpuRFor::parse(minor, r, limits)?),
         })
     }
 }

@@ -17,7 +17,7 @@
 
 use std::path::{Path, PathBuf};
 
-use tlc_core::checksum::fnv1a_continue;
+use tlc_core::checksum::{fnv1a_continue_le, stream_and_file_digests};
 use tlc_core::EncodedColumn;
 
 use crate::manifest::{file_name, write_atomic, FileEntry, Manifest, PartitionEntry};
@@ -34,15 +34,19 @@ use crate::StoreError;
 /// column is byte-identical to the committed one.
 const FILE_DIGEST_BASIS: u32 = 0x5EED_F11E;
 
-/// FNV-1a digest over a file's little-endian words (store files are
-/// always word streams; a non-multiple-of-4 length is torn and is
-/// caught by the length check before any digest comparison).
+/// FNV-1a digest over a file's little-endian words, read in place
+/// (store files are always word streams; a non-multiple-of-4 length is
+/// torn and is caught by the length check before any digest
+/// comparison).
 pub fn file_digest(bytes: &[u8]) -> u32 {
-    let words: Vec<u32> = bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
-    fnv1a_continue(FILE_DIGEST_BASIS, &words)
+    fnv1a_continue_le(FILE_DIGEST_BASIS, bytes)
+}
+
+/// `(stream digest, file digest)` of a stored column in one pass: the
+/// stream digest is what [`EncodedColumn::from_bytes_digested`] takes,
+/// the file digest is [`file_digest`].
+pub(crate) fn load_digests(bytes: &[u8]) -> (u32, u32) {
+    stream_and_file_digests(bytes, FILE_DIGEST_BASIS)
 }
 
 /// Streaming store builder. Append partitions, then [`commit`].

@@ -12,19 +12,27 @@
 //!    [`Store::open_deep`] additionally re-digests every file to catch
 //!    bit rot with the manifest's whole-file FNV-1a.
 //!
-//! Reads go through [`Store::load_column`], which re-checks length and
-//! digest against the manifest and then fully parses the stream
-//! (per-block checksums + stream digest), quarantining on any failure
-//! so a damaged file is detected exactly once and recorded for the
-//! caller to heal ([`Store::heal_column`]) or re-derive.
+//! Reads go through [`Store::load_column`], which runs every check
+//! once, in this order, quarantining on the first failure so a damaged
+//! file is detected exactly once and recorded for the caller to heal
+//! ([`Store::heal_column`]) or re-derive:
+//!
+//! 1. the file's length against the manifest (`TornLength`);
+//! 2. the whole-file digest against the manifest (`Digest`);
+//! 3. the stream parse (`Format`): structure, the trailing stream
+//!    digest, deep validation, then the stored per-block checksums.
+//!
+//! One pass over the bytes hashes both digests (2 and 3's stream
+//! digest), and the parse reads words in place from the buffer the
+//! file was read into.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use tlc_core::EncodedColumn;
+use tlc_core::{EncodedColumn, Limits};
 
-use crate::ingest::file_digest;
+use crate::ingest::{file_digest, load_digests};
 use crate::manifest::{write_atomic, Manifest, MANIFEST_NAME};
 use crate::StoreError;
 
@@ -98,7 +106,8 @@ pub struct VerifyStats {
     pub partitions: usize,
     /// Files verified (manifest length + digest + full stream parse).
     pub files: usize,
-    /// Compressed bytes read.
+    /// Compressed bytes read: the committed file lengths, so headers,
+    /// checksums and digest words included.
     pub bytes: u64,
     /// Rows covered.
     pub rows: u64,
@@ -334,9 +343,10 @@ impl Store {
     }
 
     /// Read, cross-check (manifest length + digest) and fully parse
-    /// one partition column. Any damage quarantines the file, records
-    /// it in the ledger, and surfaces as a typed error — a later call
-    /// for the same file fails fast from the ledger.
+    /// one partition column, each check once (module docs). Any damage
+    /// quarantines the file, records it in the ledger, and surfaces as
+    /// a typed error — a later call for the same file fails fast from
+    /// the ledger.
     pub fn load_column(&self, partition: usize, column: &str) -> Result<EncodedColumn, StoreError> {
         let c = self
             .manifest
@@ -365,11 +375,14 @@ impl Store {
             self.quarantine(partition, c, &path, cause.clone())?;
             return Err(self.damage_error(partition, column, &cause));
         }
-        if file_digest(&bytes) != entry.digest {
+        // One pass hashes both chains; the manifest's digest is compared
+        // first, so damage is `Digest` before it can be `Format`.
+        let (stream_digest, digest) = load_digests(&bytes);
+        if digest != entry.digest {
             self.quarantine(partition, c, &path, DamageCause::Digest)?;
             return Err(self.damage_error(partition, column, &DamageCause::Digest));
         }
-        match EncodedColumn::from_bytes(&bytes) {
+        match EncodedColumn::from_bytes_digested(&bytes, &Limits::default(), Some(stream_digest)) {
             Ok(col) => Ok(col),
             Err(e) => {
                 let cause = DamageCause::Format(e);
@@ -425,11 +438,11 @@ impl Store {
             ..VerifyStats::default()
         };
         for p in 0..self.partition_count() {
-            for column in &self.manifest.columns.clone() {
-                let col = self.load_column(p, column)?;
+            for column in &self.manifest.columns {
+                self.load_column(p, column)?;
                 stats.files += 1;
-                stats.bytes += col.compressed_bytes();
             }
+            stats.bytes += self.partition_bytes(p);
             stats.rows += self.rows(p);
         }
         Ok(stats)
@@ -659,6 +672,102 @@ mod tests {
             (1, "beta")
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Commit `clean` as a one-column store, rewrite its file as
+    /// `bytes`, optionally re-fix the manifest to match (length and
+    /// digest, so only the stream parse can object), then load it.
+    /// Returns the load's error and the ledger's cause; a damaged file
+    /// must have moved to `quarantine/`.
+    fn load_rewritten(
+        name: &str,
+        clean: tlc_core::GpuFor,
+        bytes: &[u8],
+        refix_manifest: bool,
+    ) -> (StoreError, Option<DamageCause>) {
+        let dir = tmp_dir(name);
+        let mut ing = Ingest::create(&dir, &["vals"]).expect("create");
+        ing.append_partition(&[EncodedColumn::For(clean)])
+            .expect("append");
+        let mut store = ing.commit().expect("commit");
+        let path = store.path_of(0, "vals");
+        std::fs::write(&path, bytes).expect("rewrite");
+        if refix_manifest {
+            let mut manifest = store.manifest().clone();
+            manifest.partitions[0].files[0] = crate::manifest::FileEntry {
+                bytes: bytes.len() as u32,
+                digest: file_digest(bytes),
+            };
+            manifest.commit(&dir).expect("re-fix the manifest");
+            store = Store::open(&dir).expect("open").0;
+        }
+        let err = store.load_column(0, "vals").expect_err(name);
+        let moved = dir
+            .join(QUARANTINE_DIR)
+            .join(path.file_name().expect("named"));
+        assert!(!path.exists() && moved.exists(), "{name}: not quarantined");
+        let cause = store.damage(0, "vals");
+        let _ = std::fs::remove_dir_all(&dir);
+        (err, cause)
+    }
+
+    #[test]
+    fn the_load_path_runs_every_inner_check() {
+        use tlc_core::checksum::fnv1a;
+        use tlc_core::format::Layout;
+        use tlc_core::serialize::FormatError;
+        use tlc_core::GpuFor;
+
+        let col = GpuFor::encode_with_layout(&values(0, 700), Layout::Horizontal);
+        let mut words: Vec<u32> = col
+            .to_bytes()
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .collect();
+        let as_bytes =
+            |words: &[u32]| -> Vec<u8> { words.iter().flat_map(|w| w.to_le_bytes()).collect() };
+        // [magic][scheme][count][len][block_starts..][len][data..]; block
+        // 0's first payload word follows its reference and width words.
+        let data = 5 + col.block_starts.len();
+        words[data + 2] ^= 1 << 3;
+        let flipped = as_bytes(&words);
+        let n = words.len();
+        words[n - 1] = fnv1a(&words[..n - 1]);
+        let resigned = as_bytes(&words);
+        let mut bad = col.clone();
+        bad.data[2] ^= 1 << 3;
+        bad.data[1] = (bad.data[1] & !0xFF) | 33;
+        let cases = [
+            // The flip alone: the trailing stream digest catches it.
+            ("inner_stream", flipped.clone(), FormatError::StreamChecksum),
+            // Stream digest re-fixed: the stored block sum catches it.
+            (
+                "inner_sums",
+                resigned,
+                FormatError::ChecksumMismatch { block: 0 },
+            ),
+            // Both re-fixed plus a 33-bit width: only validation is left.
+            (
+                "inner_width",
+                bad.to_bytes(),
+                FormatError::BadBlock {
+                    block: 0,
+                    reason: "miniblock width > 32",
+                },
+            ),
+        ];
+        for (name, bytes, want) in cases {
+            match load_rewritten(name, col.clone(), &bytes, true) {
+                (StoreError::PartitionFormat { source, .. }, Some(DamageCause::Format(cause))) => {
+                    assert_eq!((&source, &cause), (&want, &want), "{name}");
+                }
+                other => panic!("{name}: want Format({want:?}), got {other:?}"),
+            }
+        }
+        // Without a re-fixed manifest the flip is the file digest's.
+        let (err, cause) = load_rewritten("inner_digest", col, &flipped, false);
+        assert!(matches!(err, StoreError::PartitionDigest { .. }), "{err:?}");
+        assert_eq!(cause, Some(DamageCause::Digest));
     }
 
     #[test]

@@ -216,6 +216,24 @@ fn verify_manifest_heals_regenerable_bitrot_and_exits_zero() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(!text.contains("healed"), "{text}");
 
+    // "compressed bytes" counts the bytes read: the committed file
+    // lengths, the same figure `tlc ingest` prints for the store.
+    let printed: u64 = text
+        .split(" compressed bytes")
+        .next()
+        .and_then(|head| head.rsplit(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no byte count in {text}"));
+    let (store, _) = tlc::store::Store::open(&dir).expect("open");
+    let committed: u64 = store
+        .manifest()
+        .partitions
+        .iter()
+        .flat_map(|p| &p.files)
+        .map(|f| u64::from(f.bytes))
+        .sum();
+    assert_eq!(printed, committed, "{text}");
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 
