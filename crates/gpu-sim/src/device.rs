@@ -220,7 +220,7 @@ impl Device {
     where
         F: FnMut(&mut BlockCtx<'_>),
     {
-        self.gate_launch(&cfg)?;
+        self.gate_launch(&cfg.name, &cfg)?;
         let mut spans = PhaseSpans::default();
         let l1 = self.params.l1_per_block;
         run_blocks(&cfg, 0..cfg.grid_blocks, l1, &mut spans, body, |_, ()| {});
@@ -301,7 +301,10 @@ impl Device {
             .map(|p| ((p.cfg, p.body, p.drain), p.merge))
             .unzip();
         let launch = launch_config(name, bodies.iter().map(|(cfg, ..)| cfg));
-        self.gate_launch(&launch)?;
+        // The plan sees the launch's name, even for a launch of one part;
+        // an unnamed launch goes by its part's.
+        let gate = if name.is_empty() { &launch.name } else { name };
+        self.gate_launch(gate, &launch)?;
         let l1 = self.params.l1_per_block;
         // Body and merge charge separate span sets per part, summed at
         // the end: the sums are commutative, so the split is invisible.
@@ -359,17 +362,18 @@ impl Device {
         Ok(self.finish_launch(launch, parts))
     }
 
-    /// Consult the armed fault plan before running any block; a failed
-    /// launch still costs the fixed launch overhead on the timeline.
-    fn gate_launch(&self, cfg: &KernelConfig) -> Result<(), LaunchError> {
+    /// Consult the armed fault plan, which keys its draws by `name`,
+    /// before running any block; a failed launch still costs the fixed
+    /// launch overhead on the timeline, as an event `{name}!fault`.
+    fn gate_launch(&self, name: &str, cfg: &KernelConfig) -> Result<(), LaunchError> {
         let gate = self
             .faults
             .borrow_mut()
             .as_mut()
-            .map_or(Ok(()), |state| state.gate_launch(&cfg.name));
+            .map_or(Ok(()), |state| state.gate_launch(name));
         if let Err(e) = gate {
             self.record_event(KernelReport {
-                name: format!("{}!fault", cfg.name),
+                name: format!("{name}!fault"),
                 grid_blocks: cfg.grid_blocks,
                 threads_per_block: cfg.threads_per_block,
                 occupancy: 0.0,
@@ -985,10 +989,11 @@ mod tests {
             assert_eq!(e.seconds, dev_launch_s());
             assert!(e.parts.is_empty());
         });
-        // A kill after one launch lets one launch of any size through.
+        // A kill named for the second launch lets the first, of any
+        // size, through.
         let dev = Device::v100();
         dev.inject_faults(FaultPlan {
-            kill_after_launches: Some(1),
+            kill_at_launch: Some("second"),
             ..FaultPlan::seeded(1)
         });
         let live = |name: &str| {
@@ -1001,6 +1006,7 @@ mod tests {
         };
         dev.try_launch_parts("first", vec![live("a"), live("b")])
             .expect("the first launch lands");
+        // A launch of one part goes by the launch's name, not the part's.
         let err = dev.try_launch_parts("second", vec![live("a")]);
         assert_eq!(
             err.expect_err("the device is gone"),

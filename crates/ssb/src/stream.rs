@@ -978,7 +978,7 @@ fn run_partition(
     // upload of the encoded columns. The host copies are clean (loaded
     // and digest-verified, or regenerated), so a failover uploads them
     // again to a fresh device.
-    let dev = partition_device(opts.plan.as_ref(), p, order.launches);
+    let dev = partition_device(opts.plan.as_ref(), p);
     let upload = |d: &Device| LoColumns::from_encoded(d, cols.iter().map(|(c, e, _)| (*c, &**e)));
     let (filter, flights) = (&order.filter, &order.flights);
     let (pass, seconds, ladder_recovered) = device_ladder(
@@ -1232,26 +1232,25 @@ fn apply_storage_faults(
 }
 
 /// A partition-private device, armed from the run's fault plan: the
-/// fault PRNG is keyed by the partition index (not the worker), and
+/// fault seed is keyed by the partition index (not the worker), and
 /// the kill is armed only when this partition is the campaign's
-/// victim. `launches` is what a partition of the run makes.
-fn partition_device(plan: Option<&FaultPlan>, p: usize, launches: u64) -> Device {
+/// victim.
+fn partition_device(plan: Option<&FaultPlan>, p: usize) -> Device {
     let dev = Device::v100();
     if let Some(plan) = plan {
         let armed = FaultPlan {
             seed: plan.seed ^ (p as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            // Die at the run's last launch: with a join flight in the
-            // run the dimension build lands, then the fact scan is
-            // lost mid-query; without one the scan is all there is to
-            // lose.
-            kill_after_launches: (plan.storage.kill_shard_at_partition == Some(p))
-                .then_some(launches as usize - 1),
+            // Die at the fact scan: with a join flight in the run the
+            // dimension build lands, then the scan is lost mid-query;
+            // without one the scan is all there is to lose.
+            kill_at_launch: (plan.storage.kill_shard_at_partition == Some(p))
+                .then_some("wave_scan"),
             storage: StorageFaults::default(),
             ..plan.clone()
         };
         if armed.bitflip_rate > 0.0
             || armed.transient_launch_rate > 0.0
-            || armed.kill_after_launches.is_some()
+            || armed.kill_at_launch.is_some()
             || armed.bandwidth_factor != 1.0
         {
             dev.inject_faults(armed);
@@ -1607,6 +1606,52 @@ mod tests {
         assert!(drilled.queries[0].report.transient_failures_injected > 0);
         store.store().verify().expect("healed in place");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The kill is named, so a transient build failure and its retry do
+    /// not move it: the build lands, then the fact scan is lost.
+    #[test]
+    fn the_kill_lands_on_the_scan_after_transient_builds() {
+        let data = SsbData::generate(0.002);
+        let q = QueryId::Q21;
+        let mut builds_failed = 0;
+        for seed in 0..16 {
+            let plan = FaultPlan {
+                transient_launch_rate: 0.5,
+                storage: StorageFaults {
+                    kill_shard_at_partition: Some(0),
+                    ..StorageFaults::default()
+                },
+                ..FaultPlan::seeded(seed)
+            };
+            let dev = partition_device(Some(&plan), 0);
+            let lo = LoColumns::build(&dev, &data, crate::System::GpuStar, q.columns());
+            let mut report = ResilienceReport::default();
+            let outcome = retry_transients(&mut report, || {
+                wave_pass(&dev, &data, &lo, &[], &[], &[q], 1.0)
+            });
+            let names: Vec<String> =
+                dev.with_timeline(|t| t.events().iter().map(|e| e.name.clone()).collect());
+            if report.retries_exhausted > 0 {
+                assert!(
+                    names.iter().all(|n| n == "wave_build!fault"),
+                    "seed {seed}: {names:?}"
+                );
+                continue;
+            }
+            assert!(
+                matches!(outcome, Err(DecodeError::Launch(_))),
+                "seed {seed}"
+            );
+            let (lost, before) = names.split_last().expect("launches were made");
+            assert_eq!(lost, "wave_scan!fault", "seed {seed}: {names:?}");
+            assert!(
+                before.iter().any(|n| n == "wave_build"),
+                "seed {seed}: {names:?}"
+            );
+            builds_failed += usize::from(before.iter().any(|n| n == "wave_build!fault"));
+        }
+        assert!(builds_failed > 0, "no seed failed a build transiently");
     }
 
     #[test]

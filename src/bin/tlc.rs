@@ -688,7 +688,7 @@ fn cmd_faultsim(args: &[String]) -> Result<(), String> {
     let mut unkilled = 0usize;
     for &seed in &seeds {
         for q in [QueryId::Q11, QueryId::Q21, QueryId::Q41] {
-            let plans = campaign_plans(seed, q);
+            let plans = campaign_plans(seed);
             let shards = plans.len();
             let clean = run_query_sharded(&data, System::GpuStar, q, shards, 1.0, &[]);
             let run = run_query_sharded(&data, System::GpuStar, q, shards, 1.0, &plans);

@@ -122,7 +122,7 @@ fn resilient_campaign(data: &SsbData) -> Vec<ShardedRun> {
     let q = QueryId::Q21;
     (0..8u64)
         .map(|seed| {
-            let plans = campaign_plans(seed, q);
+            let plans = campaign_plans(seed);
             run_query_sharded(data, System::GpuStar, q, plans.len(), 1.0, &plans)
         })
         .collect()

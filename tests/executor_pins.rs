@@ -680,8 +680,9 @@ fn a_one_member_flight_wave_is_the_solo_flight() {
 
 /// Kill the device of partition 0 mid-query, tear partition 1's first
 /// column, rot one bit of partition 2's; on top, device-level rates, so
-/// the rows also depend on the order columns are uploaded in (the
-/// allocation order feeds the fault PRNG).
+/// the rows also depend on what each partition uploads (a buffer's
+/// flips are keyed by its words) and on which launches it makes (a
+/// transient by the kernel's name and attempt).
 fn drill(seed: u64) -> FaultPlan {
     FaultPlan {
         bitflip_rate: 2e-5,
@@ -696,10 +697,10 @@ fn drill(seed: u64) -> FaultPlan {
 }
 
 const DRILLS: &[&str] = &[
-    "q1.1: groups[1]#481ed730f36e2669 rows=23812 parts=6 dev=0x3f07be28dd5066f6 io=0x3efee014fe13ec9c merge=0x3e401b2b29a4692b rep=[0,3,1,3,0,0,1,0,2,2] rec=[0, 1, 2]",
-    "q2.1: groups[138]#916454a106031b27 rows=23812 parts=6 dev=0x3f10333ca50845e8 io=0x3f019ed58a52458e merge=0x3e94e33bfa013864 rep=[1,0,1,0,0,1,2,0,2,2] rec=[0, 1, 2, 5]",
-    "q4.3: groups[0]#cbf29ce484222325 rows=23812 parts=6 dev=0x3f17ff0f751a03bc io=0x3f0b0b65d6654398 merge=0x0000000000000000 rep=[0,3,1,3,0,0,1,0,2,2] rec=[0, 1, 2]",
-    "execute q1.1: groups[1]#481ed730f36e2669 rows=23812 parts=6 dev=0x3f07be28dd5066f6 io=0x3efee014fe13ec9c rep=[0,3,1,3,0,0,1,0,2,2] rec=[0, 1, 2]",
+    "q1.1: groups[1]#481ed730f36e2669 rows=23812 parts=6 dev=0x3f027f748a6f8ddd io=0x3efee014fe13ec9c merge=0x3e401b2b29a4692b rep=[1,1,1,1,0,1,2,0,2,2] rec=[0, 1, 2]",
+    "q2.1: groups[138]#916454a106031b27 rows=23812 parts=6 dev=0x3f1963a31c6b0ddc io=0x3f019ed58a52458e merge=0x3e94e33bfa013864 rep=[1,6,1,6,0,1,2,0,2,2] rec=[0, 1, 2]",
+    "q4.3: groups[0]#cbf29ce484222325 rows=23812 parts=6 dev=0x3f12b1a61b56496e io=0x3f0b0b65d6654398 merge=0x0000000000000000 rep=[0,2,1,2,0,0,1,0,2,2] rec=[0, 1, 2]",
+    "execute q1.1: groups[1]#481ed730f36e2669 rows=23812 parts=6 dev=0x3f027f748a6f8ddd io=0x3efee014fe13ec9c rep=[1,1,1,1,0,1,2,0,2,2] rec=[0, 1, 2]",
 ];
 
 #[test]

@@ -138,7 +138,7 @@ fn sharded_campaign_recovers_to_fault_free_results() {
     let data = SsbData::generate(0.01);
     for seed in 0..8u64 {
         for q in [QueryId::Q11, QueryId::Q21, QueryId::Q41] {
-            let plans = campaign_plans(seed, q);
+            let plans = campaign_plans(seed);
             let shards = plans.len();
             let clean = run_query_sharded(&data, System::GpuStar, q, shards, 1.0, &[]);
             let run = run_query_sharded(&data, System::GpuStar, q, shards, 1.0, &plans);
