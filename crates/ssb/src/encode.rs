@@ -170,85 +170,55 @@ impl LoColumns {
         &self.cols[&c]
     }
 
-    /// Prepare the columns for a fused query on a clean device; panics
-    /// where [`LoColumns::try_prepare`] returns an error.
-    pub fn prepare(&self, dev: &Device, needed: &[LoColumn]) -> Vec<QueryColumn> {
-        self.try_prepare(dev, needed)
-            .unwrap_or_else(|e| panic!("prepare failed: {e}"))
-    }
-
     /// Prepare the columns for a fused query: systems that can
-    /// decompress inline hand back their tile-decodable columns;
-    /// systems that can't launch their decompression kernels here
-    /// (inside the measured region) and hand back plain columns; a
-    /// launch an armed fault plan fails is a typed error.
+    /// decompress inline hand back their stored columns by reference,
+    /// with no copy, as the paper's queries read columns already in
+    /// GPU memory (Section 9.1); systems that can't launch their
+    /// decompression kernels here (inside the measured region) and hand
+    /// back the plain columns those write. A launch an armed fault plan
+    /// fails is a typed error.
     pub fn try_prepare(
         &self,
         dev: &Device,
         needed: &[LoColumn],
-    ) -> Result<Vec<QueryColumn>, DecodeError> {
+    ) -> Result<Vec<Prepared<'_>>, DecodeError> {
         needed
             .iter()
             .map(|c| {
                 Ok(match &self.cols[c] {
-                    // A query owns its handles (columns aren't `Clone`),
-                    // so a resident column is copied host-side,
-                    // unaccounted; no kernel runs here: the fused query
-                    // loads plain tiles and decodes GPU-* tiles inline.
-                    StoredColumn::Plain(QueryColumn::Plain(b)) => {
-                        QueryColumn::Plain(dev.alloc_from_slice(b.as_slice_unaccounted()))
+                    StoredColumn::Plain(col) | StoredColumn::Star(col) => Prepared::Stored(col),
+                    StoredColumn::NvComp(payload) => {
+                        Prepared::Decoded(QueryColumn::Plain(payload.decompress(dev)?))
                     }
-                    StoredColumn::Star(QueryColumn::Encoded(e)) => {
-                        QueryColumn::Encoded(reclone_device_column(dev, e))
-                    }
-                    StoredColumn::Plain(_) | StoredColumn::Star(_) => {
-                        unreachable!("plain storage holds a buffer, GPU-* an encoded column")
-                    }
-                    StoredColumn::NvComp(payload) => QueryColumn::Plain(payload.decompress(dev)?),
                     StoredColumn::GpuBp(payload) => {
-                        QueryColumn::Plain(gpu_bp::decompress(dev, payload)?)
+                        Prepared::Decoded(QueryColumn::Plain(gpu_bp::decompress(dev, payload)?))
                     }
-                    StoredColumn::Planner(payload) => QueryColumn::Plain(payload.decompress(dev)?),
+                    StoredColumn::Planner(payload) => {
+                        Prepared::Decoded(QueryColumn::Plain(payload.decompress(dev)?))
+                    }
                 })
             })
             .collect()
     }
 }
 
-/// Device columns aren't `Clone` (they own buffers); queries need a
-/// usable handle, so re-upload the compact representation. The upload
-/// itself is host-side (unaccounted), matching data already resident
-/// in GPU memory at measurement start (Section 9.1).
-fn reclone_device_column(
-    dev: &Device,
-    e: &tlc_core::column::DeviceColumn,
-) -> tlc_core::column::DeviceColumn {
-    use tlc_core::column::DeviceColumn as D;
-    match e {
-        D::For(c) => D::For(tlc_core::gpu_for::GpuForDevice {
-            total_count: c.total_count,
-            block_starts: dev.alloc_from_slice(c.block_starts.as_slice_unaccounted()),
-            data: dev.alloc_from_slice(c.data.as_slice_unaccounted()),
-            checksums: dev.alloc_from_slice(c.checksums.as_slice_unaccounted()),
-            layout: c.layout,
-        }),
-        D::DFor(c) => D::DFor(tlc_core::gpu_dfor::GpuDForDevice {
-            total_count: c.total_count,
-            d: c.d,
-            block_starts: dev.alloc_from_slice(c.block_starts.as_slice_unaccounted()),
-            data: dev.alloc_from_slice(c.data.as_slice_unaccounted()),
-            checksums: dev.alloc_from_slice(c.checksums.as_slice_unaccounted()),
-            layout: c.layout,
-        }),
-        D::RFor(c) => D::RFor(tlc_core::gpu_rfor::GpuRForDevice {
-            total_count: c.total_count,
-            values_starts: dev.alloc_from_slice(c.values_starts.as_slice_unaccounted()),
-            values_data: dev.alloc_from_slice(c.values_data.as_slice_unaccounted()),
-            lengths_starts: dev.alloc_from_slice(c.lengths_starts.as_slice_unaccounted()),
-            lengths_data: dev.alloc_from_slice(c.lengths_data.as_slice_unaccounted()),
-            checksums: dev.alloc_from_slice(c.checksums.as_slice_unaccounted()),
-            layout: c.layout,
-        }),
+/// A column [`LoColumns::try_prepare`] readied for a fused query.
+#[derive(Debug)]
+pub enum Prepared<'a> {
+    /// A stored column, read in place.
+    Stored(&'a QueryColumn),
+    /// A plain column a decompression kernel wrote.
+    Decoded(QueryColumn),
+}
+
+impl std::ops::Deref for Prepared<'_> {
+    type Target = QueryColumn;
+
+    fn deref(&self) -> &QueryColumn {
+        match self {
+            Prepared::Stored(col) => col,
+            Prepared::Decoded(col) => col,
+        }
     }
 }
 
@@ -290,12 +260,12 @@ mod tests {
         for system in [System::NvComp, System::GpuBp, System::Planner] {
             let cols = LoColumns::build(&dev, &data, system, &needed);
             dev.reset_timeline();
-            let prepared = cols.prepare(&dev, &needed);
+            let prepared = cols.try_prepare(&dev, &needed).expect("no fault plan");
             assert!(
                 dev.with_timeline(|t| t.kernel_launches()) >= 1,
                 "{system:?} must launch decompression kernels"
             );
-            match &prepared[0] {
+            match &*prepared[0] {
                 QueryColumn::Plain(b) => {
                     assert_eq!(
                         b.as_slice_unaccounted(),
@@ -315,7 +285,8 @@ mod tests {
         for system in [System::None, System::GpuStar] {
             let cols = LoColumns::build(&dev, &data, system, &needed);
             dev.reset_timeline();
-            let _ = cols.prepare(&dev, &needed);
+            let prepared = cols.try_prepare(&dev, &needed).expect("no fault plan");
+            assert!(matches!(prepared[0], Prepared::Stored(_)), "{system:?}");
             assert_eq!(dev.with_timeline(|t| t.kernel_launches()), 0, "{system:?}");
         }
     }

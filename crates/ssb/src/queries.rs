@@ -549,8 +549,8 @@ pub fn try_run_query(
         return run_materialized(dev, data, cols, q);
     }
     let prepared = cols.try_prepare(dev, q.columns())?;
+    let columns: Vec<&QueryColumn> = prepared.iter().map(|c| &**c).collect();
     if is_flight1(q) {
-        let columns: Vec<&QueryColumn> = prepared.iter().collect();
         let members = [FilterMember::Flight1 {
             q,
             columns: [0, 1, 2, 3],
@@ -568,7 +568,7 @@ pub fn try_run_query(
     let (tables, _) = wave_build(dev, data, &[q])?;
     let flight = FlightScan {
         q,
-        cols: &prepared,
+        cols: &columns,
         tables: &tables[0],
     };
     let (mut scan, _) = wave_scan(dev, &FilterScan::default(), &[flight])?;
@@ -630,7 +630,7 @@ pub struct FlightScan<'a> {
     /// The flight (2–4).
     pub q: QueryId,
     /// Its columns in [`QueryId::columns`] order.
-    pub cols: &'a [QueryColumn],
+    pub cols: &'a [&'a QueryColumn],
     /// Its dimension tables, built by [`wave_build`].
     pub tables: &'a Tables,
 }
@@ -1081,7 +1081,7 @@ impl TileScratch {
     fn load_selected(
         &mut self,
         ctx: &mut BlockCtx<'_>,
-        cols: &[QueryColumn],
+        cols: &[&QueryColumn],
         i: usize,
     ) -> Result<usize, DecodeError> {
         let t = ctx.block_id();
@@ -1127,8 +1127,7 @@ fn join_part<'a>(
     failed: &'a RefCell<Option<DecodeError>>,
 ) -> LaunchPart<'a> {
     let (q, cols, tables) = (flight.q, flight.cols, flight.tables);
-    let refs: Vec<&QueryColumn> = cols.iter().collect();
-    let cfg = fused_config("ssb_join_fused", &refs, cols.len());
+    let cfg = fused_config("ssb_join_fused", cols, cols.len());
     // Column positions within this query's column list, resolved once
     // per launch.
     let cix = |c: LoColumn| {
@@ -1250,7 +1249,7 @@ fn run_materialized(
     let prepared = cols.try_prepare(dev, q.columns())?;
     let bufs: Vec<&GlobalBuffer<i32>> = prepared
         .iter()
-        .map(|c| match c {
+        .map(|c| match &**c {
             QueryColumn::Plain(b) => b,
             QueryColumn::Encoded(_) => unreachable!("OmniSci stores plain columns"),
         })

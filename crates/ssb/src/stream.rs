@@ -67,7 +67,7 @@ use tlc_store::{
     StoreError,
 };
 
-use crate::encode::{LoColumns, StoredColumn};
+use crate::encode::LoColumns;
 use crate::fleet::map_ordered;
 use crate::gen::{LineOrder, LoColumn, SsbData, StreamSpec};
 pub use crate::queries::WaveAnswer;
@@ -1146,25 +1146,24 @@ fn wave_pass(
     flights: &[QueryId],
     scale: f64,
 ) -> Result<WavePass, DecodeError> {
+    let read = lo.try_prepare(dev, read)?;
+    let columns: Vec<&QueryColumn> = read.iter().map(|c| &**c).collect();
     let prepared = flights
         .iter()
         .map(|q| lo.try_prepare(dev, q.columns()))
         .collect::<Result<Vec<_>, _>>()?;
-    let (tables, build) = wave_build(dev, dims, flights)?;
-    let columns: Vec<&QueryColumn> = read
+    let flight_cols: Vec<Vec<&QueryColumn>> = prepared
         .iter()
-        .map(|c| match lo.stored(*c) {
-            StoredColumn::Star(col) => col,
-            _ => unreachable!("`from_encoded` stores GPU-* columns"),
-        })
+        .map(|cols| cols.iter().map(|c| &**c).collect())
         .collect();
+    let (tables, build) = wave_build(dev, dims, flights)?;
     let filter_scan = FilterScan {
         columns: &columns,
         members: filter,
     };
     let flight_scans: Vec<FlightScan<'_>> = flights
         .iter()
-        .zip(prepared.iter().zip(&tables))
+        .zip(flight_cols.iter().zip(&tables))
         .map(|(&q, (cols, tables))| FlightScan { q, cols, tables })
         .collect();
     let (answers, scan) = wave_scan(dev, &filter_scan, &flight_scans)?;

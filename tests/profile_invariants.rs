@@ -271,11 +271,10 @@ fn fly_over<'a>(
         columns: &columns,
         members: &members,
     };
-    let prepare = |q: &QueryId| -> Vec<QueryColumn> {
-        let one = |c: &LoColumn| holding(*c).prepare(dev, &[*c]).remove(0);
-        q.columns().iter().map(one).collect()
+    let prepare = |q: &QueryId| -> Vec<&QueryColumn> {
+        q.columns().iter().map(|&c| stored(holding(c), c)).collect()
     };
-    let prepared: Vec<Vec<QueryColumn>> = joins.iter().map(prepare).collect();
+    let prepared: Vec<Vec<&QueryColumn>> = joins.iter().map(prepare).collect();
     let (tables, _) = wave_build(dev, data, &joins)?;
     let flight_scans: Vec<FlightScan<'_>> = joins
         .iter()
@@ -454,7 +453,7 @@ fn scalar_kernel_of_old(dev: &Device, col: &QueryColumn, filter: Option<i32>) ->
 /// against what the probe left. Returns the sum and the launch.
 fn flight1_kernel_of_old(
     dev: &Device,
-    cols: &[QueryColumn],
+    cols: &[&QueryColumn],
     date: &DenseTable,
     qty: (i32, i32),
     disc: (i32, i32),
@@ -468,10 +467,9 @@ fn flight1_kernel_of_old(
     }
     let within = |(lo, hi): (i32, i32)| move |v: i32| lo <= v && v <= hi;
     let [od, qt, dc, ep] = [0, 1, 2, 3];
-    let refs: Vec<&QueryColumn> = cols.iter().collect();
     let mut sum = ScalarSum::new(dev);
     let report = dev.try_launch_par(
-        fused_config("ssb_q1_fused", &refs, 2),
+        fused_config("ssb_q1_fused", cols, 2),
         Scratch::default,
         |w: &mut Scratch, ctx| {
             let t = ctx.block_id();
@@ -570,7 +568,7 @@ fn a_one_member_filter_part_is_the_kernel_it_replaces() {
             .collect();
         let (first, last) = (keys[0], keys[keys.len() - 1]);
         let date = DenseTable::build(&dev, "date", first, last, &rows, data.date_dim_bytes());
-        let prepared = cols.prepare(&dev, q.columns());
+        let prepared: Vec<&QueryColumn> = q.columns().iter().map(|&c| stored(&cols, c)).collect();
         let (sum, old) = flight1_kernel_of_old(&dev, &prepared, &date, qty, disc);
         dev.reset_timeline();
         let groups = try_run_query(&dev, &data, &cols, q).expect("clean columns");
