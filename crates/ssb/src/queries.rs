@@ -536,9 +536,9 @@ pub fn run_query(dev: &Device, data: &SsbData, cols: &LoColumns, q: QueryId) -> 
 /// Fallible variant of [`run_query`]: tile corruption or a device
 /// fault surfaces as a typed [`DecodeError`] instead of a panic, on
 /// every system. The fleet ([`crate::fleet`]) builds on this. It is
-/// the one-flight wave: for a join flight a build launch, then a scan
-/// launch; for flight 1 the scan launch alone, its filter part with
-/// one member.
+/// the one-member evaluate step (`wave_pass`): for a join flight a
+/// build launch, then a scan launch; for flight 1 the scan launch
+/// alone, its filter part with one member.
 pub fn try_run_query(
     dev: &Device,
     data: &SsbData,
@@ -548,31 +548,103 @@ pub fn try_run_query(
     if cols.system == System::OmniSci {
         return run_materialized(dev, data, cols, q);
     }
-    let prepared = cols.try_prepare(dev, q.columns())?;
-    let columns: Vec<&QueryColumn> = prepared.iter().map(|c| &**c).collect();
     if is_flight1(q) {
-        let members = [FilterMember::Flight1 {
+        let member = FilterMember::Flight1 {
             q,
             columns: [0, 1, 2, 3],
-        }];
-        let filter = FilterScan {
-            columns: &columns,
-            members: &members,
         };
-        let (mut scan, _) = wave_scan(dev, &filter, &[])?;
-        return match scan.filters.pop() {
+        let mut pass = wave_pass(dev, data, cols, q.columns(), &[member], &[], 1.0)?;
+        return match pass.filters.pop() {
             Some(WaveAnswer::Groups(groups)) => Ok(groups),
             _ => unreachable!("one flight in, its groups out"),
         };
     }
-    let (tables, _) = wave_build(dev, data, &[q])?;
-    let flight = FlightScan {
-        q,
-        cols: &columns,
-        tables: &tables[0],
+    let mut pass = wave_pass(dev, data, cols, &[], &[], &[q], 1.0)?;
+    Ok(pass.flights.pop().expect("one flight in, one answer out"))
+}
+
+/// What one pass over a set of columns answered, and how its device
+/// seconds split among its owners: the filter part (when the pass has
+/// a probe-free member), then the join flights.
+pub(crate) struct WavePass {
+    /// Per member of the filter part, in the part's order.
+    pub(crate) filters: Vec<WaveAnswer>,
+    /// Per join flight: its groups.
+    pub(crate) flights: Vec<Vec<(u64, u64)>>,
+    /// Per owner, its fraction of the pass's seconds; they sum to 1.
+    pub(crate) shares: Vec<f64>,
+}
+
+/// The evaluate step, for one query ([`try_run_query`]) or a
+/// partition's whole run ([`crate::stream`]): at most two launches on
+/// `dev` over the columns `lo`, as [`LoColumns::try_prepare`] readies
+/// them. [`wave_build`] builds the dimension tables of every join
+/// flight (no launch without one) and [`wave_scan`] runs the filter
+/// part, which decodes each of the columns `read` once a tile for all
+/// of `filter`, and one part per join flight, each decoding its own
+/// columns inline.
+///
+/// Shares: a launch's seconds `T` split among its parts by what the
+/// model charges each part alone, `T × sᵢ / Σs`
+/// ([`KernelReport::share`]); an owner's parts are the filter part, or
+/// its flight's scan and table builds. An owner of every part pays
+/// exactly 1: a one-member run is priced as its launches are.
+pub(crate) fn wave_pass(
+    dev: &Device,
+    dims: &SsbData,
+    lo: &LoColumns,
+    read: &[LoColumn],
+    filter: &[FilterMember],
+    flights: &[QueryId],
+    scale: f64,
+) -> Result<WavePass, DecodeError> {
+    let read = lo.try_prepare(dev, read)?;
+    let columns: Vec<&QueryColumn> = read.iter().map(|c| &**c).collect();
+    let prepared = flights
+        .iter()
+        .map(|q| lo.try_prepare(dev, q.columns()))
+        .collect::<Result<Vec<_>, _>>()?;
+    let flight_cols: Vec<Vec<&QueryColumn>> = prepared
+        .iter()
+        .map(|cols| cols.iter().map(|c| &**c).collect())
+        .collect();
+    let (tables, build) = wave_build(dev, dims, flights)?;
+    let filter_scan = FilterScan {
+        columns: &columns,
+        members: filter,
     };
-    let (mut scan, _) = wave_scan(dev, &FilterScan::default(), &[flight])?;
-    Ok(scan.flights.pop().expect("one flight in, one answer out"))
+    let flight_scans: Vec<FlightScan<'_>> = flights
+        .iter()
+        .zip(flight_cols.iter().zip(&tables))
+        .map(|(&q, (cols, tables))| FlightScan { q, cols, tables })
+        .collect();
+    let (answers, scan) = wave_scan(dev, &filter_scan, &flight_scans)?;
+
+    let launch_s = dev.params().kernel_launch_s;
+    let scaled = |launch: &KernelReport| launch.scaled_seconds(scale, launch_s);
+    let filter_owner = usize::from(!filter.is_empty());
+    let mut owed = vec![0.0f64; filter_owner + flights.len()];
+    let mut total = 0.0f64;
+    if let Some(build) = &build {
+        let seconds = scaled(build);
+        total += seconds;
+        let mut first = 0;
+        for (owed, tables) in owed[filter_owner..].iter_mut().zip(&tables) {
+            let parts = first..first + tables.built();
+            first = parts.end;
+            *owed += seconds * build.share(parts);
+        }
+    }
+    let seconds = scaled(&scan);
+    total += seconds;
+    for (part, owed) in owed.iter_mut().enumerate() {
+        *owed += seconds * scan.share(part..part + 1);
+    }
+    Ok(WavePass {
+        filters: answers.filters,
+        flights: answers.flights,
+        shares: owed.into_iter().map(|owed| owed / total).collect(),
+    })
 }
 
 /// A probe-free member of a scan launch: a conjunction of range

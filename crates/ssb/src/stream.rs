@@ -32,15 +32,17 @@
 //! The *evaluate* step is the paper's (§Crystal integration, Fig. 11)
 //! for every member of every run: the partition's encoded columns are
 //! uploaded once and the run makes **at most two launches** on that
-//! upload (`wave_pass`), one when no member joins. `wave_build` builds
-//! the dimension tables of every join flight, one part a table.
+//! upload (`queries::wave_pass`, the step `try_run_query` takes for
+//! one query), one when no member joins. `wave_build` builds the
+//! dimension tables of every join flight, one part a table.
 //! `wave_scan` runs one **filter part** for all the probe-free members
 //! (flight 1, whose date join is a range test in registers; point
 //! filters; scans), which reads the upload directly and decodes each
 //! (column, tile) of their union **once**, every member carrying its
 //! own selection through its own conjunction, and one part per join
-//! flight, its fused query kernel over its own copy. Every part decodes
-//! its tiles inline; nothing is decompressed to a plain buffer first.
+//! flight, its fused query kernel over the same upload. Every part
+//! decodes its tiles inline; nothing is decompressed to a plain buffer
+//! first.
 //! What a wave shares is therefore the storage ladder, the cache load,
 //! the parse, the upload, the device ladder, the launch overheads and,
 //! among probe-free members, the tile decodes; a join flight's decode
@@ -58,9 +60,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
-use tlc_core::{DecodeError, EncodedColumn};
-use tlc_crystal::QueryColumn;
-use tlc_gpu_sim::{Device, FaultPlan, KernelReport, StorageFaults};
+use tlc_core::EncodedColumn;
+use tlc_gpu_sim::{Device, FaultPlan, StorageFaults};
 use tlc_rng::Rng;
 use tlc_store::{
     damage, modeled_read_s, CompactReport, Ingest, PartitionCache, RecoveryReport, Store,
@@ -71,7 +72,7 @@ use crate::encode::LoColumns;
 use crate::fleet::map_ordered;
 use crate::gen::{LineOrder, LoColumn, SsbData, StreamSpec};
 pub use crate::queries::WaveAnswer;
-use crate::queries::{wave_build, wave_scan, FilterMember, FilterScan, FlightScan, QueryId};
+use crate::queries::{wave_pass, FilterMember, QueryId, WavePass};
 use crate::reference::{fold_scalar, run_reference};
 use crate::resilience::{device_ladder, retry_transients, ResilienceReport};
 
@@ -1113,88 +1114,6 @@ impl Composition {
     }
 }
 
-/// What one pass over a partition's upload answered, and how its
-/// device seconds split among its owners: the filter part (when the
-/// run has a probe-free member), then the join flights.
-struct WavePass {
-    /// Per member of the filter part, in the part's order.
-    filters: Vec<WaveAnswer>,
-    /// Per join flight: its groups.
-    flights: Vec<Vec<(u64, u64)>>,
-    /// Per owner, its fraction of the pass's seconds; they sum to 1.
-    shares: Vec<f64>,
-}
-
-/// The evaluate step of one partition: at most two launches on `dev`
-/// over the upload `lo`. [`wave_build`] builds the dimension tables of
-/// every join flight (no launch without one) and [`wave_scan`] runs the
-/// filter part, which reads the columns `read` straight from the upload
-/// and decodes each once a tile for all of `filter`, and one part per
-/// join flight, each decoding its own copy inline.
-///
-/// Shares: a launch's seconds `T` split among its parts by what the
-/// model charges each part alone, `T × sᵢ / Σs`
-/// ([`KernelReport::share`]); an owner's parts are the filter part, or
-/// its flight's scan and table builds. An owner of every part pays
-/// exactly 1: a one-member run is priced as its launches are.
-fn wave_pass(
-    dev: &Device,
-    dims: &SsbData,
-    lo: &LoColumns,
-    read: &[LoColumn],
-    filter: &[FilterMember],
-    flights: &[QueryId],
-    scale: f64,
-) -> Result<WavePass, DecodeError> {
-    let read = lo.try_prepare(dev, read)?;
-    let columns: Vec<&QueryColumn> = read.iter().map(|c| &**c).collect();
-    let prepared = flights
-        .iter()
-        .map(|q| lo.try_prepare(dev, q.columns()))
-        .collect::<Result<Vec<_>, _>>()?;
-    let flight_cols: Vec<Vec<&QueryColumn>> = prepared
-        .iter()
-        .map(|cols| cols.iter().map(|c| &**c).collect())
-        .collect();
-    let (tables, build) = wave_build(dev, dims, flights)?;
-    let filter_scan = FilterScan {
-        columns: &columns,
-        members: filter,
-    };
-    let flight_scans: Vec<FlightScan<'_>> = flights
-        .iter()
-        .zip(flight_cols.iter().zip(&tables))
-        .map(|(&q, (cols, tables))| FlightScan { q, cols, tables })
-        .collect();
-    let (answers, scan) = wave_scan(dev, &filter_scan, &flight_scans)?;
-
-    let launch_s = dev.params().kernel_launch_s;
-    let scaled = |launch: &KernelReport| launch.scaled_seconds(scale, launch_s);
-    let filter_owner = usize::from(!filter.is_empty());
-    let mut owed = vec![0.0f64; filter_owner + flights.len()];
-    let mut total = 0.0f64;
-    if let Some(build) = &build {
-        let seconds = scaled(build);
-        total += seconds;
-        let mut first = 0;
-        for (owed, tables) in owed[filter_owner..].iter_mut().zip(&tables) {
-            let parts = first..first + tables.built();
-            first = parts.end;
-            *owed += seconds * build.share(parts);
-        }
-    }
-    let seconds = scaled(&scan);
-    total += seconds;
-    for (part, owed) in owed.iter_mut().enumerate() {
-        *owed += seconds * scan.share(part..part + 1);
-    }
-    Ok(WavePass {
-        filters: answers.filters,
-        flights: answers.flights,
-        shares: owed.into_iter().map(|owed| owed / total).collect(),
-    })
-}
-
 /// A scalar member's `(count, sum)` as its answer.
 fn scalar_answer((count, sum): (u64, i64)) -> WaveAnswer {
     WaveAnswer::Scalar { count, sum }
@@ -1270,6 +1189,7 @@ fn file_bytes(store: &SsbStore, p: usize, name: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tlc_core::DecodeError;
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("tlc_ssb_stream_{tag}_{}", std::process::id()));
