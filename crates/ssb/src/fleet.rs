@@ -22,7 +22,7 @@ use crate::encode::LoColumns;
 use crate::gen::{LineOrder, SsbData};
 use crate::queries::{try_run_query, QueryId};
 use crate::reference::run_reference;
-use crate::resilience::{device_ladder, retry_transients, ResilienceReport};
+use crate::resilience::{device_ladder, retry_transients, ResilienceReport, MAX_TRANSIENT_RETRIES};
 use crate::System;
 
 impl SsbData {
@@ -171,16 +171,19 @@ pub fn run_query_sharded(
     }
 }
 
+/// Shards of DESIGN.md §9's acceptance campaign.
+const CAMPAIGN_SHARDS: usize = 4;
+
 /// DESIGN.md §9's acceptance campaign under `seed`, stated once: four
 /// shards, each armed with bit flips (5e-4 a word) and transient launch
 /// failures (2 %) from its own seed `seed ^ s << 32`, and shard
 /// `seed % 4` killed at its fact scan (`wave_scan`) — a join flight's
 /// tables are built and its fact scan is lost; flight 1 builds nothing
-/// and loses its scan. Run it with `plans.len()` shards.
+/// and loses its scan. Run it with `plans.len()` shards and judge it
+/// with [`campaign_verdict`].
 pub fn campaign_plans(seed: u64) -> Vec<Option<FaultPlan>> {
-    const SHARDS: usize = 4;
-    let killed = seed as usize % SHARDS;
-    (0..SHARDS)
+    let killed = seed as usize % CAMPAIGN_SHARDS;
+    (0..CAMPAIGN_SHARDS)
         .map(|s| {
             Some(FaultPlan {
                 bitflip_rate: 5e-4,
@@ -190,6 +193,40 @@ pub fn campaign_plans(seed: u64) -> Vec<Option<FaultPlan>> {
             })
         })
         .collect()
+}
+
+/// Whether a campaign `run` (under [`campaign_plans`]) recovered, against
+/// the fault-free run `clean` of the same query: the answer is the
+/// fault-free one, the kill fired (one device lost), every failed shard
+/// was re-run somewhere and none needed more than the replacement
+/// device (host data is clean), and every exhausted retry budget was
+/// spent in full first. `Err` says which check failed.
+pub fn campaign_verdict(run: &ShardedRun, clean: &ShardedRun) -> Result<(), String> {
+    let r = &run.report;
+    let checks = [
+        (run.result == clean.result, "recovered result diverged"),
+        (r.devices_lost == 1, "not one device lost"),
+        (
+            r.recoveries() >= r.devices_lost + r.corrupt_tiles_detected,
+            "report does not cover the injected faults",
+        ),
+        (
+            r.shards_failed_over <= CAMPAIGN_SHARDS,
+            "more failovers than shards",
+        ),
+        (
+            r.cpu_fallbacks == 0,
+            "a CPU fallback: replacement devices are clean",
+        ),
+        (
+            r.transient_retries >= r.retries_exhausted * MAX_TRANSIENT_RETRIES,
+            "an exhausted retry budget was not spent in full",
+        ),
+    ];
+    match checks.iter().find(|(ok, _)| !ok) {
+        Some((_, failed)) => Err(format!("{failed}: {r}")),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -305,6 +342,69 @@ mod tests {
                     assert_eq!(run.report.cpu_fallbacks, 0, "{at}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn campaign_verdict_names_the_failed_check() {
+        let run = |result, report| ShardedRun {
+            result,
+            slowest_shard_s: 0.0,
+            merge_s: 0.0,
+            report,
+        };
+        let lost = ResilienceReport {
+            devices_lost: 1,
+            shards_failed_over: 1,
+            ..ResilienceReport::default()
+        };
+        let clean = run(vec![(0, 7)], ResilienceReport::default());
+        assert_eq!(
+            campaign_verdict(&run(vec![(0, 7)], lost.clone()), &clean),
+            Ok(())
+        );
+        for (result, report, failed) in [
+            (vec![(0, 8)], lost.clone(), "recovered result diverged"),
+            (
+                vec![(0, 7)],
+                ResilienceReport::default(),
+                "not one device lost",
+            ),
+            (
+                vec![(0, 7)],
+                ResilienceReport {
+                    corrupt_tiles_detected: 1,
+                    ..lost.clone()
+                },
+                "report does not cover",
+            ),
+            (
+                vec![(0, 7)],
+                ResilienceReport {
+                    shards_failed_over: CAMPAIGN_SHARDS + 1,
+                    ..lost.clone()
+                },
+                "more failovers than shards",
+            ),
+            (
+                vec![(0, 7)],
+                ResilienceReport {
+                    cpu_fallbacks: 1,
+                    ..lost.clone()
+                },
+                "a CPU fallback",
+            ),
+            (
+                vec![(0, 7)],
+                ResilienceReport {
+                    retries_exhausted: 1,
+                    ..lost.clone()
+                },
+                "an exhausted retry budget",
+            ),
+        ] {
+            let e = campaign_verdict(&run(result, report), &clean).expect_err(failed);
+            assert!(e.starts_with(failed), "{e}");
         }
     }
 

@@ -400,3 +400,28 @@ fn faultsim_rejects_an_empty_seed_range() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--seed range is empty"), "{err}");
 }
+
+/// A flag given last, with no value, is a usage error naming the flag.
+#[test]
+fn a_flag_without_a_value_is_named() {
+    let out = bin().args(["faultsim", "--seed"]).output().expect("run");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--seed needs a value"), "{err}");
+}
+
+/// A value that does not parse is a usage error naming the flag and
+/// the parse failure.
+#[test]
+fn a_flag_value_that_does_not_parse_is_named() {
+    let out = bin()
+        .args(["loadgen", "--requests", "many"])
+        .output()
+        .expect("run");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--requests: invalid digit found in string"),
+        "{err}"
+    );
+}
