@@ -9,14 +9,9 @@
 
 use tlc_rng::Rng;
 
-/// Re-export of the tiny JSON writer, which lives in
-/// [`tlc_profile::json`] since the profiler emits the same artifacts.
-/// Kept under the old `tlc_bench::json` path for compatibility.
-pub mod json {
-    pub use tlc_profile::json::*;
-}
-
-pub use json::{write_bench_json, Json};
+/// The tiny JSON writer, which lives in [`tlc_profile::json`] since the
+/// profiler emits the same artifacts.
+pub use tlc_profile::json::{write_bench_json, Json};
 
 /// Machine-attribution metadata fields shared by every JSON-writing
 /// harness: CPU architecture, the detected SIMD feature flags, and the

@@ -18,9 +18,9 @@
 //! (flight 1, point filters, scans: conjunctions of range predicates
 //! over fact columns, then a sum), which loads and decodes each
 //! (column, tile) of their union **once**, and one part per join
-//! flight. [`try_run_query`] is the one-flight case,
-//! [`scalar_filters`] the one-column case, and the streaming executor
-//! ([`crate::stream`]) passes a whole wave.
+//! flight. [`try_run_query`] is the one-flight case, a [`FilterScan`]
+//! of one column with scalar members the one-column case, and the
+//! streaming executor ([`crate::stream`]) passes a whole wave.
 //!
 //! Dictionary-encoded dimension literals (regions, nations, cities,
 //! categories, brands) use fixed ids documented at each query; the
@@ -1279,35 +1279,6 @@ fn join_part<'a>(
         move |ctx, pairs| agg.add_tile(ctx, &pairs),
         failed,
     )
-}
-
-/// Count and wrapping sum of `col`'s values, once per entry of
-/// `filters` (`Some(v)`: the values equal to `v`; `None`: all of them),
-/// in **one** fused launch: the one-column, no-flight case of
-/// [`wave_scan`], a filter part whose members all read `col`. Each tile
-/// is loaded once (decoded inline when the column is compressed) and
-/// no decoded value is written back to global memory. The CPU twin is
-/// [`crate::reference::fold_scalar`].
-pub fn scalar_filters(
-    dev: &Device,
-    col: &QueryColumn,
-    filters: &[Option<i32>],
-) -> Result<Vec<(u64, i64)>, DecodeError> {
-    if filters.is_empty() {
-        return Ok(Vec::new());
-    }
-    let member = |&filter| FilterMember::Scalar { column: 0, filter };
-    let members: Vec<FilterMember> = filters.iter().map(member).collect();
-    let filter = FilterScan {
-        columns: &[col],
-        members: &members,
-    };
-    let (scan, _) = wave_scan(dev, &filter, &[])?;
-    let answers = scan.filters.into_iter().map(|a| match a {
-        WaveAnswer::Scalar { count, sum } => (count, sum),
-        WaveAnswer::Groups(_) => unreachable!("a scalar member answers with a count and a sum"),
-    });
-    Ok(answers.collect())
 }
 
 /// OmniSci model: the same query logic, one materializing kernel per

@@ -10,8 +10,9 @@ use crate::gen::SsbData;
 use crate::queries::{spec, within, QueryId};
 
 /// Count and wrapping sum of `values`, keeping only those equal to
-/// `filter` when set: the CPU twin of
-/// [`crate::queries::scalar_filters`] and the CPU rung of its ladder.
+/// `filter` when set: the CPU twin of a scalar member of
+/// [`crate::queries::wave_scan`]'s filter part and the CPU rung of its
+/// ladder.
 pub fn fold_scalar(values: &[i32], filter: Option<i32>) -> (u64, i64) {
     let kept = values
         .iter()

@@ -20,9 +20,7 @@ use tlc::sim::{
     KernelReport, LaunchPart, Phase, PhaseSpans,
 };
 use tlc::ssb::encode::StoredColumn;
-use tlc::ssb::queries::{
-    scalar_filters, wave_build, wave_scan, FilterMember, FilterScan, FlightScan, WaveAnswer,
-};
+use tlc::ssb::queries::{wave_build, wave_scan, FilterMember, FilterScan, FlightScan, WaveAnswer};
 use tlc::ssb::reference::{fold_scalar, run_reference};
 use tlc::ssb::{
     run_wave_streamed, try_run_query, LoColumn, LoColumns, QueryId, SsbData, SsbStore,
@@ -123,6 +121,28 @@ fn fused_select_writes_back_only_survivors() {
     assert_eq!(sink.phase(Phase::Writeback).int_ops, 0);
 }
 
+/// Count and wrapping sum of `col`'s values once per entry of
+/// `filters`, in one `wave_scan` launch: a filter part over one column
+/// whose members are all scalars.
+fn scan_one_column(
+    dev: &Device,
+    col: &QueryColumn,
+    filters: &[Option<i32>],
+) -> Result<Vec<(u64, i64)>, DecodeError> {
+    let member = |&filter| FilterMember::Scalar { column: 0, filter };
+    let members: Vec<FilterMember> = filters.iter().map(member).collect();
+    let filter = FilterScan {
+        columns: &[col],
+        members: &members,
+    };
+    let (scan, _) = wave_scan(dev, &filter, &[])?;
+    let answers = scan.filters.into_iter().map(|a| match a {
+        WaveAnswer::Scalar { count, sum } => (count, sum),
+        other => unreachable!("a scalar answers with a count and a sum: {other:?}"),
+    });
+    Ok(answers.collect())
+}
+
 #[test]
 fn scalar_kernel_reads_each_tile_once_per_launch_and_writes_nothing_back() {
     // One launch answers a scan, a filter that matches and one that
@@ -142,7 +162,7 @@ fn scalar_kernel_reads_each_tile_once_per_launch_and_writes_nothing_back() {
             let col = QueryColumn::Encoded(encoded.to_device(&dev));
             let sink = CounterSink::new();
             dev.set_profile_sink(Box::new(sink.clone()));
-            let got = scalar_filters(&dev, &col, &filters).expect("column verifies");
+            let got = scan_one_column(&dev, &col, &filters).expect("column verifies");
             let decoded = encoded.decode_cpu();
             let want: Vec<(u64, i64)> = filters.iter().map(|f| fold_scalar(&decoded, *f)).collect();
             assert_eq!(got, want, "{label}");
@@ -421,7 +441,7 @@ fn the_filter_part_reads_each_column_tile_once_for_all_its_members() {
     assert_eq!(across_threads[0], across_threads[1]);
 }
 
-/// The kernel `scalar_filters` launched before the filter part, from
+/// The kernel a one-column scan launched before the filter part, from
 /// the public pieces: one block a tile loads the tile and counts and
 /// sums the values equal to `filter` (or all of them).
 fn scalar_kernel_of_old(dev: &Device, col: &QueryColumn, filter: Option<i32>) -> KernelReport {
@@ -518,7 +538,7 @@ fn a_one_member_filter_part_is_the_kernel_it_replaces() {
                 let label = format!("{} {layout:?} {filter:?}", encoded.scheme().name());
                 let old = scalar_kernel_of_old(&dev, &col, filter);
                 dev.reset_timeline();
-                scalar_filters(&dev, &col, &[filter]).expect("column verifies");
+                scan_one_column(&dev, &col, &[filter]).expect("column verifies");
                 let new = dev.with_timeline(|tl| tl.events()[0].clone());
                 // The same launch: grid, residency, seconds, traffic,
                 // every counter and every phase.
