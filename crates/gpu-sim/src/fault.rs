@@ -41,8 +41,8 @@ use tlc_rng::{splitmix64, Rng};
 /// up hits exactly the same fault.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StorageFaults {
-    /// Kill the device processing this partition mid-query (after its
-    /// first tile launch), modelling a shard worker dying with work in
+    /// Kill the device processing this partition mid-query (at its fact
+    /// scan, `wave_scan`), modelling a shard worker dying with work in
     /// flight.
     pub kill_shard_at_partition: Option<usize>,
     /// Truncate this partition's first queried column file at a
@@ -177,20 +177,13 @@ impl FaultState {
         if self.stats.device_lost {
             return Err(LaunchError::DeviceLost);
         }
-        let attempt = match self.attempts.get_mut(kernel) {
-            Some(n) => {
-                *n += 1;
-                *n
-            }
-            None => {
-                self.attempts.insert(kernel.to_string(), 0);
-                0
-            }
-        };
         let p = self.plan.transient_launch_rate;
         if p > 0.0 {
+            let attempt = self.attempts.entry(kernel.to_string()).or_insert(0);
             let name = kernel.bytes().fold(TRANSIENT_KEY, |h, b| mix(h, b.into()));
-            if self.rng(mix(name, attempt)).gen_bool(p) {
+            let key = mix(name, *attempt);
+            *attempt += 1;
+            if self.rng(key).gen_bool(p) {
                 self.stats.transient_failures += 1;
                 return Err(LaunchError::Transient {
                     kernel: kernel.to_string(),
