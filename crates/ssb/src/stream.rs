@@ -49,7 +49,7 @@
 //! is its own.
 //!
 //! Determinism contract: injected faults ([`StorageFaults`], and each
-//! partition's fault PRNG seed) are keyed by **partition index**, a
+//! partition's fault seed) are keyed by **partition index**, a
 //! partition's record does not depend on which members are still live,
 //! and the fold is serial — so answers, attributed costs, deadline cuts
 //! and every [`ResilienceReport`] are bit-identical at any worker
@@ -1637,9 +1637,9 @@ mod tests {
             let flown = under(&flight, plan);
             assert_eq!(rungs(&flown.queries[0].report), want);
         }
-        // A kill takes the device at the run's last launch: a run that
-        // builds nothing loses its scan, a join flight its scan after
-        // the build has landed. Either way one device, one failover.
+        // A kill takes the device at its fact scan: a run that builds
+        // nothing loses its one launch, a join flight its scan after the
+        // build has landed. Either way one device, one failover.
         let killed = FaultPlan {
             storage: StorageFaults {
                 kill_shard_at_partition: Some(1),
