@@ -19,7 +19,10 @@
 //! which a dimension table's slot is as narrow as its payloads (a bit,
 //! a byte, two bytes): fewer read segments in the probes and fewer
 //! write segments in the builds, every counter, operation count and
-//! shared-memory byte as it was.
+//! shared-memory byte as it was. The short-run GPU-RFOR rows were
+//! captured on the commit before the host stopped executing RFOR's
+//! four-step run expansion literally: the model still charges those
+//! four steps, and these rows hold it to that.
 //!
 //! A deliberate model change refreshes a row: the failure message
 //! prints the observed row as a Rust literal.
@@ -375,4 +378,62 @@ fn fused_select_reproduces_the_pinned_model() {
             observe(&dev)
         });
     }
+}
+
+/// An SSB-shaped RFOR column: runs of 1–7 (the per-order repeats of
+/// `lo_orderdate`, `lo_custkey`, `lo_ordtotalprice`), 3 000 values, so
+/// the last block is partial.
+fn short_run_column() -> Vec<i32> {
+    let mut rng = Rng::seed_from_u64(0x5EED_0007);
+    let n = 3_000;
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        let v = rng.gen_range(0..100_000);
+        let run = rng.gen_range(1..8usize).min(n - out.len());
+        out.extend(std::iter::repeat_n(v, run));
+    }
+    out
+}
+
+/// One `decode_only` launch, then one `crystal::select` launch, over
+/// the short-run RFOR column.
+const SHORT_RUN_PINS: [Pin; 2] = [
+    // decode_only
+    Pin {
+        seconds_bits: 0x3ed50ba49a5a69de,
+        traffic: [0x2e, 0x0, 0x1702c, 0x3c20, 0x0],
+        counters: [0x6, 0x6, 0x36, 0x0, 0xbb8, 0x2ff],
+        digest: 0x32b67fe30f3a08b4,
+    },
+    // crystal::select
+    Pin {
+        seconds_bits: 0x3ed51082341a5f62,
+        traffic: [0x34, 0x29, 0x22bac, 0x6b00, 0x0],
+        counters: [0x6, 0x6, 0x36, 0x0, 0xbb8, 0x2ff],
+        digest: 0xd22b7b5a74085e1e,
+    },
+];
+
+#[test]
+fn short_run_rfor_reproduces_the_pinned_model() {
+    let _guard = lock();
+    let values = short_run_column();
+    let enc = EncodedColumn::encode_as(&values, Scheme::GpuRFor);
+    check("short-run GPU-RFOR decode_only", &SHORT_RUN_PINS[0], || {
+        let dev = Device::v100();
+        let dcol = enc.to_device(&dev);
+        dev.reset_timeline();
+        dcol.decode_only(&dev).expect("clean column");
+        observe(&dev)
+    });
+    let pred = |v: i32| v % 3 == 0;
+    let kept: Vec<i32> = values.iter().copied().filter(|&v| pred(v)).collect();
+    check("short-run GPU-RFOR select", &SHORT_RUN_PINS[1], || {
+        let dev = Device::v100();
+        let col = QueryColumn::Encoded(enc.to_device(&dev));
+        dev.reset_timeline();
+        let (out, count) = select(&dev, &col, pred).expect("clean column");
+        assert_eq!(&out.as_slice_unaccounted()[..count], kept.as_slice());
+        observe(&dev)
+    });
 }
