@@ -36,10 +36,12 @@
 //! never a panic, never an over-cap allocation, never a CPU/GPU-sim
 //! divergence.
 
+use tlc_bitpack::MINIBLOCK;
+
 use crate::format::{BLOCK, MAX_D, RFOR_BLOCK};
 use crate::gpu_dfor::GpuDFor;
 use crate::gpu_for::GpuFor;
-use crate::gpu_rfor::{checked_stream_words, decode_stream_block_layout_into, GpuRFor};
+use crate::gpu_rfor::{checked_stream_words, decode_stream_block_to, GpuRFor};
 use crate::serialize::FormatError;
 
 /// Decode fuel per thread block, in abstract work units (words staged +
@@ -177,7 +179,7 @@ impl GpuRFor {
         )?;
         self.validate()?;
         let blocks = self.blocks();
-        let mut lens = Vec::new();
+        let mut lens = [0i32; RFOR_BLOCK];
         for b in 0..blocks {
             let (vs, ve) = (
                 self.values_starts[b] as usize,
@@ -199,15 +201,12 @@ impl GpuRFor {
             }
             // Decode under the column's own layout: a lane-transposed
             // lengths stream read horizontally would yield garbage
-            // lengths and reject honest minor-2 streams.
-            decode_stream_block_layout_into(
-                &self.lengths_data[ls..le],
-                run_count,
-                self.layout,
-                &mut lens,
-            );
+            // lengths and reject honest minor-2 streams. `validate`
+            // bounded `run_count` by `RFOR_BLOCK`.
+            let padded = run_count.div_ceil(MINIBLOCK) * MINIBLOCK;
+            decode_stream_block_to(&self.lengths_data[ls..le], self.layout, &mut lens[..padded]);
             let mut sum = 0usize;
-            for &l in &lens {
+            for &l in &lens[..run_count] {
                 if l < 1 || l as usize > RFOR_BLOCK {
                     return Err(bad("run length out of range"));
                 }

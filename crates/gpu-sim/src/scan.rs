@@ -9,7 +9,11 @@
 
 use crate::kernel::BlockCtx;
 
-fn account_scan(ctx: &mut BlockCtx<'_>, n: usize, elem_bytes: u64) {
+/// Charge one block-wide scan over `n` elements of `elem_bytes` each,
+/// without running it. Every scan below charges exactly this; a kernel
+/// that computes the same result another way (a run expander placing
+/// runs directly, say) charges the scans it stands for through here.
+pub fn charge_block_scan(ctx: &mut BlockCtx<'_>, n: usize, elem_bytes: u64) {
     // Up-sweep + down-sweep each touch every element about twice.
     ctx.smem_traffic(4 * n as u64 * elem_bytes);
     ctx.add_int_ops(2 * n as u64);
@@ -18,7 +22,7 @@ fn account_scan(ctx: &mut BlockCtx<'_>, n: usize, elem_bytes: u64) {
 /// In-place inclusive prefix sum over `data`, with wrap-around semantics
 /// matching 32-bit device arithmetic.
 pub fn block_inclusive_scan_i64(ctx: &mut BlockCtx<'_>, data: &mut [i64]) {
-    account_scan(ctx, data.len(), 8);
+    charge_block_scan(ctx, data.len(), 8);
     let mut acc = 0i64;
     for v in data.iter_mut() {
         acc = acc.wrapping_add(*v);
@@ -28,7 +32,7 @@ pub fn block_inclusive_scan_i64(ctx: &mut BlockCtx<'_>, data: &mut [i64]) {
 
 /// In-place exclusive prefix sum over `data`; returns the total.
 pub fn block_exclusive_scan_u32(ctx: &mut BlockCtx<'_>, data: &mut [u32]) -> u32 {
-    account_scan(ctx, data.len(), 4);
+    charge_block_scan(ctx, data.len(), 4);
     let mut acc = 0u32;
     for v in data.iter_mut() {
         let next = acc.wrapping_add(*v);
@@ -43,19 +47,8 @@ pub fn block_exclusive_scan_u32(ctx: &mut BlockCtx<'_>, data: &mut [u32]) -> u32
 /// directly in its output buffer instead of round-tripping through a
 /// separate unsigned scratch array.
 pub fn block_inclusive_scan_i32_from(ctx: &mut BlockCtx<'_>, base: i32, data: &mut [i32]) -> i32 {
-    account_scan(ctx, data.len(), 4);
+    charge_block_scan(ctx, data.len(), 4);
     let mut acc = base;
-    for v in data.iter_mut() {
-        acc = acc.wrapping_add(*v);
-        *v = acc;
-    }
-    acc
-}
-
-/// In-place inclusive prefix sum over `data`; returns the total.
-pub fn block_inclusive_scan_u32(ctx: &mut BlockCtx<'_>, data: &mut [u32]) -> u32 {
-    account_scan(ctx, data.len(), 4);
-    let mut acc = 0u32;
     for v in data.iter_mut() {
         acc = acc.wrapping_add(*v);
         *v = acc;
@@ -92,21 +85,25 @@ mod tests {
     #[test]
     fn scan_charges_shared_traffic() {
         let dev = Device::v100();
-        let report = dev.launch(KernelConfig::new("k", 1, 128), |blk| {
+        let scanned = dev.launch(KernelConfig::new("k", 1, 128), |blk| {
             let mut data = vec![0u32; 512];
-            block_inclusive_scan_u32(blk, &mut data);
+            block_exclusive_scan_u32(blk, &mut data);
         });
-        assert_eq!(report.traffic.shared_bytes, 4 * 512 * 4);
-        assert_eq!(report.traffic.int_ops, 2 * 512);
+        assert_eq!(scanned.traffic.shared_bytes, 4 * 512 * 4);
+        assert_eq!(scanned.traffic.int_ops, 2 * 512);
+        let charged = dev.launch(KernelConfig::new("k", 1, 128), |blk| {
+            charge_block_scan(blk, 512, 4);
+        });
+        assert_eq!(charged.traffic, scanned.traffic);
     }
 
     #[test]
     fn inclusive_scan_wraps_like_device_arithmetic() {
         let dev = Device::v100();
         dev.launch(KernelConfig::new("k", 1, 32), |blk| {
-            let mut data = vec![u32::MAX, 2];
-            block_inclusive_scan_u32(blk, &mut data);
-            assert_eq!(data, vec![u32::MAX, 1]);
+            let mut data = vec![i32::MAX, 2];
+            block_inclusive_scan_i32_from(blk, 0, &mut data);
+            assert_eq!(data, vec![i32::MAX, i32::MIN + 1]);
         });
     }
 }

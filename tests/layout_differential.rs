@@ -3,7 +3,9 @@
 //! and every scheme, the forced-vertical encoding must decode to the
 //! same values as the horizontal one — on the CPU reference decoder,
 //! through the simulated device kernels, after a serialized roundtrip,
-//! and through the fused decode→select path.
+//! and through the fused decode→select path. GPU-RFOR's run expander
+//! is held to its input the same way, under both layouts, on run
+//! lengths around its splat width and the miniblock and block sizes.
 
 use tlc::crystal::{select, QueryColumn};
 use tlc::schemes::{EncodedColumn, GpuDFor, GpuFor, GpuRFor, Layout, Scheme, DEFAULT_D};
@@ -161,5 +163,79 @@ fn transpose_is_an_exact_inverse() {
         let runs = runs_of_width(w, 900);
         let v = GpuRFor::encode_with_layout(&runs, Layout::Vertical);
         assert_eq!(v.to_horizontal().decode_cpu(), runs, "w={w} RFOR");
+    }
+}
+
+/// Runs of `len` equal values, consecutive runs distinct, `n` values.
+fn runs_of_length(len: usize, n: usize) -> Vec<i32> {
+    (0..n).map(|i| (i / len) as i32 * 7 - 900).collect()
+}
+
+/// Inputs for the run expander: every length around the splat width
+/// and the miniblock and block sizes, a block that is one run, an
+/// all-ones block, a partial final block, and a run across a block
+/// boundary (which the encoder splits into two).
+fn expander_inputs() -> Vec<(String, Vec<i32>)> {
+    let mut inputs: Vec<(String, Vec<i32>)> = [1, 7, 8, 9, 63, 64, 65, 511, 512]
+        .into_iter()
+        .map(|len| (format!("runs of {len}"), runs_of_length(len, 2_048)))
+        .collect();
+    inputs.push(("one run per block".into(), vec![42; 1_024]));
+    // A full block of runs of one, then a partial one.
+    inputs.push(("all-ones blocks".into(), runs_of_length(1, 700)));
+    inputs.push(("partial final block".into(), runs_of_length(3, 1_300)));
+    inputs.push((
+        "final block shorter than a splat".into(),
+        runs_of_length(2, 1_027),
+    ));
+    let mut straddle = runs_of_length(5, 500);
+    straddle.extend(std::iter::repeat_n(77, 40));
+    straddle.extend(runs_of_length(6, 500));
+    inputs.push(("run across a block boundary".into(), straddle));
+    inputs
+}
+
+#[test]
+fn rfor_expander_matches_input_on_every_decoder() {
+    let dev = Device::v100();
+    let pred = |v: i32| v % 2 == 0;
+    for (label, values) in expander_inputs() {
+        for layout in [Layout::Horizontal, Layout::Vertical] {
+            let col = EncodedColumn::RFor(GpuRFor::encode_with_layout(&values, layout));
+            assert_eq!(col.decode_cpu(), values, "{label} {layout:?} cpu");
+            let dcol = col.to_device(&dev);
+            let out = dcol.decompress(&dev).expect("decompress");
+            assert_eq!(
+                out.as_slice_unaccounted(),
+                values,
+                "{label} {layout:?} decompress"
+            );
+            // Tile by tile through the fused decode→select: the values
+            // land in `tile`, the ballot words in `sel`.
+            let mut decoded = Vec::new();
+            let mut ballots = Vec::new();
+            let (mut sel, mut tile) = (Vec::new(), Vec::new());
+            let cfg = dcol.tile_kernel_config("rfor_expander_select", 0);
+            dev.launch(cfg, |ctx| {
+                let t = ctx.block_id();
+                let n = dcol
+                    .load_tile_select(ctx, t, pred, None, &mut sel, &mut tile)
+                    .expect("select");
+                decoded.extend_from_slice(&tile[..n]);
+                ballots.extend_from_slice(&sel);
+            });
+            assert_eq!(decoded, values, "{label} {layout:?} load_tile_select");
+            let want: Vec<u32> = values
+                .chunks(512)
+                .flat_map(|tile| tile.chunks(32))
+                .map(|warp| {
+                    warp.iter()
+                        .enumerate()
+                        .filter(|&(_, &v)| pred(v))
+                        .fold(0u32, |w, (lane, _)| w | 1 << lane)
+                })
+                .collect();
+            assert_eq!(ballots, want, "{label} {layout:?} ballots");
+        }
     }
 }
