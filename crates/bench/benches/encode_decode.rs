@@ -4,6 +4,9 @@
 //! the serial simulator backend and, when there is more than one
 //! worker, on the multi-core one (at one worker the two are the same
 //! code, so there is no second column and no `speedup` to report).
+//! The decode rows run every scheme on uniform 16-bit values; GPU-RFOR
+//! also decodes SSB-shaped runs of 1–7 (`decode_sim_short`,
+//! `decode_cpu_short`), the case its run expansion bounds.
 //!
 //! Alongside the printed tables the run writes
 //! `BENCH_encode_decode.json` (to `TLC_BENCH_DIR` or the current
@@ -15,7 +18,9 @@
 //! Run with `cargo bench -p tlc-bench --bench encode_decode`.
 
 use std::time::Instant;
-use tlc_bench::{machine_meta, print_table, sorted_unique, uniform_bits, write_bench_json, Json};
+use tlc_bench::{
+    machine_meta, print_table, short_runs, sorted_unique, uniform_bits, write_bench_json, Json,
+};
 use tlc_core::parallel::encoder_threads;
 use tlc_core::{EncodedColumn, Scheme};
 use tlc_gpu_sim::{set_sim_threads_override, sim_threads, Device};
@@ -47,6 +52,7 @@ fn main() {
     let uniform = uniform_bits(n, 16, 1);
     let sorted = sorted_unique(n, 1 << 16);
     let runs: Vec<i32> = (0..n).map(|i| (i / 64) as i32).collect();
+    let short = short_runs(n, 7);
     let mvals = |t: f64| n as f64 / t / 1e6;
     let mut json_rows = Vec::new();
 
@@ -77,9 +83,13 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    for scheme in Scheme::ALL {
+    let sim_cases = Scheme::ALL
+        .map(|s| (s, &uniform, "decode_sim"))
+        .into_iter()
+        .chain([(Scheme::GpuRFor, &short, "decode_sim_short")]);
+    for (scheme, data, op) in sim_cases {
         let dev = Device::v100();
-        let col = EncodedColumn::encode_as(&uniform, scheme).to_device(&dev);
+        let col = EncodedColumn::encode_as(data, scheme).to_device(&dev);
         let run = || {
             dev.reset_timeline();
             col.decode_only(&dev).expect("decode");
@@ -95,11 +105,12 @@ fn main() {
         let modelled = dev.elapsed_seconds();
         let mut row = vec![
             scheme.name().to_string(),
+            op.to_string(),
             format!("{:.1}", mvals(wall_serial)),
         ];
         let mut json_row = vec![
             ("scheme", Json::Str(scheme.name().to_string())),
-            ("op", Json::Str("decode_sim".to_string())),
+            ("op", Json::Str(op.to_string())),
             ("wall_serial_s", Json::Num(wall_serial)),
         ];
         if let Some(wall_parallel) = wall_parallel {
@@ -113,9 +124,15 @@ fn main() {
         json_rows.push(Json::Obj(json_row));
     }
     let header: &[&str] = if workers > 1 {
-        &["scheme", "serial Mvals/s", "parallel Mvals/s", "model ms"]
+        &[
+            "scheme",
+            "op",
+            "serial Mvals/s",
+            "parallel Mvals/s",
+            "model ms",
+        ]
     } else {
-        &["scheme", "serial Mvals/s", "model ms"]
+        &["scheme", "op", "serial Mvals/s", "model ms"]
     };
     print_table(
         &format!("decompress_simulated (best of {iters}, {workers} worker(s))"),
@@ -125,8 +142,12 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut decoded = Vec::new();
-    for scheme in Scheme::ALL {
-        let col = EncodedColumn::encode_as(&uniform, scheme);
+    let cpu_cases = Scheme::ALL
+        .map(|s| (s, &uniform, "decode_cpu"))
+        .into_iter()
+        .chain([(Scheme::GpuRFor, &short, "decode_cpu_short")]);
+    for (scheme, data, op) in cpu_cases {
+        let col = EncodedColumn::encode_as(data, scheme);
         // Reuse one output buffer across iterations: decode_cpu_into
         // overwrites it in place, so the timing captures the decode
         // kernels rather than a 4 MB allocation + zeroing per call.
@@ -134,17 +155,21 @@ fn main() {
             col.decode_cpu_into(&mut decoded);
             decoded.len()
         });
-        rows.push(vec![scheme.name().to_string(), format!("{:.1}", mvals(t))]);
+        rows.push(vec![
+            scheme.name().to_string(),
+            op.to_string(),
+            format!("{:.1}", mvals(t)),
+        ]);
         json_rows.push(Json::Obj(vec![
             ("scheme", Json::Str(scheme.name().to_string())),
-            ("op", Json::Str("decode_cpu".to_string())),
+            ("op", Json::Str(op.to_string())),
             ("wall_s", Json::Num(t)),
             ("mvals_per_s", Json::Num(mvals(t))),
         ]));
     }
     print_table(
         &format!("decode_cpu (best of {iters})"),
-        &["scheme", "Mvals/s"],
+        &["scheme", "op", "Mvals/s"],
         &rows,
     );
 

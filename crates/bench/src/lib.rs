@@ -70,6 +70,20 @@ pub fn uniform_bits(n: usize, bits: u32, tag: u64) -> Vec<i32> {
     (0..n).map(|_| r.gen_range(0..=max)).collect()
 }
 
+/// `n` values in runs of 1–7 equal values, each run's value uniform
+/// below 2^20: the shape of SSB's per-order repeated lineorder columns
+/// (`lo_orderdate`, `lo_custkey`, `lo_ordtotalprice`).
+pub fn short_runs(n: usize, tag: u64) -> Vec<i32> {
+    let mut r = rng(tag);
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        let v = r.gen_range(0..1 << 20);
+        let run = r.gen_range(1..8usize).min(n - out.len());
+        out.extend(std::iter::repeat_n(v, run));
+    }
+    out
+}
+
 /// D1: a sorted array with `unique` distinct values (Section 9.3).
 pub fn sorted_unique(n: usize, unique: u64) -> Vec<i32> {
     (0..n)
