@@ -22,15 +22,20 @@
 //! shared-memory byte as it was. The short-run GPU-RFOR rows were
 //! captured on the commit before the host stopped executing RFOR's
 //! four-step run expansion literally: the model still charges those
-//! four steps, and these rows hold it to that.
+//! four steps, and these rows hold it to that. The vertical FOR and
+//! DFOR rows, and the cascades over them, were captured on the commit
+//! before every reader of the block format went through one width
+//! check, one layout rule and one DFOR tile geometry.
 //!
 //! A deliberate model change refreshes a row: the failure message
 //! prints the observed row as a Rust literal.
 
 use std::sync::{Mutex, MutexGuard};
 
+use tlc::baselines::cascaded;
 use tlc::crystal::{select, QueryColumn};
-use tlc::schemes::{EncodedColumn, Scheme};
+use tlc::schemes::column::DeviceColumn;
+use tlc::schemes::{EncodedColumn, Layout, Scheme};
 use tlc::sim::{set_sim_threads_override, Counter, Device, Phase, Traffic};
 use tlc::ssb::{try_run_query, LoColumns, QueryId, SsbData, System};
 use tlc_rng::Rng;
@@ -436,4 +441,144 @@ fn short_run_rfor_reproduces_the_pinned_model() {
         assert_eq!(&out.as_slice_unaccounted()[..count], kept.as_slice());
         observe(&dev)
     });
+}
+
+/// Vertical twins of the FOR and DFOR columns: 100 096 values, a
+/// multiple of 128, so no block is padded and `encode_as` lays every
+/// block out lane-transposed. The DFOR deltas are 0..8, so every
+/// miniblock needs 3 bits.
+fn vertical_column(scheme: Scheme) -> EncodedColumn {
+    let mut rng = Rng::seed_from_u64(0x7E27_1CA1);
+    let n = 782 * 128;
+    let values: Vec<i32> = match scheme {
+        Scheme::GpuDFor => {
+            let mut v = 19_920_101;
+            (0..n)
+                .map(|_| {
+                    v += rng.gen_range(0..8);
+                    v
+                })
+                .collect()
+        }
+        _ => (0..n).map(|_| rng.gen_range(-5_000..60_000)).collect(),
+    };
+    let enc = EncodedColumn::encode_as(&values, scheme);
+    let layout = match &enc {
+        EncodedColumn::For(c) => c.layout,
+        EncodedColumn::DFor(c) => c.layout,
+        EncodedColumn::RFor(c) => c.layout,
+    };
+    assert_eq!(layout, Layout::Vertical, "{scheme:?} column is vertical");
+    assert_eq!(enc.decode_cpu(), values, "{scheme:?} host decode");
+    enc
+}
+
+const VERTICAL: [Scheme; 2] = [Scheme::GpuFor, Scheme::GpuDFor];
+
+/// Over each vertical column: `decode_only` then `decompress` (one pin
+/// covering both launches), then one `crystal::select` launch.
+const VERTICAL_PINS: [[Pin; 2]; 2] = [
+    // GPU-FOR
+    [
+        Pin {
+            seconds_bits: 0x3ee8061fee76af78,
+            traffic: [0x1100, 0xc38, 0x13aa20, 0x1021f0, 0x0],
+            counters: [0x188, 0x188, 0x1870, 0x0, 0x30e00, 0x0],
+            digest: 0xa2b3d3da95b1af01,
+        },
+        Pin {
+            seconds_bits: 0x3ed81c7e235916fd,
+            traffic: [0x944, 0x593, 0x222ca0, 0xdcb38, 0x0],
+            counters: [0xc4, 0xc4, 0xc38, 0x0, 0x18700, 0x0],
+            digest: 0x9de5c23fc12cbba2,
+        },
+    ],
+    // GPU-DFOR
+    [
+        Pin {
+            seconds_bits: 0x3ee74745a20b412e,
+            traffic: [0x774, 0xc38, 0x414c0, 0x161020, 0x0],
+            counters: [0x188, 0x188, 0x1870, 0x0, 0x30e00, 0x0],
+            digest: 0xef098c265edb4459,
+        },
+        Pin {
+            seconds_bits: 0x3ed75e1bc94a1976,
+            traffic: [0x47e, 0x596, 0x1a7a60, 0x112410, 0x0],
+            counters: [0xc4, 0xc4, 0xc38, 0x0, 0x18700, 0x0],
+            digest: 0x15eb0afd1310914c,
+        },
+    ],
+];
+
+#[test]
+fn vertical_decodes_reproduce_the_pinned_model() {
+    let _guard = lock();
+    let pred = |v: i32| v % 3 == 0;
+    for (scheme, [decode, selected]) in VERTICAL.into_iter().zip(&VERTICAL_PINS) {
+        let enc = vertical_column(scheme);
+        let values = enc.decode_cpu();
+        let label = format!("vertical {}", scheme.name());
+        check(&format!("{label} decode"), decode, || {
+            let dev = Device::v100();
+            let dcol = enc.to_device(&dev);
+            dev.reset_timeline();
+            dcol.decode_only(&dev).expect("clean column");
+            let out = dcol.decompress(&dev).expect("clean column");
+            assert_eq!(out.as_slice_unaccounted(), values);
+            observe(&dev)
+        });
+        let kept: Vec<i32> = values.iter().copied().filter(|&v| pred(v)).collect();
+        check(&format!("{label} select"), selected, || {
+            let dev = Device::v100();
+            let col = QueryColumn::Encoded(enc.to_device(&dev));
+            dev.reset_timeline();
+            let (out, count) = select(&dev, &col, pred).expect("clean column");
+            assert_eq!(&out.as_slice_unaccounted()[..count], kept.as_slice());
+            observe(&dev)
+        });
+    }
+}
+
+/// `cascaded::for_cascaded` and `dfor_cascaded` over the vertical
+/// columns. What a cascade pass is charged does not depend on the
+/// values it decodes, so these rows pin the model alone.
+const CASCADE_PINS: [Pin; 2] = [
+    // FOR+BitPack
+    Pin {
+        seconds_bits: 0x3ee92c5542478d50,
+        traffic: [0x1733, 0x1870, 0x157a70, 0x10cd00, 0x0],
+        counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
+        digest: 0xb43f8cc554612230,
+    },
+    // Delta+FOR+BitPack
+    Pin {
+        seconds_bits: 0x3ef2c984f27c498e,
+        traffic: [0x1e93, 0x24a8, 0x13021c, 0x13db00, 0x0],
+        counters: [0x0, 0x0, 0x0, 0x0, 0x0, 0x0],
+        digest: 0xf005ffe41f5e021a,
+    },
+];
+
+#[test]
+fn cascades_over_vertical_columns_reproduce_the_pinned_model() {
+    let _guard = lock();
+    for (scheme, want) in VERTICAL.into_iter().zip(&CASCADE_PINS) {
+        let enc = vertical_column(scheme);
+        let label = format!("cascaded vertical {}", scheme.name());
+        check(&label, want, || {
+            let dev = Device::v100();
+            match enc.to_device(&dev) {
+                DeviceColumn::For(c) => {
+                    dev.reset_timeline();
+                    cascaded::for_cascaded(&dev, &c).expect("no fault plan");
+                }
+                DeviceColumn::DFor(c) => {
+                    dev.reset_timeline();
+                    cascaded::dfor_cascaded(&dev, &c).expect("no fault plan");
+                }
+                DeviceColumn::RFor(_) => unreachable!("FOR and DFOR only"),
+            }
+            observe(&dev)
+        });
+    }
 }
