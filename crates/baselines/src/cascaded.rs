@@ -5,37 +5,21 @@
 //! `Delta+FOR+BitPack` and `RLE+FOR+BitPack` baselines of Figure 7a —
 //! the ablation that isolates the benefit of tile-based decompression.
 
-use tlc_bitpack::unpack::unpack_miniblock;
-use tlc_bitpack::MINIBLOCK;
+use tlc_core::block::unpack_group;
 use tlc_core::gpu_dfor::GpuDForDevice;
 use tlc_core::gpu_for::GpuForDevice;
 use tlc_core::gpu_rfor::{decode_stream_block, GpuRForDevice};
-use tlc_core::{BLOCK, DEFAULT_D};
+use tlc_core::{Layout, BLOCK, DEFAULT_D};
 use tlc_gpu_sim::{Device, GlobalBuffer, KernelConfig, LaunchError};
 
-/// Unpack a staged GPU-FOR-layout block: returns the reference and the
-/// 128 raw (un-referenced) offsets.
-fn unpack_block_raw(block: &[u32]) -> (i32, [u32; BLOCK]) {
-    let reference = block[0] as i32;
-    let bw_word = block[1];
-    let mut out = [0u32; BLOCK];
-    let mut scratch = [0u32; MINIBLOCK];
-    let mut offset = 2usize;
-    for m in 0..BLOCK / MINIBLOCK {
-        let w = (bw_word >> (8 * m)) & 0xFF;
-        unpack_miniblock(&block[offset..], w, &mut scratch);
-        out[m * MINIBLOCK..(m + 1) * MINIBLOCK].copy_from_slice(&scratch);
-        offset += w as usize;
-    }
-    (reference, out)
-}
-
-/// Kernel 1 of every cascade: bit-unpack the packed layer, writing the
-/// raw offsets (and leaving references for a later pass).
+/// Kernel 1 of every cascade: bit-unpack the packed layer in the
+/// column's `layout`, writing the raw offsets (and leaving references
+/// for a later pass).
 fn unpack_pass(
     dev: &Device,
     block_starts: &GlobalBuffer<u32>,
     data: &GlobalBuffer<u32>,
+    layout: Layout,
     n: usize,
     out: &mut GlobalBuffer<u32>,
     name: &str,
@@ -56,10 +40,11 @@ fn unpack_pass(
         ctx.smem_traffic(tile_blocks as u64 * BLOCK as u64 * 12);
         ctx.add_int_ops(tile_blocks as u64 * BLOCK as u64 * 10);
         let mut vals: Vec<u32> = Vec::with_capacity(tile_blocks * BLOCK);
+        let mut raw = [0i32; BLOCK];
         for &start in starts.iter().take(tile_blocks) {
-            let off = start as usize - s;
-            let (_, raw) = unpack_block_raw(&ctx.shared()[off..]);
-            vals.extend_from_slice(&raw);
+            let block = &ctx.shared()[start as usize - s..];
+            unpack_group(&block[2..], block[1], layout, 0, &mut raw);
+            vals.extend(raw.iter().map(|&v| v as u32));
         }
         let lo = first * BLOCK;
         let len = vals.len().min(n.saturating_sub(lo));
@@ -121,6 +106,7 @@ pub fn for_cascaded(dev: &Device, col: &GpuForDevice) -> Result<GlobalBuffer<i32
         dev,
         &col.block_starts,
         &col.data,
+        col.layout,
         n,
         &mut raw,
         "cascade_for_unpack",
@@ -152,6 +138,7 @@ pub fn dfor_cascaded(dev: &Device, col: &GpuDForDevice) -> Result<GlobalBuffer<i
         dev,
         &col.block_starts,
         &col.data,
+        col.layout,
         blocks * BLOCK,
         &mut raw,
         "cascade_dfor_unpack",
@@ -240,7 +227,7 @@ pub fn rfor_cascaded(dev: &Device, col: &GpuRForDevice) -> Result<GlobalBuffer<i
                 let s = vstarts[b] as usize;
                 let e = vstarts[b + 1] as usize;
                 ctx.stage_to_shared(&col.values_data, s, e - s, 0);
-                let vals = decode_stream_block(&ctx.shared()[1..e - s], rc);
+                let vals = decode_stream_block(&ctx.shared()[1..e - s], rc, col.layout);
                 ctx.smem_traffic(rc as u64 * 12);
                 ctx.add_int_ops(rc as u64 * 8);
                 let as_i32: Vec<i32> = vals;
@@ -249,7 +236,7 @@ pub fn rfor_cascaded(dev: &Device, col: &GpuRForDevice) -> Result<GlobalBuffer<i
                 let s = lstarts[b] as usize;
                 let e = lstarts[b + 1] as usize;
                 ctx.stage_to_shared(&col.lengths_data, s, e - s, 0);
-                let lens = decode_stream_block(&ctx.shared()[..e - s], rc);
+                let lens = decode_stream_block(&ctx.shared()[..e - s], rc, col.layout);
                 ctx.smem_traffic(rc as u64 * 12);
                 ctx.add_int_ops(rc as u64 * 8);
                 let as_u32: Vec<u32> = lens.iter().map(|&l| l as u32).collect();

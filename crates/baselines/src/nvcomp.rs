@@ -125,8 +125,8 @@ fn nv_rfor_decompress(
         let (vals, lens) = {
             let shared = ctx.shared();
             (
-                decode_stream_block(&shared[1..loff], rc),
-                decode_stream_block(&shared[loff..loff + (le - ls)], rc),
+                decode_stream_block(&shared[1..loff], rc, col.layout),
+                decode_stream_block(&shared[loff..loff + (le - ls)], rc, col.layout),
             )
         };
         let as_u32: Vec<u32> = lens.iter().map(|&l| l as u32).collect();

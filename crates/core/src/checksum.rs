@@ -30,7 +30,7 @@
 use tlc_gpu_sim::BlockCtx;
 
 use crate::format::MAX_D;
-use crate::gpu_dfor::GpuDFor;
+use crate::gpu_dfor::{GpuDFor, TileGeometry};
 use crate::gpu_for::GpuFor;
 use crate::gpu_rfor::GpuRFor;
 
@@ -183,22 +183,19 @@ impl GpuFor {
 }
 
 impl GpuDFor {
-    /// One checksum per 128-entry delta block. Block `b`'s coverage is
-    /// extended one word to the left when it heads a tile, so the
-    /// tile's first-value word is covered and the whole `data` array is
-    /// tiled exactly by the per-block ranges.
+    /// One checksum per 128-entry delta block, over the words the block
+    /// covers (`TileGeometry::cover`): a block that heads a tile
+    /// covers the tile's first-value word too, so the whole `data` array
+    /// is tiled exactly by the per-block ranges.
     pub fn block_checksums(&self) -> Vec<u32> {
-        let blocks = self.blocks();
-        let cover_start =
-            |b: usize| self.block_starts[b] as usize - usize::from(b.is_multiple_of(self.d));
-        let mut sums = vec![FNV_OFFSET; blocks];
+        let geometry = TileGeometry::new(self.d, &self.block_starts, self.data.len())
+            .expect("an encoded or validated column has a tile geometry");
+        let mut sums = vec![FNV_OFFSET; self.blocks()];
         fnv1a_lockstep(&mut sums, |b| {
-            let hi = if b + 1 == blocks {
-                self.data.len()
-            } else {
-                cover_start(b + 1)
-            };
-            &self.data[cover_start(b)..hi]
+            let (lo, hi) = geometry
+                .cover(b, self.block_starts[b], self.block_starts[b + 1])
+                .expect("an encoded or validated column has every first-value word");
+            &self.data[lo..hi]
         });
         sums
     }

@@ -43,11 +43,12 @@ pub(crate) const BLOCK_HEADER_WORDS: usize = 2;
 ///   window of four adjacent words — the shape SIMD loads want.
 ///
 /// A column records its layout out of band (format minor 2 on the
-/// wire); the per-block decode rule is: under `Vertical`, a block whose
-/// four declared widths are equal is lane-transposed, and a block whose
-/// widths differ falls back to the horizontal interpretation (such
-/// blocks are never produced by the encoder, but hostile minor-2
-/// streams must still decode deterministically).
+/// wire); the per-block decode rule ([`crate::block::unpack_group`]) is:
+/// under `Vertical`, a block whose four declared widths are equal is
+/// lane-transposed, and a block whose widths differ falls back to the
+/// horizontal interpretation (such blocks are never produced by the
+/// encoder, but hostile minor-2 streams must still decode
+/// deterministically).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Layout {
     /// Per-miniblock horizontal packing (format minor ≤ 1).

@@ -13,16 +13,19 @@
 //! Deltas use wrapping 32-bit arithmetic so arbitrary `i32` input
 //! (including descending sequences) round-trips exactly.
 
-use tlc_bitpack::simd::vunpack_block_scan;
-use tlc_bitpack::unpack::{unpack_block_scan, unpack_miniblock_scan};
-use tlc_gpu_sim::scan::block_inclusive_scan_i32_from;
+use tlc_gpu_sim::scan::charge_block_scan;
 use tlc_gpu_sim::{BlockCtx, Counter, Device, GlobalBuffer, Phase};
 
-use crate::checksum::verify_staged;
+use crate::block::{group_words, unpack_group_scan};
 use crate::error::DecodeError;
-use crate::format::{blocks_for, Layout, BLOCK, BLOCK_HEADER_WORDS, DEFAULT_D, MAX_D, MINIBLOCK};
-use crate::gpu_for::{self, decode_block_from_shared, run_decode, tile_out, BlockPlan};
+use crate::format::{
+    blocks_for, Layout, BLOCK, BLOCK_HEADER_WORDS, DEFAULT_D, MINIBLOCKS_PER_BLOCK,
+};
+use crate::gpu_for::{
+    self, charge_block_unpack, run_decode, stage_tile, tile_out, BlockPlan, TileSource,
+};
 use crate::model::decode_config;
+use crate::serialize::FormatError;
 
 const SCHEME: &str = "GPU-DFOR";
 
@@ -51,6 +54,78 @@ fn tile_entries(tile: &[i32], entries: &mut Vec<i32>) {
     entries.push(0);
     entries.extend(tile.windows(2).map(|w| w[1].wrapping_sub(w[0])));
     entries.resize(entries.len().div_ceil(BLOCK) * BLOCK, 0);
+}
+
+/// GPU-DFOR's tile geometry (Figure 6): where a tile's first value
+/// sits and which words each block covers. A tile's first-value word is
+/// the word before its first block, so the block that heads a tile
+/// covers that word too, and the block that ends a tile stops one word
+/// short of the next tile's first block; the last block runs to the end
+/// of `data`. The covers so tile `data` exactly. The validator checks
+/// every cover, the checksums hash them, and the tile kernel stages a
+/// tile from its first block's cover to its last block's.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TileGeometry {
+    /// Blocks per tile.
+    d: usize,
+    /// Blocks in the column.
+    blocks: usize,
+    /// Words in the column's `data`.
+    data_len: usize,
+}
+
+impl TileGeometry {
+    /// The geometry of a column with `d` blocks per tile, `block_starts`
+    /// (one entry per block, then the end of `data`) and `data_len`
+    /// payload words. A column with no blocks per tile has none, and
+    /// neither has one whose block starts do not end at the end of
+    /// `data`, or that has no block starts at all.
+    pub fn new(d: usize, block_starts: &[u32], data_len: usize) -> Result<Self, FormatError> {
+        if d == 0 {
+            return Err(FormatError::BadBlock {
+                block: 0,
+                reason: "d must be >= 1",
+            });
+        }
+        let blocks = match block_starts.last() {
+            None => return Err(FormatError::BadBlockStarts(0)),
+            Some(&end) if end as usize != data_len => {
+                return Err(FormatError::BadBlockStarts(block_starts.len() - 1))
+            }
+            Some(_) => block_starts.len() - 1,
+        };
+        Ok(TileGeometry {
+            d,
+            blocks,
+            data_len,
+        })
+    }
+
+    /// The first-value word of the tile whose first block starts at
+    /// word `start`; `None` when no word precedes it.
+    pub fn first_value_word(start: u32) -> Option<usize> {
+        (start as usize).checked_sub(1)
+    }
+
+    /// The words `[lo, hi)` block `b` covers, from its start and the
+    /// next block's (`next` is not read for the last block). `Err(t)`
+    /// names the tile-heading block `t` that has no first-value word.
+    pub fn cover(&self, b: usize, start: u32, next: u32) -> Result<(usize, usize), usize> {
+        let heads = |b: usize| b.is_multiple_of(self.d);
+        let lo = if heads(b) {
+            Self::first_value_word(start).ok_or(b)?
+        } else {
+            start as usize
+        };
+        let hi = if b + 1 == self.blocks {
+            self.data_len
+        } else if heads(b + 1) {
+            Self::first_value_word(next).ok_or(b + 1)?
+        } else {
+            next as usize
+        };
+        Ok((lo, hi))
+    }
 }
 
 impl GpuDFor {
@@ -176,60 +251,26 @@ impl GpuDFor {
     /// of the right length skips the zeroing pass that a fresh
     /// `vec![0; n]` pays.
     pub fn decode_cpu_into(&self, out: &mut Vec<i32>) {
-        let blocks = self.blocks();
-        let vertical = self.layout == Layout::Vertical;
-        out.resize(blocks * BLOCK, 0);
-        for t in 0..self.tiles() {
-            let first_block = t * self.d;
-            let tile_blocks = self.d.min(blocks - first_block);
-            let first = self.data[self.block_starts[first_block] as usize - 1] as i32;
-            let tile_out = &mut out[first_block * BLOCK..(first_block + tile_blocks) * BLOCK];
-            // Entry 0 of the tile is the zero pad, so starting the
-            // accumulator at `first` reproduces v₀ = first on the first
-            // lane and v_i = v_{i-1} + δ_i afterwards. The fused scan
-            // kernel does unpack + reference add + segmented prefix sum
+        out.resize(self.blocks() * BLOCK, 0);
+        for (t, tile_out) in out.chunks_mut(self.d * BLOCK).enumerate() {
+            let starts = &self.block_starts[t * self.d..];
+            // Entry 0 of a tile is the zero pad, so starting the
+            // accumulator at the tile's first value reproduces v₀ = first
+            // on the first lane and v_i = v_{i-1} + δ_i afterwards. The
+            // fused scan kernel does unpack + reference add + prefix sum
             // in one pass; only the carried accumulator is serial.
-            let mut acc = first;
-            for (b, block_out) in tile_out.chunks_exact_mut(BLOCK).enumerate() {
-                let start = self.block_starts[first_block + b] as usize;
-                let block = &self.data[start..];
-                let reference = block[0] as i32;
-                let bw_word = block[1];
-                let w0 = bw_word & 0xFF;
-                if bw_word == w0.wrapping_mul(0x0101_0101) {
-                    // All four miniblocks share a width (the common
-                    // case on homogeneous data, and every
-                    // encoder-written vertical block): decode the whole
-                    // block through one monomorphized kernel — the
-                    // vectorized lane-transposed scan under
-                    // [`Layout::Vertical`].
-                    let block_out: &mut [i32; BLOCK] = block_out.try_into().expect("exact block");
-                    acc = if vertical {
-                        vunpack_block_scan(
-                            &block[BLOCK_HEADER_WORDS..],
-                            w0,
-                            reference,
-                            acc,
-                            block_out,
-                        )
-                    } else {
-                        unpack_block_scan(
-                            &block[BLOCK_HEADER_WORDS..],
-                            w0,
-                            reference,
-                            acc,
-                            block_out,
-                        )
-                    };
-                    continue;
-                }
-                let mut offset = BLOCK_HEADER_WORDS;
-                for (m, mb_out) in block_out.chunks_exact_mut(MINIBLOCK).enumerate() {
-                    let w = (bw_word >> (8 * m)) & 0xFF;
-                    let mb_out: &mut [i32; MINIBLOCK] = mb_out.try_into().expect("exact chunk");
-                    acc = unpack_miniblock_scan(&block[offset..], w, reference, acc, mb_out);
-                    offset += w as usize;
-                }
+            let first = TileGeometry::first_value_word(starts[0]).expect("validated column");
+            let mut acc = self.data[first] as i32;
+            for (&start, block_out) in starts.iter().zip(tile_out.chunks_exact_mut(BLOCK)) {
+                let block = &self.data[start as usize..];
+                acc = unpack_group_scan(
+                    &block[BLOCK_HEADER_WORDS..],
+                    block[1],
+                    self.layout,
+                    block[0] as i32,
+                    acc,
+                    block_out.try_into().expect("exact block"),
+                );
             }
         }
         out.truncate(self.total_count);
@@ -245,8 +286,9 @@ impl GpuDFor {
         }
         out.layout = Layout::Horizontal;
         for b in 0..self.blocks() {
-            let start = self.block_starts[b] as usize;
-            gpu_for::transpose_block_to_horizontal(&mut out.data[start..]);
+            let block = &mut out.data[self.block_starts[b] as usize..];
+            let bw_word = block[1];
+            gpu_for::transpose_group_to_horizontal(&mut block[BLOCK_HEADER_WORDS..], bw_word);
         }
         out
     }
@@ -298,11 +340,34 @@ impl GpuDForDevice {
     pub fn size_bytes(&self) -> u64 {
         self.block_starts.size_bytes() + self.data.size_bytes() + self.checksums.size_bytes() + 16
     }
+
+    /// What `stage_tile` stages this column's tiles from.
+    fn source(&self) -> TileSource<'_> {
+        TileSource {
+            scheme: SCHEME,
+            total_count: self.total_count,
+            block_starts: &self.block_starts,
+            data: &self.data,
+            checksums: &self.checksums,
+            dfor: Some(TileGeometry {
+                d: self.d,
+                blocks: self.blocks(),
+                data_len: self.data.len(),
+            }),
+        }
+    }
 }
 
-/// **Device function**: decode tile `tile_id` — unpack the deltas from
-/// shared memory, then run the block-wide inclusive prefix sum and add
-/// the tile's first value. This is Crystal's `LoadDBitPack`.
+/// **Device function**: decode tile `tile_id` — stage it with its
+/// first-value word (`stage_tile`), then unpack each block's deltas
+/// fused with the block-wide inclusive prefix sum, carrying the tile's
+/// first value in. This is Crystal's `LoadDBitPack`.
+///
+/// The host runs the same fused unpack and scan on both layouts. The
+/// model charges what each kernel does: the horizontal kernel unpacks
+/// as GPU-FOR's does and then scans the tile in shared memory; the
+/// lane-transposed kernel fuses the reference add and the scan's adds
+/// into its unpack.
 ///
 /// Returns the number of logical values decoded, or a [`DecodeError`]
 /// when the staged tile fails its checksums or its metadata is
@@ -313,192 +378,46 @@ pub fn load_tile(
     tile_id: usize,
     out: &mut Vec<i32>,
 ) -> Result<usize, DecodeError> {
-    let d = col.d;
-    let blocks = col.blocks();
-    let first_block = tile_id * d;
-    let tile_blocks = d.min(blocks - first_block);
-    let structure = |block: usize, reason: &'static str| DecodeError::Structure {
-        scheme: SCHEME,
-        block,
-        reason,
-    };
-    if d > MAX_D {
-        return Err(structure(first_block, "tile depth exceeds the format cap"));
-    }
-
-    ctx.set_phase(Phase::GlobalLoad);
-    let mut starts = [0u32; MAX_D + 1];
-    let starts = &mut starts[..=tile_blocks];
-    ctx.warp_gather_into(
-        &col.block_starts,
-        first_block..=first_block + tile_blocks,
-        starts,
-    );
-
-    // The tile's first-value word sits one word before its first block.
-    if starts[0] == 0 {
-        return Err(structure(first_block, "missing first-value word"));
-    }
-    for (i, w) in starts.windows(2).enumerate() {
-        if w[1] < w[0] {
-            return Err(structure(first_block + i, "block starts not monotone"));
-        }
-    }
-    // Stage from the first-value word through the end of the tile.
-    let stage_start = starts[0] as usize - 1;
-    let tile_end = if first_block + tile_blocks == blocks {
-        col.data.len()
-    } else {
-        // The next tile begins with its own first-value word.
-        match starts[tile_blocks] {
-            0 => return Err(structure(first_block, "missing next first-value word")),
-            w => w as usize - 1,
-        }
-    };
-    if tile_end < starts[tile_blocks - 1] as usize || tile_end > col.data.len() {
-        return Err(structure(first_block, "tile bounds out of range"));
-    }
-    if tile_end - stage_start > ctx.shared().len() {
-        return Err(structure(first_block, "tile larger than shared memory"));
-    }
-    // Fuel: staging, unpacking, and the tile-wide scan are linear in
-    // the tile's words and values (see `crate::validate`).
-    let work = (tile_end - stage_start) as u64 + 2 * (tile_blocks * BLOCK) as u64;
-    if !ctx.consume_fuel(work) {
-        return Err(DecodeError::Hostile {
-            scheme: SCHEME,
-            block: first_block,
-            reason: "decode fuel exhausted",
-        });
-    }
-    // The single fetch of this tile's compressed payload (first-value
-    // word included) from global memory.
-    ctx.set_phase(Phase::SharedStage);
-    ctx.bump(Counter::EncodedTileReads, 1);
-    ctx.stage_to_shared(&col.data, stage_start, tile_end - stage_start, 0);
-
-    // Per-block coverage tiles [stage_start, tile_end) exactly: block
-    // `i` starts at its own words (extended left over the first-value
-    // word when it heads the tile) and runs to the next block's cover.
-    let cover = |i: usize| -> (usize, usize) {
-        let lo = if i == 0 {
-            stage_start
-        } else {
-            starts[i] as usize
-        };
-        let hi = if i + 1 == tile_blocks {
-            tile_end
-        } else {
-            starts[i + 1] as usize
-        };
-        (lo, hi)
-    };
-    let mut expected = [0u32; MAX_D];
-    let expected = &mut expected[..tile_blocks];
-    ctx.warp_gather_into(
-        &col.checksums,
-        first_block..first_block + tile_blocks,
-        expected,
-    );
-    let cover_words = |i: usize| {
-        let (lo, hi) = cover(i);
-        (lo - stage_start, hi - lo)
-    };
-    if let Err(i) = verify_staged(ctx, expected, cover_words) {
-        return Err(DecodeError::Corrupt {
-            scheme: SCHEME,
-            block: first_block + i,
-        });
-    }
-    // Checksums passed; confirm each block's declared widths fill it.
-    for (i, &block_start) in starts[..tile_blocks].iter().enumerate() {
-        let (_, hi) = cover(i);
-        let start = block_start as usize;
-        let len = hi - start;
-        if len < BLOCK_HEADER_WORDS {
-            return Err(structure(first_block + i, "block shorter than its header"));
-        }
-        let bw_word = ctx.shared()[start - stage_start + 1];
-        if (0..4).any(|m| (bw_word >> (8 * m)) & 0xFF > 32) {
-            return Err(structure(first_block + i, "miniblock width exceeds 32"));
-        }
-        let payload: usize = (0..4).map(|m| ((bw_word >> (8 * m)) & 0xFF) as usize).sum();
-        if payload + BLOCK_HEADER_WORDS != len {
-            return Err(structure(
-                first_block + i,
-                "miniblock widths do not fill the block",
-            ));
-        }
-    }
-
+    let tile = stage_tile(ctx, &col.source(), tile_id, col.d)?;
     let first = ctx.shared()[0] as i32;
     ctx.smem_traffic(4);
 
-    if col.layout == Layout::Vertical {
-        // Lane-transposed tile: each width-uniform block decodes
-        // through the fused vectorized unpack + reference + prefix
-        // scan, carrying the accumulator block to block — no delta
-        // scratch array and no separate scan pass over shared memory.
-        // Width-heterogeneous blocks (hostile minor-2 streams only)
-        // take the per-miniblock horizontal interpretation, matching
-        // `decode_cpu_into` exactly.
-        ctx.set_phase(Phase::Unpack);
-        let mut acc = first;
-        for (&start, block_out) in starts.iter().zip(tile_out(out, tile_blocks)) {
-            let block_off = start as usize - stage_start;
-            ctx.bump(Counter::MiniblocksUnpacked, 4);
-            let (shared, traffic) = ctx.shared_and_traffic();
-            let block = &shared[block_off..];
-            let reference = block[0] as i32;
-            let bw_word = block[1];
-            let w0 = bw_word & 0xFF;
-            let block_out: &mut [i32; BLOCK] = block_out.try_into().expect("exact block");
-            if bw_word == w0.wrapping_mul(0x0101_0101) {
-                traffic.shared_bytes += 4 * w0 as u64 * 4 + BLOCK_HEADER_WORDS as u64 * 4;
+    ctx.set_phase(Phase::Unpack);
+    let mut acc = first;
+    for (block_off, block_out) in tile.block_offsets().zip(tile_out(out, tile.tile_blocks)) {
+        ctx.bump(Counter::MiniblocksUnpacked, MINIBLOCKS_PER_BLOCK as u64);
+        let (shared, traffic) = ctx.shared_and_traffic();
+        let block = &shared[block_off..];
+        let bw_word = block[1];
+        match col.layout {
+            Layout::Horizontal => charge_block_unpack(traffic, bw_word, true),
+            Layout::Vertical => {
+                traffic.shared_bytes += (group_words(bw_word) + BLOCK_HEADER_WORDS) as u64 * 4;
                 traffic.int_ops += BLOCK as u64 * 5;
-                acc = vunpack_block_scan(
-                    &block[BLOCK_HEADER_WORDS..BLOCK_HEADER_WORDS + 4 * w0 as usize],
-                    w0,
-                    reference,
-                    acc,
-                    block_out,
-                );
-            } else {
-                let mut offset = BLOCK_HEADER_WORDS;
-                for (m, mb_out) in block_out.chunks_exact_mut(MINIBLOCK).enumerate() {
-                    let w = (bw_word >> (8 * m)) & 0xFF;
-                    let mb_out: &mut [i32; MINIBLOCK] = mb_out.try_into().expect("exact chunk");
-                    acc = unpack_miniblock_scan(&block[offset..], w, reference, acc, mb_out);
-                    offset += w as usize;
-                    traffic.shared_bytes += w as u64 * 4 + 2;
-                    traffic.int_ops += MINIBLOCK as u64 * 5;
-                }
             }
         }
-        // The scan work is fused into the unpack above; charge its adds.
-        ctx.set_phase(Phase::Expand);
-        ctx.add_int_ops(2 * (tile_blocks * BLOCK) as u64);
-    } else {
-        // Unpack deltas (same inner routine as GPU-FOR, on shared
-        // memory) straight into the output buffer…
-        ctx.set_phase(Phase::Unpack);
-        for (&start, block_out) in starts.iter().zip(tile_out(out, tile_blocks)) {
-            let block_off = start as usize - stage_start;
-            let block_out = block_out.try_into().expect("exact block");
-            decode_block_from_shared(ctx, block_off, true, Layout::Horizontal, block_out);
-        }
-        // …then the fused delta decode: block-wide inclusive scan over
-        // the tile, in place (no per-tile scratch allocations).
-        ctx.set_phase(Phase::Expand);
-        block_inclusive_scan_i32_from(ctx, first, out);
+        acc = unpack_group_scan(
+            &block[BLOCK_HEADER_WORDS..],
+            bw_word,
+            col.layout,
+            block[0] as i32,
+            acc,
+            block_out.try_into().expect("exact block"),
+        );
+    }
+    // The scan over the tile: a block-wide tree scan in shared memory
+    // after the horizontal unpack, only its adds after the fused one.
+    ctx.set_phase(Phase::Expand);
+    let values = tile.tile_blocks * BLOCK;
+    match col.layout {
+        Layout::Horizontal => charge_block_scan(ctx, values, 4),
+        Layout::Vertical => ctx.add_int_ops(2 * values as u64),
     }
 
-    let logical = col.total_count - (first_block * BLOCK).min(col.total_count);
-    let decoded = (tile_blocks * BLOCK).min(logical);
-    out.truncate(decoded);
+    out.truncate(tile.decoded);
     ctx.bump(Counter::TilesDecoded, 1);
-    ctx.bump(Counter::ValuesProduced, decoded as u64);
-    Ok(decoded)
+    ctx.bump(Counter::ValuesProduced, tile.decoded as u64);
+    Ok(tile.decoded)
 }
 
 /// Standalone decompression kernel (decode + write back).

@@ -15,18 +15,20 @@
 
 use tlc_bitpack::pack::pack_miniblock;
 use tlc_bitpack::simd::{vpack_block, vunpack_block_ref};
-use tlc_bitpack::unpack::{unpack_block_ref, unpack_miniblock_ref};
+use tlc_bitpack::unpack::unpack_miniblock_ref;
 use tlc_bitpack::width::bits_for;
 use tlc_gpu_sim::{
-    ballot, BlockCtx, Counter, Device, GlobalBuffer, KernelConfig, Phase, WARP_SIZE,
+    ballot, BlockCtx, Counter, Device, GlobalBuffer, KernelConfig, Phase, Traffic, WARP_SIZE,
 };
 
+use crate::block::{check_widths, group_words, unpack_group, widths, GroupKernel};
 use crate::checksum::verify_staged;
 use crate::error::DecodeError;
 use crate::format::{
     blocks_for, tiles_for, ForDecodeOpts, Layout, BLOCK, BLOCK_HEADER_WORDS, MAX_D, MINIBLOCK,
     MINIBLOCKS_PER_BLOCK,
 };
+use crate::gpu_dfor::TileGeometry;
 use crate::model::decode_config;
 
 const SCHEME: &str = "GPU-FOR";
@@ -158,28 +160,16 @@ pub(crate) fn auto_layout(plans: impl IntoIterator<Item = BlockPlan>) -> Layout 
     }
 }
 
-/// Rewrite one lane-transposed block's payload in place into the
-/// horizontal arrangement at the same shared width (sizes and header
-/// unchanged — the two layouts are exact-size peers at uniform width).
-/// Width-heterogeneous blocks are already horizontal by the decode rule
-/// and are left untouched.
-pub(crate) fn transpose_block_to_horizontal(block: &mut [u32]) {
-    let bw_word = block[1];
-    let w = bw_word & 0xFF;
-    if bw_word != w.wrapping_mul(0x0101_0101) || w == 0 {
+/// Rewrite one four-miniblock group of a vertical column in place into
+/// the horizontal arrangement (sizes and bitwidth word unchanged — the
+/// two layouts are exact-size peers at uniform width). Groups the
+/// layout rule reads horizontally are left untouched. Shared by the
+/// block formats and the GPU-RFOR stream groups, whose packed payloads
+/// are byte-compatible.
+pub(crate) fn transpose_group_to_horizontal(payload: &mut [u32], bw_word: u32) {
+    let GroupKernel::Vertical(w) = GroupKernel::of(Layout::Vertical, bw_word) else {
         return;
-    }
-    transpose_payload_to_horizontal(
-        &mut block[BLOCK_HEADER_WORDS..BLOCK_HEADER_WORDS + MINIBLOCKS_PER_BLOCK * w as usize],
-        w,
-    );
-}
-
-/// Rewrite a lane-transposed four-miniblock payload (128 values at
-/// shared width `w`, reference 0) in place into the horizontal
-/// arrangement. Shared by the block formats and the GPU-RFOR stream
-/// groups, whose packed payloads are byte-compatible.
-pub(crate) fn transpose_payload_to_horizontal(payload: &mut [u32], w: u32) {
+    };
     if w == 0 {
         return;
     }
@@ -309,39 +299,20 @@ impl GpuFor {
     /// first: every slot is overwritten by the unpack kernels, so a
     /// reused buffer of the right length skips the zeroing pass that a
     /// fresh `vec![0; n]` pays — at these throughputs that pass is a
-    /// measurable fraction of the whole decode.
+    /// measurable fraction of the whole decode. Each block decodes
+    /// through the kernel the layout rule picks ([`unpack_group`]).
     pub fn decode_cpu_into(&self, out: &mut Vec<i32>) {
         out.resize(self.blocks() * BLOCK, 0);
-        let vertical = self.layout == Layout::Vertical;
         for (b, block_out) in out.chunks_exact_mut(BLOCK).enumerate() {
-            let start = self.block_starts[b] as usize;
-            let block = &self.data[start..];
-            let reference = block[0] as i32;
-            let bw_word = block[1];
-            let w0 = bw_word & 0xFF;
-            if bw_word == w0.wrapping_mul(0x0101_0101) {
-                // All four miniblocks share a width (the common case on
-                // homogeneous data, and every encoder-written vertical
-                // block): decode the whole block through one
-                // monomorphized kernel, amortizing dispatch overhead.
-                let block_out: &mut [i32; BLOCK] = block_out.try_into().expect("exact block");
-                if vertical {
-                    vunpack_block_ref(&block[BLOCK_HEADER_WORDS..], w0, reference, block_out);
-                } else {
-                    unpack_block_ref(&block[BLOCK_HEADER_WORDS..], w0, reference, block_out);
-                }
-                continue;
-            }
-            // Width-heterogeneous block: always the horizontal
-            // interpretation (the vertical encoder never writes one;
-            // hostile minor-2 streams fall back here deterministically).
-            let mut offset = BLOCK_HEADER_WORDS;
-            for (m, mb_out) in block_out.chunks_exact_mut(MINIBLOCK).enumerate() {
-                let w = (bw_word >> (8 * m)) & 0xFF;
-                let mb_out: &mut [i32; MINIBLOCK] = mb_out.try_into().expect("exact chunk");
-                unpack_miniblock_ref(&block[offset..], w, reference, mb_out);
-                offset += w as usize;
-            }
+            let block = &self.data[self.block_starts[b] as usize..];
+            let block_out = block_out.try_into().expect("exact block");
+            unpack_group(
+                &block[BLOCK_HEADER_WORDS..],
+                block[1],
+                self.layout,
+                block[0] as i32,
+                block_out,
+            );
         }
         out.truncate(self.total_count);
     }
@@ -358,8 +329,9 @@ impl GpuFor {
         }
         out.layout = Layout::Horizontal;
         for b in 0..self.blocks() {
-            let start = self.block_starts[b] as usize;
-            transpose_block_to_horizontal(&mut out.data[start..]);
+            let block = &mut out.data[self.block_starts[b] as usize..];
+            let bw_word = block[1];
+            transpose_group_to_horizontal(&mut block[BLOCK_HEADER_WORDS..], bw_word);
         }
         out
     }
@@ -407,6 +379,18 @@ impl GpuForDevice {
     pub fn size_bytes(&self) -> u64 {
         self.block_starts.size_bytes() + self.data.size_bytes() + self.checksums.size_bytes() + 12
     }
+
+    /// What [`stage_tile`] stages this column's tiles from.
+    fn source(&self) -> TileSource<'_> {
+        TileSource {
+            scheme: SCHEME,
+            total_count: self.total_count,
+            block_starts: &self.block_starts,
+            data: &self.data,
+            checksums: &self.checksums,
+            dfor: None,
+        }
+    }
 }
 
 /// Decode the miniblock offset/bitwidth table of one staged block.
@@ -415,14 +399,29 @@ impl GpuForDevice {
 /// relative to the start of the block's miniblock area.
 #[inline]
 fn miniblock_table(bw_word: u32) -> [(u32, u32); MINIBLOCKS_PER_BLOCK] {
-    let mut table = [(0u32, 0u32); MINIBLOCKS_PER_BLOCK];
     let mut offset = 0u32;
-    for (m, entry) in table.iter_mut().enumerate() {
-        let w = (bw_word >> (8 * m)) & 0xFF;
-        *entry = (offset, w);
+    widths(bw_word).map(|w| {
         offset += w;
-    }
-    table
+        (offset - w, w)
+    })
+}
+
+/// The device buffers a tile is staged from: a GPU-FOR column's, whose
+/// blocks cover their own words, or a GPU-DFOR column's, whose
+/// [`TileGeometry`] puts a first-value word before each tile.
+pub(crate) struct TileSource<'a> {
+    /// Scheme name for errors.
+    pub scheme: &'static str,
+    /// Logical value count.
+    pub total_count: usize,
+    /// Per-block word offsets (`blocks + 1` entries).
+    pub block_starts: &'a GlobalBuffer<u32>,
+    /// Block payloads.
+    pub data: &'a GlobalBuffer<u32>,
+    /// Per-block checksums, each over the block's cover.
+    pub checksums: &'a GlobalBuffer<u32>,
+    /// GPU-DFOR's tile geometry; `None` for GPU-FOR.
+    pub dfor: Option<TileGeometry>,
 }
 
 /// A tile staged into shared memory with all structural checks passed:
@@ -432,8 +431,11 @@ pub(crate) struct StagedTile {
     /// Word offsets of the tile's blocks; `tile_blocks + 1` entries are
     /// meaningful.
     starts: [u32; MAX_D + 1],
-    /// Word offset of the tile in the column payload.
-    pub tile_start: usize,
+    /// Word offset of the tile's first staged word in the column payload
+    /// (a GPU-DFOR tile's first-value word).
+    tile_start: usize,
+    /// Word offset one past the tile's last staged word.
+    tile_end: usize,
     /// Blocks in this tile (the final tile may be short).
     pub tile_blocks: usize,
     /// Logical values this tile decodes to (strips final-block padding).
@@ -441,30 +443,50 @@ pub(crate) struct StagedTile {
 }
 
 impl StagedTile {
-    /// Offset of each block of the tile within the staged words.
+    /// Offset of each block's header within the staged words.
     pub fn block_offsets(&self) -> impl Iterator<Item = usize> + '_ {
         self.starts[..self.tile_blocks]
             .iter()
             .map(|&start| start as usize - self.tile_start)
     }
+
+    /// The staged words `(offset, len)` block `i` covers: from its
+    /// header, or the tile's first staged word for the first block, to
+    /// the next block's header, or the tile's end for the last block.
+    fn cover(&self, i: usize) -> (usize, usize) {
+        let lo = if i == 0 {
+            self.tile_start
+        } else {
+            self.starts[i] as usize
+        };
+        let hi = if i + 1 == self.tile_blocks {
+            self.tile_end
+        } else {
+            self.starts[i + 1] as usize
+        };
+        (lo - self.tile_start, hi - lo)
+    }
 }
 
-/// Steps (1)–(2) of the tile decode shared by [`load_tile`] and
-/// [`load_tile_select`]: gather block starts, run the structural
-/// guards, stage the compressed tile into shared memory, and verify
-/// checksums and declared widths. Runs in full for every tile of every
+/// Steps (1)–(2) of the tile decode shared by GPU-FOR's [`load_tile`]
+/// and [`load_tile_select`] and GPU-DFOR's `load_tile`: gather block
+/// starts, run the structural guards, stage the compressed tile into
+/// shared memory, and verify checksums and declared widths. A GPU-DFOR
+/// tile runs from its first block's cover to its last block's, so it
+/// stages the tile's first-value word at shared offset 0, and its fuel
+/// covers the tile-wide scan too. Runs in full for every tile of every
 /// launch; the gathered starts and checksums live on the stack.
 pub(crate) fn stage_tile(
     ctx: &mut BlockCtx<'_>,
-    col: &GpuForDevice,
+    src: &TileSource<'_>,
     tile_id: usize,
     d: usize,
 ) -> Result<StagedTile, DecodeError> {
-    let blocks = col.blocks();
+    let blocks = src.block_starts.len().saturating_sub(1);
     let first_block = tile_id * d;
     let tile_blocks = d.min(blocks - first_block);
     let structure = |block: usize, reason: &'static str| DecodeError::Structure {
-        scheme: SCHEME,
+        scheme: src.scheme,
         block,
         reason,
     };
@@ -477,24 +499,40 @@ pub(crate) fn stage_tile(
     let mut starts_buf = [0u32; MAX_D + 1];
     let starts = &mut starts_buf[..=tile_blocks];
     ctx.warp_gather_into(
-        &col.block_starts,
+        src.block_starts,
         first_block..=first_block + tile_blocks,
         starts,
     );
 
     // Structural guards before staging: nothing below may index past
     // `data` or overflow the shared-memory tile.
-    let (tile_start, tile_end) = (starts[0] as usize, starts[tile_blocks] as usize);
-    if tile_end < tile_start || tile_end > col.data.len() {
+    let cover = |i: usize| match src.dfor {
+        None => Ok((starts[i] as usize, starts[i + 1] as usize)),
+        Some(g) => g.cover(first_block + i, starts[i], starts[i + 1]),
+    };
+    let missing = |head: usize| {
+        let reason = if head == first_block {
+            "missing first-value word"
+        } else {
+            "missing next first-value word"
+        };
+        structure(first_block, reason)
+    };
+    let (tile_start, _) = cover(0).map_err(missing)?;
+    let (_, tile_end) = cover(tile_blocks - 1).map_err(missing)?;
+    let last_start = starts[tile_blocks - 1] as usize;
+    if tile_end < tile_start.max(last_start) || tile_end > src.data.len() {
         return Err(structure(first_block, "tile bounds out of range"));
     }
     // Fuel: staging + decode work is linear in the tile's words and
-    // values; a stream that demands more than the per-block budget is
-    // hostile by construction (see `crate::validate`).
-    let work = (tile_end - tile_start) as u64 + (tile_blocks * BLOCK) as u64;
+    // values (twice the values with GPU-DFOR's scan); a stream that
+    // demands more than the per-block budget is hostile by construction
+    // (see `crate::validate`).
+    let passes = 1 + u64::from(src.dfor.is_some());
+    let work = (tile_end - tile_start) as u64 + passes * (tile_blocks * BLOCK) as u64;
     if !ctx.consume_fuel(work) {
         return Err(DecodeError::Hostile {
-            scheme: SCHEME,
+            scheme: src.scheme,
             block: first_block,
             reason: "decode fuel exhausted",
         });
@@ -513,58 +551,40 @@ pub(crate) fn stage_tile(
     // memory — the counter makes that a checkable invariant.
     ctx.set_phase(Phase::SharedStage);
     ctx.bump(Counter::EncodedTileReads, 1);
-    ctx.stage_to_shared(&col.data, tile_start, tile_end - tile_start, 0);
+    ctx.stage_to_shared(src.data, tile_start, tile_end - tile_start, 0);
+    let logical = src.total_count - (first_block * BLOCK).min(src.total_count);
+    let tile = StagedTile {
+        starts: starts_buf,
+        tile_start,
+        tile_end,
+        tile_blocks,
+        decoded: (tile_blocks * BLOCK).min(logical),
+    };
 
     // Verify every staged block against its stored checksum before any
     // header word is trusted (one warp gather for the expected sums).
     let mut expected = [0u32; MAX_D];
     let expected = &mut expected[..tile_blocks];
     ctx.warp_gather_into(
-        &col.checksums,
+        src.checksums,
         first_block..first_block + tile_blocks,
         expected,
     );
-    let block_words = |i: usize| {
-        let (lo, hi) = (starts[i] as usize, starts[i + 1] as usize);
-        (lo - tile_start, hi - lo)
-    };
-    if let Err(i) = verify_staged(ctx, expected, block_words) {
+    if let Err(i) = verify_staged(ctx, expected, |i| tile.cover(i)) {
         return Err(DecodeError::Corrupt {
-            scheme: SCHEME,
+            scheme: src.scheme,
             block: first_block + i,
         });
     }
     // Checksums passed, so the header words are exactly what the
     // encoder wrote; confirm the declared widths are representable and
-    // fill the block (the monomorphized unpackers are only defined for
-    // widths 0..=32).
-    for (i, w) in starts.windows(2).enumerate() {
-        let len = (w[1] - w[0]) as usize;
-        if len < BLOCK_HEADER_WORDS {
-            return Err(structure(first_block + i, "block shorter than its header"));
-        }
-        let bw_word = ctx.shared()[w[0] as usize - tile_start + 1];
-        let table = miniblock_table(bw_word);
-        if table.iter().any(|&(_, w)| w > 32) {
-            return Err(structure(first_block + i, "miniblock width exceeds 32"));
-        }
-        let payload: usize = table.iter().map(|&(_, w)| w as usize).sum();
-        if payload + BLOCK_HEADER_WORDS != len {
-            return Err(structure(
-                first_block + i,
-                "miniblock widths do not fill the block",
-            ));
-        }
+    // fill the block.
+    for (i, block_off) in tile.block_offsets().enumerate() {
+        let (lo, len) = tile.cover(i);
+        check_widths(&ctx.shared()[block_off..lo + len])
+            .map_err(|e| e.decode_error(src.scheme, first_block + i))?;
     }
-
-    let logical = col.total_count - (first_block * BLOCK).min(col.total_count);
-    let decoded = (tile_blocks * BLOCK).min(logical);
-    Ok(StagedTile {
-        starts: starts_buf,
-        tile_start,
-        tile_blocks,
-        decoded,
-    })
+    Ok(tile)
 }
 
 /// Size `out` for `blocks` blocks about to be unpacked into it. Every
@@ -597,7 +617,7 @@ pub fn load_tile(
     opts: ForDecodeOpts,
     out: &mut Vec<i32>,
 ) -> Result<usize, DecodeError> {
-    let tile = stage_tile(ctx, col, tile_id, opts.d)?;
+    let tile = stage_tile(ctx, &col.source(), tile_id, opts.d)?;
 
     // (3) + (4): decode from shared memory.
     ctx.set_phase(Phase::Unpack);
@@ -680,7 +700,7 @@ pub fn load_tile_select(
     out: &mut Vec<i32>,
 ) -> Result<usize, DecodeError> {
     sel.clear();
-    let tile = stage_tile(ctx, col, tile_id, opts.d)?;
+    let tile = stage_tile(ctx, &col.source(), tile_id, opts.d)?;
     sel.reserve(tile.tile_blocks * MINIBLOCKS_PER_BLOCK);
     for (b, (block_off, block_out)) in tile
         .block_offsets()
@@ -694,8 +714,7 @@ pub fn load_tile_select(
         };
         let lanes: [u32; MINIBLOCKS_PER_BLOCK] =
             std::array::from_fn(|m| word_at(sel_in, b * MINIBLOCKS_PER_BLOCK + m));
-        let w0 = bw_word & 0xFF;
-        if col.layout == Layout::Vertical && bw_word == w0.wrapping_mul(0x0101_0101) {
+        if let GroupKernel::Vertical(w0) = GroupKernel::of(col.layout, bw_word) {
             // Lane-transposed block: lanes interleave every four
             // logical slots, so the skip granularity is the whole
             // block — dead only if all 128 incoming lanes are dead.
@@ -770,14 +789,10 @@ pub fn load_tile_select(
     Ok(tile.decoded)
 }
 
-/// Decode one staged block (128 values) from shared memory into `out`.
-///
-/// Under [`Layout::Vertical`], a width-uniform block unpacks through
-/// the lane-transposed SIMD kernel (all four miniblocks at once — the
-/// row-major contiguity means one vector op covers four adjacent
-/// values); width-heterogeneous blocks take the horizontal
-/// interpretation, matching `decode_cpu_into`'s rule exactly so the
-/// fuzz oracle sees identical output from both decoders.
+/// Decode one staged block (128 values) from shared memory into `out`
+/// through the kernel the layout rule picks ([`unpack_group`]), so the
+/// fuzz oracle sees identical output from this and `decode_cpu_into`.
+/// Charged as [`charge_block_unpack`].
 pub(crate) fn decode_block_from_shared(
     ctx: &mut BlockCtx<'_>,
     block_off: usize,
@@ -788,14 +803,22 @@ pub(crate) fn decode_block_from_shared(
     ctx.bump(Counter::MiniblocksUnpacked, MINIBLOCKS_PER_BLOCK as u64);
     let (shared, traffic) = ctx.shared_and_traffic();
     let block = &shared[block_off..];
-    let reference = block[0] as i32;
-    let bw_word = block[1];
-    let table = miniblock_table(bw_word);
-    let payload_words: u64 = table.iter().map(|&(_, w)| w as u64).sum();
+    charge_block_unpack(traffic, block[1], precompute);
+    unpack_group(
+        &block[BLOCK_HEADER_WORDS..],
+        block[1],
+        layout,
+        block[0] as i32,
+        out,
+    );
+}
 
+/// Charge one staged block's unpack with the declared widths of
+/// `bw_word`, whatever its layout.
+pub(crate) fn charge_block_unpack(traffic: &mut Traffic, bw_word: u32, precompute: bool) {
     // Shared traffic: the monomorphized unpacker streams each staged
     // payload word exactly once, plus the 8-byte block header.
-    traffic.shared_bytes += payload_words * 4 + BLOCK_HEADER_WORDS as u64 * 4;
+    traffic.shared_bytes += (group_words(bw_word) + BLOCK_HEADER_WORDS) as u64 * 4;
     if precompute {
         // Optimization 3: 4·D threads compute the offsets once
         // (bit-shift prefix sums), everyone else just reads them.
@@ -811,17 +834,6 @@ pub(crate) fn decode_block_from_shared(
     // index / shift / mask constants fold away, leaving ~4 shift/or/
     // and/add ops per value instead of Algorithm 1's ~8.
     traffic.int_ops += BLOCK as u64 * 4;
-
-    let payload = &block[BLOCK_HEADER_WORDS..];
-    let w0 = bw_word & 0xFF;
-    if layout == Layout::Vertical && bw_word == w0.wrapping_mul(0x0101_0101) {
-        vunpack_block_ref(&payload[..payload_words as usize], w0, reference, out);
-        return;
-    }
-    for (&(offset, w), mb_out) in table.iter().zip(out.chunks_exact_mut(MINIBLOCK)) {
-        let mb_out = mb_out.try_into().expect("exact miniblock");
-        unpack_miniblock_ref(&payload[offset as usize..], w, reference, mb_out);
-    }
 }
 
 /// Standalone decompression kernel: decode the whole column and write

@@ -18,17 +18,17 @@
 //! each run and fills it with one broadcast store.
 
 use tlc_bitpack::pack::pack_miniblock;
-use tlc_bitpack::simd::vunpack_block_ref;
 use tlc_bitpack::unpack::unpack_miniblock_ref;
 use tlc_bitpack::width::bits_for;
 use tlc_bitpack::MINIBLOCK;
 use tlc_gpu_sim::scan::charge_block_scan;
 use tlc_gpu_sim::{BlockCtx, Counter, Device, GlobalBuffer, KernelConfig, Phase};
 
+use crate::block::{group_words, unpack_group, widths};
 use crate::checksum::{fnv1a, fnv1a_continue};
 use crate::error::DecodeError;
 use crate::format::{Layout, BLOCK, MINIBLOCKS_PER_BLOCK, RFOR_BLOCK};
-use crate::gpu_for::{run_decode, transpose_payload_to_horizontal};
+use crate::gpu_for::{run_decode, transpose_group_to_horizontal};
 
 const SCHEME: &str = "GPU-RFOR";
 
@@ -129,82 +129,58 @@ fn encode_stream_block(raw: &[i32], layout: Layout, s: &mut StreamScratch, data:
 /// Decode one stream block (a word slice beginning at the reference
 /// word) into `out`: `out.len() / 32` whole miniblocks, the entry count
 /// rounded up (the encoder pads with zero-width deltas, so the padding
-/// decodes to the reference). Callers keep `out` on the stack. Under
-/// [`Layout::Vertical`], a complete four-miniblock group whose declared
-/// widths agree is lane-transposed and decodes through the vectorized
-/// [`vunpack_block_ref`]; groups with differing widths (hostile minor-2
-/// streams only) and tail miniblocks take the horizontal
-/// interpretation — the same deterministic rule as the block formats.
+/// decodes to the reference). Callers keep `out` on the stack. Each
+/// complete four-miniblock group decodes through the kernel the layout
+/// rule picks ([`unpack_group`]), as a block of the block formats does;
+/// tail miniblocks are horizontal.
 ///
 /// Declared widths must be `<= 32` and fit inside `block`; run
 /// [`checked_stream_words`] first on untrusted input.
 pub(crate) fn decode_stream_block_to(block: &[u32], layout: Layout, out: &mut [i32]) {
     let reference = block[0] as i32;
     let miniblocks = out.len() / MINIBLOCK;
-    let bw_words = miniblocks.div_ceil(4);
-    let mut offset = 1 + bw_words;
-    let mut m = 0usize;
-    while m < miniblocks {
-        let bw_word = block[1 + m / 4];
-        if layout == Layout::Vertical
-            && m.is_multiple_of(4)
-            && m + MINIBLOCKS_PER_BLOCK <= miniblocks
-        {
-            let w0 = bw_word & 0xFF;
-            if bw_word == w0.wrapping_mul(0x0101_0101) {
-                let group_out: &mut [i32; BLOCK] = (&mut out[m * MINIBLOCK..m * MINIBLOCK + BLOCK])
-                    .try_into()
-                    .expect("exact group");
-                vunpack_block_ref(&block[offset..], w0, reference, group_out);
-                offset += MINIBLOCKS_PER_BLOCK * w0 as usize;
-                m += MINIBLOCKS_PER_BLOCK;
-                continue;
-            }
-        }
-        let w = (bw_word >> (8 * (m % 4))) & 0xFF;
-        let mb_out: &mut [i32; MINIBLOCK] = (&mut out[m * MINIBLOCK..(m + 1) * MINIBLOCK])
-            .try_into()
-            .expect("exact chunk");
+    let mut offset = 1 + miniblocks.div_ceil(MINIBLOCKS_PER_BLOCK);
+    let mut groups = out.chunks_exact_mut(BLOCK);
+    for (g, group_out) in (&mut groups).enumerate() {
+        let bw_word = block[1 + g];
+        let group_out = group_out.try_into().expect("exact group");
+        unpack_group(&block[offset..], bw_word, layout, reference, group_out);
+        offset += group_words(bw_word);
+    }
+    let tail = groups.into_remainder();
+    if tail.is_empty() {
+        return;
+    }
+    let bw_word = block[1 + miniblocks / MINIBLOCKS_PER_BLOCK];
+    let tail = tail.chunks_exact_mut(MINIBLOCK);
+    for (w, mb_out) in widths(bw_word).into_iter().zip(tail) {
+        let mb_out = mb_out.try_into().expect("exact chunk");
         unpack_miniblock_ref(&block[offset..], w, reference, mb_out);
         offset += w as usize;
-        m += 1;
     }
 }
 
 /// Rewrite one vertical stream block (starting at its reference word)
 /// into the horizontal arrangement in place: every complete
-/// four-miniblock group with equal declared widths is lane-transposed
-/// and gets re-packed horizontally; everything else already is.
+/// four-miniblock group the layout rule reads lane-transposed gets
+/// re-packed horizontally; everything else already is.
 fn transpose_stream_block(block: &mut [u32], count: usize) {
-    let padded = count.div_ceil(MINIBLOCK) * MINIBLOCK;
-    let miniblocks = padded / MINIBLOCK;
-    let bw_words = miniblocks.div_ceil(4);
-    let mut offset = 1 + bw_words;
-    let mut m = 0usize;
-    while m < miniblocks {
-        let bw_word = block[1 + m / 4];
-        let w = (bw_word >> (8 * (m % 4))) & 0xFF;
-        if m.is_multiple_of(4) && m + MINIBLOCKS_PER_BLOCK <= miniblocks {
-            let w0 = bw_word & 0xFF;
-            if bw_word == w0.wrapping_mul(0x0101_0101) {
-                let end = offset + MINIBLOCKS_PER_BLOCK * w0 as usize;
-                transpose_payload_to_horizontal(&mut block[offset..end], w0);
-                offset = end;
-                m += MINIBLOCKS_PER_BLOCK;
-                continue;
-            }
-        }
-        offset += w as usize;
-        m += 1;
+    let miniblocks = count.div_ceil(MINIBLOCK);
+    let mut offset = 1 + miniblocks.div_ceil(MINIBLOCKS_PER_BLOCK);
+    for g in 0..miniblocks / MINIBLOCKS_PER_BLOCK {
+        let bw_word = block[1 + g];
+        let end = offset + group_words(bw_word);
+        transpose_group_to_horizontal(&mut block[offset..end], bw_word);
+        offset = end;
     }
 }
 
-/// Allocating decode of one horizontal stream block of `count`
-/// entries. Public so the cascaded-decompression baselines can decode
-/// the same format one layer at a time.
-pub fn decode_stream_block(block: &[u32], count: usize) -> Vec<i32> {
+/// Allocating decode of one stream block of `count` entries in the
+/// column's `layout`. Public so the cascaded-decompression baselines
+/// can decode the same format one layer at a time.
+pub fn decode_stream_block(block: &[u32], count: usize, layout: Layout) -> Vec<i32> {
     let mut out = vec![0; count.div_ceil(MINIBLOCK) * MINIBLOCK];
-    decode_stream_block_to(block, Layout::Horizontal, &mut out);
+    decode_stream_block_to(block, layout, &mut out);
     out.truncate(count);
     out
 }

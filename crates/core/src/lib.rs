@@ -16,6 +16,8 @@
 //!   packing over logical blocks of 512 integers, two packed streams
 //!   (values, run lengths), expanded in shared memory with the 4-step
 //!   scatter/prefix-sum routine (Section 6).
+//! * [`block`] — the rules every reader of the shared block format
+//!   applies, each written once: the width check and the layout rule.
 //! * [`base_alg`] — the *unoptimized* Algorithm 1 (every access goes to
 //!   global memory), kept as the starting rung of the Section 4.2
 //!   optimization ladder.
@@ -63,6 +65,7 @@
 #![warn(missing_docs)]
 
 pub mod base_alg;
+pub mod block;
 pub mod checksum;
 pub mod column;
 pub mod error;

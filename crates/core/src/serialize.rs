@@ -31,10 +31,11 @@
 
 use std::fmt;
 
+use crate::block::check_widths;
 use crate::checksum::{fnv1a, fnv1a_continue_le, le_word, FNV_OFFSET};
 use crate::column::EncodedColumn;
-use crate::format::{Layout, BLOCK, BLOCK_HEADER_WORDS, MINIBLOCKS_PER_BLOCK, RFOR_BLOCK};
-use crate::gpu_dfor::GpuDFor;
+use crate::format::{Layout, BLOCK, BLOCK_HEADER_WORDS, RFOR_BLOCK};
+use crate::gpu_dfor::{GpuDFor, TileGeometry};
 use crate::gpu_for::GpuFor;
 use crate::gpu_rfor::GpuRFor;
 use crate::validate::Limits;
@@ -323,8 +324,8 @@ fn check_block_sums(stored: &[u32], derived: &[u32]) -> Result<(), FormatError> 
     Ok(())
 }
 
-/// Validate a GPU-FOR-style `(block_starts, data)` pair where each
-/// block is `[ref][bw word][miniblocks]`.
+/// Validate a GPU-FOR `(block_starts, data)` pair, where each block is
+/// `[ref][bw word][miniblocks]` and covers exactly its own words.
 fn validate_for_layout(block_starts: &[u32], data: &[u32]) -> Result<(), FormatError> {
     match block_starts.last() {
         None => return Err(FormatError::BadBlockStarts(0)),
@@ -337,32 +338,7 @@ fn validate_for_layout(block_starts: &[u32], data: &[u32]) -> Result<(), FormatE
         if w[1] < w[0] || w[1] as usize > data.len() {
             return Err(FormatError::BadBlockStarts(i + 1));
         }
-        let start = w[0] as usize;
-        let len = (w[1] - w[0]) as usize;
-        if len < BLOCK_HEADER_WORDS {
-            return Err(FormatError::BadBlock {
-                block: i,
-                reason: "shorter than header",
-            });
-        }
-        let bw_word = data[start + 1];
-        let mut payload = 0usize;
-        for m in 0..MINIBLOCKS_PER_BLOCK {
-            let width = (bw_word >> (8 * m)) & 0xFF;
-            if width > 32 {
-                return Err(FormatError::BadBlock {
-                    block: i,
-                    reason: "miniblock width > 32",
-                });
-            }
-            payload += width as usize;
-        }
-        if payload + BLOCK_HEADER_WORDS != len {
-            return Err(FormatError::BadBlock {
-                block: i,
-                reason: "widths disagree with block length",
-            });
-        }
+        check_widths(&data[w[0] as usize..w[1] as usize]).map_err(|e| e.format_error(i))?;
     }
     Ok(())
 }
@@ -454,65 +430,26 @@ impl GpuFor {
 }
 
 impl GpuDFor {
-    /// Structural validation (cheap; no decode).
+    /// Structural validation (cheap; no decode): every block's cover
+    /// (`TileGeometry`) lies in `data` and its declared widths fill
+    /// it.
     pub fn validate(&self) -> Result<(), FormatError> {
-        if self.d == 0 {
-            return Err(FormatError::BadBlock {
-                block: 0,
-                reason: "d must be >= 1",
-            });
-        }
-        // Every tile's first block must leave room for the first-value
-        // word before it.
-        for t in 0..self.tiles() {
-            let first = self.block_starts[t * self.d];
-            if first == 0 {
-                return Err(FormatError::BadBlock {
-                    block: t * self.d,
+        let geometry = TileGeometry::new(self.d, &self.block_starts, self.data.len())?;
+        for (b, w) in self.block_starts.windows(2).enumerate() {
+            let (_, end) = geometry
+                .cover(b, w[0], w[1])
+                .map_err(|head| FormatError::BadBlock {
+                    block: head,
                     reason: "no first-value word",
-                });
-            }
-        }
-        // Block payloads follow the GPU-FOR layout, but each tile is
-        // preceded by one first-value word, so validate per tile.
-        let blocks = self.block_starts.len() - 1;
-        for b in 0..blocks {
-            let start = self.block_starts[b] as usize;
-            let end = if (b + 1) % self.d == 0 || b + 1 == blocks {
-                // Next word is a first-value word (or the end).
-                let next = self.block_starts[b + 1] as usize;
-                if b + 1 == blocks {
-                    next
-                } else {
-                    next - 1
-                }
-            } else {
-                self.block_starts[b + 1] as usize
-            };
+                })?;
+            let start = w[0] as usize;
             if end < start + BLOCK_HEADER_WORDS || end > self.data.len() {
                 return Err(FormatError::BadBlock {
                     block: b,
                     reason: "bad block bounds",
                 });
             }
-            let bw_word = self.data[start + 1];
-            let mut payload = 0usize;
-            for m in 0..MINIBLOCKS_PER_BLOCK {
-                let width = (bw_word >> (8 * m)) & 0xFF;
-                if width > 32 {
-                    return Err(FormatError::BadBlock {
-                        block: b,
-                        reason: "miniblock width > 32",
-                    });
-                }
-                payload += width as usize;
-            }
-            if payload + BLOCK_HEADER_WORDS != end - start {
-                return Err(FormatError::BadBlock {
-                    block: b,
-                    reason: "widths disagree with block length",
-                });
-            }
+            check_widths(&self.data[start..end]).map_err(|e| e.format_error(b))?;
         }
         Ok(())
     }
@@ -955,6 +892,19 @@ mod tests {
         let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         let back = GpuFor::from_bytes(&bytes).expect("legacy stream parses");
         assert_eq!(back, col);
+    }
+
+    #[test]
+    fn dfor_without_block_starts_is_rejected() {
+        // A minor-0 GPU-DFOR stream: count 0, d = 2, an empty
+        // block-starts array, an empty data array, two more words. A
+        // column has at least the end of its data as a block start.
+        let words = [MAGIC, 2, 0, 2, 0, 0, 0, 0];
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(
+            GpuDFor::from_bytes(&bytes),
+            Err(FormatError::BadBlockStarts(0))
+        );
     }
 
     #[test]
