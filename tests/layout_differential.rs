@@ -2,12 +2,17 @@
 //! layout introduced with format minor 2: for every bit width 0..=32
 //! and every scheme, the forced-vertical encoding must decode to the
 //! same values as the horizontal one — on the CPU reference decoder,
-//! through the simulated device kernels, after a serialized roundtrip,
-//! and through the fused decode→select path. GPU-RFOR's run expander
+//! through the simulated device kernels, through the baselines'
+//! cascaded decoders and the nvCOMP model that reuse the formats, after
+//! a serialized roundtrip, and through the fused decode→select path.
+//! GPU-RFOR's run expander
 //! is held to its input the same way, under both layouts, on run
 //! lengths around its splat width and the miniblock and block sizes.
 
+use tlc::baselines::cascaded;
+use tlc::baselines::nvcomp::NvComp;
 use tlc::crystal::{select, QueryColumn};
+use tlc::schemes::column::DeviceColumn;
 use tlc::schemes::{EncodedColumn, GpuDFor, GpuFor, GpuRFor, Layout, Scheme, DEFAULT_D};
 use tlc::sim::Device;
 
@@ -82,11 +87,31 @@ fn width_sweep_vertical_matches_horizontal() {
             assert_eq!(horizontal.decode_cpu(), values, "w={w} {scheme:?} H cpu");
             assert_eq!(vertical.decode_cpu(), values, "w={w} {scheme:?} V cpu");
             for (col, tag) in [(&horizontal, "H"), (&vertical, "V")] {
-                let out = col.to_device(&dev).decompress(&dev).expect("decode");
+                let dcol = col.to_device(&dev);
+                let out = dcol.decompress(&dev).expect("decode");
                 assert_eq!(
                     out.as_slice_unaccounted(),
                     values,
                     "w={w} {scheme:?} {tag} device"
+                );
+                let cascade = match &dcol {
+                    DeviceColumn::For(c) => cascaded::for_cascaded(&dev, c),
+                    DeviceColumn::DFor(c) => cascaded::dfor_cascaded(&dev, c),
+                    DeviceColumn::RFor(c) => cascaded::rfor_cascaded(&dev, c),
+                };
+                assert_eq!(
+                    cascade.expect("no fault plan").as_slice_unaccounted(),
+                    values,
+                    "w={w} {scheme:?} {tag} cascade"
+                );
+                let nvcomp = NvComp { inner: col.clone() }.to_device(&dev);
+                assert_eq!(
+                    nvcomp
+                        .decompress(&dev)
+                        .expect("no fault plan")
+                        .as_slice_unaccounted(),
+                    values,
+                    "w={w} {scheme:?} {tag} nvCOMP"
                 );
             }
             // Serialized roundtrip: vertical stamps minor 2, parses
