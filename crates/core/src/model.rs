@@ -40,12 +40,6 @@ pub fn decode_config(name: &str, tiles: usize, d: usize, extra_live: usize) -> K
         .fuel_per_block(DEFAULT_TILE_FUEL)
 }
 
-/// Launch configuration for a simple streaming kernel (grid-stride
-/// copy/scan style): low register pressure, no shared memory.
-pub fn streaming_config(name: &str, grid: usize, threads: usize) -> KernelConfig {
-    KernelConfig::new(name, grid, threads).regs_per_thread(24)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

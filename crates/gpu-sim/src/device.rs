@@ -147,14 +147,6 @@ impl Device {
         self.faults.borrow().as_ref().map(|s| s.stats.clone())
     }
 
-    /// False once the armed fault plan has lost the device.
-    pub fn is_alive(&self) -> bool {
-        self.faults
-            .borrow()
-            .as_ref()
-            .is_none_or(|s| !s.stats.device_lost)
-    }
-
     /// The device's calibration constants.
     pub fn params(&self) -> &DeviceParams {
         &self.params
@@ -464,13 +456,7 @@ impl Device {
     /// moving `traffic`, and the roofline leg that dominated.
     fn price(&self, grid_blocks: usize, occ: Occupancy, traffic: &Traffic) -> (f64, &'static str) {
         let p = &self.params;
-        // Degraded-bandwidth fault: a sick device streams slower.
-        let health = self
-            .faults
-            .borrow()
-            .as_ref()
-            .map_or(1.0, |s| s.plan.bandwidth_factor.clamp(0.01, 1.0));
-        let bw_factor = (occ.fraction / p.bw_saturation_occupancy).clamp(0.05, 1.0) * health;
+        let bw_factor = (occ.fraction / p.bw_saturation_occupancy).clamp(0.05, 1.0);
         let global_s = traffic.global_bytes() as f64 / (p.global_bw * bw_factor);
         let shared_s = traffic.shared_bytes as f64 / p.shared_bw;
         let compute_s = traffic.int_ops as f64 / p.int_throughput;

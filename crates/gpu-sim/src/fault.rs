@@ -78,8 +78,6 @@ pub struct FaultPlan {
     /// Lose the whole device at the first attempt of a launch with this
     /// kernel name.
     pub kill_at_launch: Option<&'static str>,
-    /// Multiplier on global-memory bandwidth (1.0 = healthy).
-    pub bandwidth_factor: f64,
     /// Out-of-core storage faults (interpreted by the streaming
     /// executor, not the device; see [`StorageFaults`]).
     pub storage: StorageFaults,
@@ -92,7 +90,6 @@ impl Default for FaultPlan {
             bitflip_rate: 0.0,
             transient_launch_rate: 0.0,
             kill_at_launch: None,
-            bandwidth_factor: 1.0,
             storage: StorageFaults::default(),
         }
     }

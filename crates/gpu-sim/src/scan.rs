@@ -19,17 +19,6 @@ pub fn charge_block_scan(ctx: &mut BlockCtx<'_>, n: usize, elem_bytes: u64) {
     ctx.add_int_ops(2 * n as u64);
 }
 
-/// In-place inclusive prefix sum over `data`, with wrap-around semantics
-/// matching 32-bit device arithmetic.
-pub fn block_inclusive_scan_i64(ctx: &mut BlockCtx<'_>, data: &mut [i64]) {
-    charge_block_scan(ctx, data.len(), 8);
-    let mut acc = 0i64;
-    for v in data.iter_mut() {
-        acc = acc.wrapping_add(*v);
-        *v = acc;
-    }
-}
-
 /// In-place exclusive prefix sum over `data`; returns the total.
 pub fn block_exclusive_scan_u32(ctx: &mut BlockCtx<'_>, data: &mut [u32]) -> u32 {
     charge_block_scan(ctx, data.len(), 4);
@@ -42,34 +31,10 @@ pub fn block_exclusive_scan_u32(ctx: &mut BlockCtx<'_>, data: &mut [u32]) -> u32
     acc
 }
 
-/// In-place inclusive prefix sum over signed 32-bit deltas, seeded at
-/// `base`; returns the final accumulator. Lets a delta decoder scan
-/// directly in its output buffer instead of round-tripping through a
-/// separate unsigned scratch array.
-pub fn block_inclusive_scan_i32_from(ctx: &mut BlockCtx<'_>, base: i32, data: &mut [i32]) -> i32 {
-    charge_block_scan(ctx, data.len(), 4);
-    let mut acc = base;
-    for v in data.iter_mut() {
-        acc = acc.wrapping_add(*v);
-        *v = acc;
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Device, KernelConfig};
-
-    #[test]
-    fn inclusive_scan_values() {
-        let dev = Device::v100();
-        dev.launch(KernelConfig::new("k", 1, 128), |blk| {
-            let mut data = vec![1i64, 2, 3, 4];
-            block_inclusive_scan_i64(blk, &mut data);
-            assert_eq!(data, vec![1, 3, 6, 10]);
-        });
-    }
 
     #[test]
     fn exclusive_scan_values_and_total() {
@@ -95,15 +60,5 @@ mod tests {
             charge_block_scan(blk, 512, 4);
         });
         assert_eq!(charged.traffic, scanned.traffic);
-    }
-
-    #[test]
-    fn inclusive_scan_wraps_like_device_arithmetic() {
-        let dev = Device::v100();
-        dev.launch(KernelConfig::new("k", 1, 32), |blk| {
-            let mut data = vec![i32::MAX, 2];
-            block_inclusive_scan_i32_from(blk, 0, &mut data);
-            assert_eq!(data, vec![i32::MAX, i32::MIN + 1]);
-        });
     }
 }

@@ -75,12 +75,6 @@ impl ResilienceReport {
         }
     }
 
-    /// Total faults injected (for "did anything actually happen in this
-    /// campaign" assertions).
-    pub fn faults_injected(&self) -> usize {
-        self.bit_flips_injected + self.transient_failures_injected + self.devices_lost
-    }
-
     /// Total recovery actions taken.
     pub fn recoveries(&self) -> usize {
         self.transient_retries

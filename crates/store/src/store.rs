@@ -225,14 +225,6 @@ impl Store {
             .sum()
     }
 
-    /// Largest committed partition footprint (memory-budget planning).
-    pub fn max_partition_bytes(&self) -> u64 {
-        (0..self.partition_count())
-            .map(|p| self.partition_bytes(p))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// On-disk path of one partition column file.
     pub fn path_of(&self, partition: usize, column: &str) -> PathBuf {
         self.dir.join(self.manifest.file_name(partition, column))
