@@ -1,4 +1,4 @@
-//! GPU-BP (Mallia et al. [33]): a single horizontal bit-packing layer
+//! GPU-BP (Mallia et al. \[33\]): a single horizontal bit-packing layer
 //! over the entire column — one global bitwidth, no frame-of-reference,
 //! no delta, no RLE, and none of the Section 4.2 staging optimizations.
 //!

@@ -4,14 +4,14 @@
 //!   plus the plain streaming read/write kernels used as the
 //!   memory-bandwidth yardstick.
 //! * [`nsf`] — **NSF**: null suppression with fixed length; the whole
-//!   column is encoded as 1-, 2- or 4-byte entries (Fang et al. [18]).
+//!   column is encoded as 1-, 2- or 4-byte entries (Fang et al. \[18\]).
 //! * [`nsv`] — **NSV**: null suppression with per-value variable byte
 //!   length plus a 2-bit length stream; decoding needs a global prefix
 //!   sum over the lengths (multi-kernel, Section 9.3 D3).
 //! * [`rle`] — plain run-length encoding over the whole column, decoded
 //!   with the 4-step global scatter/scan pipeline of Fang et al. —
 //!   multiple kernel passes over global memory.
-//! * [`gpu_bp`] — **GPU-BP** (Mallia et al. [33]): one horizontal
+//! * [`gpu_bp`] — **GPU-BP** (Mallia et al. \[33\]): one horizontal
 //!   bit-packed layer for the entire column, no FOR/Delta/RLE.
 //! * [`simdbp128`] — **GPU-SIMDBP128** (paper Section 4.3): the
 //!   SIMD-BP128 vertical layout translated to 32 GPU lanes, block size
@@ -23,27 +23,11 @@
 //!   near-identical ratios as GPU-* (within ~2%, Figure 9), but
 //!   decompression is multi-pass and cannot be inlined with queries.
 
-//!
-//! Related-work schemes from the Section 2.2 survey, for the extended
-//! shootout (`related_work` harness):
-//!
-//! * [`vbyte`] — variable-byte integers (GPU-VByte).
-//! * [`pfor`] — patched frame of reference (PFOR).
-//! * [`simple8b`] — word-aligned Simple-8b.
-//! * [`bitweaving`] — BitWeaving/V bit-planes with decode-free scans.
-//! * [`byteslice`] — ByteSlice byte-planes with decode-free scans.
-
-pub mod bitweaving;
-pub mod bounded;
-pub mod byteslice;
 pub mod cascaded;
 pub mod gpu_bp;
 pub mod none;
 pub mod nsf;
 pub mod nsv;
 pub mod nvcomp;
-pub mod pfor;
 pub mod rle;
 pub mod simdbp128;
-pub mod simple8b;
-pub mod vbyte;

@@ -1,4 +1,4 @@
-//! NSF — null suppression with fixed length (Fang et al. [18]).
+//! NSF — null suppression with fixed length (Fang et al. \[18\]).
 //!
 //! The entire column is encoded as 1-, 2- or 4-byte entries depending
 //! on the *maximum* value; decompression widens entries back to 32

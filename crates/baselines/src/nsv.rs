@@ -1,4 +1,4 @@
-//! NSV — null suppression with variable length (Fang et al. [18]).
+//! NSV — null suppression with variable length (Fang et al. \[18\]).
 //!
 //! Each value is stored with 1–4 bytes; a separate stream keeps a 2-bit
 //! length code per value. Random access requires the byte offset of

@@ -1,5 +1,5 @@
 //! Plain run-length encoding over the whole column, decoded with the
-//! four-step global pipeline of Fang et al. [18]: prefix-sum the run
+//! four-step global pipeline of Fang et al. \[18\]: prefix-sum the run
 //! lengths, scatter head flags, prefix-sum the flags, gather values.
 //! Every step is its own kernel reading and writing global memory —
 //! which is why GPU-RFOR (same logic, fused in shared memory) beats it

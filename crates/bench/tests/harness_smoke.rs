@@ -96,11 +96,6 @@ fn ablation_model() {
 }
 
 #[test]
-fn related_work() {
-    run(env!("CARGO_BIN_EXE_related_work"), &[]);
-}
-
-#[test]
 fn ext_multi_gpu() {
     run(env!("CARGO_BIN_EXE_ext_multi_gpu"), &[]);
 }

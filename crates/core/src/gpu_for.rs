@@ -185,18 +185,6 @@ pub(crate) fn transpose_group_to_horizontal(payload: &mut [u32], bw_word: u32) {
     }
 }
 
-/// Compute one block's encoding and append it to `data` (horizontal
-/// layout).
-///
-/// `values` must contain exactly [`BLOCK`] entries (callers pad the
-/// final block). Also used by GPU-DFOR, whose delta blocks share this
-/// exact layout.
-pub(crate) fn encode_block(values: &[i32], data: &mut Vec<u32>) {
-    let values: &[i32; BLOCK] = values.try_into().expect("exact block");
-    let plan = plan_block(values);
-    pack_block_with_plan(values, &plan, Layout::Horizontal, data);
-}
-
 impl GpuFor {
     /// Encode a column. The final partial block is padded with the
     /// block minimum (zero-cost deltas); [`GpuFor::total_count`]

@@ -71,7 +71,6 @@ pub mod column;
 pub mod error;
 pub mod format;
 pub mod gpu_dfor;
-pub mod gpu_encode;
 pub mod gpu_for;
 pub mod gpu_rfor;
 pub mod model;

@@ -1,6 +1,6 @@
 //! # tlc-crystal — a tile-based query execution engine
 //!
-//! A reproduction of the Crystal framework [40] that the paper
+//! A reproduction of the Crystal framework \[40\] that the paper
 //! integrates with (Section 7): SQL operators are composed from
 //! block-wide device functions, each thread block processes one *tile*
 //! of fact-table entries, and — the paper's contribution — a compressed

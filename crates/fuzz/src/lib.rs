@@ -4,7 +4,7 @@
 //! columns arrive from disk or the network, and a hostile stream can
 //! carry perfectly valid checksums yet declare metadata that would
 //! over-allocate, spin, or index out of bounds. This crate drives that
-//! boundary with a [structure-aware mutator](mutate) over honest base
+//! boundary with a [structure-aware mutator](mod@mutate) over honest base
 //! streams and checks every mutant against the
 //! [differential oracle](oracle):
 //!

@@ -3,7 +3,7 @@
 //! Two planners live here:
 //!
 //! * [`plan`] — a reproduction of the **compression planner** of Fang
-//!   et al. [18] (the `Planner` system of Figures 9–11): it enumerates
+//!   et al. \[18\] (the `Planner` system of Figures 9–11): it enumerates
 //!   cascades of the five basic lightweight schemes — RLE, DELTA, FOR,
 //!   DICT and byte-aligned null suppression (NSF/NSV) — computes the
 //!   exact compressed size of each valid cascade, and picks the

@@ -1,4 +1,4 @@
-//! The Fang et al. [18] compression planner: exhaustive search over
+//! The Fang et al. \[18\] compression planner: exhaustive search over
 //! cascades of {RLE} × {DELTA} × {FOR | DICT} × {NSF | NSV}, scored by
 //! exact compressed size. Decompression follows the cascading model —
 //! one kernel per layer (the `Planner` bars of Figures 10b and 11).

@@ -334,6 +334,8 @@ mod tests {
             };
             for q in [QueryId::Q11, QueryId::Q21] {
                 let clean = run_query_sharded(&data, system, q, 2, 1.0, &[]);
+                let want = run_reference(&data, q);
+                assert_eq!(clean.result, want, "{} {} clean", system.name(), q.name());
                 for (plan, lost) in [(&transients, 0), (&kill, 1)] {
                     let run = run_query_sharded(&data, system, q, 2, 1.0, &[Some(plan.clone())]);
                     let at = format!("{} {}: {}", system.name(), q.name(), run.report);

@@ -236,11 +236,6 @@ impl Store {
         self.damaged_lock().get(&(partition, c)).cloned()
     }
 
-    /// Total entries currently in the damage ledger.
-    pub fn damaged_count(&self) -> usize {
-        self.damaged_lock().len()
-    }
-
     /// Snapshot of the damage ledger as `(partition, column, cause)`
     /// triples in `(partition, column)` order — the work list a healing
     /// pass (e.g. `tlc-ssb`'s regenerate-and-heal) walks to bring a
@@ -784,7 +779,7 @@ mod tests {
             store.load_column(1, "alpha").expect("load").decode_cpu(),
             values(1, 400)
         );
-        assert_eq!(store.damaged_count(), 0);
+        assert!(store.damaged_entries().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
