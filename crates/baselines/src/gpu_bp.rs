@@ -7,7 +7,7 @@
 //! overlapping un-staged window reads straight from global memory.
 
 use tlc_bitpack::horizontal::{extract, pack_stream};
-use tlc_bitpack::unpack::{unpack_miniblock, unpack_stream_into};
+use tlc_bitpack::unpack::{unpack_miniblock_ref, unpack_stream_into};
 use tlc_bitpack::width::max_bits;
 use tlc_bitpack::MINIBLOCK;
 use tlc_gpu_sim::{Device, GlobalBuffer, KernelConfig, LaunchError, WARP_SIZE};
@@ -57,9 +57,10 @@ impl GpuBp {
     }
 
     /// Sequential reference decoder. A contiguously packed stream is
-    /// word-aligned at every 32-value boundary, so the monomorphized
-    /// [`unpack_miniblock`] table drives the full miniblocks and the
-    /// generic window `extract` only handles the tail.
+    /// word-aligned at every 32-value boundary, so
+    /// [`unpack_stream_into`] runs the monomorphized kernels over the
+    /// full miniblocks and the generic window `extract` only handles
+    /// the tail.
     pub fn decode_cpu(&self) -> Vec<i32> {
         let mut raw = Vec::with_capacity(self.total_count);
         unpack_stream_into(&self.data, self.bitwidth, self.total_count, &mut raw);
@@ -125,7 +126,7 @@ fn run(
         let lo = ctx.block_id() * CHUNK;
         let hi = (lo + CHUNK).min(n);
         let mut vals = Vec::with_capacity(hi - lo);
-        let mut scratch = [0u32; MINIBLOCK];
+        let mut scratch = [0i32; MINIBLOCK];
         for warp_lo in (lo..hi).step_by(WARP_SIZE) {
             let warp_hi = (warp_lo + WARP_SIZE).min(hi);
             // Each lane loads its 8-byte window directly from global
@@ -136,9 +137,10 @@ fn run(
             ctx.add_int_ops((warp_hi - warp_lo) as u64 * 6);
             let data = col.data.as_slice_unaccounted();
             if warp_hi - warp_lo == MINIBLOCK {
-                // A full warp is a word-aligned 32-value miniblock.
-                unpack_miniblock(&data[warp_lo * bw as usize / 32..], bw, &mut scratch);
-                vals.extend(scratch.iter().map(|&v| v as i32));
+                // A full warp is a word-aligned 32-value miniblock
+                // (no frame of reference: reference 0).
+                unpack_miniblock_ref(&data[warp_lo * bw as usize / 32..], bw, 0, &mut scratch);
+                vals.extend_from_slice(&scratch);
             } else {
                 for i in warp_lo..warp_hi {
                     vals.push(extract(data, i * bw as usize, bw) as i32);

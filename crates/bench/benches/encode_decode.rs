@@ -1,9 +1,10 @@
 //! Timing harness (plain `fn main`, no criterion — the workspace builds
-//! offline): real CPU time of the encoders and of a full simulated
-//! decompression pass, one group per scheme — the decode pass timed on
-//! the serial simulator backend and, when there is more than one
-//! worker, on the multi-core one (at one worker the two are the same
-//! code, so there is no second column and no `speedup` to report).
+//! offline): real CPU time of the single-threaded encoders and of a
+//! full simulated decompression pass, one group per scheme — the
+//! decode pass timed on the serial simulator backend and, when there
+//! is more than one worker, on the multi-core one (at one worker the
+//! two are the same code, so there is no second column and no
+//! `speedup` to report).
 //! The decode rows run every scheme on uniform 16-bit values; GPU-RFOR
 //! also decodes SSB-shaped runs of 1–7 (`decode_sim_short`,
 //! `decode_cpu_short`), the case its run expansion bounds.
@@ -21,7 +22,6 @@ use std::time::Instant;
 use tlc_bench::{
     machine_meta, print_table, short_runs, sorted_unique, uniform_bits, write_bench_json, Json,
 };
-use tlc_core::parallel::encoder_threads;
 use tlc_core::{EncodedColumn, Scheme};
 use tlc_gpu_sim::{set_sim_threads_override, sim_threads, Device};
 
@@ -57,16 +57,13 @@ fn main() {
     let mut json_rows = Vec::new();
 
     let mut rows = Vec::new();
-    let threads = encoder_threads();
     for (scheme, data) in [
         (Scheme::GpuFor, &uniform),
         (Scheme::GpuDFor, &sorted),
         (Scheme::GpuRFor, &runs),
     ] {
-        // The multi-threaded chunked encoder (bit-identical to the
-        // serial auto-layout path; degenerates to it at one thread).
         let t = time_best(iters, || {
-            EncodedColumn::encode_as_parallel(data, scheme, threads).compressed_bytes()
+            EncodedColumn::encode_as(data, scheme).compressed_bytes()
         });
         rows.push(vec![scheme.name().to_string(), format!("{:.1}", mvals(t))]);
         json_rows.push(Json::Obj(vec![
@@ -177,7 +174,6 @@ fn main() {
         ("bench", Json::Str("encode_decode".to_string())),
         ("n", Json::Int(n as u64)),
         ("workers", Json::Int(workers as u64)),
-        ("encode_threads", Json::Int(threads as u64)),
         ("iters", Json::Int(iters as u64)),
     ];
     fields.extend(machine_meta());

@@ -15,7 +15,6 @@ fn main() {
     println!("Section 8: compression speed (N_sim = {n}, scaled to {PAPER_N_FIG7}, wall clock)");
     let values = uniform_bits(n, 20, 82);
 
-    let threads = tlc_core::parallel::encoder_threads().min(6); // paper: 6-core CPU
     let mut rows = Vec::new();
     let mut measure = |name: &str, f: &dyn Fn() -> u64| {
         let start = Instant::now();
@@ -31,15 +30,6 @@ fn main() {
     measure("GPU-FOR", &|| GpuFor::encode(&values).compressed_bytes());
     measure("GPU-DFOR", &|| GpuDFor::encode(&values).compressed_bytes());
     measure("GPU-RFOR", &|| GpuRFor::encode(&values).compressed_bytes());
-    measure("GPU-FOR (parallel)", &|| {
-        GpuFor::encode_parallel(&values, threads).compressed_bytes()
-    });
-    measure("GPU-DFOR (parallel)", &|| {
-        GpuDFor::encode_parallel(&values, threads).compressed_bytes()
-    });
-    measure("GPU-RFOR (parallel)", &|| {
-        GpuRFor::encode_parallel(&values, threads).compressed_bytes()
-    });
 
     print_table(
         "Section 8 compression speed",
@@ -47,5 +37,4 @@ fn main() {
         &rows,
     );
     println!("\npaper (6-core CPU): 1.2 s / 1.3 s / 2.2 s for 250M random entries");
-    println!("parallel rows use {threads} encoder thread(s)");
 }

@@ -76,8 +76,9 @@ pub fn extract(words: &[u32], start_bit: usize, bitwidth: u32) -> u32 {
 ///
 /// Note: allocates per call. Hot decode paths should prefer
 /// [`unpack_stream_into`](crate::unpack::unpack_stream_into) with a
-/// reused buffer, or [`unpack_miniblock`](crate::unpack::unpack_miniblock)
-/// with stack scratch; this wrapper remains for convenience and as the
+/// reused buffer, or
+/// [`unpack_miniblock_ref`](crate::unpack::unpack_miniblock_ref) with
+/// stack scratch; this wrapper remains for convenience and as the
 /// oracle-backed reference entry point.
 pub fn unpack_stream(words: &[u32], bitwidth: u32, count: usize) -> Vec<u32> {
     let mut out = Vec::with_capacity(count);

@@ -14,8 +14,9 @@
 //!   block lives in lane `j % lanes`, and each lane's words are
 //!   interleaved so lane `l` reads words `l, l + lanes, …`.
 //! * [`unpack`] — monomorphized per-width miniblock unpackers (paper
-//!   Section 4.4): one branch-free routine per bitwidth 0..=32,
-//!   dispatched through the [`UNPACKERS`] table, with the generic
+//!   Section 4.4): one branch-free routine per bitwidth 0..=32 that
+//!   fuses the frame-of-reference add, dispatched through the
+//!   [`UNPACKERS_REF`] table, with the generic
 //!   [`extract`] kept as the partial-tail fallback and test oracle.
 //! * [`pack`] — the encode-side counterpart: monomorphized per-width
 //!   miniblock packers dispatched through [`PACKERS`].
@@ -44,11 +45,10 @@ pub use simd::{
     cpu_features, simd_level, vpack_block, vunpack_block_ref, vunpack_block_scan, SimdLevel, VLANES,
 };
 pub use unpack::{
-    unpack128_ref, unpack128_scan, unpack32, unpack32_ref, unpack32_scan, unpack_block_ref,
-    unpack_block_scan, unpack_miniblock, unpack_miniblock_ref, unpack_miniblock_scan,
-    unpack_stream_into, BlockUnpackerRef, BlockUnpackerScan, Unpacker, UnpackerRef, UnpackerScan,
-    BLOCK_UNPACKERS_REF, BLOCK_UNPACKERS_SCAN, BLOCK_VALUES, UNPACKERS, UNPACKERS_REF,
-    UNPACKERS_SCAN,
+    unpack128_ref, unpack128_scan, unpack32_ref, unpack32_scan, unpack_block_ref,
+    unpack_block_scan, unpack_miniblock_ref, unpack_miniblock_scan, unpack_stream_into,
+    BlockUnpackerRef, BlockUnpackerScan, UnpackerRef, UnpackerScan, BLOCK_UNPACKERS_REF,
+    BLOCK_UNPACKERS_SCAN, BLOCK_VALUES, UNPACKERS_REF, UNPACKERS_SCAN,
 };
 pub use vertical::{vertical_pack, vertical_unpack};
 pub use width::{bits_for, max_bits};

@@ -102,7 +102,7 @@ fn mask_for(b: u32) -> u32 {
 /// Run `$body` once per row 0..32 with `$r` bound to the literal row
 /// index, written out explicitly: LLVM declines to fully unroll a
 /// 32-iteration loop at word-crossing widths (see
-/// [`crate::unpack::unpack32`]), and the literal indices are what let
+/// [`crate::unpack::unpack32_ref`]), and the literal indices are what let
 /// every word index and shift count fold.
 macro_rules! rows32 {
     (|$r:ident| $body:block) => {

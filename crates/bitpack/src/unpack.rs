@@ -5,17 +5,21 @@
 //! [`extract`] recomputes `start_bit / 32`,
 //! `start_bit % 32`, a 64-bit window, and a mask for every value. For a
 //! full 32-value miniblock all of that is a function of the bit width
-//! alone, so [`unpack32`] is compiled once per width `B`: the loop trip
-//! count is fixed at 32, every word index / shift / spans-a-boundary
-//! test constant-folds after unrolling, and the whole miniblock unpacks
-//! with straight-line shift/or/and arithmetic — no per-value `div`,
-//! `mod`, or branch. [`UNPACKERS`] is the precomputed dispatch table
-//! (one fn pointer per width 0..=32); [`unpack_miniblock`] is the
-//! ergonomic front door.
+//! alone, so [`unpack32_ref`] — the base kernel, which fuses the
+//! frame-of-reference add — is compiled once per width `B`: the loop
+//! trip count is fixed at 32, every word index / shift /
+//! spans-a-boundary test constant-folds after unrolling, and the whole
+//! miniblock unpacks with straight-line shift/or/and arithmetic — no
+//! per-value `div`, `mod`, or branch. [`UNPACKERS_REF`] is the
+//! precomputed dispatch table (one fn pointer per width 0..=32);
+//! [`unpack_miniblock_ref`] is the ergonomic front door, and a caller
+//! that wants the raw offsets passes reference 0. [`unpack32_scan`]
+//! additionally fuses the delta prefix scan, and the 128-value block
+//! kernels inline four miniblocks back to back.
 //!
 //! The generic `extract` remains the fallback for partial tail
 //! miniblocks (see [`unpack_stream_into`]) and serves as the
-//! differential-test oracle: in debug builds `unpack_miniblock`
+//! differential-test oracle: in debug builds every dispatch wrapper
 //! cross-checks every value it produces against `extract`, so the
 //! entire test suite (and the fuzz corpus replayed under `cargo test`)
 //! exercises fast path and oracle together.
@@ -24,7 +28,9 @@ use crate::horizontal::extract;
 use crate::MINIBLOCK;
 
 /// Unpack one full 32-value miniblock packed at `B` bits per value from
-/// the front of `words` into `out`.
+/// the front of `words`, add `reference` to each offset (wrapping), and
+/// store the results as `i32` into `out`. At `reference = 0` this is the
+/// plain unpack (cast the slots back to `u32`).
 ///
 /// `words` must hold at least `B` words — a 32-value miniblock at width
 /// `B` occupies exactly `B` words and ends on a word boundary, which is
@@ -40,10 +46,15 @@ use crate::MINIBLOCK;
 /// word-boundary-crossing widths (13, 17, 20, …), leaving a branchy
 /// rolled body that runs at less than half the throughput of the
 /// straight-line form.
+///
+/// The reference add is fused for throughput: a separate
+/// unpack-to-scratch / add-from-scratch split costs an extra full
+/// store+load pass over every value, which on wide columns is as
+/// expensive as the unpack itself.
 #[inline(always)]
-pub fn unpack32<const B: u32>(words: &[u32], out: &mut [u32; MINIBLOCK]) {
+pub fn unpack32_ref<const B: u32>(words: &[u32], reference: i32, out: &mut [i32; MINIBLOCK]) {
     if B == 0 {
-        out.fill(0);
+        out.fill(reference);
         return;
     }
     // One bounds check up front; everything below indexes provably
@@ -57,68 +68,6 @@ pub fn unpack32<const B: u32>(words: &[u32], out: &mut [u32; MINIBLOCK]) {
         // A value whose bits span two words reads both through one
         // 64-bit window, Algorithm 1 style; `w + 1 ≤ B − 1` whenever
         // the span crosses, so the slice above still covers it.
-        let v = if off + B > 32 {
-            let win = words[w] as u64 | (words[w + 1] as u64) << 32;
-            (win >> off) as u32
-        } else {
-            words[w] >> off
-        };
-        out[i] = v & mask;
-    };
-    step(0);
-    step(1);
-    step(2);
-    step(3);
-    step(4);
-    step(5);
-    step(6);
-    step(7);
-    step(8);
-    step(9);
-    step(10);
-    step(11);
-    step(12);
-    step(13);
-    step(14);
-    step(15);
-    step(16);
-    step(17);
-    step(18);
-    step(19);
-    step(20);
-    step(21);
-    step(22);
-    step(23);
-    step(24);
-    step(25);
-    step(26);
-    step(27);
-    step(28);
-    step(29);
-    step(30);
-    step(31);
-}
-
-/// Like [`unpack32`], but fuses the frame-of-reference add: each
-/// decoded offset is added to `reference` (wrapping) and stored as
-/// `i32` directly into the caller's output slot.
-///
-/// The fusion matters for throughput: a separate unpack-to-scratch /
-/// add-from-scratch split costs an extra full store+load pass over
-/// every value, which on wide columns is as expensive as the unpack
-/// itself.
-#[inline(always)]
-pub fn unpack32_ref<const B: u32>(words: &[u32], reference: i32, out: &mut [i32; MINIBLOCK]) {
-    if B == 0 {
-        out.fill(reference);
-        return;
-    }
-    let words = &words[..B as usize];
-    let mask: u32 = if B == 32 { u32::MAX } else { (1u32 << B) - 1 };
-    let mut step = |i: usize| {
-        let bit = i as u32 * B;
-        let w = (bit >> 5) as usize;
-        let off = bit & 31;
         let v = if off + B > 32 {
             let win = words[w] as u64 | (words[w + 1] as u64) << 32;
             (win >> off) as u32
@@ -323,9 +272,6 @@ pub fn unpack128_ref<const B: u32>(words: &[u32], reference: i32, out: &mut [i32
     );
 }
 
-/// A monomorphized miniblock unpacker: `(packed words, output)`.
-pub type Unpacker = fn(&[u32], &mut [u32; MINIBLOCK]);
-
 /// A monomorphized fused unpack-and-add-reference kernel:
 /// `(packed words, reference, output)`.
 pub type UnpackerRef = fn(&[u32], i32, &mut [i32; MINIBLOCK]);
@@ -342,12 +288,6 @@ pub type BlockUnpackerScan = fn(&[u32], i32, i32, &mut [i32; BLOCK_VALUES]) -> i
 /// A monomorphized whole-block (128-value) frame-of-reference kernel
 /// for blocks whose miniblocks share one width.
 pub type BlockUnpackerRef = fn(&[u32], i32, &mut [i32; BLOCK_VALUES]);
-
-macro_rules! unpacker_table {
-    ($($b:literal),+ $(,)?) => {
-        [$(unpack32::<$b> as Unpacker),+]
-    };
-}
 
 macro_rules! unpacker_ref_table {
     ($($b:literal),+ $(,)?) => {
@@ -373,23 +313,17 @@ macro_rules! block_ref_table {
     };
 }
 
-/// Dispatch table: `UNPACKERS[b]` unpacks one 32-value miniblock packed
-/// at `b` bits per value. Indexing past 32 is a compile-time-sized
-/// bounds error, matching the format's bitwidth domain.
-pub static UNPACKERS: [Unpacker; 33] = unpacker_table!(
-    0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25,
-    26, 27, 28, 29, 30, 31, 32
-);
-
-/// Dispatch table for the fused unpack+reference kernels
-/// ([`unpack32_ref`]), indexed by bit width like [`UNPACKERS`].
+/// Dispatch table: `UNPACKERS_REF[b]` unpacks one 32-value miniblock
+/// packed at `b` bits per value and adds the reference
+/// ([`unpack32_ref`]). Indexing past 32 is a compile-time-sized bounds
+/// error, matching the format's bitwidth domain.
 pub static UNPACKERS_REF: [UnpackerRef; 33] = unpacker_ref_table!(
     0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25,
     26, 27, 28, 29, 30, 31, 32
 );
 
 /// Dispatch table for the fused unpack+reference+scan kernels
-/// ([`unpack32_scan`]), indexed by bit width like [`UNPACKERS`].
+/// ([`unpack32_scan`]), indexed by bit width like [`UNPACKERS_REF`].
 pub static UNPACKERS_SCAN: [UnpackerScan; 33] = unpacker_scan_table!(
     0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25,
     26, 27, 28, 29, 30, 31, 32
@@ -408,25 +342,6 @@ pub static BLOCK_UNPACKERS_REF: [BlockUnpackerRef; 33] = block_ref_table!(
     0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25,
     26, 27, 28, 29, 30, 31, 32
 );
-
-/// Unpack one full 32-value miniblock at `bitwidth` bits from the front
-/// of `words` into `out`, via the monomorphized [`UNPACKERS`] table.
-///
-/// Panics if `bitwidth > 32` or `words` holds fewer than `bitwidth`
-/// words. In debug builds every produced value is cross-checked against
-/// the generic [`extract`] oracle.
-#[inline]
-pub fn unpack_miniblock(words: &[u32], bitwidth: u32, out: &mut [u32; MINIBLOCK]) {
-    UNPACKERS[bitwidth as usize](words, out);
-    #[cfg(debug_assertions)]
-    for (i, &v) in out.iter().enumerate() {
-        debug_assert_eq!(
-            v,
-            extract(words, i * bitwidth as usize, bitwidth),
-            "unpack32::<{bitwidth}> disagrees with extract at value {i}"
-        );
-    }
-}
 
 /// Fused unpack + frame-of-reference add for one full miniblock, via
 /// the monomorphized [`UNPACKERS_REF`] table.
@@ -562,11 +477,11 @@ pub fn unpack_stream_into(words: &[u32], bitwidth: u32, count: usize, out: &mut 
     }
     let b = bitwidth as usize;
     let full = count / MINIBLOCK;
-    let mut scratch = [0u32; MINIBLOCK];
+    let mut scratch = [0i32; MINIBLOCK];
     let mut mb = 0;
     while mb < full && (mb + 1) * b <= words.len() {
-        unpack_miniblock(&words[mb * b..], bitwidth, &mut scratch);
-        out.extend_from_slice(&scratch);
+        unpack_miniblock_ref(&words[mb * b..], bitwidth, 0, &mut scratch);
+        out.extend(scratch.iter().map(|&v| v as u32));
         mb += 1;
     }
     for i in mb * MINIBLOCK..count {
@@ -587,9 +502,10 @@ mod tests {
                 .map(|i| i.wrapping_mul(2654435761) & mask)
                 .collect();
             let packed = pack_stream(&values, b);
-            let mut out = [0u32; MINIBLOCK];
-            unpack_miniblock(&packed, b, &mut out);
-            assert_eq!(out.as_slice(), values.as_slice(), "bitwidth {b}");
+            let mut out = [0i32; MINIBLOCK];
+            unpack_miniblock_ref(&packed, b, 0, &mut out);
+            let got: Vec<u32> = out.iter().map(|&v| v as u32).collect();
+            assert_eq!(got, values, "bitwidth {b}");
         }
     }
 

@@ -9,7 +9,7 @@
 //! with fully coalesced accesses.
 
 use crate::horizontal::pack_stream;
-use crate::unpack::unpack_miniblock;
+use crate::unpack::unpack_miniblock_ref;
 use crate::MINIBLOCK;
 
 /// Pack `values` (length must be `lanes * 32`) at `bitwidth` bits in the
@@ -38,15 +38,15 @@ pub fn vertical_unpack(words: &[u32], bitwidth: u32, lanes: usize) -> Vec<u32> {
     assert_eq!(words.len(), lanes * bitwidth as usize);
     let mut out = vec![0u32; lanes * MINIBLOCK];
     let mut lane_words = Vec::with_capacity(bitwidth as usize);
-    let mut vals = [0u32; MINIBLOCK];
+    let mut vals = [0i32; MINIBLOCK];
     for l in 0..lanes {
         lane_words.clear();
         lane_words.extend((0..bitwidth as usize).map(|w| words[w * lanes + l]));
         // A de-interleaved lane is exactly one full miniblock — take the
-        // monomorphized fast path.
-        unpack_miniblock(&lane_words, bitwidth, &mut vals);
+        // monomorphized fast path at reference 0.
+        unpack_miniblock_ref(&lane_words, bitwidth, 0, &mut vals);
         for (p, &v) in vals.iter().enumerate() {
-            out[p * lanes + l] = v;
+            out[p * lanes + l] = v as u32;
         }
     }
     out

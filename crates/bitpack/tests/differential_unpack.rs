@@ -1,16 +1,18 @@
 //! Differential tests for the monomorphized per-width unpackers.
 //!
-//! Every `unpack32::<B>` — reached directly and through the
-//! `UNPACKERS` dispatch table — must agree with the generic window
-//! `extract` oracle on random miniblocks for all widths 0..=32
-//! (including `u32::MAX` payloads at width 32), and
+//! Every `unpack32_ref::<B>` — reached directly and through the
+//! `UNPACKERS_REF` dispatch table — must agree with the generic window
+//! `extract` oracle plus the reference add on random miniblocks for all
+//! widths 0..=32 (including `u32::MAX` payloads at width 32), at
+//! reference 0 (the plain unpack) and at random references, and
 //! `unpack_stream_into` must agree on streams whose partial tails span
 //! word boundaries. `extract` is the slow, per-value reference the
 //! fast path is measured against; any disagreement is a bug in the
 //! fast path by definition.
 
 use tlc_bitpack::{
-    extract, pack_stream, unpack32, unpack_miniblock, unpack_stream_into, MINIBLOCK, UNPACKERS,
+    extract, pack_stream, unpack32_ref, unpack_miniblock_ref, unpack_stream_into, MINIBLOCK,
+    UNPACKERS_REF,
 };
 use tlc_rng::Rng;
 
@@ -25,6 +27,16 @@ fn values_for_width(rng: &mut Rng, bw: u32, len: usize) -> Vec<u32> {
     (0..len).map(|_| rng.gen_range(0u32..=max)).collect()
 }
 
+/// Reference 0 (the plain unpack) and one random reference.
+fn references(rng: &mut Rng) -> [i32; 2] {
+    [0, rng.gen_range(0u32..=u32::MAX) as i32]
+}
+
+/// `extract` at value `i` plus `reference`, wrapping.
+fn oracle(packed: &[u32], bw: u32, reference: i32, i: usize) -> i32 {
+    reference.wrapping_add(extract(packed, i * bw as usize, bw) as i32)
+}
+
 #[test]
 fn dispatch_table_matches_extract_on_random_miniblocks() {
     let mut rng = Rng::seed_from_u64(0xD1F_0001);
@@ -32,16 +44,22 @@ fn dispatch_table_matches_extract_on_random_miniblocks() {
         for _ in 0..32 {
             let values = values_for_width(&mut rng, bw, MINIBLOCK);
             let packed = pack_stream(&values, bw);
-            let mut out = [0u32; MINIBLOCK];
-            UNPACKERS[bw as usize](&packed, &mut out);
-            for (i, &got) in out.iter().enumerate() {
-                assert_eq!(
-                    got,
-                    extract(&packed, i * bw as usize, bw),
-                    "width {bw}, lane {i}"
-                );
+            for reference in references(&mut rng) {
+                let mut out = [0i32; MINIBLOCK];
+                UNPACKERS_REF[bw as usize](&packed, reference, &mut out);
+                for (i, &got) in out.iter().enumerate() {
+                    assert_eq!(
+                        got,
+                        oracle(&packed, bw, reference, i),
+                        "width {bw}, reference {reference}, lane {i}"
+                    );
+                    assert_eq!(
+                        got.wrapping_sub(reference) as u32,
+                        values[i],
+                        "width {bw}, reference {reference}, lane {i}"
+                    );
+                }
             }
-            assert_eq!(out.as_slice(), values.as_slice(), "width {bw}");
         }
     }
 }
@@ -50,12 +68,15 @@ fn dispatch_table_matches_extract_on_random_miniblocks() {
 fn width_32_carries_u32_max() {
     let values = [u32::MAX; MINIBLOCK];
     let packed = pack_stream(&values, 32);
-    let mut out = [0u32; MINIBLOCK];
-    unpack32::<32>(&packed, &mut out);
-    assert_eq!(out, values);
+    let mut out = [0i32; MINIBLOCK];
+    unpack32_ref::<32>(&packed, 0, &mut out);
+    assert_eq!(out.map(|v| v as u32), values);
     for (i, &got) in out.iter().enumerate() {
-        assert_eq!(got, extract(&packed, i * 32, 32));
+        assert_eq!(got as u32, extract(&packed, i * 32, 32));
     }
+    // A nonzero reference wraps: u32::MAX + 1 = 0.
+    unpack32_ref::<32>(&packed, 1, &mut out);
+    assert_eq!(out, [0; MINIBLOCK]);
 }
 
 #[test]
@@ -67,10 +88,12 @@ fn direct_instantiations_match_the_table() {
         ($($b:literal),*) => {$({
             let values = values_for_width(&mut rng, $b, MINIBLOCK);
             let packed = pack_stream(&values, $b);
-            let (mut direct, mut table) = ([0u32; MINIBLOCK], [0u32; MINIBLOCK]);
-            unpack32::<$b>(&packed, &mut direct);
-            UNPACKERS[$b as usize](&packed, &mut table);
-            assert_eq!(direct, table, "width {}", $b);
+            for reference in references(&mut rng) {
+                let (mut direct, mut table) = ([0i32; MINIBLOCK], [0i32; MINIBLOCK]);
+                unpack32_ref::<$b>(&packed, reference, &mut direct);
+                UNPACKERS_REF[$b as usize](&packed, reference, &mut table);
+                assert_eq!(direct, table, "width {}, reference {reference}", $b);
+            }
         })*};
     }
     check!(0, 1, 7, 8, 13, 16, 17, 24, 31, 32);
@@ -103,10 +126,16 @@ fn unpack_miniblock_dispatch_matches_extract() {
     for bw in 0u32..=32 {
         let values = values_for_width(&mut rng, bw, MINIBLOCK);
         let packed = pack_stream(&values, bw);
-        let mut out = [0u32; MINIBLOCK];
-        unpack_miniblock(&packed, bw, &mut out);
-        for (i, &got) in out.iter().enumerate() {
-            assert_eq!(got, extract(&packed, i * bw as usize, bw), "width {bw}");
+        for reference in references(&mut rng) {
+            let mut out = [0i32; MINIBLOCK];
+            unpack_miniblock_ref(&packed, bw, reference, &mut out);
+            for (i, &got) in out.iter().enumerate() {
+                assert_eq!(
+                    got,
+                    oracle(&packed, bw, reference, i),
+                    "width {bw}, reference {reference}"
+                );
+            }
         }
     }
 }

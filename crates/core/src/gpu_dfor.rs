@@ -157,10 +157,7 @@ impl GpuDFor {
     }
 
     /// Planning pass: one [`BlockPlan`] per delta block in stream
-    /// order. Tiles restart the delta stream, so plans for any
-    /// tile-aligned chunk equal the corresponding slice of the whole
-    /// column's plans — which is what lets the parallel encoder plan
-    /// chunks independently.
+    /// order.
     pub(crate) fn plan_blocks(values: &[i32], d: usize) -> Vec<BlockPlan> {
         let mut entries: Vec<i32> = Vec::with_capacity(d * BLOCK);
         let mut plans: Vec<BlockPlan> = Vec::with_capacity(blocks_for(values.len()));

@@ -224,9 +224,8 @@ impl GpuFor {
         Self::encode_planned(values, &plans, layout)
     }
 
-    /// Packing pass over pre-planned blocks (also the parallel
-    /// encoder's per-chunk worker, which decides `layout` globally
-    /// before packing any chunk).
+    /// Packing pass over pre-planned blocks, one plan per block in
+    /// stream order.
     pub(crate) fn encode_planned(values: &[i32], plans: &[BlockPlan], layout: Layout) -> Self {
         let blocks = blocks_for(values.len());
         let mut data = Vec::with_capacity(blocks * (BLOCK_HEADER_WORDS + BLOCK / 4));

@@ -75,7 +75,6 @@ pub mod gpu_for;
 pub mod gpu_rfor;
 pub mod model;
 pub mod no_miniblock;
-pub mod parallel;
 pub mod random_access;
 pub mod serialize;
 pub mod typed;

@@ -5,7 +5,7 @@
 //! the cost of skew-sensitivity within a block.
 
 use tlc_bitpack::horizontal::pack_into;
-use tlc_bitpack::unpack::unpack_miniblock;
+use tlc_bitpack::unpack::unpack_miniblock_ref;
 use tlc_bitpack::width::bits_for;
 use tlc_gpu_sim::{Device, GlobalBuffer};
 
@@ -60,10 +60,10 @@ impl NoMiniblock {
     ///
     /// A single-width 128-value block is four word-aligned miniblocks
     /// at the same width, so the whole decode runs on the monomorphized
-    /// [`unpack_miniblock`] fast path.
+    /// [`unpack_miniblock_ref`] fast path.
     pub fn decode_cpu(&self) -> Vec<i32> {
         let mut out = Vec::with_capacity(self.total_count);
-        let mut scratch = [0u32; MINIBLOCK];
+        let mut scratch = [0i32; MINIBLOCK];
         for b in 0..self.block_starts.len() - 1 {
             let start = self.block_starts[b] as usize;
             let block = &self.data[start..];
@@ -71,10 +71,13 @@ impl NoMiniblock {
             let width = block[1];
             let payload = &block[BLOCK_HEADER_WORDS..];
             for m in 0..BLOCK / MINIBLOCK {
-                unpack_miniblock(&payload[m * width as usize..], width, &mut scratch);
-                for &v in &scratch {
-                    out.push(reference.wrapping_add(v as i32));
-                }
+                unpack_miniblock_ref(
+                    &payload[m * width as usize..],
+                    width,
+                    reference,
+                    &mut scratch,
+                );
+                out.extend_from_slice(&scratch);
             }
         }
         out.truncate(self.total_count);
@@ -130,12 +133,14 @@ pub fn decode_only(dev: &Device, col: &NoMiniblockDevice, opts: ForDecodeOpts) {
                 (BLOCK / MINIBLOCK * width as usize) as u64 * 4 + BLOCK_HEADER_WORDS as u64 * 4;
             traffic.int_ops += BLOCK as u64 * 3;
             let payload = &block[BLOCK_HEADER_WORDS..];
-            let mut scratch = [0u32; MINIBLOCK];
+            let mut scratch = [0i32; MINIBLOCK];
             for m in 0..BLOCK / MINIBLOCK {
-                unpack_miniblock(&payload[m * width as usize..], width, &mut scratch);
-                for &v in &scratch {
-                    let _ = reference.wrapping_add(v as i32);
-                }
+                unpack_miniblock_ref(
+                    &payload[m * width as usize..],
+                    width,
+                    reference,
+                    &mut scratch,
+                );
             }
         }
     });

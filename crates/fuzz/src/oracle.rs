@@ -19,12 +19,13 @@
 //!
 //! Both decoders run on the monomorphized per-width unpack fast path
 //! (`tlc_bitpack::unpack`), so every corpus replay exercises it
-//! against hostile streams. Under `cargo test` the dispatch wrapper
-//! `unpack_miniblock` additionally cross-checks each miniblock against
-//! the generic `extract` window reads (the test profile keeps debug
-//! assertions on), making each oracle run a differential test of the
-//! fast path itself; the release-mode fuzz CI job runs the fast path
-//! with the cross-check compiled out.
+//! against hostile streams. Under `cargo test` the dispatch wrappers
+//! (`unpack_miniblock_ref` and its scan and block siblings)
+//! additionally cross-check each miniblock against the generic
+//! `extract` window reads (the test profile keeps debug assertions
+//! on), making each oracle run a differential test of the fast path
+//! itself; the release-mode fuzz CI job runs the fast path with the
+//! cross-check compiled out.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -310,8 +310,7 @@ impl Device {
             merges[part](&mut ctx, block_id, result);
         };
         let grids: Vec<usize> = bodies.iter().map(|(cfg, ..)| cfg.grid_blocks).collect();
-        let workers =
-            crate::threads::partitions(launch.grid_blocks, 1, crate::threads::sim_threads());
+        let workers = crate::threads::partitions(launch.grid_blocks, crate::threads::sim_threads());
         if workers.len() <= 1 {
             // Serial path: each block's result merges as soon as its
             // body returns, so at most one result is alive.

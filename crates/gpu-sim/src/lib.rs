@@ -95,6 +95,4 @@ pub use kernel::{all_lanes, ballot, live_lanes, BlockCtx, KernelConfig, LaunchPa
 pub use memory::{GlobalBuffer, Scalar, SEGMENT_BYTES, WARP_SIZE};
 pub use profile::{CounterSink, ProfileSink};
 pub use report::{Counter, KernelReport, PartReport, Phase, PhaseSpans, Timeline, Traffic};
-pub use threads::{
-    map_ranges, partitions, set_sim_threads_override, sim_threads, threads_from_env,
-};
+pub use threads::{map_ranges, partitions, set_sim_threads_override, sim_threads};

@@ -1,24 +1,18 @@
 //! Host-side worker-thread plumbing shared by every parallel subsystem
 //! in the workspace.
 //!
-//! Two independent knobs exist because encoding and simulation are
-//! different workloads with different sweet spots:
+//! One knob, `TLC_SIM_THREADS`, sets the simulator execution workers:
+//! thread blocks of a kernel launch, fleet shards, streamed partitions
+//! and fuzz seed campaigns. Whatever the work, it is split by
+//! [`partitions`] and fanned out by [`map_ranges`], the one scoped
+//! fan-out in the workspace.
 //!
-//! * `TLC_ENCODE_THREADS` — host-side compression workers
-//!   (`tlc-core::parallel`).
-//! * `TLC_SIM_THREADS` — simulator execution workers: thread blocks of a
-//!   kernel launch, fleet shards, and fuzz seed campaigns.
-//!
-//! Whatever the work — blocks, shards, partitions, chunks, seeds — it is
-//! split by [`partitions`] and fanned out by [`map_ranges`], the one
-//! scoped fan-out in the workspace.
-//!
-//! Both knobs resolve through [`threads_from_env`]: the environment variable if
-//! it parses to a positive integer, otherwise
-//! [`std::thread::available_parallelism`]. [`sim_threads`] additionally
-//! honours a process-global override ([`set_sim_threads_override`]) so
-//! tests and benches can pin the worker count without the data race that
-//! `std::env::set_var` would cause under the multi-threaded test runner.
+//! [`sim_threads`] resolves the knob: a process-global override
+//! ([`set_sim_threads_override`]) if set, so tests and benches can pin
+//! the worker count without the data race that `std::env::set_var`
+//! would cause under the multi-threaded test runner; else the
+//! environment variable if it parses to a positive integer; else
+//! [`std::thread::available_parallelism`].
 //!
 //! Determinism contract: the simulator's analytic outputs (traffic,
 //! modelled time, occupancy, fault statistics) are **bit-identical** for
@@ -28,20 +22,6 @@
 use std::num::NonZeroUsize;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Resolve a worker count from the environment variable `var`, falling
-/// back to [`std::thread::available_parallelism`]. Always at least 1.
-pub fn threads_from_env(var: &str) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-        .max(1)
-}
 
 /// 0 = no override (consult the environment).
 static SIM_THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -55,26 +35,32 @@ pub fn set_sim_threads_override(threads: Option<usize>) {
 }
 
 /// Number of simulator execution workers: the process-global override if
-/// set, else `TLC_SIM_THREADS`, else available parallelism.
+/// set, else `TLC_SIM_THREADS` if it parses to a positive integer, else
+/// available parallelism. Always at least 1.
 pub fn sim_threads() -> usize {
     match SIM_THREADS_OVERRIDE.load(Ordering::SeqCst) {
-        0 => threads_from_env("TLC_SIM_THREADS"),
+        0 => std::env::var("TLC_SIM_THREADS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(NonZeroUsize::get)
+                    .unwrap_or(1)
+            })
+            .max(1),
         n => n,
     }
 }
 
-/// Split `n` work items into contiguous per-worker ranges whose
-/// boundaries fall on multiples of `align` (except the final end, which
-/// is `n`). Ranges are returned in order, cover `[0, n)` exactly, and
-/// never overlap — so a fold over them in index order visits every item
-/// in the same order a serial loop would.
-pub fn partitions(n: usize, align: usize, threads: usize) -> Vec<(usize, usize)> {
+/// Split `n` work items into at most `threads` contiguous, equal-sized
+/// ranges (the last may be shorter). Ranges are returned in order,
+/// cover `[0, n)` exactly, and never overlap — so a fold over them in
+/// index order visits every item in the same order a serial loop would.
+pub fn partitions(n: usize, threads: usize) -> Vec<(usize, usize)> {
     if n == 0 {
         return vec![];
     }
-    let align = align.max(1);
-    let chunks = n.div_ceil(align);
-    let per_thread = chunks.div_ceil(threads.max(1)).max(1) * align;
+    let per_thread = n.div_ceil(threads.max(1));
     let mut out = Vec::new();
     let mut lo = 0;
     while lo < n {
@@ -123,55 +109,38 @@ mod tests {
 
     #[test]
     fn partitions_empty_input() {
-        assert!(partitions(0, 512, 4).is_empty());
-        assert!(partitions(0, 1, 1).is_empty());
-    }
-
-    #[test]
-    fn partitions_smaller_than_align() {
-        // n < align: one partition covering everything.
-        assert_eq!(partitions(100, 512, 4), vec![(0, 100)]);
-        assert_eq!(partitions(1, 512, 8), vec![(0, 1)]);
+        assert!(partitions(0, 4).is_empty());
+        assert!(partitions(0, 1).is_empty());
     }
 
     #[test]
     fn partitions_more_threads_than_chunks() {
-        // 3 chunks of 512, 16 threads: one chunk per partition, never
-        // an empty range.
-        let parts = partitions(3 * 512, 512, 16);
-        assert_eq!(parts, vec![(0, 512), (512, 1024), (1024, 1536)]);
+        // 3 items, 16 threads: one item per partition, never an empty
+        // range.
+        let parts = partitions(3, 16);
+        assert_eq!(parts, vec![(0, 1), (1, 2), (2, 3)]);
         for &(lo, hi) in &parts {
             assert!(lo < hi);
         }
     }
 
     #[test]
-    fn partitions_cover_and_align() {
-        for (n, align, threads) in [(10_000, 512, 4), (8191, 1, 3), (512, 512, 2), (7, 2, 9)] {
-            let parts = partitions(n, align, threads);
+    fn partitions_cover_in_order() {
+        for (n, threads) in [(10_000, 4), (8191, 3), (512, 2), (7, 9), (10, 0)] {
+            let parts = partitions(n, threads);
             assert_eq!(parts.first().expect("non-empty").0, 0);
             assert_eq!(parts.last().expect("non-empty").1, n);
             for w in parts.windows(2) {
                 assert_eq!(w[0].1, w[1].0, "contiguous");
-                assert_eq!(w[0].1 % align, 0, "interior boundary aligned");
             }
-            assert!(
-                parts.len() <= threads.max(1),
-                "n={n} align={align} threads={threads}"
-            );
+            assert!(parts.len() <= threads.max(1), "n={n} threads={threads}");
         }
-    }
-
-    #[test]
-    fn partitions_zero_align_treated_as_one() {
-        let parts = partitions(10, 0, 3);
-        assert_eq!(parts.last().expect("non-empty").1, 10);
     }
 
     #[test]
     fn map_ranges_returns_results_in_range_order() {
         for threads in [1, 3, 16] {
-            let parts = partitions(10, 1, threads);
+            let parts = partitions(10, threads);
             let got = map_ranges(&parts, |i, r| (i, r.collect::<Vec<_>>()));
             let positions: Vec<usize> = got.iter().map(|(i, _)| *i).collect();
             assert_eq!(positions, (0..parts.len()).collect::<Vec<_>>());
@@ -179,12 +148,6 @@ mod tests {
             assert_eq!(items, (0..10).collect::<Vec<_>>(), "threads = {threads}");
         }
         assert!(map_ranges(&[], |_, _| ()).is_empty());
-    }
-
-    #[test]
-    fn threads_from_env_ignores_garbage() {
-        // Variable unset / unparsable falls back to >= 1.
-        assert!(threads_from_env("TLC_NO_SUCH_VAR_EVER") >= 1);
     }
 
     #[test]

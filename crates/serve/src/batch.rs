@@ -164,7 +164,7 @@ fn run_wave(shared: &Shared, wave: Vec<Group>, slots: &mut [Option<Response>], b
                 id: req.id,
                 outcome: outcome.clone(),
                 attempts,
-                backoff_s: (1..attempts).fold(0.0, |s, step| s + backoff_s(cfg, req.id, step)),
+                backoff_s: (1..attempts).fold(0.0, |s, step| s + backoff_s(req.id, step)),
                 tier: routing.tier,
                 routed_around: routing.routed.clone(),
             };
@@ -236,7 +236,7 @@ mod tests {
                 };
                 assert!(error.contains(&sick.display().to_string()), "{error}");
                 assert_eq!(r.attempts, cfg.max_retries + 1);
-                let waits = (1..=cfg.max_retries).map(|k| backoff_s(&cfg, r.id, k));
+                let waits = (1..=cfg.max_retries).map(|k| backoff_s(r.id, k));
                 assert_eq!(r.backoff_s, waits.fold(0.0, |total, s| total + s));
                 backoffs.push(r.backoff_s);
             }

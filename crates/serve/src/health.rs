@@ -8,7 +8,7 @@
 //! 1. [`Tier::Full`] — normal: full partition-memory budget, device
 //!    path everywhere the breakers allow.
 //! 2. [`Tier::ReducedBudget`] — the streaming budget is divided by
-//!    [`HealthConfig::reduced_budget_divisor`], shrinking resident
+//!    `REDUCED_BUDGET_DIVISOR` (4), shrinking resident
 //!    partitions (and with them the blast radius and memory pressure
 //!    of a failing device fleet) at the cost of parallelism.
 //! 3. [`Tier::CpuOnly`] — devices are taken out of the path entirely;
@@ -66,17 +66,17 @@ pub struct HealthConfig {
     pub demote_after: usize,
     /// Consecutive clean queries before stepping one tier up.
     pub promote_after: usize,
-    /// Divisor applied to `StreamOptions::budget_bytes` on
-    /// [`Tier::ReducedBudget`].
-    pub reduced_budget_divisor: u64,
 }
+
+/// Divisor applied to `StreamOptions::budget_bytes` (and the service's
+/// cache budget) on [`Tier::ReducedBudget`].
+pub(crate) const REDUCED_BUDGET_DIVISOR: u64 = 4;
 
 impl Default for HealthConfig {
     fn default() -> Self {
         HealthConfig {
             demote_after: 4,
             promote_after: 8,
-            reduced_budget_divisor: 4,
         }
     }
 }
@@ -87,7 +87,6 @@ impl HealthConfig {
         HealthConfig {
             demote_after: usize::MAX,
             promote_after: usize::MAX,
-            reduced_budget_divisor: 4,
         }
     }
 }
@@ -158,9 +157,7 @@ impl HealthMachine {
             // Keep at least one partition admissible: the streaming
             // layer floors the worker count at 1 anyway, but a zero
             // budget would be a lie in the metrics.
-            Tier::ReducedBudget | Tier::CpuOnly => {
-                (budget_bytes / self.cfg.reduced_budget_divisor.max(1)).max(1)
-            }
+            Tier::ReducedBudget | Tier::CpuOnly => (budget_bytes / REDUCED_BUDGET_DIVISOR).max(1),
         }
     }
 }
@@ -173,7 +170,6 @@ mod tests {
         HealthMachine::new(HealthConfig {
             demote_after: demote,
             promote_after: promote,
-            reduced_budget_divisor: 4,
         })
     }
 

@@ -40,7 +40,7 @@ use tlc_ssb::{SsbStore, StreamOptions, WaveQueryRun};
 use tlc_store::PartitionCache;
 
 use crate::breaker::{BreakerBank, BreakerConfig};
-use crate::health::{HealthConfig, HealthMachine, Tier};
+use crate::health::{HealthConfig, HealthMachine, Tier, REDUCED_BUDGET_DIVISOR};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::{Outcome, Rejected, Request, Response};
 
@@ -65,14 +65,9 @@ pub struct ServeConfig {
     /// and therefore latency — changes.
     pub batch_window: usize,
     /// Re-executions allowed after a storage error (0: fail fast).
+    /// Each retry first waits one jittered exponential step: 10 ms
+    /// of simulated time doubling per step, times up to 1.5.
     pub max_retries: usize,
-    /// First backoff step in simulated seconds; step `k` waits
-    /// `base * 2^(k-1)`, scaled by jitter.
-    pub backoff_base_s: f64,
-    /// Jitter fraction in `[0, 1]`: step `k` is multiplied by
-    /// `1 + jitter * u` with `u` uniform in `[0, 1)` from the
-    /// request-keyed PRNG.
-    pub backoff_jitter: f64,
     /// Per-shard circuit-breaker policy.
     pub breaker: BreakerConfig,
     /// Degradation-tier policy.
@@ -97,8 +92,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             batch_window: 4,
             max_retries: 2,
-            backoff_base_s: 0.010,
-            backoff_jitter: 0.5,
             breaker: BreakerConfig::default(),
             health: HealthConfig::default(),
             stream: StreamOptions::default(),
@@ -337,12 +330,20 @@ impl Drop for Service {
     }
 }
 
+/// First backoff step in simulated seconds; step `k` waits
+/// `BACKOFF_BASE_S * 2^(k-1)`, scaled by jitter.
+pub(crate) const BACKOFF_BASE_S: f64 = 0.010;
+
+/// Jitter fraction: step `k` is multiplied by `1 + BACKOFF_JITTER * u`
+/// with `u` uniform in `[0, 1)` from the request-keyed PRNG.
+pub(crate) const BACKOFF_JITTER: f64 = 0.5;
+
 /// Jittered exponential backoff for retry step `attempt` (1-based),
 /// deterministic in `(request id, attempt)`.
-pub(crate) fn backoff_s(cfg: &ServeConfig, req_id: u64, attempt: usize) -> f64 {
-    let exp = cfg.backoff_base_s * (1u64 << (attempt - 1).min(10)) as f64;
+pub(crate) fn backoff_s(req_id: u64, attempt: usize) -> f64 {
+    let exp = BACKOFF_BASE_S * (1u64 << (attempt - 1).min(10)) as f64;
     let mut rng = Rng::seed_from_u64(req_id ^ 0xBACC_0FF5 ^ (attempt as u64) << 32);
-    exp * (1.0 + cfg.backoff_jitter.clamp(0.0, 1.0) * rng.gen_f64())
+    exp * (1.0 + BACKOFF_JITTER * rng.gen_f64())
 }
 
 /// Worker: pop up to `batch_window` waiting jobs → hand them to the
@@ -421,9 +422,7 @@ pub(crate) fn routing_snapshot(shared: &Shared, plan: Option<FaultPlan>) -> Rout
     if let Some(cache) = &shared.cache {
         cache.set_budget(match tier {
             Tier::Full => cfg.cache_budget_bytes,
-            Tier::ReducedBudget => {
-                cfg.cache_budget_bytes / cfg.health.reduced_budget_divisor.max(1)
-            }
+            Tier::ReducedBudget => cfg.cache_budget_bytes / REDUCED_BUDGET_DIVISOR,
             Tier::CpuOnly => 0,
         });
     }
@@ -623,18 +622,18 @@ mod tests {
         let cfg = ServeConfig::default();
         let mut total = 0.0;
         for attempt in 1..=cfg.max_retries {
-            let a = backoff_s(&cfg, 42, attempt);
-            let b = backoff_s(&cfg, 42, attempt);
+            let a = backoff_s(42, attempt);
+            let b = backoff_s(42, attempt);
             assert_eq!(a, b, "same (id, attempt) must replay the same jitter");
-            assert!(a >= cfg.backoff_base_s * (1 << (attempt - 1)) as f64);
-            assert!(a <= cfg.backoff_base_s * (1 << (attempt - 1)) as f64 * 2.0);
+            assert!(a >= BACKOFF_BASE_S * (1 << (attempt - 1)) as f64);
+            assert!(a <= BACKOFF_BASE_S * (1 << (attempt - 1)) as f64 * 2.0);
             total += a;
         }
         // Closed-form bound: sum base*2^k*(1+jitter) over the budget.
-        let bound = cfg.backoff_base_s * ((1 << cfg.max_retries) - 1) as f64 * 2.0;
+        let bound = BACKOFF_BASE_S * ((1 << cfg.max_retries) - 1) as f64 * 2.0;
         assert!(total <= bound);
         // Different ids draw different jitter.
-        assert_ne!(backoff_s(&cfg, 1, 1), backoff_s(&cfg, 2, 1));
+        assert_ne!(backoff_s(1, 1), backoff_s(2, 1));
     }
 
     #[test]
@@ -674,7 +673,6 @@ mod tests {
             health: HealthConfig {
                 demote_after: 1,
                 promote_after: 1,
-                ..HealthConfig::default()
             },
             ..ServeConfig::deterministic()
         };

@@ -101,7 +101,7 @@ pub(crate) fn map_ordered<T: Send>(
     workers: usize,
     f: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
-    let ranges = tlc_gpu_sim::partitions(range.len(), 1, workers);
+    let ranges = tlc_gpu_sim::partitions(range.len(), workers);
     let per_range = tlc_gpu_sim::map_ranges(&ranges, |_, r| {
         (range.start + r.start..range.start + r.end)
             .map(&f)

@@ -204,10 +204,7 @@ pub fn compact(
             for &p in group {
                 values.extend(store.load_column(p, name)?.decode_cpu());
             }
-            merged.push(EncodedColumn::encode_best_parallel(
-                &values,
-                tlc_core::parallel::encoder_threads(),
-            ));
+            merged.push(EncodedColumn::encode_best(&values));
         }
         ingest.append_partition(&merged)?;
     }

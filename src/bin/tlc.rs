@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! tlc stats      <input.bin>
-//! tlc compress   <input.bin> <output.tlc> [--scheme auto|for|dfor|rfor] [--threads N]
+//! tlc compress   <input.bin> <output.tlc> [--scheme auto|for|dfor|rfor]
 //! tlc decompress <input.tlc> <output.bin>
 //! tlc inspect    <input.tlc>
 //! tlc verify     <input.tlc>
@@ -159,18 +159,15 @@ fn cmd_stats(input: &str) -> Result<(), String> {
 }
 
 fn cmd_compress(args: &[String]) -> Result<(), String> {
-    let (mut input, mut output, mut scheme, mut threads) = (None, None, None, 1usize);
+    let (mut input, mut output, mut scheme) = (None, None, None);
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scheme" => {
                 scheme = parse_scheme(&flag_value::<String>(&mut it, "--scheme")?)?;
             }
-            "--threads" => {
-                threads = flag_value(&mut it, "--threads")?;
-            }
-            _ if input.is_none() => input = Some(a.clone()),
-            _ if output.is_none() => output = Some(a.clone()),
+            _ if input.is_none() && !a.starts_with("--") => input = Some(a.clone()),
+            _ if output.is_none() && !a.starts_with("--") => output = Some(a.clone()),
             other => return Err(format!("unexpected argument '{other}'")),
         }
     }
@@ -179,8 +176,8 @@ fn cmd_compress(args: &[String]) -> Result<(), String> {
 
     let values = read_i32_column(&input)?;
     let col = match scheme {
-        Some(s) => EncodedColumn::encode_as_parallel(&values, s, threads),
-        None => EncodedColumn::encode_best_parallel(&values, threads),
+        Some(s) => EncodedColumn::encode_as(&values, s),
+        None => EncodedColumn::encode_best(&values),
     };
     col.validate().map_err(|e| e.to_string())?;
     let bytes = col.to_bytes();
@@ -590,7 +587,7 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
     // Each seed is an independent campaign with its own RNG and device,
     // so campaigns run on `TLC_SIM_THREADS` workers; reports print in
     // seed order, so output and verdicts match a serial sweep exactly.
-    let ranges = tlc::sim::partitions(seeds.len(), 1, tlc::sim::sim_threads());
+    let ranges = tlc::sim::partitions(seeds.len(), tlc::sim::sim_threads());
     let reports = tlc::sim::map_ranges(&ranges, |_, r| {
         let campaign = |&seed| {
             let cfg = FuzzConfig {

@@ -425,3 +425,18 @@ fn a_flag_value_that_does_not_parse_is_named() {
         "{err}"
     );
 }
+
+/// An unknown `--` flag given to `compress` is rejected by name, not
+/// taken as the input path (which would blame the next argument).
+#[test]
+fn compress_rejects_an_unknown_flag_by_name() {
+    let out = bin()
+        .args(["compress", "--thread", "4"])
+        .arg(tmp("flag_in.bin"))
+        .arg(tmp("flag_out.tlc"))
+        .output()
+        .expect("run");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unexpected argument '--thread'"), "{err}");
+}
