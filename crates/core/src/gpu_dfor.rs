@@ -273,23 +273,6 @@ impl GpuDFor {
         out.truncate(self.total_count);
     }
 
-    /// A horizontal rendering of this column (see
-    /// [`GpuFor::to_horizontal`](crate::GpuFor::to_horizontal)):
-    /// identical values, sizes and starts, per-miniblock payloads.
-    pub fn to_horizontal(&self) -> Self {
-        let mut out = self.clone();
-        if self.layout == Layout::Horizontal {
-            return out;
-        }
-        out.layout = Layout::Horizontal;
-        for b in 0..self.blocks() {
-            let block = &mut out.data[self.block_starts[b] as usize..];
-            let bw_word = block[1];
-            gpu_for::transpose_group_to_horizontal(&mut block[BLOCK_HEADER_WORDS..], bw_word);
-        }
-        out
-    }
-
     /// Upload to the simulated device (payload plus derived per-block
     /// checksums).
     pub fn to_device(&self, dev: &Device) -> GpuDForDevice {

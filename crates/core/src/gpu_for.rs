@@ -160,31 +160,6 @@ pub(crate) fn auto_layout(plans: impl IntoIterator<Item = BlockPlan>) -> Layout 
     }
 }
 
-/// Rewrite one four-miniblock group of a vertical column in place into
-/// the horizontal arrangement (sizes and bitwidth word unchanged — the
-/// two layouts are exact-size peers at uniform width). Groups the
-/// layout rule reads horizontally are left untouched. Shared by the
-/// block formats and the GPU-RFOR stream groups, whose packed payloads
-/// are byte-compatible.
-pub(crate) fn transpose_group_to_horizontal(payload: &mut [u32], bw_word: u32) {
-    let GroupKernel::Vertical(w) = GroupKernel::of(Layout::Vertical, bw_word) else {
-        return;
-    };
-    if w == 0 {
-        return;
-    }
-    let mut vals = [0i32; BLOCK];
-    vunpack_block_ref(payload, w, 0, &mut vals);
-    payload[..MINIBLOCKS_PER_BLOCK * w as usize].fill(0);
-    for m in 0..MINIBLOCKS_PER_BLOCK {
-        let mut mb = [0u32; MINIBLOCK];
-        for (o, &v) in mb.iter_mut().zip(&vals[m * MINIBLOCK..]) {
-            *o = v as u32;
-        }
-        pack_miniblock(&mb, w, &mut payload[m * w as usize..]);
-    }
-}
-
 impl GpuFor {
     /// Encode a column. The final partial block is padded with the
     /// block minimum (zero-cost deltas); [`GpuFor::total_count`]
@@ -302,25 +277,6 @@ impl GpuFor {
             );
         }
         out.truncate(self.total_count);
-    }
-
-    /// A horizontal rendering of this column: identical values,
-    /// references, widths, sizes and `block_starts`, with every
-    /// lane-transposed payload repacked per-miniblock. Returns a clone
-    /// when the column already is horizontal. Used to derive the
-    /// legacy minor-0 byte stream of a vertical column.
-    pub fn to_horizontal(&self) -> Self {
-        let mut out = self.clone();
-        if self.layout == Layout::Horizontal {
-            return out;
-        }
-        out.layout = Layout::Horizontal;
-        for b in 0..self.blocks() {
-            let block = &mut out.data[self.block_starts[b] as usize..];
-            let bw_word = block[1];
-            transpose_group_to_horizontal(&mut block[BLOCK_HEADER_WORDS..], bw_word);
-        }
-        out
     }
 
     /// Upload to the simulated device (payload plus derived per-block

@@ -28,7 +28,7 @@ use crate::block::{group_words, unpack_group, widths};
 use crate::checksum::{fnv1a, fnv1a_continue};
 use crate::error::DecodeError;
 use crate::format::{Layout, BLOCK, MINIBLOCKS_PER_BLOCK, RFOR_BLOCK};
-use crate::gpu_for::{run_decode, transpose_group_to_horizontal};
+use crate::gpu_for::run_decode;
 
 const SCHEME: &str = "GPU-RFOR";
 
@@ -160,21 +160,6 @@ pub(crate) fn decode_stream_block_to(block: &[u32], layout: Layout, out: &mut [i
     }
 }
 
-/// Rewrite one vertical stream block (starting at its reference word)
-/// into the horizontal arrangement in place: every complete
-/// four-miniblock group the layout rule reads lane-transposed gets
-/// re-packed horizontally; everything else already is.
-fn transpose_stream_block(block: &mut [u32], count: usize) {
-    let miniblocks = count.div_ceil(MINIBLOCK);
-    let mut offset = 1 + miniblocks.div_ceil(MINIBLOCKS_PER_BLOCK);
-    for g in 0..miniblocks / MINIBLOCKS_PER_BLOCK {
-        let bw_word = block[1 + g];
-        let end = offset + group_words(bw_word);
-        transpose_group_to_horizontal(&mut block[offset..end], bw_word);
-        offset = end;
-    }
-}
-
 /// Allocating decode of one stream block of `count` entries in the
 /// column's `layout`. Public so the cascaded-decompression baselines
 /// can decode the same format one layer at a time.
@@ -227,23 +212,11 @@ fn expand_runs(
     Ok(at)
 }
 
-/// Words occupied by an encoded stream block of `count` entries —
-/// helper for traffic estimates and for walking the stream layout.
-pub fn stream_block_words(block: &[u32], count: usize) -> usize {
-    let padded = count.div_ceil(MINIBLOCK) * MINIBLOCK;
-    let miniblocks = padded / MINIBLOCK;
-    let bw_words = miniblocks.div_ceil(4);
-    let mut words = 1 + bw_words;
-    for m in 0..miniblocks {
-        words += ((block[1 + m / 4] >> (8 * (m % 4))) & 0xFF) as usize;
-    }
-    words
-}
-
-/// Bounds-checked [`stream_block_words`]: `None` when the header does
-/// not fit, a declared width exceeds 32 bits, or the declared payload
-/// overruns `block`. Decoding a slice that passes this check cannot
-/// read out of bounds.
+/// Words occupied by an encoded stream block of `count` entries
+/// (reference word, bitwidth words and packed payload), or `None` when
+/// the header does not fit, a declared width exceeds 32 bits, or the
+/// declared payload overruns `block`. Decoding a slice that passes this
+/// check cannot read out of bounds.
 pub fn checked_stream_words(block: &[u32], count: usize) -> Option<usize> {
     let padded = count.div_ceil(MINIBLOCK) * MINIBLOCK;
     let miniblocks = padded / MINIBLOCK;
@@ -313,24 +286,6 @@ impl GpuRFor {
         enc.values_starts.push(enc.values_data.len() as u32);
         enc.lengths_starts.push(enc.lengths_data.len() as u32);
         enc
-    }
-
-    /// Return an equivalent column in the horizontal stream layout
-    /// (used to render minor-0/1 wire bytes from a vertical column).
-    pub fn to_horizontal(&self) -> Self {
-        let mut out = self.clone();
-        if self.layout == Layout::Horizontal {
-            return out;
-        }
-        out.layout = Layout::Horizontal;
-        for b in 0..self.blocks() {
-            let vstart = self.values_starts[b] as usize;
-            let run_count = self.values_data[vstart] as usize;
-            transpose_stream_block(&mut out.values_data[vstart + 1..], run_count);
-            let lstart = self.lengths_starts[b] as usize;
-            transpose_stream_block(&mut out.lengths_data[lstart..], run_count);
-        }
-        out
     }
 
     /// Number of 512-value logical blocks.
@@ -561,16 +516,17 @@ pub fn load_tile(
     if run_count == 0 || run_count > RFOR_BLOCK {
         return Err(structure("run count out of range"));
     }
-    // Declared widths must fit the staged slices before unpacking.
-    if checked_stream_words(&ctx.shared()[1..ve - vs], run_count).is_none()
-        || checked_stream_words(
+    // Declared widths must fit the staged slices before unpacking; the
+    // walk's word counts are what the unpack below charges.
+    let (Some(values_words), Some(lengths_words)) = (
+        checked_stream_words(&ctx.shared()[1..ve - vs], run_count),
+        checked_stream_words(
             &ctx.shared()[lengths_off..lengths_off + (le - ls)],
             run_count,
-        )
-        .is_none()
-    {
+        ),
+    ) else {
         return Err(structure("stream widths overrun the block"));
-    }
+    };
 
     // Bit-unpack both streams (monomorphized miniblock unpackers, as in
     // GPU-FOR) into stack buffers; `run_count <= RFOR_BLOCK`, so whole
@@ -591,8 +547,7 @@ pub fn load_tile(
             &mut lens[..padded],
         );
     }
-    let payload_words = stream_block_words(&ctx.shared()[1..], run_count)
-        + stream_block_words(&ctx.shared()[lengths_off..], run_count);
+    let payload_words = values_words + lengths_words;
     // The monomorphized unpackers stream each staged payload word once;
     // ~4 shift/or/and/add ops per entry across both streams.
     ctx.smem_traffic(payload_words as u64 * 4);

@@ -4,7 +4,9 @@
 //! A downstream system persists compressed columns and ships them to
 //! the GPU verbatim, so the wire format matters: each column serializes
 //! to a little-endian word stream with a magic tag, a scheme id, and
-//! the arrays of its format (paper Figures 3 and 6). `from_bytes`
+//! the arrays of its format (paper Figures 3 and 6). Each scheme has
+//! one writer (`to_bytes`) and one parse entry,
+//! [`EncodedColumn::from_bytes`], which dispatches on the scheme tag and
 //! validates structure (monotone block starts, in-range widths,
 //! consistent lengths) before constructing a column, so corrupted input
 //! is rejected instead of decoded into garbage.
@@ -15,7 +17,7 @@
 //! detectable (the FNV mix step is bijective per word), and the
 //! per-block array rides along to the device so decode kernels can
 //! verify staged tiles. Minor version 0 streams (no checksums) are
-//! still accepted.
+//! still read, never written.
 //!
 //! Format minor version 2 marks the payload as lane-transposed
 //! ([`crate::format::Layout::Vertical`]); the field layout is identical
@@ -50,7 +52,7 @@ pub const MAGIC: u32 = 0x544C_4331;
 /// minor 2 marks a lane-transposed (vertical) payload. The writer
 /// stamps each stream with the *lowest* minor that can represent it
 /// (1 for horizontal columns, 2 for vertical), and minor 0 (no
-/// checksums) is still readable.
+/// checksums) is still read but never written.
 pub const FORMAT_MINOR: u32 = 2;
 
 /// The minor version a column's layout requires on the wire.
@@ -199,9 +201,10 @@ struct Writer {
 }
 
 impl Writer {
-    fn with_minor(scheme: Scheme, minor: u32) -> Self {
+    /// Start a stream stamped with the minor `layout` requires.
+    fn new(scheme: Scheme, layout: Layout) -> Self {
         Writer {
-            words: vec![MAGIC, scheme_id(scheme) | (minor << 8)],
+            words: vec![MAGIC, scheme_id(scheme) | (wire_minor(layout) << 8)],
         }
     }
 
@@ -220,11 +223,6 @@ impl Writer {
     fn finish(mut self) -> Vec<u8> {
         let digest = fnv1a(&self.words);
         self.words.push(digest);
-        self.finish_raw()
-    }
-
-    /// Serialize without a trailing digest (minor version 0 layout).
-    fn finish_raw(self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.words.len() * 4);
         for w in self.words {
             out.extend_from_slice(&w.to_le_bytes());
@@ -362,45 +360,12 @@ impl GpuFor {
     /// Serialize to a self-describing little-endian byte stream
     /// (minor 1 for horizontal columns, minor 2 for vertical).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_minor(Scheme::GpuFor, wire_minor(self.layout));
+        let mut w = Writer::new(Scheme::GpuFor, self.layout);
         w.word(self.total_count as u32);
         w.array(&self.block_starts);
         w.array(&self.data);
         w.array(&self.block_checksums());
         w.finish()
-    }
-
-    /// Serialize in the legacy minor-0 layout: no per-block checksum
-    /// array, no trailing digest, and always the horizontal payload
-    /// arrangement (a minor-0 reader knows no other). Used by
-    /// compatibility and fault-campaign tests — on a minor-0 stream the
-    /// structural validator is the *only* line of defense.
-    pub fn to_bytes_minor0(&self) -> Vec<u8> {
-        if self.layout == Layout::Vertical {
-            return self.to_horizontal().to_bytes_minor0();
-        }
-        let mut w = Writer::with_minor(Scheme::GpuFor, 0);
-        w.word(self.total_count as u32);
-        w.array(&self.block_starts);
-        w.array(&self.data);
-        w.finish_raw()
-    }
-
-    /// Parse and validate a byte stream produced by
-    /// [`GpuFor::to_bytes`] (default [`Limits`]).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, FormatError> {
-        Self::from_bytes_with_limits(bytes, &Limits::default())
-    }
-
-    /// Parse an *untrusted* byte stream: resource caps are enforced
-    /// before any output-sized buffer exists, and deep structural
-    /// validation proves the column decodes safely.
-    pub fn from_bytes_with_limits(bytes: &[u8], limits: &Limits) -> Result<Self, FormatError> {
-        let (scheme, minor, r) = read_header(bytes, None)?;
-        if scheme != Scheme::GpuFor {
-            return Err(FormatError::UnknownScheme(scheme_id(scheme)));
-        }
-        Self::parse(minor, r, limits)
     }
 
     /// The body after [`read_header`]: every field, the verified tail,
@@ -457,43 +422,13 @@ impl GpuDFor {
     /// Serialize to a self-describing little-endian byte stream
     /// (minor 1 for horizontal columns, minor 2 for vertical).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_minor(Scheme::GpuDFor, wire_minor(self.layout));
+        let mut w = Writer::new(Scheme::GpuDFor, self.layout);
         w.word(self.total_count as u32);
         w.word(self.d as u32);
         w.array(&self.block_starts);
         w.array(&self.data);
         w.array(&self.block_checksums());
         w.finish()
-    }
-
-    /// Serialize in the legacy minor-0 layout (no checksums, no
-    /// digest, horizontal payload); see [`GpuFor::to_bytes_minor0`].
-    pub fn to_bytes_minor0(&self) -> Vec<u8> {
-        if self.layout == Layout::Vertical {
-            return self.to_horizontal().to_bytes_minor0();
-        }
-        let mut w = Writer::with_minor(Scheme::GpuDFor, 0);
-        w.word(self.total_count as u32);
-        w.word(self.d as u32);
-        w.array(&self.block_starts);
-        w.array(&self.data);
-        w.finish_raw()
-    }
-
-    /// Parse and validate a byte stream produced by
-    /// [`GpuDFor::to_bytes`] (default [`Limits`]).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, FormatError> {
-        Self::from_bytes_with_limits(bytes, &Limits::default())
-    }
-
-    /// Parse an untrusted byte stream under explicit [`Limits`]; see
-    /// [`GpuFor::from_bytes_with_limits`].
-    pub fn from_bytes_with_limits(bytes: &[u8], limits: &Limits) -> Result<Self, FormatError> {
-        let (scheme, minor, r) = read_header(bytes, None)?;
-        if scheme != Scheme::GpuDFor {
-            return Err(FormatError::UnknownScheme(scheme_id(scheme)));
-        }
-        Self::parse(minor, r, limits)
     }
 
     /// The body after [`read_header`]; see [`GpuFor::parse`].
@@ -576,7 +511,7 @@ impl GpuRFor {
     /// Serialize to a self-describing little-endian byte stream
     /// (minor 1 for horizontal columns, minor 2 for vertical).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::with_minor(Scheme::GpuRFor, wire_minor(self.layout));
+        let mut w = Writer::new(Scheme::GpuRFor, self.layout);
         w.word(self.total_count as u32);
         w.array(&self.values_starts);
         w.array(&self.values_data);
@@ -584,37 +519,6 @@ impl GpuRFor {
         w.array(&self.lengths_data);
         w.array(&self.block_checksums());
         w.finish()
-    }
-
-    /// Serialize in the legacy minor-0 layout (no checksums, no
-    /// digest, horizontal payload); see [`GpuFor::to_bytes_minor0`].
-    pub fn to_bytes_minor0(&self) -> Vec<u8> {
-        if self.layout == Layout::Vertical {
-            return self.to_horizontal().to_bytes_minor0();
-        }
-        let mut w = Writer::with_minor(Scheme::GpuRFor, 0);
-        w.word(self.total_count as u32);
-        w.array(&self.values_starts);
-        w.array(&self.values_data);
-        w.array(&self.lengths_starts);
-        w.array(&self.lengths_data);
-        w.finish_raw()
-    }
-
-    /// Parse and validate a byte stream produced by
-    /// [`GpuRFor::to_bytes`] (default [`Limits`]).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, FormatError> {
-        Self::from_bytes_with_limits(bytes, &Limits::default())
-    }
-
-    /// Parse an untrusted byte stream under explicit [`Limits`]; see
-    /// [`GpuFor::from_bytes_with_limits`].
-    pub fn from_bytes_with_limits(bytes: &[u8], limits: &Limits) -> Result<Self, FormatError> {
-        let (scheme, minor, r) = read_header(bytes, None)?;
-        if scheme != Scheme::GpuRFor {
-            return Err(FormatError::UnknownScheme(scheme_id(scheme)));
-        }
-        Self::parse(minor, r, limits)
     }
 
     /// The body after [`read_header`]; see [`GpuFor::parse`].
@@ -695,16 +599,6 @@ impl EncodedColumn {
             EncodedColumn::For(c) => c.to_bytes(),
             EncodedColumn::DFor(c) => c.to_bytes(),
             EncodedColumn::RFor(c) => c.to_bytes(),
-        }
-    }
-
-    /// Serialize in the legacy minor-0 layout (no checksums, no
-    /// digest); see [`GpuFor::to_bytes_minor0`].
-    pub fn to_bytes_minor0(&self) -> Vec<u8> {
-        match self {
-            EncodedColumn::For(c) => c.to_bytes_minor0(),
-            EncodedColumn::DFor(c) => c.to_bytes_minor0(),
-            EncodedColumn::RFor(c) => c.to_bytes_minor0(),
         }
     }
 
@@ -817,7 +711,7 @@ mod tests {
         // Either parse fails, or (if the flip landed in a packed
         // payload) the structure still validates; both are acceptable,
         // but a width corruption must never panic.
-        let _ = GpuFor::from_bytes(&bytes);
+        let _ = EncodedColumn::from_bytes(&bytes);
     }
 
     #[test]
@@ -856,13 +750,6 @@ mod tests {
     }
 
     #[test]
-    fn cross_scheme_parse_fails_cleanly() {
-        let f = GpuFor::encode(&[1, 2, 3]).to_bytes();
-        assert!(GpuDFor::from_bytes(&f).is_err());
-        assert!(GpuRFor::from_bytes(&f).is_err());
-    }
-
-    #[test]
     fn every_single_byte_flip_is_rejected() {
         // The trailing whole-stream digest makes any one-byte change
         // detectable: parsing must return a typed error, never succeed.
@@ -890,8 +777,10 @@ mod tests {
         words.push(col.data.len() as u32);
         words.extend_from_slice(&col.data);
         let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let back = GpuFor::from_bytes(&bytes).expect("legacy stream parses");
-        assert_eq!(back, col);
+        match EncodedColumn::from_bytes(&bytes).expect("legacy stream parses") {
+            EncodedColumn::For(back) => assert_eq!(back, col),
+            other => panic!("parsed as {:?}", other.scheme()),
+        }
     }
 
     #[test]
@@ -902,8 +791,8 @@ mod tests {
         let words = [MAGIC, 2, 0, 2, 0, 0, 0, 0];
         let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         assert_eq!(
-            GpuDFor::from_bytes(&bytes),
-            Err(FormatError::BadBlockStarts(0))
+            EncodedColumn::from_bytes(&bytes).err(),
+            Some(FormatError::BadBlockStarts(0))
         );
     }
 
@@ -914,7 +803,7 @@ mod tests {
         // Bump the minor version byte (second byte of the scheme word).
         bytes[5] = 0x7F;
         assert!(matches!(
-            GpuFor::from_bytes(&bytes),
+            EncodedColumn::from_bytes(&bytes),
             Err(FormatError::UnsupportedVersion(0x7F))
         ));
     }
@@ -925,7 +814,7 @@ mod tests {
         let mut bytes = col.to_bytes();
         bytes.extend_from_slice(&[0, 0, 0, 0]);
         assert!(matches!(
-            GpuFor::from_bytes(&bytes),
+            EncodedColumn::from_bytes(&bytes),
             Err(FormatError::TrailingGarbage { .. })
         ));
     }

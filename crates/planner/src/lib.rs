@@ -1,7 +1,5 @@
 //! # tlc-planner — compression planning
 //!
-//! Two planners live here:
-//!
 //! * [`plan`] — a reproduction of the **compression planner** of Fang
 //!   et al. \[18\] (the `Planner` system of Figures 9–11): it enumerates
 //!   cascades of the five basic lightweight schemes — RLE, DELTA, FOR,
@@ -9,17 +7,14 @@
 //!   exact compressed size of each valid cascade, and picks the
 //!   smallest. Bit-aligned packing is *not* in its vocabulary, which is
 //!   why it loses to GPU-* on high-entropy columns.
-//! * [`hybrid`] — the paper's own Section 8 rule of thumb for GPU-*:
-//!   since tile-based decompression makes every scheme decode at
-//!   similar speed, simply pick the scheme with the smallest footprint
-//!   (plus the stats-based heuristic the paper describes for choosing
-//!   without trial encoding).
-//! * [`stats`] — column statistics both planners consume.
+//! * [`stats`] — column statistics, as `tlc stats` reports them.
+//!
+//! GPU-*'s own chooser is not here: it is
+//! `tlc_core::EncodedColumn::encode_best`, the smallest exact
+//! footprint of the three schemes (paper Section 8).
 
-pub mod hybrid;
 pub mod plan;
 pub mod stats;
 
-pub use hybrid::{recommend_scheme, ColumnKind};
 pub use plan::{Physical, Plan, PlannedColumn};
 pub use stats::ColumnStats;

@@ -1,6 +1,6 @@
-//! Column statistics consumed by the planners (the properties Fang et
-//! al.'s planner inspects: sortedness, average run length, number of
-//! distinct values, value range).
+//! Column statistics (the properties Fang et al.'s planner inspects:
+//! sortedness, average run length, number of distinct values, value
+//! range), as `tlc stats` reports them.
 
 use std::collections::HashSet;
 

@@ -26,7 +26,7 @@
 //!    attempt 1 (the shared attempt is neither counted nor struck, and
 //!    a healthy member does not fail with a sick wave-mate); a wave of
 //!    one group strikes the health machine, counts a retry and runs
-//!    again until [`crate::ServeConfig::max_retries`] is spent, which
+//!    again until [`crate::service::MAX_RETRIES`] is spent, which
 //!    is the typed [`Outcome::Failed`] of every ticket in the group.
 //!
 //! Batching never changes an answer: the executor merges partial
@@ -48,7 +48,7 @@ use tlc_ssb::{run_wave_streamed, WaveQuery};
 
 use crate::exec::{member_outcome, wave_spec};
 use crate::service::{
-    backoff_s, feed_back, observe_health, record_terminal, routing_snapshot, Shared,
+    backoff_s, feed_back, observe_health, record_terminal, routing_snapshot, Shared, MAX_RETRIES,
 };
 use crate::{Outcome, QuerySpec, Request, Response};
 
@@ -99,7 +99,7 @@ pub(crate) fn run_wave_batch(shared: &Shared, reqs: Vec<Request>) -> (Vec<Respon
 /// response of every ticket in it. A plan-carrying ticket is alone in
 /// its wave, so the wave's plan is its first ticket's.
 fn run_wave(shared: &Shared, wave: Vec<Group>, slots: &mut [Option<Response>], busy_s: &mut f64) {
-    let (cfg, m) = (&shared.cfg, &shared.metrics);
+    let m = &shared.metrics;
     let queries: Vec<WaveQuery> = wave
         .iter()
         .map(|g| WaveQuery {
@@ -139,7 +139,7 @@ fn run_wave(shared: &Shared, wave: Vec<Group>, slots: &mut [Option<Response>], b
             }
             Err(e) => {
                 observe_health(shared, true);
-                if attempts > cfg.max_retries {
+                if attempts > MAX_RETRIES {
                     let failed = Outcome::Failed {
                         error: e.to_string(),
                         report: Default::default(),
@@ -235,8 +235,8 @@ mod tests {
                     panic!("expected a typed failure, got {r:?}");
                 };
                 assert!(error.contains(&sick.display().to_string()), "{error}");
-                assert_eq!(r.attempts, cfg.max_retries + 1);
-                let waits = (1..=cfg.max_retries).map(|k| backoff_s(r.id, k));
+                assert_eq!(r.attempts, MAX_RETRIES + 1);
+                let waits = (1..=MAX_RETRIES).map(|k| backoff_s(r.id, k));
                 assert_eq!(r.backoff_s, waits.fold(0.0, |total, s| total + s));
                 backoffs.push(r.backoff_s);
             }

@@ -17,7 +17,7 @@
 //!   `TLC_SIM_THREADS` and the query terminates with
 //!   [`Outcome::DeadlineExceeded`] carrying partial-progress stats.
 //! * **Retries with backoff** — an execution that fails with a storage
-//!   error is retried up to [`ServeConfig::max_retries`] times with
+//!   error is retried up to [`MAX_RETRIES`] times with
 //!   jittered exponential backoff (simulated seconds, PRNG keyed by
 //!   request id + attempt: deterministic, and bounded by construction).
 //!   A wave that fails first splits into its distinct requests, so a
@@ -69,9 +69,9 @@ pub mod service;
 pub use breaker::{BreakerConfig, BreakerState};
 pub use exec::{execute, ExecOutcome, QueryAnswer};
 pub use health::{HealthConfig, Tier};
-pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport, Mix};
+pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 pub use metrics::MetricsSnapshot;
-pub use service::{ServeConfig, Service, Ticket};
+pub use service::{ServeConfig, Service, Ticket, MAX_RETRIES};
 
 /// What a request asks the service to compute.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -9,8 +9,8 @@
 //! Everything is measured in *simulated* time, and every request runs
 //! through the service's own code:
 //!
-//! 1. **Arrivals** — a seeded Poisson clock and workload mix
-//!    ([`LoadgenConfig::seed`]).
+//! 1. **Arrivals** — a seeded Poisson clock and a fixed workload mix,
+//!    flight : point : scan = 2 : 5 : 3 ([`LoadgenConfig::seed`]).
 //! 2. **Driver** — one pass of the arrival sequence through a
 //!    service's thread-free state, in virtual time. The only thing a
 //!    live [`crate::Service`] leaves to the OS is which worker pops the
@@ -51,27 +51,12 @@ use crate::metrics::{cache_stats_json, MetricsSnapshot};
 use crate::service::{ServeConfig, Shared};
 use crate::{QuerySpec, Request, Response};
 
-/// Workload class weights (any non-negative integers; all zero falls
-/// back to scans only).
-#[derive(Debug, Clone, Copy)]
-pub struct Mix {
-    /// SSB flight-1 queries (q1.1–q1.3).
-    pub flight: u32,
-    /// Point filters on low-cardinality columns.
-    pub point: u32,
-    /// Full-column scans.
-    pub scan: u32,
-}
-
-impl Default for Mix {
-    fn default() -> Self {
-        Mix {
-            flight: 2,
-            point: 5,
-            scan: 3,
-        }
-    }
-}
+/// Workload class weight of SSB flight-1 queries (q1.1–q1.3).
+const FLIGHT_WEIGHT: u32 = 2;
+/// Workload class weight of point filters on low-cardinality columns.
+const POINT_WEIGHT: u32 = 5;
+/// Workload class weight of full-column scans.
+const SCAN_WEIGHT: u32 = 3;
 
 /// Load-generator knobs.
 #[derive(Debug, Clone)]
@@ -94,8 +79,6 @@ pub struct LoadgenConfig {
     /// Device-time budget attached to every request (`None`: no
     /// deadlines in the workload).
     pub deadline_device_s: Option<f64>,
-    /// Class weights.
-    pub mix: Mix,
     /// Shared partition-cache budget in MiB
     /// ([`ServeConfig::cache_budget_bytes`]; `0`: caching off). When
     /// on, the artifact also carries the `service_nocache` row and the
@@ -114,7 +97,6 @@ impl Default for LoadgenConfig {
             queue_capacity: 16,
             batch_window: 4,
             deadline_device_s: None,
-            mix: Mix::default(),
             cache_mb: 64,
         }
     }
@@ -259,7 +241,7 @@ struct GenRequest {
 fn generate(cfg: &LoadgenConfig) -> Vec<GenRequest> {
     let mut rng = Rng::seed_from_u64(cfg.seed ^ 0x10AD_6E4E);
     let mut t = 0.0f64;
-    let total_w = (cfg.mix.flight + cfg.mix.point + cfg.mix.scan).max(1);
+    let total_w = FLIGHT_WEIGHT + POINT_WEIGHT + SCAN_WEIGHT;
     // Low-cardinality columns where equality filters select something.
     const POINT_COLS: [(LoColumn, i32, i32); 3] = [
         (LoColumn::Discount, 0, 11),
@@ -279,12 +261,12 @@ fn generate(cfg: &LoadgenConfig) -> Vec<GenRequest> {
             let u = rng.gen_f64();
             t += -(1.0 - u).ln() / cfg.arrival_rate_qps.max(1e-9);
             let draw = rng.bounded_u64(total_w as u64) as u32;
-            let (class, query) = if draw < cfg.mix.flight {
+            let (class, query) = if draw < FLIGHT_WEIGHT {
                 (
                     "flight",
                     QuerySpec::Flight(FLIGHT1[rng.bounded_u64(FLIGHT1.len() as u64) as usize]),
                 )
-            } else if draw < cfg.mix.flight + cfg.mix.point {
+            } else if draw < FLIGHT_WEIGHT + POINT_WEIGHT {
                 let (col, lo, hi) = POINT_COLS[rng.bounded_u64(POINT_COLS.len() as u64) as usize];
                 (
                     "point",

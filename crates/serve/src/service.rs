@@ -64,17 +64,10 @@ pub struct ServeConfig {
     /// Answers are bit-identical either way; only attributed cost —
     /// and therefore latency — changes.
     pub batch_window: usize,
-    /// Re-executions allowed after a storage error (0: fail fast).
-    /// Each retry first waits one jittered exponential step: 10 ms
-    /// of simulated time doubling per step, times up to 1.5.
-    pub max_retries: usize,
     /// Per-shard circuit-breaker policy.
     pub breaker: BreakerConfig,
     /// Degradation-tier policy.
     pub health: HealthConfig,
-    /// Base streaming options (budget, scale). Deadlines, fault plans
-    /// and forced-CPU routing are layered on per request.
-    pub stream: StreamOptions,
     /// Byte budget for the shared compressed-partition cache
     /// ([`PartitionCache`]), shared across the whole worker pool.
     /// `0` (the default) disables caching entirely. Degradation tiers
@@ -91,10 +84,8 @@ impl Default for ServeConfig {
             workers: 2,
             queue_capacity: 64,
             batch_window: 4,
-            max_retries: 2,
             breaker: BreakerConfig::default(),
             health: HealthConfig::default(),
-            stream: StreamOptions::default(),
             cache_budget_bytes: 0,
         }
     }
@@ -330,6 +321,11 @@ impl Drop for Service {
     }
 }
 
+/// Re-executions allowed after a storage error. Each retry first waits
+/// one jittered exponential step: 10 ms of simulated time doubling per
+/// step, times up to 1.5.
+pub const MAX_RETRIES: usize = 2;
+
 /// First backoff step in simulated seconds; step `k` waits
 /// `BACKOFF_BASE_S * 2^(k-1)`, scaled by jitter.
 pub(crate) const BACKOFF_BASE_S: f64 = 0.010;
@@ -397,10 +393,12 @@ pub(crate) struct Routing {
 }
 
 /// Snapshot the current routing state and derive the stream options
-/// of a wave run under `plan` (budget by tier, forced-CPU set from open
-/// breakers, shared cache re-bounded per tier).
+/// of a wave run under `plan`: [`StreamOptions::default`] with the
+/// budget set by tier, the forced-CPU set from open breakers, and the
+/// shared cache re-bounded per tier.
 pub(crate) fn routing_snapshot(shared: &Shared, plan: Option<FaultPlan>) -> Routing {
     let cfg = &shared.cfg;
+    let base = StreamOptions::default();
     let routed = shared
         .breakers
         .lock()
@@ -408,10 +406,9 @@ pub(crate) fn routing_snapshot(shared: &Shared, plan: Option<FaultPlan>) -> Rout
         .open_partitions();
     let (tier, budget) = {
         let h = shared.health.lock().expect("health lock");
-        (h.tier(), h.effective_budget(cfg.stream.budget_bytes))
+        (h.tier(), h.effective_budget(base.budget_bytes))
     };
-    let mut force_cpu = cfg.stream.force_cpu_partitions.clone();
-    force_cpu.extend(routed.iter().copied());
+    let mut force_cpu = routed.clone();
     if tier == Tier::CpuOnly {
         force_cpu.extend(0..shared.store.store().partition_count());
     }
@@ -431,12 +428,11 @@ pub(crate) fn routing_snapshot(shared: &Shared, plan: Option<FaultPlan>) -> Rout
         tier,
         opts: StreamOptions {
             budget_bytes: budget,
-            scale: cfg.stream.scale,
             plan,
-            // Not read by a wave: each member carries its own.
-            deadline_device_s: None,
             force_cpu_partitions: force_cpu,
             cache: shared.cache.clone(),
+            // A wave reads no deadline here: each member carries its own.
+            ..base
         },
     }
 }
@@ -619,9 +615,8 @@ mod tests {
 
     #[test]
     fn backoff_schedule_is_deterministic_and_bounded() {
-        let cfg = ServeConfig::default();
         let mut total = 0.0;
-        for attempt in 1..=cfg.max_retries {
+        for attempt in 1..=MAX_RETRIES {
             let a = backoff_s(42, attempt);
             let b = backoff_s(42, attempt);
             assert_eq!(a, b, "same (id, attempt) must replay the same jitter");
@@ -630,7 +625,7 @@ mod tests {
             total += a;
         }
         // Closed-form bound: sum base*2^k*(1+jitter) over the budget.
-        let bound = BACKOFF_BASE_S * ((1 << cfg.max_retries) - 1) as f64 * 2.0;
+        let bound = BACKOFF_BASE_S * ((1 << MAX_RETRIES) - 1) as f64 * 2.0;
         assert!(total <= bound);
         // Different ids draw different jitter.
         assert_ne!(backoff_s(1, 1), backoff_s(2, 1));

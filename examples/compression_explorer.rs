@@ -1,11 +1,11 @@
-//! Explore how the three schemes, the stats-based recommendation, and
-//! the Fang-et-al. planner behave across data shapes.
+//! Explore how the three schemes, GPU-*'s choice among them, and the
+//! Fang-et-al. planner behave across data shapes.
 //!
 //! ```sh
 //! cargo run --release --example compression_explorer
 //! ```
 
-use tlc::planner::{recommend_scheme, ColumnStats, PlannedColumn};
+use tlc::planner::{ColumnStats, PlannedColumn};
 use tlc::schemes::{EncodedColumn, Scheme};
 
 fn analyze(name: &str, values: &[i32]) {
@@ -27,10 +27,9 @@ fn analyze(name: &str, values: &[i32]) {
     );
     let best = EncodedColumn::encode_best(values);
     println!(
-        "  GPU-* picks {} ({:.2} bits/int); stats heuristic says {}",
+        "  GPU-* picks {} ({:.2} bits/int)",
         best.scheme().name(),
-        best.bits_per_int(),
-        recommend_scheme(&stats).name()
+        best.bits_per_int()
     );
 }
 

@@ -93,7 +93,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use tlc::fuzz::{run_corpus, run_fuzz, FuzzConfig};
-use tlc::planner::{recommend_scheme, ColumnStats};
+use tlc::planner::ColumnStats;
 use tlc::profile::{write_bench_json, Profile};
 use tlc::schemes::{DecodeError, EncodedColumn, FormatError, Limits, Scheme};
 use tlc::serve::{run_loadgen, LoadgenConfig, QuerySpec, Rejected, Request, ServeConfig, Service};
@@ -146,7 +146,9 @@ fn cmd_stats(input: &str) -> Result<(), String> {
     println!("avg run length:  {:.2}", stats.avg_run_length);
     println!("sorted:          {}", stats.is_sorted);
     println!("range bits:      {}", stats.range_bits());
-    println!("recommendation:  {}", recommend_scheme(&stats).name());
+    // The scheme `tlc compress` writes: the smallest exact footprint.
+    let best = EncodedColumn::encode_best(&values).scheme();
+    println!("recommendation:  {}", best.name());
     for scheme in Scheme::ALL {
         let col = EncodedColumn::encode_as(&values, scheme);
         println!(

@@ -8,8 +8,8 @@
 //! * [`schemes`] — the paper's contribution: GPU-FOR / GPU-DFOR /
 //!   GPU-RFOR with single-pass tile-based decompression ([`tlc_core`]).
 //! * [`baselines`] — every comparison scheme ([`tlc_baselines`]).
-//! * [`planner`] — the Fang-et-al. compression planner and the GPU-*
-//!   hybrid chooser ([`tlc_planner`]).
+//! * [`planner`] — the Fang-et-al. compression planner and column
+//!   statistics ([`tlc_planner`]).
 //! * [`crystal`] — the tile-based query engine ([`tlc_crystal`]).
 //! * [`ssb`] — the Star Schema Benchmark ([`tlc_ssb`]).
 //! * [`store`] — the crash-safe out-of-core partitioned column store

@@ -81,16 +81,46 @@ fn explicit_scheme_is_honored() {
     let _ = std::fs::remove_file(packed);
 }
 
+/// `tlc stats` recommends the scheme `tlc compress` writes for the same
+/// file: one chooser. The `i % 500` column has few distinct values, yet
+/// GPU-DFOR, not GPU-RFOR, is its smallest encoding.
 #[test]
 fn stats_reports_recommendation() {
     let input = tmp("stats_in.bin");
-    write_column(&input, &(0..5_000).map(|i| i / 100).collect::<Vec<i32>>());
-    let out = bin().args(["stats"]).arg(&input).output().expect("run");
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("recommendation:"), "{text}");
-    assert!(text.contains("avg run length"), "{text}");
+    let packed = tmp("stats.tlc");
+    let columns: [Vec<i32>; 2] = [
+        (0..5_000).map(|i| i / 100).collect(),
+        (0..65_536).map(|i| i % 500).collect(),
+    ];
+    for values in &columns {
+        write_column(&input, values);
+        let out = bin().args(["stats"]).arg(&input).output().expect("run");
+        assert!(out.status.success());
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("recommendation:"), "{text}");
+        assert!(text.contains("avg run length"), "{text}");
+        let recommended = text
+            .lines()
+            .find_map(|l| l.strip_prefix("recommendation:"))
+            .expect("recommendation line")
+            .trim()
+            .to_string();
+
+        let out = bin()
+            .args(["compress"])
+            .arg(&input)
+            .arg(&packed)
+            .output()
+            .expect("run");
+        assert!(out.status.success());
+        let written = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            written.contains(&format!(" via {recommended} (")),
+            "stats recommends {recommended}; compress says: {written}"
+        );
+    }
     let _ = std::fs::remove_file(input);
+    let _ = std::fs::remove_file(packed);
 }
 
 #[test]

@@ -6,6 +6,7 @@
 //! recovers to the fault-free result while its report accounts for
 //! every injected fault.
 
+use tlc::fuzz::minor0_stream;
 use tlc::schemes::{DecodeError, EncodedColumn, Scheme};
 use tlc::sim::{Device, FaultPlan};
 use tlc::ssb::fleet::{campaign_plans, campaign_verdict, run_query_sharded};
@@ -110,7 +111,7 @@ fn minor0_byte_flips_uphold_the_panic_free_contract() {
     for seed in 0..4u64 {
         let values = campaign_values(seed);
         for scheme in Scheme::ALL {
-            let bytes = EncodedColumn::encode_as(&values, scheme).to_bytes_minor0();
+            let bytes = minor0_stream(&values, scheme);
             for pos in (0..bytes.len()).step_by(1499).chain([bytes.len() - 1]) {
                 let mut dirty = bytes.clone();
                 dirty[pos] ^= 1 << (seed % 8);

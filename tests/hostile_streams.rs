@@ -8,7 +8,7 @@
 //! configured [`Limits`], never a divergence.
 
 use tlc::fuzz::oracle::{check_stream, Verdict};
-use tlc::fuzz::{regression_cases, run_corpus, run_fuzz, FuzzConfig};
+use tlc::fuzz::{minor0_stream, regression_cases, run_corpus, run_fuzz, FuzzConfig};
 use tlc::schemes::{EncodedColumn, FormatError, GpuRFor, Limits, Scheme};
 
 fn sample_values() -> Vec<i32> {
@@ -47,7 +47,7 @@ fn every_truncation_is_a_typed_error() {
 fn every_minor0_truncation_is_a_typed_error() {
     let values = sample_values();
     for scheme in Scheme::ALL {
-        let bytes = EncodedColumn::encode_as(&values, scheme).to_bytes_minor0();
+        let bytes = minor0_stream(&values, scheme);
         for cut in 0..bytes.len() {
             assert!(
                 EncodedColumn::from_bytes(&bytes[..cut]).is_err(),
@@ -165,7 +165,7 @@ fn minor0_bitflip_sweep_never_panics_or_diverges() {
     let limits = Limits::strict();
     let mut accepted = 0usize;
     for scheme in Scheme::ALL {
-        let bytes = EncodedColumn::encode_as(&values, scheme).to_bytes_minor0();
+        let bytes = minor0_stream(&values, scheme);
         for pos in (0..bytes.len()).step_by(23) {
             for bit in [0x01u8, 0x80] {
                 let mut dirty = bytes.clone();

@@ -12,6 +12,7 @@
 use tlc::baselines::cascaded;
 use tlc::baselines::nvcomp::NvComp;
 use tlc::crystal::{select, QueryColumn};
+use tlc::fuzz::minor0_stream;
 use tlc::schemes::column::DeviceColumn;
 use tlc::schemes::{EncodedColumn, GpuDFor, GpuFor, GpuRFor, Layout, Scheme, DEFAULT_D};
 use tlc::sim::Device;
@@ -115,16 +116,22 @@ fn width_sweep_vertical_matches_horizontal() {
                 );
             }
             // Serialized roundtrip: vertical stamps minor 2, parses
-            // back as vertical, and still decodes identically. The
-            // minor-0 rendering re-transposes to horizontal first.
+            // back as vertical, and still decodes identically. A
+            // minor-0 stream carries the horizontal payload and parses
+            // back to the horizontal column.
             let bytes = vertical.to_bytes();
             assert_eq!(wire_minor(&bytes), 2, "w={w} {scheme:?} wire minor");
             let restored = EncodedColumn::from_bytes(&bytes).expect("minor-2 parses");
             assert_eq!(restored.decode_cpu(), values, "w={w} {scheme:?} roundtrip");
-            let minor0 = vertical.to_bytes_minor0();
+            let minor0 = minor0_stream(&values, scheme);
             assert_eq!(wire_minor(&minor0), 0, "w={w} {scheme:?} minor0 stamp");
             let restored0 = EncodedColumn::from_bytes(&minor0).expect("minor-0 parses");
             assert_eq!(restored0.decode_cpu(), values, "w={w} {scheme:?} minor0");
+            assert_eq!(
+                restored0.to_bytes(),
+                horizontal.to_bytes(),
+                "w={w} {scheme:?} minor0 is the horizontal encoding"
+            );
         }
     }
 }
@@ -168,26 +175,6 @@ fn vertical_for_fused_select_matches_scalar_filter() {
                 "w={w} {layout:?} payload"
             );
         }
-    }
-}
-
-#[test]
-fn transpose_is_an_exact_inverse() {
-    // to_horizontal() of a forced-vertical column decodes identically
-    // and is accepted by the minor-1 writer path.
-    for w in [0u32, 3, 11, 24, 32] {
-        let values = values_of_width(w, 900);
-        let v = GpuFor::encode_with_layout(&values, Layout::Vertical);
-        let h = v.to_horizontal();
-        assert_eq!(h.layout, Layout::Horizontal, "w={w}");
-        assert_eq!(h.decode_cpu(), values, "w={w} FOR");
-
-        let v = GpuDFor::encode_with_d_layout(&values, DEFAULT_D, Layout::Vertical);
-        assert_eq!(v.to_horizontal().decode_cpu(), values, "w={w} DFOR");
-
-        let runs = runs_of_width(w, 900);
-        let v = GpuRFor::encode_with_layout(&runs, Layout::Vertical);
-        assert_eq!(v.to_horizontal().decode_cpu(), runs, "w={w} RFOR");
     }
 }
 
